@@ -111,13 +111,13 @@ def invert_profile(gp, pot_kernel, N, beta=1.0, a=None, b=None):
             certificate=cert,
         )
     log_z0 = math.log(gp.z0)
+    tails = st._eval_rooted(st.d_family, tuple(gp.rho))
     beta_v = []
     for q in range(st.space.size):
         if gp.rho[q] == 0:
             beta_v.append(math.inf)
             continue
-        tail = float(st._eval_rooted(st.d_family, q, tuple(gp.rho)))
-        beta_v.append(log_z0 - math.log(float(gp.rho[q])) + tail)
+        beta_v.append(log_z0 - math.log(float(gp.rho[q])) + float(tails[q]))
     return {
         "beta_v": beta_v,
         "v_ext": [v / beta for v in beta_v],

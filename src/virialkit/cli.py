@@ -31,7 +31,7 @@ from .errors import (
     StructureError,
 )
 from .fps import FormalSeries, exp_series
-from .species import MayerMatrices, SpeciesSpace, load_species_json
+from .species import MayerMatrices, SpeciesSpace, load_species_json, parse_scalar
 
 
 def fixture_text(name):
@@ -44,13 +44,6 @@ def _load_doc(source):
             return json.load(fh)
     except (OSError, TypeError):
         return json.loads(source)
-
-
-def _parse_scalar(v):
-    if isinstance(v, str):
-        num, _, den = v.partition("/")
-        return Fraction(int(num), int(den or "1"))
-    return v
 
 
 def _fmt(v, mode):
@@ -106,13 +99,13 @@ def _hom_model(args):
     Bstar = doc.get("Bstar", 0.0)
     if kind == "hard_rod":
         return homogeneous.HomogeneousModel.hard_rod(
-            _parse_scalar(doc.get("a", 1)), beta=beta, B=B, Bstar=Bstar
+            parse_scalar(doc.get("a", 1)), beta=beta, B=B, Bstar=Bstar
         )
     if kind == "hard_sphere":
         return homogeneous.HomogeneousModel.hard_sphere(
             d=doc.get("d", 3),
-            radius=_parse_scalar(doc["radius"]) if "radius" in doc else None,
-            exclusion=_parse_scalar(doc["exclusion"]) if "exclusion" in doc else None,
+            radius=parse_scalar(doc["radius"]) if "radius" in doc else None,
+            exclusion=parse_scalar(doc["exclusion"]) if "exclusion" in doc else None,
             beta=beta,
             B=B,
             Bstar=Bstar,

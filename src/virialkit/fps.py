@@ -21,6 +21,18 @@ measure is G[x; nu] nu(dx):
         * sum over assignments of [n] minus J to owners j in J of
           prod_j G_(|V_j|)(x_j; (x_v)_{V_j})
 
+``mul``, ``compose_univariate``/``exp_series`` and ``compose_measure`` also
+accept a rooted family in place of the series K and then act root by root.
+
+Every one of these sums runs through one row kernel (``_sweep``).  At each
+canonical multi-index ms it builds once the keys the sum reads -- the
+sub-multi-indices of ms picked out by the templates ``subset_splits``,
+``set_partitions`` or ``compose_templates`` -- and evaluates that row for
+every root before it moves on.  Each coefficient still sees its terms in
+template order with the same multiplications and zero-skips, so results do
+not depend on how many roots share a row: exact values are identical and
+floats are identical to the bit.
+
 Scalars may be Fractions (exact mode), floats, or complex; the code never
 divides, so exactness is preserved end to end.
 """
@@ -31,7 +43,6 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
-from math import factorial
 
 from .errors import CapabilityError, DomainError, StructureError, check_scale
 from .species import MeasureVec, SpeciesSpace
@@ -112,21 +123,6 @@ def sym_factor(ms):
         out *= run if run > 1 else 1
     # the loop above multiplies run each time it grows: 2, then 2*3, ...
     return out
-
-
-def _sym_factor_slow(ms):
-    from collections import Counter
-
-    out = 1
-    for c in Counter(ms).values():
-        out *= factorial(c)
-    return out
-
-
-# sym_factor above is branch-light but easy to get wrong; freeze against the
-# obvious definition once at import time.
-for _ms in [(0,), (0, 0), (0, 1), (0, 0, 0), (0, 0, 1, 1, 1), (1, 2, 2, 3, 3, 3)]:
-    assert sym_factor(_ms) == _sym_factor_slow(_ms)
 
 
 class SymTensor:
@@ -267,17 +263,7 @@ class FormalSeries:
     def evaluate(self, nu):
         """Numeric value sum_n (1/n!) sum_{x vec} K_n nu^n via canonical sums."""
         vals = nu.values if isinstance(nu, MeasureVec) else tuple(nu)
-        w = self.space.weights
-        total = 0
-        for n in range(self.trunc + 1):
-            for ms, v in self.coeffs[n].items():
-                if v == 0:
-                    continue
-                term = v
-                for x in ms:
-                    term = term * vals[x] * w[x]
-                total += term * Fraction(1, sym_factor(ms))
-        return total
+        return measure_sums(self.coeffs, vals, self.space.weights)
 
     # -- serialization -----------------------------------------------------
 
@@ -375,6 +361,10 @@ class RootedSeriesFamily:
     def value(self, n, q, xs):
         return self.coeffs[n][(q, tuple(sorted(xs)))]
 
+    def scale(self, c):
+        coeffs = [{key: c * v for key, v in comp.items()} for comp in self.coeffs]
+        return RootedSeriesFamily(self.space, self.trunc, coeffs, allow_large=True)
+
     def root_series(self, q, allow_large=False):
         """The plain series K with K_n = G_n(q; . )."""
         out = FormalSeries(self.space, self.trunc, allow_large=allow_large)
@@ -409,6 +399,144 @@ class RootedSeriesFamily:
 
 
 # ---------------------------------------------------------------------------
+# Row kernel: the one loop behind every template sum
+
+
+def _tables(X):
+    """Per-root coefficient tables: ``tables[q]`` maps each canonical tail,
+    of any order, to its value.  A plain series is a family with one root."""
+    if isinstance(X, FormalSeries):
+        table = {}
+        for comp in X.coeffs:
+            table.update(comp)
+        return [table]
+    tables = [{} for _ in range(X.space.size)]
+    for comp in X.coeffs:
+        for (q, ms), v in comp.items():
+            tables[q][ms] = v
+    return tables
+
+
+def _packed(K, tables, trunc=None):
+    """Per-root tables stored like K: a series, or a family for a family K."""
+    trunc = K.trunc if trunc is None else trunc
+    rooted = isinstance(K, RootedSeriesFamily)
+    coeffs = [{} for _ in range(trunc + 1)]
+    for q, table in enumerate(tables):
+        for ms, v in table.items():
+            coeffs[len(ms)][(q, ms) if rooted else ms] = v
+    cls = RootedSeriesFamily if rooted else FormalSeries
+    return cls(K.space, trunc, coeffs, allow_large=True)
+
+
+def _sweep(size, orders, kind, outs, evaluate, sub=None):
+    """Set ``outs[q][ms] = evaluate(q, ms, row)`` for every canonical ms of
+    the given orders and every root q, in canonical order.
+
+    ``row`` lists, in template order, the keys that the template sum of
+    ``kind`` reads at ms.  It is built once per ms and shared by all roots:
+
+    "split"      (ms_J, ms_rest) per (J, rest) of ``subset_splits(n)``
+    "partition"  (ms_b for each block) per partition of ``set_partitions(n)``
+    "compose"    (ms_J, factors) per (J, blocks) of ``compose_templates(n)``,
+                 factors holding sub[ms_j][ms_(V_j)] for each owner j in J;
+                 sub are the per-root tables of the substituted family, and
+                 must already hold every order below n
+    """
+    for n in orders:
+        for ms in canonical_indices(size, n):
+            # every template reads ms at sorted position subsets
+            key = {J: tuple(ms[p] for p in J) for J, _ in subset_splits(n)}
+            if kind == "split":
+                row = [(key[J], key[rest]) for J, rest in subset_splits(n)]
+            elif kind == "partition":
+                row = [tuple(key[b] for b in blocks) for blocks in set_partitions(n)]
+            else:
+                row = [
+                    (key[J], tuple(sub[ms[j]][key[V]] for j, V in zip(J, blocks)))
+                    for J, blocks in compose_templates(n)
+                ]
+            for q, out in enumerate(outs):
+                out[ms] = evaluate(q, ms, row)
+
+
+def _split_sum(row, k, g):
+    """sum over splits of k(ms_J) g(ms_rest), skipping zero factors."""
+    total = 0
+    for kj, kr in row:
+        a = k[kj]
+        if a == 0:
+            continue
+        b = g[kr]
+        if b == 0:
+            continue
+        total += a * b
+    return total
+
+
+def _partition_sum(row, k, f, total=0, subtract=False):
+    """total +- sum over partitions of f[#blocks] prod_blocks k(ms_b);
+    a partition with f[#blocks] == 0 is skipped."""
+    for blocks in row:
+        term = f[len(blocks)]
+        if term == 0:
+            continue
+        for kb in blocks:
+            term = term * k[kb]
+            if term == 0:
+                break
+        if subtract:
+            total -= term
+        else:
+            total += term
+    return total
+
+
+def _compose_sum(row, k, total=0, subtract=False):
+    """total +- sum over templates of k(ms_J) prod factors; zero k skipped."""
+    for kj, factors in row:
+        term = k[kj]
+        if term == 0:
+            continue
+        for g in factors:
+            term = term * g
+            if term == 0:
+                break
+        if subtract:
+            total -= term
+        else:
+            total += term
+    return total
+
+
+def measure_sums(coeffs, vals, weights, roots=None, start=0):
+    """sum_n (1/n!) sum_x c_n(x) prod_j nu(x_j) w(x_j) via canonical sums.
+
+    ``coeffs`` holds per-order maps in series layout (roots=None: returns
+    one value) or in family layout (q, tail) -> value (returns one sum per
+    root).  One pass serves every root; each root adds its terms in storage
+    order, from order ``start`` on.
+    """
+    totals = [0] * (roots or 1)
+    for n in range(start, len(coeffs)):
+        inv = {}
+        for key, v in coeffs[n].items():
+            if v == 0:
+                continue
+            q, ms = key if roots else (0, key)
+            term = v
+            for x in ms:
+                term = term * vals[x] * weights[x]
+            c = inv.get(ms)
+            if c is None:
+                k = sym_factor(ms)
+                c = inv[ms] = (Fraction(1, k), 1 / k)
+            # a float times a Fraction is the float times float(Fraction)
+            totals[q] += term * c[1] if type(term) is float else term * c[0]
+    return totals if roots else totals[0]
+
+
+# ---------------------------------------------------------------------------
 # Operations
 
 
@@ -421,24 +549,23 @@ def scale(c, K):
 
 
 def mul(K, G):
-    """Series product: (KG)_n = sum over subsets J of K on J times G on rest."""
-    K._check_compatible(G)
-    out = FormalSeries(K.space, K.trunc, allow_large=True)
-    kc, gc = K.coeffs, G.coeffs
-    for n in range(K.trunc + 1):
-        comp = out.coeffs[n]
-        for ms in comp:
-            total = 0
-            for J, rest in subset_splits(n):
-                a = kc[len(J)][tuple(ms[p] for p in J)]
-                if a == 0:
-                    continue
-                b = gc[len(rest)][tuple(ms[p] for p in rest)]
-                if b == 0:
-                    continue
-                total += a * b
-            comp[ms] = total
-    return out
+    """Series product: (KG)_n = sum over subsets J of K on J times G on rest.
+
+    Two rooted families multiply root by root.
+    """
+    if (
+        isinstance(K, RootedSeriesFamily) != isinstance(G, RootedSeriesFamily)
+        or K.space != G.space
+        or K.trunc != G.trunc
+    ):
+        raise StructureError("series must share space and truncation order")
+    ks, gs = _tables(K), _tables(G)
+    outs = [{} for _ in ks]
+    _sweep(
+        K.space.size, range(K.trunc + 1), "split", outs,
+        lambda q, ms, row: _split_sum(row, ks[q], gs[q]),
+    )
+    return _packed(K, outs)
 
 
 def multi_product(factors):
@@ -477,34 +604,20 @@ def compose_univariate(fcoeffs, K):
 
     fcoeffs lists f_0..f_M for F(t) = sum f_m t^m / m!.  The result is
     (F o K)_n = sum over set partitions P of [n] of f_(|P|) prod_blocks K.
-    Missing f_m beyond the list are treated as 0.
+    Missing f_m beyond the list are treated as 0.  A rooted family K is
+    composed root by root.
     """
-    if K.constant() != 0:
+    ks = _tables(K)
+    if any(k[()] != 0 for k in ks):
         raise DomainError("composition requires a series with zero constant term")
-    fc = list(fcoeffs)
-
-    def f_at(m):
-        return fc[m] if m < len(fc) else 0
-
-    out = FormalSeries(K.space, K.trunc, allow_large=True)
-    out.coeffs[0][()] = f_at(0)
-    kc = K.coeffs
-    for n in range(1, K.trunc + 1):
-        comp = out.coeffs[n]
-        for ms in comp:
-            total = 0
-            for blocks in set_partitions(n):
-                coeff = f_at(len(blocks))
-                if coeff == 0:
-                    continue
-                term = coeff
-                for b in blocks:
-                    term = term * kc[len(b)][tuple(ms[p] for p in b)]
-                    if term == 0:
-                        break
-                total += term
-            comp[ms] = total
-    return out
+    f = list(fcoeffs)
+    f += [0] * (K.trunc + 1 - len(f))
+    outs = [{(): f[0]} for _ in ks]
+    _sweep(
+        K.space.size, range(1, K.trunc + 1), "partition", outs,
+        lambda q, ms, row: _partition_sum(row, ks[q], f),
+    )
+    return _packed(K, outs)
 
 
 def exp_series(K):
@@ -520,23 +633,15 @@ def log_series(K):
     """
     if K.constant() != 1:
         raise DomainError("log requires a series with constant term 1")
-    out = FormalSeries(K.space, K.trunc, allow_large=True)
-    lc = out.coeffs
-    for n in range(1, K.trunc + 1):
-        comp = lc[n]
-        for ms in comp:
-            total = K.coeffs[n][ms]
-            for blocks in set_partitions(n):
-                if len(blocks) == 1:
-                    continue
-                term = 1
-                for b in blocks:
-                    term = term * lc[len(b)][tuple(ms[p] for p in b)]
-                    if term == 0:
-                        break
-                total -= term
-            comp[ms] = total
-    return out
+    k = _tables(K)[0]
+    out = {(): 0}
+    # weight 0 drops the single-block partition, weight 1 keeps the others
+    f = [0, 0] + [1] * (K.trunc - 1)
+    _sweep(
+        K.space.size, range(1, K.trunc + 1), "partition", [out],
+        lambda q, ms, row: _partition_sum(row, out, f, k[ms], subtract=True),
+    )
+    return _packed(K, [out])
 
 
 def var_derivative(K, q):
@@ -556,29 +661,17 @@ def compose_measure(K, G):
 
     G is a rooted family; its order-0 slice G_0(q) is the multiplier of the
     identity substitution and may be any value.  The constant term of the
-    result is K_0.
+    result is K_0.  A rooted family K is composed root by root.
     """
     if K.space != G.space or K.trunc != G.trunc:
         raise StructureError("series and family must share space and truncation")
-    out = FormalSeries(K.space, K.trunc, allow_large=True)
-    out.coeffs[0][()] = K.constant()
-    kc, gc = K.coeffs, G.coeffs
-    for n in range(1, K.trunc + 1):
-        comp = out.coeffs[n]
-        for ms in comp:
-            total = 0
-            for J, blocks in compose_templates(n):
-                a = kc[len(J)][tuple(ms[p] for p in J)]
-                if a == 0:
-                    continue
-                term = a
-                for j, Vj in zip(J, blocks):
-                    term = term * gc[len(Vj)][(ms[j], tuple(ms[p] for p in Vj))]
-                    if term == 0:
-                        break
-                total += term
-            comp[ms] = total
-    return out
+    ks = _tables(K)
+    outs = [{(): k[()]} for k in ks]
+    _sweep(
+        K.space.size, range(1, K.trunc + 1), "compose", outs,
+        lambda q, ms, row: _compose_sum(row, ks[q]), sub=_tables(G),
+    )
+    return _packed(K, outs)
 
 
 # ---------------------------------------------------------------------------

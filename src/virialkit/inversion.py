@@ -34,17 +34,33 @@ from itertools import combinations, combinations_with_replacement
 from .certs import BoundCertificate, ResidualReport
 from .errors import CapabilityError, DomainError, StructureError, check_scale
 from .fps import (
-    FormalSeries,
+    RootedSeriesFamily,
+    _compose_sum,
+    _packed,
+    _sweep,
+    _tables,
     canonical_indices,
     compose_measure,
-    compose_templates,
     exp_series,
+    measure_sums,
     mul,
     sym_factor,
 )
 from .graphs import build_A_family, build_D_family, build_phi_series, d_coeff
-from .species import MayerMatrices, MeasureVec, build_mayer, load_species_json
-from .treefp import compute_tn, eval_T, eval_T_abs, exp_family, _t_as_series
+from .species import (
+    MayerMatrices,
+    MeasureVec,
+    build_mayer,
+    load_species_json,
+    parse_measure,
+)
+from .treefp import (
+    _t_family,
+    compute_tn,
+    eval_T,
+    exp_family,
+    residual_report,
+)
 
 AB_GRID = tuple(Fraction(5 * k, 100) for k in range(1, 61))
 
@@ -117,19 +133,12 @@ class GCState:
     def measure(self, values):
         return MeasureVec(self.space, values)
 
-    def _eval_rooted(self, family, q, vals, skip_order0=True):
-        """sum_n (1/n!) sum_x family_n(q; x) prod nu(x) w(x) numerically."""
-        w = self.space.weights
-        total = 0
-        for n in range(0 if not skip_order0 else 1, family.trunc + 1):
-            for (root, ms), v in family.coeffs[n].items():
-                if root != q or v == 0:
-                    continue
-                term = v
-                for x in ms:
-                    term = term * vals[x] * w[x]
-                total += term * Fraction(1, sym_factor(ms))
-        return total
+    def _eval_rooted(self, family, vals, skip_order0=True):
+        """Per root q: sum_n (1/n!) sum_x family_n(q; x) prod nu(x) w(x)."""
+        return measure_sums(
+            family.coeffs, vals, self.space.weights, roots=self.space.size,
+            start=1 if skip_order0 else 0,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +378,8 @@ def _grid_search(condition, make_ab, margins_fn, trunc=None):
 def rho_of_z(st, z):
     """Forward map: rho(q) = z(q) exp(-A(q; z)), truncated at N."""
     vals = tuple(z)
-    out = []
-    for q in range(st.space.size):
-        a_val = st._eval_rooted(st.a_family, q, vals)
-        out.append(vals[q] * _exp(-a_val))
-    return MeasureVec(st.space, out)
+    a_vals = st._eval_rooted(st.a_family, vals)
+    return MeasureVec(st.space, [v * _exp(-a) for v, a in zip(vals, a_vals)])
 
 
 def zeta_of_nu(st, nu, path="biconnected"):
@@ -382,14 +388,11 @@ def zeta_of_nu(st, nu, path="biconnected"):
     they agree as formal series through order N (see zeta_path_agreement).
     """
     vals = tuple(nu)
-    out = []
     if path == "tree":
-        for q in range(st.space.size):
-            out.append(vals[q] * eval_T(st.t_family, vals, q))
+        out = [v * T for v, T in zip(vals, eval_T(st.t_family, vals))]
     elif path == "biconnected":
-        for q in range(st.space.size):
-            d_val = st._eval_rooted(st.d_family, q, vals)
-            out.append(vals[q] * _exp(-d_val))
+        d_vals = st._eval_rooted(st.d_family, vals)
+        out = [v * _exp(-d) for v, d in zip(vals, d_vals)]
     else:
         raise DomainError("path must be 'tree' or 'biconnected'")
     return MeasureVec(st.space, out)
@@ -397,19 +400,8 @@ def zeta_of_nu(st, nu, path="biconnected"):
 
 def zeta_path_agreement(st):
     """Coefficientwise residual between the two zeta paths through order N."""
-    worst = 0
-    per_order = {}
-    exact = True
-    for q in range(st.space.size):
-        tree = _t_as_series(st.t_family, q)
-        bic = exp_series(st.d_family.root_series(q, allow_large=True).scale(-1))
-        for n in range(st.N + 1):
-            for ms, v in tree.coeffs[n].items():
-                delta = abs(v - bic.coeffs[n][ms])
-                exact = exact and delta == 0
-                per_order[n] = max(per_order.get(n, 0), delta)
-                worst = max(worst, delta)
-    return ResidualReport("zeta_path_agreement", worst, per_order, exact=exact)
+    bic = exp_series(st.d_family.scale(-1))
+    return residual_report("zeta_path_agreement", (_t_family(st.t_family), bic))
 
 
 def roundtrip_check(st, x=None, tol=0):
@@ -420,23 +412,15 @@ def roundtrip_check(st, x=None, tol=0):
     constant series 1.  Exact zero in rational mode.  When a measure x is
     supplied, the numeric round trip through both maps at x is reported too.
     """
-    unit = FormalSeries.unit(st.space, st.N, allow_large=True)
-    worst = 0
-    per_order = {}
-    exact = True
-    for q in range(st.space.size):
-        T_q = _t_as_series(st.t_family, q)
-        E_q = st.e_family.root_series(q, allow_large=True)
-        r1 = mul(E_q, compose_measure(T_q, st.e_family)) - unit
-        r2 = mul(T_q, compose_measure(E_q, st.t_family)) - unit
-        for series in (r1, r2):
-            for n in range(st.N + 1):
-                for ms, v in series.coeffs[n].items():
-                    delta = abs(v)
-                    exact = exact and delta == 0
-                    per_order[n] = max(per_order.get(n, 0), delta)
-                    worst = max(worst, delta)
-    report = ResidualReport("roundtrip", worst, per_order, exact=exact)
+    T, E = _t_family(st.t_family), st.e_family
+    unit = RootedSeriesFamily.from_function(
+        st.space, st.N, lambda n, q, ms: 1 if n == 0 else 0, allow_large=True
+    )
+    report = residual_report(
+        "roundtrip",
+        (mul(E, compose_measure(T, E)), unit),
+        (mul(T, compose_measure(E, st.t_family)), unit),
+    )
     if x is not None:
         xf = [float(v) for v in x]
         echo1 = zeta_of_nu(st, rho_of_z(st, xf), path="tree")
@@ -458,32 +442,18 @@ def extract_d_from_a(st):
     the composition is D_(n+1) itself since the factor family has unit
     constant term.  Returns a family in the same layout as d_family.
     """
-    from .fps import RootedSeriesFamily
-
     S = st.space.size
-    E = st.e_family
-    out = RootedSeriesFamily(st.space, st.N, allow_large=True)
-    ec = E.coeffs
-    for q in range(S):
-        F = st.a_family.root_series(q, allow_large=True).scale(-1)
-        sc = out.coeffs
-        for n in range(1, st.N + 1):
-            for ms in canonical_indices(S, n):
-                total = F.coeffs[n][ms]
-                for J, blocks in compose_templates(n):
-                    if len(J) == n:
-                        continue
-                    d_val = sc[len(J)][(q, tuple(ms[p] for p in J))]
-                    if d_val == 0:
-                        continue
-                    term = d_val
-                    for j, Vj in zip(J, blocks):
-                        term = term * ec[len(Vj)][(ms[j], tuple(ms[p] for p in Vj))]
-                        if term == 0:
-                            break
-                    total -= term
-                sc[n][(q, ms)] = total
-    return out
+    F = _tables(st.a_family.scale(-1))
+    D = [{(): 0} for _ in range(S)]
+    E = _tables(st.e_family)
+    for n in range(1, st.N + 1):
+        # the last template, J = all positions, is the unknown D_n term itself
+        _sweep(
+            S, (n,), "compose", D,
+            lambda q, ms, row: _compose_sum(row[:-1], D[q], F[q][ms], subtract=True),
+            sub=E,
+        )
+    return _packed(st.a_family, D)
 
 
 # ---------------------------------------------------------------------------
@@ -687,48 +657,40 @@ def dissymmetry_check(st, N=None):
     if N > 5:
         raise CapabilityError("dissymmetry check supports orders n <= 5")
     phi = st.phi_series
-    f = st.mayer
+    S = st.space.size
+    # (m - 1) D_m on every canonical tuple of orders 2..N, one d_coeff call
+    # each; order 1 holds 0, which drops the single-owner templates
+    dm = dict.fromkeys(canonical_indices(S, 1), 0)
+    for m in range(2, N + 1):
+        for ms in canonical_indices(S, m):
+            dm[ms] = (m - 1) * d_coeff(st.mayer, ms)
+    # owner x with the block V: phi_(|V|+1)(x_V, x)
+    owner = [
+        {v: phi.value(m + 1, v + (x,)) for m in range(N) for v in canonical_indices(S, m)}
+        for x in range(S)
+    ]
+    rhs = {}
+    _sweep(
+        S, range(2, N + 1), "compose", [rhs],
+        lambda q, ms, row: _compose_sum(
+            row, dm, len(ms) * phi.coeffs[len(ms)][ms], subtract=True
+        ),
+        sub=owner,
+    )
     worst = 0
     per_order = {}
     exact = True
-    for n in range(2, N + 1):
-        for ms in canonical_indices(st.space.size, n):
-            lhs = phi.coeffs[n][ms]
-            rhs = n * lhs
-            for L, blocks in compose_templates(n):
-                mlen = len(L)
-                if mlen < 2:
-                    continue
-                d_val = d_coeff(f, tuple(ms[p] for p in L))
-                if d_val == 0:
-                    continue
-                term = (mlen - 1) * d_val
-                for owner, Jl in zip(L, blocks):
-                    arg = tuple(ms[p] for p in Jl) + (ms[owner],)
-                    term = term * phi.value(len(Jl) + 1, arg)
-                    if term == 0:
-                        break
-                rhs -= term
-            delta = abs(lhs - rhs)
-            exact = exact and delta == 0
-            per_order[n] = max(per_order.get(n, 0), delta)
-            worst = max(worst, delta)
+    for ms, r in rhs.items():
+        n = len(ms)
+        delta = abs(phi.coeffs[n][ms] - r)
+        exact = exact and delta == 0
+        per_order[n] = max(per_order.get(n, 0), delta)
+        worst = max(worst, delta)
     return ResidualReport("dissymmetry", worst, per_order, exact=exact)
 
 
 # ---------------------------------------------------------------------------
 # JSON request interface
-
-
-def _parse_scalar(v):
-    if isinstance(v, str):
-        num, _, den = v.partition("/")
-        return Fraction(int(num), int(den or "1"))
-    return v
-
-
-def _parse_measure(raw):
-    return [_parse_scalar(v) for v in raw]
 
 
 def run_request(request):
@@ -749,40 +711,42 @@ def run_request(request):
         raise StructureError(f"malformed request: missing {exc}") from exc
     st = GCState(space, pot=pot, N=N)
     resp = {"op": op, "N": N}
+    S = space.size
+
+    def measure(key):
+        return parse_measure(inputs[key], S, key)
+
+    def weight(key):
+        return None if inputs.get(key) is None else measure(key)
+
     if op == "rho_of_z":
-        z = _parse_measure(inputs["z"])
-        resp["values"] = [float(v) for v in rho_of_z(st, z)]
+        resp["values"] = [float(v) for v in rho_of_z(st, measure("z"))]
     elif op == "zeta_of_nu":
-        nu = _parse_measure(inputs["nu"])
         path = inputs.get("path", "biconnected")
-        resp["values"] = [float(v) for v in zeta_of_nu(st, nu, path=path)]
+        resp["values"] = [float(v) for v in zeta_of_nu(st, measure("nu"), path=path)]
         resp["path"] = path
     elif op == "log_xi_series":
-        resp["values"] = float(log_xi_series(st, _parse_measure(inputs["z"])))
+        resp["values"] = float(log_xi_series(st, measure("z")))
     elif op == "pressure":
-        resp["values"] = float(pressure_of_nu(st, _parse_measure(inputs["nu"])))
+        resp["values"] = float(pressure_of_nu(st, measure("nu")))
     elif op == "free_energy":
-        resp["values"] = free_energy(
-            st, _parse_measure(inputs["nu"]), inputs.get("m")
-        )
+        resp["values"] = free_energy(st, measure("nu"), weight("m"))
     elif op == "xi_exact":
-        xi = xi_exact(st, _parse_measure(inputs["z"]), n_max=inputs.get("n_max"))
+        xi = xi_exact(st, measure("z"), n_max=inputs.get("n_max"))
         resp["values"] = float(xi.value)
         resp["truncated"] = xi.truncated
         resp["n_max"] = xi.n_max
     elif op == "density_exact":
-        rho = density_exact(st, _parse_measure(inputs["z"]), n_max=inputs.get("n_max"))
+        rho = density_exact(st, measure("z"), n_max=inputs.get("n_max"))
         resp["values"] = [float(v) for v in rho]
     elif op == "check_PU":
-        cert = check_PU(st, _parse_measure(inputs["z"]), inputs.get("a"))
+        cert = check_PU(st, measure("z"), weight("a"))
         resp["certificates"] = [cert.to_dict()]
     elif op == "check_Sb":
-        cert = check_Sb(st, _parse_measure(inputs["nu"]), inputs.get("b"))
+        cert = check_Sb(st, measure("nu"), weight("b"))
         resp["certificates"] = [cert.to_dict()]
     elif op == "check_Sab":
-        cert = check_Sab(
-            st, _parse_measure(inputs["nu"]), inputs.get("a"), inputs.get("b")
-        )
+        cert = check_Sab(st, measure("nu"), weight("a"), weight("b"))
         resp["certificates"] = [cert.to_dict()]
     elif op == "roundtrip":
         resp["residuals"] = [roundtrip_check(st).to_dict()]

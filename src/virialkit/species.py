@@ -15,6 +15,7 @@ and fbar = 1 hold exactly, also in rational mode.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -357,6 +358,38 @@ def c_bar(mayer, z_abs):
 
 
 # ---------------------------------------------------------------------------
+# Parsing user input
+
+
+def parse_scalar(v):
+    """One number from user input.
+
+    Strings "p/q" or "p" become exact Fractions; ints, Fractions, floats and
+    complex numbers pass through unchanged.  A malformed string, a zero
+    denominator, NaN, an infinity or a non-number raises DomainError.
+    """
+    if isinstance(v, str):
+        num, _, den = v.partition("/")
+        try:
+            return Fraction(int(num), int(den or "1"))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"not a finite number: {v!r}") from exc
+    if isinstance(v, bool) or not isinstance(v, (int, Fraction, float, complex)):
+        raise DomainError(f"not a number: {v!r}")
+    if isinstance(v, (float, complex)) and not cmath.isfinite(v):
+        raise DomainError(f"not a finite number: {v!r}")
+    return v
+
+
+def parse_measure(raw, size, name="measure"):
+    """A list of ``size`` numbers (see parse_scalar) from user input; a
+    non-list or a list of the wrong length raises StructureError."""
+    if not isinstance(raw, (list, tuple)) or len(raw) != size:
+        raise StructureError(f"{name} must be a list of {size} numbers")
+    return [parse_scalar(v) for v in raw]
+
+
+# ---------------------------------------------------------------------------
 # Species file (JSON) loading
 
 
@@ -485,7 +518,7 @@ def load_species_json(source):
         beta = doc["beta"]
         recs = sorted(doc["species"], key=lambda r: r["id"])
         space = SpeciesSpace(
-            Species(r["id"], r["weight"], r.get("payload")) for r in recs
+            Species(r["id"], parse_scalar(r["weight"]), r.get("payload")) for r in recs
         )
         pot_doc = doc["potential"]
         v = _potential_matrix_from_kind(space, pot_doc["kind"], pot_doc.get("params", {}))

@@ -27,18 +27,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iter_product
 
 from .certs import BoundCertificate, ResidualReport
 from .errors import CapabilityError, DomainError
 from .fps import (
-    FormalSeries,
     RootedSeriesFamily,
-    canonical_indices,
+    _compose_sum,
+    _packed,
+    _partition_sum,
+    _sweep,
+    _tables,
     compose_measure,
-    compose_templates,
     exp_series,
+    measure_sums,
     set_partitions,
     sym_factor,
 )
@@ -70,44 +72,16 @@ def compute_tn(A, N=None):
         raise DomainError("requested order exceeds the activity family")
     if any(v != 0 for v in A.coeffs[0].values()):
         raise DomainError("activity family must have zero order-0 slice")
-    space = A.space
-    S = space.size
-    t = RootedSeriesFamily(space, N, allow_large=True)
-    b = RootedSeriesFamily(space, N, allow_large=True)
-    for q in range(S):
-        t.coeffs[0][(q, ())] = 1
-    tc, bc, ac = t.coeffs, b.coeffs, A.coeffs
+    S = A.space.size
+    a = _tables(A)
+    b = [{(): 0} for _ in range(S)]
+    t = [{(): 1} for _ in range(S)]
+    ones = [1] * (N + 1)
     for n in range(1, N + 1):
-        templates = compose_templates(n)
-        partitions = set_partitions(n)
-        bcomp = bc[n]
-        for q in range(S):
-            for ms in canonical_indices(S, n):
-                total = 0
-                for J, blocks in templates:
-                    a_val = ac[len(J)][(q, tuple(ms[p] for p in J))]
-                    if a_val == 0:
-                        continue
-                    term = a_val
-                    for j, Vj in zip(J, blocks):
-                        term = term * tc[len(Vj)][(ms[j], tuple(ms[p] for p in Vj))]
-                        if term == 0:
-                            break
-                    total += term
-                bcomp[(q, ms)] = total
-        tcomp = tc[n]
-        for q in range(S):
-            for ms in canonical_indices(S, n):
-                total = 0
-                for blocks in partitions:
-                    term = 1
-                    for blk in blocks:
-                        term = term * bc[len(blk)][(q, tuple(ms[p] for p in blk))]
-                        if term == 0:
-                            break
-                    total += term
-                tcomp[(q, ms)] = total
-    return TnFamily(space, N, tc, b)
+        # B_n reads t below order n; t_n is the exp-type partition sum of B
+        _sweep(S, (n,), "compose", b, lambda q, ms, row: _compose_sum(row, a[q]), sub=t)
+        _sweep(S, (n,), "partition", t, lambda q, ms, row: _partition_sum(row, b[q], ones))
+    return TnFamily(A.space, N, _packed(A, t, N).coeffs, _packed(A, b, N))
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +173,13 @@ def tn_via_trees(A, n, q, xs):
 # Evaluation and certificates
 
 
-def eval_T(t, nu, q):
-    """Numeric T(q; nu) = 1 + sum_n (1/n!) sum_x t_n(q; x) nu^n."""
-    vals = tuple(nu)
-    w = t.space.weights
-    total = 0
-    for n in range(t.trunc + 1):
-        for (root, ms), v in t.coeffs[n].items():
-            if root != q or v == 0:
-                continue
-            term = v
-            for x in ms:
-                term = term * vals[x] * w[x]
-            total += term * Fraction(1, sym_factor(ms))
-    return total
+def eval_T(t, nu, q=None):
+    """Numeric T(q; nu) = 1 + sum_n (1/n!) sum_x t_n(q; x) nu^n.
+
+    With q=None returns the list over all roots, from one pass.
+    """
+    sums = measure_sums(t.coeffs, tuple(nu), t.space.weights, roots=t.space.size)
+    return sums if q is None else sums[q]
 
 
 def eval_T_abs(t, nu, b):
@@ -247,14 +214,31 @@ def eval_T_abs(t, nu, b):
     )
 
 
-def _t_as_series(t, q):
-    """T(q; .) as a plain series: constant 1 plus the t_n slices."""
-    out = FormalSeries(t.space, t.trunc, allow_large=True)
-    out.coeffs[0][()] = 1
-    for n in range(1, t.trunc + 1):
-        for ms in canonical_indices(t.space.size, n):
-            out.coeffs[n][ms] = t.coeffs[n][(q, ms)]
-    return out
+def _t_family(t):
+    """T(q; .) for every root: the family t with its order-0 slice set to 1."""
+    order0 = {(q, ()): 1 for q in range(t.space.size)}
+    return RootedSeriesFamily(t.space, t.trunc, [order0] + t.coeffs[1:], allow_large=True)
+
+
+def residual_report(name, *pairs):
+    """Coefficientwise |lhs - rhs| over (lhs, rhs) pairs of families or
+    series: the worst value overall and per order."""
+    worst = 0
+    per_order = {}
+    exact = True
+    for lhs, rhs in pairs:
+        for n, comp in enumerate(lhs.coeffs):
+            top = per_order.get(n, 0)
+            other = rhs.coeffs[n]
+            for key, v in comp.items():
+                delta = abs(v - other[key])
+                exact = exact and delta == 0
+                if delta > top:
+                    top = delta
+            per_order[n] = top
+            if top > worst:
+                worst = top
+    return ResidualReport(name, worst, per_order, exact=exact)
 
 
 def verify_FP(A, t, tol=0):
@@ -263,22 +247,8 @@ def verify_FP(A, t, tol=0):
     For each root q the inner series B = A(q; .) composed with the family T
     is exponentiated and compared against T(q; .) coefficientwise.
     """
-    worst = 0
-    per_order = {n: 0 for n in range(t.trunc + 1)}
-    exact = True
-    for q in range(t.space.size):
-        K_q = A.root_series(q, allow_large=True)
-        lhs = exp_series(compose_measure(K_q, t))
-        rhs = _t_as_series(t, q)
-        for n in range(t.trunc + 1):
-            for ms, v in lhs.coeffs[n].items():
-                delta = abs(v - rhs.coeffs[n][ms])
-                exact = exact and delta == 0
-                if delta > per_order[n]:
-                    per_order[n] = delta
-                if delta > worst:
-                    worst = delta
-    return ResidualReport("fixed_point", worst, per_order, exact=exact)
+    lhs = exp_series(compose_measure(A, t))
+    return residual_report("fixed_point", (lhs, _t_family(t)))
 
 
 def verify_FPprime(A, t, tol=0):
@@ -287,32 +257,10 @@ def verify_FPprime(A, t, tol=0):
     Substituting the factor family E(x; z) = exp(-A(x; z)) into T(q; .)
     must reproduce exp(A(q; z)) coefficientwise.
     """
-    space = A.space
-    e_fam = exp_family(A, sign=-1)
-    worst = 0
-    per_order = {n: 0 for n in range(t.trunc + 1)}
-    exact = True
-    for q in range(space.size):
-        lhs = compose_measure(_t_as_series(t, q), e_fam)
-        rhs = exp_series(A.root_series(q, allow_large=True))
-        for n in range(t.trunc + 1):
-            for ms, v in lhs.coeffs[n].items():
-                delta = abs(v - rhs.coeffs[n][ms])
-                exact = exact and delta == 0
-                if delta > per_order[n]:
-                    per_order[n] = delta
-                if delta > worst:
-                    worst = delta
-    return ResidualReport("fixed_point_activity", worst, per_order, exact=exact)
+    lhs = compose_measure(_t_family(t), exp_family(A, sign=-1))
+    return residual_report("fixed_point_activity", (lhs, exp_series(A)))
 
 
 def exp_family(A, sign=1):
-    """The rooted family x -> exp(sign * A(x; .)) computed per root."""
-    space = A.space
-    fam = RootedSeriesFamily(space, A.trunc, allow_large=True)
-    for x in range(space.size):
-        series = exp_series(A.root_series(x, allow_large=True).scale(sign))
-        for n in range(A.trunc + 1):
-            for ms in canonical_indices(space.size, n):
-                fam.coeffs[n][(x, ms)] = series.coeffs[n][ms]
-    return fam
+    """The rooted family x -> exp(sign * A(x; .)), root by root."""
+    return exp_series(A.scale(sign))

@@ -9,6 +9,7 @@ composition, and differentiation.
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
 from virialkit import errors, fps
-from virialkit.errors import CapabilityError, DomainError
+from virialkit.errors import CapabilityError, DomainError, StructureError
 from virialkit.fps import (
     FormalSeries,
     RootedSeriesFamily,
@@ -35,7 +36,8 @@ from virialkit.fps import (
     sym_factor,
     var_derivative,
 )
-from virialkit.species import MeasureVec, SpeciesSpace
+from virialkit.inversion import GCState
+from virialkit.species import MayerMatrices, MeasureVec, PairPotential, SpeciesSpace
 
 BELL = [1, 1, 2, 5, 15, 52]
 
@@ -486,3 +488,72 @@ def test_exp_log_roundtrip_property(xs):
     a = [Fraction(0)] + xs
     K = from_egf(a)
     assert log_series(exp_series(K)) == K
+
+
+# ---------------------------------------------------------------------------
+# multiplicity factorials
+
+
+def _sym_factor_slow(ms):
+    out = 1
+    for c in Counter(ms).values():
+        out *= math.factorial(c)
+    return out
+
+
+def test_sym_factor_matches_multiplicity_factorials():
+    for ms in [(0,), (0, 0), (0, 1), (0, 0, 0), (0, 0, 1, 1, 1), (1, 2, 2, 3, 3, 3)]:
+        assert sym_factor(ms) == _sym_factor_slow(ms)
+    for n in range(7):
+        for ms in canonical_indices(3, n):
+            assert sym_factor(ms) == _sym_factor_slow(ms)
+
+
+# ---------------------------------------------------------------------------
+# family operations act root by root
+
+
+def exact_state(seed, S, N):
+    r = random.Random(seed)
+    f = [[Fraction(0)] * S for _ in range(S)]
+    for i in range(S):
+        for j in range(i, S):
+            f[i][j] = f[j][i] = Fraction(r.randint(-16, 8), 16)
+    space = SpeciesSpace.from_weights([Fraction(r.randint(1, 4), 2) for _ in range(S)])
+    return GCState(space, mayer=MayerMatrices.from_f(space, f, exact=True), N=N)
+
+
+def float_state(seed, S, N):
+    r = random.Random(seed)
+    v = [[0.0] * S for _ in range(S)]
+    for i in range(S):
+        for j in range(i, S):
+            v[i][j] = v[j][i] = round(r.uniform(-0.3, 1.5), 3)
+    space = SpeciesSpace.from_weights([r.choice((0.5, 1.0, 1.5)) for _ in range(S)])
+    return GCState(space, pot=PairPotential(space, 1.0, v), N=N)
+
+
+@pytest.mark.parametrize("st", [exact_state(41, 3, 5), float_state(42, 6, 4)], ids=["exact", "float"])
+def test_family_ops_equal_per_root_ops(st):
+    A, t, E = st.a_family, st.t_family, st.e_family
+    fc = [0, 1, Fraction(1, 2), -3, 2, Fraction(5, 7)] if st.exact else [0, 1, 0.5, -3.0, 2.0]
+    products = mul(E, t)
+    composed = compose_measure(t, E)
+    exps = exp_series(A)
+    composed_f = compose_univariate(fc, A)
+    for q in range(st.space.size):
+        E_q, t_q, A_q = (X.root_series(q, allow_large=True) for X in (E, t, A))
+        # == on floats: the family ops must reproduce every bit
+        assert products.root_series(q, allow_large=True) == mul(E_q, t_q)
+        assert composed.root_series(q, allow_large=True) == compose_measure(t_q, E)
+        assert exps.root_series(q, allow_large=True) == exp_series(A_q)
+        assert composed_f.root_series(q, allow_large=True) == compose_univariate(fc, A_q)
+
+
+def test_mul_rejects_series_with_family():
+    K = rand_series(50, S2, 2)
+    fam = RootedSeriesFamily.from_function(S2, 2, lambda n, q, ms: Fraction(q))
+    with pytest.raises(StructureError):
+        mul(K, fam)
+    with pytest.raises(DomainError):
+        exp_series(fam)  # nonzero constant at root 1

@@ -7,6 +7,7 @@ explicit tolerances tied to the truncation order.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,13 @@ from virialkit.inversion import (
     zeta_of_nu,
     zeta_path_agreement,
 )
-from virialkit.species import MayerMatrices, MeasureVec, SpeciesSpace, load_species_json
+from virialkit.species import (
+    MayerMatrices,
+    MeasureVec,
+    PairPotential,
+    SpeciesSpace,
+    load_species_json,
+)
 
 S2 = SpeciesSpace.uniform(2)
 MIX_F = [[Fraction(-1), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(0)]]
@@ -558,3 +565,78 @@ def test_run_request_errors():
         run_request(request("transmute", z=["1/10", "1/8"]))
     with pytest.raises(StructureError):
         run_request({"state": {"beta": 1.0}, "op": "roundtrip"})
+
+
+def test_run_request_boundary_inputs():
+    z = ["1/10", "1/8"]
+    with pytest.raises(StructureError):
+        run_request(request("rho_of_z", z=z[:1]))
+    with pytest.raises(StructureError):
+        run_request(request("rho_of_z", z="1/10"))
+    with pytest.raises(DomainError):
+        run_request(request("rho_of_z", z=["1/0", "1/8"]))
+    with pytest.raises(DomainError):
+        run_request(request("rho_of_z", z=[float("nan"), 0.1]))
+    with pytest.raises(DomainError):
+        run_request(request("rho_of_z", z=[float("inf"), 0.1]))
+    with pytest.raises(DomainError):
+        run_request(request("check_PU", z=z, a=["x", "1/2"]))
+    # string weights and weight vectors parse to the same Fractions
+    doc = {**MATRIX_STATE, "species": [{"id": 0, "weight": 1}, {"id": 1, "weight": "1/2"}]}
+    twin = {**MATRIX_STATE, "species": [{"id": 0, "weight": 1}, {"id": 1, "weight": Fraction(1, 2)}]}
+    assert run_request({"state": doc, "op": "rho_of_z", "inputs": {"z": z}}) == run_request(
+        {"state": twin, "op": "rho_of_z", "inputs": {"z": z}}
+    )
+    out = run_request(request("check_PU", z=z, a=["1/2", "1/3"]))
+    assert out == run_request(request("check_PU", z=z, a=[Fraction(1, 2), Fraction(1, 3)]))
+
+
+def test_dissymmetry_builds_each_d_once(monkeypatch):
+    calls = []
+    real = inv.d_coeff
+
+    def counting(mayer, ms):
+        calls.append(ms)
+        return real(mayer, ms)
+
+    monkeypatch.setattr(inv, "d_coeff", counting)
+    rep = dissymmetry_check(mix_state(N=5), N=5)
+    assert rep.exact and rep.max_abs == 0
+    # one call per canonical tuple of orders 2..5 over two species
+    assert len(calls) == len(set(calls)) == 3 + 4 + 5 + 6
+
+
+def soft_state(seed, S, N):
+    r = random.Random(seed)
+    v = [[0.0] * S for _ in range(S)]
+    for i in range(S):
+        for j in range(i, S):
+            v[i][j] = v[j][i] = round(r.uniform(-0.3, 1.5), 3)
+    space = SpeciesSpace.from_weights([r.choice((0.5, 1.0, 1.5)) for _ in range(S)])
+    return GCState(space, pot=PairPotential(space, 1.0, v), N=N)
+
+
+def test_float_golden_tree_coefficients_and_roundtrip():
+    # float bits recorded before the template sums were batched over roots;
+    # every multiplication and addition must happen in the same order
+    st = soft_state(2024, 4, 4)
+    t = st.t_family
+    golden = {
+        (1, 0, (2,)): "0x1.c0394edda9f10p-3",
+        (2, 3, (0, 1)): "0x1.8afc66cd77df3p-3",
+        (3, 1, (0, 2, 3)): "0x1.a051d5fe604e8p-5",
+        (4, 2, (0, 1, 1, 3)): "-0x1.195ec00d2be26p-4",
+        (4, 0, (3, 3, 3, 3)): "0x1.234ae76aa7304p+0",
+    }
+    for (n, q, ms), value in golden.items():
+        assert t.coeffs[n][(q, ms)].hex() == value
+    rep = roundtrip_check(st)
+    assert rep.max_abs.hex() == "0x1.d000000000000p-48"
+    per_order = {n: v.hex() if isinstance(v, float) else v for n, v in rep.per_order.items()}
+    assert per_order == {
+        0: 0,
+        1: 0,
+        2: "0x1.0000000000000p-53",
+        3: "0x1.8000000000000p-51",
+        4: "0x1.d000000000000p-48",
+    }

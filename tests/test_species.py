@@ -17,6 +17,8 @@ from virialkit.species import (
     c_bar,
     check_stability,
     load_species_json,
+    parse_measure,
+    parse_scalar,
     recover_potential,
     segments_intersect,
 )
@@ -269,3 +271,36 @@ def test_load_species_json_errors():
                 "potential": {"kind": "nope", "params": {}},
             }
         )
+
+
+def test_parse_scalar():
+    assert parse_scalar("3/4") == Fraction(3, 4)
+    assert isinstance(parse_scalar("3"), Fraction) and parse_scalar("3") == 3
+    assert parse_scalar("-1/8") == Fraction(-1, 8)
+    for v in (2, Fraction(1, 3), 0.25, 0.5 + 1j):
+        assert parse_scalar(v) is v
+    for bad in ("1/0", "x", "1/2/3", "", float("nan"), float("inf"), complex("nan"), None, True, [1]):
+        with pytest.raises(DomainError):
+            parse_scalar(bad)
+
+
+def test_parse_measure():
+    assert parse_measure(["1/2", 3], 2) == [Fraction(1, 2), 3]
+    for bad in (["1/2"], ["1/2", 1, 1], "1/2", None):
+        with pytest.raises(StructureError):
+            parse_measure(bad, 2)
+    with pytest.raises(DomainError):
+        parse_measure(["1/2", float("nan")], 2)
+
+
+def test_load_species_json_string_weight():
+    doc = {
+        "beta": 1.0,
+        "species": [{"id": 0, "weight": "1/2"}],
+        "potential": {"kind": "matrix", "params": {"v": [["inf"]]}},
+    }
+    space, _ = load_species_json(doc)
+    assert space.weights == (Fraction(1, 2),)
+    doc["species"][0]["weight"] = "1/0"
+    with pytest.raises(DomainError):
+        load_species_json(doc)

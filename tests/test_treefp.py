@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import pytest
 
-from virialkit import treefp
 from virialkit.errors import CapabilityError, DomainError
 from virialkit.fps import FormalSeries, RootedSeriesFamily, mul
 from virialkit.graphs import build_A_family
@@ -189,8 +188,15 @@ def test_eval_T_matches_series_route():
     t = compute_tn(ones_family(S1, 3))
     nu = MeasureVec.constant(S1, Fraction(1, 10))
     assert eval_T(t, nu, 0) == Fraction(6749, 6000)
-    series = treefp._t_as_series(t, 0)
+    series = t.root_series(0)
     assert series.evaluate(nu) == eval_T(t, nu, 0)
+
+
+def test_eval_T_all_roots_at_once():
+    t = compute_tn(rand_family(12, S2, 3))
+    nu = MeasureVec(S2, (Fraction(1, 7), Fraction(-1, 9)))
+    assert eval_T(t, nu) == [eval_T(t, nu, q) for q in range(2)]
+    assert eval_T(t, nu, 1) == t.root_series(1).evaluate(nu)
 
 
 def test_eval_T_abs_certificate():
