@@ -15,7 +15,6 @@ the cell volumes enter as quadrature weights.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,17 +30,13 @@ from .graphs import hard_core_d_table
 from .homogeneous import INV_2E, _overlap_length_1d, vol_ball
 from .inversion import AB_GRID, GCState, check_Sab
 from .kernels import mc_mask_sum, mc_rod_mask_sum
-from .species import PairPotential, Species, SpeciesSpace, _potential_matrix_from_kind
-
-
-def _load_doc(source):
-    if isinstance(source, dict):
-        return source
-    try:
-        with open(source) as fh:
-            return json.load(fh)
-    except (OSError, TypeError):
-        return json.loads(source)
+from .species import (
+    PairPotential,
+    Species,
+    SpeciesSpace,
+    _potential_matrix_from_kind,
+    load_doc,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +62,7 @@ class GridProfile:
 
     @classmethod
     def from_json(cls, source):
-        doc = _load_doc(source)
+        doc = load_doc(source)
         return cls(
             points=doc["points"],
             cell_volumes=doc["cell_volumes"],
@@ -154,7 +149,7 @@ class MixtureSpec:
 
     @classmethod
     def from_json(cls, source):
-        doc = _load_doc(source)
+        doc = load_doc(source)
         return cls(
             radii=doc["radii"],
             d=doc["d"],
@@ -350,7 +345,7 @@ class RodSystem:
 
     @classmethod
     def from_json(cls, source):
-        doc = _load_doc(source)
+        doc = load_doc(source)
         return cls(
             rho0=doc["rho0"],
             length=doc["length"],

@@ -31,19 +31,17 @@ from .errors import (
     StructureError,
 )
 from .fps import FormalSeries, exp_series
-from .species import MayerMatrices, SpeciesSpace, load_species_json, parse_scalar
+from .species import (
+    MayerMatrices,
+    SpeciesSpace,
+    load_doc,
+    load_species_json,
+    parse_scalar,
+)
 
 
 def fixture_text(name):
     return resources.files("virialkit").joinpath("fixtures", name).read_text()
-
-
-def _load_doc(source):
-    try:
-        with open(source) as fh:
-            return json.load(fh)
-    except (OSError, TypeError):
-        return json.loads(source)
 
 
 def _fmt(v, mode):
@@ -92,7 +90,7 @@ def _emit(args, header, rows, extra=None):
 def _hom_model(args):
     if not args.model:
         return homogeneous.HomogeneousModel.hard_rod(1)
-    doc = _load_doc(args.model)
+    doc = load_doc(args.model)
     kind = doc.get("kind", "hard_rod")
     beta = doc.get("beta", 1.0)
     B = doc.get("B", 0.0)
@@ -136,7 +134,7 @@ def cmd_bounds(args):
 
 
 def cmd_invert(args):
-    doc = _load_doc(args.model)
+    doc = load_doc(args.model)
     gp = apps.GridProfile.from_json(doc)
     result = apps.invert_profile(
         gp, doc["kernel"], args.order, beta=doc.get("beta", 1.0)
@@ -154,7 +152,7 @@ def cmd_invert(args):
 
 
 def cmd_mixture(args):
-    ms = apps.MixtureSpec.from_json(_load_doc(args.model))
+    ms = apps.MixtureSpec.from_json(args.model)
     result = apps.invert_mixture(
         ms, args.order, samples=args.samples, seed=args.seed, threads=args.threads
     )
@@ -169,7 +167,7 @@ def cmd_mixture(args):
 
 
 def cmd_rods(args):
-    rs = apps.RodSystem.from_json(_load_doc(args.model))
+    rs = apps.RodSystem.from_json(args.model)
     result = apps.rods_free_energy(
         rs, N=args.order, samples=args.samples, seed=args.seed, threads=args.threads
     )
@@ -254,7 +252,7 @@ def cmd_selftest(args):
 
 
 def cmd_request(args):
-    resp = inversion.run_request(_load_doc(args.model))
+    resp = inversion.run_request(load_doc(args.model))
     text = json.dumps(resp, indent=2, sort_keys=True, default=str) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -299,6 +297,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.order < 1:
         print("input error: --order must be >= 1", file=sys.stderr)
+        return 2
+    if args.threads < 1:
+        print("input error: --threads must be >= 1", file=sys.stderr)
         return 2
     if not 0 <= args.seed < 2**64:
         print("input error: --seed must fit in 64 bits", file=sys.stderr)

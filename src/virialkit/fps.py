@@ -33,8 +33,9 @@ template order with the same multiplications and zero-skips, so results do
 not depend on how many roots share a row: exact values are identical and
 floats are identical to the bit.
 
-Scalars may be Fractions (exact mode), floats, or complex; the code never
-divides, so exactness is preserved end to end.
+Scalars may be Fractions (exact mode), floats, or complex; the series
+algebra never divides, so exactness is preserved end to end.  Only the
+float majorants of the certificates (``_majorant_sums``) leave exact mode.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
 from .errors import CapabilityError, DomainError, StructureError, check_scale
-from .species import MeasureVec, SpeciesSpace
+from .species import MeasureVec, SpeciesSpace, parse_scalar
 
 # ---------------------------------------------------------------------------
 # Index templates, memoized per order and shared by every tensor operation.
@@ -285,12 +286,16 @@ class FormalSeries:
 
     @classmethod
     def from_json_dict(cls, doc, allow_large=False):
-        space = SpeciesSpace.from_weights([_scalar_from_json(w) for w in doc["weights"]])
+        def scalar(v):
+            # a complex value is written as its [re, im] pair
+            return complex(*map(parse_scalar, v)) if isinstance(v, list) else parse_scalar(v)
+
+        space = SpeciesSpace.from_weights([scalar(w) for w in doc["weights"]])
         s = cls(space, doc["trunc"], allow_large=allow_large)
         for n_str, entries in doc["orders"].items():
             n = int(n_str)
             for e in entries:
-                s.coeffs[n][tuple(e["idx"])] = _scalar_from_json(e["value"])
+                s.coeffs[n][tuple(e["idx"])] = scalar(e["value"])
         return s
 
     @classmethod
@@ -308,15 +313,6 @@ def _scalar_to_json(v):
         return [v.real, v.imag]
     if isinstance(v, int):
         return f"{v}/1"
-    return v
-
-
-def _scalar_from_json(v):
-    if isinstance(v, str):
-        num, _, den = v.partition("/")
-        return Fraction(int(num), int(den or "1"))
-    if isinstance(v, list):
-        return complex(v[0], v[1])
     return v
 
 
@@ -534,6 +530,29 @@ def measure_sums(coeffs, vals, weights, roots=None, start=0):
             # a float times a Fraction is the float times float(Fraction)
             totals[q] += term * c[1] if type(term) is float else term * c[0]
     return totals if roots else totals[0]
+
+
+def _majorant_sums(coeffs, nu, weights, roots, start=0):
+    """Float majorants of a rooted family, per order n and root q:
+
+        sums[n][q] = sum_x |c_n(q; x)| prod_j |nu(x_j)| w(x_j) / sym(x)
+
+    over canonical tails x, added in storage order, zero coefficients
+    skipped; orders below ``start`` stay 0.0.  The Sb, virMb and Mb
+    certificates all sum through here, so their rounding is decided here.
+    """
+    u = [abs(float(v)) * float(wx) for v, wx in zip(nu, weights)]
+    sums = [[0.0] * roots for _ in coeffs]
+    for n in range(start, len(coeffs)):
+        row = sums[n]
+        for (q, ms), v in coeffs[n].items():
+            if v == 0:
+                continue
+            term = abs(float(v))
+            for x in ms:
+                term *= u[x]
+            row[q] += term / sym_factor(ms)
+    return sums
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .errors import CapabilityError, DomainError, StructureError, check_scale
 from .fps import (
     RootedSeriesFamily,
     _compose_sum,
+    _majorant_sums,
     _packed,
     _sweep,
     _tables,
@@ -185,6 +186,13 @@ def check_PU(st, z, a=None):
     )
 
 
+def _root_totals(st, family, nu):
+    """Per root, the majorant of ``family`` at nu over orders 1..N, added
+    order by order."""
+    by_order = _majorant_sums(family.coeffs, nu, st.space.weights, st.space.size, start=1)
+    return [sum(col) for col in zip(*by_order)]
+
+
 def check_Sb(st, nu, b=None):
     """Weighted absolute-coefficient condition: per root q,
 
@@ -193,32 +201,18 @@ def check_Sb(st, nu, b=None):
     The left side is a partial sum through N; the certificate records that.
     """
     _require_nonneg("b", b)
-    vals = [abs(float(v)) for v in nu]
-    w = st.space.weights
     S = st.space.size
-    A = st.a_family
-    # raw per-order sums with the exp(b) factors stripped; with constant b
-    # they re-enter as exp(n b)
-    raw = [[0.0] * S for _ in range(st.N + 1)]
-    per_ms_cache = []
-    for n in range(1, st.N + 1):
-        for (root, ms), v in A.coeffs[n].items():
-            if v == 0:
-                continue
-            term = abs(float(v))
-            for x in ms:
-                term *= vals[x] * float(w[x])
-            raw[n][root] += term / sym_factor(ms)
-            per_ms_cache.append((n, root, ms, term / sym_factor(ms)))
-
-    def margins_const(c):
-        c = float(c)
-        return tuple(
-            c - sum(raw[n][q] * math.exp(n * c) for n in range(1, st.N + 1))
-            for q in range(S)
-        )
-
     if b is None:
+        # per-order sums with the exp(b) factors stripped; a constant b
+        # re-enters as exp(n b)
+        raw = _majorant_sums(st.a_family.coeffs, nu, st.space.weights, S, start=1)
+
+        def margins_const(c):
+            return tuple(
+                c - sum(raw[n][q] * math.exp(n * c) for n in range(1, st.N + 1))
+                for q in range(S)
+            )
+
         return _grid_search(
             "Sb",
             lambda c: (None, (c,) * S),
@@ -226,12 +220,9 @@ def check_Sb(st, nu, b=None):
             trunc=st.N,
         )
     b = tuple(b)
-    sums = [0.0] * S
-    for n, root, ms, base in per_ms_cache:
-        boost = 1.0
-        for x in ms:
-            boost *= math.exp(float(b[x]))
-        sums[root] += base * boost
+    # each tail species x carries its exp(b(x)) inside the measure
+    boosted = [abs(float(v)) * math.exp(float(b[x])) for x, v in enumerate(nu)]
+    sums = _root_totals(st, st.a_family, boosted)
     m = tuple(float(b[q]) - sums[q] for q in range(S))
     return BoundCertificate(
         "Sb", all(v >= 0 for v in m), m, b=b, trunc=st.N,
@@ -290,19 +281,8 @@ def check_virMb(st, nu, b=None):
         sum_{1<=n<=N} (1/n!) sum_x |D_(n+1)(q; x)| |nu|^n <= b(q).
     """
     _require_nonneg("b", b)
-    vals = [abs(float(v)) for v in nu]
-    w = st.space.weights
     S = st.space.size
-    D = st.d_family
-    sums = [0.0] * S
-    for n in range(1, st.N + 1):
-        for (root, ms), v in D.coeffs[n].items():
-            if v == 0:
-                continue
-            term = abs(float(v))
-            for x in ms:
-                term *= vals[x] * float(w[x])
-            sums[root] += term / sym_factor(ms)
+    sums = _root_totals(st, st.d_family, nu)
     if b is None:
         best = None
         for c in AB_GRID:
@@ -584,21 +564,14 @@ def log_xi_series(st, z):
 def _d_tail_sum(st, nu, order_factor=None):
     """sum_{2<=n<=N} c_n (1/n!) sum_x D_n(x_1..x_n) nu^n over full tuples,
     with the optional per-order factor c_n = order_factor(n)."""
-    vals = tuple(nu)
-    w = st.space.weights
-    D = st.d_family
-    total = 0
-    for n in range(2, st.N + 1):
-        fac = 1 if order_factor is None else order_factor(n)
-        for ms in canonical_indices(st.space.size, n):
-            v = D.coeffs[n - 1][(ms[0], ms[1:])]
-            if v == 0:
-                continue
-            term = fac * v
-            for x in ms:
-                term = term * vals[x] * w[x]
-            total += term * Fraction(1, sym_factor(ms))
-    return total
+    D = st.d_family.coeffs
+    fac = order_factor or (lambda n: 1)
+    # D_n on a full tuple sits in the family at order n-1, rooted at its first entry
+    series = [{}, {}] + [
+        {ms: fac(n) * D[n - 1][(ms[0], ms[1:])] for ms in canonical_indices(st.space.size, n)}
+        for n in range(2, st.N + 1)
+    ]
+    return measure_sums(series, tuple(nu), st.space.weights, start=2)
 
 
 def pressure_of_nu(st, nu):
@@ -696,7 +669,8 @@ def dissymmetry_check(st, N=None):
 def run_request(request):
     """Serve a JSON-style request dict:
 
-        {"state": <species file dict or path>, "N": int,
+        {"state": <species document: dict, path or JSON text>,
+         "N": <non-negative int, default 4>,
          "op": <operation>, "inputs": {...}}
 
     and return a JSON-compatible response with values, certificates, and
@@ -709,6 +683,8 @@ def run_request(request):
         inputs = request.get("inputs", {})
     except KeyError as exc:
         raise StructureError(f"malformed request: missing {exc}") from exc
+    if isinstance(N, bool) or not isinstance(N, int) or N < 0:
+        raise DomainError(f"N must be a non-negative integer, got {N!r}")
     st = GCState(space, pot=pot, N=N)
     resp = {"op": op, "N": N}
     S = space.size

@@ -1,12 +1,9 @@
 """Hot numeric kernels: graph-class mask scans and Monte Carlo accumulators.
 
-Two interchangeable backends live here.  The default compiles the inner
-loops with numba; setting the environment variable ``VIRIALKIT_NUMBA=0``
-(or running without numba installed) selects vectorized numpy fallbacks
-with identical semantics.  ``backend_name()`` reports which one is active.
-Benchmarks comparing the two live in benchmarks/bench_kernels.py.
+Every kernel is vectorized numpy over a batch (a chunk of edge masks, or a
+batch of sampled configurations).
 
-Conventions shared by both backends:
+Conventions:
 
 * Graphs on n vertices are edge bitmasks over the C(n, 2) pairs (i, j),
   i < j, in lexicographic order.
@@ -17,35 +14,12 @@ Conventions shared by both backends:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_flag = os.environ.get("VIRIALKIT_NUMBA", "1").strip().lower()
-if _flag in ("0", "false", "no", "off"):
-    HAS_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - numba present in dev envs
-        HAS_NUMBA = False
-
-if not HAS_NUMBA:
-
-    def njit(*args, **kwargs):  # no-op decorator so the jitted defs still parse
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
 
 
 def backend_name():
-    return "numba" if HAS_NUMBA else "numpy"
+    """The kernel implementation, as stamped on benchmark results."""
+    return "numpy"
 
 
 SCAN_CHUNK = 1 << 16
@@ -55,54 +29,8 @@ SCAN_CHUNK = 1 << 16
 # Graph-class scans.  mode 0 = connected, 1 = biconnected.
 
 
-@njit(cache=True)
-def _scan_chunk_jit(n, pi, pj, start, stop, mode, out):
-    P = pi.shape[0]
-    full = (1 << n) - 1
-    adj = np.zeros(n, np.int64)
-    cnt = 0
-    for mask in range(start, stop):
-        for v in range(n):
-            adj[v] = 0
-        for p in range(P):
-            if (mask >> p) & 1:
-                adj[pi[p]] |= 1 << pj[p]
-                adj[pj[p]] |= 1 << pi[p]
-        reach = 1
-        frontier = 1
-        while frontier != 0:
-            nxt = 0
-            for v in range(n):
-                if (frontier >> v) & 1:
-                    nxt |= adj[v]
-            frontier = nxt & ~reach
-            reach |= frontier
-        if reach != full:
-            continue
-        good = True
-        if mode == 1 and n > 2:
-            for cut in range(n):
-                excl = full & ~(1 << cut)
-                s = 1 if cut == 0 else 0
-                reach2 = 1 << s
-                frontier = reach2
-                while frontier != 0:
-                    nxt = 0
-                    for v in range(n):
-                        if (frontier >> v) & 1:
-                            nxt |= adj[v]
-                    frontier = (nxt & excl) & ~reach2
-                    reach2 |= frontier
-                if reach2 != excl:
-                    good = False
-                    break
-        if good:
-            out[cnt] = mask
-            cnt += 1
-    return cnt
-
-
-def _scan_chunk_np(n, pi, pj, start, stop, mode):
+def _scan_chunk(n, pi, pj, start, stop, mode):
+    """The qualifying masks in [start, stop), ascending, one vector pass."""
     P = len(pi)
     masks = np.arange(start, stop, dtype=np.int64)
     B = masks.shape[0]
@@ -142,22 +70,15 @@ def scan_masks(n, pi, pj, mode):
     total = 1 << P
     pi = np.asarray(pi, np.int64)
     pj = np.asarray(pj, np.int64)
-    pieces = []
-    if HAS_NUMBA:
-        buf = np.empty(min(SCAN_CHUNK, total), np.int64)
-        for start in range(0, total, SCAN_CHUNK):
-            stop = min(start + SCAN_CHUNK, total)
-            cnt = _scan_chunk_jit(n, pi, pj, start, stop, mode, buf)
-            pieces.append(buf[:cnt].copy())
-    else:
-        for start in range(0, total, SCAN_CHUNK):
-            stop = min(start + SCAN_CHUNK, total)
-            pieces.append(_scan_chunk_np(n, pi, pj, start, stop, mode))
+    pieces = [
+        _scan_chunk(n, pi, pj, start, min(start + SCAN_CHUNK, total), mode)
+        for start in range(0, total, SCAN_CHUNK)
+    ]
     return np.concatenate(pieces) if pieces else np.empty(0, np.int64)
 
 
 def scan_masks_reference(n, pairs, mode):
-    """Pure-Python reference scan, used to validate both backends at small n."""
+    """Pure-Python reference scan, used to validate the scan at small n."""
     P = len(pairs)
     full = (1 << n) - 1
     out = []
@@ -215,28 +136,11 @@ def scan_masks_reference(n, pairs, mode):
 # overlap bitmask to the cluster value at that overlap pattern.
 
 
-@njit(cache=True)
-def _mc_mask_sum_jit(xs, r2, table):
-    B, k, d = xs.shape
-    total = 0.0
-    for b in range(B):
-        mask = 0
-        p = 0
-        for i in range(k + 1):
-            for j in range(i + 1, k + 1):
-                s = 0.0
-                for t in range(d):
-                    xi = xs[b, i - 1, t] if i > 0 else 0.0
-                    xj = xs[b, j - 1, t]
-                    s += (xi - xj) * (xi - xj)
-                if s < r2[i, j]:
-                    mask |= 1 << p
-                p += 1
-        total += table[mask]
-    return total
-
-
-def _mc_mask_sum_np(xs, r2, table):
+def mc_mask_sum(xs, r2, table):
+    """Sum of table[overlap mask] over a batch of point configurations."""
+    xs = np.ascontiguousarray(xs, np.float64)
+    r2 = np.ascontiguousarray(r2, np.float64)
+    table = np.ascontiguousarray(table, np.float64)
     B, k, d = xs.shape
     pts = np.concatenate([np.zeros((B, 1, d)), xs], axis=1)
     diff = pts[:, :, None, :] - pts[:, None, :, :]
@@ -250,70 +154,19 @@ def _mc_mask_sum_np(xs, r2, table):
     return float(table[mask].sum())
 
 
-def mc_mask_sum(xs, r2, table):
-    """Sum of table[overlap mask] over a batch of point configurations."""
-    xs = np.ascontiguousarray(xs, np.float64)
-    r2 = np.ascontiguousarray(r2, np.float64)
+def mc_rod_mask_sum(centers, angles, length, table):
+    """Sum of table[intersection mask] over sampled rod configurations.
+
+    Rod 0 is pinned: center at the origin, angle angles[0].  centers has
+    shape [B, m-1, 2] and angles length m.  Only strict crossings count:
+    collinear touches have probability zero under continuous sampling.
+    """
+    centers = np.ascontiguousarray(centers, np.float64)
+    angles = np.ascontiguousarray(angles, np.float64)
     table = np.ascontiguousarray(table, np.float64)
-    if HAS_NUMBA:
-        return _mc_mask_sum_jit(xs, r2, table)
-    return _mc_mask_sum_np(xs, r2, table)
-
-
-@njit(cache=True)
-def _seg_cross(ax, ay, bx, by, cx, cy):
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
-@njit(cache=True)
-def _segments_hit_jit(a1x, a1y, a2x, a2y, b1x, b1y, b2x, b2y):
-    d1 = _seg_cross(b1x, b1y, b2x, b2y, a1x, a1y)
-    d2 = _seg_cross(b1x, b1y, b2x, b2y, a2x, a2y)
-    d3 = _seg_cross(a1x, a1y, a2x, a2y, b1x, b1y)
-    d4 = _seg_cross(a1x, a1y, a2x, a2y, b2x, b2y)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
-    # collinear touches have probability zero under continuous sampling
-    return False
-
-
-@njit(cache=True)
-def _mc_rod_mask_sum_jit(centers, angles, length, table):
     B, k, _ = centers.shape
     m = k + 1
-    half = 0.5 * length
-    ex = np.empty(m)
-    ey = np.empty(m)
-    for i in range(m):
-        ex[i] = half * np.cos(angles[i])
-        ey[i] = half * np.sin(angles[i])
-    total = 0.0
-    for b in range(B):
-        mask = 0
-        p = 0
-        for i in range(m):
-            if i == 0:
-                cix, ciy = 0.0, 0.0
-            else:
-                cix, ciy = centers[b, i - 1, 0], centers[b, i - 1, 1]
-            for j in range(i + 1, m):
-                cjx, cjy = centers[b, j - 1, 0], centers[b, j - 1, 1]
-                if _segments_hit_jit(
-                    cix - ex[i], ciy - ey[i], cix + ex[i], ciy + ey[i],
-                    cjx - ex[j], cjy - ey[j], cjx + ex[j], cjy + ey[j],
-                ):
-                    mask |= 1 << p
-                p += 1
-        total += table[mask]
-    return total
-
-
-def _mc_rod_mask_sum_np(centers, angles, length, table):
-    B, k, _ = centers.shape
-    m = k + 1
-    half = 0.5 * length
+    half = 0.5 * float(length)
     ex = half * np.cos(angles)
     ey = half * np.sin(angles)
     pts = np.concatenate([np.zeros((B, 1, 2)), centers], axis=1)
@@ -343,17 +196,3 @@ def _mc_rod_mask_sum_np(centers, angles, length, table):
             mask |= hit.astype(np.int64) << p
             p += 1
     return float(table[mask].sum())
-
-
-def mc_rod_mask_sum(centers, angles, length, table):
-    """Sum of table[intersection mask] over sampled rod configurations.
-
-    Rod 0 is pinned: center at the origin, angle angles[0].  centers has
-    shape [B, m-1, 2] and angles length m.
-    """
-    centers = np.ascontiguousarray(centers, np.float64)
-    angles = np.ascontiguousarray(angles, np.float64)
-    table = np.ascontiguousarray(table, np.float64)
-    if HAS_NUMBA:
-        return _mc_rod_mask_sum_jit(centers, angles, float(length), table)
-    return _mc_rod_mask_sum_np(centers, angles, float(length), table)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -491,10 +492,34 @@ def _potential_matrix_from_kind(space, kind, params):
     raise DomainError(f"unknown potential kind {kind!r}")
 
 
+def load_doc(source):
+    """A JSON object from user input: a dict (returned as is), a file path,
+    or JSON text.  A string that names no readable file is parsed as JSON
+    text; malformed text raises ValueError (json.JSONDecodeError).  Any
+    other source, or JSON that is not an object, raises StructureError.
+    """
+    if isinstance(source, dict):
+        return source
+    if isinstance(source, os.PathLike):
+        source = os.fspath(source)
+    if not isinstance(source, str):
+        kind = type(source).__name__
+        raise StructureError(f"a document must be an object, a path or JSON text, not {kind}")
+    try:
+        with open(source) as fh:
+            text = fh.read()
+    except OSError:
+        text = source
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise StructureError("a document must be a JSON object")
+    return doc
+
+
 def load_species_json(source):
     """Load a species file: returns (SpeciesSpace, PairPotential).
 
-    ``source`` is a path, a JSON string, or an already-parsed dict.  Format:
+    ``source`` is anything ``load_doc`` accepts.  Format:
 
         {"beta": 1.0,
          "species": [{"id": 0, "weight": 1.0, "payload": {...}}, ...],
@@ -504,16 +529,7 @@ def load_species_json(source):
     The potential block may also carry "B" and "Bstar" arrays (stability
     constants per species).
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = None
-        try:
-            with open(source) as fh:
-                text = fh.read()
-        except (OSError, TypeError):
-            text = source
-        doc = json.loads(text)
+    doc = load_doc(source)
     try:
         beta = doc["beta"]
         recs = sorted(doc["species"], key=lambda r: r["id"])

@@ -34,6 +34,7 @@ from .errors import CapabilityError, DomainError
 from .fps import (
     RootedSeriesFamily,
     _compose_sum,
+    _majorant_sums,
     _packed,
     _partition_sum,
     _sweep,
@@ -42,7 +43,6 @@ from .fps import (
     exp_series,
     measure_sums,
     set_partitions,
-    sym_factor,
 )
 from .graphs import _prufer_edges
 
@@ -188,20 +188,10 @@ def eval_T_abs(t, nu, b):
     Also reports, per root, the implied weight log(partial sum): the
     smallest constant the truncated sum itself would certify.
     """
-    vals = tuple(nu)
-    w = t.space.weights
-    S = t.space.size
-    sums = [0.0] * S
-    for n in range(t.trunc + 1):
-        for (root, ms), v in t.coeffs[n].items():
-            if v == 0:
-                continue
-            term = abs(float(v))
-            for x in ms:
-                term *= abs(float(vals[x])) * float(w[x])
-            sums[root] += term / sym_factor(ms)
+    by_order = _majorant_sums(t.coeffs, nu, t.space.weights, t.space.size)
+    sums = [sum(col) for col in zip(*by_order)]
     b = tuple(b)
-    margins = tuple(math.exp(float(b[q])) - sums[q] for q in range(S))
+    margins = tuple(math.exp(float(b[q])) - sums[q] for q in range(t.space.size))
     implied = tuple(math.log(s) if s > 0 else float("-inf") for s in sums)
     return BoundCertificate(
         condition="Mb",

@@ -7,6 +7,9 @@ must be byte-identical across --threads values.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -190,9 +193,35 @@ def test_input_error_exits(capsys):
     assert run(capsys, ["invert", "--model", '{"points": [0,'])[0] == 2
     assert run(capsys, ["virial", "--order", "0"])[0] == 2
     assert run(capsys, ["virial", "--seed", "-1"])[0] == 2
+    for threads in ("0", "-2"):
+        assert run(capsys, ["bounds", "--threads", threads]) == (
+            2, "", "input error: --threads must be >= 1\n"
+        )
     assert run(capsys, ["virial", "--model", '{"kind": "squishy"}'])[0] == 2
     _, _, err = run(capsys, ["virial", "--model", '{"kind": "squishy"}'])
     assert err.startswith("input error:")
+
+
+def test_request_state_must_be_document():
+    # the state 0 must not be opened as file descriptor 0 (stdin); the child
+    # runs with stdin closed so that such a read fails instead of blocking
+    script = (
+        "import json, os\n"
+        "os.close(0)\n"
+        "from virialkit.cli import main\n"
+        "for state in (0, 1, [1], 2.5, '[1]'):\n"
+        "    req = {'state': state, 'op': 'roundtrip', 'N': 2}\n"
+        "    print(main(['request', '--model', json.dumps(req)]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2"] * 5
+    errs = proc.stderr.splitlines()
+    assert len(errs) == 5 and all(e.startswith("input error: ") for e in errs)
 
 
 def test_capability_exits(capsys):

@@ -7,6 +7,7 @@ composition, and differentiation.
 """
 
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -411,6 +412,22 @@ def test_json_roundtrip_complex():
     K = FormalSeries.from_function(S2, 1, lambda n, ms: 0.5 + 0.25j if n else 1.0)
     back = FormalSeries.from_json(K.to_json())
     assert back.coeffs[1][(0,)] == 0.5 + 0.25j
+
+
+def test_json_bad_scalars_are_domain_errors():
+    doc = json.loads(rand_series(35, S2, 2).to_json())
+    for bad in ("1/0", "x"):
+        coeff = json.loads(json.dumps(doc))
+        coeff["orders"]["1"][0]["value"] = bad
+        with pytest.raises(DomainError):
+            FormalSeries.from_json(json.dumps(coeff))
+        weight = json.loads(json.dumps(doc))
+        weight["weights"][1] = bad
+        with pytest.raises(DomainError):
+            FormalSeries.from_json(json.dumps(weight))
+    pair = json.loads(json.dumps(doc))
+    pair["orders"]["2"][1]["value"] = ["1/4", 0.5]
+    assert FormalSeries.from_json(json.dumps(pair)).coeffs[2][(0, 1)] == 0.25 + 0.5j
 
 
 def test_desk_scale_guards():

@@ -44,6 +44,7 @@ from virialkit.species import (
     SpeciesSpace,
     load_species_json,
 )
+from virialkit.treefp import eval_T_abs
 
 S2 = SpeciesSpace.uniform(2)
 MIX_F = [[Fraction(-1), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(0)]]
@@ -591,6 +592,15 @@ def test_run_request_boundary_inputs():
     assert out == run_request(request("check_PU", z=z, a=[Fraction(1, 2), Fraction(1, 3)]))
 
 
+def test_run_request_validates_order():
+    nu = ["1/20", "1/30"]
+    for bad in ("3", 2.0, True, False, -1):
+        with pytest.raises(DomainError):
+            run_request(request("pressure", N=bad, nu=nu))
+    out = run_request(request("pressure", N=0, nu=nu))
+    assert out["N"] == 0 and out["values"] == float(Fraction(1, 12))
+
+
 def test_dissymmetry_builds_each_d_once(monkeypatch):
     calls = []
     real = inv.d_coeff
@@ -640,3 +650,40 @@ def test_float_golden_tree_coefficients_and_roundtrip():
         3: "0x1.8000000000000p-51",
         4: "0x1.d000000000000p-48",
     }
+
+
+def test_float_golden_majorants_and_tail_sums():
+    # float bits recorded before the majorant and D-tail sums moved into fps;
+    # the Sb grid search and the signed tail sums keep every operation order
+    st = soft_state(2025, 6, 4)
+    nu = [0.046, 0.027, 0.082, 0.018, 0.069, 0.05]
+    cert = check_Sb(st, nu)
+    assert cert.passed and cert.b == (1.1,) * 6
+    assert [m.hex() for m in cert.margins] == [
+        "0x1.0edac51a70d34p-1",
+        "0x1.3979353f00278p-1",
+        "0x1.1d75b840ae7fap-1",
+        "0x1.66c788b8e4712p-1",
+        "0x1.70dc19380e864p-1",
+        "0x1.871737277c2f8p-2",
+    ]
+    assert pressure_of_nu(st, nu).hex() == "0x1.534d8466ac0a6p-2"
+    assert free_energy(st, nu).hex() == "-0x1.41c07de8630a4p+0"
+    # these now add order by order, so only rounding may move
+    b = [0.3] * 6
+    moved = {
+        "Sb": (check_Sb(st, nu, b=b), (0.08517620544582433, 0.11783858981574782,
+               0.09771510879395665, 0.14916409235732883, 0.16817900027519359,
+               0.02824281026873915)),
+        "virMb": (check_virMb(st, nu, b=b), (0.1545229090921724, 0.17817303284439173,
+                  0.16406236276698477, 0.19951623782346173, 0.21670692637804118,
+                  0.11492580445237655)),
+        "Mb": (eval_T_abs(st.t_family, nu, b), (0.1961878033372415, 0.22200937506581497,
+               0.20638189259140183, 0.24508032330886875, 0.2634829520878339,
+               0.15181872908212113)),
+    }
+    for name, (cert, parent) in moved.items():
+        assert all(math.isclose(m, p, rel_tol=1e-12) for m, p in zip(cert.margins, parent)), name
+    exact = _random_state(5, S=3, N=4)
+    nu_exact = [Fraction(1, 10), Fraction(1, 20), Fraction(1, 30)]
+    assert pressure_of_nu(exact, nu_exact) == Fraction(19652556387823, 108716359680000)
