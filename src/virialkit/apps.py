@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.integrate import quad
 
 from .certs import BoundCertificate
 from .errors import CapabilityError, CertificateError, DomainError, StructureError
@@ -193,6 +192,8 @@ def triangle_integral(d, r01, r02, r12):
     surf = (lambda t: 2 * math.pi * t) if d == 2 else (lambda t: 4 * math.pi * t * t)
     if d not in (2, 3):
         raise CapabilityError("triangle integrals implemented for d <= 3")
+    from scipy.integrate import quad
+
     breaks = sorted(
         {p for p in (abs(r02 - r12), r02 + r12) if 0 < p < r01}
     )

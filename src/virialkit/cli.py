@@ -11,15 +11,19 @@ Subcommands:
     request   serve a single JSON operation request
 
 Exit codes: 0 success, 1 certificate refusal (margins printed), 2 input
-error, 3 capability limit.  Output is CSV (default) or JSON; with a fixed
-configuration and seed the bytes are identical for any --threads value.
+error, 3 capability limit, 4 internal error (one line on stderr naming the
+exception and the line that raised it, no traceback).  Output is CSV
+(default) or JSON; with a fixed configuration and seed the bytes are
+identical for any --threads value.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import traceback
 from fractions import Fraction
 from importlib import resources
 
@@ -325,6 +329,15 @@ def main(argv=None):
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # one line instead of a traceback, but it names the raising frame
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(
+            f"internal error: {type(exc).__name__}: {exc} "
+            f"(at {os.path.basename(where.filename)}:{where.lineno})",
+            file=sys.stderr,
+        )
+        return 4
 
 
 if __name__ == "__main__":

@@ -26,8 +26,6 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
-from scipy.special import lambertw
 
 from .errors import CapabilityError, DomainError
 from .fps import sym_factor
@@ -321,14 +319,10 @@ def virial_table(model, n_max, samples=200_000, seed=0, threads=1):
 def k_constant():
     """max over w in [0,1] of (2e^-w - 1) w, located by bracketing the
     first-order condition 2e^-w (1 - w) = 1."""
+    from scipy.optimize import brentq
+
     w = brentq(lambda t: 2.0 * math.exp(-t) * (1.0 - t) - 1.0, 0.0, 1.0, xtol=1e-14)
     return (2.0 * math.exp(-w) - 1.0) * w
-
-
-def k_constant_closed_form():
-    """Diagnostic only: the closed form (1 - W(e/2))^2 / W(e/2)."""
-    W = float(lambertw(math.e / 2.0).real)
-    return (1.0 - W) ** 2 / W
 
 
 def r_star(model):
@@ -380,16 +374,11 @@ def tree_fn_T(s, tol=1e-13):
     return T
 
 
-def tree_fn_T_bisect(s):
-    """Independent oracle: solve T e^-T = s for T in [0, 1] by bracketing."""
-    if s == 0:
-        return 0.0
-    return brentq(lambda t: t * math.exp(-t) - s, 0.0, 1.0, xtol=1e-14)
-
-
 def lp_chain(model):
     """Numeric maximum of r e^{-T(c_bar r)} over (0, 1/(e c_bar)], compared
     to the closed form 1/(2e c_bar)."""
+    from scipy.optimize import minimize_scalar
+
     cb = float(model.c_bar)
     if cb <= 0:
         raise DomainError("exclusion integral must be positive")
@@ -415,6 +404,8 @@ def banach_compare(M, r_max):
 
     by nested bracketed maximization; returns both and the ratio P'/P.
     """
+    from scipy.optimize import brentq, minimize_scalar
+
     grid = np.linspace(0.0, r_max, 33)
     vals = [float(M(r)) for r in grid]
     if abs(vals[0]) > 1e-12 or vals[-1] <= 0 or any(

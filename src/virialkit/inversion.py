@@ -574,15 +574,22 @@ def _d_tail_sum(st, nu, order_factor=None):
     return measure_sums(series, tuple(nu), st.space.weights, start=2)
 
 
+def _nonnegative_density(nu, what):
+    vals = tuple(nu)
+    if any(float(v) < 0 for v in vals):
+        raise DomainError(f"{what} needs a non-negative density")
+    return vals
+
+
 def pressure_of_nu(st, nu):
     """Truncated pressure functional of a density:
 
         sum_x nu(x) w(x) - sum_{2<=n<=N} ((n-1)/n!) sum_x D_n nu^n.
 
     The sign and the (n-1) weight are pinned by the Tonks equation of state
-    beta p = rho/(1 - a rho).
+    beta p = rho/(1 - a rho).  A negative density raises DomainError.
     """
-    vals = tuple(nu)
+    vals = _nonnegative_density(nu, "pressure")
     w = st.space.weights
     ideal = sum(v * wx for v, wx in zip(vals, w))
     return ideal - _d_tail_sum(st, nu, order_factor=lambda n: n - 1)
@@ -596,7 +603,7 @@ def free_energy(st, nu, m=None):
 
     with the convention 0 log 0 = 0.  m defaults to the unit density.
     """
-    vals = tuple(nu)
+    vals = _nonnegative_density(nu, "free energy")
     if m is None:
         m = (1,) * st.space.size
     m = tuple(m)
@@ -604,8 +611,6 @@ def free_energy(st, nu, m=None):
     entropy = 0.0
     for x, v in enumerate(vals):
         fv = float(v)
-        if fv < 0:
-            raise DomainError("free energy needs a non-negative density")
         if fv == 0:
             continue
         if float(m[x]) == 0:
@@ -666,6 +671,11 @@ def dissymmetry_check(st, N=None):
 # JSON request interface
 
 
+def _check_count(value, name):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 def run_request(request):
     """Serve a JSON-style request dict:
 
@@ -683,8 +693,12 @@ def run_request(request):
         inputs = request.get("inputs", {})
     except KeyError as exc:
         raise StructureError(f"malformed request: missing {exc}") from exc
-    if isinstance(N, bool) or not isinstance(N, int) or N < 0:
-        raise DomainError(f"N must be a non-negative integer, got {N!r}")
+    if not isinstance(inputs, dict):
+        raise StructureError(f"inputs must be an object, got {inputs!r}")
+    _check_count(N, "N")
+    n_max = inputs.get("n_max")
+    if n_max is not None:
+        _check_count(n_max, "n_max")
     st = GCState(space, pot=pot, N=N)
     resp = {"op": op, "N": N}
     S = space.size
@@ -708,12 +722,12 @@ def run_request(request):
     elif op == "free_energy":
         resp["values"] = free_energy(st, measure("nu"), weight("m"))
     elif op == "xi_exact":
-        xi = xi_exact(st, measure("z"), n_max=inputs.get("n_max"))
+        xi = xi_exact(st, measure("z"), n_max=n_max)
         resp["values"] = float(xi.value)
         resp["truncated"] = xi.truncated
         resp["n_max"] = xi.n_max
     elif op == "density_exact":
-        rho = density_exact(st, measure("z"), n_max=inputs.get("n_max"))
+        rho = density_exact(st, measure("z"), n_max=n_max)
         resp["values"] = [float(v) for v in rho]
     elif op == "check_PU":
         cert = check_PU(st, measure("z"), weight("a"))

@@ -531,12 +531,19 @@ def load_species_json(source):
     """
     doc = load_doc(source)
     try:
-        beta = doc["beta"]
-        recs = sorted(doc["species"], key=lambda r: r["id"])
+        beta = parse_scalar(doc["beta"])
+        recs = doc["species"]
+        if not isinstance(recs, list) or not all(isinstance(r, dict) for r in recs):
+            raise StructureError("species must be a list of objects")
+        if not all(type(r["id"]) is int for r in recs):
+            raise StructureError("species ids must be integers")
         space = SpeciesSpace(
-            Species(r["id"], parse_scalar(r["weight"]), r.get("payload")) for r in recs
+            Species(r["id"], parse_scalar(r["weight"]), r.get("payload"))
+            for r in sorted(recs, key=lambda r: r["id"])
         )
         pot_doc = doc["potential"]
+        if not isinstance(pot_doc, dict):
+            raise StructureError("potential must be an object")
         v = _potential_matrix_from_kind(space, pot_doc["kind"], pot_doc.get("params", {}))
     except (KeyError, IndexError) as exc:
         raise StructureError(f"malformed species file: missing {exc}") from exc

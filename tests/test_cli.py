@@ -1,8 +1,8 @@
 """Command-line front end, exercised in process through cli.main(argv).
 
 Exit codes under test: 0 success, 1 certificate refusal with margins on
-stderr, 2 input error, 3 capability limit.  CSV output for a fixed seed
-must be byte-identical across --threads values.
+stderr, 2 input error, 3 capability limit, 4 internal error.  CSV output
+for a fixed seed must be byte-identical across --threads values.
 """
 
 import json
@@ -202,10 +202,21 @@ def test_input_error_exits(capsys):
     assert err.startswith("input error:")
 
 
+def run_child(script):
+    """Run a Python script in a fresh interpreter that imports this virialkit."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def test_request_state_must_be_document():
     # the state 0 must not be opened as file descriptor 0 (stdin); the child
     # runs with stdin closed so that such a read fails instead of blocking
-    script = (
+    proc = run_child(
         "import json, os\n"
         "os.close(0)\n"
         "from virialkit.cli import main\n"
@@ -213,12 +224,6 @@ def test_request_state_must_be_document():
         "    req = {'state': state, 'op': 'roundtrip', 'N': 2}\n"
         "    print(main(['request', '--model', json.dumps(req)]))\n"
     )
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["2"] * 5
     errs = proc.stderr.splitlines()
     assert len(errs) == 5 and all(e.startswith("input error: ") for e in errs)
@@ -228,3 +233,69 @@ def test_capability_exits(capsys):
     code, _, err = run(capsys, ["virial", "--order", "4"])
     assert code == 3 and err.startswith("capability limit:")
     assert run(capsys, ["virial", "--model", SPHERE_DOC, "--order", "4"])[0] == 3
+
+
+README_STATE = {
+    "beta": 1.0,
+    "species": [{"id": 0, "weight": 1}, {"id": 1, "weight": "1/2"}],
+    "potential": {"kind": "matrix", "params": {"v": [["inf", 0.5], [0.5, 0.0]]}},
+}
+
+
+def test_import_and_light_commands_load_no_scipy():
+    # scipy costs about 0.5 s of import; only bounds and mixture may load it
+    request = {"state": README_STATE, "op": "zeta_of_nu", "N": 3, "inputs": {"nu": ["1/20", "1/30"]}}
+    argvs = [
+        ["request", "--model", json.dumps(request)],
+        ["virial", "--model", '{"kind":"hard_rod","a":"1/4"}', "--order", "3"],
+    ]
+    proc = run_child(
+        "import json, sys\n"
+        "import virialkit, virialkit.cli\n"
+        "def scipy_mods():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "report = {'import': scipy_mods(), 'codes': []}\n"
+        f"for argv in json.loads({json.dumps(argvs)!r}):\n"
+        "    report['codes'].append(virialkit.cli.main(argv))\n"
+        "report['commands'] = scipy_mods()\n"
+        "report['codes'].append(virialkit.cli.main(['bounds', '--b-bar', '0']))\n"
+        "report['bounds'] = 'scipy.optimize' in sys.modules\n"
+        "print(json.dumps(report))\n"
+    )
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["import"] == [] and report["commands"] == []
+    assert report["codes"] == [0, 0, 0]
+    # the probe sees scipy once a command does load it
+    assert report["bounds"] is True
+
+
+def test_unexpected_exception_exits_4(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_virial", boom)
+    code, out, err = run(capsys, ["virial"])
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: RuntimeError: boom (at test_cli.py:")
+    assert err.count("\n") == 1
+
+
+def test_request_field_errors_exit_2(capsys):
+    def req(state=README_STATE, op="rho_of_z", inputs=None):
+        inputs = {"z": ["1/10", "1/8"]} if inputs is None else inputs
+        return ["request", "--model", json.dumps({"state": state, "op": op, "N": 2, "inputs": inputs})]
+
+    assert run(capsys, req())[0] == 0
+    bad = [
+        req(inputs=5),
+        req(op="xi_exact", inputs={"z": ["1/10", "1/8"], "n_max": "2"}),
+        req(op="density_exact", inputs={"z": ["1/10", "1/8"], "n_max": -1}),
+        req(state={**README_STATE, "species": 3}),
+        req(state={**README_STATE, "species": [3]}),
+        req(state={**README_STATE, "beta": "x"}),
+        req(op="pressure", inputs={"nu": ["-1/10", "1/30"]}),
+    ]
+    for argv in bad:
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("input error: ") and err.count("\n") == 1

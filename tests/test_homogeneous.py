@@ -25,7 +25,6 @@ from virialkit.homogeneous import (
     grid_beta,
     hom_inversion_selftest,
     k_constant,
-    k_constant_closed_form,
     lp_chain,
     neighborhood_radii,
     r_lp,
@@ -34,10 +33,10 @@ from virialkit.homogeneous import (
     tonks_beta_series,
     tonks_oracle,
     tree_fn_T,
-    tree_fn_T_bisect,
     virial_table,
     vol_ball,
 )
+from oracles import k_constant_closed_form, tree_fn_T_bisect
 
 ROD = HomogeneousModel.hard_rod(1.0)
 SPHERE = HomogeneousModel.hard_sphere(3, radius=0.5)

@@ -601,6 +601,25 @@ def test_run_request_validates_order():
     assert out["N"] == 0 and out["values"] == float(Fraction(1, 12))
 
 
+def test_run_request_validates_inputs_and_n_max():
+    z = ["1/10", "1/8"]
+    with pytest.raises(StructureError):
+        run_request({"state": MATRIX_STATE, "op": "rho_of_z", "inputs": 5})
+    for op in ("xi_exact", "density_exact"):
+        for bad in (True, "2", 2.5, -1):
+            with pytest.raises(DomainError):
+                run_request(request(op, z=z, n_max=bad))
+    assert run_request(request("xi_exact", z=z, n_max=0))["values"] == 1.0
+
+
+def test_pressure_refuses_negative_density():
+    with pytest.raises(DomainError, match="pressure needs a non-negative density"):
+        run_request(request("pressure", nu=["-1/10", "1/30"]))
+    with pytest.raises(DomainError, match="free energy needs a non-negative density"):
+        run_request(request("free_energy", nu=["1/20", -0.1]))
+    assert run_request(request("pressure", nu=[0, "1/30"]))["values"] > 0
+
+
 def test_dissymmetry_builds_each_d_once(monkeypatch):
     calls = []
     real = inv.d_coeff

@@ -273,6 +273,26 @@ def test_load_species_json_errors():
         )
 
 
+def test_load_species_json_field_types():
+    good = {
+        "beta": 1.0,
+        "species": [{"id": 0, "weight": 1}],
+        "potential": {"kind": "matrix", "params": {"v": [["inf"]]}},
+    }
+    load_species_json(good)
+    for species in (3, "x", {"id": 0, "weight": 1}, [3], [[0, 1]], [{"id": "0", "weight": 1}],
+                    [{"id": True, "weight": 1}]):
+        with pytest.raises(StructureError):
+            load_species_json({**good, "species": species})
+    with pytest.raises(StructureError):
+        load_species_json({**good, "potential": 3})
+    for beta in ("x", "1/0", float("nan"), float("inf"), None, True, [1]):
+        with pytest.raises(DomainError):
+            load_species_json({**good, "beta": beta})
+    _, pot = load_species_json({**good, "beta": "1/2"})
+    assert pot.beta == Fraction(1, 2)
+
+
 def test_parse_scalar():
     assert parse_scalar("3/4") == Fraction(3, 4)
     assert isinstance(parse_scalar("3"), Fraction) and parse_scalar("3") == 3
