@@ -2,7 +2,9 @@
 
 Formal power series over species, connected/biconnected graph coefficients,
 the enriched-tree fixed point for the inverse series, convergence
-certificates, and exact small-system oracles.
+certificates, and worked applications.  The brute-force references that
+check these live in ``virialkit.oracles``, which the package does not
+import.
 """
 
 from .errors import (

@@ -35,6 +35,9 @@ from .species import (
     SpeciesSpace,
     _potential_matrix_from_kind,
     load_doc,
+    parse_dimension,
+    parse_measure,
+    parse_scalar,
 )
 
 
@@ -58,15 +61,24 @@ class GridProfile:
             raise DomainError("cell volumes must be positive")
         if any(r < 0 for r in self.rho):
             raise DomainError("target density must be non-negative")
+        if not self.z0 > 0:
+            raise DomainError("z0 must be positive")
 
     @classmethod
     def from_json(cls, source):
         doc = load_doc(source)
+        points = doc["points"]
+        if not isinstance(points, list):
+            raise StructureError("points must be a list")
         return cls(
-            points=doc["points"],
-            cell_volumes=doc["cell_volumes"],
-            rho=doc["rho"],
-            z0=doc.get("z0", 1.0),
+            # a point is a number in one dimension, a list of numbers beyond
+            points=[
+                parse_measure(p, name="point") if isinstance(p, list) else parse_scalar(p)
+                for p in points
+            ],
+            cell_volumes=parse_measure(doc["cell_volumes"], name="cell_volumes"),
+            rho=parse_measure(doc["rho"], name="rho"),
+            z0=parse_scalar(doc.get("z0", 1.0)),
             v_ext=doc.get("v_ext"),
         )
 
@@ -74,6 +86,8 @@ class GridProfile:
 def profile_state(gp, pot_kernel, N, beta=1.0):
     """Build the grid GCState: points become species with the cell volumes
     as quadrature weights and the pair kernel evaluated between points."""
+    if not isinstance(pot_kernel, dict):
+        raise StructureError("kernel must be an object")
     S = len(gp.points)
     if N >= 3 and S > 10:
         raise CapabilityError("grid inversion at N >= 3 is limited to 10 points")
@@ -141,6 +155,8 @@ class MixtureSpec:
             raise DomainError("densities must be non-negative")
         if (self.a is None) != (self.b is None):
             raise StructureError("give both weight sequences or neither")
+        if self.a is not None and not len(self.a) == len(self.b) == len(self.radii):
+            raise StructureError("weight sequences must align with radii")
         if self.a is not None and any(
             not 0 <= ak <= bk for ak, bk in zip(self.a, self.b)
         ):
@@ -149,12 +165,13 @@ class MixtureSpec:
     @classmethod
     def from_json(cls, source):
         doc = load_doc(source)
+        a, b = (None if doc.get(k) is None else parse_measure(doc[k], name=k) for k in "ab")
         return cls(
-            radii=doc["radii"],
-            d=doc["d"],
-            rho=doc["rho"],
-            a=doc.get("a"),
-            b=doc.get("b"),
+            radii=parse_measure(doc["radii"], name="radii"),
+            d=parse_dimension(doc["d"]),
+            rho=parse_measure(doc["rho"], name="rho"),
+            a=a,
+            b=b,
         )
 
 
@@ -348,32 +365,16 @@ class RodSystem:
     def from_json(cls, source):
         doc = load_doc(source)
         return cls(
-            rho0=doc["rho0"],
-            length=doc["length"],
-            angles=doc["angles"],
-            probs=doc["probs"],
+            rho0=parse_scalar(doc["rho0"]),
+            length=parse_scalar(doc["length"]),
+            angles=parse_measure(doc["angles"], name="angles"),
+            probs=parse_measure(doc["probs"], name="probs"),
         )
 
 
 def rod_excluded_area(L, gamma):
     """Excluded area of two thin rods of length L at relative angle gamma."""
     return L * L * abs(math.sin(gamma))
-
-
-def rod_excluded_area_mc(L, gamma, samples=200_000, seed=0, batches=32):
-    """MC check of the excluded area: fraction of center displacements in
-    [-L, L]^2 for which the two segments intersect, times the box area."""
-    angles = np.array([0.0, gamma])
-    table = np.array([0, 1], dtype=np.int64)
-    per_batch = max(samples // batches, 1)
-    vals = []
-    for bi in range(batches):
-        rng = np.random.Generator(np.random.Philox(key=[seed, bi]))
-        centers = rng.uniform(-L, L, size=(per_batch, 1, 2))
-        hits = mc_rod_mask_sum(centers, angles, L, table)
-        vals.append((2.0 * L) ** 2 * hits / per_batch)
-    arr = np.array(vals)
-    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(batches))
 
 
 def rods_free_energy(rs, N=2, samples=100_000, seed=0, threads=1):

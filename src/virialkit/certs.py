@@ -51,9 +51,6 @@ class ResidualReport:
     exact: bool = False
     notes: str = ""
 
-    def ok(self, tol=0):
-        return self.max_abs <= tol
-
     def to_dict(self):
         return {
             "name": self.name,

@@ -11,10 +11,10 @@ Subcommands:
     request   serve a single JSON operation request
 
 Exit codes: 0 success, 1 certificate refusal (margins printed), 2 input
-error, 3 capability limit, 4 internal error (one line on stderr naming the
-exception and the line that raised it, no traceback).  Output is CSV
-(default) or JSON; with a fixed configuration and seed the bytes are
-identical for any --threads value.
+error, 3 capability limit (also a float overflow), 4 internal error (one
+line on stderr naming the exception and the line that raised it, no
+traceback).  Output is CSV (default) or JSON; with a fixed configuration
+and seed the bytes are identical for any --threads value.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .species import (
     SpeciesSpace,
     load_doc,
     load_species_json,
+    parse_dimension,
     parse_scalar,
 )
 
@@ -96,16 +97,20 @@ def _hom_model(args):
         return homogeneous.HomogeneousModel.hard_rod(1)
     doc = load_doc(args.model)
     kind = doc.get("kind", "hard_rod")
-    beta = doc.get("beta", 1.0)
-    B = doc.get("B", 0.0)
-    Bstar = doc.get("Bstar", 0.0)
+    beta = parse_scalar(doc.get("beta", 1.0))
+    B = parse_scalar(doc.get("B", 0.0))
+    Bstar = parse_scalar(doc.get("Bstar", 0.0))
+    if not beta > 0:
+        raise DomainError("beta must be positive")
+    if B < 0 or Bstar < 0:
+        raise DomainError("B and Bstar must be non-negative")
     if kind == "hard_rod":
         return homogeneous.HomogeneousModel.hard_rod(
             parse_scalar(doc.get("a", 1)), beta=beta, B=B, Bstar=Bstar
         )
     if kind == "hard_sphere":
         return homogeneous.HomogeneousModel.hard_sphere(
-            d=doc.get("d", 3),
+            d=parse_dimension(doc.get("d", 3)),
             radius=parse_scalar(doc["radius"]) if "radius" in doc else None,
             exclusion=parse_scalar(doc["exclusion"]) if "exclusion" in doc else None,
             beta=beta,
@@ -113,7 +118,7 @@ def _hom_model(args):
             Bstar=Bstar,
         )
     if kind == "ideal":
-        return homogeneous.HomogeneousModel.ideal(doc.get("d", 1))
+        return homogeneous.HomogeneousModel.ideal(parse_dimension(doc.get("d", 1)))
     raise DomainError(f"unknown homogeneous model kind {kind!r}")
 
 
@@ -141,7 +146,7 @@ def cmd_invert(args):
     doc = load_doc(args.model)
     gp = apps.GridProfile.from_json(doc)
     result = apps.invert_profile(
-        gp, doc["kernel"], args.order, beta=doc.get("beta", 1.0)
+        gp, doc["kernel"], args.order, beta=parse_scalar(doc.get("beta", 1.0))
     )
     rows = [
         (i, gp.points[i], result["v_ext"][i]) for i in range(len(gp.points))
@@ -207,6 +212,8 @@ def _bell_numbers_check():
 
 
 def cmd_selftest(args):
+    from .oracles import tn_via_trees
+
     checks = []
 
     def record(name, ok, detail=""):
@@ -240,7 +247,7 @@ def cmd_selftest(args):
     st0 = states[0][1]
     tree_ok = all(
         st0.t_family.coeffs[n][(0, ms)]
-        == treefp.tn_via_trees(st0.a_family, n, 0, ms)
+        == tn_via_trees(st0.a_family, n, 0, ms)
         for n in range(1, 5)
         for ms in [(0,) * n, (1,) * n]
     )
@@ -318,6 +325,10 @@ def main(argv=None):
         return 1
     except CapabilityError as exc:
         print(f"capability limit: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        # inputs so large that a float route leaves the double range
+        print(f"capability limit: float range exceeded ({exc})", file=sys.stderr)
         return 3
     except (
         DomainError,

@@ -12,10 +12,9 @@ representative, which realizes the multinomial multiplicities implicitly, so
 no factorials ever appear until a series is summed against a measure.
 
 The operations mirror the usual algebra of such series: pointwise sum,
-product (subset splitting), iterated product, composition with a univariate
-series (set-partition sum), exp and log, the variational derivative (slot
-pinning), and composition with a rooted family G, where the substituted
-measure is G[x; nu] nu(dx):
+product (subset splitting), composition with a univariate series
+(set-partition sum), exp and log, and composition with a rooted family G,
+where the substituted measure is G[x; nu] nu(dx):
 
     (K o G)_n(x_1..x_n) = sum over nonempty J subset [n] of K_(|J|)((x_j)_J)
         * sum over assignments of [n] minus J to owners j in J of
@@ -45,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
-from .errors import CapabilityError, DomainError, StructureError, check_scale
+from .errors import DomainError, StructureError, check_scale
 from .species import MeasureVec, SpeciesSpace, parse_scalar
 
 # ---------------------------------------------------------------------------
@@ -126,22 +125,6 @@ def sym_factor(ms):
     return out
 
 
-class SymTensor:
-    """Read-only view of one symmetric coefficient: order plus canonical map."""
-
-    __slots__ = ("order", "data")
-
-    def __init__(self, order, data):
-        self.order = order
-        self.data = data
-
-    def value(self, xs):
-        return self.data[tuple(sorted(xs))]
-
-    def items(self):
-        return self.data.items()
-
-
 class FormalSeries:
     """Truncated series: coefficient dicts for orders 0..trunc.
 
@@ -187,9 +170,6 @@ class FormalSeries:
         return s
 
     # -- access ------------------------------------------------------------
-
-    def component(self, n):
-        return SymTensor(n, self.coeffs[n])
 
     def value(self, n, xs):
         """Coefficient at order n evaluated at an arbitrary species tuple."""
@@ -559,14 +539,6 @@ def _majorant_sums(coeffs, nu, weights, roots, start=0):
 # Operations
 
 
-def add(K, G):
-    return K + G
-
-
-def scale(c, K):
-    return K.scale(c)
-
-
 def mul(K, G):
     """Series product: (KG)_n = sum over subsets J of K on J times G on rest.
 
@@ -585,37 +557,6 @@ def mul(K, G):
         lambda q, ms, row: _split_sum(row, ks[q], gs[q]),
     )
     return _packed(K, outs)
-
-
-def multi_product(factors):
-    """Product of several series, computed by the direct assignment sum.
-
-    Each position is assigned to one factor; the term is the product of each
-    factor's coefficient on its assigned positions.  Equal to a left fold of
-    ``mul`` (checked in the tests), but computed independently.
-    """
-    factors = list(factors)
-    if not factors:
-        raise DomainError("multi_product needs at least one factor")
-    first = factors[0]
-    for f in factors[1:]:
-        first._check_compatible(f)
-    r = len(factors)
-    out = FormalSeries(first.space, first.trunc, allow_large=True)
-    for n in range(first.trunc + 1):
-        comp = out.coeffs[n]
-        for ms in comp:
-            total = 0
-            for owners in product(range(r), repeat=n):
-                term = 1
-                for ell, fac in enumerate(factors):
-                    sel = tuple(ms[p] for p in range(n) if owners[p] == ell)
-                    term = term * fac.coeffs[len(sel)][sel]
-                    if term == 0:
-                        break
-                total += term
-            comp[ms] = total
-    return out
 
 
 def compose_univariate(fcoeffs, K):
@@ -663,18 +604,6 @@ def log_series(K):
     return _packed(K, [out])
 
 
-def var_derivative(K, q):
-    """Variational derivative at species q: pins one slot, drops one order."""
-    if K.trunc == 0:
-        raise DomainError("cannot differentiate a constant series")
-    out = FormalSeries(K.space, K.trunc - 1, allow_large=True)
-    for n in range(K.trunc):
-        comp = out.coeffs[n]
-        for ms in comp:
-            comp[ms] = K.coeffs[n + 1][tuple(sorted((q,) + ms))]
-    return out
-
-
 def compose_measure(K, G):
     """Compose K with the substitution nu(dx) -> G(x; nu) nu(dx).
 
@@ -692,40 +621,3 @@ def compose_measure(K, G):
     )
     return _packed(K, outs)
 
-
-# ---------------------------------------------------------------------------
-# Dense debug backend: positioned-tuple storage, for cross-checking the
-# canonical representation at tiny truncation orders.
-
-_DENSE_MAX = 3
-
-
-def dense_component(K, n):
-    """Order-n coefficient as a map over all positioned tuples (N <= 3)."""
-    if n > _DENSE_MAX:
-        raise CapabilityError("dense backend is restricted to order <= 3")
-    return {
-        xs: K.value(n, xs) for xs in product(range(K.space.size), repeat=n)
-    }
-
-
-def mul_dense(K, G):
-    """Product computed on positioned tuples; returns dense per-order maps."""
-    K._check_compatible(G)
-    if K.trunc > _DENSE_MAX:
-        raise CapabilityError("dense backend is restricted to trunc <= 3")
-    dk = [dense_component(K, n) for n in range(K.trunc + 1)]
-    dg = [dense_component(G, n) for n in range(G.trunc + 1)]
-    out = []
-    for n in range(K.trunc + 1):
-        comp = {}
-        for xs in product(range(K.space.size), repeat=n):
-            total = 0
-            for J, rest in subset_splits(n):
-                total += (
-                    dk[len(J)][tuple(xs[p] for p in J)]
-                    * dg[len(rest)][tuple(xs[p] for p in rest)]
-                )
-            comp[xs] = total
-        out.append(comp)
-    return out

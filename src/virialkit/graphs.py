@@ -8,22 +8,20 @@ counts), and trees.  On top of the class tables this module provides
 * ursell:    sum over connected graphs of the product of f over edges
              (the truncated weight of a configuration),
 * d_coeff:   the same sum over biconnected graphs,
-* a_coeff:   the rooted activity coefficient
-             A_n(q; x) = -(prod_j (1 + f(q, x_j)) - 1) * ursell(x),
 
 together with builders that assemble whole coefficient families as formal
-series over a species space.  All evaluation paths are generic over exact
-(Fraction) and float scalars; float evaluation of large biconnected sums is
-vectorized with numpy.
+series over a species space, among them the rooted activity coefficients
+
+    A_n(q; x) = -(prod_j (1 + f(q, x_j)) - 1) * ursell(x).
+
+All evaluation paths are generic over exact (Fraction) and float scalars;
+float evaluation of large biconnected sums is vectorized with numpy.
 """
 
 from __future__ import annotations
 
-import csv
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +32,6 @@ from .species import MayerMatrices
 
 MAX_CLASS_N = {"connected": 8, "biconnected": 8, "tree": 9}
 URSELL_FAST_MAX = 12
-URSELL_BRUTE_MAX = 6
 D_COEFF_MAX = 7
 
 
@@ -42,27 +39,6 @@ D_COEFF_MAX = 7
 def pair_order(n):
     """The fixed edge order: all (i, j) with i < j, lexicographic."""
     return tuple(combinations(range(n), 2))
-
-
-class EdgeMask(NamedTuple):
-    """A graph on n labeled vertices as a bitmask over pair_order(n)."""
-
-    n: int
-    mask: int
-
-    @property
-    def edges(self):
-        return tuple(
-            pair for p, pair in enumerate(pair_order(self.n)) if (self.mask >> p) & 1
-        )
-
-    @classmethod
-    def from_edges(cls, n, edges):
-        index = {pair: p for p, pair in enumerate(pair_order(n))}
-        mask = 0
-        for i, j in edges:
-            mask |= 1 << index[(min(i, j), max(i, j))]
-        return cls(n, mask)
 
 
 def _prufer_edges(n, seq):
@@ -108,12 +84,6 @@ def class_masks(n, kind):
     return kernels.scan_masks(n, pi, pj, mode)
 
 
-def enumerate_class(n, kind):
-    """Yield each graph of the class exactly once, ascending by mask."""
-    for m in class_masks(n, kind):
-        yield EdgeMask(n, int(m))
-
-
 def count_class(n, kind):
     return len(class_masks(n, kind))
 
@@ -132,17 +102,16 @@ def _f_matrix(f):
     return f, None
 
 
-def ursell(f, xs, method="fast"):
+def ursell(f, xs):
     """Connected-graph sum phi_n over the species tuple xs.
 
-    The fast path runs the subset-convolution recursion anchored at the
-    first position: with w(S) = prod of (1 + f) over pairs inside S,
+    Runs the subset-convolution recursion anchored at the first position:
+    with w(S) = prod of (1 + f) over pairs inside S,
 
         phi(S) = w(S) - sum over proper T containing the anchor of
                  phi(T) w(S \\ T)
 
-    which costs O(3^n) ring operations.  ``method='brute'`` sums over the
-    enumerated connected graphs instead (independent code path, n <= 6).
+    which costs O(3^n) ring operations.
     """
     fm, _ = _f_matrix(f)
     n = len(xs)
@@ -150,10 +119,6 @@ def ursell(f, xs, method="fast"):
         raise DomainError("ursell needs at least one point")
     if n == 1:
         return 1
-    if method == "brute":
-        return ursell_bruteforce(fm, xs)
-    if method != "fast":
-        raise DomainError(f"unknown ursell method {method!r}")
     if n > URSELL_FAST_MAX:
         raise CapabilityError(f"ursell fast path supports n <= {URSELL_FAST_MAX}")
     size = 1 << n
@@ -194,29 +159,6 @@ def ursell(f, xs, method="fast"):
     return phi[size - 1]
 
 
-def ursell_bruteforce(f, xs):
-    """Connected-graph sum by explicit enumeration (oracle path, n <= 6)."""
-    fm, _ = _f_matrix(f)
-    n = len(xs)
-    if n == 1:
-        return 1
-    if n > URSELL_BRUTE_MAX:
-        raise CapabilityError(f"brute-force ursell supports n <= {URSELL_BRUTE_MAX}")
-    pairs = pair_order(n)
-    total = 0
-    for m in class_masks(n, "connected"):
-        term = 1
-        mm = int(m)
-        for p, (i, j) in enumerate(pairs):
-            if (mm >> p) & 1:
-                term = term * fm[xs[i]][xs[j]]
-                if term == 0:
-                    break
-        if term != 0:
-            total += term
-    return total
-
-
 def d_coeff(f, xs):
     """Biconnected-graph sum D_n over the species tuple xs (2 <= n <= 7).
 
@@ -252,15 +194,6 @@ def d_coeff(f, xs):
         if alive:
             total += term
     return total
-
-
-def a_coeff(f, q, xs):
-    """Rooted activity coefficient A_n(q; xs)."""
-    fm, _ = _f_matrix(f)
-    bracket = 1
-    for x in xs:
-        bracket = bracket * (1 + fm[q][x])
-    return -(bracket - 1) * ursell(fm, xs)
 
 
 def hard_core_d_table(m):
@@ -342,12 +275,3 @@ def build_D_family(space, mayer, N, allow_large=False):
                 comp[(q, ms)] = d_coeff(mayer, (q,) + ms)
     return fam
 
-
-def dump_class_counts(path, n_max=6, kinds=("connected", "biconnected", "tree")):
-    """Write a CSV of class counts per (n, kind) up to n_max."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "kind", "count"])
-        for kind in kinds:
-            for n in range(2, min(n_max, MAX_CLASS_N[kind]) + 1):
-                writer.writerow([n, kind, count_class(n, kind)])

@@ -35,6 +35,9 @@ from .species import MayerMatrices, SpeciesSpace
 
 INV_2E = 1.0 / (2.0 * math.e)
 
+# Newton stops once |T - s e^T| falls below this
+TREE_FN_TOL = 1e-13
+
 
 def vol_ball(d, r):
     """Volume of the d-ball of radius r; exact 2r in one dimension."""
@@ -341,7 +344,7 @@ def r_lp(model, B_bar):
     return k_constant() / (cb * math.exp(model.beta * B_bar))
 
 
-def tree_fn_T(s, tol=1e-13):
+def tree_fn_T(s):
     """The rooted-tree generating function: the solution of T = s e^T that
     is the sum of n^(n-1) s^n / n!, on [0, 1/e] with T(1/e) = 1.
 
@@ -368,7 +371,7 @@ def tree_fn_T(s, tol=1e-13):
     T = sum(n ** (n - 1) * s**n / math.factorial(n) for n in range(1, 21))
     for _ in range(60):
         g = T - s * math.exp(T)
-        if abs(g) < tol:
+        if abs(g) < TREE_FN_TOL:
             break
         T -= g / (1.0 - s * math.exp(T))
     return T
@@ -478,7 +481,8 @@ def neighborhood_radii(model):
     denom = cb * math.exp(model.beta * (model.B + model.Bstar))
     inner = math.exp(-1.0 - 2.0 / math.e) / denom
     outer = 1.0 / (2.0 * math.sqrt(math.e)) / denom
-    assert inner < outer
+    if not outer < math.inf:
+        raise OverflowError("neighborhood radii exceed the float range")
     rs = r_star(model)
     return NeighborhoodRadii(inner, outer, rs, inner < rs < outer)
 
@@ -499,20 +503,6 @@ def bounds_report(model, B_bar=0.0):
         ("lp_closed_form", lp["closed_form"], "1/(2e cbar)"),
         ("banach_ratio", bc["ratio"], "P'/P for M(r) = cbar r"),
     ]
-
-
-def disk_radius_refinement():
-    """Hard-disk refinement of the activity radius: not implemented.
-
-    The refinement solves the rooted fixed point G(s) = s(1 + sum_k (1/k!)
-    G(s)^k g_k) where g_k are tabulated overlap-cluster integrals for disks;
-    that data is not shipped here, so the general radii from bounds_report
-    apply instead.
-    """
-    raise CapabilityError(
-        "hard-disk radius refinement needs tabulated overlap-cluster data; "
-        "use bounds_report for the general-potential radii"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 
 from .certs import BoundCertificate, ResidualReport
-from .errors import CapabilityError, DomainError, StructureError, check_scale
+from .errors import CapabilityError, DomainError, StructureError, check_scale, max_order
 from .fps import (
     RootedSeriesFamily,
     _compose_sum,
@@ -384,7 +384,7 @@ def zeta_path_agreement(st):
     return residual_report("zeta_path_agreement", (_t_family(st.t_family), bic))
 
 
-def roundtrip_check(st, x=None, tol=0):
+def roundtrip_check(st, x=None):
     """Residual of zeta(rho(z)) = z and rho(zeta(nu)) = nu as formal series.
 
     Substituting the density factor family into T must invert the activity
@@ -699,6 +699,9 @@ def run_request(request):
     n_max = inputs.get("n_max")
     if n_max is not None:
         _check_count(n_max, "n_max")
+        # the configuration sum grows like S^n_max; same ceiling as N
+        if n_max > max_order():
+            raise CapabilityError(f"n_max {n_max} exceeds the ceiling {max_order()}")
     st = GCState(space, pot=pot, N=N)
     resp = {"op": op, "N": N}
     S = space.size

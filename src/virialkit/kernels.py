@@ -77,59 +77,6 @@ def scan_masks(n, pi, pj, mode):
     return np.concatenate(pieces) if pieces else np.empty(0, np.int64)
 
 
-def scan_masks_reference(n, pairs, mode):
-    """Pure-Python reference scan, used to validate the scan at small n."""
-    P = len(pairs)
-    full = (1 << n) - 1
-    out = []
-    for mask in range(1 << P):
-        adj = [0] * n
-        for p, (i, j) in enumerate(pairs):
-            if (mask >> p) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-        reach = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            v = 0
-            fr = frontier
-            while fr:
-                if fr & 1:
-                    nxt |= adj[v]
-                fr >>= 1
-                v += 1
-            frontier = nxt & ~reach
-            reach |= frontier
-        if reach != full:
-            continue
-        if mode == 1 and n > 2:
-            good = True
-            for cut in range(n):
-                excl = full & ~(1 << cut)
-                s = 1 if cut == 0 else 0
-                reach2 = 1 << s
-                frontier = reach2
-                while frontier:
-                    nxt = 0
-                    v = 0
-                    fr = frontier
-                    while fr:
-                        if fr & 1:
-                            nxt |= adj[v]
-                        fr >>= 1
-                        v += 1
-                    frontier = (nxt & excl) & ~reach2
-                    reach2 |= frontier
-                if reach2 != excl:
-                    good = False
-                    break
-            if not good:
-                continue
-        out.append(mask)
-    return np.array(out, np.int64)
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo accumulators.  Samples arrive as arrays of free-point
 # coordinates; vertex 0 is pinned at the origin.  ``table`` maps a pair

@@ -1,0 +1,349 @@
+"""Brute-force references that exist only to check production code.
+
+Each function here computes a quantity that a production module computes
+too, by a different and much slower route (explicit enumeration, positioned
+tuples, bracketing, Monte Carlo), so a test can compare the two.  Nothing in
+the library imports this module; the tests do, and the ``selftest`` command
+imports it when it runs, for its enriched-tree cross-check of t_n.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from itertools import product
+from typing import NamedTuple
+
+import numpy as np
+
+from .errors import CapabilityError, DomainError
+from .fps import FormalSeries, set_partitions, subset_splits
+from .graphs import _f_matrix, _prufer_edges, class_masks, pair_order
+from .kernels import mc_rod_mask_sum
+from .species import INF
+
+# ---------------------------------------------------------------------------
+# Series algebra (fps)
+
+
+def multi_product(factors):
+    """Product of several series, computed by the direct assignment sum.
+
+    Each position is assigned to one factor; the term is the product of each
+    factor's coefficient on its assigned positions.  Equal to a left fold of
+    ``mul`` (checked in the tests), but computed independently.
+    """
+    factors = list(factors)
+    if not factors:
+        raise DomainError("multi_product needs at least one factor")
+    first = factors[0]
+    for f in factors[1:]:
+        first._check_compatible(f)
+    r = len(factors)
+    out = FormalSeries(first.space, first.trunc, allow_large=True)
+    for n in range(first.trunc + 1):
+        comp = out.coeffs[n]
+        for ms in comp:
+            total = 0
+            for owners in product(range(r), repeat=n):
+                term = 1
+                for ell, fac in enumerate(factors):
+                    sel = tuple(ms[p] for p in range(n) if owners[p] == ell)
+                    term = term * fac.coeffs[len(sel)][sel]
+                    if term == 0:
+                        break
+                total += term
+            comp[ms] = total
+    return out
+
+
+def var_derivative(K, q):
+    """Variational derivative at species q: pins one slot, drops one order."""
+    if K.trunc == 0:
+        raise DomainError("cannot differentiate a constant series")
+    out = FormalSeries(K.space, K.trunc - 1, allow_large=True)
+    for n in range(K.trunc):
+        comp = out.coeffs[n]
+        for ms in comp:
+            comp[ms] = K.coeffs[n + 1][tuple(sorted((q,) + ms))]
+    return out
+
+
+# Dense debug backend: positioned-tuple storage, for cross-checking the
+# canonical representation at tiny truncation orders.
+
+_DENSE_MAX = 3
+
+
+def dense_component(K, n):
+    """Order-n coefficient as a map over all positioned tuples (N <= 3)."""
+    if n > _DENSE_MAX:
+        raise CapabilityError("dense backend is restricted to order <= 3")
+    return {
+        xs: K.value(n, xs) for xs in product(range(K.space.size), repeat=n)
+    }
+
+
+def mul_dense(K, G):
+    """Product computed on positioned tuples; returns dense per-order maps."""
+    K._check_compatible(G)
+    if K.trunc > _DENSE_MAX:
+        raise CapabilityError("dense backend is restricted to trunc <= 3")
+    dk = [dense_component(K, n) for n in range(K.trunc + 1)]
+    dg = [dense_component(G, n) for n in range(G.trunc + 1)]
+    out = []
+    for n in range(K.trunc + 1):
+        comp = {}
+        for xs in product(range(K.space.size), repeat=n):
+            total = 0
+            for J, rest in subset_splits(n):
+                total += (
+                    dk[len(J)][tuple(xs[p] for p in J)]
+                    * dg[len(rest)][tuple(xs[p] for p in rest)]
+                )
+            comp[xs] = total
+        out.append(comp)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Graph sums (graphs, kernels)
+
+URSELL_BRUTE_MAX = 6
+
+
+class EdgeMask(NamedTuple):
+    """A graph on n labeled vertices as a bitmask over pair_order(n)."""
+
+    n: int
+    mask: int
+
+    @property
+    def edges(self):
+        return tuple(
+            pair for p, pair in enumerate(pair_order(self.n)) if (self.mask >> p) & 1
+        )
+
+    @classmethod
+    def from_edges(cls, n, edges):
+        index = {pair: p for p, pair in enumerate(pair_order(n))}
+        mask = 0
+        for i, j in edges:
+            mask |= 1 << index[(min(i, j), max(i, j))]
+        return cls(n, mask)
+
+
+def ursell_bruteforce(f, xs):
+    """Connected-graph sum by explicit enumeration (oracle path, n <= 6)."""
+    fm, _ = _f_matrix(f)
+    n = len(xs)
+    if n == 1:
+        return 1
+    if n > URSELL_BRUTE_MAX:
+        raise CapabilityError(f"brute-force ursell supports n <= {URSELL_BRUTE_MAX}")
+    pairs = pair_order(n)
+    total = 0
+    for m in class_masks(n, "connected"):
+        term = 1
+        mm = int(m)
+        for p, (i, j) in enumerate(pairs):
+            if (mm >> p) & 1:
+                term = term * fm[xs[i]][xs[j]]
+                if term == 0:
+                    break
+        if term != 0:
+            total += term
+    return total
+
+
+def scan_masks_reference(n, pairs, mode):
+    """Pure-Python reference scan, used to validate the scan at small n."""
+    P = len(pairs)
+    full = (1 << n) - 1
+    out = []
+    for mask in range(1 << P):
+        adj = [0] * n
+        for p, (i, j) in enumerate(pairs):
+            if (mask >> p) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        reach = 1
+        frontier = 1
+        while frontier:
+            nxt = 0
+            v = 0
+            fr = frontier
+            while fr:
+                if fr & 1:
+                    nxt |= adj[v]
+                fr >>= 1
+                v += 1
+            frontier = nxt & ~reach
+            reach |= frontier
+        if reach != full:
+            continue
+        if mode == 1 and n > 2:
+            good = True
+            for cut in range(n):
+                excl = full & ~(1 << cut)
+                s = 1 if cut == 0 else 0
+                reach2 = 1 << s
+                frontier = reach2
+                while frontier:
+                    nxt = 0
+                    v = 0
+                    fr = frontier
+                    while fr:
+                        if fr & 1:
+                            nxt |= adj[v]
+                        fr >>= 1
+                        v += 1
+                    frontier = (nxt & excl) & ~reach2
+                    reach2 |= frontier
+                if reach2 != excl:
+                    good = False
+                    break
+            if not good:
+                continue
+        out.append(mask)
+    return np.array(out, np.int64)
+
+
+# ---------------------------------------------------------------------------
+# Enriched trees (treefp)
+
+TREE_ORACLE_MAX = 5
+
+
+@dataclass(frozen=True)
+class EnrichedTree:
+    """Rooted labeled tree on vertices 0..n with children grouped in cliques.
+
+    ``parent[v]`` is the parent of v (-1 for the root 0); ``cliques[v]`` is
+    the set partition of v's children, each block a sorted tuple.
+    """
+
+    parent: tuple
+    cliques: tuple
+
+
+def _rooted_parent_array(n_vertices, edges):
+    adj = [[] for _ in range(n_vertices)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    parent = [-1] * n_vertices
+    stack = [0]
+    seen = [False] * n_vertices
+    seen[0] = True
+    while stack:
+        v = stack.pop()
+        for u in adj[v]:
+            if not seen[u]:
+                seen[u] = True
+                parent[u] = v
+                stack.append(u)
+    return tuple(parent)
+
+
+def enumerate_enriched_trees(n):
+    """All enriched trees on vertices {0..n} rooted at 0 (n <= 5).
+
+    Every labeled tree on n+1 vertices is visited via its Pruefer sequence;
+    for each, the children of every vertex are partitioned in all ways.
+    There is 1 enriched tree for n = 1 and 4 for n = 2.
+    """
+    if n < 1:
+        raise DomainError("enriched trees need n >= 1")
+    if n > TREE_ORACLE_MAX:
+        raise CapabilityError(f"enriched-tree enumeration supports n <= {TREE_ORACLE_MAX}")
+    m = n + 1
+    seqs = [()] if m == 2 else product(range(m), repeat=m - 2)
+    for seq in seqs:
+        parent = _rooted_parent_array(m, _prufer_edges(m, seq))
+        children = [[] for _ in range(m)]
+        for v in range(1, m):
+            children[parent[v]].append(v)
+        per_vertex = []
+        for v in range(m):
+            kids = tuple(children[v])
+            parts = [
+                tuple(tuple(kids[p] for p in blk) for blk in blocks)
+                for blocks in set_partitions(len(kids))
+            ]
+            per_vertex.append(parts)
+        for choice in product(*per_vertex):
+            yield EnrichedTree(parent, tuple(choice))
+
+
+def tn_via_trees(A, n, q, xs):
+    """t_n(q; xs) summed over enriched trees (oracle path, n <= 5)."""
+    if len(xs) != n:
+        raise DomainError("xs must have length n")
+    labels = (q,) + tuple(xs)
+    total = 0
+    for tree in enumerate_enriched_trees(n):
+        term = 1
+        for v in range(n + 1):
+            for clique in tree.cliques[v]:
+                tail = tuple(labels[u] for u in clique)
+                term = term * A.value(len(clique), labels[v], tail)
+                if term == 0:
+                    break
+            if term == 0:
+                break
+        total += term
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Potentials, constants and excluded areas (species, homogeneous, apps)
+
+
+def recover_potential(mayer, beta):
+    """Invert f -> v via v = -(1/beta) * log(1 + f); hard cores map back to +inf."""
+    v = []
+    for row in mayer.f:
+        vrow = []
+        for e in row:
+            if e == -1:
+                vrow.append(INF)
+            else:
+                vrow.append(-math.log1p(float(e)) / beta)
+        v.append(vrow)
+    return v
+
+
+def tree_fn_T_bisect(s):
+    """Oracle for homogeneous.tree_fn_T: solve T e^-T = s for T in [0, 1]
+    by bracketing."""
+    from scipy.optimize import brentq
+
+    if s == 0:
+        return 0.0
+    return brentq(lambda t: t * math.exp(-t) - s, 0.0, 1.0, xtol=1e-14)
+
+
+def k_constant_closed_form():
+    """Oracle for homogeneous.k_constant: the closed form
+    (1 - W(e/2))^2 / W(e/2)."""
+    from scipy.special import lambertw
+
+    W = float(lambertw(math.e / 2.0).real)
+    return (1.0 - W) ** 2 / W
+
+
+def rod_excluded_area_mc(L, gamma, samples=200_000, seed=0, batches=32):
+    """MC check of the excluded area: fraction of center displacements in
+    [-L, L]^2 for which the two segments intersect, times the box area."""
+    angles = np.array([0.0, gamma])
+    table = np.array([0, 1], dtype=np.int64)
+    per_batch = max(samples // batches, 1)
+    vals = []
+    for bi in range(batches):
+        rng = np.random.Generator(np.random.Philox(key=[seed, bi]))
+        centers = rng.uniform(-L, L, size=(per_batch, 1, 2))
+        hits = mc_rod_mask_sum(centers, angles, L, table)
+        vals.append((2.0 * L) ** 2 * hits / per_batch)
+    arr = np.array(vals)
+    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(batches))

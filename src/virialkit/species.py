@@ -187,9 +187,6 @@ class PairPotential:
     def size(self):
         return self.space.size
 
-    def has_diagonal_hard_core(self):
-        return all(is_inf(self.v[x][x]) for x in range(self.size))
-
     def is_hard_core_only(self):
         """True when every entry is 0 or +inf (Mayer matrices are then exact)."""
         return all(e == 0 or is_inf(e) for row in self.v for e in row)
@@ -219,7 +216,6 @@ class MayerMatrices:
         self.f = f
         self.f_bar = f_bar
         self.exact = exact
-        self._f_np = None
 
     @classmethod
     def from_f(cls, space, f, exact=True):
@@ -234,14 +230,6 @@ class MayerMatrices:
             for row in f
         ]
         return cls(space, f, f_bar, exact)
-
-    def f_array(self):
-        """Float numpy view of f (cached); for vectorized evaluation paths."""
-        if self._f_np is None:
-            import numpy as np
-
-            self._f_np = np.array([[float(e) for e in row] for row in self.f])
-        return self._f_np
 
     @property
     def size(self):
@@ -278,20 +266,6 @@ def build_mayer(pot, exact=None):
         f.append(frow)
         f_bar.append(fbrow)
     return MayerMatrices(pot.space, f, f_bar, exact)
-
-
-def recover_potential(mayer, beta):
-    """Invert f -> v via v = -(1/beta) * log(1 + f); hard cores map back to +inf."""
-    v = []
-    for row in mayer.f:
-        vrow = []
-        for e in row:
-            if e == -1:
-                vrow.append(INF)
-            else:
-                vrow.append(-math.log1p(float(e)) / beta)
-        v.append(vrow)
-    return v
 
 
 @dataclass
@@ -382,12 +356,21 @@ def parse_scalar(v):
     return v
 
 
-def parse_measure(raw, size, name="measure"):
-    """A list of ``size`` numbers (see parse_scalar) from user input; a
-    non-list or a list of the wrong length raises StructureError."""
-    if not isinstance(raw, (list, tuple)) or len(raw) != size:
-        raise StructureError(f"{name} must be a list of {size} numbers")
+def parse_measure(raw, size=None, name="measure"):
+    """A list of numbers (see parse_scalar) from user input, ``size`` of them
+    when given; a non-list or a list of the wrong length raises
+    StructureError."""
+    if not isinstance(raw, (list, tuple)) or size is not None and len(raw) != size:
+        count = "" if size is None else f"{size} "
+        raise StructureError(f"{name} must be a list of {count}numbers")
     return [parse_scalar(v) for v in raw]
+
+
+def parse_dimension(v, name="d"):
+    """A space dimension from user input: a positive int, not a bool."""
+    if type(v) is not int or v < 1:
+        raise DomainError(f"{name} must be a positive integer, got {v!r}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +378,15 @@ def parse_measure(raw, size, name="measure"):
 
 
 def _coerce_energy(e):
+    """A pair energy: a finite number (see parse_scalar) or +inf, written
+    as a float or as "inf", "+inf" or "Infinity"."""
     if isinstance(e, str):
         if e in ("inf", "+inf", "Infinity"):
             return INF
         raise DomainError(f"unrecognized energy entry {e!r}")
-    return e
+    if is_inf(e) and e > 0:
+        return INF
+    return parse_scalar(e)
 
 
 def _dist(p, q):
@@ -449,47 +436,68 @@ def segments_intersect(a1, a2, b1, b2):
     return False
 
 
+def _payloads(space):
+    out = [space.payload(i) for i in range(space.size)]
+    if not all(isinstance(p, dict) for p in out):
+        raise StructureError("this potential kind needs a payload object per species")
+    return out
+
+
+def _positions(payloads, dim=None):
+    """Payload positions as lists of ``dim`` numbers (default: the length
+    of the first one)."""
+    first = payloads[0]["position"]
+    if dim is None:
+        if not isinstance(first, list):
+            raise StructureError("positions must be lists of numbers")
+        dim = len(first)
+    return [parse_measure(p["position"], dim, "position") for p in payloads]
+
+
 def _potential_matrix_from_kind(space, kind, params):
+    if not isinstance(params, dict):
+        raise StructureError("potential params must be an object")
     S = space.size
     if kind == "matrix":
-        v = [[_coerce_energy(e) for e in row] for row in params["v"]]
-        return v
+        rows = params["v"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise StructureError("potential matrix must be a list of lists")
+        return [[_coerce_energy(e) for e in row] for row in rows]
+    if kind not in ("hard_rod", "hard_sphere", "rods2d"):
+        raise DomainError(f"unknown potential kind {kind!r}")
+    payloads = _payloads(space)
+    v = [[0.0] * S for _ in range(S)]
     if kind == "hard_rod":
-        a = params["length"]
+        a = parse_scalar(params["length"])
         period = params.get("period")
-        v = [[0.0] * S for _ in range(S)]
+        if period is not None:
+            period = parse_scalar(period)
+        xs = [parse_scalar(p["position"]) for p in payloads]
         for i in range(S):
             for j in range(S):
-                xi = space.payload(i)["position"]
-                xj = space.payload(j)["position"]
-                d = _ring_dist(xi, xj, period) if period else abs(xi - xj)
+                d = _ring_dist(xs[i], xs[j], period) if period else abs(xs[i] - xs[j])
                 v[i][j] = INF if d < a else 0.0
-        return v
-    if kind == "hard_sphere":
-        default_r = params.get("radius")
-        v = [[0.0] * S for _ in range(S)]
+    elif kind == "hard_sphere":
+        xs = _positions(payloads)
+        radii = [
+            parse_scalar(p["radius"] if "radius" in p else params["radius"]) for p in payloads
+        ]
         for i in range(S):
             for j in range(S):
-                pi, pj = space.payload(i), space.payload(j)
-                ri = pi.get("radius", default_r)
-                rj = pj.get("radius", default_r)
-                d = _dist(pi["position"], pj["position"])
-                v[i][j] = INF if d < ri + rj else 0.0
-        return v
-    if kind == "rods2d":
-        length = params["length"]
-        v = [[0.0] * S for _ in range(S)]
-        segs = []
-        for i in range(S):
-            p = space.payload(i)
-            segs.append(_segment_endpoints(p["position"], p["angle"], length))
+                d = _dist(xs[i], xs[j])
+                v[i][j] = INF if d < radii[i] + radii[j] else 0.0
+    else:
+        length = parse_scalar(params["length"])
+        segs = [
+            _segment_endpoints(x, parse_scalar(p["angle"]), length)
+            for x, p in zip(_positions(payloads, 2), payloads)
+        ]
         for i in range(S):
             for j in range(S):
                 a1, a2 = segs[i]
                 b1, b2 = segs[j]
                 v[i][j] = INF if segments_intersect(a1, a2, b1, b2) else 0.0
-        return v
-    raise DomainError(f"unknown potential kind {kind!r}")
+    return v
 
 
 def load_doc(source):
@@ -547,11 +555,9 @@ def load_species_json(source):
         v = _potential_matrix_from_kind(space, pot_doc["kind"], pot_doc.get("params", {}))
     except (KeyError, IndexError) as exc:
         raise StructureError(f"malformed species file: missing {exc}") from exc
-    pot = PairPotential(
-        space,
-        beta,
-        v,
-        b_stability=pot_doc.get("B"),
-        b_star=pot_doc.get("Bstar"),
+    B, Bstar = (
+        None if pot_doc.get(k) is None else parse_measure(pot_doc[k], space.size, k)
+        for k in ("B", "Bstar")
     )
+    pot = PairPotential(space, beta, v, b_stability=B, b_star=Bstar)
     return space, pot

@@ -17,20 +17,18 @@ so t_n needs only t_1..t_(n-1).  t_1 = B_1 = A_1.
 
 The same coefficients arise as sums over rooted labeled trees whose child
 sets are partitioned into cliques, each clique J at vertex i weighing
-A_(|J|+1)(x_i; (x_j for j in J)); that enumeration is the independent
-oracle ``tn_via_trees``.  Two verification routines re-derive the fixed
-point (and its activity-side variant) from the generic series operations
-and report the residual, which must vanish identically in exact mode.
+A_(|J|+1)(x_i; (x_j for j in J)).  Two verification routines re-derive the
+fixed point (and its activity-side variant) from the generic series
+operations and report the residual, which must vanish identically in exact
+mode.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import product as iter_product
 
 from .certs import BoundCertificate, ResidualReport
-from .errors import CapabilityError, DomainError
+from .errors import DomainError
 from .fps import (
     RootedSeriesFamily,
     _compose_sum,
@@ -42,11 +40,7 @@ from .fps import (
     compose_measure,
     exp_series,
     measure_sums,
-    set_partitions,
 )
-from .graphs import _prufer_edges
-
-TREE_ORACLE_MAX = 5
 
 
 class TnFamily(RootedSeriesFamily):
@@ -82,91 +76,6 @@ def compute_tn(A, N=None):
         _sweep(S, (n,), "compose", b, lambda q, ms, row: _compose_sum(row, a[q]), sub=t)
         _sweep(S, (n,), "partition", t, lambda q, ms, row: _partition_sum(row, b[q], ones))
     return TnFamily(A.space, N, _packed(A, t, N).coeffs, _packed(A, b, N))
-
-
-# ---------------------------------------------------------------------------
-# Enriched-tree oracle
-
-
-@dataclass(frozen=True)
-class EnrichedTree:
-    """Rooted labeled tree on vertices 0..n with children grouped in cliques.
-
-    ``parent[v]`` is the parent of v (-1 for the root 0); ``cliques[v]`` is
-    the set partition of v's children, each block a sorted tuple.
-    """
-
-    parent: tuple
-    cliques: tuple
-
-
-def _rooted_parent_array(n_vertices, edges):
-    adj = [[] for _ in range(n_vertices)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    parent = [-1] * n_vertices
-    stack = [0]
-    seen = [False] * n_vertices
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if not seen[u]:
-                seen[u] = True
-                parent[u] = v
-                stack.append(u)
-    return tuple(parent)
-
-
-def enumerate_enriched_trees(n):
-    """All enriched trees on vertices {0..n} rooted at 0 (n <= 5).
-
-    Every labeled tree on n+1 vertices is visited via its Pruefer sequence;
-    for each, the children of every vertex are partitioned in all ways.
-    There is 1 enriched tree for n = 1 and 4 for n = 2.
-    """
-    if n < 1:
-        raise DomainError("enriched trees need n >= 1")
-    if n > TREE_ORACLE_MAX:
-        raise CapabilityError(f"enriched-tree enumeration supports n <= {TREE_ORACLE_MAX}")
-    m = n + 1
-    seqs = [()] if m == 2 else iter_product(range(m), repeat=m - 2)
-    for seq in seqs:
-        parent = _rooted_parent_array(m, _prufer_edges(m, seq))
-        children = [[] for _ in range(m)]
-        for v in range(1, m):
-            children[parent[v]].append(v)
-        per_vertex = []
-        for v in range(m):
-            kids = tuple(children[v])
-            parts = [
-                tuple(tuple(kids[p] for p in blk) for blk in blocks)
-                for blocks in set_partitions(len(kids))
-            ]
-            per_vertex.append(parts)
-        for choice in iter_product(*per_vertex):
-            yield EnrichedTree(parent, tuple(choice))
-
-
-def tn_via_trees(A, n, q, xs):
-    """t_n(q; xs) summed over enriched trees (oracle path, n <= 5)."""
-    if len(xs) != n:
-        raise DomainError("xs must have length n")
-    labels = (q,) + tuple(xs)
-    total = 0
-    for tree in enumerate_enriched_trees(n):
-        term = 1
-        for v in range(n + 1):
-            for clique in tree.cliques[v]:
-                tail = tuple(labels[u] for u in clique)
-                term = term * A.value(len(clique), labels[v], tail)
-                if term == 0:
-                    break
-            if term == 0:
-                break
-        total += term
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +140,7 @@ def residual_report(name, *pairs):
     return ResidualReport(name, worst, per_order, exact=exact)
 
 
-def verify_FP(A, t, tol=0):
+def verify_FP(A, t):
     """Residual of the defining fixed point, rebuilt from generic series ops.
 
     For each root q the inner series B = A(q; .) composed with the family T
@@ -241,7 +150,7 @@ def verify_FP(A, t, tol=0):
     return residual_report("fixed_point", (lhs, _t_family(t)))
 
 
-def verify_FPprime(A, t, tol=0):
+def verify_FPprime(A, t):
     """Residual of the activity-side fixed point.
 
     Substituting the factor family E(x; z) = exp(-A(x; z)) into T(q; .)

@@ -23,7 +23,6 @@ from virialkit.apps import (
     invert_profile,
     profile_state,
     rod_excluded_area,
-    rod_excluded_area_mc,
     rods_free_energy,
     triangle_integral,
     unbounded_mixture_demo,
@@ -36,6 +35,7 @@ from virialkit.errors import (
 )
 from virialkit.homogeneous import HomogeneousModel, _overlap_length_1d, beta_n_mc, vol_ball
 from virialkit.inversion import density_exact
+from virialkit.oracles import rod_excluded_area_mc
 
 FIXDIR = apps.__file__.replace("apps.py", "fixtures/")
 ROD_KERNEL = {"kind": "hard_rod", "params": {"length": 1.5}}

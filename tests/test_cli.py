@@ -5,6 +5,8 @@ stderr, 2 input error, 3 capability limit, 4 internal error.  CSV output
 for a fixed seed must be byte-identical across --threads values.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -12,6 +14,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
 
 from virialkit import cli, inversion
 from virialkit.species import load_species_json
@@ -243,7 +247,8 @@ README_STATE = {
 
 
 def test_import_and_light_commands_load_no_scipy():
-    # scipy costs about 0.5 s of import; only bounds and mixture may load it
+    # scipy costs about 0.5 s of import; only bounds and mixture may load it.
+    # The brute-force references load only with selftest, which needs one.
     request = {"state": README_STATE, "op": "zeta_of_nu", "N": 3, "inputs": {"nu": ["1/20", "1/30"]}}
     argvs = [
         ["request", "--model", json.dumps(request)],
@@ -258,13 +263,17 @@ def test_import_and_light_commands_load_no_scipy():
         f"for argv in json.loads({json.dumps(argvs)!r}):\n"
         "    report['codes'].append(virialkit.cli.main(argv))\n"
         "report['commands'] = scipy_mods()\n"
+        "report['oracles'] = 'virialkit.oracles' in sys.modules\n"
+        "report['codes'].append(virialkit.cli.main(['selftest', '--seed', '0']))\n"
+        "report['selftest'] = scipy_mods()\n"
         "report['codes'].append(virialkit.cli.main(['bounds', '--b-bar', '0']))\n"
         "report['bounds'] = 'scipy.optimize' in sys.modules\n"
         "print(json.dumps(report))\n"
     )
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["import"] == [] and report["commands"] == []
-    assert report["codes"] == [0, 0, 0]
+    assert report["import"] == [] and report["commands"] == [] and report["selftest"] == []
+    assert report["oracles"] is False
+    assert report["codes"] == [0, 0, 0, 0]
     # the probe sees scipy once a command does load it
     assert report["bounds"] is True
 
@@ -299,3 +308,171 @@ def test_request_field_errors_exit_2(capsys):
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"kind": "hard_rod", "beta": "x"},
+        {"kind": "hard_rod", "B": "y"},
+        {"kind": "hard_rod", "Bstar": [1]},
+        {"kind": "hard_rod", "B": -1},
+        {"kind": "hard_rod", "beta": 0},
+        {"kind": "hard_rod", "beta": "-1/2"},
+        {"kind": "hard_sphere", "d": "3", "radius": 0.5},
+        {"kind": "hard_sphere", "d": 0, "radius": 0.5},
+        {"kind": "hard_sphere", "d": 2.5, "radius": 0.5},
+        {"kind": "hard_sphere", "d": True, "radius": 0.5},
+        {"kind": "ideal", "d": 0},
+        {"kind": "ideal", "d": "1"},
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize("command", ["bounds", "virial"])
+def test_homogeneous_model_fields_exit_2(capsys, command, model):
+    code, out, err = run(capsys, [command, "--model", json.dumps(model)])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    if model.get("beta") in (0, "-1/2"):
+        assert err == "input error: beta must be positive\n"
+
+
+def test_homogeneous_model_parses_scalars(capsys):
+    # exact strings are accepted wherever a number is
+    doc = {"kind": "hard_rod", "a": "1/4", "beta": "1/2", "B": "1/10", "Bstar": 0}
+    assert run(capsys, ["bounds", "--model", json.dumps(doc)])[0] == 0
+    code, out, _ = run(capsys, ["virial", "--model", '{"kind": "ideal", "d": 2}'])
+    assert code == 0 and out.count(",0,analytic,") == 2
+
+
+def _fixture_doc(name, **fields):
+    with open(FIX + name) as fh:
+        return {**json.load(fh), **fields}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("mixture", _fixture_doc("mixture_spheres.json", radii="x")),
+        ("mixture", _fixture_doc("mixture_spheres.json", d="3")),
+        ("mixture", _fixture_doc("mixture_spheres.json", a=[0.1, 0.1], b=[0.2])),
+        ("rods", _fixture_doc("rod_grid.json", rho0="x")),
+        ("rods", _fixture_doc("rod_grid.json", angles=3)),
+        ("invert", _fixture_doc("grid_profile.json", beta="x")),
+        ("invert", _fixture_doc("grid_profile.json", kernel=5)),
+        ("invert", _fixture_doc("grid_profile.json", points="ab")),
+        ("invert", _fixture_doc("grid_profile.json", z0=0)),
+        ("invert", _fixture_doc("grid_profile.json", kernel={"kind": "hard_rod", "params": {"length": "a"}})),
+        ("invert", _fixture_doc("grid_profile.json", kernel={"kind": "hard_rod", "params": 3})),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_app_document_field_types_exit_2(capsys, command, doc):
+    code, out, err = run(capsys, [command, "--model", json.dumps(doc)])
+    assert (code, out) == (2, ""), doc
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_app_documents_accept_exact_strings(capsys):
+    # a numeric string is a number: the rods fixture with length "1" prints
+    # the same bytes as with length 1.0
+    base = run(capsys, ["rods", "--model", FIX + "rod_grid.json"])
+    assert base[0] == 0
+    doc = _fixture_doc("rod_grid.json", length="1")
+    assert run(capsys, ["rods", "--model", json.dumps(doc)]) == base
+    doc = _fixture_doc("grid_profile.json", cell_volumes=["1", "1", "1"], beta="1")
+    assert run(capsys, ["invert", "--model", json.dumps(doc)])[0] == 0
+
+
+def test_species_document_field_types_exit_2(capsys):
+    def req(**potential):
+        state = {**README_STATE, "potential": {**README_STATE["potential"], **potential}}
+        return ["request", "--model", json.dumps({"state": state, "op": "rho_of_z", "N": 2, "inputs": {"z": ["1/10", "1/8"]}})]
+
+    mix = _fixture_doc("rational_mix.json")
+    mix["species"][1]["payload"] = {"position": ["x"]}
+    bad = [
+        req(params=3),
+        req(params={"v": 5}),
+        req(params={"v": [["inf", None], [None, 0.0]]}),
+        req(B="1"),
+        ["request", "--model", json.dumps({"state": mix, "op": "rho_of_z", "N": 2, "inputs": {"z": [0.1] * 3}})],
+        ["request", "--model", json.dumps({"state": README_STATE, "op": "xi_exact", "N": 2,
+                                           "inputs": {"z": [0.1, 0.1], "n_max": 10**9}})],
+    ]
+    codes = []
+    for argv in bad:
+        code, out, err = run(capsys, argv)
+        codes.append(code)
+        assert out == "" and err.count("\n") == 1
+    # an unbounded configuration sum is a capability limit, not a hang
+    assert codes == [2, 2, 2, 2, 2, 3]
+
+
+def test_float_overflow_is_a_capability_limit(capsys):
+    code, out, err = run(capsys, ["bounds", "--model", '{"kind": "hard_sphere", "radius": 1e300}'])
+    assert (code, out) == (3, "")
+    assert err.startswith("capability limit: float range exceeded")
+
+
+# One field of a shipped document replaced by a value of any JSON type must
+# give an exit code from the documented set, never 4 ("internal error").
+FUZZ_DOCS = [
+    ("bounds", {"kind": "hard_rod", "a": "1/4", "beta": 1.0, "B": 0.0, "Bstar": 0.0}),
+    ("bounds", {"kind": "hard_sphere", "d": 3, "radius": 0.5, "beta": 1.0, "B": 0.0, "Bstar": 0.0}),
+    ("virial", json.loads(SPHERE_DOC)),
+    ("virial", {"kind": "ideal", "d": 1}),
+    ("mixture", _fixture_doc("mixture_spheres.json", a=[0.1, 0.1], b=[0.2, 0.2])),
+    ("rods", _fixture_doc("rod_grid.json")),
+    ("invert", _fixture_doc("grid_profile.json")),
+    ("request", {"state": README_STATE, "op": "rho_of_z", "N": 2, "inputs": {"z": ["1/10", "1/8"]}}),
+    ("request", {"state": _fixture_doc("rational_mix.json"), "op": "rho_of_z", "N": 2,
+                 "inputs": {"z": ["1/20", "1/30", "1/40"]}}),
+]
+
+
+def _field_paths(doc, prefix=()):
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+JSON_VALUES = hyp.one_of(
+    hyp.integers(-(10**9), 10**9),
+    hyp.floats(),
+    hyp.from_regex(r"-?[0-9]{1,3}(/[0-9]{1,3})?", fullmatch=True),
+    hyp.text(max_size=4),
+    hyp.booleans(),
+    hyp.none(),
+    hyp.lists(hyp.integers(-3, 3) | hyp.text(max_size=2), max_size=3),
+    hyp.dictionaries(hyp.text(max_size=3), hyp.integers(-3, 3), max_size=2),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=hyp.data())
+def test_fuzz_one_field_never_internal_error(data):
+    command, doc = data.draw(hyp.sampled_from(FUZZ_DOCS))
+    path = data.draw(hyp.sampled_from(list(_field_paths(doc))))
+    doc = _replaced(doc, path, data.draw(JSON_VALUES))
+    argv = [command, "--model", json.dumps(doc), "--order", "2", "--samples", "640"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3), (argv, lines)
+    if code == 1:
+        assert lines[0].startswith("refused: ")
+        assert all(line.startswith("margin[") for line in lines[1:])
+    elif code > 1:
+        assert len(lines) == 1, lines

@@ -6,7 +6,6 @@ Independent recounts below re-derive trees as connected graphs with n-1
 edges and biconnected graphs by explicit articulation-vertex testing.
 """
 
-import csv
 import itertools
 import random
 from fractions import Fraction
@@ -16,20 +15,17 @@ import pytest
 from virialkit import graphs
 from virialkit.errors import CapabilityError, DomainError
 from virialkit.graphs import (
-    EdgeMask,
-    a_coeff,
     build_A_family,
     build_D_family,
     build_phi_series,
     class_masks,
     count_class,
     d_coeff,
-    dump_class_counts,
     hard_core_d_table,
     pair_order,
     ursell,
-    ursell_bruteforce,
 )
+from virialkit.oracles import EdgeMask, ursell_bruteforce
 from virialkit.species import MayerMatrices, SpeciesSpace
 
 CONNECTED = {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
@@ -173,7 +169,7 @@ def test_ursell_fast_matches_bruteforce():
         for n in range(2, 7):
             r = random.Random(100 + seed + n)
             xs = tuple(r.randrange(3) for _ in range(n))
-            assert ursell(f, xs, method="fast") == ursell_bruteforce(f, xs)
+            assert ursell(f, xs) == ursell_bruteforce(f, xs)
 
 
 def test_ursell_partition_identity():
@@ -202,8 +198,6 @@ def test_ursell_errors():
     f = rand_f(1, 2)
     with pytest.raises(DomainError):
         ursell(f, ())
-    with pytest.raises(DomainError):
-        ursell(f, (0, 1), method="magic")
     with pytest.raises(CapabilityError):
         ursell_bruteforce(f, (0,) * 7)
     with pytest.raises(CapabilityError):
@@ -249,24 +243,27 @@ def test_d_coeff_errors():
 
 def test_a_coeff_order_one_is_minus_f():
     f = rand_f(4, 3)
+    A = build_A_family(SpeciesSpace.uniform(3), f, 1)
     for q in range(3):
         for x in range(3):
-            assert a_coeff(f, q, (x,)) == -f[q][x]
+            assert A.value(1, q, (x,)) == -f[q][x]
 
 
 def test_a_coeff_hard_core():
     f = [[Fraction(-1)]]
-    assert a_coeff(f, 0, (0,)) == 1
-    assert a_coeff(f, 0, (0, 0)) == -1
+    A = build_A_family(SpeciesSpace.uniform(1), f, 2)
+    assert A.value(1, 0, (0,)) == 1
+    assert A.value(2, 0, (0, 0)) == -1
 
 
 def test_a_coeff_vanishes_without_interaction():
     S = 2
     f = [[Fraction(0)] * S for _ in range(S)]
     f[1][1] = Fraction(-1, 2)
+    A = build_A_family(SpeciesSpace.uniform(S), f, 2)
     # species 0 interacts with nothing: every coefficient rooted at 0 vanishes
     for xs in [(0,), (1,), (0, 1), (1, 1)]:
-        assert a_coeff(f, 0, xs) == 0
+        assert A.value(len(xs), 0, xs) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +326,3 @@ def test_build_d_family_ceiling():
     with pytest.raises(CapabilityError):
         build_D_family(space, mayer, 7, allow_large=True)
 
-
-def test_dump_class_counts(tmp_path):
-    path = tmp_path / "counts.csv"
-    dump_class_counts(str(path), n_max=5)
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    got = {(r["kind"], int(r["n"])): int(r["count"]) for r in rows}
-    assert got[("connected", 5)] == 728
-    assert got[("biconnected", 4)] == 10
-    assert got[("tree", 5)] == 125

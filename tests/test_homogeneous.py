@@ -36,7 +36,7 @@ from virialkit.homogeneous import (
     virial_table,
     vol_ball,
 )
-from oracles import k_constant_closed_form, tree_fn_T_bisect
+from virialkit.oracles import k_constant_closed_form, tree_fn_T_bisect
 
 ROD = HomogeneousModel.hard_rod(1.0)
 SPHERE = HomogeneousModel.hard_sphere(3, radius=0.5)
@@ -279,11 +279,6 @@ def test_bounds_report_rows():
     assert vals["r_star"] == r_star(ROD)
     assert abs(vals["banach_ratio"] - 8.0) < 1e-6
     assert abs(vals["lp_sup"] - vals["lp_closed_form"]) < 1e-8
-
-
-def test_disk_refinement_is_declared_out_of_scope():
-    with pytest.raises(CapabilityError):
-        hom.disk_radius_refinement()
 
 
 # ---------------------------------------------------------------------------

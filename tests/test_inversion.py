@@ -15,7 +15,7 @@ import pytest
 from virialkit import inversion as inv
 from virialkit.cli import _random_state, fixture_text
 from virialkit.errors import CapabilityError, DomainError, StructureError
-from virialkit.fps import exp_series, var_derivative
+from virialkit.fps import exp_series
 from virialkit.homogeneous import grid_beta, ring_mayer, tonks_oracle
 from virialkit.inversion import (
     GCState,
@@ -37,6 +37,7 @@ from virialkit.inversion import (
     zeta_of_nu,
     zeta_path_agreement,
 )
+from virialkit.oracles import var_derivative
 from virialkit.species import (
     MayerMatrices,
     MeasureVec,

@@ -9,6 +9,7 @@ import numpy as np
 
 from virialkit import kernels
 from virialkit.graphs import class_masks, hard_core_d_table, pair_order
+from virialkit.oracles import scan_masks_reference
 
 
 def pair_arrays(n):
@@ -28,7 +29,7 @@ def test_scan_masks_matches_reference():
         po, pi, pj = pair_arrays(n)
         for mode in (0, 1):
             got = kernels.scan_masks(n, pi, pj, mode)
-            ref = kernels.scan_masks_reference(n, po, mode)
+            ref = scan_masks_reference(n, po, mode)
             assert list(got) == list(ref)
             assert len(got) == expected_counts[(n, mode)]
             assert list(got) == sorted(got)
@@ -36,7 +37,7 @@ def test_scan_masks_matches_reference():
 
 def test_scan_chunk_np_direct():
     po, pi, pj = pair_arrays(4)
-    ref = list(kernels.scan_masks_reference(4, po, 0))
+    ref = list(scan_masks_reference(4, po, 0))
     lo = list(kernels._scan_chunk(4, pi, pj, 0, 32, 0))
     hi = list(kernels._scan_chunk(4, pi, pj, 32, 64, 0))
     assert lo + hi == ref

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from virialkit.errors import DomainError, StructureError
+from virialkit.oracles import recover_potential
 from virialkit.species import (
     MayerMatrices,
     MeasureVec,
@@ -19,7 +20,6 @@ from virialkit.species import (
     load_species_json,
     parse_measure,
     parse_scalar,
-    recover_potential,
     segments_intersect,
 )
 
