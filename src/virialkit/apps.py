@@ -22,12 +22,12 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .certs import BoundCertificate
+from .certs import BoundCertificate, _grid_search
 from .errors import CapabilityError, CertificateError, DomainError, StructureError
 from .fps import sym_factor
 from .graphs import hard_core_d_table
 from .homogeneous import INV_2E, _overlap_length_1d, vol_ball
-from .inversion import AB_GRID, GCState, check_Sab
+from .inversion import GCState, check_Sab
 from .kernels import mc_mask_sum, mc_rod_mask_sum
 from .species import (
     PairPotential,
@@ -241,18 +241,11 @@ def _mixture_margins(ms, a, b):
 def _mixture_cert(ms):
     if ms.a is not None:
         m = _mixture_margins(ms, ms.a, ms.b)
-        return BoundCertificate("mix_ab", all(v >= 0 for v in m), m, a=tuple(ms.a), b=tuple(ms.b))
-    best = None
-    for c in AB_GRID:
-        const = (float(c),) * len(ms.radii)
-        m = _mixture_margins(ms, const, const)
-        cert = BoundCertificate(
-            "mix_ab", all(v >= 0 for v in m), m, a=const, b=const,
-            notes="constant weights chosen by grid search",
-        )
-        if best is None or (cert.passed, cert.worst_margin) > (best.passed, best.worst_margin):
-            best = cert
-    return best
+        return BoundCertificate("mix_ab", m, a=tuple(ms.a), b=tuple(ms.b))
+    K = len(ms.radii)
+    return _grid_search(
+        "mix_ab", lambda c: ((c,) * K, (c,) * K), lambda ab: _mixture_margins(ms, *ab)
+    )
 
 
 def _mc_mixture_triple(ms, k, combo, samples, seed, stream, threads, batches=32):
@@ -398,8 +391,11 @@ def rods_free_energy(rs, N=2, samples=100_000, seed=0, threads=1):
         )
         for a1 in rs.angles
     )
+    if not math.isfinite(worst):
+        # L^2 overflowed; inf * sin(0) would make the margin NaN
+        raise OverflowError(f"rod excluded-area supremum is {worst}")
     margin = INV_2E - rs.rho0 * worst
-    cert = BoundCertificate("rod_2e", margin >= 0, (margin,), extras={"sup": worst})
+    cert = BoundCertificate("rod_2e", (margin,), extras={"sup": worst})
     if not cert.passed:
         raise CertificateError(
             f"rho0 violates the 1/(2e) rod condition by {-margin:.4g}",
@@ -484,7 +480,7 @@ def unbounded_mixture_demo(K=3, z1=-0.1, weight_slope=1.0, z_tail=1.0):
         weight_slope * (k + 1) - (k + 1) * abs(z1) for k in range(K)
     )
     cert = BoundCertificate(
-        "weighted_b", all(m >= 0 for m in margins), margins,
+        "weighted_b", margins,
         b=tuple(weight_slope * (k + 1) for k in range(K)),
         notes="b(k) = c k with c = %g" % weight_slope,
     )

@@ -377,21 +377,26 @@ def tree_fn_T(s):
     return T
 
 
+def _bounded_min(fn, top):
+    """scipy's bounded scalar minimum of fn over [1e-12 top, top]."""
+    from scipy.optimize import minimize_scalar
+
+    # near the float range the search's own interpolation steps overflow
+    # harmlessly; numpy would print a warning for each
+    with np.errstate(over="ignore", invalid="ignore"):
+        return minimize_scalar(
+            fn, bounds=(1e-12 * top, top), method="bounded", options={"xatol": 1e-12}
+        )
+
+
 def lp_chain(model):
     """Numeric maximum of r e^{-T(c_bar r)} over (0, 1/(e c_bar)], compared
     to the closed form 1/(2e c_bar)."""
-    from scipy.optimize import minimize_scalar
-
     cb = float(model.c_bar)
     if cb <= 0:
         raise DomainError("exclusion integral must be positive")
     top = 1.0 / (math.e * cb)
-    res = minimize_scalar(
-        lambda r: -r * math.exp(-tree_fn_T(cb * r)),
-        bounds=(1e-12 * top, top),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
+    res = _bounded_min(lambda r: -r * math.exp(-tree_fn_T(cb * r)), top)
     return {
         "sup": -res.fun,
         "argmax": res.x,
@@ -407,7 +412,7 @@ def banach_compare(M, r_max):
 
     by nested bracketed maximization; returns both and the ratio P'/P.
     """
-    from scipy.optimize import brentq, minimize_scalar
+    from scipy.optimize import brentq
 
     grid = np.linspace(0.0, r_max, 33)
     vals = [float(M(r)) for r in grid]
@@ -416,12 +421,7 @@ def banach_compare(M, r_max):
     ):
         raise DomainError("modulus must be increasing with M(0) = 0")
 
-    res_p = minimize_scalar(
-        lambda r: -r * math.exp(-float(M(r))),
-        bounds=(1e-12 * r_max, r_max),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
+    res_p = _bounded_min(lambda r: -r * math.exp(-float(M(r))), r_max)
     P = 0.125 * (-res_p.fun)
 
     b_max = float(M(r_max))
@@ -431,12 +431,7 @@ def banach_compare(M, r_max):
             return r_max
         return brentq(lambda r: float(M(r)) - b, 0.0, r_max, xtol=1e-14)
 
-    res_pp = minimize_scalar(
-        lambda b: -math.exp(-b) * inv_M(b),
-        bounds=(1e-12 * b_max, b_max),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
+    res_pp = _bounded_min(lambda b: -math.exp(-b) * inv_M(b), b_max)
     P_prime = -res_pp.fun
     return {"P": P, "P_prime": P_prime, "ratio": P_prime / P}
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 
-from .certs import BoundCertificate, ResidualReport
+from .certs import BoundCertificate, ResidualReport, _grid_search
 from .errors import CapabilityError, DomainError, StructureError, check_scale, max_order
 from .fps import (
     RootedSeriesFamily,
@@ -56,14 +56,11 @@ from .species import (
     parse_measure,
 )
 from .treefp import (
-    _t_family,
     compute_tn,
     eval_T,
     exp_family,
     residual_report,
 )
-
-AB_GRID = tuple(Fraction(5 * k, 100) for k in range(1, 61))
 
 
 def _exp(v):
@@ -180,7 +177,7 @@ def check_PU(st, z, a=None):
     if a is not None:
         a = tuple(a)
         m = margins_for(a)
-        return BoundCertificate("PU", all(v >= 0 for v in m), m, a=a)
+        return BoundCertificate("PU", m, a=a)
     return _grid_search(
         "PU", lambda c: ((c,) * S, None), lambda ab: margins_for(ab[0])
     )
@@ -225,7 +222,7 @@ def check_Sb(st, nu, b=None):
     sums = _root_totals(st, st.a_family, boosted)
     m = tuple(float(b[q]) - sums[q] for q in range(S))
     return BoundCertificate(
-        "Sb", all(v >= 0 for v in m), m, b=b, trunc=st.N,
+        "Sb", m, b=b, trunc=st.N,
         notes="partial sums through the truncation order only",
     )
 
@@ -237,9 +234,9 @@ def check_Sab(st, nu, a=None, b=None):
     """
     _require_nonneg("a", a)
     _require_nonneg("b", b)
-    if a is not None and b is not None and any(
-        av > bv for av, bv in zip(a, b)
-    ):
+    if (a is None) != (b is None):
+        raise StructureError("give both a and b or neither")
+    if a is not None and any(av > bv for av, bv in zip(a, b)):
         raise DomainError("combined condition needs a <= b entrywise")
     vals = [abs(float(v)) for v in nu]
     w = st.space.weights
@@ -264,10 +261,10 @@ def check_Sab(st, nu, a=None, b=None):
             for x in range(S)
         )
 
-    if a is not None and b is not None:
+    if a is not None:
         a, b = tuple(a), tuple(b)
         m = margins_for(a, b)
-        return BoundCertificate("Sab", all(v >= 0 for v in m), m, a=a, b=b)
+        return BoundCertificate("Sab", m, a=a, b=b)
     return _grid_search(
         "Sab",
         lambda c: ((c,) * S, (c,) * S),
@@ -283,19 +280,17 @@ def check_virMb(st, nu, b=None):
     _require_nonneg("b", b)
     S = st.space.size
     sums = _root_totals(st, st.d_family, nu)
+
+    def margins_for(bvec):
+        return tuple(float(bvec[q]) - sums[q] for q in range(S))
+
     if b is None:
-        best = None
-        for c in AB_GRID:
-            m = tuple(float(c) - sums[q] for q in range(S))
-            cert = BoundCertificate(
-                "virMb", all(v >= 0 for v in m), m, b=(c,) * S, trunc=st.N
-            )
-            best = _better(best, cert)
-        return best
+        return _grid_search(
+            "virMb", lambda c: (None, (c,) * S), lambda ab: margins_for(ab[1]), trunc=st.N
+        )
     b = tuple(b)
-    m = tuple(float(b[q]) - sums[q] for q in range(S))
     return BoundCertificate(
-        "virMb", all(v >= 0 for v in m), m, b=b, trunc=st.N,
+        "virMb", margins_for(b), b=b, trunc=st.N,
         notes="partial sums through the truncation order only",
         extras={"sums": tuple(sums)},
     )
@@ -305,50 +300,24 @@ def check_dissym_b(st, nu, budget):
     """Total dissymmetry mass sum_{2<=n<=N+1} ((n-1)/n!) sum |D_n| |nu|^n
     against a scalar budget (single margin).  On a finite species space the
     sum is finite for every nu; the certificate just quantifies it.
+
+    D_(m+1) sits in the biconnected family at order m, rooted at one of its
+    m+1 points, so the mass is sum_m m/(m+1) sum_q |nu(q)| w(q) M_m(q) with
+    M_m the order-m majorant of the family.
     """
-    vals = [abs(float(v)) for v in nu]
     w = st.space.weights
+    sums = _majorant_sums(st.d_family.coeffs, nu, w, st.space.size, start=1)
     total = 0.0
-    top = min(st.N + 1, 7)
-    for n in range(2, top + 1):
-        coeff = (n - 1) / math.factorial(n)
-        for ms in combinations_with_replacement(range(st.space.size), n):
-            v = d_coeff(st.mayer, ms)
-            if v == 0:
-                continue
-            term = abs(float(v)) * math.factorial(n) / sym_factor(ms)
-            for x in ms:
-                term *= vals[x] * float(w[x])
-            total += coeff * term
-    m = (float(budget) - total,)
+    for m in range(1, st.N + 1):
+        total += m / (m + 1) * sum(
+            abs(float(v)) * float(wq) * s for v, wq, s in zip(nu, w, sums[m])
+        )
+    margin = (float(budget) - total,)
     return BoundCertificate(
-        "dissym_b", m[0] >= 0, m, trunc=top,
+        "dissym_b", margin, trunc=st.N + 1,
         notes="finite on a finite species space; margin quantifies the mass",
         extras={"total": total},
     )
-
-
-def _better(best, cert):
-    if best is None:
-        return cert
-    if cert.passed and not best.passed:
-        return cert
-    if cert.passed == best.passed and cert.worst_margin > best.worst_margin:
-        return cert
-    return best
-
-
-def _grid_search(condition, make_ab, margins_fn, trunc=None):
-    best = None
-    for c in AB_GRID:
-        ab = make_ab(float(c))
-        m = margins_fn(ab)
-        cert = BoundCertificate(
-            condition, all(v >= 0 for v in m), m, a=ab[0], b=ab[1], trunc=trunc,
-            notes="constant weights chosen by grid search",
-        )
-        best = _better(best, cert)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +350,7 @@ def zeta_of_nu(st, nu, path="biconnected"):
 def zeta_path_agreement(st):
     """Coefficientwise residual between the two zeta paths through order N."""
     bic = exp_series(st.d_family.scale(-1))
-    return residual_report("zeta_path_agreement", (_t_family(st.t_family), bic))
+    return residual_report("zeta_path_agreement", (st.t_family, bic))
 
 
 def roundtrip_check(st, x=None):
@@ -392,14 +361,14 @@ def roundtrip_check(st, x=None):
     constant series 1.  Exact zero in rational mode.  When a measure x is
     supplied, the numeric round trip through both maps at x is reported too.
     """
-    T, E = _t_family(st.t_family), st.e_family
+    T, E = st.t_family, st.e_family
     unit = RootedSeriesFamily.from_function(
         st.space, st.N, lambda n, q, ms: 1 if n == 0 else 0, allow_large=True
     )
     report = residual_report(
         "roundtrip",
         (mul(E, compose_measure(T, E)), unit),
-        (mul(T, compose_measure(E, st.t_family)), unit),
+        (mul(T, compose_measure(E, T)), unit),
     )
     if x is not None:
         xf = [float(v) for v in x]
@@ -459,9 +428,35 @@ def _pair_weight(f, ms):
     return total
 
 
-def _activity_products(st, z):
+def _diag_hard(st):
+    return all(st.mayer.f[x][x] == -1 for x in range(st.space.size))
+
+
+def _configuration_terms(st, z, n_max, root=None):
+    """Yield (n, term) for every configuration of 1..n_max particles with a
+    nonzero term exp(-beta H) prod z(x) w(x) / sym, in order.  With a root
+    the term also carries prod (1 + f(root, x)), the root's Boltzmann factor.
+
+    Under a diagonal hard core only sets of distinct species weigh, so sets
+    are enumerated (multisets would cost about C(2S, S) at n = S).
+    """
+    f = st.mayer.f
     w = st.space.weights
-    return [z[x] * w[x] for x in range(st.space.size)]
+    z = tuple(z)
+    zw = [z[x] * w[x] for x in range(st.space.size)]
+    distinct = _diag_hard(st)
+    configs = combinations if distinct else combinations_with_replacement
+    for n in range(1, n_max + 1):
+        for ms in configs(range(st.space.size), n):
+            wgt = _pair_weight(f, ms)
+            for x in ms:
+                if wgt == 0:
+                    break
+                if root is not None:
+                    wgt = wgt * (1 + f[root][x])
+                wgt = wgt * zw[x]
+            if wgt != 0:
+                yield n, wgt if distinct else wgt * Fraction(1, sym_factor(ms))
 
 
 def xi_exact(st, z, n_max=None):
@@ -472,40 +467,17 @@ def xi_exact(st, z, n_max=None):
     Otherwise an explicit n_max is required and the result is flagged as
     truncated.
     """
-    f = st.mayer.f
-    S = st.space.size
-    diag_hard = all(f[x][x] == -1 for x in range(S))
+    diag_hard = _diag_hard(st)
     if n_max is None:
         if not diag_hard:
             raise DomainError(
                 "xi_exact terminates only under a diagonal hard core; "
                 "pass n_max explicitly otherwise"
             )
-        n_max = S
-    zw = _activity_products(st, tuple(z))
-    by_order = [1]
-    if diag_hard:
-        for n in range(1, n_max + 1):
-            total = 0
-            for sub in combinations(range(S), n):
-                wgt = _pair_weight(f, sub)
-                if wgt == 0:
-                    continue
-                for x in sub:
-                    wgt = wgt * zw[x]
-                total += wgt
-            by_order.append(total)
-    else:
-        for n in range(1, n_max + 1):
-            total = 0
-            for ms in combinations_with_replacement(range(S), n):
-                wgt = _pair_weight(f, ms)
-                if wgt == 0:
-                    continue
-                for x in ms:
-                    wgt = wgt * zw[x]
-                total += wgt * Fraction(1, sym_factor(ms))
-            by_order.append(total)
+        n_max = st.space.size
+    by_order = [1] + [0] * n_max
+    for n, term in _configuration_terms(st, z, n_max):
+        by_order[n] += term
     return XiResult(sum(by_order), n_max, not diag_hard, by_order)
 
 
@@ -517,35 +489,12 @@ def density_exact(st, z, q=None, n_max=None):
     Exact under a diagonal hard core; q=None returns all species.
     """
     xi = xi_exact(st, z, n_max=n_max)
-    f = st.mayer.f
-    S = st.space.size
-    diag_hard = all(f[x][x] == -1 for x in range(S))
-    zw = _activity_products(st, tuple(z))
-    roots = range(S) if q is None else (q,)
+    roots = range(st.space.size) if q is None else (q,)
     out = []
     for root in roots:
         total = 1
-        for n in range(1, xi.n_max + 1):
-            if diag_hard:
-                for sub in combinations(range(S), n):
-                    wgt = _pair_weight(f, sub)
-                    if wgt == 0:
-                        continue
-                    for x in sub:
-                        wgt = wgt * (1 + f[root][x])
-                        if wgt == 0:
-                            break
-                        wgt = wgt * zw[x]
-                    if wgt != 0:
-                        total += wgt
-            else:
-                for ms in combinations_with_replacement(range(S), n):
-                    wgt = _pair_weight(f, ms)
-                    if wgt == 0:
-                        continue
-                    for x in ms:
-                        wgt = wgt * (1 + f[root][x]) * zw[x]
-                    total += wgt * Fraction(1, sym_factor(ms))
+        for _, term in _configuration_terms(st, z, xi.n_max, root=root):
+            total += term
         out.append(tuple(z)[root] * total / xi.value)
     if q is not None:
         return out[0]

@@ -30,7 +30,6 @@ import math
 from .certs import BoundCertificate, ResidualReport
 from .errors import DomainError
 from .fps import (
-    RootedSeriesFamily,
     _compose_sum,
     _majorant_sums,
     _packed,
@@ -43,22 +42,12 @@ from .fps import (
 )
 
 
-class TnFamily(RootedSeriesFamily):
-    """Tree coefficients t_n(q; .); order 0 is identically 1.
-
-    Carries the intermediate family B_n on ``b_family`` for inspection.
-    """
-
-    def __init__(self, space, trunc, coeffs, b_family):
-        super().__init__(space, trunc, coeffs, allow_large=True)
-        self.b_family = b_family
-
-
 def compute_tn(A, N=None):
     """Tree coefficients t_1..t_N from the activity coefficients A.
 
     A is a rooted family whose order-n slice holds A_n(q; .); its order-0
-    slice must vanish.
+    slice must vanish.  The result is the rooted family T(q; .): order 0 is
+    identically 1 and order n holds t_n(q; .).
     """
     if N is None:
         N = A.trunc
@@ -75,7 +64,7 @@ def compute_tn(A, N=None):
         # B_n reads t below order n; t_n is the exp-type partition sum of B
         _sweep(S, (n,), "compose", b, lambda q, ms, row: _compose_sum(row, a[q]), sub=t)
         _sweep(S, (n,), "partition", t, lambda q, ms, row: _partition_sum(row, b[q], ones))
-    return TnFamily(A.space, N, _packed(A, t, N).coeffs, _packed(A, b, N))
+    return _packed(A, t, N)
 
 
 # ---------------------------------------------------------------------------
@@ -104,19 +93,12 @@ def eval_T_abs(t, nu, b):
     implied = tuple(math.log(s) if s > 0 else float("-inf") for s in sums)
     return BoundCertificate(
         condition="Mb",
-        passed=all(m >= 0 for m in margins),
         margins=margins,
         b=b,
         trunc=t.trunc,
         notes="partial sums through the truncation order only",
         extras={"sums": tuple(sums), "implied_b": implied},
     )
-
-
-def _t_family(t):
-    """T(q; .) for every root: the family t with its order-0 slice set to 1."""
-    order0 = {(q, ()): 1 for q in range(t.space.size)}
-    return RootedSeriesFamily(t.space, t.trunc, [order0] + t.coeffs[1:], allow_large=True)
 
 
 def residual_report(name, *pairs):
@@ -147,7 +129,7 @@ def verify_FP(A, t):
     is exponentiated and compared against T(q; .) coefficientwise.
     """
     lhs = exp_series(compose_measure(A, t))
-    return residual_report("fixed_point", (lhs, _t_family(t)))
+    return residual_report("fixed_point", (lhs, t))
 
 
 def verify_FPprime(A, t):
@@ -156,7 +138,7 @@ def verify_FPprime(A, t):
     Substituting the factor family E(x; z) = exp(-A(x; z)) into T(q; .)
     must reproduce exp(A(q; z)) coefficientwise.
     """
-    lhs = compose_measure(_t_family(t), exp_family(A, sign=-1))
+    lhs = compose_measure(t, exp_family(A, sign=-1))
     return residual_report("fixed_point_activity", (lhs, exp_series(A)))
 
 

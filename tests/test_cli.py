@@ -415,6 +415,39 @@ def test_float_overflow_is_a_capability_limit(capsys):
     assert err.startswith("capability limit: float range exceeded")
 
 
+def test_rod_length_overflow_is_a_capability_limit(capsys):
+    # the excluded area L^2 |sin| leaves the float range, and inf * sin(0)
+    # must not turn into a refusal with a NaN margin
+    doc = _fixture_doc("rod_grid.json", length=1e300)
+    code, out, err = run(capsys, ["rods", "--model", json.dumps(doc)])
+    assert (code, out) == (3, "")
+    assert err.startswith("capability limit: float range exceeded") and err.count("\n") == 1
+
+
+def test_bounds_near_float_range_prints_no_warnings():
+    # r_max = 5/c_bar is about 2.5e300 here; the bounded searches must not
+    # print numpy warnings on a successful run
+    proc = run_child(
+        "from virialkit.cli import main\n"
+        "code = main(['bounds', '--model', '{\"kind\": \"hard_rod\", \"a\": 1e-300}'])\n"
+        "print('exit', code)\n"
+    )
+    assert proc.stdout.splitlines()[-1] == "exit 0"
+    assert proc.stderr == ""
+
+
+def test_request_sab_needs_both_weights(capsys):
+    def req(**weights):
+        inputs = {"nu": ["1/50", "1/50"], **weights}
+        return ["request", "--model", json.dumps({"state": README_STATE, "op": "check_Sab", "N": 2, "inputs": inputs})]
+
+    assert run(capsys, req(a=[0.3, 0.3], b=[0.3, 0.3]))[0] == 0
+    for weights in ({"a": [3, 3]}, {"b": ["1/2", "1/2"]}):
+        code, out, err = run(capsys, req(**weights))
+        assert (code, out) == (2, "")
+        assert err == "input error: give both a and b or neither\n"
+
+
 # One field of a shipped document replaced by a value of any JSON type must
 # give an exit code from the documented set, never 4 ("internal error").
 FUZZ_DOCS = [

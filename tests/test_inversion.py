@@ -437,6 +437,18 @@ def test_sab_sharp_threshold():
     assert ok.passed and not bad.passed
 
 
+def test_sab_needs_both_weights_or_neither():
+    st = mix_state()
+    nu = [Fraction(1, 100)] * 2
+    with pytest.raises(StructureError, match="give both a and b or neither"):
+        check_Sab(st, nu, a=[3, 3])
+    with pytest.raises(StructureError, match="give both a and b or neither"):
+        check_Sab(st, nu, b=[1, 1])
+    req = {"state": MATRIX_STATE, "op": "check_Sab", "N": 2, "inputs": {"nu": ["1/100"] * 2, "a": [3, 3]}}
+    with pytest.raises(StructureError):
+        run_request(req)
+
+
 def test_sab_requires_ordered_constants():
     st = mix_state()
     with pytest.raises(DomainError):
@@ -470,6 +482,8 @@ def test_virmb_prefix_sums():
     cert = check_virMb(st, nu)
     assert cert.condition == "virMb"
     assert cert.passed
+    assert "grid search" in cert.notes
+    assert all(isinstance(v, float) for v in cert.b)
     assert all(m > 0 for m in cert.margins)
 
 
@@ -481,6 +495,10 @@ def test_dissym_budget_check():
     tiny = check_dissym_b(st, nu, 1e-6)
     assert not tiny.passed
     assert tiny.worst_margin < 0
+    # D_(N+1) past the graph-enumeration ceiling is refused, not truncated
+    deep = GCState.from_f(S2, MIX_F, N=7, exact=True, allow_large=True)
+    with pytest.raises(CapabilityError):
+        check_dissym_b(deep, nu, 0.5)
 
 
 def test_certificate_grid_search_notes():
@@ -701,6 +719,9 @@ def test_float_golden_majorants_and_tail_sums():
         "Mb": (eval_T_abs(st.t_family, nu, b), (0.1961878033372415, 0.22200937506581497,
                0.20638189259140183, 0.24508032330886875, 0.2634829520878339,
                0.15181872908212113)),
+        # the dissymmetry mass now sums through the biconnected family; at
+        # budget 0 the margin is minus the total
+        "dissym_b": (check_dissym_b(st, nu, 0), (-0.019949437892043374,)),
     }
     for name, (cert, parent) in moved.items():
         assert all(math.isclose(m, p, rel_tol=1e-12) for m, p in zip(cert.margins, parent)), name
