@@ -16,7 +16,6 @@ the cell volumes enter as quadrature weights.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -28,7 +27,7 @@ from .fps import sym_factor
 from .graphs import hard_core_d_table
 from .homogeneous import INV_2E, _overlap_length_1d, vol_ball
 from .inversion import GCState, check_Sab
-from .kernels import mc_mask_sum, mc_rod_mask_sum
+from .kernels import mc_batches, mc_mask_sum, mc_rod_mask_sum
 from .species import (
     PairPotential,
     Species,
@@ -248,8 +247,9 @@ def _mixture_cert(ms):
     )
 
 
-def _mc_mixture_triple(ms, k, combo, samples, seed, stream, threads, batches=32):
-    """MC estimate of integral of D_4(0^(k), x^(l1), x^(l2), x^(l3))."""
+def _mc_mixture_triple(ms, k, combo, samples, seed, stream, threads):
+    """MC estimate and stderr of integral of D_4(0^(k), x^(l1), x^(l2), x^(l3)),
+    over 32 batches of ``kernels.mc_batches`` on the given stream."""
     radii = ms.radii
     specs = (k,) + combo
     m = 4
@@ -260,20 +260,12 @@ def _mc_mixture_triple(ms, k, combo, samples, seed, stream, threads, batches=32)
     rmax = max(radii[u] + radii[v] for u in specs for v in specs)
     half = 3.0 * rmax
     vol_factor = (2.0 * half) ** (ms.d * 3)
-    per_batch = max(samples // batches, 1)
 
-    def run_batch(bi):
-        rng = np.random.Generator(np.random.Philox(key=[seed, stream * 1000 + bi]))
+    def batch_value(rng, per_batch):
         xs = rng.uniform(-half, half, size=(per_batch, 3, ms.d))
         return vol_factor * (mc_mask_sum(xs, r2, table) / per_batch)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            vals = list(ex.map(run_batch, range(batches)))
-    else:
-        vals = [run_batch(bi) for bi in range(batches)]
-    arr = np.array(vals)
-    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(batches))
+    return mc_batches(batch_value, seed, samples, 32, threads, stream)
 
 
 def invert_mixture(ms, N, samples=100_000, seed=0, threads=1):
@@ -415,36 +407,25 @@ def rods_free_energy(rs, N=2, samples=100_000, seed=0, threads=1):
         table = hard_core_d_table(3)
         total = 0.0
         err_acc = 0.0
-        batches = 32
-        per_batch = max(samples // batches, 1)
         half = 2.0 * L
         vol_factor = (2.0 * half) ** 4
-        stream = 0
-        for combo in combinations_with_replacement(range(len(rs.angles)), 3):
+        combos = combinations_with_replacement(range(len(rs.angles)), 3)
+        for stream, combo in enumerate(combos):
             angles = np.array([rs.angles[i] for i in combo])
 
-            def run_batch(bi, angles=angles, stream=stream):
-                rng = np.random.Generator(
-                    np.random.Philox(key=[seed, stream * 1000 + bi])
-                )
+            def batch_value(rng, per_batch):
                 centers = rng.uniform(-half, half, size=(per_batch, 2, 2))
                 return vol_factor * (
                     mc_rod_mask_sum(centers, angles, L, table) / per_batch
                 )
 
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as ex:
-                    vals = list(ex.map(run_batch, range(batches)))
-            else:
-                vals = [run_batch(bi) for bi in range(batches)]
-            arr = np.array(vals)
+            mean, err = mc_batches(batch_value, seed, samples, 32, threads, stream)
             pw = 1.0
             for i in combo:
                 pw *= rs.probs[i]
             weight = pw / sym_factor(combo)
-            total += float(arr.mean()) * weight
-            err_acc += (float(arr.std(ddof=1) / math.sqrt(batches)) * abs(weight)) ** 2
-            stream += 1
+            total += mean * weight
+            err_acc += (err * abs(weight)) ** 2
         terms["order3"] = -(rho0**3) * total
         terms["order3_stderr"] = rho0**3 * math.sqrt(err_acc)
     total = sum(v for kk, v in terms.items() if not kk.endswith("_stderr"))

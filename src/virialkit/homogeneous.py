@@ -20,7 +20,6 @@ distance below which two particles overlap (for spheres of radius R that is
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
@@ -28,9 +27,9 @@ from itertools import combinations_with_replacement, permutations, product
 import numpy as np
 
 from .errors import CapabilityError, DomainError
-from .fps import sym_factor
+from .fps import FormalSeries, exp_series, log_series, mul, sym_factor
 from .graphs import d_coeff, hard_core_d_table, pair_order
-from .kernels import backend_name, mc_mask_sum
+from .kernels import backend_name, mc_batches, mc_mask_sum
 from .species import MayerMatrices, SpeciesSpace
 
 INV_2E = 1.0 / (2.0 * math.e)
@@ -99,55 +98,29 @@ class MCEstimate:
 # Tonks oracle (1D hard rods, closed form)
 
 
-def _ser_mul(A, B, n_max):
-    out = [Fraction(0)] * (n_max + 1)
-    for i, ai in enumerate(A):
-        if ai == 0 or i > n_max:
-            continue
-        for j, bj in enumerate(B):
-            if i + j > n_max:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
-def _ser_exp(A, n_max):
-    """exp of a series with A[0] = 0, via E_n = (1/n) sum k A_k E_(n-k)."""
-    assert A[0] == 0
-    E = [Fraction(1)] + [Fraction(0)] * n_max
-    for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            if k < len(A) and A[k] != 0:
-                acc += k * A[k] * E[n - k]
-        E[n] = acc / n
-    return E
-
-
-def _ser_log(A, n_max):
-    """log of a series with A[0] = 1, via L_n = A_n - (1/n) sum k L_k A_(n-k)."""
-    assert A[0] == 1
-    L = [Fraction(0)] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        acc = n * (A[n] if n < len(A) else Fraction(0))
-        for k in range(1, n):
-            if n - k < len(A):
-                acc -= k * L[k] * A[n - k]
-        L[n] = acc / n
-    return L
-
-
 def tonks_beta_series(a, n_max):
     """beta_n for 1D hard rods of exclusion a, extracted mechanically as the
     order-n coefficients of -log(z(rho)/rho) from the closed-form equation
     of state (equation-of-state inversion route).  Exact rationals times a^n.
+
+    The series are one-species ``FormalSeries``, whose order-n coefficient
+    c_n stands for c_n rho^n / n!: the power a^n rho^n is c_n = n! a^n.
     """
     a = Fraction(a)
-    geom = [a**k for k in range(n_max + 1)]                    # 1/(1 - a rho)
-    arg = [Fraction(0)] + [a**k for k in range(1, n_max + 1)]  # a rho/(1-a rho)
-    z_over_rho = _ser_mul(geom, _ser_exp(arg, n_max), n_max)
-    L = _ser_log(z_over_rho, n_max)
-    return [-L[n] for n in range(1, n_max + 1)]
+    one = SpeciesSpace.uniform(1)
+
+    def powers(start):
+        """sum_{n >= start} (a rho)^n."""
+        return FormalSeries.from_function(
+            one,
+            n_max,
+            lambda n, ms: math.factorial(n) * a**n if n >= start else 0,
+            allow_large=True,
+        )
+
+    # z/rho = exp(a rho/(1 - a rho)) / (1 - a rho)
+    L = log_series(mul(powers(0), exp_series(powers(1))))
+    return [-L.value(n, (0,) * n) / math.factorial(n) for n in range(1, n_max + 1)]
 
 
 def tonks_oracle(a, rho):
@@ -254,20 +227,18 @@ def beta_n_exact_1d(a, n):
 # Monte Carlo irreducible integrals (d = 2, 3)
 
 
-def beta_n_mc(model, n, samples, seed, threads=1, batches=64):
+def beta_n_mc(model, n, samples, seed, threads=1):
     """MC estimate of beta_n: sample x_1..x_n uniformly in the box reachable
     by overlap chains from the pinned particle, evaluate D_(n+1) from the
-    overlap pattern, and average with the volume factor.  Batch b draws from
-    the counter-based substream keyed (seed, b), so a fixed seed gives
-    bit-identical results for any thread count; stderr is over batch means.
+    overlap pattern, and average with the volume factor over 64 batches of
+    ``kernels.mc_batches`` (stream 0), so a fixed seed gives bit-identical
+    results for any thread count; stderr is over batch means.
     """
     if model.d not in (2, 3):
         raise DomainError("MC route covers d in {2, 3}")
     if not 1 <= n <= 3:
         raise CapabilityError("MC route covers n <= 3")
-    per_batch = samples // batches
-    if per_batch < 1:
-        raise DomainError("need at least one sample per batch")
+    batches = 64
     m = n + 1
     table = hard_core_d_table(m)
     r_ex = float(model.exclusion)
@@ -277,22 +248,16 @@ def beta_n_mc(model, n, samples, seed, threads=1, batches=64):
     half = (m // 2) * r_ex
     vol_factor = (2.0 * half) ** (model.d * n)
 
-    def run_batch(b):
-        rng = np.random.Generator(np.random.Philox(key=[seed, b]))
+    def batch_value(rng, per_batch):
         xs = rng.uniform(-half, half, size=(per_batch, n, model.d))
         s = mc_mask_sum(xs, r2, table)
         return vol_factor * (s / per_batch) / math.factorial(n)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            vals = list(ex.map(run_batch, range(batches)))
-    else:
-        vals = [run_batch(b) for b in range(batches)]
-    arr = np.array(vals)
+    value, stderr = mc_batches(batch_value, seed, samples, batches, threads)
     return MCEstimate(
-        value=float(arr.mean()),
-        stderr=float(arr.std(ddof=1) / math.sqrt(batches)),
-        samples=per_batch * batches,
+        value=value,
+        stderr=stderr,
+        samples=samples // batches * batches,
         batches=batches,
         seed=seed,
         backend=backend_name(),

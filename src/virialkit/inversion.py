@@ -148,6 +148,23 @@ def _require_nonneg(name, vec):
         raise DomainError(f"weight {name} must be non-negative")
 
 
+def _pair_margins(st, a, expo, nu):
+    """Per species x, a(x) - sum_y fbar(x, y) exp(e(y)) |nu|(y) w(y), with
+    the exponent vector e added up by the caller."""
+    vals = [float(abs(v)) for v in nu]
+    w = st.space.weights
+    fbar = st.mayer.f_bar
+    S = st.space.size
+    return tuple(
+        float(a[x])
+        - sum(
+            float(fbar[x][y]) * math.exp(expo[y]) * vals[y] * float(w[y])
+            for y in range(S)
+        )
+        for x in range(S)
+    )
+
+
 def check_PU(st, z, a=None):
     """Pair-interaction condition on an activity: per species x,
 
@@ -156,23 +173,11 @@ def check_PU(st, z, a=None):
     With a=None a constant weight is chosen by grid search.
     """
     _require_nonneg("a", a)
-    vals = [abs(v) for v in z]
-    w = st.space.weights
-    fbar = st.mayer.f_bar
     S = st.space.size
 
     def margins_for(avec):
-        return tuple(
-            avec[x]
-            - sum(
-                float(fbar[x][y])
-                * math.exp(float(avec[y]) + float(st.beta_B[y]))
-                * float(vals[y])
-                * float(w[y])
-                for y in range(S)
-            )
-            for x in range(S)
-        )
+        expo = [float(avec[y]) + float(st.beta_B[y]) for y in range(S)]
+        return _pair_margins(st, avec, expo, z)
 
     if a is not None:
         a = tuple(a)
@@ -238,28 +243,17 @@ def check_Sab(st, nu, a=None, b=None):
         raise StructureError("give both a and b or neither")
     if a is not None and any(av > bv for av, bv in zip(a, b)):
         raise DomainError("combined condition needs a <= b entrywise")
-    vals = [abs(float(v)) for v in nu]
-    w = st.space.weights
-    fbar = st.mayer.f_bar
     S = st.space.size
 
     def margins_for(avec, bvec):
-        return tuple(
-            float(avec[x])
-            - sum(
-                float(fbar[x][y])
-                * math.exp(
-                    float(avec[y])
-                    + float(bvec[y])
-                    + float(st.beta_B[y])
-                    + float(st.beta_Bstar[y])
-                )
-                * vals[y]
-                * float(w[y])
-                for y in range(S)
-            )
-            for x in range(S)
-        )
+        expo = [
+            float(avec[y])
+            + float(bvec[y])
+            + float(st.beta_B[y])
+            + float(st.beta_Bstar[y])
+            for y in range(S)
+        ]
+        return _pair_margins(st, avec, expo, nu)
 
     if a is not None:
         a, b = tuple(a), tuple(b)
@@ -550,12 +544,15 @@ def free_energy(st, nu, m=None):
         sum_x nu(x) (log(nu(x)/m(x)) - 1) w(x)
         - sum_{2<=n<=N} (1/n!) sum_x D_n nu^n
 
-    with the convention 0 log 0 = 0.  m defaults to the unit density.
+    with the convention 0 log 0 = 0.  m defaults to the unit density; a
+    negative density or reference measure raises DomainError.
     """
     vals = _nonnegative_density(nu, "free energy")
     if m is None:
         m = (1,) * st.space.size
     m = tuple(m)
+    if any(float(v) < 0 for v in m):
+        raise DomainError("free energy needs a non-negative reference measure")
     w = st.space.weights
     entropy = 0.0
     for x, v in enumerate(vals):

@@ -1,7 +1,9 @@
-"""Hot numeric kernels: graph-class mask scans and Monte Carlo accumulators.
+"""Hot numeric kernels: graph-class mask scans, Monte Carlo accumulators and
+the one Monte Carlo batch estimator.
 
 Every kernel is vectorized numpy over a batch (a chunk of edge masks, or a
-batch of sampled configurations).
+batch of sampled configurations).  ``mc_batches`` is the only place that
+seeds, schedules and averages Monte Carlo batches.
 
 Conventions:
 
@@ -14,7 +16,12 @@ Conventions:
 
 from __future__ import annotations
 
+import math
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
+
+from .errors import DomainError
 
 
 def backend_name():
@@ -143,3 +150,31 @@ def mc_rod_mask_sum(centers, angles, length, table):
             mask |= hit.astype(np.int64) << p
             p += 1
     return float(table[mask].sum())
+
+
+def mc_batches(value, seed, samples, batches, threads, stream=0):
+    """Monte Carlo mean and standard error over ``batches`` batches.
+
+    Batch b calls ``value(rng, per_batch)`` once, with per_batch = samples //
+    batches and rng drawing from the counter-based Philox substream keyed
+    (seed, 1000 * stream + b).  The key alone fixes a batch's draws, so a
+    fixed seed gives bit-identical results for any thread count; with
+    threads > 1 the batches run on a thread pool.  Returns the mean of the
+    batch values and their std(ddof=1) / sqrt(batches).  Fewer samples than
+    batches raise DomainError.
+    """
+    per_batch = samples // batches
+    if per_batch < 1:
+        raise DomainError("need at least one sample per batch")
+
+    def run(b):
+        rng = np.random.Generator(np.random.Philox(key=[seed, 1000 * stream + b]))
+        return value(rng, per_batch)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            vals = list(ex.map(run, range(batches)))
+    else:
+        vals = [run(b) for b in range(batches)]
+    arr = np.array(vals)
+    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(batches))

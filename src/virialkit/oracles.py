@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CapabilityError, DomainError
 from .fps import FormalSeries, set_partitions, subset_splits
 from .graphs import _f_matrix, _prufer_edges, class_masks, pair_order
-from .kernels import mc_rod_mask_sum
+from .kernels import mc_batches, mc_rod_mask_sum
 from .species import INF
 
 # ---------------------------------------------------------------------------
@@ -333,17 +333,16 @@ def k_constant_closed_form():
     return (1.0 - W) ** 2 / W
 
 
-def rod_excluded_area_mc(L, gamma, samples=200_000, seed=0, batches=32):
+def rod_excluded_area_mc(L, gamma, samples=200_000, seed=0):
     """MC check of the excluded area: fraction of center displacements in
-    [-L, L]^2 for which the two segments intersect, times the box area."""
+    [-L, L]^2 for which the two segments intersect, times the box area, over
+    32 batches of ``kernels.mc_batches``.  Returns (estimate, stderr)."""
     angles = np.array([0.0, gamma])
     table = np.array([0, 1], dtype=np.int64)
-    per_batch = max(samples // batches, 1)
-    vals = []
-    for bi in range(batches):
-        rng = np.random.Generator(np.random.Philox(key=[seed, bi]))
+
+    def batch_value(rng, per_batch):
         centers = rng.uniform(-L, L, size=(per_batch, 1, 2))
         hits = mc_rod_mask_sum(centers, angles, L, table)
-        vals.append((2.0 * L) ** 2 * hits / per_batch)
-    arr = np.array(vals)
-    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(batches))
+        return (2.0 * L) ** 2 * hits / per_batch
+
+    return mc_batches(batch_value, seed, samples, 32, threads=1)

@@ -64,31 +64,60 @@ def test_virial_json_format(capsys):
 
 
 def test_virial_threads_do_not_change_bytes(tmp_path, capsys):
-    outs = []
-    for threads in ("1", "4"):
-        path = tmp_path / f"t{threads}.csv"
-        code, _, _ = run(
-            capsys,
-            [
-                "virial",
-                "--model",
-                SPHERE_DOC,
-                "--order",
-                "2",
-                "--samples",
-                "8192",
-                "--threads",
-                threads,
-                "--out",
-                str(path),
-            ],
+    # MC integrals that are not zero at these sample counts
+    mixture = tmp_path / "mixture.json"
+    mixture.write_text(json.dumps({"radii": [0.5, 0.75], "d": 1, "rho": [0.01, 0.005]}))
+    rods = tmp_path / "rods.json"
+    rods.write_text(
+        json.dumps(
+            {"rho0": 0.05, "length": 1.0, "angles": [0.0, 1.0, 2.0], "probs": [0.25, 0.25, 0.5]}
         )
-        assert code == 0
-        outs.append(path.read_bytes())
-    assert outs[0] == outs[1]
-    lines = outs[0].decode().splitlines()
+    )
+    for command, model, order in (
+        ("virial", SPHERE_DOC, "2"),
+        ("mixture", str(mixture), "3"),
+        ("rods", str(rods), "3"),
+    ):
+        outs = []
+        for threads in ("1", "4"):
+            path = tmp_path / f"{command}{threads}.csv"
+            code, _, _ = run(
+                capsys,
+                [
+                    command,
+                    "--model",
+                    model,
+                    "--order",
+                    order,
+                    "--samples",
+                    "8192",
+                    "--threads",
+                    threads,
+                    "--out",
+                    str(path),
+                ],
+            )
+            assert code == 0
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1], command
+    lines = (tmp_path / "virial1.csv").read_text().splitlines()
     assert lines[1].endswith(",analytic,0.0")
     assert ",mc," in lines[2]
+    terms = dict(line.split(",") for line in (tmp_path / "rods1.csv").read_text().splitlines())
+    assert float(terms["order3"]) != 0.0
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_mc_commands_need_a_sample_per_batch(capsys, samples):
+    for command, model in (
+        ("virial", SPHERE_DOC),
+        ("mixture", FIX + "mixture_spheres.json"),
+        ("rods", FIX + "rod_grid.json"),
+    ):
+        argv = [command, "--model", model, "--order", "3", f"--samples={samples}"]
+        assert run(capsys, argv) == (
+            2, "", "input error: need at least one sample per batch\n"
+        ), command
 
 
 def test_bounds_table(capsys):
@@ -303,6 +332,7 @@ def test_request_field_errors_exit_2(capsys):
         req(state={**README_STATE, "species": [3]}),
         req(state={**README_STATE, "beta": "x"}),
         req(op="pressure", inputs={"nu": ["-1/10", "1/30"]}),
+        req(op="free_energy", inputs={"nu": ["1/10", "1/8"], "m": [-1, 1]}),
     ]
     for argv in bad:
         code, out, err = run(capsys, argv)

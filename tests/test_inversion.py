@@ -636,6 +636,8 @@ def test_pressure_refuses_negative_density():
         run_request(request("pressure", nu=["-1/10", "1/30"]))
     with pytest.raises(DomainError, match="free energy needs a non-negative density"):
         run_request(request("free_energy", nu=["1/20", -0.1]))
+    with pytest.raises(DomainError, match="free energy needs a non-negative reference measure"):
+        run_request(request("free_energy", nu=["1/20", "1/30"], m=[-1, 1]))
     assert run_request(request("pressure", nu=[0, "1/30"]))["values"] > 0
 
 
