@@ -14,12 +14,18 @@ series over a species space, among them the rooted activity coefficients
 
     A_n(q; x) = -(prod_j (1 + f(q, x_j)) - 1) * ursell(x).
 
-All evaluation paths are generic over exact (Fraction) and float scalars;
-float evaluation of large biconnected sums is vectorized with numpy.
+A tuple's pair entries f(x_i, x_j) decide how its sums run.  Exact entries
+(int and Fraction) are put over their common denominator L, so that every
+edge weight a_p = f_p * L is a Python int; the sums then run in integer
+arithmetic and are divided by a power of L once at the end.  Float entries
+(or a matrix marked ``exact=False``) run the same recursion in floats, and
+the float biconnected sum is vectorized with numpy over the class table.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -102,6 +108,33 @@ def _f_matrix(f):
     return f, None
 
 
+def _pair_values(f, xs):
+    """The entries f(x_i, x_j), i < j, in pair order, and whether they are exact.
+
+    A matrix says so itself; a raw nested list is exact unless one of the
+    tuple's pair entries is a float.
+    """
+    fm, exact = _f_matrix(f)
+    vals = [fm[xs[i]][xs[j]] for i, j in pair_order(len(xs))]
+    if exact is None:
+        exact = not any(isinstance(v, float) for v in vals)
+    return vals, exact
+
+
+def _over_common_denominator(vals):
+    """(L, a): L the lcm of the denominators, a_p = vals[p] * L as ints."""
+    L = math.lcm(*(v.denominator for v in vals))
+    return L, [v.numerator * (L // v.denominator) for v in vals]
+
+
+def _edge_products(a, L):
+    """Object array T with T[b] = prod over t of (a[t] if bit t of b is set else L)."""
+    table = [1]
+    for v in a:
+        table = [x * L for x in table] + [x * v for x in table]
+    return np.array(table, object)
+
+
 def ursell(f, xs):
     """Connected-graph sum phi_n over the species tuple xs.
 
@@ -111,9 +144,12 @@ def ursell(f, xs):
         phi(S) = w(S) - sum over proper T containing the anchor of
                  phi(T) w(S \\ T)
 
-    which costs O(3^n) ring operations.
+    which costs O(3^n) ring operations.  Exact entries run it on the
+    integers u_p = L + a_p = L (1 + f_p), which carry L^(pairs inside S);
+    each term phi(T) w(S \\ T) then lacks the |T| |S \\ T| cross pairs
+    and is multiplied by L to that power.  The result is divided by
+    L^C(n, 2) once, and is a Fraction exactly when a pair entry is one.
     """
-    fm, _ = _f_matrix(f)
     n = len(xs)
     if n == 0:
         raise DomainError("ursell needs at least one point")
@@ -121,8 +157,14 @@ def ursell(f, xs):
         return 1
     if n > URSELL_FAST_MAX:
         raise CapabilityError(f"ursell fast path supports n <= {URSELL_FAST_MAX}")
+    vals, exact = _pair_values(f, xs)
+    L, a = _over_common_denominator(vals) if exact else (1, vals)
+    # L ** (cross pairs between T and S \ T)
+    cross = [L**k for k in range(n * n // 4 + 1)]
+    one_plus = [[None] * n for _ in range(n)]
+    for (i, j), v in zip(pair_order(n), a):
+        one_plus[j][i] = L + v
     size = 1 << n
-    one_plus = [[1 + fm[a][b] for b in xs] for a in xs]
     w = [1] * size
     for mask in range(3, size):
         bits = mask.bit_count()
@@ -141,7 +183,8 @@ def ursell(f, xs):
     for v in range(n):
         phi[1 << v] = 1
     for mask in range(3, size):
-        if mask.bit_count() < 2:
+        bits = mask.bit_count()
+        if bits < 2:
             continue
         anchor = mask & -mask
         total = w[mask]
@@ -151,11 +194,14 @@ def ursell(f, xs):
         while True:
             s = sub | anchor
             if s != mask:
-                total -= phi[s] * w[mask ^ s]
+                t = s.bit_count()
+                total -= phi[s] * w[mask ^ s] * cross[t * (bits - t)]
             if sub == 0:
                 break
             sub = (sub - 1) & rest
         phi[mask] = total
+    if exact and any(isinstance(v, Fraction) for v in vals):
+        return Fraction(phi[size - 1], L ** len(vals))
     return phi[size - 1]
 
 
@@ -163,37 +209,40 @@ def d_coeff(f, xs):
     """Biconnected-graph sum D_n over the species tuple xs (2 <= n <= 7).
 
     For a single pair this is just f(x1, x2).  Float inputs take a
-    vectorized numpy path over the cached class table; exact inputs run a
-    generic loop with early exit on zero factors.
+    vectorized numpy path over the cached class table.  Exact inputs keep
+    the biconnected graphs whose edges all lie in the support {p : a_p != 0}
+    and sum prod_(p in g) a_p * L^(P - |g|), P = C(n, 2), exactly: the
+    pairs split into a low and a high half, each half's products come from
+    a table over its edge subsets, and the low-half terms are added within
+    each run of graphs that share a high half, all in Python ints.  The sum
+    is divided by L^P once.  The result is int 0 when no graph survives, else
+    a Fraction exactly when a surviving graph has a Fraction edge.
     """
-    fm, exact = _f_matrix(f)
     n = len(xs)
     if not 2 <= n <= D_COEFF_MAX:
         raise DomainError(f"d_coeff needs 2 <= n <= {D_COEFF_MAX}")
+    vals, exact = _pair_values(f, xs)
     if n == 2:
-        return fm[xs[0]][xs[1]]
-    pairs = pair_order(n)
-    use_float = exact is False or (
-        exact is None and isinstance(fm[xs[0]][xs[1]], float)
-    )
-    if use_float:
-        fvec = np.array([float(fm[xs[i]][xs[j]]) for i, j in pairs])
+        return vals[0]
+    if not exact:
+        fvec = np.array([float(v) for v in vals])
         mat = _class_edge_matrix(n, "biconnected")
         return float(np.where(mat, fvec[None, :], 1.0).prod(axis=1).sum())
-    total = 0
-    for m in class_masks(n, "biconnected"):
-        term = 1
-        mm = int(m)
-        alive = True
-        for p, (i, j) in enumerate(pairs):
-            if (mm >> p) & 1:
-                term = term * fm[xs[i]][xs[j]]
-                if term == 0:
-                    alive = False
-                    break
-        if alive:
-            total += term
-    return total
+    L, a = _over_common_denominator(vals)
+    support = sum(1 << p for p, v in enumerate(a) if v)
+    masks = class_masks(n, "biconnected")
+    live = masks[(masks & ~support) == 0]
+    if not len(live):
+        return 0
+    k = (len(a) + 1) // 2
+    high = live >> k
+    heads = np.flatnonzero(np.concatenate(([True], high[1:] != high[:-1])))
+    low_sums = np.add.reduceat(_edge_products(a[:k], L)[live & ((1 << k) - 1)], heads)
+    total = int(np.dot(_edge_products(a[k:], L)[high[heads]], low_sums))
+    fraction_pairs = sum(1 << p for p, v in enumerate(vals) if isinstance(v, Fraction))
+    if fraction_pairs and (live & fraction_pairs).any():
+        return Fraction(total, L ** len(a))
+    return total // L ** len(a)
 
 
 def hard_core_d_table(m):
@@ -248,7 +297,7 @@ def build_A_family(space, mayer, N, allow_large=False):
             for ms in canonical_indices(space.size, n):
                 phi = phi_cache.get(ms)
                 if phi is None:
-                    phi = ursell(fm, ms)
+                    phi = ursell(mayer, ms)
                     phi_cache[ms] = phi
                 bracket = 1
                 for x in ms:

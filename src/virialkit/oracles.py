@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError
 from .fps import FormalSeries, set_partitions, subset_splits
-from .graphs import _f_matrix, _prufer_edges, class_masks, pair_order
+from .graphs import D_COEFF_MAX, _f_matrix, _prufer_edges, class_masks, pair_order
 from .kernels import mc_batches, mc_rod_mask_sum
 from .species import INF
 
@@ -131,6 +131,32 @@ class EdgeMask(NamedTuple):
         for i, j in edges:
             mask |= 1 << index[(min(i, j), max(i, j))]
         return cls(n, mask)
+
+
+def d_coeff_enumerated(f, xs):
+    """Biconnected-graph sum by a generic loop over the class table, edge by
+    edge in the scalars given, with early exit on a zero factor (2 <= n <= 7)."""
+    fm, _ = _f_matrix(f)
+    n = len(xs)
+    if not 2 <= n <= D_COEFF_MAX:
+        raise DomainError(f"d_coeff needs 2 <= n <= {D_COEFF_MAX}")
+    if n == 2:
+        return fm[xs[0]][xs[1]]
+    pairs = pair_order(n)
+    total = 0
+    for m in class_masks(n, "biconnected"):
+        term = 1
+        mm = int(m)
+        alive = True
+        for p, (i, j) in enumerate(pairs):
+            if (mm >> p) & 1:
+                term = term * fm[xs[i]][xs[j]]
+                if term == 0:
+                    alive = False
+                    break
+        if alive:
+            total += term
+    return total
 
 
 def ursell_bruteforce(f, xs):

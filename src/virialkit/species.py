@@ -195,8 +195,9 @@ class PairPotential:
 class MayerMatrices:
     """The matrices f and fbar derived from a pair potential.
 
-    ``exact`` marks whether the entries are exact (Fraction/int) or floats.
-    f entries lie in [-1, inf); fbar entries lie in [0, 1].
+    ``exact`` marks whether the entries are exact (Fraction/int) or floats;
+    an exact matrix holds only ints and Fractions.  f entries lie in
+    [-1, inf); fbar entries lie in [0, 1].
     """
 
     def __init__(self, space, f, f_bar, exact):
@@ -204,6 +205,10 @@ class MayerMatrices:
         f_bar = tuple(tuple(row) for row in f_bar)
         _check_square_symmetric(f, space.size, "f matrix")
         _check_square_symmetric(f_bar, space.size, "fbar matrix")
+        if exact and not all(
+            isinstance(e, (int, Fraction)) for m in (f, f_bar) for row in m for e in row
+        ):
+            raise StructureError("exact Mayer matrices hold only ints and Fractions")
         for row in f:
             for e in row:
                 if e < -1:
@@ -223,10 +228,13 @@ class MayerMatrices:
 
         fbar is reconstructed from f through the defining potential:
         fbar = -f when f <= 0 and fbar = f / (1 + f) when f > 0, which keeps
-        rational entries rational.
+        rational entries (ints included) rational.
         """
         f_bar = [
-            [(-e if e <= 0 else e / (1 + e)) for e in row]
+            [
+                -e if e <= 0 else (Fraction(e) if exact and isinstance(e, int) else e) / (1 + e)
+                for e in row
+            ]
             for row in f
         ]
         return cls(space, f, f_bar, exact)

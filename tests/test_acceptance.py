@@ -44,6 +44,8 @@ from virialkit.treefp import (
     verify_FPprime,
 )
 
+from conftest import rational_state
+
 
 def test_criterion_1_constants():
     t0 = time.perf_counter()
@@ -117,21 +119,11 @@ def test_criterion_4_tonks_routes():
     )
 
 
-def _rational_instance(seed, S):
-    r = random.Random(seed)
-    f = [[Fraction(0)] * S for _ in range(S)]
-    for i in range(S):
-        for j in range(i, S):
-            f[i][j] = f[j][i] = Fraction(r.randint(-16, 8), 16)
-    space = SpeciesSpace.from_weights([Fraction(r.randint(1, 4), 2) for _ in range(S)])
-    return GCState(space, mayer=MayerMatrices.from_f(space, f, exact=True), N=4)
-
-
 def test_criterion_5_formal_identity_suite():
     t0 = time.perf_counter()
     violations = 0
     for seed in range(50):
-        st = _rational_instance(seed, 2 + seed % 3)
+        st = rational_state(seed, 2 + seed % 3, 4)
         reports = [
             verify_FP(st.a_family, st.t_family),
             verify_FPprime(st.a_family, st.t_family),

@@ -36,7 +36,9 @@ from virialkit.fps import (
 )
 from virialkit.inversion import GCState
 from virialkit.oracles import dense_component, mul_dense, multi_product, var_derivative
-from virialkit.species import MayerMatrices, MeasureVec, PairPotential, SpeciesSpace
+from virialkit.species import MeasureVec, PairPotential, SpeciesSpace
+
+from conftest import rational_state
 
 BELL = [1, 1, 2, 5, 15, 52]
 
@@ -528,16 +530,6 @@ def test_sym_factor_matches_multiplicity_factorials():
 # family operations act root by root
 
 
-def exact_state(seed, S, N):
-    r = random.Random(seed)
-    f = [[Fraction(0)] * S for _ in range(S)]
-    for i in range(S):
-        for j in range(i, S):
-            f[i][j] = f[j][i] = Fraction(r.randint(-16, 8), 16)
-    space = SpeciesSpace.from_weights([Fraction(r.randint(1, 4), 2) for _ in range(S)])
-    return GCState(space, mayer=MayerMatrices.from_f(space, f, exact=True), N=N)
-
-
 def float_state(seed, S, N):
     r = random.Random(seed)
     v = [[0.0] * S for _ in range(S)]
@@ -548,7 +540,7 @@ def float_state(seed, S, N):
     return GCState(space, pot=PairPotential(space, 1.0, v), N=N)
 
 
-@pytest.mark.parametrize("st", [exact_state(41, 3, 5), float_state(42, 6, 4)], ids=["exact", "float"])
+@pytest.mark.parametrize("st", [rational_state(41, 3, 5), float_state(42, 6, 4)], ids=["exact", "float"])
 def test_family_ops_equal_per_root_ops(st):
     A, t, E = st.a_family, st.t_family, st.e_family
     fc = [0, 1, Fraction(1, 2), -3, 2, Fraction(5, 7)] if st.exact else [0, 1, 0.5, -3.0, 2.0]

@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
 
 from virialkit import graphs
 from virialkit.errors import CapabilityError, DomainError
@@ -25,7 +27,7 @@ from virialkit.graphs import (
     pair_order,
     ursell,
 )
-from virialkit.oracles import EdgeMask, ursell_bruteforce
+from virialkit.oracles import EdgeMask, d_coeff_enumerated, ursell_bruteforce
 from virialkit.species import MayerMatrices, SpeciesSpace
 
 CONNECTED = {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
@@ -231,6 +233,111 @@ def test_d_coeff_float_path_matches_exact():
     ff = [[float(v) for v in row] for row in fq]
     for xs in [(0, 1), (0, 0, 1), (0, 1, 1, 0), (0, 0, 0, 1, 1), (0, 1, 0, 1, 0, 1)]:
         assert abs(d_coeff(ff, xs) - float(d_coeff(fq, xs))) < 1e-12
+
+
+# exact entries: hard cores and small ints, sixteenths, thirds and sevenths
+INT_ENTRIES = hyp.sampled_from([-1, 0, 1, 2])
+FRACTION_ENTRIES = hyp.one_of(
+    hyp.sampled_from([Fraction(-1), Fraction(0)]),
+    hyp.integers(-16, 8).map(lambda k: Fraction(k, 16)),
+    hyp.builds(Fraction, hyp.integers(-3, 6), hyp.sampled_from([3, 7])),
+)
+ENTRIES = {
+    "int": INT_ENTRIES,
+    "fraction": FRACTION_ENTRIES,
+    "mixed": hyp.one_of(INT_ENTRIES, FRACTION_ENTRIES),
+}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@settings(max_examples=10, deadline=None)
+@given(data=hyp.data())
+def test_exact_sums_match_enumeration(n, data):
+    # the integer path against the edge-by-edge enumeration: same value and
+    # same type (int 0 when no graph survives, a Fraction exactly when a
+    # surviving graph has a Fraction edge); ursell is a Fraction exactly
+    # when one of the tuple's pair entries is
+    entry = ENTRIES[data.draw(hyp.sampled_from(sorted(ENTRIES)))]
+    S = data.draw(hyp.integers(1, 3))
+    f = [[0] * S for _ in range(S)]
+    for i in range(S):
+        for j in range(i, S):
+            f[i][j] = f[j][i] = data.draw(entry)
+    xs = tuple(data.draw(hyp.lists(hyp.integers(0, S - 1), min_size=n, max_size=n)))
+    want = d_coeff_enumerated(f, xs)
+    want_phi = ursell_bruteforce(f, xs)
+    pair_entries = [f[xs[i]][xs[j]] for i, j in pair_order(n)]
+    phi_type = Fraction if any(isinstance(v, Fraction) for v in pair_entries) else int
+    mayer = MayerMatrices.from_f(SpeciesSpace.uniform(S), f, exact=True)
+    for m in (f, mayer):
+        got = d_coeff(m, xs)
+        assert got == want and type(got) is type(want)
+        phi = ursell(m, xs)
+        assert phi == want_phi and type(phi) is phi_type
+
+
+def test_float_sums_golden():
+    # float.hex of the float paths, recorded before the exact sums moved to
+    # integer arithmetic; a changed float operation shows as a changed bit
+    golden = {
+        11: [
+            ((0, 0, 2), "-0x1.cf4e8359a4894p-7", "0x1.6ca3941402400p-5"),
+            ((2, 2, 0, 2), "0x1.1c3578dbf8f08p-5", "0x1.ecbc4ff0ff2e0p-4"),
+            ((1, 1, 2, 2, 2), "0x1.d563bef6992adp-16", "-0x1.a1577a9593180p-8"),
+            ((2, 0, 2, 0, 2, 0), "0x1.96af8ce8dbf19p-5", "0x1.8f73ce42b8000p-13"),
+        ],
+        12: [
+            ((0, 1, 1), "0x1.69d1b4f8748e2p-3", "0x1.422acfeec9840p-2"),
+            ((0, 1, 0, 0), "0x1.515b7740313fap-10", "-0x1.6a6775bead74ep-2"),
+            ((2, 0, 0, 2, 2), "0x1.f87e5ec4450ccp-8", "0x1.54d73a2bf29e5p-3"),
+            ((1, 2, 1, 0, 0, 0), "-0x1.4c41afb240019p-3", "-0x1.effc12849d551p+1"),
+        ],
+    }
+    S = 3
+    for seed, rows in golden.items():
+        r = random.Random(seed)
+        f = [[0.0] * S for _ in range(S)]
+        for i in range(S):
+            for j in range(i, S):
+                hard = r.random() >= 0.8
+                v = round(r.uniform(-1.0, 0.6), 6) if not hard else r.choice((0.0, -1.0))
+                f[i][j] = f[j][i] = v
+        mayer = MayerMatrices.from_f(SpeciesSpace.uniform(S), f, exact=False)
+        for xs, d, phi in rows:
+            assert tuple(r.randrange(S) for _ in xs) == xs
+            for m in (f, mayer):
+                assert (d_coeff(m, xs).hex(), ursell(m, xs).hex()) == (d, phi)
+
+
+def test_exact_sums_make_no_fraction_products(monkeypatch):
+    # exact sums multiply ints; a fall back to edge-by-edge Fraction
+    # products would make tens of thousands of calls on this tuple
+    calls = {"n": 0}
+
+    def counted(name):
+        real = getattr(Fraction, name)
+
+        def op(a, b):
+            calls["n"] += 1
+            return real(a, b)
+
+        return op
+
+    r = random.Random(16)
+    S = 3
+    f = [[Fraction(0)] * S for _ in range(S)]
+    for i in range(S):
+        for j in range(i, S):
+            f[i][j] = f[j][i] = Fraction(r.choice([k for k in range(-16, 9) if k]), 16)
+    mayer = MayerMatrices.from_f(SpeciesSpace.uniform(S), f, exact=True)
+    xs = (0, 1, 2, 0, 1, 2)
+    want = d_coeff_enumerated(f, xs), ursell_bruteforce(f, xs)
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Fraction, name, counted(name))
+    for fn, value in zip((d_coeff, ursell), want):
+        calls["n"] = 0
+        assert fn(mayer, xs) == value
+        assert calls["n"] < 100
 
 
 def test_d_coeff_errors():

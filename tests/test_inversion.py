@@ -47,6 +47,8 @@ from virialkit.species import (
 )
 from virialkit.treefp import eval_T_abs
 
+from conftest import rational_state
+
 S2 = SpeciesSpace.uniform(2)
 MIX_F = [[Fraction(-1), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(0)]]
 
@@ -151,7 +153,7 @@ def test_zeta_path_agreement_exact():
 
 
 def test_extract_d_from_a_equals_direct_build():
-    for st in (mix_state(), _random_state(3)):
+    for st in (mix_state(), _random_state(3), rational_state(7, 3, 5)):
         assert extract_d_from_a(st) == st.d_family
 
 

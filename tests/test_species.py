@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from virialkit.errors import DomainError, StructureError
+from virialkit.inversion import GCState
 from virialkit.oracles import recover_potential
 from virialkit.species import (
     MayerMatrices,
@@ -101,6 +102,24 @@ def test_mayer_from_f_validation():
     two = SpeciesSpace.uniform(2)
     with pytest.raises(StructureError):
         MayerMatrices.from_f(two, [[0, Fraction(1, 2)], [Fraction(1, 3), 0]], exact=True)
+
+
+def test_exact_mayer_matrices_hold_only_rationals():
+    # a float entry in a matrix marked exact used to pass, and every exact
+    # sum then ran in floats; an int entry gave a float fbar
+    two = SpeciesSpace.uniform(2)
+    f = [[-0.3, 0.1], [0.1, -0.7]]
+    with pytest.raises(StructureError):
+        MayerMatrices.from_f(two, f, exact=True)
+    with pytest.raises(StructureError):
+        GCState.from_f(two, f, N=4, exact=True)
+    with pytest.raises(StructureError):
+        MayerMatrices(SpeciesSpace.uniform(1), [[Fraction(-1)]], [[1.0]], exact=True)
+    assert MayerMatrices.from_f(two, f, exact=False).f_bar[0][1] == 0.1 / 1.1
+    one = MayerMatrices.from_f(SpeciesSpace.uniform(1), [[1]], exact=True)
+    assert one.f_bar[0][0] == Fraction(1, 2) and type(one.f_bar[0][0]) is Fraction
+    float_one = MayerMatrices.from_f(two, [[1, 0.5], [0.5, 0]], exact=False)
+    assert float_one.f_bar[0][0] == 0.5 and type(float_one.f_bar[0][0]) is float
 
 
 def test_pair_potential_validation():
