@@ -27,19 +27,24 @@ Every one of these sums runs through one row kernel (``_sweep``).  At each
 canonical multi-index ms it builds once the keys the sum reads -- the
 sub-multi-indices of ms picked out by the templates ``subset_splits``,
 ``set_partitions`` or ``compose_templates`` -- and evaluates that row for
-every root before it moves on.  Each coefficient still sees its terms in
-template order with the same multiplications and zero-skips, so results do
-not depend on how many roots share a row: exact values are identical and
-floats are identical to the bit.
+every root before it moves on.
 
-Scalars may be Fractions (exact mode), floats, or complex; the series
-algebra never divides, so exactness is preserved end to end.  Only the
-float majorants of the certificates (``_majorant_sums``) leave exact mode.
+Scalars may be ints and Fractions (exact mode), floats, or complex, and the
+kernel has two arithmetic rules.  When every value a sum reads is an int or
+a Fraction, each table is put over one denominator per order, and each
+coefficient is a Python-int sum of scaled numerators over one common
+denominator, divided once: that one exact division per coefficient keeps
+exactness end to end, and the value equals the term-by-term rational sum.
+Otherwise each coefficient sees its terms in template order with the same
+multiplications and zero-skips, so results do not depend on how many roots
+share a row and floats are identical to the bit.  Only the float majorants
+of the certificates (``_majorant_sums``) leave exact mode.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
@@ -405,35 +410,78 @@ def _packed(K, tables, trunc=None):
     return cls(K.space, trunc, coeffs, allow_large=True)
 
 
-def _sweep(size, orders, kind, outs, evaluate, sub=None):
-    """Set ``outs[q][ms] = evaluate(q, ms, row)`` for every canonical ms of
-    the given orders and every root q, in canonical order.
+@lru_cache(maxsize=None)
+def _subset_prefixes(n):
+    """(J, J[:-1], J[-1]) for every nonempty position subset J of
+    ``subset_splits(n)``, in that order, so prefixes come first."""
+    return tuple((J, J[:-1], J[-1]) for J, _ in subset_splits(n) if J)
 
-    ``row`` lists, in template order, the keys that the template sum of
-    ``kind`` reads at ms.  It is built once per ms and shared by all roots:
 
-    "split"      (ms_J, ms_rest) per (J, rest) of ``subset_splits(n)``
-    "partition"  (ms_b for each block) per partition of ``set_partitions(n)``
-    "compose"    (ms_J, factors) per (J, blocks) of ``compose_templates(n)``,
-                 factors holding sub[ms_j][ms_(V_j)] for each owner j in J;
-                 sub are the per-root tables of the substituted family, and
-                 must already hold every order below n
+def _subset_keys(ms):
+    """The sub-multi-index ms_J of ms for every position subset J: every
+    template reads ms at sorted position subsets."""
+    key = {(): ()}
+    for J, prefix, p in _subset_prefixes(len(ms)):
+        key[J] = key[prefix] + (ms[p],)
+    return key
+
+
+def _sweep(size, orders, kind, outs, k, g=None, f=None, sub=None, init=None, subtract=False):
+    """Set ``outs[q][ms]`` to the template sum of ``kind`` at ms for every
+    canonical ms of the given orders and every root q, in canonical order.
+
+    ``k`` (and ``g``, ``sub``, ``init``) are per-root tables like ``outs``;
+    each root q reads ``k[q]``:
+
+    "split"      sum over (J, rest) of ``subset_splits(n)`` of
+                 k(ms_J) g(ms_rest), reading ``g[q]``
+    "partition"  sum over partitions P of ``set_partitions(n)`` of
+                 f[|P|] prod_blocks k(ms_b), for the scalar list ``f``
+    "compose"    sum over (J, blocks) of ``compose_templates(n)`` of
+                 k(ms_J) prod_(j in J) sub[ms_j](ms_(V_j)); ``sub`` are the
+                 per-root tables of the substituted family, and must already
+                 hold every order below n
+
+    A partition or compose sum starts from ``init[q][ms]`` when ``init`` is
+    given, and ``subtract`` subtracts the terms from it.  ``outs`` may also be
+    read (as ``k`` or ``sub``) at orders that are complete before the sweep
+    writes them.  The keys a template sum reads at ms are built once per ms
+    and shared by every root.
+
+    Two arithmetic rules.  When every value the sweep reads is an int or a
+    Fraction, each table is put over one denominator per order and every
+    coefficient is one Python-int sum over a common denominator D_n, divided
+    once (``_sweep_exact``): equal in value to the term-by-term sum, an int
+    exactly when every value read is an int.  Otherwise (floats, complex)
+    each coefficient sees its terms in template order with the same
+    multiplications and zero-skips whatever the number of roots, so floats
+    are identical to the bit.
     """
+    read = [k, g, sub, init, None if f is None else [dict(enumerate(f))]]
+    if all(type(v) in _EXACT for x in read if x is not None for t in x for v in t.values()):
+        _sweep_exact(size, orders, kind, outs, k, g, f, sub, init, subtract)
+        return
     for n in orders:
         for ms in canonical_indices(size, n):
-            # every template reads ms at sorted position subsets
-            key = {J: tuple(ms[p] for p in J) for J, _ in subset_splits(n)}
+            key = _subset_keys(ms)
             if kind == "split":
                 row = [(key[J], key[rest]) for J, rest in subset_splits(n)]
-            elif kind == "partition":
-                row = [tuple(key[b] for b in blocks) for blocks in set_partitions(n)]
+                for q, out in enumerate(outs):
+                    out[ms] = _split_sum(row, k[q], g[q])
+                continue
+            if kind == "partition":
+                row = [tuple(map(key.__getitem__, blocks)) for blocks in set_partitions(n)]
             else:
                 row = [
                     (key[J], tuple(sub[ms[j]][key[V]] for j, V in zip(J, blocks)))
                     for J, blocks in compose_templates(n)
                 ]
             for q, out in enumerate(outs):
-                out[ms] = evaluate(q, ms, row)
+                total = 0 if init is None else init[q][ms]
+                if kind == "partition":
+                    out[ms] = _partition_sum(row, k[q], f, total, subtract)
+                else:
+                    out[ms] = _compose_sum(row, k[q], total, subtract)
 
 
 def _split_sum(row, k, g):
@@ -450,7 +498,7 @@ def _split_sum(row, k, g):
     return total
 
 
-def _partition_sum(row, k, f, total=0, subtract=False):
+def _partition_sum(row, k, f, total, subtract):
     """total +- sum over partitions of f[#blocks] prod_blocks k(ms_b);
     a partition with f[#blocks] == 0 is skipped."""
     for blocks in row:
@@ -468,7 +516,7 @@ def _partition_sum(row, k, f, total=0, subtract=False):
     return total
 
 
-def _compose_sum(row, k, total=0, subtract=False):
+def _compose_sum(row, k, total, subtract):
     """total +- sum over templates of k(ms_J) prod factors; zero k skipped."""
     for kj, factors in row:
         term = k[kj]
@@ -483,6 +531,164 @@ def _compose_sum(row, k, total=0, subtract=False):
         else:
             total += term
     return total
+
+
+_EXACT = frozenset((int, Fraction))
+
+
+class _Numerators:
+    """Exact per-root tables over one denominator per order: the value at a
+    tail of order m is ``num[q][tail] / den(m)``, with den(m) the lcm of the
+    denominators of every root's order-m values.  Orders are converted on
+    first use, so a table that a sweep writes may be read at orders that are
+    complete by then."""
+
+    def __init__(self, tables, size):
+        self.tables = tables
+        self.size = size
+        self.num = [{} for _ in tables]
+        self.fraction = {}  # order -> whether a Fraction is stored there
+        self._den = {}
+
+    def den(self, m):
+        d = self._den.get(m)
+        if d is None:
+            keys = tuple(canonical_indices(self.size, m))
+            vals = [t[ms] for t in self.tables for ms in keys]
+            d = self._den[m] = math.lcm(*{v.denominator for v in vals})
+            self.fraction[m] = any(type(v) is Fraction for v in vals)
+            for t, num in zip(self.tables, self.num):
+                for ms in keys:
+                    v = t[ms]
+                    num[ms] = v.numerator * (d // v.denominator)
+        return d
+
+
+@lru_cache(maxsize=None)
+def _template_orders(kind, n):
+    """Per template of ``kind`` at order n, the orders it reads of ``k`` and
+    of the second table (``g`` or ``sub``); a partition reads f[#blocks]."""
+    if kind == "split":
+        shapes = (((len(J),), (len(rest),)) for J, rest in subset_splits(n))
+    elif kind == "partition":
+        shapes = ((tuple(map(len, P)), ()) for P in set_partitions(n))
+    else:
+        shapes = (((len(J),), tuple(map(len, blocks))) for J, blocks in compose_templates(n))
+    # few distinct shapes: keep one object each, not one per template
+    distinct = {}
+    return tuple(distinct.setdefault(shape, shape) for shape in shapes)
+
+
+@lru_cache(maxsize=None)
+def _compose_factors(n):
+    """The distinct (owner position j, block V) pairs of ``compose_templates(n)``
+    and, per template, (J, indices of its pairs)."""
+    index = {}
+    owners = tuple(
+        (J, tuple(index.setdefault(jv, len(index)) for jv in zip(J, blocks)))
+        for J, blocks in compose_templates(n)
+    )
+    return tuple(index), owners
+
+
+def _sweep_exact(size, orders, kind, outs, k, g, f, sub, init, subtract):
+    """The exact rule of ``_sweep``.  At order n a template T that reads the
+    orders m_1.. of its tables (and f[r]) has d_T = prod den(m_i) (times the
+    denominator of f[r]); with D_n the lcm of every d_T and of den(n) of
+    ``init``, T is scaled by c_T = D_n // d_T and the coefficient is
+    Fraction(total, D_n) for the integer total of c_T times numerators.
+    Templates that read the same tails are merged by adding their scales
+    before any root is evaluated: in a split the tail of ``k`` fixes the
+    tail of ``g``; a partition is keyed by the multiset of its block tails;
+    in a composition the factors of ``sub``, the same for every root, are
+    multiplied into the scale first, so templates merge by the tail of
+    ``k``."""
+    K = _Numerators(k, size)
+    second = g if g is not None else sub
+    G = None if second is None else _Numerators(second, size)
+    I = None if init is None else _Numerators(init, size)
+    for n in orders:
+        shapes = _template_orders(kind, n)
+        # one d_T per distinct shape; a partition with f[#blocks] == 0 is dead
+        dens, fnum = {}, {}
+        fraction = False
+        for shape in set(shapes):
+            ko, so = shape
+            if kind == "partition":
+                fr = f[len(ko)]
+                if fr == 0:
+                    continue
+                d, frac, fnum[shape] = fr.denominator, type(fr) is Fraction, fr.numerator
+            else:
+                d = math.prod(G.den(m) for m in so)
+                frac = any(G.fraction[m] for m in so)
+            dens[shape] = d * math.prod(K.den(m) for m in ko)
+            fraction = fraction or frac or any(K.fraction[m] for m in ko)
+        if I is not None:
+            dens["init"] = I.den(n)
+            fraction = fraction or I.fraction[n]
+        D = math.lcm(*dens.values())
+        scale = {shape: D // d * fnum.get(shape, 1) for shape, d in dens.items()}
+        cs = [scale.get(shape) for shape in shapes]
+        for ms in canonical_indices(size, n):
+            key = _subset_keys(ms)
+            if kind == "split":
+                coef, rest_of = {}, {}
+                for (J, rest), c in zip(subset_splits(n), cs):
+                    kj = key[J]
+                    if kj in coef:
+                        coef[kj] += c
+                    else:
+                        coef[kj] = c
+                        rest_of[kj] = key[rest]
+                row = [(c, kj, rest_of[kj]) for kj, c in coef.items()]
+            elif kind == "partition":
+                coef = {}
+                for P, c in zip(set_partitions(n), cs):
+                    if c is not None:
+                        kb = tuple(sorted(map(key.__getitem__, P)))
+                        coef[kb] = coef.get(kb, 0) + c
+                row = list(coef.items())
+            else:
+                factors, owners = _compose_factors(n)
+                subn = G.num
+                fv = [subn[ms[j]][key[V]] for j, V in factors]
+                coef = {}
+                for (J, ids), c in zip(owners, cs):
+                    for i in ids:
+                        c *= fv[i]
+                        if not c:
+                            break
+                    else:
+                        kj = key[J]
+                        coef[kj] = coef.get(kj, 0) + c
+                row = [(kj, c) for kj, c in coef.items() if c]
+            for q, out in enumerate(outs):
+                kq = K.num[q]
+                total = 0
+                if kind == "split":
+                    gq = G.num[q]
+                    for c, kj, kr in row:
+                        a = kq[kj]
+                        if a:
+                            b = gq[kr]
+                            if b:
+                                total += c * a * b
+                elif kind == "partition":
+                    for blocks, c in row:
+                        for kb in blocks:
+                            c *= kq[kb]
+                            if not c:
+                                break
+                        total += c
+                else:
+                    for kj, c in row:
+                        a = kq[kj]
+                        if a:
+                            total += c * a
+                if I is not None:
+                    total = I.num[q][ms] * scale["init"] + (-total if subtract else total)
+                out[ms] = Fraction(total, D) if fraction else total
 
 
 def measure_sums(coeffs, vals, weights, roots=None, start=0):
@@ -552,10 +758,7 @@ def mul(K, G):
         raise StructureError("series must share space and truncation order")
     ks, gs = _tables(K), _tables(G)
     outs = [{} for _ in ks]
-    _sweep(
-        K.space.size, range(K.trunc + 1), "split", outs,
-        lambda q, ms, row: _split_sum(row, ks[q], gs[q]),
-    )
+    _sweep(K.space.size, range(K.trunc + 1), "split", outs, ks, g=gs)
     return _packed(K, outs)
 
 
@@ -573,10 +776,7 @@ def compose_univariate(fcoeffs, K):
     f = list(fcoeffs)
     f += [0] * (K.trunc + 1 - len(f))
     outs = [{(): f[0]} for _ in ks]
-    _sweep(
-        K.space.size, range(1, K.trunc + 1), "partition", outs,
-        lambda q, ms, row: _partition_sum(row, ks[q], f),
-    )
+    _sweep(K.space.size, range(1, K.trunc + 1), "partition", outs, ks, f=f)
     return _packed(K, outs)
 
 
@@ -598,8 +798,8 @@ def log_series(K):
     # weight 0 drops the single-block partition, weight 1 keeps the others
     f = [0, 0] + [1] * (K.trunc - 1)
     _sweep(
-        K.space.size, range(1, K.trunc + 1), "partition", [out],
-        lambda q, ms, row: _partition_sum(row, out, f, k[ms], subtract=True),
+        K.space.size, range(1, K.trunc + 1), "partition", [out], [out],
+        f=f, init=[k], subtract=True,
     )
     return _packed(K, [out])
 
@@ -615,9 +815,6 @@ def compose_measure(K, G):
         raise StructureError("series and family must share space and truncation")
     ks = _tables(K)
     outs = [{(): k[()]} for k in ks]
-    _sweep(
-        K.space.size, range(1, K.trunc + 1), "compose", outs,
-        lambda q, ms, row: _compose_sum(row, ks[q]), sub=_tables(G),
-    )
+    _sweep(K.space.size, range(1, K.trunc + 1), "compose", outs, ks, sub=_tables(G))
     return _packed(K, outs)
 

@@ -289,20 +289,19 @@ def build_phi_series(space, mayer, N, allow_large=False):
 def build_A_family(space, mayer, N, allow_large=False):
     """Rooted activity coefficients A_n(q; .) for 1 <= n <= N (order 0 is 0)."""
     fam = RootedSeriesFamily(space, N, allow_large=allow_large)
-    phi_cache = {}
     fm, _ = _f_matrix(mayer)
+    S = space.size
+    # bracket(q, ms) = prod_j (1 + f(q, x_j)), carried from the prefix
+    # ms[:-1] of the previous order: the same left-to-right products
+    brackets = [{(): 1} for _ in range(S)]
     for n in range(1, N + 1):
         comp = fam.coeffs[n]
-        for q in range(space.size):
-            for ms in canonical_indices(space.size, n):
-                phi = phi_cache.get(ms)
-                if phi is None:
-                    phi = ursell(mayer, ms)
-                    phi_cache[ms] = phi
-                bracket = 1
-                for x in ms:
-                    bracket = bracket * (1 + fm[q][x])
-                comp[(q, ms)] = -(bracket - 1) * phi
+        phis = {ms: ursell(mayer, ms) for ms in canonical_indices(S, n)}
+        for q, prev in enumerate(brackets):
+            fq = fm[q]
+            brackets[q] = cur = {ms: prev[ms[:-1]] * (1 + fq[ms[-1]]) for ms in phis}
+            for ms, bracket in cur.items():
+                comp[(q, ms)] = -(bracket - 1) * phis[ms]
     return fam
 
 

@@ -35,7 +35,6 @@ from .certs import BoundCertificate, ResidualReport, _grid_search
 from .errors import CapabilityError, DomainError, StructureError, check_scale, max_order
 from .fps import (
     RootedSeriesFamily,
-    _compose_sum,
     _majorant_sums,
     _packed,
     _sweep,
@@ -390,12 +389,11 @@ def extract_d_from_a(st):
     D = [{(): 0} for _ in range(S)]
     E = _tables(st.e_family)
     for n in range(1, st.N + 1):
-        # the last template, J = all positions, is the unknown D_n term itself
-        _sweep(
-            S, (n,), "compose", D,
-            lambda q, ms, row: _compose_sum(row[:-1], D[q], F[q][ms], subtract=True),
-            sub=E,
-        )
+        # the template J = all positions reads the unknown D_n term itself;
+        # it is 0 until written, so that template is skipped as a zero
+        for Dq in D:
+            Dq.update(dict.fromkeys(canonical_indices(S, n), 0))
+        _sweep(S, (n,), "compose", D, D, sub=E, init=F, subtract=True)
     return _packed(st.a_family, D)
 
 
@@ -593,14 +591,10 @@ def dissymmetry_check(st, N=None):
         {v: phi.value(m + 1, v + (x,)) for m in range(N) for v in canonical_indices(S, m)}
         for x in range(S)
     ]
+    # each order-n sum starts from n phi_n
+    n_phi = {ms: n * phi.coeffs[n][ms] for n in range(2, N + 1) for ms in canonical_indices(S, n)}
     rhs = {}
-    _sweep(
-        S, range(2, N + 1), "compose", [rhs],
-        lambda q, ms, row: _compose_sum(
-            row, dm, len(ms) * phi.coeffs[len(ms)][ms], subtract=True
-        ),
-        sub=owner,
-    )
+    _sweep(S, range(2, N + 1), "compose", [rhs], [dm], sub=owner, init=[n_phi], subtract=True)
     worst = 0
     per_order = {}
     exact = True

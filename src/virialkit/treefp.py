@@ -30,10 +30,8 @@ import math
 from .certs import BoundCertificate, ResidualReport
 from .errors import DomainError
 from .fps import (
-    _compose_sum,
     _majorant_sums,
     _packed,
-    _partition_sum,
     _sweep,
     _tables,
     compose_measure,
@@ -62,8 +60,8 @@ def compute_tn(A, N=None):
     ones = [1] * (N + 1)
     for n in range(1, N + 1):
         # B_n reads t below order n; t_n is the exp-type partition sum of B
-        _sweep(S, (n,), "compose", b, lambda q, ms, row: _compose_sum(row, a[q]), sub=t)
-        _sweep(S, (n,), "partition", t, lambda q, ms, row: _partition_sum(row, b[q], ones))
+        _sweep(S, (n,), "compose", b, a, sub=t)
+        _sweep(S, (n,), "partition", t, b, f=ones)
     return _packed(A, t, N)
 
 

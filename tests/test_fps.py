@@ -6,6 +6,7 @@ triangular recursions) serves as the oracle for products, exp, log,
 composition, and differentiation.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -34,7 +35,7 @@ from virialkit.fps import (
     subset_splits,
     sym_factor,
 )
-from virialkit.inversion import GCState
+from virialkit.inversion import GCState, dissymmetry_check, extract_d_from_a
 from virialkit.oracles import dense_component, mul_dense, multi_product, var_derivative
 from virialkit.species import MeasureVec, PairPotential, SpeciesSpace
 
@@ -564,3 +565,62 @@ def test_mul_rejects_series_with_family():
         mul(K, fam)
     with pytest.raises(DomainError):
         exp_series(fam)  # nonzero constant at root 1
+
+
+# ---------------------------------------------------------------------------
+# float and complex routes of the row kernel, pinned bit for bit
+
+
+def _bits(v):
+    return v.hex() if isinstance(v, float) else repr(v)
+
+
+def _bits_digest(X):
+    text = "\n".join(f"{key}:{_bits(v)}" for comp in X.coeffs for key, v in comp.items())
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_float_routes_golden():
+    # recorded before exact sums moved to integer numerators: the float
+    # route must keep every operation, and its order, of the template sums
+    st = float_state(42, 6, 4)
+    logs = log_series(st.e_family.root_series(2, allow_large=True))
+    composed = compose_univariate([0, 1, 0.5, -3.0, 2.0], st.a_family)
+    d = extract_d_from_a(st)
+    assert _bits_digest(logs) == "744c7808f31b87ca"
+    assert _bits_digest(composed) == "02c1fa0dc07c66b3"
+    assert _bits_digest(d) == "6b920919b895e0ff"
+    assert logs.coeffs[4][(0, 2, 3, 5)].hex() == "0x1.74b9d2be8a004p-4"
+    assert composed.coeffs[3][(1, (0, 4, 4))].hex() == "-0x1.3b8dc23dcb954p+0"
+    assert d.coeffs[4][(5, (1, 1, 2, 3))].hex() == "0x1.a683e4daedd8cp-6"
+    rep = dissymmetry_check(st)
+    assert _bits(rep.max_abs) == "0x1.2000000000000p-48"
+    assert {n: _bits(v) for n, v in rep.per_order.items()} == {
+        2: "0x1.0000000000000p-53",
+        3: "0x1.8000000000000p-51",
+        4: "0x1.2000000000000p-48",
+    }
+
+
+def test_complex_routes_golden():
+    # a spurious multiply by 1 would turn the -0 real parts below into +0
+    vals = [-0.5, complex(-1.0, -0.0), 1, complex(-0.0, -1.5), complex(0.25, -0.0), complex(-0.0, 2.0)]
+    K = FormalSeries.from_function(S2, 3, lambda n, ms: vals[(3 * n + sum(ms)) % 6] if n else 1)
+    G = FormalSeries.from_function(S2, 3, lambda n, ms: vals[(n + 2 * sum(ms)) % 6] if n else 1)
+    Gf = RootedSeriesFamily.from_function(S2, 3, lambda n, q, ms: vals[(n + q + sum(ms)) % 6])
+
+    def reprs(X):
+        return [repr(v) for comp in X.coeffs for v in comp.values()]
+
+    assert reprs(mul(K, G)) == [
+        "1", "(-1-1.5j)", "(0.25-1.5j)", "(0.5+3j)", "(-3.25+0j)",
+        "(0.5-0.75j)", "(1.5-7.5j)", "(2.5+2j)", "(-1.875+5.75j)", "(-0.875-6j)",
+    ]
+    assert reprs(compose_measure(K, Gf)) == [
+        "1", "0.75j", "(-0.25+0j)", "(-0.125+3j)", "(-0.25-1.5j)",
+        "(1-0.75j)", "(-1.5-4.3125j)", "(-5.0625-0.375j)", "(0.125-2.875j)", "(0.5+10.5j)",
+    ]
+    assert reprs(log_series(K)) == [
+        "0", "(-0-1.5j)", "(0.25-0j)", "(1.75+0j)", "(-1+0.375j)",
+        "(0.9375+0j)", "(-0+3j)", "(-0.75-3j)", "(0.5+3.3125j)", "(-1.21875+0j)",
+    ]

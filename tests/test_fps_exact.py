@@ -1,0 +1,149 @@
+"""The exact rule of the row kernel against the brute-force oracles.
+
+When every value a template sum reads is an int or a Fraction, ``fps._sweep``
+puts each table over one denominator per order and sums integer numerators.
+These properties draw tables that mix ints, hard cores, k/16, thirds and
+sevenths and the prime 2**61 - 1 within one table, and check the results
+as literal rational equalities, and the type rule: a coefficient is an int
+exactly when every value read is an int.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
+
+from virialkit.fps import (
+    FormalSeries,
+    RootedSeriesFamily,
+    compose_measure,
+    exp_series,
+    log_series,
+    mul,
+)
+from virialkit.graphs import build_D_family
+from virialkit.inversion import GCState, dissymmetry_check, extract_d_from_a
+from virialkit.oracles import mul_dense, multi_product, tn_via_trees
+from virialkit.species import SpeciesSpace
+from virialkit.treefp import compute_tn
+
+P61 = 2**61 - 1
+
+# ints, hard cores, k/16, denominators 3 and 7, and the prime 2**61 - 1
+exact_value = hyp.one_of(
+    hyp.integers(-3, 3),
+    hyp.sampled_from([-1, 0]),
+    hyp.builds(Fraction, hyp.integers(-16, 16), hyp.just(16)),
+    hyp.builds(Fraction, hyp.integers(-6, 6), hyp.sampled_from([3, 7])),
+    hyp.sampled_from([P61, Fraction(1, P61), Fraction(-2, P61)]),
+)
+# Mayer entries stay >= -1 (hard core) and weights stay positive
+mayer_value = hyp.one_of(
+    hyp.sampled_from([-1, 0, 1]),
+    hyp.builds(Fraction, hyp.integers(-16, 16), hyp.just(16)),
+    hyp.builds(Fraction, hyp.integers(-3, 6), hyp.sampled_from([3, 7])),
+    hyp.sampled_from([Fraction(1, P61), Fraction(-1, P61)]),
+)
+weight_value = hyp.sampled_from([1, 2, Fraction(1, 2), Fraction(3, 7), Fraction(P61, 2**60)])
+
+
+def draw_series(data, space, N, constant=None):
+    def fn(n, ms):
+        if n == 0 and constant is not None:
+            return constant
+        return data.draw(exact_value)
+
+    return FormalSeries.from_function(space, N, fn, allow_large=True)
+
+
+def draw_family(data, space, N):
+    return RootedSeriesFamily.from_function(
+        space, N, lambda n, q, ms: 0 if n == 0 else data.draw(exact_value), allow_large=True
+    )
+
+
+def draw_state(data, S, N):
+    f = [[0] * S for _ in range(S)]
+    for i in range(S):
+        for j in range(i, S):
+            f[i][j] = f[j][i] = data.draw(mayer_value)
+    space = SpeciesSpace.from_weights([data.draw(weight_value) for _ in range(S)])
+    return GCState.from_f(space, f, N=N, exact=True)
+
+
+def all_int(*tables, orders):
+    """Whether every value of the tables at the given orders is an int."""
+    return all(type(v) is int for X in tables for n in orders for v in X.coeffs[n].values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(hyp.integers(1, 3), hyp.integers(0, 3), hyp.data())
+def test_mul_matches_oracles(S, N, data):
+    space = SpeciesSpace.uniform(S)
+    K, G = draw_series(data, space, N), draw_series(data, space, N)
+    prod = mul(K, G)
+    assert prod == multi_product([K, G])
+    dense = mul_dense(K, G)
+    for n in range(N + 1):
+        for xs, v in dense[n].items():
+            assert prod.value(n, xs) == v
+        # order n reads both tables at orders 0..n
+        assert all((type(v) is int) == all_int(K, G, orders=range(n + 1)) for v in prod.coeffs[n].values())
+
+
+@settings(max_examples=15, deadline=None)
+@given(hyp.integers(1, 2), hyp.integers(1, 4), hyp.data())
+def test_compute_tn_matches_tree_sums(S, N, data):
+    A = draw_family(data, SpeciesSpace.uniform(S), N)
+    t = compute_tn(A)
+    for n in range(1, N + 1):
+        for (q, ms), v in t.coeffs[n].items():
+            assert v == tn_via_trees(A, n, q, ms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(hyp.integers(1, 3), hyp.integers(1, 4), hyp.data())
+def test_exp_log_roundtrip_and_type_rule(S, N, data):
+    K = draw_series(data, SpeciesSpace.uniform(S), N, constant=0)
+    E = exp_series(K)
+    assert log_series(E) == K
+    for n in range(1, N + 1):
+        # exp reads K at orders 1..n (and the int coefficients of exp)
+        assert all((type(v) is int) == all_int(K, orders=range(1, n + 1)) for v in E.coeffs[n].values())
+
+
+@settings(max_examples=20, deadline=None)
+@given(hyp.integers(1, 3), hyp.integers(1, 3), hyp.data())
+def test_compose_measure_type_rule(S, N, data):
+    space = SpeciesSpace.uniform(S)
+    K = draw_series(data, space, N)
+    G = RootedSeriesFamily.from_function(
+        space, N, lambda n, q, ms: data.draw(exact_value), allow_large=True
+    )
+    out = compose_measure(K, G)
+    for n in range(1, N + 1):
+        # order n reads K at orders 1..n and G at orders 0..n-1
+        reads_int = all_int(K, orders=range(1, n + 1)) and all_int(G, orders=range(n))
+        assert all((type(v) is int) == reads_int for v in out.coeffs[n].values())
+
+
+@settings(max_examples=15, deadline=None)
+@given(hyp.integers(1, 3), hyp.integers(1, 4), hyp.data())
+def test_extract_d_and_dissymmetry_on_mixed_states(S, N, data):
+    st = draw_state(data, S, N)
+    assert extract_d_from_a(st) == build_D_family(st.space, st.mayer, N)
+    rep = dissymmetry_check(st, N=N)
+    assert rep.exact and rep.max_abs == 0
+    # the literal zero is an exact zero, never a float
+    assert all(type(v) in (int, Fraction) for v in rep.per_order.values())
+
+
+def test_type_rule_on_int_tables():
+    # all-int reads give ints; one Fraction(1) anywhere read gives Fractions
+    space = SpeciesSpace.uniform(2)
+    K = FormalSeries.from_function(space, 3, lambda n, ms: n + sum(ms) - 1)
+    assert all(type(v) is int for comp in mul(K, K).coeffs for v in comp.values())
+    K.coeffs[1][(1,)] = Fraction(K.coeffs[1][(1,)])
+    prod = mul(K, K)
+    assert type(prod.coeffs[0][()]) is int
+    assert all(type(v) is Fraction for comp in prod.coeffs[1:] for v in comp.values())

@@ -373,6 +373,27 @@ def test_a_coeff_vanishes_without_interaction():
         assert A.value(len(xs), 0, xs) == 0
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_a_family_matches_literal_formula(exact):
+    # A_n(q; x) = -(prod_j (1 + f(q, x_j)) - 1) ursell(x), the bracket rebuilt
+    # per (q, x); the builder carries it from prefixes with the same products
+    S, N = 3, 5
+    r = random.Random(11)
+    f = rand_f(9, S)
+    if not exact:
+        f = [[round(r.uniform(-1.0, 0.6), 3) for _ in range(S)] for _ in range(S)]
+        f = [[f[min(i, j)][max(i, j)] for j in range(S)] for i in range(S)]
+    space = SpeciesSpace.uniform(S)
+    mayer = MayerMatrices.from_f(space, f, exact=exact)
+    A = build_A_family(space, mayer, N)
+    for n in range(1, N + 1):
+        for (q, ms), v in A.coeffs[n].items():
+            bracket = 1
+            for x in ms:
+                bracket = bracket * (1 + f[q][x])
+            assert repr(v) == repr(-(bracket - 1) * ursell(mayer, ms))
+
+
 # ---------------------------------------------------------------------------
 # hard-core tables
 
