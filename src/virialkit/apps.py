@@ -23,7 +23,7 @@ import numpy as np
 
 from .certs import BoundCertificate, _grid_search
 from .errors import CapabilityError, CertificateError, DomainError, StructureError
-from .fps import sym_factor
+from .fps import measure_sums, sym_factor
 from .graphs import hard_core_d_table
 from .homogeneous import INV_2E, _overlap_length_1d, vol_ball
 from .inversion import GCState, check_Sab
@@ -118,7 +118,7 @@ def invert_profile(gp, pot_kernel, N, beta=1.0, a=None, b=None):
             certificate=cert,
         )
     log_z0 = math.log(gp.z0)
-    tails = st._eval_rooted(st.d_family, tuple(gp.rho))
+    tails = measure_sums(st.d_family, tuple(gp.rho), start=1)
     beta_v = []
     for q in range(st.space.size):
         if gp.rho[q] == 0:

@@ -11,6 +11,13 @@ All operations below work coefficientwise on positions of the canonical
 representative, which realizes the multinomial multiplicities implicitly, so
 no factorials ever appear until a series is summed against a measure.
 
+A rooted family G(q; nu), such as the tree fixed point T, is a series per
+root species q, stored per order under keys (q, ms); a plain series is its
+one-root case, keyed by ms.  ``FormalSeries`` and ``RootedSeriesFamily``
+share one container (construction, ``from_function``, ``scale``,
+``max_abs_diff``, equality), and ``measure_sums``/``_majorant_sums`` read the
+weights and the root count from the series or family they are given.
+
 The operations mirror the usual algebra of such series: pointwise sum,
 product (subset splitting), composition with a univariate series
 (set-partition sum), exp and log, and composition with a rooted family G,
@@ -130,14 +137,18 @@ def sym_factor(ms):
     return out
 
 
-class FormalSeries:
-    """Truncated series: coefficient dicts for orders 0..trunc.
+class _Coefficients:
+    """Storage shared by FormalSeries and RootedSeriesFamily.
 
-    Storage is dense over canonical multi-indices, which keeps equality and
-    residual checks trivial.  Instances are treated as immutable.
+    ``coeffs[n]`` maps every key of order n to its coefficient, for orders
+    0..trunc.  A series is keyed by the canonical multi-index ms, a family by
+    (root q, canonical tail ms), roots outermost; a plain series is the
+    one-root case.  Storage is dense, which keeps equality and residual
+    checks trivial.  Instances are treated as immutable.
     """
 
     __slots__ = ("space", "trunc", "coeffs")
+    rooted = False
 
     def __init__(self, space, trunc, coeffs=None, allow_large=False):
         if trunc < 0:
@@ -146,11 +157,73 @@ class FormalSeries:
         self.space = space
         self.trunc = trunc
         if coeffs is None:
-            coeffs = [
-                {ms: 0 for ms in canonical_indices(space.size, n)}
-                for n in range(trunc + 1)
-            ]
+            coeffs = [dict.fromkeys(self._keys(space.size, n), 0) for n in range(trunc + 1)]
         self.coeffs = coeffs
+
+    @classmethod
+    def _keys(cls, size, n):
+        """The keys of order n in storage order."""
+        if cls.rooted:
+            return [(q, ms) for q in range(size) for ms in canonical_indices(size, n)]
+        return canonical_indices(size, n)
+
+    @property
+    def roots(self):
+        """How many roots: the species count for a family, 1 for a series."""
+        return self.space.size if self.rooted else 1
+
+    @classmethod
+    def from_function(cls, space, trunc, fn, allow_large=False):
+        """Build with fn(order, multi_index) -> value for a series, and
+        fn(order, root, tail multi-index) -> value for a family."""
+        out = cls(space, trunc, [], allow_large=allow_large)
+        out.coeffs = [
+            {key: fn(n, *key) if cls.rooted else fn(n, key) for key in cls._keys(space.size, n)}
+            for n in range(trunc + 1)
+        ]
+        return out
+
+    def _like(self, coeffs):
+        out = type(self).__new__(type(self))
+        out.space = self.space
+        out.trunc = self.trunc
+        out.coeffs = coeffs
+        return out
+
+    def _check_compatible(self, other):
+        if self.space != other.space or self.trunc != other.trunc:
+            raise StructureError("series must share space and truncation order")
+
+    def scale(self, c):
+        return self._like([{key: c * v for key, v in comp.items()} for comp in self.coeffs])
+
+    def max_abs_diff(self, other):
+        self._check_compatible(other)
+        worst = 0
+        for c, d in zip(self.coeffs, other.coeffs):
+            for key, v in c.items():
+                delta = abs(v - d[key])
+                if delta > worst:
+                    worst = delta
+        return worst
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and self.space == other.space
+            and self.trunc == other.trunc
+            and all(c == d for c, d in zip(self.coeffs, other.coeffs))
+        )
+
+    def __repr__(self):
+        return f"{type(self).__name__}(S={self.space.size}, N={self.trunc})"
+
+
+class FormalSeries(_Coefficients):
+    """Truncated series: coefficient dicts over canonical multi-indices for
+    orders 0..trunc."""
+
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------------
 
@@ -164,16 +237,6 @@ class FormalSeries:
         s.coeffs[0][()] = 1
         return s
 
-    @classmethod
-    def from_function(cls, space, trunc, fn, allow_large=False):
-        """Build with fn(order, multi_index) -> value on canonical indices."""
-        s = cls(space, trunc, allow_large=allow_large)
-        for n in range(trunc + 1):
-            s.coeffs[n] = {
-                ms: fn(n, ms) for ms in canonical_indices(space.size, n)
-            }
-        return s
-
     # -- access ------------------------------------------------------------
 
     def value(self, n, xs):
@@ -184,17 +247,6 @@ class FormalSeries:
         return self.coeffs[0][()]
 
     # -- algebra -----------------------------------------------------------
-
-    def _like(self, coeffs):
-        out = FormalSeries.__new__(FormalSeries)
-        out.space = self.space
-        out.trunc = self.trunc
-        out.coeffs = coeffs
-        return out
-
-    def _check_compatible(self, other):
-        if self.space != other.space or self.trunc != other.trunc:
-            raise StructureError("series must share space and truncation order")
 
     def __add__(self, other):
         self._check_compatible(other)
@@ -214,9 +266,6 @@ class FormalSeries:
             ]
         )
 
-    def scale(self, c):
-        return self._like([{ms: c * v for ms, v in comp.items()} for comp in self.coeffs])
-
     def __neg__(self):
         return self.scale(-1)
 
@@ -228,28 +277,9 @@ class FormalSeries:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FormalSeries)
-            and self.space == other.space
-            and self.trunc == other.trunc
-            and all(c == d for c, d in zip(self.coeffs, other.coeffs))
-        )
-
-    def max_abs_diff(self, other):
-        self._check_compatible(other)
-        worst = 0
-        for c, d in zip(self.coeffs, other.coeffs):
-            for ms, v in c.items():
-                delta = abs(v - d[ms])
-                if delta > worst:
-                    worst = delta
-        return worst
-
     def evaluate(self, nu):
         """Numeric value sum_n (1/n!) sum_{x vec} K_n nu^n via canonical sums."""
-        vals = nu.values if isinstance(nu, MeasureVec) else tuple(nu)
-        return measure_sums(self.coeffs, vals, self.space.weights)
+        return measure_sums(self, nu.values if isinstance(nu, MeasureVec) else tuple(nu))
 
     # -- serialization -----------------------------------------------------
 
@@ -271,24 +301,56 @@ class FormalSeries:
 
     @classmethod
     def from_json_dict(cls, doc, allow_large=False):
+        """The series of a ``to_json_dict`` document.  A malformed document
+        raises StructureError and a malformed number DomainError; an order
+        or index the document leaves out is 0."""
+
         def scalar(v):
             # a complex value is written as its [re, im] pair
-            return complex(*map(parse_scalar, v)) if isinstance(v, list) else parse_scalar(v)
+            if not isinstance(v, list):
+                return parse_scalar(v)
+            if len(v) != 2:
+                raise StructureError(f"a complex value is a [re, im] pair, got {v!r}")
+            return complex(*map(parse_scalar, v))
 
-        space = SpeciesSpace.from_weights([scalar(w) for w in doc["weights"]])
-        s = cls(space, doc["trunc"], allow_large=allow_large)
-        for n_str, entries in doc["orders"].items():
-            n = int(n_str)
+        if not isinstance(doc, dict):
+            raise StructureError("a series document must be an object")
+        trunc = doc.get("trunc")
+        if type(trunc) is not int or trunc < 0:
+            raise StructureError(f"trunc must be a non-negative integer, got {trunc!r}")
+        weights, orders = doc.get("weights"), doc.get("orders")
+        if not isinstance(weights, list) or not isinstance(orders, dict):
+            raise StructureError("a series document needs a weights list and an orders object")
+        space = SpeciesSpace.from_weights([scalar(w) for w in weights])
+        s = cls(space, trunc, allow_large=allow_large)
+        order_of = {str(n): n for n in range(trunc + 1)}
+        for n_str, entries in orders.items():
+            n = order_of.get(n_str)
+            if n is None or not isinstance(entries, list):
+                raise StructureError(f"orders must map 0..{trunc} to lists, got key {n_str!r}")
+            comp, seen = s.coeffs[n], set()
             for e in entries:
-                s.coeffs[n][tuple(e["idx"])] = scalar(e["value"])
+                idx = e.get("idx") if isinstance(e, dict) and "value" in e else None
+                if not (
+                    isinstance(idx, list)
+                    and len(idx) == n
+                    and all(type(x) is int and 0 <= x < space.size for x in idx)
+                    and idx == sorted(idx)
+                ):
+                    raise StructureError(
+                        f"order {n} entries need a value and a sorted idx of {n} "
+                        f"species in 0..{space.size - 1}, got {e!r}"
+                    )
+                ms = tuple(idx)
+                if ms in seen:
+                    raise StructureError(f"order {n} repeats idx {idx}")
+                seen.add(ms)
+                comp[ms] = scalar(e["value"])
         return s
 
     @classmethod
     def from_json(cls, text, allow_large=False):
         return cls.from_json_dict(json.loads(text), allow_large=allow_large)
-
-    def __repr__(self):
-        return f"FormalSeries(S={self.space.size}, N={self.trunc})"
 
 
 def _scalar_to_json(v):
@@ -301,82 +363,26 @@ def _scalar_to_json(v):
     return v
 
 
-class RootedSeriesFamily:
+class RootedSeriesFamily(_Coefficients):
     """A family of series G(q; . ) indexed by a distinguished root species q.
 
-    Coefficients are stored per order as maps (q, canonical tail) -> value;
-    only the tail is symmetrized, the root slot is genuinely distinguished.
+    Keys are (q, canonical tail): only the tail is symmetrized, the root slot
+    is genuinely distinguished.
     """
 
-    __slots__ = ("space", "trunc", "coeffs")
-
-    def __init__(self, space, trunc, coeffs=None, allow_large=False):
-        if trunc < 0:
-            raise DomainError("truncation order must be >= 0")
-        check_scale(order=trunc, species=space.size, allow_large=allow_large)
-        self.space = space
-        self.trunc = trunc
-        if coeffs is None:
-            coeffs = [
-                {
-                    (q, ms): 0
-                    for q in range(space.size)
-                    for ms in canonical_indices(space.size, n)
-                }
-                for n in range(trunc + 1)
-            ]
-        self.coeffs = coeffs
-
-    @classmethod
-    def from_function(cls, space, trunc, fn, allow_large=False):
-        """Build with fn(order, root, tail multi-index) -> value."""
-        fam = cls(space, trunc, allow_large=allow_large)
-        for n in range(trunc + 1):
-            fam.coeffs[n] = {
-                (q, ms): fn(n, q, ms)
-                for q in range(space.size)
-                for ms in canonical_indices(space.size, n)
-            }
-        return fam
+    __slots__ = ()
+    rooted = True
 
     def value(self, n, q, xs):
         return self.coeffs[n][(q, tuple(sorted(xs)))]
 
-    def scale(self, c):
-        coeffs = [{key: c * v for key, v in comp.items()} for comp in self.coeffs]
-        return RootedSeriesFamily(self.space, self.trunc, coeffs, allow_large=True)
-
     def root_series(self, q, allow_large=False):
         """The plain series K with K_n = G_n(q; . )."""
-        out = FormalSeries(self.space, self.trunc, allow_large=allow_large)
-        for n in range(self.trunc + 1):
-            out.coeffs[n] = {
-                ms: self.coeffs[n][(q, ms)]
-                for ms in canonical_indices(self.space.size, n)
-            }
-        return out
-
-    def max_abs_diff(self, other):
-        if self.space != other.space or self.trunc != other.trunc:
-            raise StructureError("families must share space and truncation order")
-        worst = 0
-        for c, d in zip(self.coeffs, other.coeffs):
-            for key, v in c.items():
-                delta = abs(v - d[key])
-                if delta > worst:
-                    worst = delta
-        return worst
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RootedSeriesFamily)
-            and self.space == other.space
-            and self.trunc == other.trunc
-            and all(c == d for c, d in zip(self.coeffs, other.coeffs))
-        )
-
-    def __repr__(self):
-        return f"RootedSeriesFamily(S={self.space.size}, N={self.trunc})"
+        coeffs = [
+            {ms: comp[(q, ms)] for ms in canonical_indices(self.space.size, n)}
+            for n, comp in enumerate(self.coeffs)
+        ]
+        return FormalSeries(self.space, self.trunc, coeffs, allow_large=allow_large)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +392,7 @@ class RootedSeriesFamily:
 def _tables(X):
     """Per-root coefficient tables: ``tables[q]`` maps each canonical tail,
     of any order, to its value.  A plain series is a family with one root."""
-    if isinstance(X, FormalSeries):
+    if not X.rooted:
         table = {}
         for comp in X.coeffs:
             table.update(comp)
@@ -401,13 +407,12 @@ def _tables(X):
 def _packed(K, tables, trunc=None):
     """Per-root tables stored like K: a series, or a family for a family K."""
     trunc = K.trunc if trunc is None else trunc
-    rooted = isinstance(K, RootedSeriesFamily)
+    rooted = K.rooted
     coeffs = [{} for _ in range(trunc + 1)]
     for q, table in enumerate(tables):
         for ms, v in table.items():
             coeffs[len(ms)][(q, ms) if rooted else ms] = v
-    cls = RootedSeriesFamily if rooted else FormalSeries
-    return cls(K.space, trunc, coeffs, allow_large=True)
+    return type(K)(K.space, trunc, coeffs, allow_large=True)
 
 
 @lru_cache(maxsize=None)
@@ -691,21 +696,23 @@ def _sweep_exact(size, orders, kind, outs, k, g, f, sub, init, subtract):
                 out[ms] = Fraction(total, D) if fraction else total
 
 
-def measure_sums(coeffs, vals, weights, roots=None, start=0):
-    """sum_n (1/n!) sum_x c_n(x) prod_j nu(x_j) w(x_j) via canonical sums.
+def measure_sums(K, vals, start=0):
+    """sum_n (1/n!) sum_x K_n(x) prod_j nu(x_j) w(x_j) via canonical sums,
+    for the values ``vals`` of nu and the weights w of K's space.
 
-    ``coeffs`` holds per-order maps in series layout (roots=None: returns
-    one value) or in family layout (q, tail) -> value (returns one sum per
-    root).  One pass serves every root; each root adds its terms in storage
-    order, from order ``start`` on.
+    A series gives one value, a rooted family one sum per root.  One pass
+    serves every root; each root adds its terms in storage order, from
+    order ``start`` on.
     """
-    totals = [0] * (roots or 1)
-    for n in range(start, len(coeffs)):
+    weights = K.space.weights
+    rooted = K.rooted
+    totals = [0] * K.roots
+    for n in range(start, K.trunc + 1):
         inv = {}
-        for key, v in coeffs[n].items():
+        for key, v in K.coeffs[n].items():
             if v == 0:
                 continue
-            q, ms = key if roots else (0, key)
+            q, ms = key if rooted else (0, key)
             term = v
             for x in ms:
                 term = term * vals[x] * weights[x]
@@ -715,23 +722,24 @@ def measure_sums(coeffs, vals, weights, roots=None, start=0):
                 c = inv[ms] = (Fraction(1, k), 1 / k)
             # a float times a Fraction is the float times float(Fraction)
             totals[q] += term * c[1] if type(term) is float else term * c[0]
-    return totals if roots else totals[0]
+    return totals if rooted else totals[0]
 
 
-def _majorant_sums(coeffs, nu, weights, roots, start=0):
-    """Float majorants of a rooted family, per order n and root q:
+def _majorant_sums(G, nu, start=0):
+    """Float majorants of a rooted family G, per order n and root q:
 
-        sums[n][q] = sum_x |c_n(q; x)| prod_j |nu(x_j)| w(x_j) / sym(x)
+        sums[n][q] = sum_x |G_n(q; x)| prod_j |nu(x_j)| w(x_j) / sym(x)
 
     over canonical tails x, added in storage order, zero coefficients
-    skipped; orders below ``start`` stay 0.0.  The Sb, virMb and Mb
-    certificates all sum through here, so their rounding is decided here.
+    skipped, with w the weights of G's space; orders below ``start`` stay
+    0.0.  The Sb, virMb, Mb and dissym_b certificates all sum through here,
+    so their rounding is decided here.
     """
-    u = [abs(float(v)) * float(wx) for v, wx in zip(nu, weights)]
-    sums = [[0.0] * roots for _ in coeffs]
-    for n in range(start, len(coeffs)):
+    u = [abs(float(v)) * float(wx) for v, wx in zip(nu, G.space.weights)]
+    sums = [[0.0] * G.roots for _ in G.coeffs]
+    for n in range(start, G.trunc + 1):
         row = sums[n]
-        for (q, ms), v in coeffs[n].items():
+        for (q, ms), v in G.coeffs[n].items():
             if v == 0:
                 continue
             term = abs(float(v))
@@ -750,11 +758,7 @@ def mul(K, G):
 
     Two rooted families multiply root by root.
     """
-    if (
-        isinstance(K, RootedSeriesFamily) != isinstance(G, RootedSeriesFamily)
-        or K.space != G.space
-        or K.trunc != G.trunc
-    ):
+    if K.rooted != G.rooted or K.space != G.space or K.trunc != G.trunc:
         raise StructureError("series must share space and truncation order")
     ks, gs = _tables(K), _tables(G)
     outs = [{} for _ in ks]

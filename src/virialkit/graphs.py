@@ -245,26 +245,24 @@ def d_coeff(f, xs):
     return total // L ** len(a)
 
 
+@lru_cache(maxsize=None)
 def hard_core_d_table(m):
     """Biconnected sums for pure hard cores, tabulated by overlap mask.
 
     table[mask] = sum over biconnected graphs g whose edges all lie in the
-    overlap mask of (-1)^(edge count of g).  Exact integers.
+    overlap mask of (-1)^(edge count of g), which is ``d_coeff`` of m points
+    with f = -1 on the mask's pairs and 0 elsewhere.  Exact integers, in one
+    read-only array per m.
     """
-    P = len(pair_order(m))
-    masks = class_masks(m, "biconnected")
-    table = np.zeros(1 << P, np.int64)
-    for g in masks:
-        g = int(g)
-        sign = -1 if g.bit_count() % 2 else 1
-        # add sign to every supermask of g
-        free = [p for p in range(P) if not (g >> p) & 1]
-        for bits in range(1 << len(free)):
-            sup = g
-            for t, p in enumerate(free):
-                if (bits >> t) & 1:
-                    sup |= 1 << p
-            table[sup] += sign
+    pairs = pair_order(m)
+    table = np.zeros(1 << len(pairs), np.int64)
+    for mask in range(len(table)):
+        f = [[0] * m for _ in range(m)]
+        for p, (i, j) in enumerate(pairs):
+            if mask >> p & 1:
+                f[i][j] = f[j][i] = -1
+        table[mask] = d_coeff(f, tuple(range(m)))
+    table.flags.writeable = False
     return table
 
 

@@ -37,6 +37,9 @@ INV_2E = 1.0 / (2.0 * math.e)
 # Newton stops once |T - s e^T| falls below this
 TREE_FN_TOL = 1e-13
 
+# the self-test ring is this many exclusion lengths around
+RING_CELLS = 4
+
 
 def vol_ball(d, r):
     """Volume of the d-ball of radius r; exact 2r in one dimension."""
@@ -469,13 +472,14 @@ def bounds_report(model, B_bar=0.0):
 # Discretized self-test: three routes to the Tonks virial coefficients
 
 
-def ring_mayer(a, k, cells=4):
-    """Hard rods of exclusion a on a ring of circumference cells*a, sampled
-    at k sites per exclusion length.  Sites carry weight h = a/k; overlap is
-    ring-distance < a, which reduces to an exact integer comparison.
+def ring_mayer(a, k):
+    """Hard rods of exclusion a on a ring of circumference RING_CELLS * a,
+    sampled at k sites per exclusion length.  Sites carry weight h = a/k;
+    overlap is ring-distance < a, which reduces to an exact integer
+    comparison.
     """
     a = Fraction(a)
-    S = cells * k
+    S = RING_CELLS * k
     h = a / k
     space = SpeciesSpace.from_weights([h] * S)
     f = [
@@ -485,12 +489,12 @@ def ring_mayer(a, k, cells=4):
     return MayerMatrices.from_f(space, f, exact=True)
 
 
-def grid_beta(a, k, n, cells=4):
+def grid_beta(a, k, n):
     """beta_n on the ring grid: (1/n!) sum over grid tuples of D_(n+1) h^n,
     evaluated at the site pinned at the origin.  Exact rational; converges
     to the continuum value at first order in h = a/k.
     """
-    mayer = ring_mayer(a, k, cells)
+    mayer = ring_mayer(a, k)
     h = Fraction(a) / k
     S = mayer.space.size
     total = Fraction(0)

@@ -34,6 +34,7 @@ from itertools import combinations, combinations_with_replacement
 from .certs import BoundCertificate, ResidualReport, _grid_search
 from .errors import CapabilityError, DomainError, StructureError, check_scale, max_order
 from .fps import (
+    FormalSeries,
     RootedSeriesFamily,
     _majorant_sums,
     _packed,
@@ -81,7 +82,6 @@ class GCState:
         self.pot = pot
         self.mayer = mayer
         self.N = N
-        self._allow_large = allow_large
         if pot is not None:
             self.beta_B = tuple(pot.beta * b for b in pot.b_stability)
             self.beta_Bstar = tuple(pot.beta * b for b in pot.b_star)
@@ -130,13 +130,6 @@ class GCState:
     def measure(self, values):
         return MeasureVec(self.space, values)
 
-    def _eval_rooted(self, family, vals, skip_order0=True):
-        """Per root q: sum_n (1/n!) sum_x family_n(q; x) prod nu(x) w(x)."""
-        return measure_sums(
-            family.coeffs, vals, self.space.weights, roots=self.space.size,
-            start=1 if skip_order0 else 0,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Certificates
@@ -172,6 +165,7 @@ def check_PU(st, z, a=None):
     With a=None a constant weight is chosen by grid search.
     """
     _require_nonneg("a", a)
+    z = st.measure(z).values
     S = st.space.size
 
     def margins_for(avec):
@@ -187,13 +181,6 @@ def check_PU(st, z, a=None):
     )
 
 
-def _root_totals(st, family, nu):
-    """Per root, the majorant of ``family`` at nu over orders 1..N, added
-    order by order."""
-    by_order = _majorant_sums(family.coeffs, nu, st.space.weights, st.space.size, start=1)
-    return [sum(col) for col in zip(*by_order)]
-
-
 def check_Sb(st, nu, b=None):
     """Weighted absolute-coefficient condition: per root q,
 
@@ -202,11 +189,12 @@ def check_Sb(st, nu, b=None):
     The left side is a partial sum through N; the certificate records that.
     """
     _require_nonneg("b", b)
+    nu = st.measure(nu).values
     S = st.space.size
     if b is None:
         # per-order sums with the exp(b) factors stripped; a constant b
         # re-enters as exp(n b)
-        raw = _majorant_sums(st.a_family.coeffs, nu, st.space.weights, S, start=1)
+        raw = _majorant_sums(st.a_family, nu, start=1)
 
         def margins_const(c):
             return tuple(
@@ -223,7 +211,7 @@ def check_Sb(st, nu, b=None):
     b = tuple(b)
     # each tail species x carries its exp(b(x)) inside the measure
     boosted = [abs(float(v)) * math.exp(float(b[x])) for x, v in enumerate(nu)]
-    sums = _root_totals(st, st.a_family, boosted)
+    sums = [sum(col) for col in zip(*_majorant_sums(st.a_family, boosted, start=1))]
     m = tuple(float(b[q]) - sums[q] for q in range(S))
     return BoundCertificate(
         "Sb", m, b=b, trunc=st.N,
@@ -242,6 +230,7 @@ def check_Sab(st, nu, a=None, b=None):
         raise StructureError("give both a and b or neither")
     if a is not None and any(av > bv for av, bv in zip(a, b)):
         raise DomainError("combined condition needs a <= b entrywise")
+    nu = st.measure(nu).values
     S = st.space.size
 
     def margins_for(avec, bvec):
@@ -271,8 +260,9 @@ def check_virMb(st, nu, b=None):
         sum_{1<=n<=N} (1/n!) sum_x |D_(n+1)(q; x)| |nu|^n <= b(q).
     """
     _require_nonneg("b", b)
+    nu = st.measure(nu).values
     S = st.space.size
-    sums = _root_totals(st, st.d_family, nu)
+    sums = [sum(col) for col in zip(*_majorant_sums(st.d_family, nu, start=1))]
 
     def margins_for(bvec):
         return tuple(float(bvec[q]) - sums[q] for q in range(S))
@@ -298,8 +288,9 @@ def check_dissym_b(st, nu, budget):
     m+1 points, so the mass is sum_m m/(m+1) sum_q |nu(q)| w(q) M_m(q) with
     M_m the order-m majorant of the family.
     """
+    nu = st.measure(nu).values
     w = st.space.weights
-    sums = _majorant_sums(st.d_family.coeffs, nu, w, st.space.size, start=1)
+    sums = _majorant_sums(st.d_family, nu, start=1)
     total = 0.0
     for m in range(1, st.N + 1):
         total += m / (m + 1) * sum(
@@ -319,8 +310,8 @@ def check_dissym_b(st, nu, budget):
 
 def rho_of_z(st, z):
     """Forward map: rho(q) = z(q) exp(-A(q; z)), truncated at N."""
-    vals = tuple(z)
-    a_vals = st._eval_rooted(st.a_family, vals)
+    vals = st.measure(z).values
+    a_vals = measure_sums(st.a_family, vals, start=1)
     return MeasureVec(st.space, [v * _exp(-a) for v, a in zip(vals, a_vals)])
 
 
@@ -329,11 +320,11 @@ def zeta_of_nu(st, nu, path="biconnected"):
     nu(q) exp(-sum (1/n!) sum D_(n+1)(q; x) nu^n).  Both truncated at N;
     they agree as formal series through order N (see zeta_path_agreement).
     """
-    vals = tuple(nu)
+    vals = st.measure(nu).values
     if path == "tree":
         out = [v * T for v, T in zip(vals, eval_T(st.t_family, vals))]
     elif path == "biconnected":
-        d_vals = st._eval_rooted(st.d_family, vals)
+        d_vals = measure_sums(st.d_family, vals, start=1)
         out = [v * _exp(-d) for v, d in zip(vals, d_vals)]
     else:
         raise DomainError("path must be 'tree' or 'biconnected'")
@@ -499,24 +490,25 @@ def density_exact(st, z, q=None, n_max=None):
 
 def log_xi_series(st, z):
     """Truncated log of the partition function: sum (1/n!) sum phi_n z^n."""
-    return st.phi_series.evaluate(z)
+    return st.phi_series.evaluate(st.measure(z))
 
 
-def _d_tail_sum(st, nu, order_factor=None):
+def _d_tail_sum(st, vals, order_factor=None):
     """sum_{2<=n<=N} c_n (1/n!) sum_x D_n(x_1..x_n) nu^n over full tuples,
     with the optional per-order factor c_n = order_factor(n)."""
     D = st.d_family.coeffs
     fac = order_factor or (lambda n: 1)
     # D_n on a full tuple sits in the family at order n-1, rooted at its first entry
-    series = [{}, {}] + [
+    series = [
         {ms: fac(n) * D[n - 1][(ms[0], ms[1:])] for ms in canonical_indices(st.space.size, n)}
-        for n in range(2, st.N + 1)
+        if n >= 2 else {}
+        for n in range(st.N + 1)
     ]
-    return measure_sums(series, tuple(nu), st.space.weights, start=2)
+    return measure_sums(FormalSeries(st.space, st.N, series, allow_large=True), vals, start=2)
 
 
-def _nonnegative_density(nu, what):
-    vals = tuple(nu)
+def _nonnegative_density(st, nu, what):
+    vals = st.measure(nu).values
     if any(float(v) < 0 for v in vals):
         raise DomainError(f"{what} needs a non-negative density")
     return vals
@@ -530,10 +522,10 @@ def pressure_of_nu(st, nu):
     The sign and the (n-1) weight are pinned by the Tonks equation of state
     beta p = rho/(1 - a rho).  A negative density raises DomainError.
     """
-    vals = _nonnegative_density(nu, "pressure")
+    vals = _nonnegative_density(st, nu, "pressure")
     w = st.space.weights
     ideal = sum(v * wx for v, wx in zip(vals, w))
-    return ideal - _d_tail_sum(st, nu, order_factor=lambda n: n - 1)
+    return ideal - _d_tail_sum(st, vals, order_factor=lambda n: n - 1)
 
 
 def free_energy(st, nu, m=None):
@@ -545,10 +537,8 @@ def free_energy(st, nu, m=None):
     with the convention 0 log 0 = 0.  m defaults to the unit density; a
     negative density or reference measure raises DomainError.
     """
-    vals = _nonnegative_density(nu, "free energy")
-    if m is None:
-        m = (1,) * st.space.size
-    m = tuple(m)
+    vals = _nonnegative_density(st, nu, "free energy")
+    m = (1,) * st.space.size if m is None else st.measure(m).values
     if any(float(v) < 0 for v in m):
         raise DomainError("free energy needs a non-negative reference measure")
     w = st.space.weights
@@ -560,7 +550,7 @@ def free_energy(st, nu, m=None):
         if float(m[x]) == 0:
             raise DomainError("density has mass outside the reference measure")
         entropy += fv * (math.log(fv / float(m[x])) - 1) * float(w[x])
-    return entropy - float(_d_tail_sum(st, nu))
+    return entropy - float(_d_tail_sum(st, vals))
 
 
 def dissymmetry_check(st, N=None):

@@ -75,10 +75,8 @@ class SpeciesSpace:
         self.weights = tuple(sp.weight for sp in species)
 
     @classmethod
-    def from_weights(cls, weights, payloads=None):
-        if payloads is None:
-            payloads = [None] * len(weights)
-        return cls(Species(i, w, p) for i, (w, p) in enumerate(zip(weights, payloads)))
+    def from_weights(cls, weights):
+        return cls(Species(i, w) for i, w in enumerate(weights))
 
     @classmethod
     def uniform(cls, size, weight=1):

@@ -74,7 +74,7 @@ def eval_T(t, nu, q=None):
 
     With q=None returns the list over all roots, from one pass.
     """
-    sums = measure_sums(t.coeffs, tuple(nu), t.space.weights, roots=t.space.size)
+    sums = measure_sums(t, tuple(nu))
     return sums if q is None else sums[q]
 
 
@@ -84,8 +84,7 @@ def eval_T_abs(t, nu, b):
     Also reports, per root, the implied weight log(partial sum): the
     smallest constant the truncated sum itself would certify.
     """
-    by_order = _majorant_sums(t.coeffs, nu, t.space.weights, t.space.size)
-    sums = [sum(col) for col in zip(*by_order)]
+    sums = [sum(col) for col in zip(*_majorant_sums(t, nu))]
     b = tuple(b)
     margins = tuple(math.exp(float(b[q])) - sums[q] for q in range(t.space.size))
     implied = tuple(math.log(s) if s > 0 else float("-inf") for s in sums)

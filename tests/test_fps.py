@@ -431,6 +431,30 @@ def test_json_bad_scalars_are_domain_errors():
     assert FormalSeries.from_json(json.dumps(pair)).coeffs[2][(0, 1)] == 0.25 + 0.5j
 
 
+def test_json_malformed_documents_are_structure_errors():
+    doc = json.loads(rand_series(35, S2, 2).to_json())
+    edits = [
+        lambda d: d["orders"]["2"][0].update(idx=[1, 0]),  # unsorted
+        lambda d: d["orders"]["1"][0].update(idx=[7]),  # no species 7
+        lambda d: d["orders"]["1"][0].update(idx=[0, 1]),  # wrong length
+        lambda d: d["orders"]["1"][0].update(idx=[True]),
+        lambda d: d["orders"]["1"][0].pop("value"),
+        lambda d: d["orders"]["1"].append(dict(d["orders"]["1"][0])),  # repeated idx
+        lambda d: d["orders"].update({"3": []}),  # above trunc
+        lambda d: d["orders"].update({"x": []}),
+        lambda d: d.update(trunc="2"),
+        lambda d: d.update(trunc=True),
+        lambda d: d.update(trunc=-1),
+        lambda d: d.update(weights="1/1"),
+    ]
+    for edit in edits:
+        bad = json.loads(json.dumps(doc))
+        edit(bad)
+        with pytest.raises(StructureError):
+            FormalSeries.from_json(json.dumps(bad))
+    assert FormalSeries.from_json(json.dumps(doc)).to_json_dict() == doc
+
+
 def test_desk_scale_guards():
     with pytest.raises(CapabilityError):
         FormalSeries.zero(S2, errors.DESK_MAX_ORDER + 1)

@@ -413,7 +413,10 @@ def test_hard_core_d_table_matches_d_coeff():
         for p, (i, j) in enumerate(pair_order(4)):
             if (mask >> p) & 1:
                 f[i][j] = f[j][i] = -1
-        assert table[mask] == d_coeff(f, (0, 1, 2, 3))
+        assert table[mask] == d_coeff_enumerated(f, (0, 1, 2, 3))
+    assert hard_core_d_table(4) is table
+    with pytest.raises(ValueError):
+        table[0] = 1
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,20 @@ def test_gcstate_validation():
         GCState(SpeciesSpace.uniform(3), mayer=st.mayer)
 
 
+def test_maps_refuse_a_measure_of_the_wrong_length():
+    st = mix_state(N=3)
+    calls = [
+        inv.rho_of_z, inv.zeta_of_nu, inv.log_xi_series, inv.pressure_of_nu,
+        inv.free_energy, inv.check_PU, inv.check_Sb, inv.check_Sab, inv.check_virMb,
+        lambda st, nu: inv.check_dissym_b(st, nu, 1.0),
+        lambda st, nu: inv.free_energy(st, [Fraction(1, 10)] * 2, m=nu),
+    ]
+    for nu in ([Fraction(1, 10)], [Fraction(1, 10)] * 3):
+        for call in calls:
+            with pytest.raises(StructureError, match="measure length"):
+                call(st, nu)
+
+
 def test_gcstate_from_potential_roundtrip():
     space, pot = load_species_json(fixture_text("hardcore_pair.json"))
     st = GCState.from_potential(pot, N=3)
