@@ -21,7 +21,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .certs import BoundCertificate, _grid_search
+from .certs import BoundCertificate, certify, check_weights
 from .errors import CapabilityError, CertificateError, DomainError, StructureError
 from .fps import measure_sums, sym_factor
 from .graphs import hard_core_d_table
@@ -152,14 +152,7 @@ class MixtureSpec:
             raise DomainError("radii must be positive")
         if any(r < 0 for r in self.rho):
             raise DomainError("densities must be non-negative")
-        if (self.a is None) != (self.b is None):
-            raise StructureError("give both weight sequences or neither")
-        if self.a is not None and not len(self.a) == len(self.b) == len(self.radii):
-            raise StructureError("weight sequences must align with radii")
-        if self.a is not None and any(
-            not 0 <= ak <= bk for ak, bk in zip(self.a, self.b)
-        ):
-            raise DomainError("weights need b >= a >= 0")
+        check_weights(len(self.radii), self.a, self.b)
 
     @classmethod
     def from_json(cls, source):
@@ -237,16 +230,6 @@ def _mixture_margins(ms, a, b):
     )
 
 
-def _mixture_cert(ms):
-    if ms.a is not None:
-        m = _mixture_margins(ms, ms.a, ms.b)
-        return BoundCertificate("mix_ab", m, a=tuple(ms.a), b=tuple(ms.b))
-    K = len(ms.radii)
-    return _grid_search(
-        "mix_ab", lambda c: ((c,) * K, (c,) * K), lambda ab: _mixture_margins(ms, *ab)
-    )
-
-
 def _mc_mixture_triple(ms, k, combo, samples, seed, stream, threads):
     """MC estimate and stderr of integral of D_4(0^(k), x^(l1), x^(l2), x^(l3)),
     over 32 batches of ``kernels.mc_batches`` on the given stream."""
@@ -279,14 +262,14 @@ def invert_mixture(ms, N, samples=100_000, seed=0, threads=1):
     """
     if N > 3:
         raise CapabilityError("mixture integrals implemented through order 3")
-    cert = _mixture_cert(ms)
+    K = len(ms.radii)
+    cert = certify("mix_ab", lambda a, b: _mixture_margins(ms, a, b), K, a=ms.a, b=ms.b)
     if not cert.passed:
         raise CertificateError(
             "mixture densities fail the activity condition; "
             f"worst margin {cert.worst_margin:.4g}",
             certificate=cert,
         )
-    K = len(ms.radii)
     radii = ms.radii
     rho = ms.rho
     mc_rows = []

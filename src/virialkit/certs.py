@@ -1,13 +1,18 @@
 """Certificates and residual reports shared by the bound checks.
 
-This module holds the certificate policy: when a certificate passes and how
-constant weights are searched when the caller gives none.
+This module holds the certificate policy: when a certificate passes, and
+the one path every weighted condition (PU, Sb, Sab, virMb, mix_ab) takes
+through ``certify``.  It checks the caller's weight vectors, searches the
+constant weights of ``AB_GRID`` when the caller gives none, and builds the
+certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+from .errors import DomainError, StructureError
 
 AB_GRID = tuple(Fraction(5 * k, 100) for k in range(1, 61))
 
@@ -52,19 +57,56 @@ class BoundCertificate:
         }
 
 
-def _grid_search(condition, make_ab, margins_fn, trunc=None):
-    """Best certificate over the constant weights c of ``AB_GRID``: a pass
-    beats a fail, then the larger worst margin, then the smaller c.
+def weight_vector(name, vec, size):
+    """``vec`` as a tuple of one weight per species, else StructureError."""
+    vec = tuple(vec)
+    if len(vec) != size:
+        raise StructureError(f"weight {name} needs {size} entries, one per species; got {len(vec)}")
+    return vec
 
-    ``make_ab(c)`` gives the weight pair (a, b) for the float constant c, and
-    ``margins_fn((a, b))`` the margins at that pair.
+
+def check_weights(size, a=None, b=None, reads="ab"):
+    """The caller's weights (a, b) as tuples of one non-negative entry per
+    species; a condition that ``reads`` both needs both or neither, with
+    a <= b entrywise.  A wrong shape raises StructureError, a wrong value
+    DomainError."""
+    a = None if a is None else weight_vector("a", a, size)
+    b = None if b is None else weight_vector("b", b, size)
+    for name, vec in (("a", a), ("b", b)):
+        if vec is not None and any(v < 0 for v in vec):
+            raise DomainError(f"weight {name} must be non-negative")
+    if reads == "ab" and (a is None) != (b is None):
+        raise StructureError("give both a and b or neither")
+    if a is not None and b is not None and any(av > bv for av, bv in zip(a, b)):
+        raise DomainError("combined condition needs a <= b entrywise")
+    return a, b
+
+
+def certify(condition, margins_for, size, a=None, b=None, reads="ab", trunc=None,
+            notes="", extras=None, grid_margins=None):
+    """Certificate of a weighted condition on ``size`` species, whose margins
+    at a weight pair are ``margins_for(a, b)``.  ``reads`` names the weights
+    the condition reads ("a", "b" or "ab"); the caller passes only those.
+
+    Given weights pass ``check_weights`` and the certificate carries them with
+    ``notes`` and ``extras``.  With none given, each constant c of ``AB_GRID``
+    fills the weights read, as a float, and the best certificate wins: a pass
+    beats a fail, then the larger worst margin, then the smaller c.  On the
+    grid, ``grid_margins(c)`` replaces ``margins_for`` when given.
     """
+    a, b = check_weights(size, a, b, reads)
+    if a is not None or b is not None:
+        return BoundCertificate(
+            condition, margins_for(a, b), a=a, b=b, trunc=trunc, notes=notes,
+            extras=extras or {},
+        )
 
     def cert_at(c):
-        ab = make_ab(float(c))
+        c = float(c)
+        a, b = ((c,) * size if w in reads else None for w in "ab")
         return BoundCertificate(
-            condition, margins_fn(ab), a=ab[0], b=ab[1], trunc=trunc,
-            notes="constant weights chosen by grid search",
+            condition, margins_for(a, b) if grid_margins is None else grid_margins(c),
+            a=a, b=b, trunc=trunc, notes="constant weights chosen by grid search",
         )
 
     return max(map(cert_at, AB_GRID), key=lambda cert: (cert.passed, cert.worst_margin))

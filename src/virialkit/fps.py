@@ -696,14 +696,21 @@ def _sweep_exact(size, orders, kind, outs, k, g, f, sub, init, subtract):
                 out[ms] = Fraction(total, D) if fraction else total
 
 
+def _check_measure(K, vals):
+    if len(vals) != K.space.size:
+        raise StructureError("measure length must match species count")
+
+
 def measure_sums(K, vals, start=0):
     """sum_n (1/n!) sum_x K_n(x) prod_j nu(x_j) w(x_j) via canonical sums,
     for the values ``vals`` of nu and the weights w of K's space.
 
     A series gives one value, a rooted family one sum per root.  One pass
     serves every root; each root adds its terms in storage order, from
-    order ``start`` on.
+    order ``start`` on.  Values of another length than the species count
+    raise StructureError.
     """
+    _check_measure(K, vals)
     weights = K.space.weights
     rooted = K.rooted
     totals = [0] * K.roots
@@ -733,8 +740,10 @@ def _majorant_sums(G, nu, start=0):
     over canonical tails x, added in storage order, zero coefficients
     skipped, with w the weights of G's space; orders below ``start`` stay
     0.0.  The Sb, virMb, Mb and dissym_b certificates all sum through here,
-    so their rounding is decided here.
+    so their rounding is decided here.  Like ``measure_sums``, it refuses a
+    measure of another length than the species count.
     """
+    _check_measure(G, nu)
     u = [abs(float(v)) * float(wx) for v, wx in zip(nu, G.space.weights)]
     sums = [[0.0] * G.roots for _ in G.coeffs]
     for n in range(start, G.trunc + 1):

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 
-from .certs import BoundCertificate, ResidualReport, _grid_search
+from .certs import BoundCertificate, ResidualReport, certify
 from .errors import CapabilityError, DomainError, StructureError, check_scale, max_order
 from .fps import (
     FormalSeries,
@@ -135,11 +135,6 @@ class GCState:
 # Certificates
 
 
-def _require_nonneg(name, vec):
-    if vec is not None and any(v < 0 for v in vec):
-        raise DomainError(f"weight {name} must be non-negative")
-
-
 def _pair_margins(st, a, expo, nu):
     """Per species x, a(x) - sum_y fbar(x, y) exp(e(y)) |nu|(y) w(y), with
     the exponent vector e added up by the caller."""
@@ -164,21 +159,14 @@ def check_PU(st, z, a=None):
 
     With a=None a constant weight is chosen by grid search.
     """
-    _require_nonneg("a", a)
     z = st.measure(z).values
     S = st.space.size
 
-    def margins_for(avec):
+    def margins_for(avec, _):
         expo = [float(avec[y]) + float(st.beta_B[y]) for y in range(S)]
         return _pair_margins(st, avec, expo, z)
 
-    if a is not None:
-        a = tuple(a)
-        m = margins_for(a)
-        return BoundCertificate("PU", m, a=a)
-    return _grid_search(
-        "PU", lambda c: ((c,) * S, None), lambda ab: margins_for(ab[0])
-    )
+    return certify("PU", margins_for, S, a=a, reads="a")
 
 
 def check_Sb(st, nu, b=None):
@@ -188,34 +176,28 @@ def check_Sb(st, nu, b=None):
 
     The left side is a partial sum through N; the certificate records that.
     """
-    _require_nonneg("b", b)
     nu = st.measure(nu).values
     S = st.space.size
-    if b is None:
-        # per-order sums with the exp(b) factors stripped; a constant b
-        # re-enters as exp(n b)
-        raw = _majorant_sums(st.a_family, nu, start=1)
 
-        def margins_const(c):
-            return tuple(
-                c - sum(raw[n][q] * math.exp(n * c) for n in range(1, st.N + 1))
-                for q in range(S)
-            )
+    def margins_for(_, bvec):
+        # each tail species x carries its exp(b(x)) inside the measure
+        boosted = [abs(float(v)) * math.exp(float(bvec[x])) for x, v in enumerate(nu)]
+        sums = [sum(col) for col in zip(*_majorant_sums(st.a_family, boosted, start=1))]
+        return tuple(float(bvec[q]) - sums[q] for q in range(S))
 
-        return _grid_search(
-            "Sb",
-            lambda c: (None, (c,) * S),
-            lambda ab: margins_const(float(ab[1][0])),
-            trunc=st.N,
+    # on the grid, per-order sums with the exp(b) factors stripped; a
+    # constant b re-enters as exp(n b)
+    raw = None if b is not None else _majorant_sums(st.a_family, nu, start=1)
+
+    def grid_margins(c):
+        return tuple(
+            c - sum(raw[n][q] * math.exp(n * c) for n in range(1, st.N + 1))
+            for q in range(S)
         )
-    b = tuple(b)
-    # each tail species x carries its exp(b(x)) inside the measure
-    boosted = [abs(float(v)) * math.exp(float(b[x])) for x, v in enumerate(nu)]
-    sums = [sum(col) for col in zip(*_majorant_sums(st.a_family, boosted, start=1))]
-    m = tuple(float(b[q]) - sums[q] for q in range(S))
-    return BoundCertificate(
-        "Sb", m, b=b, trunc=st.N,
-        notes="partial sums through the truncation order only",
+
+    return certify(
+        "Sb", margins_for, S, b=b, reads="b", trunc=st.N,
+        notes="partial sums through the truncation order only", grid_margins=grid_margins,
     )
 
 
@@ -224,12 +206,6 @@ def check_Sab(st, nu, a=None, b=None):
 
         sum_y fbar(x, y) exp(a + b + beta B + beta B*)(y) |nu|(y) w(y) <= a(x).
     """
-    _require_nonneg("a", a)
-    _require_nonneg("b", b)
-    if (a is None) != (b is None):
-        raise StructureError("give both a and b or neither")
-    if a is not None and any(av > bv for av, bv in zip(a, b)):
-        raise DomainError("combined condition needs a <= b entrywise")
     nu = st.measure(nu).values
     S = st.space.size
 
@@ -243,15 +219,7 @@ def check_Sab(st, nu, a=None, b=None):
         ]
         return _pair_margins(st, avec, expo, nu)
 
-    if a is not None:
-        a, b = tuple(a), tuple(b)
-        m = margins_for(a, b)
-        return BoundCertificate("Sab", m, a=a, b=b)
-    return _grid_search(
-        "Sab",
-        lambda c: ((c,) * S, (c,) * S),
-        lambda ab: margins_for(ab[0], ab[1]),
-    )
+    return certify("Sab", margins_for, S, a=a, b=b)
 
 
 def check_virMb(st, nu, b=None):
@@ -259,21 +227,15 @@ def check_virMb(st, nu, b=None):
 
         sum_{1<=n<=N} (1/n!) sum_x |D_(n+1)(q; x)| |nu|^n <= b(q).
     """
-    _require_nonneg("b", b)
     nu = st.measure(nu).values
     S = st.space.size
     sums = [sum(col) for col in zip(*_majorant_sums(st.d_family, nu, start=1))]
 
-    def margins_for(bvec):
+    def margins_for(_, bvec):
         return tuple(float(bvec[q]) - sums[q] for q in range(S))
 
-    if b is None:
-        return _grid_search(
-            "virMb", lambda c: (None, (c,) * S), lambda ab: margins_for(ab[1]), trunc=st.N
-        )
-    b = tuple(b)
-    return BoundCertificate(
-        "virMb", margins_for(b), b=b, trunc=st.N,
+    return certify(
+        "virMb", margins_for, S, b=b, reads="b", trunc=st.N,
         notes="partial sums through the truncation order only",
         extras={"sums": tuple(sums)},
     )

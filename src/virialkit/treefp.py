@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from .certs import BoundCertificate, ResidualReport
+from .certs import BoundCertificate, ResidualReport, weight_vector
 from .errors import DomainError
 from .fps import (
     _majorant_sums,
@@ -82,10 +82,11 @@ def eval_T_abs(t, nu, b):
     """Certificate that 1 + sum (1/n!) sum |t_n| |nu|^n <= exp(b(q)) per q.
 
     Also reports, per root, the implied weight log(partial sum): the
-    smallest constant the truncated sum itself would certify.
+    smallest constant the truncated sum itself would certify.  ``b`` needs
+    one entry per root (else StructureError); a negative entry is allowed.
     """
+    b = weight_vector("b", b, t.space.size)
     sums = [sum(col) for col in zip(*_majorant_sums(t, nu))]
-    b = tuple(b)
     margins = tuple(math.exp(float(b[q])) - sums[q] for q in range(t.space.size))
     implied = tuple(math.log(s) if s > 0 else float("-inf") for s in sums)
     return BoundCertificate(
