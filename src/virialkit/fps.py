@@ -44,8 +44,11 @@ denominator, divided once: that one exact division per coefficient keeps
 exactness end to end, and the value equals the term-by-term rational sum.
 Otherwise each coefficient sees its terms in template order with the same
 multiplications and zero-skips, so results do not depend on how many roots
-share a row and floats are identical to the bit.  Only the float majorants
-of the certificates (``_majorant_sums``) leave exact mode.
+share a row and floats are identical to the bit.  ``measure_sums``, the sum
+of a series or family against a measure, has the same two rules: on exact
+values it adds Python ints over one denominator per order and divides once
+per root, and otherwise it adds its terms one at a time.  Only the float
+majorants of the certificates (``_majorant_sums``) leave exact mode.
 """
 
 from __future__ import annotations
@@ -705,16 +708,26 @@ def measure_sums(K, vals, start=0):
     """sum_n (1/n!) sum_x K_n(x) prod_j nu(x_j) w(x_j) via canonical sums,
     for the values ``vals`` of nu and the weights w of K's space.
 
-    A series gives one value, a rooted family one sum per root.  One pass
-    serves every root; each root adds its terms in storage order, from
-    order ``start`` on.  Values of another length than the species count
-    raise StructureError.
+    A series gives one value, a rooted family one sum per root, from order
+    ``start`` on.  Values of another length than the species count raise
+    StructureError.  Two arithmetic rules, like ``_sweep``.  When nu, the
+    weights and every coefficient read are ints or Fractions, the sums run
+    on Python ints (``_measure_sums_exact``); a root's sum is then int 0
+    when every coefficient it reads is 0, and otherwise a Fraction, equal to
+    the term-by-term rational sum.  Otherwise each root adds its terms
+    K_n(x) prod_j nu(x_j) w(x_j) / sym(x) in storage order, one term at a
+    time.
     """
     _check_measure(K, vals)
     weights = K.space.weights
+    orders = range(start, K.trunc + 1)
+    if all(type(v) in _EXACT for v in (*vals, *weights)) and all(
+        type(v) in _EXACT for n in orders for v in K.coeffs[n].values()
+    ):
+        return _measure_sums_exact(K, vals, orders)
     rooted = K.rooted
     totals = [0] * K.roots
-    for n in range(start, K.trunc + 1):
+    for n in orders:
         inv = {}
         for key, v in K.coeffs[n].items():
             if v == 0:
@@ -730,6 +743,43 @@ def measure_sums(K, vals, start=0):
             # a float times a Fraction is the float times float(Fraction)
             totals[q] += term * c[1] if type(term) is float else term * c[0]
     return totals if rooted else totals[0]
+
+
+def _measure_sums_exact(K, vals, orders):
+    """The exact rule of ``measure_sums``.  With u_x = nu(x) w(x) = a_x / E
+    over one denominator E and K over one denominator den(n) per order
+    (``_Numerators``), order n adds num_q(ms) m(ms) over canonical ms for
+    the monomial numerator m(ms) = (n!/sym(ms)) prod_j a_(x_j), built once
+    per ms from its prefix and shared by every root, over D_n = n! E^n
+    den(n).  Each root scales its order totals to the lcm D of the D_n and
+    divides once."""
+    size = K.space.size
+    u = [v * w for v, w in zip(vals, K.space.weights)]
+    E = math.lcm(*(x.denominator for x in u))
+    a = [x.numerator * (E // x.denominator) for x in u]
+    num = _Numerators(_tables(K), size)
+    sums = [[] for _ in num.num]  # per root: (order total, D_n) of live orders
+    prods = {(): 1}
+    for n in range(orders.stop):
+        if n:
+            prods = {ms: prods[ms[:-1]] * a[ms[-1]] for ms in canonical_indices(size, n)}
+        if n < orders.start:
+            continue
+        fact = math.factorial(n)
+        Dn = fact * E**n * num.den(n)
+        row = [(ms, fact // sym_factor(ms) * p) for ms, p in prods.items()]
+        for kq, out in zip(num.num, sums):
+            total, live = 0, False
+            for ms, m in row:
+                k = kq[ms]
+                if k:
+                    live = True
+                    total += k * m
+            if live:
+                out.append((total, Dn))
+    D = math.lcm(*(Dn for out in sums for _, Dn in out))
+    totals = [Fraction(sum(t * (D // Dn) for t, Dn in out), D) if out else 0 for out in sums]
+    return totals if K.rooted else totals[0]
 
 
 def _majorant_sums(G, nu, start=0):

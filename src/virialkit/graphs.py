@@ -20,6 +20,13 @@ edge weight a_p = f_p * L is a Python int; the sums then run in integer
 arithmetic and are divided by a power of L once at the end.  Float entries
 (or a matrix marked ``exact=False``) run the same recursion in floats, and
 the float biconnected sum is vectorized with numpy over the class table.
+
+The family builders stay on the integers too.  On a matrix of ints and
+Fractions they call ``ursell`` and ``d_coeff`` once per distinct pattern of
+pair entries (``per_pattern``), and ``build_A_family`` writes each factor
+1 + f(q, x) as an int b_q(x) over one denominator L_q per root, so that a
+bracket is an int over L_q^n and each coefficient is one quotient.  On any
+other matrix they call per tuple and multiply the factors as they are.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CapabilityError, DomainError
-from .fps import FormalSeries, RootedSeriesFamily, canonical_indices
+from .fps import _EXACT, FormalSeries, RootedSeriesFamily, canonical_indices
 from .species import MayerMatrices
 
 MAX_CLASS_N = {"connected": 8, "biconnected": 8, "tree": 9}
@@ -270,6 +277,40 @@ def hard_core_d_table(m):
 # Family builders
 
 
+def _exact_entries(fm):
+    """Whether every entry of the matrix is an int or a Fraction."""
+    return all(type(v) in _EXACT for row in fm for v in row)
+
+
+def per_pattern(fn, mayer):
+    """xs -> fn(mayer, xs) for ``ursell`` or ``d_coeff``, with one call of fn
+    per distinct pattern of pair entries.
+
+    Both sums read only the tuple's length and its pair entries f(x_i, x_j)
+    in pair order, with their types.  On a matrix of ints and Fractions each
+    entry gets a small int id per (type, value) class, so int -1 and
+    Fraction(-1) stay apart, and the values are kept in a dict local to the
+    returned function, keyed by the length and the ids of the pair entries.
+    Any other matrix calls fn per tuple: equal floats need not be the same
+    entry (-0.0 == 0.0).
+    """
+    fm, _ = _f_matrix(mayer)
+    if not _exact_entries(fm):
+        return lambda xs: fn(mayer, xs)
+    classes = {}
+    ids = [[classes.setdefault((type(v), v), len(classes)) for v in row] for row in fm]
+    values = {}
+
+    def value(xs):
+        key = (len(xs), *[ids[xs[i]][xs[j]] for i, j in pair_order(len(xs))])
+        v = values.get(key)
+        if v is None:
+            v = values[key] = fn(mayer, xs)
+        return v
+
+    return value
+
+
 def build_phi_series(space, mayer, N, allow_large=False):
     """Connected-sum series: order n coefficient is ursell on the tuple.
 
@@ -277,29 +318,57 @@ def build_phi_series(space, mayer, N, allow_large=False):
     order 1 is identically 1.
     """
     out = FormalSeries(space, N, allow_large=allow_large)
+    phi = per_pattern(ursell, mayer)
     for n in range(1, N + 1):
         comp = out.coeffs[n]
         for ms in comp:
-            comp[ms] = ursell(mayer, ms)
+            comp[ms] = phi(ms)
     return out
 
 
 def build_A_family(space, mayer, N, allow_large=False):
-    """Rooted activity coefficients A_n(q; .) for 1 <= n <= N (order 0 is 0)."""
+    """Rooted activity coefficients for 1 <= n <= N (order 0 is 0):
+
+        A_n(q; x) = -(prod_j (1 + f(q, x_j)) - 1) * ursell(x).
+
+    Root q writes its factors as 1 + f(q, x) = b_q(x) / L_q, and the bracket
+    of ms is B = prod_j b_q(x_j) over L_q^n, carried from the bracket of its
+    prefix ms[:-1].  On a matrix of ints and Fractions L_q is the lcm of the
+    denominators of row q, B is an int, and the coefficient is the one
+    quotient (L_q^n - B) ursell(x) / L_q^n: a Fraction exactly when an entry
+    f(q, x_j) or ursell(x) is one, else an int.  Any other matrix has L_q = 1
+    and b_q(x) = 1 + f(q, x), so the factors are multiplied left to right as
+    they are and the coefficient is -(B - 1) ursell(x).
+    """
     fam = RootedSeriesFamily(space, N, allow_large=allow_large)
     fm, _ = _f_matrix(mayer)
-    S = space.size
-    # bracket(q, ms) = prod_j (1 + f(q, x_j)), carried from the prefix
-    # ms[:-1] of the previous order: the same left-to-right products
-    brackets = [{(): 1} for _ in range(S)]
+    exact = _exact_entries(fm)
+    roots = []
+    for row in fm:
+        if exact:
+            L = math.lcm(*(v.denominator for v in row))
+            b = [L + v.numerator * (L // v.denominator) for v in row]
+        else:
+            L, b = 1, [1 + v for v in row]
+        fractions = {x for x, v in enumerate(row) if type(v) is Fraction}
+        roots.append((L, b, fractions))
+    phi = per_pattern(ursell, mayer)
+    brackets = [{(): 1} for _ in roots]
     for n in range(1, N + 1):
         comp = fam.coeffs[n]
-        phis = {ms: ursell(mayer, ms) for ms in canonical_indices(S, n)}
-        for q, prev in enumerate(brackets):
-            fq = fm[q]
-            brackets[q] = cur = {ms: prev[ms[:-1]] * (1 + fq[ms[-1]]) for ms in phis}
-            for ms, bracket in cur.items():
-                comp[(q, ms)] = -(bracket - 1) * phis[ms]
+        phis = {ms: phi(ms) for ms in canonical_indices(space.size, n)}
+        for q, (L, b, fractions) in enumerate(roots):
+            prev = brackets[q]
+            brackets[q] = cur = {ms: prev[ms[:-1]] * b[ms[-1]] for ms in phis}
+            Ln = L**n
+            for ms, B in cur.items():
+                p = phis[ms]
+                if not exact:
+                    comp[(q, ms)] = -(B - Ln) * p
+                elif type(p) is Fraction or not fractions.isdisjoint(ms):
+                    comp[(q, ms)] = Fraction((Ln - B) * p.numerator, Ln * p.denominator)
+                else:
+                    comp[(q, ms)] = (Ln - B) * p // Ln
     return fam
 
 
@@ -314,10 +383,10 @@ def build_D_family(space, mayer, N, allow_large=False):
             f"biconnected family needs order + 1 <= {D_COEFF_MAX}"
         )
     fam = RootedSeriesFamily(space, N, allow_large=allow_large)
+    d = per_pattern(d_coeff, mayer)
     for n in range(1, N + 1):
         comp = fam.coeffs[n]
         for q in range(space.size):
             for ms in canonical_indices(space.size, n):
-                comp[(q, ms)] = d_coeff(mayer, (q,) + ms)
+                comp[(q, ms)] = d((q,) + ms)
     return fam
-

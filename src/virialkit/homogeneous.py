@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError
 from .fps import FormalSeries, exp_series, log_series, mul, sym_factor
-from .graphs import d_coeff, hard_core_d_table, pair_order
+from .graphs import d_coeff, hard_core_d_table, pair_order, per_pattern
 from .kernels import backend_name, mc_batches, mc_mask_sum
 from .species import MayerMatrices, SpeciesSpace
 
@@ -498,8 +498,10 @@ def grid_beta(a, k, n):
     h = Fraction(a) / k
     S = mayer.space.size
     total = Fraction(0)
+    # the ring repeats each pattern of overlaps under translation
+    d = per_pattern(d_coeff, mayer)
     for ms in combinations_with_replacement(range(S), n):
-        v = d_coeff(mayer, (0,) + ms)
+        v = d((0,) + ms)
         if v == 0:
             continue
         total += Fraction(v, sym_factor(ms))

@@ -47,7 +47,7 @@ from .fps import (
     mul,
     sym_factor,
 )
-from .graphs import build_A_family, build_D_family, build_phi_series, d_coeff
+from .graphs import build_A_family, build_D_family, build_phi_series, d_coeff, per_pattern
 from .species import (
     MayerMatrices,
     MeasureVec,
@@ -533,11 +533,13 @@ def dissymmetry_check(st, N=None):
     phi = st.phi_series
     S = st.space.size
     # (m - 1) D_m on every canonical tuple of orders 2..N, one d_coeff call
-    # each; order 1 holds 0, which drops the single-owner templates
+    # per pattern of pair entries; order 1 holds 0, which drops the
+    # single-owner templates
+    d = per_pattern(d_coeff, st.mayer)
     dm = dict.fromkeys(canonical_indices(S, 1), 0)
     for m in range(2, N + 1):
         for ms in canonical_indices(S, m):
-            dm[ms] = (m - 1) * d_coeff(st.mayer, ms)
+            dm[ms] = (m - 1) * d(ms)
     # owner x with the block V: phi_(|V|+1)(x_V, x)
     owner = [
         {v: phi.value(m + 1, v + (x,)) for m in range(N) for v in canonical_indices(S, m)}

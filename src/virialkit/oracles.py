@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapabilityError, DomainError
-from .fps import FormalSeries, set_partitions, subset_splits
+from .fps import FormalSeries, set_partitions, subset_splits, sym_factor
 from .graphs import D_COEFF_MAX, _f_matrix, _prufer_edges, class_masks, pair_order
 from .kernels import mc_batches, mc_rod_mask_sum
 from .species import INF
@@ -67,6 +68,29 @@ def var_derivative(K, q):
         for ms in comp:
             comp[ms] = K.coeffs[n + 1][tuple(sorted((q,) + ms))]
     return out
+
+
+def measure_sums_termwise(K, vals, start=0):
+    """``fps.measure_sums`` one term at a time: each root adds
+    K_n(x) prod_j nu(x_j) w(x_j) * Fraction(1, sym(x)) over canonical x in
+    storage order, from order ``start`` on, skipping zero coefficients.  A
+    root with no nonzero coefficient keeps the int 0.  On float inputs this
+    is the float rule of ``measure_sums`` to the bit (a float times a
+    Fraction is the float times float(Fraction)); on exact inputs it is the
+    rational sum the exact rule must equal, in value and type.
+    """
+    weights = K.space.weights
+    totals = [0] * K.roots
+    for n in range(start, K.trunc + 1):
+        for key, v in K.coeffs[n].items():
+            if v == 0:
+                continue
+            q, ms = key if K.rooted else (0, key)
+            term = v
+            for x in ms:
+                term = term * vals[x] * weights[x]
+            totals[q] += term * Fraction(1, sym_factor(ms))
+    return totals if K.rooted else totals[0]
 
 
 # Dense debug backend: positioned-tuple storage, for cross-checking the

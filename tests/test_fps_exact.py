@@ -19,11 +19,12 @@ from virialkit.fps import (
     compose_measure,
     exp_series,
     log_series,
+    measure_sums,
     mul,
 )
 from virialkit.graphs import build_D_family
 from virialkit.inversion import GCState, dissymmetry_check, extract_d_from_a
-from virialkit.oracles import mul_dense, multi_product, tn_via_trees
+from virialkit.oracles import measure_sums_termwise, mul_dense, multi_product, tn_via_trees
 from virialkit.species import SpeciesSpace
 from virialkit.treefp import compute_tn
 
@@ -45,6 +46,13 @@ mayer_value = hyp.one_of(
     hyp.sampled_from([Fraction(1, P61), Fraction(-1, P61)]),
 )
 weight_value = hyp.sampled_from([1, 2, Fraction(1, 2), Fraction(3, 7), Fraction(P61, 2**60)])
+# activities: zeros, ints, k/16, thirds and sevenths
+activity_value = hyp.one_of(
+    hyp.sampled_from([0, Fraction(0)]),
+    hyp.integers(-2, 3),
+    hyp.builds(Fraction, hyp.integers(-16, 16), hyp.just(16)),
+    hyp.builds(Fraction, hyp.integers(-6, 6), hyp.sampled_from([3, 7])),
+)
 
 
 def draw_series(data, space, N, constant=None):
@@ -147,3 +155,31 @@ def test_type_rule_on_int_tables():
     prod = mul(K, K)
     assert type(prod.coeffs[0][()]) is int
     assert all(type(v) is Fraction for comp in prod.coeffs[1:] for v in comp.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(hyp.integers(1, 3), hyp.integers(0, 4), hyp.integers(0, 2), hyp.booleans(), hyp.data())
+def test_measure_sums_exact_rule_matches_termwise(S, N, start, rooted, data):
+    # the integer rule against the term-by-term rational sum, in value and
+    # type (int 0 for a root whose coefficients read are all 0, else a
+    # Fraction); some roots and orders are all zeros, some activities 0
+    space = SpeciesSpace.from_weights([data.draw(weight_value) for _ in range(S)])
+    zero_roots = data.draw(hyp.sets(hyp.integers(0, S - 1)))
+    zero_orders = data.draw(hyp.sets(hyp.integers(0, N)))
+
+    def coeff(n, q=0):
+        return 0 if q in zero_roots or n in zero_orders else data.draw(exact_value)
+
+    if rooted:
+        K = RootedSeriesFamily.from_function(space, N, lambda n, q, ms: coeff(n, q), allow_large=True)
+    else:
+        K = FormalSeries.from_function(space, N, lambda n, ms: coeff(n), allow_large=True)
+    vals = tuple(data.draw(activity_value) for _ in range(S))
+    got, want = measure_sums(K, vals, start), measure_sums_termwise(K, vals, start)
+    if not rooted:
+        got, want = [got], [want]
+    assert [(v, type(v)) for v in got] == [(v, type(v)) for v in want]
+    # float activities take the term-by-term loop, to the bit
+    fvals = tuple(float(v) for v in vals)
+    got, want = measure_sums(K, fvals, start), measure_sums_termwise(K, fvals, start)
+    assert repr(got) == repr(want)

@@ -394,6 +394,96 @@ def test_a_family_matches_literal_formula(exact):
             assert repr(v) == repr(-(bracket - 1) * ursell(mayer, ms))
 
 
+@settings(max_examples=25, deadline=None)
+@given(data=hyp.data())
+def test_a_family_matches_literal_formula_in_fractions(data):
+    # the integer brackets against -(prod_j (1 + f(q, x_j)) - 1) ursell(x)
+    # in Fraction arithmetic, value and type: a Fraction exactly when an
+    # entry f(q, x_j) or ursell(x) is one; raw lists mixing ints and
+    # Fractions, hard cores and denominators 3, 7 and 16
+    entry = ENTRIES[data.draw(hyp.sampled_from(sorted(ENTRIES)))]
+    S, N = data.draw(hyp.integers(1, 3)), data.draw(hyp.integers(1, 4))
+    f = [[0] * S for _ in range(S)]
+    for i in range(S):
+        for j in range(i, S):
+            f[i][j] = f[j][i] = data.draw(entry)
+    space = SpeciesSpace.uniform(S)
+    for m in (f, MayerMatrices.from_f(space, f, exact=True)):
+        A = build_A_family(space, m, N)
+        for n in range(1, N + 1):
+            for (q, ms), v in A.coeffs[n].items():
+                bracket = 1
+                for x in ms:
+                    bracket = bracket * (1 + f[q][x])
+                want = -(bracket - 1) * ursell(f, ms)
+                assert v == want and type(v) is type(want)
+
+
+def counting(monkeypatch, name):
+    """Count the calls the builders make to graphs.<name>."""
+    calls = []
+    real = getattr(graphs, name)
+
+    def fn(mayer, xs):
+        calls.append(xs)
+        return real(mayer, xs)
+
+    monkeypatch.setattr(graphs, name, fn)
+    return calls
+
+
+def patterns(f, tuples):
+    """Distinct patterns of pair entries, an entry told apart by type and value."""
+    return {
+        (len(xs), tuple((type(f[xs[i]][xs[j]]), f[xs[i]][xs[j]]) for i, j in pair_order(len(xs))))
+        for xs in tuples
+    }
+
+
+def test_builders_call_once_per_pattern(monkeypatch):
+    # hard rods on a line of sites: f = -1 between neighbours, 0 further off
+    S, N = 5, 4
+    f = [[Fraction(-1) if abs(i - j) <= 1 else Fraction(0) for j in range(S)] for i in range(S)]
+    space = SpeciesSpace.uniform(S)
+    mayer = MayerMatrices.from_f(space, f, exact=True)
+    tails = [ms for n in range(1, N + 1) for ms in itertools.combinations_with_replacement(range(S), n)]
+    want_phi, want_d = build_phi_series(space, mayer, N), build_D_family(space, mayer, N)
+    want_A = build_A_family(space, mayer, N)
+    ursell_calls, d_calls = counting(monkeypatch, "ursell"), counting(monkeypatch, "d_coeff")
+    assert build_phi_series(space, mayer, N) == want_phi
+    assert len(ursell_calls) == len(patterns(f, tails)) < len(tails)
+    ursell_calls.clear()
+    assert build_A_family(space, mayer, N) == want_A
+    assert len(ursell_calls) == len(patterns(f, tails))
+    assert build_D_family(space, mayer, N) == want_d
+    rooted = [(q,) + ms for q in range(S) for ms in tails]
+    assert len(d_calls) == len(patterns(f, rooted)) < len(rooted)
+
+
+def test_per_pattern_tells_int_from_fraction(monkeypatch):
+    # -1 and Fraction(-1) are equal but give sums of different types
+    f = [[-1, Fraction(-1)], [Fraction(-1), -1]]
+    calls = counting(monkeypatch, "ursell")
+    phi = graphs.per_pattern(graphs.ursell, f)
+    values = [phi(xs) for xs in [(0, 0), (0, 1), (1, 1), (1, 0)]]
+    assert len(calls) == 2
+    assert [type(v) for v in values] == [int, Fraction, int, Fraction]
+    assert values == [-1, -1, -1, -1]
+
+
+def test_float_builders_call_once_per_tuple(monkeypatch):
+    S, N = 2, 3
+    f = [[-1.0, -1.0], [-1.0, -1.0]]
+    space = SpeciesSpace.uniform(S)
+    mayer = MayerMatrices.from_f(space, f, exact=False)
+    ursell_calls, d_calls = counting(monkeypatch, "ursell"), counting(monkeypatch, "d_coeff")
+    build_phi_series(space, mayer, N)
+    build_D_family(space, mayer, N)
+    tails = [ms for n in range(1, N + 1) for ms in itertools.combinations_with_replacement(range(S), n)]
+    assert len(ursell_calls) == len(tails)
+    assert len(d_calls) == S * len(tails)
+
+
 # ---------------------------------------------------------------------------
 # hard-core tables
 
