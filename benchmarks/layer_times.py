@@ -1,0 +1,107 @@
+"""Per-layer times of exact mode on a fixed (S, N) grid, as JSON lines.
+
+    python3 benchmarks/layer_times.py
+
+This is the "Layer times (exact mode)" table of ROADMAP.md.  Every cell times
+one layer on one dense random rational state, the ``rational_state`` recipe
+of tests/conftest.py with seed 7 (f = k/16 with k in [-16, 8], weights k/2
+with k in [1, 4]), built with ``allow_large=True``.  A cell runs in three
+fresh interpreters.  Each one builds, untimed, the layers that the timed
+layer reads, then times that layer once.  The script prints one line per
+cell, in table order:
+
+    {"layer": ..., "S": ..., "N": ..., "seconds": median, "runs": [three times]}
+
+A layer that refuses the shape prints ``"refused"`` with the error message
+in place of the times.  ``d_family`` at S=3, N=6 takes about ten seconds per
+run, and the whole table takes about a minute.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import random
+import statistics
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+SRC = HERE.parent / "src"
+
+SHAPES = ((3, 4), (4, 4), (3, 5), (3, 6), (2, 7))
+SEED = 7
+RUNS = 3
+
+# layer -> (the GCState layers built untimed first, the timed call)
+LAYERS = {
+    "a_family": ((), lambda st, inv: st.a_family),
+    "phi_series": ((), lambda st, inv: st.phi_series),
+    "t_family": (("a_family",), lambda st, inv: st.t_family),
+    "e_family": (("a_family",), lambda st, inv: st.e_family),
+    "extract_d_from_a": (("a_family", "e_family"), lambda st, inv: inv.extract_d_from_a(st)),
+    "d_family": ((), lambda st, inv: st.d_family),
+    "roundtrip_check": (("t_family", "e_family"), lambda st, inv: inv.roundtrip_check(st)),
+}
+
+
+def rational_state(seed, S, N):
+    """tests/conftest.py's ``rational_state``, built with allow_large=True."""
+    from virialkit.inversion import GCState
+    from virialkit.species import MayerMatrices, SpeciesSpace
+
+    r = random.Random(seed)
+    f = [[Fraction(0)] * S for _ in range(S)]
+    for i in range(S):
+        for j in range(i, S):
+            f[i][j] = f[j][i] = Fraction(r.randint(-16, 8), 16)
+    space = SpeciesSpace.from_weights([Fraction(r.randint(1, 4), 2) for _ in range(S)])
+    return GCState(space, mayer=MayerMatrices.from_f(space, f, exact=True), N=N, allow_large=True)
+
+
+def time_cell(layer, S, N):
+    """Time one layer once in this interpreter and print the result as JSON."""
+    import time
+
+    from virialkit import inversion
+    from virialkit.errors import CapabilityError
+
+    deps, call = LAYERS[layer]
+    st = rational_state(SEED, S, N)
+    try:
+        for dep in deps:
+            getattr(st, dep)
+        start = time.perf_counter()
+        call(st, inversion)
+        out = {"seconds": time.perf_counter() - start}
+    except CapabilityError as exc:
+        out = {"refused": f"{type(exc).__name__}: {exc}"}
+    print(json.dumps(out))
+
+
+def run_cell(layer, S, N):
+    """The cell's line: the median of RUNS fresh interpreters, or the refusal."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    code = f"import layer_times; layer_times.time_cell({layer!r}, {S}, {N})"
+    runs = []
+    for _ in range(RUNS):
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=HERE, env=env, capture_output=True, text=True, check=True
+        )
+        out = json.loads(proc.stdout)
+        if "refused" in out:
+            return {"layer": layer, "S": S, "N": N, "refused": out["refused"]}
+        runs.append(out["seconds"])
+    return {"layer": layer, "S": S, "N": N, "seconds": statistics.median(runs), "runs": runs}
+
+
+def main():
+    for layer in LAYERS:
+        for S, N in SHAPES:
+            print(json.dumps(run_cell(layer, S, N)), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -31,10 +31,8 @@ where the substituted measure is G[x; nu] nu(dx):
 accept a rooted family in place of the series K and then act root by root.
 
 Every one of these sums runs through one row kernel (``_sweep``).  At each
-canonical multi-index ms it builds once the keys the sum reads -- the
-sub-multi-indices of ms picked out by the templates ``subset_splits``,
-``set_partitions`` or ``compose_templates`` -- and evaluates that row for
-every root before it moves on.
+canonical multi-index ms it builds once the row the sum reads and evaluates
+it for every root before it moves on.
 
 Scalars may be ints and Fractions (exact mode), floats, or complex, and the
 kernel has two arithmetic rules.  When every value a sum reads is an int or
@@ -42,9 +40,16 @@ a Fraction, each table is put over one denominator per order, and each
 coefficient is a Python-int sum of scaled numerators over one common
 denominator, divided once: that one exact division per coefficient keeps
 exactness end to end, and the value equals the term-by-term rational sum.
-Otherwise each coefficient sees its terms in template order with the same
-multiplications and zero-skips, so results do not depend on how many roots
-share a row and floats are identical to the bit.  ``measure_sums``, the sum
+This rule never walks the templates.  The tails a template reads at ms
+depend only on the run lengths of ms (its runs of equal species), so the
+templates are grouped once per kind and run pattern by what they read, with
+a multinomial count per group (``_template_groups``, built from vector
+partitions without enumerating a template), and a row holds one entry per
+group.  Otherwise (floats, complex) each coefficient sees its terms in the
+template order of ``subset_splits``, ``set_partitions`` or
+``compose_templates``, with the same multiplications and zero-skips, so
+results do not depend on how many roots share a row and floats are
+identical to the bit.  ``measure_sums``, the sum
 of a series or family against a measure, has the same two rules: on exact
 values it adds Python ints over one denominator per order and divides once
 per root, and otherwise it adds its terms one at a time.  Only the float
@@ -460,8 +465,10 @@ def _sweep(size, orders, kind, outs, k, g=None, f=None, sub=None, init=None, sub
     Fraction, each table is put over one denominator per order and every
     coefficient is one Python-int sum over a common denominator D_n, divided
     once (``_sweep_exact``): equal in value to the term-by-term sum, an int
-    exactly when every value read is an int.  Otherwise (floats, complex)
-    each coefficient sees its terms in template order with the same
+    exactly when every value read is an int.  That rule reads the cached
+    template groups of the run pattern of ms, one entry per group, and never
+    the templates.  Otherwise (floats, complex) each coefficient sees its
+    terms template by template, in template order, with the same
     multiplications and zero-skips whatever the number of roots, so floats
     are identical to the bit.
     """
@@ -573,30 +580,120 @@ class _Numerators:
 
 
 @lru_cache(maxsize=None)
-def _template_orders(kind, n):
-    """Per template of ``kind`` at order n, the orders it reads of ``k`` and
-    of the second table (``g`` or ``sub``); a partition reads f[#blocks]."""
-    if kind == "split":
-        shapes = (((len(J),), (len(rest),)) for J, rest in subset_splits(n))
-    elif kind == "partition":
-        shapes = ((tuple(map(len, P)), ()) for P in set_partitions(n))
-    else:
-        shapes = (((len(J),), tuple(map(len, blocks))) for J, blocks in compose_templates(n))
-    # few distinct shapes: keep one object each, not one per template
-    distinct = {}
-    return tuple(distinct.setdefault(shape, shape) for shape in shapes)
+def _count_vectors(runs):
+    """The count vectors c <= runs entrywise (c_r species of run r) of a run
+    pattern, named by their mixed-radix indices i(c) = sum_r c_r stride_r.
+    Index order is lexicographic order, and for c <= v entrywise
+    i(v - c) = i(v) - i(c).  Returns the strides and, per index: the size
+    sum(c), the product of the factorials of c, the indices of every
+    c' <= c in ascending order, and, for c != 0, (the index of c less one
+    unit of its last nonzero run r, r), from which ``_tails`` builds the
+    tails."""
+    stride = [math.prod(x + 1 for x in runs[r + 1:]) for r in range(len(runs))]
+    vectors = list(product(*(range(x + 1) for x in runs)))
+    sizes = [sum(c) for c in vectors]
+    facts = [math.prod(map(math.factorial, c)) for c in vectors]
+    subs = [
+        [sum(map(math.prod, zip(b, stride))) for b in product(*(range(x + 1) for x in c))]
+        for c in vectors
+    ]
+    steps = []
+    for i, c in enumerate(vectors[1:], 1):
+        r = max(r for r, x in enumerate(c) if x)
+        steps.append((i - stride[r], r))
+    return stride, sizes, facts, subs, steps
 
 
 @lru_cache(maxsize=None)
-def _compose_factors(n):
-    """The distinct (owner position j, block V) pairs of ``compose_templates(n)``
-    and, per template, (J, indices of its pairs)."""
-    index = {}
-    owners = tuple(
-        (J, tuple(index.setdefault(jv, len(index)) for jv in zip(J, blocks)))
-        for J, blocks in compose_templates(n)
-    )
-    return tuple(index), owners
+def _template_groups(kind, runs):
+    """The templates of ``kind`` at order n = sum(runs), grouped by the tails
+    they read at any canonical multi-index whose runs of equal species have
+    the lengths ``runs``.  A tail is named by the index of its count vector
+    (``_count_vectors``).  Returns (pairs, groups), with ``pairs`` the
+    distinct (owner run, block tail) factors of a composition, and per group
+
+    "split"      (shape, count, J, rest)
+    "partition"  (shape, count, blocks), one per multiset of block tails
+    "compose"    (shape, count, J, indices of its factors in ``pairs``),
+                 one per tail of J and multiset of (owner run, block tail)
+
+    ``count`` is the number of templates in the group, a multinomial
+    coefficient prod_r runs_r! over the factorials of the block counts and
+    of the multiplicities of equal blocks, so no template is walked.  The
+    block indices of a partition never increase, nor do those of the owners
+    of one run.  ``shape`` is (the orders read of ``k``, the
+    sorted orders read of the second table); a partition reads its sorted
+    block sizes of ``k``.  Every template of a group has the group's shape.
+    """
+    stride, sizes, facts, subs, _ = _count_vectors(runs)
+    top = len(sizes) - 1  # the index of runs itself
+    full = facts[top]
+    pairs, groups = {}, []
+
+    def partitions(v, prev, m, den, blocks):
+        # the largest block left holds a unit of the first nonzero run of v
+        lead = max(x for x in stride if x <= v)
+        for b in subs[v]:
+            if b > prev:
+                break
+            if b < lead:
+                continue
+            k = m + 1 if b == prev else 1
+            if b == v:
+                blocks_b = (*blocks, b)
+                shape = (tuple(sorted(sizes[x] for x in blocks_b)), ())
+                groups.append((shape, full // (den * facts[b] * k), blocks_b))
+            else:
+                partitions(v - b, b, k, den * facts[b] * k, (*blocks, b))
+
+    def owner_blocks(owners, J, i, rest, prev, m, den, blocks):
+        # owners of one run are interchangeable: their blocks never increase
+        same = i > 0 and owners[i] == owners[i - 1]
+        last = i == len(owners) - 1
+        for v in (rest,) if last else subs[rest]:
+            if same and v > prev:
+                break
+            k = m + 1 if same and v == prev else 1
+            if last:
+                blocks_v = (*blocks, v)
+                shape = ((sizes[J],), tuple(sorted(sizes[x] for x in blocks_v)))
+                ids = tuple(pairs.setdefault(rv, len(pairs)) for rv in zip(owners, blocks_v))
+                groups.append((shape, full // (den * facts[v] * k), J, ids))
+            else:
+                owner_blocks(owners, J, i + 1, rest - v, v, k, den * facts[v] * k, (*blocks, v))
+
+    if kind == "partition":
+        if top:
+            partitions(top, top, 0, 1, ())
+        else:
+            groups.append((((), ()), 1, ()))  # the empty partition of order 0
+        return (), tuple(groups)
+    for J in range(top + 1):
+        if kind == "split":
+            shape = ((sizes[J],), (sizes[top - J],))
+            groups.append((shape, full // (facts[J] * facts[top - J]), J, top - J))
+        elif J:
+            owners = [r for r, s in enumerate(stride) for _ in range(J // s % (runs[r] + 1))]
+            owner_blocks(owners, J, 0, top - J, None, 0, 1, ())
+    return tuple(pairs), tuple(groups)
+
+
+def _tails(ms):
+    """The run lengths of a canonical multi-index ms, the species of each
+    run, and the tail of ms at every count vector, by index
+    (``_count_vectors``)."""
+    runs, species = [], []
+    for x in ms:
+        if species and species[-1] == x:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+            species.append(x)
+    runs = tuple(runs)
+    tails = [()]
+    for i, r in _count_vectors(runs)[4]:
+        tails.append(tails[i] + (species[r],))
+    return runs, species, tails
 
 
 def _sweep_exact(size, orders, kind, outs, k, g, f, sub, init, subtract):
@@ -605,22 +702,24 @@ def _sweep_exact(size, orders, kind, outs, k, g, f, sub, init, subtract):
     denominator of f[r]); with D_n the lcm of every d_T and of den(n) of
     ``init``, T is scaled by c_T = D_n // d_T and the coefficient is
     Fraction(total, D_n) for the integer total of c_T times numerators.
-    Templates that read the same tails are merged by adding their scales
-    before any root is evaluated: in a split the tail of ``k`` fixes the
-    tail of ``g``; a partition is keyed by the multiset of its block tails;
-    in a composition the factors of ``sub``, the same for every root, are
-    multiplied into the scale first, so templates merge by the tail of
-    ``k``."""
+
+    The templates are never walked one by one.  Every template that reads
+    the same tails at ms does so at every multi-index with the run lengths
+    of ms, so ``_template_groups`` caches, per kind and run pattern, one
+    representative and a count per group, and a row adds count * c_T once
+    per group.  In a composition the factors of ``sub``, the same for every
+    root, are multiplied into the scale first, and groups merge by the tail
+    of ``k``."""
     K = _Numerators(k, size)
     second = g if g is not None else sub
     G = None if second is None else _Numerators(second, size)
     I = None if init is None else _Numerators(init, size)
     for n in orders:
-        shapes = _template_orders(kind, n)
-        # one d_T per distinct shape; a partition with f[#blocks] == 0 is dead
+        # the one-run pattern has every shape of order n, each once; a
+        # partition with f[#blocks] == 0 is dead
         dens, fnum = {}, {}
         fraction = False
-        for shape in set(shapes):
+        for shape, *_ in _template_groups(kind, (n,) if n else ())[1]:
             ko, so = shape
             if kind == "partition":
                 fr = f[len(ko)]
@@ -637,40 +736,33 @@ def _sweep_exact(size, orders, kind, outs, k, g, f, sub, init, subtract):
             fraction = fraction or I.fraction[n]
         D = math.lcm(*dens.values())
         scale = {shape: D // d * fnum.get(shape, 1) for shape, d in dens.items()}
-        cs = [scale.get(shape) for shape in shapes]
+        scaled = {}  # run pattern -> (pairs, groups with count * c_T)
         for ms in canonical_indices(size, n):
-            key = _subset_keys(ms)
+            runs, species, tails = _tails(ms)
+            if runs not in scaled:
+                pairs, groups = _template_groups(kind, runs)
+                scaled[runs] = pairs, [
+                    (count * scale[shape], *reads)
+                    for shape, count, *reads in groups
+                    if shape in scale
+                ]
+            pairs, groups = scaled[runs]
             if kind == "split":
-                coef, rest_of = {}, {}
-                for (J, rest), c in zip(subset_splits(n), cs):
-                    kj = key[J]
-                    if kj in coef:
-                        coef[kj] += c
-                    else:
-                        coef[kj] = c
-                        rest_of[kj] = key[rest]
-                row = [(c, kj, rest_of[kj]) for kj, c in coef.items()]
+                row = [(c, tails[j], tails[r]) for c, j, r in groups]
             elif kind == "partition":
-                coef = {}
-                for P, c in zip(set_partitions(n), cs):
-                    if c is not None:
-                        kb = tuple(sorted(map(key.__getitem__, P)))
-                        coef[kb] = coef.get(kb, 0) + c
-                row = list(coef.items())
+                row = [(c, [tails[b] for b in blocks]) for c, blocks in groups]
             else:
-                factors, owners = _compose_factors(n)
                 subn = G.num
-                fv = [subn[ms[j]][key[V]] for j, V in factors]
+                fv = [subn[species[r]][tails[v]] for r, v in pairs]
                 coef = {}
-                for (J, ids), c in zip(owners, cs):
+                for c, j, ids in groups:
                     for i in ids:
                         c *= fv[i]
                         if not c:
                             break
                     else:
-                        kj = key[J]
-                        coef[kj] = coef.get(kj, 0) + c
-                row = [(kj, c) for kj, c in coef.items() if c]
+                        coef[j] = coef.get(j, 0) + c
+                row = [(tails[j], c) for j, c in coef.items() if c]
             for q, out in enumerate(outs):
                 kq = K.num[q]
                 total = 0
@@ -683,7 +775,7 @@ def _sweep_exact(size, orders, kind, outs, k, g, f, sub, init, subtract):
                             if b:
                                 total += c * a * b
                 elif kind == "partition":
-                    for blocks, c in row:
+                    for c, blocks in row:
                         for kb in blocks:
                             c *= kq[kb]
                             if not c:

@@ -135,21 +135,33 @@ class GCState:
 # Certificates
 
 
-def _pair_margins(st, a, expo, nu):
-    """Per species x, a(x) - sum_y fbar(x, y) exp(e(y)) |nu|(y) w(y), with
-    the exponent vector e added up by the caller."""
-    vals = [float(abs(v)) for v in nu]
-    w = st.space.weights
-    fbar = st.mayer.f_bar
+def _pair_margins(st, nu, *shifts):
+    """The margins of a pair condition as a function of the weights (a, b):
+    per species x, a(x) - sum_y fbar(x, y) exp(e(y)) |nu|(y) w(y), where
+    e(y) adds a(y), then b(y) unless b is None, then each vector of
+    ``shifts`` at y, as floats, left to right.  The state, the measure and
+    the shifts are converted to floats once, for every weight tried."""
     S = st.space.size
-    return tuple(
-        float(a[x])
-        - sum(
-            float(fbar[x][y]) * math.exp(expo[y]) * vals[y] * float(w[y])
-            for y in range(S)
+    vals = [float(abs(v)) for v in nu]
+    w = [float(v) for v in st.space.weights]
+    fbar = [[float(v) for v in row] for row in st.mayer.f_bar]
+    shifts = [[float(v) for v in vec] for vec in shifts]
+
+    def margins_for(a, b):
+        ex = []
+        for y in range(S):
+            e = float(a[y])
+            if b is not None:
+                e += float(b[y])
+            for vec in shifts:
+                e += vec[y]
+            ex.append(math.exp(e))
+        return tuple(
+            float(a[x]) - sum(fbar[x][y] * ex[y] * vals[y] * w[y] for y in range(S))
+            for x in range(S)
         )
-        for x in range(S)
-    )
+
+    return margins_for
 
 
 def check_PU(st, z, a=None):
@@ -160,13 +172,7 @@ def check_PU(st, z, a=None):
     With a=None a constant weight is chosen by grid search.
     """
     z = st.measure(z).values
-    S = st.space.size
-
-    def margins_for(avec, _):
-        expo = [float(avec[y]) + float(st.beta_B[y]) for y in range(S)]
-        return _pair_margins(st, avec, expo, z)
-
-    return certify("PU", margins_for, S, a=a, reads="a")
+    return certify("PU", _pair_margins(st, z, st.beta_B), st.space.size, a=a, reads="a")
 
 
 def check_Sb(st, nu, b=None):
@@ -207,19 +213,8 @@ def check_Sab(st, nu, a=None, b=None):
         sum_y fbar(x, y) exp(a + b + beta B + beta B*)(y) |nu|(y) w(y) <= a(x).
     """
     nu = st.measure(nu).values
-    S = st.space.size
-
-    def margins_for(avec, bvec):
-        expo = [
-            float(avec[y])
-            + float(bvec[y])
-            + float(st.beta_B[y])
-            + float(st.beta_Bstar[y])
-            for y in range(S)
-        ]
-        return _pair_margins(st, avec, expo, nu)
-
-    return certify("Sab", margins_for, S, a=a, b=b)
+    margins_for = _pair_margins(st, nu, st.beta_B, st.beta_Bstar)
+    return certify("Sab", margins_for, st.space.size, a=a, b=b)
 
 
 def check_virMb(st, nu, b=None):
