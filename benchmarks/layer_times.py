@@ -1,20 +1,24 @@
-"""Per-layer times of exact mode on a fixed (S, N) grid, as JSON lines.
+"""Per-layer times of exact and float mode on fixed (S, N) grids, as JSON lines.
 
     python3 benchmarks/layer_times.py
 
-This is the "Layer times (exact mode)" table of ROADMAP.md.  Every cell times
-one layer on one dense random rational state, the ``rational_state`` recipe
-of tests/conftest.py with seed 7 (f = k/16 with k in [-16, 8], weights k/2
-with k in [1, 4]), built with ``allow_large=True``.  A cell runs in three
-fresh interpreters.  Each one builds, untimed, the layers that the timed
-layer reads, then times that layer once.  The script prints one line per
-cell, in table order:
+These are the "Layer times (exact mode)" and "Layer times (float mode)"
+tables of ROADMAP.md.  An exact cell times one layer on one dense random
+rational state, the ``rational_state`` recipe of tests/conftest.py with seed
+7 (f = k/16 with k in [-16, 8], weights k/2 with k in [1, 4]), built with
+``allow_large=True``.  A float cell times one layer on the soft float state
+of the ``float_wide`` benchmark workload (``soft_state`` of
+perfbench/workloads.py, variant 0: energies in [-0.3, 1.5] at beta 1,
+weights 0.5, 1 or 1.5).  A cell runs in three fresh interpreters.  Each one
+builds, untimed, the layers that the timed layer reads, then times that
+layer once.  The script prints one line per cell, in table order, exact
+table first:
 
-    {"layer": ..., "S": ..., "N": ..., "seconds": median, "runs": [three times]}
+    {"mode": ..., "layer": ..., "S": ..., "N": ..., "seconds": median, "runs": [three times]}
 
 A layer that refuses the shape prints ``"refused"`` with the error message
 in place of the times.  ``d_family`` at S=3, N=6 takes about ten seconds per
-run, and the whole table takes about a minute.
+run, and the whole script takes about two minutes.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 
-SHAPES = ((3, 4), (4, 4), (3, 5), (3, 6), (2, 7))
+SHAPES = {"exact": ((3, 4), (4, 4), (3, 5), (3, 6), (2, 7)), "float": ((8, 4), (10, 4), (12, 4))}
 SEED = 7
 RUNS = 3
 
@@ -45,6 +49,7 @@ LAYERS = {
     "d_family": ((), lambda st, inv: st.d_family),
     "roundtrip_check": (("t_family", "e_family"), lambda st, inv: inv.roundtrip_check(st)),
 }
+FLOAT_LAYERS = ("t_family", "e_family", "extract_d_from_a", "roundtrip_check", "d_family")
 
 
 def rational_state(seed, S, N):
@@ -61,7 +66,21 @@ def rational_state(seed, S, N):
     return GCState(space, mayer=MayerMatrices.from_f(space, f, exact=True), N=N, allow_large=True)
 
 
-def time_cell(layer, S, N):
+def soft_state(S, N):
+    """perfbench/workloads.py's ``soft_state`` float state, variant 0."""
+    from virialkit.inversion import GCState
+    from virialkit.species import PairPotential, SpeciesSpace
+
+    r = random.Random(f"float_wide/{S}/0")
+    v = [[0.0] * S for _ in range(S)]
+    for i in range(S):
+        for j in range(i, S):
+            v[i][j] = v[j][i] = round(r.uniform(-0.3, 1.5), 3)
+    space = SpeciesSpace.from_weights([r.choice((0.5, 1.0, 1.5)) for _ in range(S)])
+    return GCState(space, pot=PairPotential(space, 1.0, v), N=N)
+
+
+def time_cell(mode, layer, S, N):
     """Time one layer once in this interpreter and print the result as JSON."""
     import time
 
@@ -69,7 +88,7 @@ def time_cell(layer, S, N):
     from virialkit.errors import CapabilityError
 
     deps, call = LAYERS[layer]
-    st = rational_state(SEED, S, N)
+    st = rational_state(SEED, S, N) if mode == "exact" else soft_state(S, N)
     try:
         for dep in deps:
             getattr(st, dep)
@@ -81,26 +100,28 @@ def time_cell(layer, S, N):
     print(json.dumps(out))
 
 
-def run_cell(layer, S, N):
+def run_cell(mode, layer, S, N):
     """The cell's line: the median of RUNS fresh interpreters, or the refusal."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
-    code = f"import layer_times; layer_times.time_cell({layer!r}, {S}, {N})"
+    code = f"import layer_times; layer_times.time_cell({mode!r}, {layer!r}, {S}, {N})"
     runs = []
     for _ in range(RUNS):
         proc = subprocess.run(
             [sys.executable, "-c", code], cwd=HERE, env=env, capture_output=True, text=True, check=True
         )
         out = json.loads(proc.stdout)
+        cell = {"mode": mode, "layer": layer, "S": S, "N": N}
         if "refused" in out:
-            return {"layer": layer, "S": S, "N": N, "refused": out["refused"]}
+            return {**cell, "refused": out["refused"]}
         runs.append(out["seconds"])
-    return {"layer": layer, "S": S, "N": N, "seconds": statistics.median(runs), "runs": runs}
+    return {**cell, "seconds": statistics.median(runs), "runs": runs}
 
 
 def main():
-    for layer in LAYERS:
-        for S, N in SHAPES:
-            print(json.dumps(run_cell(layer, S, N)), flush=True)
+    for mode, layers in (("exact", LAYERS), ("float", FLOAT_LAYERS)):
+        for layer in layers:
+            for S, N in SHAPES[mode]:
+                print(json.dumps(run_cell(mode, layer, S, N)), flush=True)
 
 
 if __name__ == "__main__":

@@ -30,30 +30,36 @@ where the substituted measure is G[x; nu] nu(dx):
 ``mul``, ``compose_univariate``/``exp_series`` and ``compose_measure`` also
 accept a rooted family in place of the series K and then act root by root.
 
-Every one of these sums runs through one row kernel (``_sweep``).  At each
-canonical multi-index ms it builds once the row the sum reads and evaluates
-it for every root before it moves on.
+Every one of these sums runs through one kernel (``_sweep``), which has two
+arithmetic rules.  When every value a sum reads is an int or a Fraction,
+each table is put over one denominator per order, and each coefficient is a
+Python-int sum of scaled numerators over one common denominator, divided
+once: that one exact division per coefficient keeps exactness end to end,
+and the value equals the term-by-term rational sum.  This rule never walks
+the templates.  The tails a template reads at ms depend only on the run
+lengths of ms (its runs of equal species), so the templates are grouped once
+per kind and run pattern by what they read, with a multinomial count per
+group (``_template_groups``, built from vector partitions without
+enumerating a template), and a row holds one entry per group.
 
-Scalars may be ints and Fractions (exact mode), floats, or complex, and the
-kernel has two arithmetic rules.  When every value a sum reads is an int or
-a Fraction, each table is put over one denominator per order, and each
-coefficient is a Python-int sum of scaled numerators over one common
-denominator, divided once: that one exact division per coefficient keeps
-exactness end to end, and the value equals the term-by-term rational sum.
-This rule never walks the templates.  The tails a template reads at ms
-depend only on the run lengths of ms (its runs of equal species), so the
-templates are grouped once per kind and run pattern by what they read, with
-a multinomial count per group (``_template_groups``, built from vector
-partitions without enumerating a template), and a row holds one entry per
-group.  Otherwise (floats, complex) each coefficient sees its terms in the
-template order of ``subset_splits``, ``set_partitions`` or
-``compose_templates``, with the same multiplications and zero-skips, so
-results do not depend on how many roots share a row and floats are
-identical to the bit.  ``measure_sums``, the sum
-of a series or family against a measure, has the same two rules: on exact
-values it adds Python ints over one denominator per order and divides once
-per root, and otherwise it adds its terms one at a time.  Only the float
-majorants of the certificates (``_majorant_sums``) leave exact mode.
+Otherwise (floats, complex) the column rule runs.  At each order n the
+order-m slice of a table is one array over (root, canonical ms of order m);
+each template of ``subset_splits``, ``set_partitions`` or
+``compose_templates`` gathers its operands through index arrays cached per
+position subset and applies its operations, in template order, as
+elementwise steps over every (root, ms) at once, with the zero-skips of the
+term-by-term walk (``oracles.sweep_termwise``).  The arrays are float64,
+with a mask of the lanes that hold ints so each coefficient keeps its
+type, when every value read is a float or an int in {-1, 0, 1}, and
+dtype=object otherwise, so complex values and Fractions among floats get
+Python's own arithmetic lane by lane.  Either way each coefficient sees the
+operations of the term-by-term walk, and floats are identical to the bit.
+
+``measure_sums``, the sum of a series or family against a measure, has two
+rules as well: on exact values it adds Python ints over one denominator per
+order and divides once per root, and otherwise it adds its terms one at a
+time.  Only the float majorants of the certificates (``_majorant_sums``)
+leave exact mode.
 """
 
 from __future__ import annotations
@@ -63,6 +69,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
+
+import numpy as np
 
 from .errors import DomainError, StructureError, check_scale
 from .species import MeasureVec, SpeciesSpace, parse_scalar
@@ -394,7 +402,7 @@ class RootedSeriesFamily(_Coefficients):
 
 
 # ---------------------------------------------------------------------------
-# Row kernel: the one loop behind every template sum
+# Template sums: ``_sweep`` and its exact rule
 
 
 def _tables(X):
@@ -423,22 +431,6 @@ def _packed(K, tables, trunc=None):
     return type(K)(K.space, trunc, coeffs, allow_large=True)
 
 
-@lru_cache(maxsize=None)
-def _subset_prefixes(n):
-    """(J, J[:-1], J[-1]) for every nonempty position subset J of
-    ``subset_splits(n)``, in that order, so prefixes come first."""
-    return tuple((J, J[:-1], J[-1]) for J, _ in subset_splits(n) if J)
-
-
-def _subset_keys(ms):
-    """The sub-multi-index ms_J of ms for every position subset J: every
-    template reads ms at sorted position subsets."""
-    key = {(): ()}
-    for J, prefix, p in _subset_prefixes(len(ms)):
-        key[J] = key[prefix] + (ms[p],)
-    return key
-
-
 def _sweep(size, orders, kind, outs, k, g=None, f=None, sub=None, init=None, subtract=False):
     """Set ``outs[q][ms]`` to the template sum of ``kind`` at ms for every
     canonical ms of the given orders and every root q, in canonical order.
@@ -455,11 +447,11 @@ def _sweep(size, orders, kind, outs, k, g=None, f=None, sub=None, init=None, sub
                  per-root tables of the substituted family, and must already
                  hold every order below n
 
-    A partition or compose sum starts from ``init[q][ms]`` when ``init`` is
-    given, and ``subtract`` subtracts the terms from it.  ``outs`` may also be
+    A sum starts from ``init[q][ms]`` when ``init`` is given, and
+    ``subtract`` subtracts the terms from it.  ``outs`` may also be
     read (as ``k`` or ``sub``) at orders that are complete before the sweep
-    writes them.  The keys a template sum reads at ms are built once per ms
-    and shared by every root.
+    writes them, and at ms itself, which then reads what ``outs`` held
+    before the sweep.
 
     Two arithmetic rules.  When every value the sweep reads is an int or a
     Fraction, each table is put over one denominator per order and every
@@ -467,85 +459,17 @@ def _sweep(size, orders, kind, outs, k, g=None, f=None, sub=None, init=None, sub
     once (``_sweep_exact``): equal in value to the term-by-term sum, an int
     exactly when every value read is an int.  That rule reads the cached
     template groups of the run pattern of ms, one entry per group, and never
-    the templates.  Otherwise (floats, complex) each coefficient sees its
-    terms template by template, in template order, with the same
-    multiplications and zero-skips whatever the number of roots, so floats
-    are identical to the bit.
+    the templates.  Otherwise (floats, complex) the column kernel
+    (``_sweep_columns``) runs each template once per order, as elementwise
+    steps over every root and every ms of that order; each coefficient sees
+    the operations, zero-skips and types of the term-by-term walk
+    (``oracles.sweep_termwise``), so floats are identical to the bit.
     """
     read = [k, g, sub, init, None if f is None else [dict(enumerate(f))]]
     if all(type(v) in _EXACT for x in read if x is not None for t in x for v in t.values()):
         _sweep_exact(size, orders, kind, outs, k, g, f, sub, init, subtract)
-        return
-    for n in orders:
-        for ms in canonical_indices(size, n):
-            key = _subset_keys(ms)
-            if kind == "split":
-                row = [(key[J], key[rest]) for J, rest in subset_splits(n)]
-                for q, out in enumerate(outs):
-                    out[ms] = _split_sum(row, k[q], g[q])
-                continue
-            if kind == "partition":
-                row = [tuple(map(key.__getitem__, blocks)) for blocks in set_partitions(n)]
-            else:
-                row = [
-                    (key[J], tuple(sub[ms[j]][key[V]] for j, V in zip(J, blocks)))
-                    for J, blocks in compose_templates(n)
-                ]
-            for q, out in enumerate(outs):
-                total = 0 if init is None else init[q][ms]
-                if kind == "partition":
-                    out[ms] = _partition_sum(row, k[q], f, total, subtract)
-                else:
-                    out[ms] = _compose_sum(row, k[q], total, subtract)
-
-
-def _split_sum(row, k, g):
-    """sum over splits of k(ms_J) g(ms_rest), skipping zero factors."""
-    total = 0
-    for kj, kr in row:
-        a = k[kj]
-        if a == 0:
-            continue
-        b = g[kr]
-        if b == 0:
-            continue
-        total += a * b
-    return total
-
-
-def _partition_sum(row, k, f, total, subtract):
-    """total +- sum over partitions of f[#blocks] prod_blocks k(ms_b);
-    a partition with f[#blocks] == 0 is skipped."""
-    for blocks in row:
-        term = f[len(blocks)]
-        if term == 0:
-            continue
-        for kb in blocks:
-            term = term * k[kb]
-            if term == 0:
-                break
-        if subtract:
-            total -= term
-        else:
-            total += term
-    return total
-
-
-def _compose_sum(row, k, total, subtract):
-    """total +- sum over templates of k(ms_J) prod factors; zero k skipped."""
-    for kj, factors in row:
-        term = k[kj]
-        if term == 0:
-            continue
-        for g in factors:
-            term = term * g
-            if term == 0:
-                break
-        if subtract:
-            total -= term
-        else:
-            total += term
-    return total
+    else:
+        _sweep_columns(size, orders, kind, outs, k, g, f, sub, init, subtract)
 
 
 _EXACT = frozenset((int, Fraction))
@@ -791,6 +715,187 @@ def _sweep_exact(size, orders, kind, outs, k, g, f, sub, init, subtract):
                 out[ms] = Fraction(total, D) if fraction else total
 
 
+# ---------------------------------------------------------------------------
+# Column kernel: the float and complex rule of ``_sweep``
+
+
+@lru_cache(maxsize=None)
+def _order_index(size, n):
+    """The canonical multi-indices of order n, and for every position subset
+    J of ``subset_splits(n)`` an int array over them: the rank of ms_J among
+    the canonical multi-indices of order |J|.  Templates read ms only at such
+    subsets, so one array per subset serves every template and kind."""
+    keys = tuple(canonical_indices(size, n))
+    rank = [{ms: i for i, ms in enumerate(canonical_indices(size, m))} for m in range(n + 1)]
+    cols = {
+        J: np.fromiter((rank[len(J)][tuple(ms[p] for p in J)] for ms in keys), np.int32, len(keys))
+        for J, _ in subset_splits(n)
+    }
+    return keys, cols
+
+
+def _plain(vals):
+    """Whether float64 holds these values, and Python's arithmetic on them,
+    exactly: floats, and ints in {-1, 0, 1}, whose products stay there and
+    whose sums in a sweep stay far below 2**53."""
+    types = set(map(type, vals))
+    if not types <= {float, int}:
+        return False
+    return int not in types or all(-1 <= v <= 1 for v in vals if type(v) is int)
+
+
+class _Slices:
+    """The order slices a column sweep reads.  The order-m slice of per-root
+    tables is an array over (root, canonical ms of order m): float64 with the
+    mask of its int lanes (None when no lane holds an int), or dtype=object,
+    whose arithmetic is Python's own, lane by lane.  The slice of a table the
+    sweep writes, read at the order being written, is built again at every
+    order, so later orders see what the sweep wrote."""
+
+    def __init__(self, size, outs):
+        self.size = size
+        self.written = {id(t) for t in outs}
+        self.cache = {}
+
+    def _key(self, tables, m, n):
+        return id(tables), m, m >= n and id(tables[0]) in self.written
+
+    def values(self, tables, m, n):
+        """The slice's values, roots outermost, and whether they are plain."""
+        key = self._key(tables, m, n)
+        got = self.cache.get(key)
+        if got is None:
+            keys = _order_index(self.size, m)[0]
+            vals = []
+            for t in tables:
+                vals.extend(map(t.__getitem__, keys))
+            got = self.cache[key] = vals, _plain(vals)
+        return got
+
+    def array(self, tables, m, n, plain):
+        """(values, int mask) of the slice, float64 when ``plain``."""
+        key = (*self._key(tables, m, n), plain)
+        got = self.cache.get(key)
+        if got is None:
+            vals = self.values(tables, m, n)[0]
+            shape = len(tables), -1
+            ints = None
+            if plain:
+                arr = np.array(vals, dtype=float)
+                if int in set(map(type, vals)):
+                    ints = np.array([type(v) is int for v in vals]).reshape(shape)
+            else:
+                arr = np.empty(len(vals), dtype=object)
+                arr[:] = vals
+            got = self.cache[key] = arr.reshape(shape), ints
+        return got
+
+
+def _keep_ints(ints, other, mask):
+    """The int mask of lanes combined with a value whose int mask is
+    ``other``, on the ``mask`` lanes (every lane for None): a lane stays an
+    int only when both are.  None stands for a mask with no int lane."""
+    if ints is None:
+        return None
+    if other is None:
+        return None if mask is None else ints & ~mask
+    return ints & other if mask is None else ints & (other | ~mask)
+
+
+def _sweep_columns(size, orders, kind, outs, k, g, f, sub, init, subtract):
+    """The column rule of ``_sweep``.  At order n every table slice it reads
+    is one array over (root, canonical ms); each template gathers its
+    operands through the cached position-subset index arrays of
+    ``_order_index`` and applies its operations, in template order, as
+    elementwise steps over every lane (root, ms) at once:
+
+    - a lane where k(ms_J) (or, for a split, g(ms_rest)) is 0 adds nothing,
+      and neither does a partition with f[#blocks] == 0;
+    - a product stops multiplying on a lane once it reads 0;
+    - the term is added to, or subtracted from, the lanes that take it.
+
+    Each lane thus sees the operations, in the order, of the term-by-term
+    walk ``oracles.sweep_termwise``.  The dtype is picked per order from
+    every value that order reads: float64 when all are ``_plain``, with an
+    int mask that gives each coefficient the type Python would (an int zero
+    carries no sign: -1 * 0 added to -0.0 gives +0.0); dtype=object
+    otherwise (complex values, Fractions among floats, large ints)."""
+    slices = _Slices(size, outs)
+    accumulate = np.subtract if subtract else np.add
+    with np.errstate(all="ignore"):
+        for n in orders:
+            keys, index = _order_index(size, n)
+            if kind == "split":
+                templates = subset_splits(n)
+                reads = [(t, m) for t in (k, g) for m in range(n + 1)]
+            elif kind == "partition":
+                templates = [P for P in set_partitions(n) if f[len(P)] != 0]
+                reads = [(k, m) for m in {len(b) for P in templates for b in P}]
+            else:
+                templates = compose_templates(n)
+                reads = [(k, m) for m in range(1, n + 1)] + [(sub, m) for m in range(n)]
+            if init is not None:
+                reads.append((init, n))
+            scalars = [f[len(P)] for P in templates] if kind == "partition" else []
+            plain = _plain(scalars) and all(slices.values(t, m, n)[1] for t, m in reads)
+            dtype = float if plain else object
+            shape = len(outs), len(keys)
+
+            def column(tables, J):
+                """(values, int mask, nonzero lanes) of ``tables`` at ms_J."""
+                arr, ints = slices.array(tables, len(J), n, plain)
+                col = arr[:, index[J]]
+                return col, None if ints is None else ints[:, index[J]], col != 0
+
+            def factor(j, V):
+                """(values, int mask) of sub[ms_j](ms_V), the same for every root."""
+                arr, ints = slices.array(sub, len(V), n, plain)
+                at = index[(j,)], index[V]
+                return arr[at], None if ints is None else ints[at]
+
+            if init is None:
+                total = np.zeros(shape, dtype)
+                total_ints = np.ones(shape, bool) if plain else None
+            else:
+                total, total_ints = slices.array(init, n, n, plain)
+                total = total.copy()
+            for template in templates:
+                # the first factor, the lanes that add a term (every lane for
+                # None) and the other factors
+                if kind == "partition":
+                    fr = f[len(template)]
+                    term = np.full(shape, fr, dtype)
+                    term_ints = np.ones(shape, bool) if plain and type(fr) is int else None
+                    live, operands = None, [column(k, b)[:2] for b in template]
+                else:
+                    J, rest = template
+                    term, term_ints, live = column(k, J)
+                    if kind == "split":
+                        b, b_ints, b_live = column(g, rest)
+                        live = live & b_live  # a split skips a zero g as well
+                        operands = [(b, b_ints)]
+                    else:
+                        operands = [factor(j, V) for j, V in zip(J, rest)]
+                nonzero = live
+                for i, (v, v_ints) in enumerate(operands):
+                    if i:
+                        nonzero = term != 0
+                    np.multiply(term, v, out=term, where=True if nonzero is None else nonzero)
+                    term_ints = _keep_ints(term_ints, v_ints, nonzero)
+                if term_ints is not None:
+                    np.add(term, 0.0, out=term, where=term_ints)  # an int zero has no sign
+                accumulate(total, term, out=total, where=True if live is None else live)
+                total_ints = _keep_ints(total_ints, term_ints, live)
+            rows = total.tolist()
+            if total_ints is not None and total_ints.any():
+                rows = [
+                    [int(v) if i else v for v, i in zip(row, row_ints)]
+                    for row, row_ints in zip(rows, total_ints.tolist())
+                ]
+            for out, row in zip(outs, rows):
+                out.update(zip(keys, row))
+
+
 def _check_measure(K, vals):
     if len(vals) != K.space.size:
         raise StructureError("measure length must match species count")
@@ -820,7 +925,7 @@ def measure_sums(K, vals, start=0):
     rooted = K.rooted
     totals = [0] * K.roots
     for n in orders:
-        inv = {}
+        sym = {}
         for key, v in K.coeffs[n].items():
             if v == 0:
                 continue
@@ -828,12 +933,11 @@ def measure_sums(K, vals, start=0):
             term = v
             for x in ms:
                 term = term * vals[x] * weights[x]
-            c = inv.get(ms)
-            if c is None:
-                k = sym_factor(ms)
-                c = inv[ms] = (Fraction(1, k), 1 / k)
+            k = sym.get(ms)
+            if k is None:
+                k = sym[ms] = sym_factor(ms)
             # a float times a Fraction is the float times float(Fraction)
-            totals[q] += term * c[1] if type(term) is float else term * c[0]
+            totals[q] += term * (1 / k) if type(term) is float else term * Fraction(1, k)
     return totals if rooted else totals[0]
 
 
@@ -886,17 +990,18 @@ def _majorant_sums(G, nu, start=0):
     measure of another length than the species count.
     """
     _check_measure(G, nu)
-    u = [abs(float(v)) * float(wx) for v, wx in zip(nu, G.space.weights)]
+    u = [float(abs(v)) * float(wx) for v, wx in zip(nu, G.space.weights)]
     sums = [[0.0] * G.roots for _ in G.coeffs]
     for n in range(start, G.trunc + 1):
         row = sums[n]
+        sym = {ms: sym_factor(ms) for ms in canonical_indices(G.space.size, n)}
         for (q, ms), v in G.coeffs[n].items():
             if v == 0:
                 continue
-            term = abs(float(v))
+            term = float(abs(v))
             for x in ms:
                 term *= u[x]
-            row[q] += term / sym_factor(ms)
+            row[q] += term / sym[ms]
     return sums
 
 

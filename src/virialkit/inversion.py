@@ -187,7 +187,7 @@ def check_Sb(st, nu, b=None):
 
     def margins_for(_, bvec):
         # each tail species x carries its exp(b(x)) inside the measure
-        boosted = [abs(float(v)) * math.exp(float(bvec[x])) for x, v in enumerate(nu)]
+        boosted = [float(abs(v)) * math.exp(float(bvec[x])) for x, v in enumerate(nu)]
         sums = [sum(col) for col in zip(*_majorant_sums(st.a_family, boosted, start=1))]
         return tuple(float(bvec[q]) - sums[q] for q in range(S))
 
@@ -251,7 +251,7 @@ def check_dissym_b(st, nu, budget):
     total = 0.0
     for m in range(1, st.N + 1):
         total += m / (m + 1) * sum(
-            abs(float(v)) * float(wq) * s for v, wq, s in zip(nu, w, sums[m])
+            float(abs(v)) * float(wq) * s for v, wq, s in zip(nu, w, sums[m])
         )
     margin = (float(budget) - total,)
     return BoundCertificate(

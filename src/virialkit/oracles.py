@@ -18,7 +18,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapabilityError, DomainError
-from .fps import FormalSeries, set_partitions, subset_splits, sym_factor
+from .fps import (
+    FormalSeries,
+    canonical_indices,
+    compose_templates,
+    set_partitions,
+    subset_splits,
+    sym_factor,
+)
 from .graphs import D_COEFF_MAX, _f_matrix, _prufer_edges, class_masks, pair_order
 from .kernels import mc_batches, mc_rod_mask_sum
 from .species import INF
@@ -56,6 +63,50 @@ def multi_product(factors):
                 total += term
             comp[ms] = total
     return out
+
+
+def sweep_termwise(size, orders, kind, outs, k, g=None, f=None, sub=None, init=None, subtract=False):
+    """``fps._sweep`` one coefficient and one template at a time: the same
+    arguments and the same sums, each coefficient adding its terms in the
+    template order of ``subset_splits``, ``set_partitions`` or
+    ``compose_templates``, from ``init[q][ms]`` when ``init`` is given, and
+    subtracting them when ``subtract`` is set.  A split skips a template
+    whose k or g factor is 0, a partition one whose f[#blocks] is 0, a
+    composition one whose k factor is 0; a product stops multiplying once it
+    reads 0.  On float and complex values this is the column rule of
+    ``_sweep`` to the bit and in type; on exact values it is the rational sum
+    the exact rule must equal.
+    """
+    by_kind = {"split": subset_splits, "partition": set_partitions, "compose": compose_templates}
+    for n in orders:
+        templates = by_kind[kind](n)
+        for ms in canonical_indices(size, n):
+            key = {J: tuple(ms[p] for p in J) for J, _ in subset_splits(n)}
+            for q, out in enumerate(outs):
+                total = 0 if init is None else init[q][ms]
+                for template in templates:
+                    # the first factor, and the tables and keys of the
+                    # others, which are read only when reached
+                    if kind == "split":
+                        J, rest = template
+                        term, factors = k[q][key[J]], [(g[q], key[rest])]
+                    elif kind == "partition":
+                        term, factors = f[len(template)], [(k[q], key[b]) for b in template]
+                    else:
+                        J, blocks = template
+                        term = k[q][key[J]]
+                        factors = [(sub[ms[j]], key[V]) for j, V in zip(J, blocks)]
+                    if term == 0 or kind == "split" and g[q][key[rest]] == 0:
+                        continue
+                    for table, x in factors:
+                        term = term * table[x]
+                        if term == 0:
+                            break
+                    if subtract:
+                        total -= term
+                    else:
+                        total += term
+                out[ms] = total
 
 
 def var_derivative(K, q):

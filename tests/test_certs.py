@@ -16,7 +16,7 @@ import pytest
 
 from virialkit.apps import MixtureSpec, invert_mixture
 from virialkit.errors import CertificateError, StructureError
-from virialkit.inversion import GCState, check_PU, check_Sab, check_Sb, check_virMb
+from virialkit.inversion import GCState, check_dissym_b, check_PU, check_Sab, check_Sb, check_virMb
 from virialkit.species import MayerMatrices, PairPotential, SpeciesSpace
 from virialkit.treefp import eval_T, eval_T_abs
 
@@ -168,3 +168,23 @@ def test_eval_T_abs_takes_a_negative_weight():
     st = exact_state(N=3)
     cert = eval_T_abs(st.t_family, NU, [-1.0] * 3)
     assert not cert.passed and cert.b == (-1.0,) * 3
+
+
+def test_certificates_take_a_complex_measure():
+    # every certificate reads a density through its modulus |v|
+    space = SpeciesSpace.from_weights([1.0, 0.5])
+    st = GCState(space, pot=PairPotential(space, 1.0, [[0.4, -0.2], [-0.2, 1.1]]), N=3)
+    nu = [0.01 + 0.01j, 0.02]
+    calls = {
+        "PU": lambda m: check_PU(st, m),
+        "Sb/grid": lambda m: check_Sb(st, m),
+        "Sb/given": lambda m: check_Sb(st, m, b=[0.3, 0.2]),
+        "Sab": lambda m: check_Sab(st, m),
+        "virMb": lambda m: check_virMb(st, m),
+        "dissym_b": lambda m: check_dissym_b(st, m, 1.0),
+        "Mb": lambda m: eval_T_abs(st.t_family, m, [0.3, 0.2]),
+    }
+    for name, call in calls.items():
+        cert = call(nu)
+        assert cert.passed, name
+        assert cert.to_dict() == call([abs(v) for v in nu]).to_dict(), name

@@ -31,12 +31,13 @@ from virialkit.fps import (
     exp_series,
     log_series,
     mul,
+    _sweep,
     set_partitions,
     subset_splits,
     sym_factor,
 )
 from virialkit.inversion import GCState, dissymmetry_check, extract_d_from_a
-from virialkit.oracles import dense_component, mul_dense, multi_product, var_derivative
+from virialkit.oracles import dense_component, mul_dense, multi_product, sweep_termwise, var_derivative
 from virialkit.species import MeasureVec, PairPotential, SpeciesSpace
 
 from conftest import rational_state
@@ -648,3 +649,86 @@ def test_complex_routes_golden():
         "0", "(-0-1.5j)", "(0.25-0j)", "(1.75+0j)", "(-1+0.375j)",
         "(0.9375+0j)", "(-0+3j)", "(-0.75-3j)", "(0.5+3.3125j)", "(-1.21875+0j)",
     ]
+
+
+# ---------------------------------------------------------------------------
+# the column kernel against the term-by-term walk, bit for bit and in type
+
+PLAIN_VALUES = hyp.one_of(
+    hyp.sampled_from([0, 0.0, -0.0, 0, 0.0, -1, 1, math.inf, -math.inf, math.nan]),
+    hyp.floats(allow_nan=True, allow_infinity=True),
+)
+WIDE_VALUES = hyp.one_of(
+    PLAIN_VALUES,
+    hyp.builds(complex, hyp.sampled_from([0.0, -0.0, 1.5, -2.0]), hyp.sampled_from([0.0, -0.0, 0.5, -1.0])),
+    hyp.sampled_from([Fraction(1, 3), Fraction(-7, 2), 10**20, -(10**20) - 1, 2]),
+)
+
+
+def _typed_bits(v):
+    """The type of a value and its bits: float.hex for floats and the parts
+    of a complex, repr otherwise."""
+    if type(v) is complex:
+        return "complex", v.real.hex(), v.imag.hex()
+    return type(v).__name__, v.hex() if type(v) is float else repr(v)
+
+
+def _swept(sweep, size, orders, kind, outs, k, **tables):
+    outs = [dict(t) for t in outs]
+    if k is None:
+        k = outs  # the sweep reads what it writes
+    sweep(size, orders, kind, outs, k, **tables)
+    return [[(ms, _typed_bits(v)) for ms, v in out.items()] for out in outs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hyp.data())
+def test_sweep_matches_termwise_walk(data):
+    kind = data.draw(hyp.sampled_from(["split", "partition", "compose"]))
+    size, N, roots = data.draw(hyp.integers(1, 3)), data.draw(hyp.integers(0, 4)), data.draw(hyp.integers(1, 3))
+    # one palette per example, so the float64 dtype is reached as well as
+    # the object one
+    values = data.draw(hyp.sampled_from([PLAIN_VALUES, WIDE_VALUES]))
+
+    def tables(count):
+        keys = [ms for m in range(N + 1) for ms in canonical_indices(size, m)]
+        return [dict(zip(keys, data.draw(hyp.lists(values, min_size=len(keys), max_size=len(keys)))))
+                for _ in range(count)]
+
+    k = tables(roots)
+    extra = {}
+    if kind == "split":
+        extra["g"] = tables(roots)
+    elif kind == "partition":
+        extra["f"] = data.draw(hyp.lists(values, min_size=N + 1, max_size=N + 1))
+    else:
+        extra["sub"] = tables(size)
+    if data.draw(hyp.booleans()):
+        extra["init"] = tables(roots)
+        extra["subtract"] = data.draw(hyp.booleans())
+    lo = data.draw(hyp.integers(0, 1))
+    outs = [{} for _ in range(roots)]
+    if data.draw(hyp.booleans()):
+        # k is outs, as in log_series and extract_d_from_a: the sweep reads
+        # the orders it has written, and at ms itself what outs held before
+        outs, k = k, None
+    read = [t for x in (k, extra.get("g"), extra.get("sub"), extra.get("init")) if x for t in x]
+    if all(type(v) in (int, Fraction) for t in read for v in t.values()):
+        (k or outs)[0][()] = 0.5  # the exact rule is tested in test_fps_exact.py
+    args = size, range(lo, N + 1), kind, outs, k
+    assert _swept(_sweep, *args, **extra) == _swept(sweep_termwise, *args, **extra)
+
+
+def test_sweep_int_zero_has_no_sign():
+    # -1 * 0 is the int 0, and -0.0 + 0 is +0.0; in plain float64 the term
+    # would be -0.0 and the sum -0.0
+    for sweep in (_sweep, sweep_termwise):
+        out = [{}]
+        sweep(1, (1,), "partition", out, [{(): 0, (0,): 0}], f=[0, -1], init=[{(0,): -0.0}])
+        assert _typed_bits(out[0][(0,)]) == ("float", "0x0.0p+0")
+    # an int lane stays an int beside float lanes
+    out = [{}, {}]
+    _sweep(2, (1,), "split", out, [{(): 1, (0,): 1, (1,): -1}, {(): 0.5, (0,): 1, (1,): 0}],
+           g=[{(): 1, (0,): 1, (1,): 1}] * 2)
+    assert out == [{(0,): 2, (1,): 0}, {(0,): 1.5, (1,): 0.5}]
+    assert [type(v) for o in out for v in o.values()] == [int, int, float, float]
