@@ -11,10 +11,14 @@ of the ``float_wide`` benchmark workload (``soft_state`` of
 perfbench/workloads.py, variant 0: energies in [-0.3, 1.5] at beta 1,
 weights 0.5, 1 or 1.5).  A cell runs in three fresh interpreters.  Each one
 builds, untimed, the layers that the timed layer reads, then times that
-layer once.  The script prints one line per cell, in table order, exact
-table first:
+layer once: the cold time, which includes filling the per-process caches
+(template and group tables, index arrays).  It then builds a fresh state of
+the same recipe and times the layer again in the same process: the warm
+time, the steady cost.  The script prints one line per cell, in table
+order, exact table first:
 
-    {"mode": ..., "layer": ..., "S": ..., "N": ..., "seconds": median, "runs": [three times]}
+    {"mode": ..., "layer": ..., "S": ..., "N": ..., "seconds": cold median,
+     "runs": [three cold times], "warm": warm median, "warm_runs": [three warm times]}
 
 A layer that refuses the shape prints ``"refused"`` with the error message
 in place of the times.  ``d_family`` at S=3, N=6 takes about ten seconds per
@@ -81,40 +85,48 @@ def soft_state(S, N):
 
 
 def time_cell(mode, layer, S, N):
-    """Time one layer once in this interpreter and print the result as JSON."""
+    """Time one layer cold, then warm on a fresh state, in this interpreter,
+    and print the two times as JSON."""
     import time
 
     from virialkit import inversion
     from virialkit.errors import CapabilityError
 
     deps, call = LAYERS[layer]
-    st = rational_state(SEED, S, N) if mode == "exact" else soft_state(S, N)
+    out = {}
     try:
-        for dep in deps:
-            getattr(st, dep)
-        start = time.perf_counter()
-        call(st, inversion)
-        out = {"seconds": time.perf_counter() - start}
+        for key in ("seconds", "warm"):
+            st = rational_state(SEED, S, N) if mode == "exact" else soft_state(S, N)
+            for dep in deps:
+                getattr(st, dep)
+            start = time.perf_counter()
+            call(st, inversion)
+            out[key] = time.perf_counter() - start
     except CapabilityError as exc:
         out = {"refused": f"{type(exc).__name__}: {exc}"}
     print(json.dumps(out))
 
 
 def run_cell(mode, layer, S, N):
-    """The cell's line: the median of RUNS fresh interpreters, or the refusal."""
+    """The cell's line: the cold and warm medians of RUNS fresh
+    interpreters, or the refusal."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     code = f"import layer_times; layer_times.time_cell({mode!r}, {layer!r}, {S}, {N})"
-    runs = []
+    cell = {"mode": mode, "layer": layer, "S": S, "N": N}
+    runs, warm = [], []
     for _ in range(RUNS):
         proc = subprocess.run(
             [sys.executable, "-c", code], cwd=HERE, env=env, capture_output=True, text=True, check=True
         )
         out = json.loads(proc.stdout)
-        cell = {"mode": mode, "layer": layer, "S": S, "N": N}
         if "refused" in out:
             return {**cell, "refused": out["refused"]}
         runs.append(out["seconds"])
-    return {**cell, "seconds": statistics.median(runs), "runs": runs}
+        warm.append(out["warm"])
+    return {
+        **cell, "seconds": statistics.median(runs), "runs": runs,
+        "warm": statistics.median(warm), "warm_runs": warm,
+    }
 
 
 def main():

@@ -72,6 +72,15 @@ def _json_scalar(v, mode):
     return v
 
 
+def _json_text(payload):
+    """The JSON text of a payload.  JSON has no NaN or infinity, so a
+    non-finite float is refused as a float range overflow (exit 3)."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, default=str, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise OverflowError("a value is not finite and has no JSON form") from exc
+
+
 def _emit(args, header, rows, extra=None):
     if args.format == "json":
         payload = {
@@ -80,7 +89,7 @@ def _emit(args, header, rows, extra=None):
         }
         if extra:
             payload.update(extra)
-        text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
+        text = _json_text(payload)
     else:
         lines = [",".join(header)]
         lines += [",".join(_fmt(v, args.mode) for v in row) for row in rows]
@@ -264,7 +273,7 @@ def cmd_selftest(args):
 
 def cmd_request(args):
     resp = inversion.run_request(load_doc(args.model))
-    text = json.dumps(resp, indent=2, sort_keys=True, default=str) + "\n"
+    text = _json_text(resp)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

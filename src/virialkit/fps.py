@@ -12,11 +12,10 @@ representative, which realizes the multinomial multiplicities implicitly, so
 no factorials ever appear until a series is summed against a measure.
 
 A rooted family G(q; nu), such as the tree fixed point T, is a series per
-root species q, stored per order under keys (q, ms); a plain series is its
-one-root case, keyed by ms.  ``FormalSeries`` and ``RootedSeriesFamily``
-share one container (construction, ``from_function``, ``scale``,
-``max_abs_diff``, equality), and ``measure_sums``/``_majorant_sums`` read the
-weights and the root count from the series or family they are given.
+root species q, keyed per order by (q, ms); a plain series is its one-root
+case, keyed by ms.  ``FormalSeries`` and ``RootedSeriesFamily`` share one
+container, and ``measure_sums``/``_majorant_sums`` read the weights and the
+root count from the series or family they are given.
 
 The operations mirror the usual algebra of such series: pointwise sum,
 product (subset splitting), composition with a univariate series
@@ -30,36 +29,39 @@ where the substituted measure is G[x; nu] nu(dx):
 ``mul``, ``compose_univariate``/``exp_series`` and ``compose_measure`` also
 accept a rooted family in place of the series K and then act root by root.
 
-Every one of these sums runs through one kernel (``_sweep``), which has two
-arithmetic rules.  When every value a sum reads is an int or a Fraction,
-each table is put over one denominator per order, and each coefficient is a
-Python-int sum of scaled numerators over one common denominator, divided
-once: that one exact division per coefficient keeps exactness end to end,
-and the value equals the term-by-term rational sum.  This rule never walks
-the templates.  The tails a template reads at ms depend only on the run
-lengths of ms (its runs of equal species), so the templates are grouped once
-per kind and run pattern by what they read, with a multinomial count per
-group (``_template_groups``, built from vector partitions without
-enumerating a template), and a row holds one entry per group.
+Each order is stored in the layout its kernel computes in, over (root,
+canonical ms) in storage order.  An order of ints and Fractions is
+``_Exact``: int numerators over one denominator, the lcm of the reduced
+denominators.  Any other order is ``_Columns``: a float64 array with the
+mask of its int lanes when every value is a float or an int in {-1, 0, 1},
+else a dtype=object array.  The kernels read and write these layouts, and
+nothing converts them between calls.  ``coeffs``, one dict per order, is a
+view built on first read, for JSON, ``value``, equality and the oracles.  A
+series holds one copy at a time: reading ``coeffs`` hands out the dicts and
+drops the layouts, so code that writes into those dicts is read back by the
+next kernel use, which converts once and keeps the layout.
 
-Otherwise (floats, complex) the column rule runs.  At each order n the
-order-m slice of a table is one array over (root, canonical ms of order m);
-each template of ``subset_splits``, ``set_partitions`` or
-``compose_templates`` gathers its operands through index arrays cached per
-position subset and applies its operations, in template order, as
-elementwise steps over every (root, ms) at once, with the zero-skips of the
-term-by-term walk (``oracles.sweep_termwise``).  The arrays are float64,
-with a mask of the lanes that hold ints so each coefficient keeps its
-type, when every value read is a float or an int in {-1, 0, 1}, and
-dtype=object otherwise, so complex values and Fractions among floats get
-Python's own arithmetic lane by lane.  Either way each coefficient sees the
-operations of the term-by-term walk, and floats are identical to the bit.
+Every template sum runs through one kernel (``_sweep``), with two arithmetic
+rules.  When every order read is exact, each coefficient is a Python-int sum
+of scaled numerators over one common denominator per order, stored as it
+is: exact end to end, and equal to the term-by-term rational sum.  This
+rule never walks the templates.  The tails a template reads at ms depend
+only on the run lengths of ms (its runs of equal species), so the templates
+are grouped once per kind and sorted run pattern by what they read, with a
+multinomial count per group (``_template_groups``, built from vector
+partitions without enumerating a template), and a row holds one entry per
+group.  Otherwise (floats, complex) the column rule runs each template of
+``subset_splits``, ``set_partitions`` or ``compose_templates`` once per
+order, gathering its operands from the stored arrays through index arrays
+cached per position subset, as elementwise steps over every (root, ms) with
+the zero-skips of the term-by-term walk (``oracles.sweep_termwise``), so
+floats are identical to the bit and each value keeps its type.
 
 ``measure_sums``, the sum of a series or family against a measure, has two
-rules as well: on exact values it adds Python ints over one denominator per
-order and divides once per root, and otherwise it adds its terms one at a
-time.  Only the float majorants of the certificates (``_majorant_sums``)
-leave exact mode.
+rules as well: on exact orders it adds their numerators over one
+denominator per order and divides once per root, and otherwise it adds its
+terms one at a time.  Only the float majorants of the certificates
+(``_majorant_sums``) leave exact mode.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ import json
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, product
 
 import numpy as np
 
@@ -156,14 +158,18 @@ def sym_factor(ms):
 class _Coefficients:
     """Storage shared by FormalSeries and RootedSeriesFamily.
 
-    ``coeffs[n]`` maps every key of order n to its coefficient, for orders
-    0..trunc.  A series is keyed by the canonical multi-index ms, a family by
-    (root q, canonical tail ms), roots outermost; a plain series is the
-    one-root case.  Storage is dense, which keeps equality and residual
-    checks trivial.  Instances are treated as immutable.
+    A series is keyed by the canonical multi-index ms, a family by (root q,
+    canonical tail ms), roots outermost; a plain series is the one-root
+    case.  Storage is dense, over orders 0..trunc, and each order is held in
+    the layout its kernel computes in (``_Exact`` or ``_Columns``).
+    ``coeffs`` is the view of the same values as one dict per order, keys
+    in storage order, built on first read.  A series holds one copy at a
+    time: reading ``coeffs`` hands out the dicts and drops the layouts, so
+    writes into those dicts are what the next kernel use converts back, once.
+    Instances are otherwise treated as immutable.
     """
 
-    __slots__ = ("space", "trunc", "coeffs")
+    __slots__ = ("space", "trunc", "_dicts", "_orders")
     rooted = False
 
     def __init__(self, space, trunc, coeffs=None, allow_large=False):
@@ -172,16 +178,34 @@ class _Coefficients:
         check_scale(order=trunc, species=space.size, allow_large=allow_large)
         self.space = space
         self.trunc = trunc
-        if coeffs is None:
-            coeffs = [dict.fromkeys(self._keys(space.size, n), 0) for n in range(trunc + 1)]
-        self.coeffs = coeffs
+        self._dicts = coeffs
+        self._orders = _start(self.roots, space.size, trunc) if coeffs is None else None
 
-    @classmethod
-    def _keys(cls, size, n):
-        """The keys of order n in storage order."""
-        if cls.rooted:
-            return [(q, ms) for q in range(size) for ms in canonical_indices(size, n)]
-        return canonical_indices(size, n)
+    @property
+    def coeffs(self):
+        """Per order, the dict from every key to its coefficient."""
+        if self._dicts is None:
+            size, rooted = self.space.size, self.rooted
+            self._dicts = [
+                dict(zip(_keys(size, n, rooted), order.values())) for n, order in enumerate(self._orders)
+            ]
+            self._orders = None
+        return self._dicts
+
+    @coeffs.setter
+    def coeffs(self, coeffs):
+        self._dicts, self._orders = coeffs, None
+
+    def _layout(self):
+        """The order layouts, converted from the dicts on first use."""
+        if self._orders is None:
+            size, rooted, roots = self.space.size, self.rooted, self.roots
+            self._orders = [
+                _store(list(map(comp.__getitem__, _keys(size, n, rooted))), roots)
+                for n, comp in enumerate(self._dicts)
+            ]
+            self._dicts = None
+        return self._orders
 
     @property
     def roots(self):
@@ -194,16 +218,17 @@ class _Coefficients:
         fn(order, root, tail multi-index) -> value for a family."""
         out = cls(space, trunc, [], allow_large=allow_large)
         out.coeffs = [
-            {key: fn(n, *key) if cls.rooted else fn(n, key) for key in cls._keys(space.size, n)}
+            {key: fn(n, *key) if cls.rooted else fn(n, key) for key in _keys(space.size, n, cls.rooted)}
             for n in range(trunc + 1)
         ]
         return out
 
-    def _like(self, coeffs):
+    def _like(self, orders):
+        """A series of this type and space with the given order layouts."""
         out = type(self).__new__(type(self))
         out.space = self.space
-        out.trunc = self.trunc
-        out.coeffs = coeffs
+        out.trunc = len(orders) - 1
+        out._dicts, out._orders = None, orders
         return out
 
     def _check_compatible(self, other):
@@ -211,16 +236,13 @@ class _Coefficients:
             raise StructureError("series must share space and truncation order")
 
     def scale(self, c):
-        return self._like([{key: c * v for key, v in comp.items()} for comp in self.coeffs])
+        return self._like([order.scaled(c) for order in self._layout()])
 
     def max_abs_diff(self, other):
         self._check_compatible(other)
         worst = 0
-        for c, d in zip(self.coeffs, other.coeffs):
-            for key, v in c.items():
-                delta = abs(v - d[key])
-                if delta > worst:
-                    worst = delta
+        for x, y in zip(self._layout(), other._layout()):
+            worst = _max_delta(x, y, worst)[0]
         return worst
 
     def __eq__(self, other):
@@ -260,26 +282,20 @@ class FormalSeries(_Coefficients):
         return self.coeffs[n][tuple(sorted(xs))]
 
     def constant(self):
-        return self.coeffs[0][()]
+        return self._layout()[0].values()[0]
 
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other):
         self._check_compatible(other)
         return self._like(
-            [
-                {ms: c[ms] + d[ms] for ms in c}
-                for c, d in zip(self.coeffs, other.coeffs)
-            ]
+            [_store([a + b for a, b in zip(x.values(), y.values())], 1) for x, y in zip(self._layout(), other._layout())]
         )
 
     def __sub__(self, other):
         self._check_compatible(other)
         return self._like(
-            [
-                {ms: c[ms] - d[ms] for ms in c}
-                for c, d in zip(self.coeffs, other.coeffs)
-            ]
+            [_store([a - b for a, b in zip(x.values(), y.values())], 1) for x, y in zip(self._layout(), other._layout())]
         )
 
     def __neg__(self):
@@ -402,105 +418,240 @@ class RootedSeriesFamily(_Coefficients):
 
 
 # ---------------------------------------------------------------------------
-# Template sums: ``_sweep`` and its exact rule
+# Order layouts: each order stored as its kernel computes in it
 
 
-def _tables(X):
-    """Per-root coefficient tables: ``tables[q]`` maps each canonical tail,
-    of any order, to its value.  A plain series is a family with one root."""
-    if not X.rooted:
-        table = {}
-        for comp in X.coeffs:
-            table.update(comp)
-        return [table]
-    tables = [{} for _ in range(X.space.size)]
-    for comp in X.coeffs:
-        for (q, ms), v in comp.items():
-            tables[q][ms] = v
-    return tables
+@lru_cache(maxsize=None)
+def _keys(size, n, rooted):
+    """The keys of order n in storage order: the canonical multi-indices,
+    or (root, ms) pairs with roots outermost."""
+    keys = tuple(canonical_indices(size, n))
+    return tuple((q, ms) for q in range(size) for ms in keys) if rooted else keys
 
 
-def _packed(K, tables, trunc=None):
-    """Per-root tables stored like K: a series, or a family for a family K."""
-    trunc = K.trunc if trunc is None else trunc
-    rooted = K.rooted
-    coeffs = [{} for _ in range(trunc + 1)]
-    for q, table in enumerate(tables):
-        for ms, v in table.items():
-            coeffs[len(ms)][(q, ms) if rooted else ms] = v
-    return type(K)(K.space, trunc, coeffs, allow_large=True)
+@lru_cache(maxsize=None)
+def _rank(size, n):
+    """The position of each canonical multi-index of order n in storage order."""
+    return {ms: i for i, ms in enumerate(canonical_indices(size, n))}
 
 
-def _sweep(size, orders, kind, outs, k, g=None, f=None, sub=None, init=None, subtract=False):
-    """Set ``outs[q][ms]`` to the template sum of ``kind`` at ms for every
-    canonical ms of the given orders and every root q, in canonical order.
+class _Exact:
+    """An order of ints and Fractions, in the layout of the exact rules:
+    the value at root q and the i-th canonical ms is ``num[q][i] / den``,
+    with ``den`` the lcm of the reduced denominators of the order's values.
+    ``frac`` says which values are Fractions: False for none (``den`` is
+    then 1), True for all, else a tuple of one flag per value, roots
+    outermost.  Layouts are never changed in place."""
 
-    ``k`` (and ``g``, ``sub``, ``init``) are per-root tables like ``outs``;
-    each root q reads ``k[q]``:
+    __slots__ = ("num", "den", "frac")
 
-    "split"      sum over (J, rest) of ``subset_splits(n)`` of
-                 k(ms_J) g(ms_rest), reading ``g[q]``
-    "partition"  sum over partitions P of ``set_partitions(n)`` of
-                 f[|P|] prod_blocks k(ms_b), for the scalar list ``f``
-    "compose"    sum over (J, blocks) of ``compose_templates(n)`` of
-                 k(ms_J) prod_(j in J) sub[ms_j](ms_(V_j)); ``sub`` are the
-                 per-root tables of the substituted family, and must already
-                 hold every order below n
+    def __init__(self, num, den=1, frac=False):
+        self.num, self.den, self.frac = num, den, frac
 
-    A sum starts from ``init[q][ms]`` when ``init`` is given, and
-    ``subtract`` subtracts the terms from it.  ``outs`` may also be
-    read (as ``k`` or ``sub``) at orders that are complete before the sweep
-    writes them, and at ms itself, which then reads what ``outs`` held
-    before the sweep.
+    @classmethod
+    def reduced(cls, num, den, frac):
+        """num / den over the lcm of the reduced denominators: den / gcd(den,
+        every numerator), one gcd for the order."""
+        if den > 1:
+            g = math.gcd(den, *chain.from_iterable(num))
+            if g > 1:
+                num = [[v // g for v in row] for row in num]
+                den //= g
+        return cls(num, den, frac)
 
-    Two arithmetic rules.  When every value the sweep reads is an int or a
-    Fraction, each table is put over one denominator per order and every
-    coefficient is one Python-int sum over a common denominator D_n, divided
-    once (``_sweep_exact``): equal in value to the term-by-term sum, an int
-    exactly when every value read is an int.  That rule reads the cached
-    template groups of the run pattern of ms, one entry per group, and never
-    the templates.  Otherwise (floats, complex) the column kernel
-    (``_sweep_columns``) runs each template once per order, as elementwise
-    steps over every root and every ms of that order; each coefficient sees
-    the operations, zero-skips and types of the term-by-term walk
-    (``oracles.sweep_termwise``), so floats are identical to the bit.
-    """
-    read = [k, g, sub, init, None if f is None else [dict(enumerate(f))]]
-    if all(type(v) in _EXACT for x in read if x is not None for t in x for v in t.values()):
-        _sweep_exact(size, orders, kind, outs, k, g, f, sub, init, subtract)
-    else:
-        _sweep_columns(size, orders, kind, outs, k, g, f, sub, init, subtract)
+    @property
+    def roots(self):
+        return len(self.num)
+
+    def is_fraction(self, i):
+        """Whether the i-th value, roots outermost, is a Fraction."""
+        return self.frac if type(self.frac) is bool else self.frac[i]
+
+    def values(self):
+        flat, den, frac = chain.from_iterable(self.num), self.den, self.frac
+        if frac is False:
+            return list(flat)
+        if frac is True:
+            return [Fraction(v, den) for v in flat]
+        return [Fraction(v, den) if f else v // den for v, f in zip(flat, frac)]
+
+    def plain(self):
+        return self.frac is False and max(map(max, self.num)) <= 1 and min(map(min, self.num)) >= -1
+
+    def scaled(self, c):
+        """c times every value: on numerators when c is exact."""
+        if type(c) not in _EXACT:
+            return _store([c * v for v in self.values()], self.roots)
+        num = [[v * c.numerator for v in row] for row in self.num]
+        return _Exact.reduced(num, self.den * c.denominator, self.frac if type(c) is int else True)
+
+
+class _Columns:
+    """A float or complex order, in the layout of the column rule: ``arr``
+    over (root, canonical ms), float64 with ``ints`` the mask of the lanes
+    that hold ints (None when no lane does), or dtype=object with ``ints``
+    None and the values themselves in the lanes.  float64 is used exactly
+    when the values are ``_plain``."""
+
+    __slots__ = ("arr", "ints")
+
+    def __init__(self, arr, ints=None):
+        self.arr, self.ints = arr, ints
+
+    @property
+    def roots(self):
+        return self.arr.shape[0]
+
+    def values(self):
+        vals = self.arr.ravel().tolist()
+        if self.ints is None:
+            return vals
+        return [int(v) if i else v for v, i in zip(vals, self.ints.ravel().tolist())]
+
+    def plain(self):
+        return self.arr.dtype != object
+
+    def scaled(self, c):
+        """c times every value: one float64 product when c keeps the lanes
+        plain (an int lane times an int stays an int)."""
+        if self.plain() and (type(c) is float or type(c) is int and -1 <= c <= 1):
+            return _Columns(self.arr * c, self.ints if type(c) is int else None)
+        return _store([c * v for v in self.values()], self.roots)
 
 
 _EXACT = frozenset((int, Fraction))
 
 
-class _Numerators:
-    """Exact per-root tables over one denominator per order: the value at a
-    tail of order m is ``num[q][tail] / den(m)``, with den(m) the lcm of the
-    denominators of every root's order-m values.  Orders are converted on
-    first use, so a table that a sweep writes may be read at orders that are
-    complete by then."""
+def _plain(vals):
+    """Whether float64 holds these values, and Python's arithmetic on them,
+    exactly: floats, and ints in {-1, 0, 1}, whose products stay there and
+    whose sums in a sweep stay far below 2**53."""
+    types = set(map(type, vals))
+    if not types <= {float, int}:
+        return False
+    return int not in types or all(-1 <= v <= 1 for v in vals if type(v) is int)
 
-    def __init__(self, tables, size):
-        self.tables = tables
-        self.size = size
-        self.num = [{} for _ in tables]
-        self.fraction = {}  # order -> whether a Fraction is stored there
-        self._den = {}
 
-    def den(self, m):
-        d = self._den.get(m)
-        if d is None:
-            keys = tuple(canonical_indices(self.size, m))
-            vals = [t[ms] for t in self.tables for ms in keys]
-            d = self._den[m] = math.lcm(*{v.denominator for v in vals})
-            self.fraction[m] = any(type(v) is Fraction for v in vals)
-            for t, num in zip(self.tables, self.num):
-                for ms in keys:
-                    v = t[ms]
-                    num[ms] = v.numerator * (d // v.denominator)
-        return d
+def _array(vals, roots, plain):
+    """(values, int mask) over (root, ms): float64 with the mask of the int
+    lanes (None when there is none) when ``plain``, else dtype=object."""
+    if plain:
+        arr = np.array(vals, dtype=float).reshape(roots, -1)
+        if int not in set(map(type, vals)):
+            return arr, None
+        return arr, np.array([type(v) is int for v in vals]).reshape(roots, -1)
+    arr = np.empty(len(vals), dtype=object)
+    arr[:] = vals
+    return arr.reshape(roots, -1), None
+
+
+def _store(vals, roots):
+    """The layout of one order from its values, roots outermost: ``_Exact``
+    when every value is an int or a Fraction, else ``_Columns``."""
+    types = set(map(type, vals))
+    if types <= _EXACT:
+        den = math.lcm(*(v.denominator for v in vals))
+        flat = [v.numerator * (den // v.denominator) for v in vals]
+        frac = Fraction in types and (int not in types or tuple(type(v) is Fraction for v in vals))
+        width = len(flat) // roots
+        return _Exact([flat[i:i + width] for i in range(0, len(flat), width)], den, frac)
+    return _Columns(*_array(vals, roots, _plain(vals)))
+
+
+def _start(roots, size, trunc, first=0):
+    """Order layouts for a sweep to fill: ``first`` at order 0 of every
+    root, and the int 0 above, which reads as a zero."""
+    return [_store([first] * roots, roots)] + [
+        _Exact([[0] * len(_rank(size, n))] * roots) for n in range(1, trunc + 1)
+    ]
+
+
+def _max_delta(x, y, top=0):
+    """The largest |x - y| over two order layouts of the same keys, against
+    a running maximum ``top``, and whether every delta is 0.  A delta
+    replaces ``top`` when it is larger, or NaN, which then stays; the first
+    largest one wins, with its type (a Fraction when either value is one,
+    an int from two ints, else a float).  Two exact orders compare their
+    numerators over one denominator, two plain orders their float64 arrays,
+    and other orders their values one by one."""
+    if type(x) is _Exact and type(y) is _Exact:
+        if x.den == y.den and x.num == y.num:
+            return top, True
+        D = math.lcm(x.den, y.den)
+        a, b = D // x.den, D // y.den
+        best, at = 0, 0
+        for i, (u, v) in enumerate(zip(chain.from_iterable(x.num), chain.from_iterable(y.num))):
+            d = abs(u * a - v * b)
+            if d > best:
+                best, at = d, i
+        delta = Fraction(best, D) if x.is_fraction(at) or y.is_fraction(at) else best // D
+        return (delta if delta > top else top), False
+    if x.plain() and y.plain():
+        (u, u_ints), (v, v_ints) = _arrays(x, True), _arrays(y, True)
+        delta = np.abs(u - v)
+        if not delta.any():
+            return top, True
+        if np.isnan(delta).any():
+            return math.nan, False
+        i = int(delta.argmax())
+        if delta.flat[i] > top:
+            ints = u_ints is not None and v_ints is not None and u_ints.flat[i] and v_ints.flat[i]
+            top = (int if ints else float)(delta.flat[i])
+        return top, False
+    same = True
+    for v, w in zip(x.values(), y.values()):
+        delta = abs(v - w)
+        same = same and delta == 0
+        if delta > top or delta != delta:
+            top = delta
+    return top, same
+
+
+# ---------------------------------------------------------------------------
+# Template sums: ``_sweep`` and its exact rule
+
+
+def _sweep(size, orders, kind, out, k, g=None, f=None, sub=None, init=None, subtract=False):
+    """Set order n of ``out`` to the template sum of ``kind`` at every
+    canonical ms of order n and every root q, for the given orders in turn.
+
+    ``out``, ``k``, ``g``, ``sub`` and ``init`` are lists of order layouts
+    (``_Exact`` or ``_Columns``), as a series holds them, one row per root;
+    each root q reads row q of ``k`` (and of ``g`` and ``init``):
+
+    "split"      sum over (J, rest) of ``subset_splits(n)`` of
+                 k(ms_J) g(ms_rest)
+    "partition"  sum over partitions P of ``set_partitions(n)`` of
+                 f[|P|] prod_blocks k(ms_b), for the scalar list ``f``
+    "compose"    sum over (J, blocks) of ``compose_templates(n)`` of
+                 k(ms_J) prod_(j in J) sub[ms_j](ms_(V_j)); ``sub`` has
+                 one row per species, the substituted family, and must
+                 already hold every order below n
+
+    A sum starts from ``init`` at ms when ``init`` is given, and
+    ``subtract`` subtracts the terms from it.  ``k`` or ``sub`` may be
+    ``out`` itself: order n is written once it is complete, so the sweep
+    reads the orders it has written, and order n as it was before.
+
+    Two arithmetic rules, picked from every order of every list read (and
+    ``f``).  When every one is ``_Exact``, each coefficient is one
+    Python-int sum of numerators over a common denominator D_n
+    (``_sweep_exact``), and order n is stored as those numerators over D_n
+    reduced by one gcd: equal in value to the term-by-term sum, an int
+    exactly when every value read is an int.  That rule reads the cached
+    template groups of the run pattern of ms, one entry per group, and
+    never the templates.  Otherwise (floats, complex) the column rule
+    (``_sweep_columns``) runs each template once per order, as elementwise
+    steps over the stored arrays of every root and ms of that order; each
+    coefficient sees the operations, zero-skips and types of the
+    term-by-term walk (``oracles.sweep_termwise``), so floats are
+    identical to the bit.  No table is converted to a dict.
+    """
+    read = [o for X in (k, g, sub, init) if X is not None for o in X]
+    if all(type(o) is _Exact for o in read) and all(type(v) in _EXACT for v in f or ()):
+        _sweep_exact(size, orders, kind, out, k, g, f, sub, init, subtract)
+    else:
+        _sweep_columns(size, orders, kind, out, k, g, f, sub, init, subtract)
 
 
 @lru_cache(maxsize=None)
@@ -532,7 +683,8 @@ def _count_vectors(runs):
 def _template_groups(kind, runs):
     """The templates of ``kind`` at order n = sum(runs), grouped by the tails
     they read at any canonical multi-index whose runs of equal species have
-    the lengths ``runs``.  A tail is named by the index of its count vector
+    the lengths ``runs``; the kernel asks for sorted patterns only, through
+    ``_groups``.  A tail is named by the index of its count vector
     (``_count_vectors``).  Returns (pairs, groups), with ``pairs`` the
     distinct (owner run, block tail) factors of a composition, and per group
 
@@ -620,30 +772,76 @@ def _tails(ms):
     return runs, species, tails
 
 
-def _sweep_exact(size, orders, kind, outs, k, g, f, sub, init, subtract):
+@lru_cache(maxsize=None)
+def _groups(kind, runs):
+    """``_template_groups`` at any run pattern: the table of the sorted
+    pattern, built once for every permutation of it, with its runs
+    relabelled.  The sorted pattern's run s is run ``order[s]`` here, so
+    its count vector c' is the count vector c with c[order[s]] = c'[s]."""
+    order = sorted(range(len(runs)), key=runs.__getitem__)
+    key = tuple(runs[r] for r in order)
+    pairs, groups = _template_groups(kind, key)
+    if key == runs:
+        return pairs, groups
+    stride = _count_vectors(runs)[0]
+    to = [
+        sum(x * stride[order[s]] for s, x in enumerate(c))
+        for c in product(*(range(x + 1) for x in key))
+    ]
+    if kind == "split":
+        groups = [(shape, count, to[j], to[r]) for shape, count, j, r in groups]
+    elif kind == "partition":
+        groups = [(shape, count, tuple(to[b] for b in blocks)) for shape, count, blocks in groups]
+    else:
+        pairs = tuple((order[r], to[v]) for r, v in pairs)
+        groups = [(shape, count, to[j], ids) for shape, count, j, ids in groups]
+    return pairs, tuple(groups)
+
+
+@lru_cache(maxsize=None)
+def _tail_index(size, n):
+    """Per canonical ms of order n, in order: its run lengths, the species
+    of each run, and per count vector (``_count_vectors``) the position of
+    the tail of ms there among the canonical multi-indices of orders 0, 1,
+    ..., n in turn, which is where ``_numerators`` puts its numerator."""
+    offset = [0]
+    for m in range(n):
+        offset.append(offset[-1] + len(_rank(size, m)))
+    out = []
+    for ms in canonical_indices(size, n):
+        runs, species, tails = _tails(ms)
+        out.append((runs, species, [offset[len(t)] + _rank(size, len(t))[t] for t in tails]))
+    return tuple(out)
+
+
+def _numerators(X, n):
+    """Per root, the numerators of orders 0..n of exact layouts in one list."""
+    return [list(chain.from_iterable(X[m].num[q] for m in range(n + 1))) for q in range(X[0].roots)]
+
+
+def _sweep_exact(size, orders, kind, out, k, g, f, sub, init, subtract):
     """The exact rule of ``_sweep``.  At order n a template T that reads the
     orders m_1.. of its tables (and f[r]) has d_T = prod den(m_i) (times the
-    denominator of f[r]); with D_n the lcm of every d_T and of den(n) of
-    ``init``, T is scaled by c_T = D_n // d_T and the coefficient is
-    Fraction(total, D_n) for the integer total of c_T times numerators.
+    denominator of f[r]); with D_n the lcm of every d_T and of the
+    denominator of ``init`` at n, T is scaled by c_T = D_n // d_T and the
+    coefficient is total / D_n for the integer total of c_T times
+    numerators.  The totals are stored as they are, over D_n divided by
+    their gcd with it.
 
     The templates are never walked one by one.  Every template that reads
     the same tails at ms does so at every multi-index with the run lengths
-    of ms, so ``_template_groups`` caches, per kind and run pattern, one
-    representative and a count per group, and a row adds count * c_T once
-    per group.  In a composition the factors of ``sub``, the same for every
-    root, are multiplied into the scale first, and groups merge by the tail
-    of ``k``."""
-    K = _Numerators(k, size)
+    of ms, so ``_template_groups`` caches, per kind and sorted run pattern,
+    one representative and a count per group, and a row adds count * c_T
+    once per group.  In a composition the factors of ``sub``, the same for
+    every root, are multiplied into the scale first, and groups merge by
+    the tail of ``k``."""
     second = g if g is not None else sub
-    G = None if second is None else _Numerators(second, size)
-    I = None if init is None else _Numerators(init, size)
     for n in orders:
         # the one-run pattern has every shape of order n, each once; a
         # partition with f[#blocks] == 0 is dead
         dens, fnum = {}, {}
         fraction = False
-        for shape, *_ in _template_groups(kind, (n,) if n else ())[1]:
+        for shape, *_ in _groups(kind, (n,) if n else ())[1]:
             ko, so = shape
             if kind == "partition":
                 fr = f[len(ko)]
@@ -651,20 +849,22 @@ def _sweep_exact(size, orders, kind, outs, k, g, f, sub, init, subtract):
                     continue
                 d, frac, fnum[shape] = fr.denominator, type(fr) is Fraction, fr.numerator
             else:
-                d = math.prod(G.den(m) for m in so)
-                frac = any(G.fraction[m] for m in so)
-            dens[shape] = d * math.prod(K.den(m) for m in ko)
-            fraction = fraction or frac or any(K.fraction[m] for m in ko)
-        if I is not None:
-            dens["init"] = I.den(n)
-            fraction = fraction or I.fraction[n]
+                d = math.prod(second[m].den for m in so)
+                frac = any(second[m].frac is not False for m in so)
+            dens[shape] = d * math.prod(k[m].den for m in ko)
+            fraction = fraction or frac or any(k[m].frac is not False for m in ko)
+        if init is not None:
+            dens["init"] = init[n].den
+            fraction = fraction or init[n].frac is not False
         D = math.lcm(*dens.values())
         scale = {shape: D // d * fnum.get(shape, 1) for shape, d in dens.items()}
+        K = _numerators(k, n)
+        G = None if second is None else _numerators(second, n)
+        nums = [[] for _ in K]
         scaled = {}  # run pattern -> (pairs, groups with count * c_T)
-        for ms in canonical_indices(size, n):
-            runs, species, tails = _tails(ms)
+        for i, (runs, species, tails) in enumerate(_tail_index(size, n)):
             if runs not in scaled:
-                pairs, groups = _template_groups(kind, runs)
+                pairs, groups = _groups(kind, runs)
                 scaled[runs] = pairs, [
                     (count * scale[shape], *reads)
                     for shape, count, *reads in groups
@@ -676,22 +876,20 @@ def _sweep_exact(size, orders, kind, outs, k, g, f, sub, init, subtract):
             elif kind == "partition":
                 row = [(c, [tails[b] for b in blocks]) for c, blocks in groups]
             else:
-                subn = G.num
-                fv = [subn[species[r]][tails[v]] for r, v in pairs]
+                fv = [G[species[r]][tails[v]] for r, v in pairs]
                 coef = {}
                 for c, j, ids in groups:
-                    for i in ids:
-                        c *= fv[i]
+                    for x in ids:
+                        c *= fv[x]
                         if not c:
                             break
                     else:
                         coef[j] = coef.get(j, 0) + c
                 row = [(tails[j], c) for j, c in coef.items() if c]
-            for q, out in enumerate(outs):
-                kq = K.num[q]
+            for q, kq in enumerate(K):
                 total = 0
                 if kind == "split":
-                    gq = G.num[q]
+                    gq = G[q]
                     for c, kj, kr in row:
                         a = kq[kj]
                         if a:
@@ -710,9 +908,10 @@ def _sweep_exact(size, orders, kind, outs, k, g, f, sub, init, subtract):
                         a = kq[kj]
                         if a:
                             total += c * a
-                if I is not None:
-                    total = I.num[q][ms] * scale["init"] + (-total if subtract else total)
-                out[ms] = Fraction(total, D) if fraction else total
+                if init is not None:
+                    total = init[n].num[q][i] * scale["init"] + (-total if subtract else total)
+                nums[q].append(total)
+        out[n] = _Exact.reduced(nums, D, fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -721,74 +920,27 @@ def _sweep_exact(size, orders, kind, outs, k, g, f, sub, init, subtract):
 
 @lru_cache(maxsize=None)
 def _order_index(size, n):
-    """The canonical multi-indices of order n, and for every position subset
-    J of ``subset_splits(n)`` an int array over them: the rank of ms_J among
-    the canonical multi-indices of order |J|.  Templates read ms only at such
-    subsets, so one array per subset serves every template and kind."""
-    keys = tuple(canonical_indices(size, n))
-    rank = [{ms: i for i, ms in enumerate(canonical_indices(size, m))} for m in range(n + 1)]
-    cols = {
-        J: np.fromiter((rank[len(J)][tuple(ms[p] for p in J)] for ms in keys), np.int32, len(keys))
+    """For every position subset J of ``subset_splits(n)``, an int array
+    over the canonical multi-indices ms of order n: the rank of ms_J among
+    the canonical multi-indices of order |J|.  Templates read ms only at
+    such subsets, so one array per subset serves every template and kind."""
+    keys = _keys(size, n, False)
+    return {
+        J: np.fromiter((_rank(size, len(J))[tuple(ms[p] for p in J)] for ms in keys), np.int32, len(keys))
         for J, _ in subset_splits(n)
     }
-    return keys, cols
 
 
-def _plain(vals):
-    """Whether float64 holds these values, and Python's arithmetic on them,
-    exactly: floats, and ints in {-1, 0, 1}, whose products stay there and
-    whose sums in a sweep stay far below 2**53."""
-    types = set(map(type, vals))
-    if not types <= {float, int}:
-        return False
-    return int not in types or all(-1 <= v <= 1 for v in vals if type(v) is int)
-
-
-class _Slices:
-    """The order slices a column sweep reads.  The order-m slice of per-root
-    tables is an array over (root, canonical ms of order m): float64 with the
-    mask of its int lanes (None when no lane holds an int), or dtype=object,
-    whose arithmetic is Python's own, lane by lane.  The slice of a table the
-    sweep writes, read at the order being written, is built again at every
-    order, so later orders see what the sweep wrote."""
-
-    def __init__(self, size, outs):
-        self.size = size
-        self.written = {id(t) for t in outs}
-        self.cache = {}
-
-    def _key(self, tables, m, n):
-        return id(tables), m, m >= n and id(tables[0]) in self.written
-
-    def values(self, tables, m, n):
-        """The slice's values, roots outermost, and whether they are plain."""
-        key = self._key(tables, m, n)
-        got = self.cache.get(key)
-        if got is None:
-            keys = _order_index(self.size, m)[0]
-            vals = []
-            for t in tables:
-                vals.extend(map(t.__getitem__, keys))
-            got = self.cache[key] = vals, _plain(vals)
-        return got
-
-    def array(self, tables, m, n, plain):
-        """(values, int mask) of the slice, float64 when ``plain``."""
-        key = (*self._key(tables, m, n), plain)
-        got = self.cache.get(key)
-        if got is None:
-            vals = self.values(tables, m, n)[0]
-            shape = len(tables), -1
-            ints = None
-            if plain:
-                arr = np.array(vals, dtype=float)
-                if int in set(map(type, vals)):
-                    ints = np.array([type(v) is int for v in vals]).reshape(shape)
-            else:
-                arr = np.empty(len(vals), dtype=object)
-                arr[:] = vals
-            got = self.cache[key] = arr.reshape(shape), ints
-        return got
+def _arrays(order, plain):
+    """(values, int mask) of an order over (root, ms) for the column rule:
+    float64 when ``plain``, else dtype=object.  A stored float64 order is
+    read as it is."""
+    if type(order) is _Columns and order.plain() == plain:
+        return order.arr, order.ints
+    if type(order) is _Exact and plain:  # ints in {-1, 0, 1}
+        arr = np.array(order.num, dtype=float)
+        return arr, np.ones(arr.shape, bool)
+    return _array(order.values(), order.roots, plain)
 
 
 def _keep_ints(ints, other, mask):
@@ -802,12 +954,13 @@ def _keep_ints(ints, other, mask):
     return ints & other if mask is None else ints & (other | ~mask)
 
 
-def _sweep_columns(size, orders, kind, outs, k, g, f, sub, init, subtract):
-    """The column rule of ``_sweep``.  At order n every table slice it reads
-    is one array over (root, canonical ms); each template gathers its
-    operands through the cached position-subset index arrays of
-    ``_order_index`` and applies its operations, in template order, as
-    elementwise steps over every lane (root, ms) at once:
+def _sweep_columns(size, orders, kind, out, k, g, f, sub, init, subtract):
+    """The column rule of ``_sweep``.  At order n every order it reads is
+    one array over (root, canonical ms), the stored one when its dtype is
+    the one picked for n; each template gathers its operands through the
+    cached position-subset index arrays of ``_order_index`` and applies its
+    operations, in template order, as elementwise steps over every lane
+    (root, ms) at once:
 
     - a lane where k(ms_J) (or, for a split, g(ms_rest)) is 0 adds nothing,
       and neither does a partition with f[#blocks] == 0;
@@ -816,40 +969,50 @@ def _sweep_columns(size, orders, kind, outs, k, g, f, sub, init, subtract):
 
     Each lane thus sees the operations, in the order, of the term-by-term
     walk ``oracles.sweep_termwise``.  The dtype is picked per order from
-    every value that order reads: float64 when all are ``_plain``, with an
-    int mask that gives each coefficient the type Python would (an int zero
-    carries no sign: -1 * 0 added to -0.0 gives +0.0); dtype=object
-    otherwise (complex values, Fractions among floats, large ints)."""
-    slices = _Slices(size, outs)
+    every order it reads: float64 when all are ``_plain``, with an int mask
+    that gives each coefficient the type Python would (an int zero carries
+    no sign: -1 * 0 added to -0.0 gives +0.0); dtype=object otherwise
+    (complex values, Fractions among floats, large ints).  Order n is
+    stored as the float64 array when no lane holds an int, and from its
+    values otherwise."""
     accumulate = np.subtract if subtract else np.add
+    roots = k[0].roots
+    converted = {}  # (id, dtype) -> (order, arrays) of orders not stored so
+
+    def arrays(order, plain):
+        got = converted.get((id(order), plain))
+        if got is None:
+            got = converted[id(order), plain] = order, _arrays(order, plain)
+        return got[1]
+
     with np.errstate(all="ignore"):
         for n in orders:
-            keys, index = _order_index(size, n)
+            index = _order_index(size, n)
             if kind == "split":
                 templates = subset_splits(n)
-                reads = [(t, m) for t in (k, g) for m in range(n + 1)]
+                reads = [X[m] for X in (k, g) for m in range(n + 1)]
             elif kind == "partition":
                 templates = [P for P in set_partitions(n) if f[len(P)] != 0]
-                reads = [(k, m) for m in {len(b) for P in templates for b in P}]
+                reads = [k[m] for m in {len(b) for P in templates for b in P}]
             else:
                 templates = compose_templates(n)
-                reads = [(k, m) for m in range(1, n + 1)] + [(sub, m) for m in range(n)]
+                reads = [k[m] for m in range(1, n + 1)] + [sub[m] for m in range(n)]
             if init is not None:
-                reads.append((init, n))
+                reads.append(init[n])
             scalars = [f[len(P)] for P in templates] if kind == "partition" else []
-            plain = _plain(scalars) and all(slices.values(t, m, n)[1] for t, m in reads)
+            plain = _plain(scalars) and all(order.plain() for order in reads)
             dtype = float if plain else object
-            shape = len(outs), len(keys)
+            shape = roots, len(_rank(size, n))
 
-            def column(tables, J):
-                """(values, int mask, nonzero lanes) of ``tables`` at ms_J."""
-                arr, ints = slices.array(tables, len(J), n, plain)
+            def column(X, J):
+                """(values, int mask, nonzero lanes) of ``X`` at ms_J."""
+                arr, ints = arrays(X[len(J)], plain)
                 col = arr[:, index[J]]
                 return col, None if ints is None else ints[:, index[J]], col != 0
 
             def factor(j, V):
                 """(values, int mask) of sub[ms_j](ms_V), the same for every root."""
-                arr, ints = slices.array(sub, len(V), n, plain)
+                arr, ints = arrays(sub[len(V)], plain)
                 at = index[(j,)], index[V]
                 return arr[at], None if ints is None else ints[at]
 
@@ -857,7 +1020,7 @@ def _sweep_columns(size, orders, kind, outs, k, g, f, sub, init, subtract):
                 total = np.zeros(shape, dtype)
                 total_ints = np.ones(shape, bool) if plain else None
             else:
-                total, total_ints = slices.array(init, n, n, plain)
+                total, total_ints = arrays(init[n], plain)
                 total = total.copy()
             for template in templates:
                 # the first factor, the lanes that add a term (every lane for
@@ -886,14 +1049,10 @@ def _sweep_columns(size, orders, kind, outs, k, g, f, sub, init, subtract):
                     np.add(term, 0.0, out=term, where=term_ints)  # an int zero has no sign
                 accumulate(total, term, out=total, where=True if live is None else live)
                 total_ints = _keep_ints(total_ints, term_ints, live)
-            rows = total.tolist()
-            if total_ints is not None and total_ints.any():
-                rows = [
-                    [int(v) if i else v for v, i in zip(row, row_ints)]
-                    for row, row_ints in zip(rows, total_ints.tolist())
-                ]
-            for out, row in zip(outs, rows):
-                out.update(zip(keys, row))
+            if total_ints is None or not total_ints.any():
+                out[n] = _Columns(total) if plain else _store(total.ravel().tolist(), roots)
+            else:
+                out[n] = _store(_Columns(total, total_ints).values(), roots)
 
 
 def _check_measure(K, vals):
@@ -907,26 +1066,31 @@ def measure_sums(K, vals, start=0):
 
     A series gives one value, a rooted family one sum per root, from order
     ``start`` on.  Values of another length than the species count raise
-    StructureError.  Two arithmetic rules, like ``_sweep``.  When nu, the
-    weights and every coefficient read are ints or Fractions, the sums run
-    on Python ints (``_measure_sums_exact``); a root's sum is then int 0
-    when every coefficient it reads is 0, and otherwise a Fraction, equal to
-    the term-by-term rational sum.  Otherwise each root adds its terms
-    K_n(x) prod_j nu(x_j) w(x_j) / sym(x) in storage order, one term at a
-    time.
+    StructureError.  Two arithmetic rules, like ``_sweep``.  When nu and
+    the weights are ints or Fractions and every order read is stored
+    ``_Exact``, the sums run on its numerators (``_measure_sums_exact``); a
+    root's sum is then int 0 when every coefficient it reads is 0, and
+    otherwise a Fraction, equal to the term-by-term rational sum.
+    Otherwise each root adds its terms K_n(x) prod_j nu(x_j) w(x_j) /
+    sym(x) in storage order, one term at a time.
     """
     _check_measure(K, vals)
     weights = K.space.weights
     orders = range(start, K.trunc + 1)
     if all(type(v) in _EXACT for v in (*vals, *weights)) and all(
-        type(v) in _EXACT for n in orders for v in K.coeffs[n].values()
+        type(K._layout()[n]) is _Exact for n in orders
     ):
         return _measure_sums_exact(K, vals, orders)
     rooted = K.rooted
     totals = [0] * K.roots
     for n in orders:
         sym = {}
-        for key, v in K.coeffs[n].items():
+        # the copy held, so a float sum converts nothing
+        if K._dicts is None:
+            items = zip(_keys(K.space.size, n, rooted), K._orders[n].values())
+        else:
+            items = K._dicts[n].items()
+        for key, v in items:
             if v == 0:
                 continue
             q, ms = key if rooted else (0, key)
@@ -943,18 +1107,18 @@ def measure_sums(K, vals, start=0):
 
 def _measure_sums_exact(K, vals, orders):
     """The exact rule of ``measure_sums``.  With u_x = nu(x) w(x) = a_x / E
-    over one denominator E and K over one denominator den(n) per order
-    (``_Numerators``), order n adds num_q(ms) m(ms) over canonical ms for
-    the monomial numerator m(ms) = (n!/sym(ms)) prod_j a_(x_j), built once
-    per ms from its prefix and shared by every root, over D_n = n! E^n
-    den(n).  Each root scales its order totals to the lcm D of the D_n and
-    divides once."""
+    over one denominator E and K's stored numerators num_q(ms) over den(n)
+    per order, order n adds num_q(ms) m(ms) over canonical ms for the
+    monomial numerator m(ms) = (n!/sym(ms)) prod_j a_(x_j), built once per
+    ms from its prefix and shared by every root, over D_n = n! E^n den(n).
+    Each root scales its order totals to the lcm D of the D_n and divides
+    once."""
     size = K.space.size
     u = [v * w for v, w in zip(vals, K.space.weights)]
     E = math.lcm(*(x.denominator for x in u))
     a = [x.numerator * (E // x.denominator) for x in u]
-    num = _Numerators(_tables(K), size)
-    sums = [[] for _ in num.num]  # per root: (order total, D_n) of live orders
+    layout = K._layout()
+    sums = [[] for _ in range(K.roots)]  # per root: (order total, D_n) of live orders
     prods = {(): 1}
     for n in range(orders.stop):
         if n:
@@ -962,12 +1126,11 @@ def _measure_sums_exact(K, vals, orders):
         if n < orders.start:
             continue
         fact = math.factorial(n)
-        Dn = fact * E**n * num.den(n)
-        row = [(ms, fact // sym_factor(ms) * p) for ms, p in prods.items()]
-        for kq, out in zip(num.num, sums):
+        Dn = fact * E**n * layout[n].den
+        row = [fact // sym_factor(ms) * p for ms, p in prods.items()]
+        for kq, out in zip(layout[n].num, sums):
             total, live = 0, False
-            for ms, m in row:
-                k = kq[ms]
+            for k, m in zip(kq, row):
                 if k:
                     live = True
                     total += k * m
@@ -990,12 +1153,13 @@ def _majorant_sums(G, nu, start=0):
     measure of another length than the species count.
     """
     _check_measure(G, nu)
+    size = G.space.size
     u = [float(abs(v)) * float(wx) for v, wx in zip(nu, G.space.weights)]
-    sums = [[0.0] * G.roots for _ in G.coeffs]
+    sums = [[0.0] * G.roots for _ in range(G.trunc + 1)]
     for n in range(start, G.trunc + 1):
         row = sums[n]
-        sym = {ms: sym_factor(ms) for ms in canonical_indices(G.space.size, n)}
-        for (q, ms), v in G.coeffs[n].items():
+        sym = {ms: sym_factor(ms) for ms in canonical_indices(size, n)}
+        for (q, ms), v in zip(_keys(size, n, True), G._layout()[n].values()):
             if v == 0:
                 continue
             term = float(abs(v))
@@ -1016,10 +1180,9 @@ def mul(K, G):
     """
     if K.rooted != G.rooted or K.space != G.space or K.trunc != G.trunc:
         raise StructureError("series must share space and truncation order")
-    ks, gs = _tables(K), _tables(G)
-    outs = [{} for _ in ks]
-    _sweep(K.space.size, range(K.trunc + 1), "split", outs, ks, g=gs)
-    return _packed(K, outs)
+    out = _start(K.roots, K.space.size, K.trunc)
+    _sweep(K.space.size, range(K.trunc + 1), "split", out, K._layout(), g=G._layout())
+    return K._like(out)
 
 
 def compose_univariate(fcoeffs, K):
@@ -1030,14 +1193,14 @@ def compose_univariate(fcoeffs, K):
     Missing f_m beyond the list are treated as 0.  A rooted family K is
     composed root by root.
     """
-    ks = _tables(K)
-    if any(k[()] != 0 for k in ks):
+    ks = K._layout()
+    if any(v != 0 for v in ks[0].values()):
         raise DomainError("composition requires a series with zero constant term")
     f = list(fcoeffs)
     f += [0] * (K.trunc + 1 - len(f))
-    outs = [{(): f[0]} for _ in ks]
-    _sweep(K.space.size, range(1, K.trunc + 1), "partition", outs, ks, f=f)
-    return _packed(K, outs)
+    out = _start(K.roots, K.space.size, K.trunc, first=f[0])
+    _sweep(K.space.size, range(1, K.trunc + 1), "partition", out, ks, f=f)
+    return K._like(out)
 
 
 def exp_series(K):
@@ -1053,15 +1216,11 @@ def log_series(K):
     """
     if K.constant() != 1:
         raise DomainError("log requires a series with constant term 1")
-    k = _tables(K)[0]
-    out = {(): 0}
+    out = _start(1, K.space.size, K.trunc)
     # weight 0 drops the single-block partition, weight 1 keeps the others
     f = [0, 0] + [1] * (K.trunc - 1)
-    _sweep(
-        K.space.size, range(1, K.trunc + 1), "partition", [out], [out],
-        f=f, init=[k], subtract=True,
-    )
-    return _packed(K, [out])
+    _sweep(K.space.size, range(1, K.trunc + 1), "partition", out, out, f=f, init=K._layout(), subtract=True)
+    return K._like(out)
 
 
 def compose_measure(K, G):
@@ -1073,8 +1232,8 @@ def compose_measure(K, G):
     """
     if K.space != G.space or K.trunc != G.trunc:
         raise StructureError("series and family must share space and truncation")
-    ks = _tables(K)
-    outs = [{(): k[()]} for k in ks]
-    _sweep(K.space.size, range(1, K.trunc + 1), "compose", outs, ks, sub=_tables(G))
-    return _packed(K, outs)
-
+    ks = K._layout()
+    out = _start(K.roots, K.space.size, K.trunc)
+    out[0] = ks[0]
+    _sweep(K.space.size, range(1, K.trunc + 1), "compose", out, ks, sub=G._layout())
+    return K._like(out)

@@ -234,7 +234,9 @@ def d_coeff(f, xs):
     if not exact:
         fvec = np.array([float(v) for v in vals])
         mat = _class_edge_matrix(n, "biconnected")
-        return float(np.where(mat, fvec[None, :], 1.0).prod(axis=1).sum())
+        # an overflow or NaN is the value; the JSON writers refuse it
+        with np.errstate(all="ignore"):
+            return float(np.where(mat, fvec[None, :], 1.0).prod(axis=1).sum())
     L, a = _over_common_denominator(vals)
     support = sum(1 << p for p, v in enumerate(a) if v)
     masks = class_masks(n, "biconnected")

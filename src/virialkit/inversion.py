@@ -37,9 +37,9 @@ from .fps import (
     FormalSeries,
     RootedSeriesFamily,
     _majorant_sums,
-    _packed,
+    _rank,
+    _start,
     _sweep,
-    _tables,
     canonical_indices,
     compose_measure,
     exp_series,
@@ -303,9 +303,7 @@ def roundtrip_check(st, x=None):
     supplied, the numeric round trip through both maps at x is reported too.
     """
     T, E = st.t_family, st.e_family
-    unit = RootedSeriesFamily.from_function(
-        st.space, st.N, lambda n, q, ms: 1 if n == 0 else 0, allow_large=True
-    )
+    unit = T._like(_start(st.space.size, st.space.size, st.N, first=1))
     report = residual_report(
         "roundtrip",
         (mul(E, compose_measure(T, E)), unit),
@@ -333,16 +331,14 @@ def extract_d_from_a(st):
     constant term.  Returns a family in the same layout as d_family.
     """
     S = st.space.size
-    F = _tables(st.a_family.scale(-1))
-    D = [{(): 0} for _ in range(S)]
-    E = _tables(st.e_family)
+    F = st.a_family.scale(-1)._layout()
+    out = RootedSeriesFamily(st.space, st.N, allow_large=True)
+    D = out._layout()
     for n in range(1, st.N + 1):
         # the template J = all positions reads the unknown D_n term itself;
         # it is 0 until written, so that template is skipped as a zero
-        for Dq in D:
-            Dq.update(dict.fromkeys(canonical_indices(S, n), 0))
-        _sweep(S, (n,), "compose", D, D, sub=E, init=F, subtract=True)
-    return _packed(st.a_family, D)
+        _sweep(S, (n,), "compose", D, D, sub=st.e_family._layout(), init=F, subtract=True)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +449,14 @@ def log_xi_series(st, z):
 def _d_tail_sum(st, vals, order_factor=None):
     """sum_{2<=n<=N} c_n (1/n!) sum_x D_n(x_1..x_n) nu^n over full tuples,
     with the optional per-order factor c_n = order_factor(n)."""
-    D = st.d_family.coeffs
+    S = st.space.size
     fac = order_factor or (lambda n: 1)
-    # D_n on a full tuple sits in the family at order n-1, rooted at its first entry
-    series = [
-        {ms: fac(n) * D[n - 1][(ms[0], ms[1:])] for ms in canonical_indices(st.space.size, n)}
-        if n >= 2 else {}
-        for n in range(st.N + 1)
-    ]
+    # D_n on a full tuple sits in the family at order n-1, rooted at its
+    # first entry; the family's stored orders are read, so it keeps them
+    series = [dict.fromkeys(canonical_indices(S, n), 0) for n in range(min(st.N + 1, 2))]
+    for n, order in enumerate(st.d_family._layout()[1:st.N], 2):
+        D, rank = order.values(), _rank(S, n - 1)
+        series.append({ms: fac(n) * D[ms[0] * len(rank) + rank[ms[1:]]] for ms in canonical_indices(S, n)})
     return measure_sums(FormalSeries(st.space, st.N, series, allow_large=True), vals, start=2)
 
 
@@ -531,28 +527,30 @@ def dissymmetry_check(st, N=None):
     # per pattern of pair entries; order 1 holds 0, which drops the
     # single-owner templates
     d = per_pattern(d_coeff, st.mayer)
-    dm = dict.fromkeys(canonical_indices(S, 1), 0)
-    for m in range(2, N + 1):
-        for ms in canonical_indices(S, m):
-            dm[ms] = (m - 1) * d(ms)
-    # owner x with the block V: phi_(|V|+1)(x_V, x)
-    owner = [
-        {v: phi.value(m + 1, v + (x,)) for m in range(N) for v in canonical_indices(S, m)}
-        for x in range(S)
-    ]
+    space = st.space
+    dm = FormalSeries.from_function(space, N, lambda m, ms: (m - 1) * d(ms) if m >= 2 else 0, allow_large=True)
+    # owner x with the block V: phi_(|V|+1)(x_V, x), read below order N
+    owner = RootedSeriesFamily.from_function(
+        space, N, lambda m, x, v: phi.value(m + 1, v + (x,)) if m < N else 0, allow_large=True
+    )
     # each order-n sum starts from n phi_n
-    n_phi = {ms: n * phi.coeffs[n][ms] for n in range(2, N + 1) for ms in canonical_indices(S, n)}
-    rhs = {}
-    _sweep(S, range(2, N + 1), "compose", [rhs], [dm], sub=owner, init=[n_phi], subtract=True)
+    n_phi = FormalSeries.from_function(
+        space, N, lambda n, ms: n * phi.coeffs[n][ms] if n >= 2 else 0, allow_large=True
+    )
+    rhs = FormalSeries(space, N, allow_large=True)
+    _sweep(
+        S, range(2, N + 1), "compose", rhs._layout(), dm._layout(),
+        sub=owner._layout(), init=n_phi._layout(), subtract=True,
+    )
     worst = 0
     per_order = {}
     exact = True
-    for ms, r in rhs.items():
-        n = len(ms)
-        delta = abs(phi.coeffs[n][ms] - r)
-        exact = exact and delta == 0
-        per_order[n] = max(per_order.get(n, 0), delta)
-        worst = max(worst, delta)
+    for n in range(2, N + 1):
+        for ms, r in rhs.coeffs[n].items():
+            delta = abs(phi.coeffs[n][ms] - r)
+            exact = exact and delta == 0
+            per_order[n] = max(per_order.get(n, 0), delta)
+            worst = max(worst, delta)
     return ResidualReport("dissymmetry", worst, per_order, exact=exact)
 
 

@@ -67,7 +67,8 @@ def multi_product(factors):
 
 def sweep_termwise(size, orders, kind, outs, k, g=None, f=None, sub=None, init=None, subtract=False):
     """``fps._sweep`` one coefficient and one template at a time: the same
-    arguments and the same sums, each coefficient adding its terms in the
+    sums, over per-root dicts from every canonical tail of any order to its
+    value in place of order layouts, each coefficient adding its terms in the
     template order of ``subset_splits``, ``set_partitions`` or
     ``compose_templates``, from ``init[q][ms]`` when ``init`` is given, and
     subtracting them when ``subtract`` is set.  A split skips a template

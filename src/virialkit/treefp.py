@@ -31,9 +31,9 @@ from .certs import BoundCertificate, ResidualReport, weight_vector
 from .errors import DomainError
 from .fps import (
     _majorant_sums,
-    _packed,
+    _max_delta,
+    _start,
     _sweep,
-    _tables,
     compose_measure,
     exp_series,
     measure_sums,
@@ -51,18 +51,18 @@ def compute_tn(A, N=None):
         N = A.trunc
     if N > A.trunc:
         raise DomainError("requested order exceeds the activity family")
-    if any(v != 0 for v in A.coeffs[0].values()):
+    a = A._layout()
+    if any(v != 0 for v in a[0].values()):
         raise DomainError("activity family must have zero order-0 slice")
     S = A.space.size
-    a = _tables(A)
-    b = [{(): 0} for _ in range(S)]
-    t = [{(): 1} for _ in range(S)]
+    b = _start(S, S, N)
+    t = _start(S, S, N, first=1)
     ones = [1] * (N + 1)
     for n in range(1, N + 1):
         # B_n reads t below order n; t_n is the exp-type partition sum of B
         _sweep(S, (n,), "compose", b, a, sub=t)
         _sweep(S, (n,), "partition", t, b, f=ones)
-    return _packed(A, t, N)
+    return A._like(t)
 
 
 # ---------------------------------------------------------------------------
@@ -101,21 +101,19 @@ def eval_T_abs(t, nu, b):
 
 def residual_report(name, *pairs):
     """Coefficientwise |lhs - rhs| over (lhs, rhs) pairs of families or
-    series: the worst value overall and per order."""
+    series: the worst value overall and per order, read from the stored
+    orders.  Equal exact orders give the int 0; otherwise the first largest
+    delta keeps its type (``fps._max_delta``), and a NaN delta makes its
+    order's maximum, and the overall one, NaN."""
     worst = 0
     per_order = {}
     exact = True
     for lhs, rhs in pairs:
-        for n, comp in enumerate(lhs.coeffs):
-            top = per_order.get(n, 0)
-            other = rhs.coeffs[n]
-            for key, v in comp.items():
-                delta = abs(v - other[key])
-                exact = exact and delta == 0
-                if delta > top:
-                    top = delta
+        for n, (x, y) in enumerate(zip(lhs._layout(), rhs._layout())):
+            top, same = _max_delta(x, y, per_order.get(n, 0))
+            exact = exact and same
             per_order[n] = top
-            if top > worst:
+            if top > worst or top != top:
                 worst = top
     return ResidualReport(name, worst, per_order, exact=exact)
 

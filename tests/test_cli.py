@@ -454,6 +454,50 @@ def test_rod_length_overflow_is_a_capability_limit(capsys):
     assert err.startswith("capability limit: float range exceeded") and err.count("\n") == 1
 
 
+NONFINITE_STATE = {
+    "beta": 1.0,
+    "species": [{"id": 0, "weight": 1}],
+    "potential": {"kind": "matrix", "params": {"v": [["inf"]]}},
+}
+
+
+@pytest.mark.parametrize(
+    "op, inputs",
+    [
+        ("rho_of_z", {"z": [1e300]}),
+        ("log_xi_series", {"z": [1e300]}),
+        ("zeta_of_nu", {"nu": [1e300]}),
+        ("pressure", {"nu": [1e300]}),
+        ("free_energy", {"nu": [1e300]}),
+        ("check_Sb", {"nu": [1e300]}),
+    ],
+)
+def test_nonfinite_request_value_is_a_capability_limit(capsys, op, inputs):
+    # JSON has no NaN or Infinity token: a value that left the float range
+    # is refused, never printed
+    req = {"state": NONFINITE_STATE, "op": op, "N": 4, "inputs": inputs}
+    code, out, err = run(capsys, ["request", "--model", json.dumps(req)])
+    assert (code, out) == (3, "")
+    assert err.startswith("capability limit: float range exceeded") and err.count("\n") == 1
+
+
+def test_nan_residual_request_prints_one_line():
+    # exp(700) overflows; the D sums and the residuals turn NaN, and stderr
+    # holds the one refusal line and no numpy warning
+    state = {
+        "beta": 1.0,
+        "species": [{"id": 0, "weight": 1}, {"id": 1, "weight": 1}],
+        "potential": {"kind": "matrix", "params": {"v": [[-700, 0], [0, -700]]}},
+    }
+    script = "from virialkit.cli import main\nprint('exit', main(['request', '--model', %r]))\n"
+    for op, inputs in (("roundtrip", {}), ("pressure", {"nu": [1, 1]})):
+        req = json.dumps({"state": state, "op": op, "N": 4, "inputs": inputs})
+        proc = run_child(script % req)
+        assert proc.stdout == "exit 3\n"
+        assert proc.stderr.startswith("capability limit: float range exceeded")
+        assert proc.stderr.count("\n") == 1
+
+
 def test_bounds_near_float_range_prints_no_warnings():
     # r_max = 5/c_bar is about 2.5e300 here; the bounded searches must not
     # print numpy warnings on a successful run

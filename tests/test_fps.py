@@ -31,6 +31,7 @@ from virialkit.fps import (
     exp_series,
     log_series,
     mul,
+    _store,
     _sweep,
     set_partitions,
     subset_splits,
@@ -673,11 +674,36 @@ def _typed_bits(v):
     return type(v).__name__, v.hex() if type(v) is float else repr(v)
 
 
+def _layout_sweep(size, orders, kind, outs, k, **tables):
+    """``_sweep`` on per-root tables of orders 0..max(orders), fed the way
+    the series operations feed it: each table as its list of order
+    layouts, and ``outs`` as the list it writes, which is ``k``'s own when
+    ``k`` is ``outs``.  The orders written go back into ``outs``."""
+    N = max(orders)
+
+    def layouts(tables):
+        return [
+            _store([t[ms] for t in tables for ms in canonical_indices(size, m)], len(tables))
+            for m in range(N + 1)
+        ]
+
+    args = {name: v if name in ("f", "subtract") else layouts(v) for name, v in tables.items()}
+    k_orders = layouts(k)
+    out = k_orders if k is outs else [None] * (N + 1)
+    _sweep(size, orders, kind, out, k_orders, **args)
+    for n in orders:
+        keys = list(canonical_indices(size, n))
+        vals = out[n].values()
+        for q, table in enumerate(outs):
+            table.update(zip(keys, vals[q * len(keys):(q + 1) * len(keys)]))
+
+
 def _swept(sweep, size, orders, kind, outs, k, **tables):
     outs = [dict(t) for t in outs]
     if k is None:
         k = outs  # the sweep reads what it writes
-    sweep(size, orders, kind, outs, k, **tables)
+    if orders:
+        sweep(size, orders, kind, outs, k, **tables)
     return [[(ms, _typed_bits(v)) for ms, v in out.items()] for out in outs]
 
 
@@ -716,19 +742,19 @@ def test_sweep_matches_termwise_walk(data):
     if all(type(v) in (int, Fraction) for t in read for v in t.values()):
         (k or outs)[0][()] = 0.5  # the exact rule is tested in test_fps_exact.py
     args = size, range(lo, N + 1), kind, outs, k
-    assert _swept(_sweep, *args, **extra) == _swept(sweep_termwise, *args, **extra)
+    assert _swept(_layout_sweep, *args, **extra) == _swept(sweep_termwise, *args, **extra)
 
 
 def test_sweep_int_zero_has_no_sign():
     # -1 * 0 is the int 0, and -0.0 + 0 is +0.0; in plain float64 the term
     # would be -0.0 and the sum -0.0
-    for sweep in (_sweep, sweep_termwise):
+    for sweep in (_layout_sweep, sweep_termwise):
         out = [{}]
-        sweep(1, (1,), "partition", out, [{(): 0, (0,): 0}], f=[0, -1], init=[{(0,): -0.0}])
+        sweep(1, (1,), "partition", out, [{(): 0, (0,): 0}], f=[0, -1], init=[{(): 0, (0,): -0.0}])
         assert _typed_bits(out[0][(0,)]) == ("float", "0x0.0p+0")
     # an int lane stays an int beside float lanes
     out = [{}, {}]
-    _sweep(2, (1,), "split", out, [{(): 1, (0,): 1, (1,): -1}, {(): 0.5, (0,): 1, (1,): 0}],
-           g=[{(): 1, (0,): 1, (1,): 1}] * 2)
+    _layout_sweep(2, (1,), "split", out, [{(): 1, (0,): 1, (1,): -1}, {(): 0.5, (0,): 1, (1,): 0}],
+                  g=[{(): 1, (0,): 1, (1,): 1}] * 2)
     assert out == [{(0,): 2, (1,): 0}, {(0,): 1.5, (1,): 0.5}]
     assert [type(v) for o in out for v in o.values()] == [int, int, float, float]

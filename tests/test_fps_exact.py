@@ -20,6 +20,7 @@ from hypothesis import strategies as hyp
 from virialkit.fps import (
     FormalSeries,
     RootedSeriesFamily,
+    _groups,
     _tails,
     _template_groups,
     compose_measure,
@@ -34,7 +35,7 @@ from virialkit.fps import (
 from virialkit.graphs import build_D_family
 from virialkit.inversion import GCState, dissymmetry_check, extract_d_from_a
 from virialkit.oracles import measure_sums_termwise, mul_dense, multi_product, tn_via_trees
-from virialkit.species import SpeciesSpace
+from virialkit.species import MayerMatrices, SpeciesSpace
 from virialkit.treefp import compute_tn
 
 P61 = 2**61 - 1
@@ -234,7 +235,7 @@ def group_reads(kind, ms):
     """Per group of ``_template_groups`` at ms: its shape, its count and the
     tails its representative reads, keyed like ``template_reads``."""
     runs, species, tails = _tails(ms)
-    pairs, groups = _template_groups(kind, runs)
+    pairs, groups = _groups(kind, runs)
     out = []
     for shape, count, *reads in groups:
         if kind == "split":
@@ -270,6 +271,24 @@ def test_template_groups_partition_the_templates():
                 assert Counter({key: count for _, count, key in got}) == want, (kind, runs)
                 assert len(got) == len(want)
                 assert all(shape == shape_of(kind, key) for shape, _, key in got)
+
+
+def test_one_group_table_per_sorted_run_pattern():
+    # permuted run patterns share the table of their sorted pattern: a cold
+    # t at S=3, N=7 builds one per kind and partition of n = 1..7 into at
+    # most three parts, and relabels it for each of the compositions
+    space = SpeciesSpace.uniform(3)
+    f = [[Fraction(i + j - 3, 16) for j in range(3)] for i in range(3)]
+    st = GCState(space, mayer=MayerMatrices.from_f(space, f, exact=True), N=7, allow_large=True)
+    st.a_family
+    _template_groups.cache_clear()
+    _groups.cache_clear()
+    st.t_family
+    patterns = [runs for n in range(1, 8) for runs in run_patterns(n) if len(runs) <= 3]
+    sorted_patterns = {tuple(sorted(runs)) for runs in patterns}
+    assert (len(patterns), len(sorted_patterns)) == (63, 30)
+    assert _template_groups.cache_info().currsize == 2 * 30  # compose and partition
+    assert _groups.cache_info().currsize == 2 * 63
 
 
 def test_one_run_groups_count_every_template_to_order_ten():

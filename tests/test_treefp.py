@@ -17,11 +17,13 @@ from virialkit.fps import FormalSeries, RootedSeriesFamily, mul
 from virialkit.graphs import build_A_family
 from virialkit.oracles import enumerate_enriched_trees, tn_via_trees
 from virialkit.species import MayerMatrices, MeasureVec, SpeciesSpace
+from virialkit.inversion import run_request
 from virialkit.treefp import (
     compute_tn,
     eval_T,
     eval_T_abs,
     exp_family,
+    residual_report,
     verify_FP,
     verify_FPprime,
 )
@@ -247,3 +249,59 @@ def test_exp_family_signs_multiply_to_unit():
     one = FormalSeries.unit(S2, 3)
     for q in range(2):
         assert mul(plus.root_series(q), minus.root_series(q)) == one
+
+
+def test_residual_report_types_and_nan():
+    def fam(fn):
+        return RootedSeriesFamily.from_function(S2, 2, fn)
+
+    def bump(X, key, by):
+        # X with one coefficient of order len(key[1]) moved by ``by``
+        return fam(lambda n, q, ms: X.value(n, q, ms) + by if (q, ms) == key else X.value(n, q, ms))
+
+    # equal exact families: the literal int 0 everywhere, and exact
+    thirds = fam(lambda n, q, ms: Fraction(n + q + sum(ms), 3))
+    rep = residual_report("same", (thirds, fam(lambda n, q, ms: Fraction(n + q + sum(ms), 3))))
+    assert rep.exact and type(rep.max_abs) is int and rep.max_abs == 0
+    assert all(type(v) is int and v == 0 for v in rep.per_order.values())
+    # a Fraction delta gives a Fraction, int-only deltas an int, and the
+    # first largest delta of an order keeps its type
+    ints = fam(lambda n, q, ms: n - q)
+    rep = residual_report(
+        "typed",
+        (thirds, bump(thirds, (1, (0,)), Fraction(1, 2))),
+        (ints, bump(ints, (0, (1,)), 2)),
+        (ints, bump(ints, (1, (0, 1)), -3)),
+    )
+    assert not rep.exact
+    assert rep.per_order == {0: 0, 1: 2, 2: 3} and rep.max_abs == 3
+    assert [type(rep.per_order[n]) for n in range(3)] == [int, int, int]
+    rep = residual_report("fraction", (thirds, bump(thirds, (1, (0,)), Fraction(1, 2))))
+    assert rep.per_order[1] == Fraction(1, 2) and type(rep.max_abs) is Fraction
+    # float deltas give floats
+    halves = fam(lambda n, q, ms: 0.5 * (n + q))
+    rep = residual_report("float", (halves, bump(halves, (0, (0, 0)), 0.25)))
+    assert rep.per_order[2] == 0.25 and type(rep.max_abs) is float
+    # a NaN delta makes its order's maximum, and the overall one, NaN, even
+    # beside a larger finite delta and in a later pair
+    rep = residual_report(
+        "nan",
+        (halves, bump(halves, (1, (1,)), math.nan)),
+        (halves, bump(halves, (1, (1,)), 100.0)),
+        (halves, bump(halves, (1, (1, 1)), 7.0)),
+    )
+    assert math.isnan(rep.per_order[1]) and math.isnan(rep.max_abs)
+    assert rep.per_order[2] == 7.0 and not rep.exact
+
+
+def test_roundtrip_request_reports_nan_residuals():
+    # exp(700) leaves the float range: mul(E, compose_measure(T, E)) holds
+    # NaN coefficients, which the report must not read as 0
+    state = {
+        "beta": 1.0,
+        "species": [{"id": 0, "weight": 1}, {"id": 1, "weight": 1}],
+        "potential": {"kind": "matrix", "params": {"v": [[-700, 0], [0, -700]]}},
+    }
+    (res,) = run_request({"state": state, "op": "roundtrip", "N": 4})["residuals"]
+    assert not res["exact"] and math.isnan(res["max_abs"])
+    assert math.isnan(res["per_order"]["4"])
