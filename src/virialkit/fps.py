@@ -515,7 +515,8 @@ class _Columns:
         """c times every value: one float64 product when c keeps the lanes
         plain (an int lane times an int stays an int)."""
         if self.plain() and (type(c) is float or type(c) is int and -1 <= c <= 1):
-            return _Columns(self.arr * c, self.ints if type(c) is int else None)
+            with np.errstate(all="ignore"):
+                return _Columns(self.arr * c, self.ints if type(c) is int else None)
         return _store([c * v for v in self.values()], self.roots)
 
 
@@ -584,11 +585,14 @@ def _max_delta(x, y, top=0):
             d = abs(u * a - v * b)
             if d > best:
                 best, at = d, i
+        if not best:
+            return top, True
         delta = Fraction(best, D) if x.is_fraction(at) or y.is_fraction(at) else best // D
         return (delta if delta > top else top), False
     if x.plain() and y.plain():
         (u, u_ints), (v, v_ints) = _arrays(x, True), _arrays(y, True)
-        delta = np.abs(u - v)
+        with np.errstate(all="ignore"):
+            delta = np.abs(u - v)
         if not delta.any():
             return top, True
         if np.isnan(delta).any():

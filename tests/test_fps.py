@@ -758,3 +758,30 @@ def test_sweep_int_zero_has_no_sign():
                   g=[{(): 1, (0,): 1, (1,): 1}] * 2)
     assert out == [{(0,): 2, (1,): 0}, {(0,): 1.5, (1,): 0.5}]
     assert [type(v) for o in out for v in o.values()] == [int, int, float, float]
+
+
+EXACT_VALUES = hyp.one_of(
+    hyp.integers(-3, 3),
+    hyp.builds(Fraction, hyp.integers(-6, 6), hyp.sampled_from([1, 3, 16])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hyp.data())
+def test_stored_orders_keep_values_and_types(data):
+    # each order goes to its stored layout and back to the dict view, and
+    # scale acts on the stored orders, with the values and types of c * v
+    size, N = data.draw(hyp.integers(1, 3)), data.draw(hyp.integers(0, 3))
+    values = data.draw(hyp.sampled_from([PLAIN_VALUES, WIDE_VALUES, EXACT_VALUES]))
+    cls = data.draw(hyp.sampled_from([FormalSeries, RootedSeriesFamily]))
+    X = cls.from_function(SpeciesSpace.uniform(size), N, lambda n, *key: data.draw(values))
+    c = data.draw(hyp.one_of(values, hyp.sampled_from([2, -1, 0, Fraction(1, 2), Fraction(-3, 4), 0.5])))
+
+    def bits(coeffs):
+        return [[(key, _typed_bits(v)) for key, v in comp.items()] for comp in coeffs]
+
+    want = bits(X.coeffs)
+    want_scaled = bits([{key: c * v for key, v in comp.items()} for comp in X.coeffs])
+    X._layout()  # the stored orders, as a kernel use leaves them
+    assert bits(X.scale(c).coeffs) == want_scaled
+    assert bits(X.coeffs) == want
