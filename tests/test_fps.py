@@ -681,9 +681,9 @@ def _layout_sweep(size, orders, kind, outs, k, **tables):
     ``k`` is ``outs``.  The orders written go back into ``outs``."""
     N = max(orders)
 
-    def layouts(tables):
+    def layouts(per_root):
         return [
-            _store([t[ms] for t in tables for ms in canonical_indices(size, m)], len(tables))
+            _store([t[ms] for t in per_root for ms in canonical_indices(size, m)], len(per_root))
             for m in range(N + 1)
         ]
 
