@@ -34,12 +34,12 @@ canonical ms) in storage order.  An order of ints and Fractions is
 ``_Exact``: int numerators over one denominator, the lcm of the reduced
 denominators.  Any other order is ``_Columns``: a float64 array with the
 mask of its int lanes when every value is a float or an int in {-1, 0, 1},
-else a dtype=object array.  The kernels read and write these layouts, and
-nothing converts them between calls.  ``coeffs``, one dict per order, is a
-view built on first read, for JSON, ``value``, equality and the oracles.  A
-series holds one copy at a time: reading ``coeffs`` hands out the dicts and
-drops the layouts, so code that writes into those dicts is read back by the
-next kernel use, which converts once and keeps the layout.
+else a dtype=object array.  A series is immutable: every producer stores
+each order once, from its values in storage order, and the kernels read
+these layouts and write new ones, so nothing converts between calls.
+``coeffs`` is a read-only view of the same values, one mapping per order,
+for JSON, ``value``, equality and the oracles; it is built on first read,
+cached, and never written back.
 
 Every template sum runs through one kernel (``_sweep``), with two arithmetic
 rules.  When every order read is exact, each coefficient is a Python-int sum
@@ -59,9 +59,9 @@ floats are identical to the bit and each value keeps its type.
 
 ``measure_sums``, the sum of a series or family against a measure, has two
 rules as well: on exact orders it adds their numerators over one
-denominator per order and divides once per root, and otherwise it adds its
-terms one at a time.  Only the float majorants of the certificates
-(``_majorant_sums``) leave exact mode.
+denominator per order and divides once per root, and otherwise it adds the
+terms of the stored orders one at a time.  Only the float majorants of the
+certificates (``_majorant_sums``) leave exact mode.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, product
+from types import MappingProxyType
 
 import numpy as np
 
@@ -161,51 +162,36 @@ class _Coefficients:
     A series is keyed by the canonical multi-index ms, a family by (root q,
     canonical tail ms), roots outermost; a plain series is the one-root
     case.  Storage is dense, over orders 0..trunc, and each order is held in
-    the layout its kernel computes in (``_Exact`` or ``_Columns``).
-    ``coeffs`` is the view of the same values as one dict per order, keys
-    in storage order, built on first read.  A series holds one copy at a
-    time: reading ``coeffs`` hands out the dicts and drops the layouts, so
-    writes into those dicts are what the next kernel use converts back, once.
-    Instances are otherwise treated as immutable.
+    the layout its kernel computes in (``_Exact`` or ``_Columns``), stored
+    once when the series is made and never changed.  ``coeffs`` is a
+    read-only view of the same values, one mapping per order with its keys
+    in storage order, built on first read and cached.
     """
 
-    __slots__ = ("space", "trunc", "_dicts", "_orders")
+    __slots__ = ("space", "trunc", "_orders", "_view")
     rooted = False
 
     def __init__(self, space, trunc, coeffs=None, allow_large=False):
-        if trunc < 0:
-            raise DomainError("truncation order must be >= 0")
-        check_scale(order=trunc, species=space.size, allow_large=allow_large)
-        self.space = space
-        self.trunc = trunc
-        self._dicts = coeffs
-        self._orders = _start(self.roots, space.size, trunc) if coeffs is None else None
+        """The series with ``coeffs[n][key]`` at order n, from one dict per
+        order; a key a dict leaves out is 0, and None gives the zero series."""
+        _check_trunc(space, trunc, allow_large)
+        comps = coeffs or [{}] * (trunc + 1)
+        self.space, self.trunc, self._view = space, trunc, None
+        self._orders = [
+            _store([comps[n].get(key, 0) for key in _keys(space.size, n, self.rooted)], self.roots)
+            for n in range(trunc + 1)
+        ]
 
     @property
     def coeffs(self):
-        """Per order, the dict from every key to its coefficient."""
-        if self._dicts is None:
+        """Per order, the read-only mapping from every key to its coefficient."""
+        if self._view is None:
             size, rooted = self.space.size, self.rooted
-            self._dicts = [
-                dict(zip(_keys(size, n, rooted), order.values())) for n, order in enumerate(self._orders)
-            ]
-            self._orders = None
-        return self._dicts
-
-    @coeffs.setter
-    def coeffs(self, coeffs):
-        self._dicts, self._orders = coeffs, None
-
-    def _layout(self):
-        """The order layouts, converted from the dicts on first use."""
-        if self._orders is None:
-            size, rooted, roots = self.space.size, self.rooted, self.roots
-            self._orders = [
-                _store(list(map(comp.__getitem__, _keys(size, n, rooted))), roots)
-                for n, comp in enumerate(self._dicts)
-            ]
-            self._dicts = None
-        return self._orders
+            self._view = tuple(
+                MappingProxyType(dict(zip(_keys(size, n, rooted), order.values())))
+                for n, order in enumerate(self._orders)
+            )
+        return self._view
 
     @property
     def roots(self):
@@ -213,35 +199,45 @@ class _Coefficients:
         return self.space.size if self.rooted else 1
 
     @classmethod
+    def from_orders(cls, space, trunc, orders, allow_large=False):
+        """Build from ``orders``, one list per order 0..trunc of its values
+        in storage order (``_keys``), each stored as it comes.  ``orders`` is
+        read after the scale check, so a lazy one computes nothing first."""
+        _check_trunc(space, trunc, allow_large)
+        roots = space.size if cls.rooted else 1
+        return cls._new(space, [_store(vals, roots) for vals in orders])
+
+    @classmethod
     def from_function(cls, space, trunc, fn, allow_large=False):
         """Build with fn(order, multi_index) -> value for a series, and
         fn(order, root, tail multi-index) -> value for a family."""
-        out = cls(space, trunc, [], allow_large=allow_large)
-        out.coeffs = [
-            {key: fn(n, *key) if cls.rooted else fn(n, key) for key in _keys(space.size, n, cls.rooted)}
-            for n in range(trunc + 1)
-        ]
+        rooted = cls.rooted
+        orders = (
+            [fn(n, *key) if rooted else fn(n, key) for key in _keys(space.size, n, rooted)] for n in range(trunc + 1)
+        )
+        return cls.from_orders(space, trunc, orders, allow_large)
+
+    @classmethod
+    def _new(cls, space, orders):
+        """A series of this type over ``space`` with the given order layouts."""
+        out = cls.__new__(cls)
+        out.space, out.trunc, out._orders, out._view = space, len(orders) - 1, orders, None
         return out
 
     def _like(self, orders):
-        """A series of this type and space with the given order layouts."""
-        out = type(self).__new__(type(self))
-        out.space = self.space
-        out.trunc = len(orders) - 1
-        out._dicts, out._orders = None, orders
-        return out
+        return self._new(self.space, orders)
 
     def _check_compatible(self, other):
         if self.space != other.space or self.trunc != other.trunc:
             raise StructureError("series must share space and truncation order")
 
     def scale(self, c):
-        return self._like([order.scaled(c) for order in self._layout()])
+        return self._like([order.scaled(c) for order in self._orders])
 
     def max_abs_diff(self, other):
         self._check_compatible(other)
         worst = 0
-        for x, y in zip(self._layout(), other._layout()):
+        for x, y in zip(self._orders, other._orders):
             worst = _max_delta(x, y, worst)[0]
         return worst
 
@@ -258,7 +254,7 @@ class _Coefficients:
 
 
 class FormalSeries(_Coefficients):
-    """Truncated series: coefficient dicts over canonical multi-indices for
+    """Truncated series: coefficients over canonical multi-indices for
     orders 0..trunc."""
 
     __slots__ = ()
@@ -271,9 +267,7 @@ class FormalSeries(_Coefficients):
 
     @classmethod
     def unit(cls, space, trunc, allow_large=False):
-        s = cls(space, trunc, allow_large=allow_large)
-        s.coeffs[0][()] = 1
-        return s
+        return cls.from_function(space, trunc, lambda n, ms: 0 if n else 1, allow_large)
 
     # -- access ------------------------------------------------------------
 
@@ -282,20 +276,20 @@ class FormalSeries(_Coefficients):
         return self.coeffs[n][tuple(sorted(xs))]
 
     def constant(self):
-        return self._layout()[0].values()[0]
+        return self._orders[0].values()[0]
 
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other):
         self._check_compatible(other)
         return self._like(
-            [_store([a + b for a, b in zip(x.values(), y.values())], 1) for x, y in zip(self._layout(), other._layout())]
+            [_store([a + b for a, b in zip(x.values(), y.values())], 1) for x, y in zip(self._orders, other._orders)]
         )
 
     def __sub__(self, other):
         self._check_compatible(other)
         return self._like(
-            [_store([a - b for a, b in zip(x.values(), y.values())], 1) for x, y in zip(self._layout(), other._layout())]
+            [_store([a - b for a, b in zip(x.values(), y.values())], 1) for x, y in zip(self._orders, other._orders)]
         )
 
     def __neg__(self):
@@ -354,13 +348,14 @@ class FormalSeries(_Coefficients):
         if not isinstance(weights, list) or not isinstance(orders, dict):
             raise StructureError("a series document needs a weights list and an orders object")
         space = SpeciesSpace.from_weights([scalar(w) for w in weights])
-        s = cls(space, trunc, allow_large=allow_large)
+        _check_trunc(space, trunc, allow_large)
+        values = [[0] * len(_rank(space.size, n)) for n in range(trunc + 1)]
         order_of = {str(n): n for n in range(trunc + 1)}
         for n_str, entries in orders.items():
             n = order_of.get(n_str)
             if n is None or not isinstance(entries, list):
                 raise StructureError(f"orders must map 0..{trunc} to lists, got key {n_str!r}")
-            comp, seen = s.coeffs[n], set()
+            seen = set()
             for e in entries:
                 idx = e.get("idx") if isinstance(e, dict) and "value" in e else None
                 if not (
@@ -377,8 +372,8 @@ class FormalSeries(_Coefficients):
                 if ms in seen:
                     raise StructureError(f"order {n} repeats idx {idx}")
                 seen.add(ms)
-                comp[ms] = scalar(e["value"])
-        return s
+                values[n][_rank(space.size, n)[ms]] = scalar(e["value"])
+        return cls._new(space, [_store(vals, 1) for vals in values])
 
     @classmethod
     def from_json(cls, text, allow_large=False):
@@ -410,11 +405,8 @@ class RootedSeriesFamily(_Coefficients):
 
     def root_series(self, q, allow_large=False):
         """The plain series K with K_n = G_n(q; . )."""
-        coeffs = [
-            {ms: comp[(q, ms)] for ms in canonical_indices(self.space.size, n)}
-            for n, comp in enumerate(self.coeffs)
-        ]
-        return FormalSeries(self.space, self.trunc, coeffs, allow_large=allow_large)
+        coeffs = self.coeffs
+        return FormalSeries.from_function(self.space, self.trunc, lambda n, ms: coeffs[n][(q, ms)], allow_large)
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +549,14 @@ def _store(vals, roots):
         width = len(flat) // roots
         return _Exact([flat[i:i + width] for i in range(0, len(flat), width)], den, frac)
     return _Columns(*_array(vals, roots, _plain(vals)))
+
+
+def _check_trunc(space, trunc, allow_large):
+    """Refuse a negative truncation order and, unless ``allow_large``, a
+    series above the desk-scale ceilings, before anything is computed."""
+    if trunc < 0:
+        raise DomainError("truncation order must be >= 0")
+    check_scale(order=trunc, species=space.size, allow_large=allow_large)
 
 
 def _start(roots, size, trunc, first=0):
@@ -1075,26 +1075,21 @@ def measure_sums(K, vals, start=0):
     ``_Exact``, the sums run on its numerators (``_measure_sums_exact``); a
     root's sum is then int 0 when every coefficient it reads is 0, and
     otherwise a Fraction, equal to the term-by-term rational sum.
-    Otherwise each root adds its terms K_n(x) prod_j nu(x_j) w(x_j) /
-    sym(x) in storage order, one term at a time.
+    Otherwise each root adds the terms K_n(x) prod_j nu(x_j) w(x_j) /
+    sym(x) of the stored orders in storage order, one term at a time.
     """
     _check_measure(K, vals)
     weights = K.space.weights
     orders = range(start, K.trunc + 1)
     if all(type(v) in _EXACT for v in (*vals, *weights)) and all(
-        type(K._layout()[n]) is _Exact for n in orders
+        type(K._orders[n]) is _Exact for n in orders
     ):
         return _measure_sums_exact(K, vals, orders)
     rooted = K.rooted
     totals = [0] * K.roots
     for n in orders:
         sym = {}
-        # the copy held, so a float sum converts nothing
-        if K._dicts is None:
-            items = zip(_keys(K.space.size, n, rooted), K._orders[n].values())
-        else:
-            items = K._dicts[n].items()
-        for key, v in items:
+        for key, v in zip(_keys(K.space.size, n, rooted), K._orders[n].values()):
             if v == 0:
                 continue
             q, ms = key if rooted else (0, key)
@@ -1121,7 +1116,7 @@ def _measure_sums_exact(K, vals, orders):
     u = [v * w for v, w in zip(vals, K.space.weights)]
     E = math.lcm(*(x.denominator for x in u))
     a = [x.numerator * (E // x.denominator) for x in u]
-    layout = K._layout()
+    layout = K._orders
     sums = [[] for _ in range(K.roots)]  # per root: (order total, D_n) of live orders
     prods = {(): 1}
     for n in range(orders.stop):
@@ -1163,7 +1158,7 @@ def _majorant_sums(G, nu, start=0):
     for n in range(start, G.trunc + 1):
         row = sums[n]
         sym = {ms: sym_factor(ms) for ms in canonical_indices(size, n)}
-        for (q, ms), v in zip(_keys(size, n, True), G._layout()[n].values()):
+        for (q, ms), v in zip(_keys(size, n, True), G._orders[n].values()):
             if v == 0:
                 continue
             term = float(abs(v))
@@ -1185,7 +1180,7 @@ def mul(K, G):
     if K.rooted != G.rooted or K.space != G.space or K.trunc != G.trunc:
         raise StructureError("series must share space and truncation order")
     out = _start(K.roots, K.space.size, K.trunc)
-    _sweep(K.space.size, range(K.trunc + 1), "split", out, K._layout(), g=G._layout())
+    _sweep(K.space.size, range(K.trunc + 1), "split", out, K._orders, g=G._orders)
     return K._like(out)
 
 
@@ -1197,7 +1192,7 @@ def compose_univariate(fcoeffs, K):
     Missing f_m beyond the list are treated as 0.  A rooted family K is
     composed root by root.
     """
-    ks = K._layout()
+    ks = K._orders
     if any(v != 0 for v in ks[0].values()):
         raise DomainError("composition requires a series with zero constant term")
     f = list(fcoeffs)
@@ -1223,7 +1218,7 @@ def log_series(K):
     out = _start(1, K.space.size, K.trunc)
     # weight 0 drops the single-block partition, weight 1 keeps the others
     f = [0, 0] + [1] * (K.trunc - 1)
-    _sweep(K.space.size, range(1, K.trunc + 1), "partition", out, out, f=f, init=K._layout(), subtract=True)
+    _sweep(K.space.size, range(1, K.trunc + 1), "partition", out, out, f=f, init=K._orders, subtract=True)
     return K._like(out)
 
 
@@ -1236,8 +1231,8 @@ def compose_measure(K, G):
     """
     if K.space != G.space or K.trunc != G.trunc:
         raise StructureError("series and family must share space and truncation")
-    ks = K._layout()
+    ks = K._orders
     out = _start(K.roots, K.space.size, K.trunc)
     out[0] = ks[0]
-    _sweep(K.space.size, range(1, K.trunc + 1), "compose", out, ks, sub=G._layout())
+    _sweep(K.space.size, range(1, K.trunc + 1), "compose", out, ks, sub=G._orders)
     return K._like(out)

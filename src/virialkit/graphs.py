@@ -319,13 +319,8 @@ def build_phi_series(space, mayer, N, allow_large=False):
     Order 0 is 0 (no constant term in log of the partition function) and
     order 1 is identically 1.
     """
-    out = FormalSeries(space, N, allow_large=allow_large)
     phi = per_pattern(ursell, mayer)
-    for n in range(1, N + 1):
-        comp = out.coeffs[n]
-        for ms in comp:
-            comp[ms] = phi(ms)
-    return out
+    return FormalSeries.from_function(space, N, lambda n, ms: phi(ms) if n else 0, allow_large=allow_large)
 
 
 def build_A_family(space, mayer, N, allow_large=False):
@@ -342,7 +337,6 @@ def build_A_family(space, mayer, N, allow_large=False):
     and b_q(x) = 1 + f(q, x), so the factors are multiplied left to right as
     they are and the coefficient is -(B - 1) ursell(x).
     """
-    fam = RootedSeriesFamily(space, N, allow_large=allow_large)
     fm, _ = _f_matrix(mayer)
     exact = _exact_entries(fm)
     roots = []
@@ -355,23 +349,29 @@ def build_A_family(space, mayer, N, allow_large=False):
         fractions = {x for x, v in enumerate(row) if type(v) is Fraction}
         roots.append((L, b, fractions))
     phi = per_pattern(ursell, mayer)
-    brackets = [{(): 1} for _ in roots]
-    for n in range(1, N + 1):
-        comp = fam.coeffs[n]
-        phis = {ms: phi(ms) for ms in canonical_indices(space.size, n)}
-        for q, (L, b, fractions) in enumerate(roots):
-            prev = brackets[q]
-            brackets[q] = cur = {ms: prev[ms[:-1]] * b[ms[-1]] for ms in phis}
-            Ln = L**n
-            for ms, B in cur.items():
-                p = phis[ms]
-                if not exact:
-                    comp[(q, ms)] = -(B - Ln) * p
-                elif type(p) is Fraction or not fractions.isdisjoint(ms):
-                    comp[(q, ms)] = Fraction((Ln - B) * p.numerator, Ln * p.denominator)
-                else:
-                    comp[(q, ms)] = (Ln - B) * p // Ln
-    return fam
+
+    def orders():
+        # each order's values in storage order: roots outermost, then ms
+        yield [0] * space.size
+        brackets = [{(): 1} for _ in roots]
+        for n in range(1, N + 1):
+            phis = {ms: phi(ms) for ms in canonical_indices(space.size, n)}
+            vals = []
+            for q, (L, b, fractions) in enumerate(roots):
+                prev = brackets[q]
+                brackets[q] = cur = {ms: prev[ms[:-1]] * b[ms[-1]] for ms in phis}
+                Ln = L**n
+                for ms, B in cur.items():
+                    p = phis[ms]
+                    if not exact:
+                        vals.append(-(B - Ln) * p)
+                    elif type(p) is Fraction or not fractions.isdisjoint(ms):
+                        vals.append(Fraction((Ln - B) * p.numerator, Ln * p.denominator))
+                    else:
+                        vals.append((Ln - B) * p // Ln)
+            yield vals
+
+    return RootedSeriesFamily.from_orders(space, N, orders(), allow_large=allow_large)
 
 
 def build_D_family(space, mayer, N, allow_large=False):
@@ -384,11 +384,7 @@ def build_D_family(space, mayer, N, allow_large=False):
         raise CapabilityError(
             f"biconnected family needs order + 1 <= {D_COEFF_MAX}"
         )
-    fam = RootedSeriesFamily(space, N, allow_large=allow_large)
     d = per_pattern(d_coeff, mayer)
-    for n in range(1, N + 1):
-        comp = fam.coeffs[n]
-        for q in range(space.size):
-            for ms in canonical_indices(space.size, n):
-                comp[(q, ms)] = d((q,) + ms)
-    return fam
+    return RootedSeriesFamily.from_function(
+        space, N, lambda n, q, ms: d((q,) + ms) if n else 0, allow_large=allow_large
+    )

@@ -37,6 +37,7 @@ from .fps import (
     FormalSeries,
     RootedSeriesFamily,
     _majorant_sums,
+    _max_delta,
     _rank,
     _start,
     _sweep,
@@ -331,14 +332,13 @@ def extract_d_from_a(st):
     constant term.  Returns a family in the same layout as d_family.
     """
     S = st.space.size
-    F = st.a_family.scale(-1)._layout()
-    out = RootedSeriesFamily(st.space, st.N, allow_large=True)
-    D = out._layout()
+    F = st.a_family.scale(-1)._orders
+    D = _start(S, S, st.N)
     for n in range(1, st.N + 1):
         # the template J = all positions reads the unknown D_n term itself;
         # it is 0 until written, so that template is skipped as a zero
-        _sweep(S, (n,), "compose", D, D, sub=st.e_family._layout(), init=F, subtract=True)
-    return out
+        _sweep(S, (n,), "compose", D, D, sub=st.e_family._orders, init=F, subtract=True)
+    return st.a_family._like(D)
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +452,12 @@ def _d_tail_sum(st, vals, order_factor=None):
     S = st.space.size
     fac = order_factor or (lambda n: 1)
     # D_n on a full tuple sits in the family at order n-1, rooted at its
-    # first entry; the family's stored orders are read, so it keeps them
-    series = [dict.fromkeys(canonical_indices(S, n), 0) for n in range(min(st.N + 1, 2))]
-    for n, order in enumerate(st.d_family._layout()[1:st.N], 2):
+    # first entry
+    orders = [[0] * len(_rank(S, n)) for n in range(min(st.N + 1, 2))]
+    for n, order in enumerate(st.d_family._orders[1:st.N], 2):
         D, rank = order.values(), _rank(S, n - 1)
-        series.append({ms: fac(n) * D[ms[0] * len(rank) + rank[ms[1:]]] for ms in canonical_indices(S, n)})
-    return measure_sums(FormalSeries(st.space, st.N, series, allow_large=True), vals, start=2)
+        orders.append([fac(n) * D[ms[0] * len(rank) + rank[ms[1:]]] for ms in canonical_indices(S, n)])
+    return measure_sums(FormalSeries.from_orders(st.space, st.N, orders, allow_large=True), vals, start=2)
 
 
 def _nonnegative_density(st, nu, what):
@@ -537,20 +537,17 @@ def dissymmetry_check(st, N=None):
     n_phi = FormalSeries.from_function(
         space, N, lambda n, ms: n * phi.coeffs[n][ms] if n >= 2 else 0, allow_large=True
     )
-    rhs = FormalSeries(space, N, allow_large=True)
-    _sweep(
-        S, range(2, N + 1), "compose", rhs._layout(), dm._layout(),
-        sub=owner._layout(), init=n_phi._layout(), subtract=True,
-    )
+    rhs = _start(1, S, N)
+    _sweep(S, range(2, N + 1), "compose", rhs, dm._orders, sub=owner._orders, init=n_phi._orders, subtract=True)
     worst = 0
     per_order = {}
     exact = True
     for n in range(2, N + 1):
-        for ms, r in rhs.coeffs[n].items():
-            delta = abs(phi.coeffs[n][ms] - r)
-            exact = exact and delta == 0
-            per_order[n] = max(per_order.get(n, 0), delta)
-            worst = max(worst, delta)
+        top, same = _max_delta(phi._orders[n], rhs[n])
+        exact = exact and same
+        per_order[n] = top
+        if top > worst or top != top:
+            worst = top
     return ResidualReport("dissymmetry", worst, per_order, exact=exact)
 
 

@@ -48,21 +48,20 @@ def multi_product(factors):
     for f in factors[1:]:
         first._check_compatible(f)
     r = len(factors)
-    out = FormalSeries(first.space, first.trunc, allow_large=True)
-    for n in range(first.trunc + 1):
-        comp = out.coeffs[n]
-        for ms in comp:
-            total = 0
-            for owners in product(range(r), repeat=n):
-                term = 1
-                for ell, fac in enumerate(factors):
-                    sel = tuple(ms[p] for p in range(n) if owners[p] == ell)
-                    term = term * fac.coeffs[len(sel)][sel]
-                    if term == 0:
-                        break
-                total += term
-            comp[ms] = total
-    return out
+
+    def coefficient(n, ms):
+        total = 0
+        for owners in product(range(r), repeat=n):
+            term = 1
+            for ell, fac in enumerate(factors):
+                sel = tuple(ms[p] for p in range(n) if owners[p] == ell)
+                term = term * fac.coeffs[len(sel)][sel]
+                if term == 0:
+                    break
+            total += term
+        return total
+
+    return FormalSeries.from_function(first.space, first.trunc, coefficient, allow_large=True)
 
 
 def sweep_termwise(size, orders, kind, outs, k, g=None, f=None, sub=None, init=None, subtract=False):
@@ -114,12 +113,9 @@ def var_derivative(K, q):
     """Variational derivative at species q: pins one slot, drops one order."""
     if K.trunc == 0:
         raise DomainError("cannot differentiate a constant series")
-    out = FormalSeries(K.space, K.trunc - 1, allow_large=True)
-    for n in range(K.trunc):
-        comp = out.coeffs[n]
-        for ms in comp:
-            comp[ms] = K.coeffs[n + 1][tuple(sorted((q,) + ms))]
-    return out
+    return FormalSeries.from_function(
+        K.space, K.trunc - 1, lambda n, ms: K.coeffs[n + 1][tuple(sorted((q,) + ms))], allow_large=True
+    )
 
 
 def measure_sums_termwise(K, vals, start=0):

@@ -51,7 +51,7 @@ def compute_tn(A, N=None):
         N = A.trunc
     if N > A.trunc:
         raise DomainError("requested order exceeds the activity family")
-    a = A._layout()
+    a = A._orders
     if any(v != 0 for v in a[0].values()):
         raise DomainError("activity family must have zero order-0 slice")
     S = A.space.size
@@ -109,7 +109,7 @@ def residual_report(name, *pairs):
     per_order = {}
     exact = True
     for lhs, rhs in pairs:
-        for n, (x, y) in enumerate(zip(lhs._layout(), rhs._layout())):
+        for n, (x, y) in enumerate(zip(lhs._orders, rhs._orders)):
             top, same = _max_delta(x, y, per_order.get(n, 0))
             exact = exact and same
             per_order[n] = top

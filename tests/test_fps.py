@@ -466,6 +466,43 @@ def test_desk_scale_guards():
     assert big.space.size == 13
 
 
+def test_from_function_checks_the_scale_first():
+    calls = []
+
+    def fn(n, *key):
+        calls.append(n)
+        return 0
+
+    with pytest.raises(CapabilityError):
+        FormalSeries.from_function(S2, errors.DESK_MAX_ORDER + 1, fn)
+    with pytest.raises(CapabilityError):
+        RootedSeriesFamily.from_function(SpeciesSpace.uniform(errors.DESK_MAX_SPECIES + 1), 2, fn)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "value", [lambda n, ms: Fraction(n - sum(ms), 3), lambda n, ms: 0.5**n - sum(ms) / 3], ids=["exact", "float"]
+)
+def test_coeffs_is_a_read_only_view(value):
+    # reading coeffs keeps the stored orders, and a kernel reads them as before
+    K = FormalSeries.from_function(S2, 3, value)
+    fam = RootedSeriesFamily.from_function(S2, 3, lambda n, q, ms: value(n, (q, *ms)))
+
+    def bits(X):
+        return [[_typed_bits(v) for v in comp.values()] for comp in X.coeffs]
+
+    before = bits(mul(K, K)), bits(compose_measure(fam, fam))
+    for X in (K, fam):
+        orders = X._orders
+        view = X.coeffs
+        assert X._orders is orders and X.coeffs is view
+        with pytest.raises(TypeError):
+            view[1][next(iter(view[1]))] = 0
+        with pytest.raises(TypeError):
+            view[1] = {}
+    assert (bits(mul(K, K)), bits(compose_measure(fam, fam))) == before
+
+
 def test_max_order_env_override(monkeypatch):
     monkeypatch.setenv("VIRIALKIT_MAX_ORDER", "8")
     assert errors.max_order() == 8
@@ -769,19 +806,22 @@ EXACT_VALUES = hyp.one_of(
 @settings(max_examples=200, deadline=None)
 @given(hyp.data())
 def test_stored_orders_keep_values_and_types(data):
-    # each order goes to its stored layout and back to the dict view, and
-    # scale acts on the stored orders, with the values and types of c * v
+    # each order goes to its stored layout and back to the read-only view,
+    # and scale acts on the stored orders, with the values and types of c * v
     size, N = data.draw(hyp.integers(1, 3)), data.draw(hyp.integers(0, 3))
     values = data.draw(hyp.sampled_from([PLAIN_VALUES, WIDE_VALUES, EXACT_VALUES]))
     cls = data.draw(hyp.sampled_from([FormalSeries, RootedSeriesFamily]))
-    X = cls.from_function(SpeciesSpace.uniform(size), N, lambda n, *key: data.draw(values))
+    drawn = [{} for _ in range(N + 1)]
+
+    def draw(n, *key):
+        v = drawn[n][key if cls.rooted else key[0]] = data.draw(values)
+        return v
+
+    X = cls.from_function(SpeciesSpace.uniform(size), N, draw)
     c = data.draw(hyp.one_of(values, hyp.sampled_from([2, -1, 0, Fraction(1, 2), Fraction(-3, 4), 0.5])))
 
     def bits(coeffs):
         return [[(key, _typed_bits(v)) for key, v in comp.items()] for comp in coeffs]
 
-    want = bits(X.coeffs)
-    want_scaled = bits([{key: c * v for key, v in comp.items()} for comp in X.coeffs])
-    X._layout()  # the stored orders, as a kernel use leaves them
-    assert bits(X.scale(c).coeffs) == want_scaled
-    assert bits(X.coeffs) == want
+    assert bits(X.coeffs) == bits(drawn)
+    assert bits(X.scale(c).coeffs) == bits([{key: c * v for key, v in comp.items()} for comp in drawn])

@@ -164,7 +164,8 @@ def test_type_rule_on_int_tables():
     space = SpeciesSpace.uniform(2)
     K = FormalSeries.from_function(space, 3, lambda n, ms: n + sum(ms) - 1)
     assert all(type(v) is int for comp in mul(K, K).coeffs for v in comp.values())
-    K.coeffs[1][(1,)] = Fraction(K.coeffs[1][(1,)])
+    # K_1(1) = 1 as Fraction(1)
+    K = FormalSeries.from_function(space, 3, lambda n, ms: (Fraction if ms == (1,) else int)(n + sum(ms) - 1))
     prod = mul(K, K)
     assert type(prod.coeffs[0][()]) is int
     assert all(type(v) is Fraction for comp in prod.coeffs[1:] for v in comp.values())

@@ -198,6 +198,17 @@ def test_dissymmetry_bounds():
         dissymmetry_check(st6, N=6)
 
 
+def test_dissymmetry_reports_non_finite_residuals():
+    # f = exp(700) - 1 overflows phi_3 to inf and phi_4 to NaN: those
+    # residuals are not finite, and the report neither drops nor zeroes them
+    st = GCState.from_potential(PairPotential(S2, 1.0, [[-700, -700], [-700, -700]]), N=4)
+    rep = dissymmetry_check(st, N=4)
+    assert list(rep.per_order) == [2, 3, 4]
+    assert rep.per_order[2] == 0
+    assert not any(math.isfinite(rep.per_order[n]) for n in (3, 4))
+    assert math.isnan(rep.max_abs) and not rep.exact
+
+
 # ---------------------------------------------------------------------------
 # inversion routes
 

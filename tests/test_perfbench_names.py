@@ -1,16 +1,23 @@
-"""The virialkit names the benchmark harness wraps and calls must exist.
+"""The virialkit names and series surface the benchmark harness uses must exist.
 
 ``perfbench/tracer.py`` wraps every function named in ``LAYER_SPANS`` by
 module and name, and the workloads call a few helpers directly, so a rename
-would otherwise break only a traced benchmark run.  The tracer source is
-parsed, not imported, so this test writes nothing under ``perfbench/``.
+would otherwise break only a traced benchmark run.  The tracer and the
+workloads also read series coefficients through ``coeffs``.  Their sources
+are parsed, not imported, so this test writes nothing under ``perfbench/``.
 """
 
 import ast
 import importlib
+from fractions import Fraction
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from virialkit.inversion import GCState
+from virialkit.species import MayerMatrices, SpeciesSpace
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 # helpers the workloads and the probe pass call directly: (module, dotted name)
 DIRECT = [
@@ -48,3 +55,29 @@ def test_benchmark_names_resolve():
         assert name in module_of and callable(_resolve(module_of[name], name)), name
     for modname, dotted in DIRECT:
         assert callable(_resolve(modname, dotted)), f"virialkit.{modname}.{dotted}"
+
+
+def _harness_function(path, name, **names):
+    """The module-level function ``name`` of a harness file, compiled from
+    its source alone, with ``names`` as its globals."""
+    tree = ast.parse(path.read_text())
+    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+    scope = dict(names)
+    exec(compile(ast.Module([node], []), str(path), "exec"), scope)
+    return scope[name]
+
+
+def test_series_surface_the_harness_reads():
+    # tracer._max_bits iterates coeffs and each order's .values(), the
+    # t_nonzero count reads coeffs[1:], and identity_suite reads a family's
+    # coeffs[n].items() and a series' coeffs[n][ms]
+    max_bits = _harness_function(TRACER, "_max_bits", Fraction=Fraction)
+    identity_suite = _harness_function(WORKLOADS, "identity_suite")
+    space = SpeciesSpace.uniform(2)
+    f = [[Fraction(-1), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(1, 3)]]
+    st = GCState(space, mayer=MayerMatrices.from_f(space, f, exact=True), N=3)
+    reports, worst = identity_suite(st)
+    assert worst == 0 and all(rep.exact for rep in reports)
+    for X in (st.a_family, st.t_family, st.phi_series):
+        assert max_bits(X) > 0
+    assert sum(1 for comp in st.t_family.coeffs[1:] for v in comp.values() if v != 0) > 0
