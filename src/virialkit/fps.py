@@ -171,16 +171,10 @@ class _Coefficients:
     __slots__ = ("space", "trunc", "_orders", "_view")
     rooted = False
 
-    def __init__(self, space, trunc, coeffs=None, allow_large=False):
-        """The series with ``coeffs[n][key]`` at order n, from one dict per
-        order; a key a dict leaves out is 0, and None gives the zero series."""
-        _check_trunc(space, trunc, allow_large)
-        comps = coeffs or [{}] * (trunc + 1)
-        self.space, self.trunc, self._view = space, trunc, None
-        self._orders = [
-            _store([comps[n].get(key, 0) for key in _keys(space.size, n, self.rooted)], self.roots)
-            for n in range(trunc + 1)
-        ]
+    def __init__(self, space, orders):
+        """The series over ``space`` with the given order layouts, one per
+        order 0..trunc; the public constructors check the scale first."""
+        self.space, self.trunc, self._orders, self._view = space, len(orders) - 1, orders, None
 
     @property
     def coeffs(self):
@@ -205,7 +199,7 @@ class _Coefficients:
         read after the scale check, so a lazy one computes nothing first."""
         _check_trunc(space, trunc, allow_large)
         roots = space.size if cls.rooted else 1
-        return cls._new(space, [_store(vals, roots) for vals in orders])
+        return cls(space, [_store(vals, roots) for vals in orders])
 
     @classmethod
     def from_function(cls, space, trunc, fn, allow_large=False):
@@ -217,15 +211,8 @@ class _Coefficients:
         )
         return cls.from_orders(space, trunc, orders, allow_large)
 
-    @classmethod
-    def _new(cls, space, orders):
-        """A series of this type over ``space`` with the given order layouts."""
-        out = cls.__new__(cls)
-        out.space, out.trunc, out._orders, out._view = space, len(orders) - 1, orders, None
-        return out
-
     def _like(self, orders):
-        return self._new(self.space, orders)
+        return type(self)(self.space, orders)
 
     def _check_compatible(self, other):
         if self.space != other.space or self.trunc != other.trunc:
@@ -263,7 +250,7 @@ class FormalSeries(_Coefficients):
 
     @classmethod
     def zero(cls, space, trunc, allow_large=False):
-        return cls(space, trunc, allow_large=allow_large)
+        return cls.from_function(space, trunc, lambda *_: 0, allow_large)
 
     @classmethod
     def unit(cls, space, trunc, allow_large=False):
@@ -373,7 +360,7 @@ class FormalSeries(_Coefficients):
                     raise StructureError(f"order {n} repeats idx {idx}")
                 seen.add(ms)
                 values[n][_rank(space.size, n)[ms]] = scalar(e["value"])
-        return cls._new(space, [_store(vals, 1) for vals in values])
+        return cls.from_orders(space, trunc, values, allow_large)
 
     @classmethod
     def from_json(cls, text, allow_large=False):
@@ -405,8 +392,9 @@ class RootedSeriesFamily(_Coefficients):
 
     def root_series(self, q, allow_large=False):
         """The plain series K with K_n = G_n(q; . )."""
-        coeffs = self.coeffs
-        return FormalSeries.from_function(self.space, self.trunc, lambda n, ms: coeffs[n][(q, ms)], allow_large)
+        width = [len(_rank(self.space.size, n)) for n in range(self.trunc + 1)]
+        orders = (order.values()[q * w:(q + 1) * w] for order, w in zip(self._orders, width))
+        return FormalSeries.from_orders(self.space, self.trunc, orders, allow_large)
 
 
 # ---------------------------------------------------------------------------

@@ -529,13 +529,18 @@ def dissymmetry_check(st, N=None):
     d = per_pattern(d_coeff, st.mayer)
     space = st.space
     dm = FormalSeries.from_function(space, N, lambda m, ms: (m - 1) * d(ms) if m >= 2 else 0, allow_large=True)
+    # phi's values per order, read from its stored orders
+    P = [order.values() for order in phi._orders[:N + 1]]
     # owner x with the block V: phi_(|V|+1)(x_V, x), read below order N
     owner = RootedSeriesFamily.from_function(
-        space, N, lambda m, x, v: phi.value(m + 1, v + (x,)) if m < N else 0, allow_large=True
+        space,
+        N,
+        lambda m, x, v: P[m + 1][_rank(S, m + 1)[tuple(sorted(v + (x,)))]] if m < N else 0,
+        allow_large=True,
     )
     # each order-n sum starts from n phi_n
-    n_phi = FormalSeries.from_function(
-        space, N, lambda n, ms: n * phi.coeffs[n][ms] if n >= 2 else 0, allow_large=True
+    n_phi = FormalSeries.from_orders(
+        space, N, [[n * v for v in P[n]] if n >= 2 else [0] * len(P[n]) for n in range(N + 1)], allow_large=True
     )
     rhs = _start(1, S, N)
     _sweep(S, range(2, N + 1), "compose", rhs, dm._orders, sub=owner._orders, init=n_phi._orders, subtract=True)

@@ -207,6 +207,8 @@ def test_dissymmetry_reports_non_finite_residuals():
     assert rep.per_order[2] == 0
     assert not any(math.isfinite(rep.per_order[n]) for n in (3, 4))
     assert math.isnan(rep.max_abs) and not rep.exact
+    # phi is read from its stored orders; its coeffs view is never built
+    assert st.phi_series._view is None
 
 
 # ---------------------------------------------------------------------------
