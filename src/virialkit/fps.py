@@ -43,19 +43,21 @@ cached, and never written back.
 
 Every template sum runs through one kernel (``_sweep``), with two arithmetic
 rules.  When every order read is exact, each coefficient is a Python-int sum
-of scaled numerators over one common denominator per order, stored as it
-is: exact end to end, and equal to the term-by-term rational sum.  This
-rule never walks the templates.  The tails a template reads at ms depend
-only on the run lengths of ms (its runs of equal species), so the templates
-are grouped once per kind and sorted run pattern by what they read, with a
+of scaled numerators over one common denominator per order, stored as it is:
+exact end to end, and equal to the term-by-term rational sum.  This rule
+never walks the templates.  The tails a template reads at ms depend only on
+the run lengths of ms (its runs of equal species), so the templates are
+grouped once per kind and sorted run pattern by what they read, with a
 multinomial count per group (``_template_groups``, built from vector
-partitions without enumerating a template), and a row holds one entry per
-group.  Otherwise (floats, complex) the column rule runs each template of
-``subset_splits``, ``set_partitions`` or ``compose_templates`` once per
-order, gathering its operands from the stored arrays through index arrays
-cached per position subset, as elementwise steps over every (root, ms) with
-the zero-skips of the term-by-term walk (``oracles.sweep_termwise``), so
-floats are identical to the bit and each value keeps its type.
+partitions without enumerating a template).  ``_tails`` lists the runs of
+each ms by length, so every ms reads the table of its sorted pattern as it
+is, and a row holds one entry per group.  Otherwise (floats, complex) the
+column rule runs each template of ``subset_splits``, ``set_partitions`` or
+``compose_templates`` once per order, gathering its operands from the stored
+arrays through index arrays cached per position subset, as elementwise steps
+over every (root, ms) with the zero-skips of the term-by-term walk
+(``oracles.sweep_termwise``), so floats are identical to the bit and each
+value keeps its type.
 
 ``measure_sums``, the sum of a series or family against a measure, has two
 rules as well: on exact orders it adds their numerators over one
@@ -151,8 +153,7 @@ def sym_factor(ms):
     run = 1
     for a, b in zip(ms, ms[1:]):
         run = run + 1 if a == b else 1
-        out *= run if run > 1 else 1
-    # the loop above multiplies run each time it grows: 2, then 2*3, ...
+        out *= run
     return out
 
 
@@ -443,10 +444,6 @@ class _Exact:
     def roots(self):
         return len(self.num)
 
-    def is_fraction(self, i):
-        """Whether the i-th value, roots outermost, is a Fraction."""
-        return self.frac if type(self.frac) is bool else self.frac[i]
-
     def values(self):
         flat, den, frac = chain.from_iterable(self.num), self.den, self.frac
         if frac is False:
@@ -560,23 +557,11 @@ def _max_delta(x, y, top=0):
     a running maximum ``top``, and whether every delta is 0.  A delta
     replaces ``top`` when it is larger, or NaN, which then stays; the first
     largest one wins, with its type (a Fraction when either value is one,
-    an int from two ints, else a float).  Two exact orders compare their
-    numerators over one denominator, two plain orders their float64 arrays,
-    and other orders their values one by one."""
-    if type(x) is _Exact and type(y) is _Exact:
-        if x.den == y.den and x.num == y.num:
-            return top, True
-        D = math.lcm(x.den, y.den)
-        a, b = D // x.den, D // y.den
-        best, at = 0, 0
-        for i, (u, v) in enumerate(zip(chain.from_iterable(x.num), chain.from_iterable(y.num))):
-            d = abs(u * a - v * b)
-            if d > best:
-                best, at = d, i
-        if not best:
-            return top, True
-        delta = Fraction(best, D) if x.is_fraction(at) or y.is_fraction(at) else best // D
-        return (delta if delta > top else top), False
+    an int from two ints, else a float).  Two equal exact layouts are done
+    at once; two plain orders compare their float64 arrays, and other
+    orders their values one by one."""
+    if type(x) is _Exact and type(y) is _Exact and x.den == y.den and x.num == y.num:
+        return top, True
     if x.plain() and y.plain():
         (u, u_ints), (v, v_ints) = _arrays(x, True), _arrays(y, True)
         with np.errstate(all="ignore"):
@@ -603,7 +588,7 @@ def _max_delta(x, y, top=0):
 # Template sums: ``_sweep`` and its exact rule
 
 
-def _sweep(size, orders, kind, out, k, g=None, f=None, sub=None, init=None, subtract=False):
+def _sweep(size, orders, kind, out, k, g=None, f=None, sub=None, init=None):
     """Set order n of ``out`` to the template sum of ``kind`` at every
     canonical ms of order n and every root q, for the given orders in turn.
 
@@ -620,10 +605,11 @@ def _sweep(size, orders, kind, out, k, g=None, f=None, sub=None, init=None, subt
                  one row per species, the substituted family, and must
                  already hold every order below n
 
-    A sum starts from ``init`` at ms when ``init`` is given, and
-    ``subtract`` subtracts the terms from it.  ``k`` or ``sub`` may be
-    ``out`` itself: order n is written once it is complete, so the sweep
-    reads the orders it has written, and order n as it was before.
+    When ``init`` is given the sum is ``init`` at ms minus the terms, as in
+    ``log_series``, ``extract_d_from_a`` and ``dissymmetry_check``.  ``k``
+    or ``sub`` may be ``out`` itself: order n is written once it is
+    complete, so the sweep reads the orders it has written, and order n as
+    it was before.
 
     Two arithmetic rules, picked from every order of every list read (and
     ``f``).  When every one is ``_Exact``, each coefficient is one
@@ -641,9 +627,9 @@ def _sweep(size, orders, kind, out, k, g=None, f=None, sub=None, init=None, subt
     """
     read = [o for X in (k, g, sub, init) if X is not None for o in X]
     if all(type(o) is _Exact for o in read) and all(type(v) in _EXACT for v in f or ()):
-        _sweep_exact(size, orders, kind, out, k, g, f, sub, init, subtract)
+        _sweep_exact(size, orders, kind, out, k, g, f, sub, init)
     else:
-        _sweep_columns(size, orders, kind, out, k, g, f, sub, init, subtract)
+        _sweep_columns(size, orders, kind, out, k, g, f, sub, init)
 
 
 @lru_cache(maxsize=None)
@@ -675,10 +661,12 @@ def _count_vectors(runs):
 def _template_groups(kind, runs):
     """The templates of ``kind`` at order n = sum(runs), grouped by the tails
     they read at any canonical multi-index whose runs of equal species have
-    the lengths ``runs``; the kernel asks for sorted patterns only, through
-    ``_groups``.  A tail is named by the index of its count vector
-    (``_count_vectors``).  Returns (pairs, groups), with ``pairs`` the
-    distinct (owner run, block tail) factors of a composition, and per group
+    the lengths ``runs``, listed in the order of ``_tails``.  The kernel
+    reads sorted patterns only: ``_tails`` lists the runs of ms by length,
+    so one table serves every permutation of a pattern.  A tail is named by
+    the index of its count vector (``_count_vectors``).  Returns (pairs,
+    groups), with ``pairs`` the distinct (owner run, block tail) factors of
+    a composition, and per group
 
     "split"      (shape, count, J, rest)
     "partition"  (shape, count, blocks), one per multiset of block tails
@@ -747,9 +735,10 @@ def _template_groups(kind, runs):
 
 
 def _tails(ms):
-    """The run lengths of a canonical multi-index ms, the species of each
-    run, and the tail of ms at every count vector, by index
-    (``_count_vectors``)."""
+    """The run lengths of a canonical multi-index ms (its runs of equal
+    species) sorted ascending, ties kept in the order of ms, the species of
+    each run in that order, and the tail of ms at every count vector of the
+    sorted pattern, by index (``_count_vectors``), each tail sorted."""
     runs, species = [], []
     for x in ms:
         if species and species[-1] == x:
@@ -757,45 +746,21 @@ def _tails(ms):
         else:
             runs.append(1)
             species.append(x)
-    runs = tuple(runs)
+    order = sorted(range(len(runs)), key=runs.__getitem__)
+    runs, species = tuple(runs[r] for r in order), [species[r] for r in order]
     tails = [()]
     for i, r in _count_vectors(runs)[4]:
-        tails.append(tails[i] + (species[r],))
+        tails.append(tuple(sorted(tails[i] + (species[r],))))
     return runs, species, tails
 
 
 @lru_cache(maxsize=None)
-def _groups(kind, runs):
-    """``_template_groups`` at any run pattern: the table of the sorted
-    pattern, built once for every permutation of it, with its runs
-    relabelled.  The sorted pattern's run s is run ``order[s]`` here, so
-    its count vector c' is the count vector c with c[order[s]] = c'[s]."""
-    order = sorted(range(len(runs)), key=runs.__getitem__)
-    key = tuple(runs[r] for r in order)
-    pairs, groups = _template_groups(kind, key)
-    if key == runs:
-        return pairs, groups
-    stride = _count_vectors(runs)[0]
-    to = [
-        sum(x * stride[order[s]] for s, x in enumerate(c))
-        for c in product(*(range(x + 1) for x in key))
-    ]
-    if kind == "split":
-        groups = [(shape, count, to[j], to[r]) for shape, count, j, r in groups]
-    elif kind == "partition":
-        groups = [(shape, count, tuple(to[b] for b in blocks)) for shape, count, blocks in groups]
-    else:
-        pairs = tuple((order[r], to[v]) for r, v in pairs)
-        groups = [(shape, count, to[j], ids) for shape, count, j, ids in groups]
-    return pairs, tuple(groups)
-
-
-@lru_cache(maxsize=None)
 def _tail_index(size, n):
-    """Per canonical ms of order n, in order: its run lengths, the species
-    of each run, and per count vector (``_count_vectors``) the position of
-    the tail of ms there among the canonical multi-indices of orders 0, 1,
-    ..., n in turn, which is where ``_numerators`` puts its numerator."""
+    """Per canonical ms of order n, in order, what ``_tails`` gives: its
+    sorted run lengths, the species of each run, and per count vector of
+    that pattern the position of the tail of ms there among the canonical
+    multi-indices of orders 0, 1, ..., n in turn, which is where
+    ``_numerators`` puts its numerator."""
     offset = [0]
     for m in range(n):
         offset.append(offset[-1] + len(_rank(size, m)))
@@ -811,7 +776,7 @@ def _numerators(X, n):
     return [list(chain.from_iterable(X[m].num[q] for m in range(n + 1))) for q in range(X[0].roots)]
 
 
-def _sweep_exact(size, orders, kind, out, k, g, f, sub, init, subtract):
+def _sweep_exact(size, orders, kind, out, k, g, f, sub, init):
     """The exact rule of ``_sweep``.  At order n a template T that reads the
     orders m_1.. of its tables (and f[r]) has d_T = prod den(m_i) (times the
     denominator of f[r]); with D_n the lcm of every d_T and of the
@@ -824,16 +789,18 @@ def _sweep_exact(size, orders, kind, out, k, g, f, sub, init, subtract):
     the same tails at ms does so at every multi-index with the run lengths
     of ms, so ``_template_groups`` caches, per kind and sorted run pattern,
     one representative and a count per group, and a row adds count * c_T
-    once per group.  In a composition the factors of ``sub``, the same for
-    every root, are multiplied into the scale first, and groups merge by
-    the tail of ``k``."""
+    once per group; ms reads the table at its sorted pattern as ``_tails``
+    lists its runs.  The group order within a row changes no total, as
+    totals are Python-int sums.  In a composition the factors of ``sub``,
+    the same for every root, are multiplied into the scale first, and groups
+    merge by the tail of ``k``."""
     second = g if g is not None else sub
     for n in orders:
         # the one-run pattern has every shape of order n, each once; a
         # partition with f[#blocks] == 0 is dead
         dens, fnum = {}, {}
         fraction = False
-        for shape, *_ in _groups(kind, (n,) if n else ())[1]:
+        for shape, *_ in _template_groups(kind, (n,) if n else ())[1]:
             ko, so = shape
             if kind == "partition":
                 fr = f[len(ko)]
@@ -853,10 +820,10 @@ def _sweep_exact(size, orders, kind, out, k, g, f, sub, init, subtract):
         K = _numerators(k, n)
         G = None if second is None else _numerators(second, n)
         nums = [[] for _ in K]
-        scaled = {}  # run pattern -> (pairs, groups with count * c_T)
+        scaled = {}  # sorted run pattern -> (pairs, groups with count * c_T)
         for i, (runs, species, tails) in enumerate(_tail_index(size, n)):
             if runs not in scaled:
-                pairs, groups = _groups(kind, runs)
+                pairs, groups = _template_groups(kind, runs)
                 scaled[runs] = pairs, [
                     (count * scale[shape], *reads)
                     for shape, count, *reads in groups
@@ -901,7 +868,7 @@ def _sweep_exact(size, orders, kind, out, k, g, f, sub, init, subtract):
                         if a:
                             total += c * a
                 if init is not None:
-                    total = init[n].num[q][i] * scale["init"] + (-total if subtract else total)
+                    total = init[n].num[q][i] * scale["init"] - total
                 nums[q].append(total)
         out[n] = _Exact.reduced(nums, D, fraction)
 
@@ -946,7 +913,7 @@ def _keep_ints(ints, other, mask):
     return ints & other if mask is None else ints & (other | ~mask)
 
 
-def _sweep_columns(size, orders, kind, out, k, g, f, sub, init, subtract):
+def _sweep_columns(size, orders, kind, out, k, g, f, sub, init):
     """The column rule of ``_sweep``.  At order n every order it reads is
     one array over (root, canonical ms), the stored one when its dtype is
     the one picked for n; each template gathers its operands through the
@@ -957,7 +924,8 @@ def _sweep_columns(size, orders, kind, out, k, g, f, sub, init, subtract):
     - a lane where k(ms_J) (or, for a split, g(ms_rest)) is 0 adds nothing,
       and neither does a partition with f[#blocks] == 0;
     - a product stops multiplying on a lane once it reads 0;
-    - the term is added to, or subtracted from, the lanes that take it.
+    - the term is added to the lanes that take it, or subtracted from them
+      when the sum starts from ``init``.
 
     Each lane thus sees the operations, in the order, of the term-by-term
     walk ``oracles.sweep_termwise``.  The dtype is picked per order from
@@ -967,7 +935,7 @@ def _sweep_columns(size, orders, kind, out, k, g, f, sub, init, subtract):
     (complex values, Fractions among floats, large ints).  Order n is
     stored as the float64 array when no lane holds an int, and from its
     values otherwise."""
-    accumulate = np.subtract if subtract else np.add
+    accumulate = np.add if init is None else np.subtract
     roots = k[0].roots
     converted = {}  # (id, dtype) -> (order, arrays) of orders not stored so
 
@@ -1206,7 +1174,7 @@ def log_series(K):
     out = _start(1, K.space.size, K.trunc)
     # weight 0 drops the single-block partition, weight 1 keeps the others
     f = [0, 0] + [1] * (K.trunc - 1)
-    _sweep(K.space.size, range(1, K.trunc + 1), "partition", out, out, f=f, init=K._orders, subtract=True)
+    _sweep(K.space.size, range(1, K.trunc + 1), "partition", out, out, f=f, init=K._orders)
     return K._like(out)
 
 

@@ -337,7 +337,7 @@ def extract_d_from_a(st):
     for n in range(1, st.N + 1):
         # the template J = all positions reads the unknown D_n term itself;
         # it is 0 until written, so that template is skipped as a zero
-        _sweep(S, (n,), "compose", D, D, sub=st.e_family._orders, init=F, subtract=True)
+        _sweep(S, (n,), "compose", D, D, sub=st.e_family._orders, init=F)
     return st.a_family._like(D)
 
 
@@ -543,7 +543,7 @@ def dissymmetry_check(st, N=None):
         space, N, [[n * v for v in P[n]] if n >= 2 else [0] * len(P[n]) for n in range(N + 1)], allow_large=True
     )
     rhs = _start(1, S, N)
-    _sweep(S, range(2, N + 1), "compose", rhs, dm._orders, sub=owner._orders, init=n_phi._orders, subtract=True)
+    _sweep(S, range(2, N + 1), "compose", rhs, dm._orders, sub=owner._orders, init=n_phi._orders)
     worst = 0
     per_order = {}
     exact = True

@@ -64,18 +64,17 @@ def multi_product(factors):
     return FormalSeries.from_function(first.space, first.trunc, coefficient, allow_large=True)
 
 
-def sweep_termwise(size, orders, kind, outs, k, g=None, f=None, sub=None, init=None, subtract=False):
+def sweep_termwise(size, orders, kind, outs, k, g=None, f=None, sub=None, init=None):
     """``fps._sweep`` one coefficient and one template at a time: the same
     sums, over per-root dicts from every canonical tail of any order to its
-    value in place of order layouts, each coefficient adding its terms in the
-    template order of ``subset_splits``, ``set_partitions`` or
-    ``compose_templates``, from ``init[q][ms]`` when ``init`` is given, and
-    subtracting them when ``subtract`` is set.  A split skips a template
-    whose k or g factor is 0, a partition one whose f[#blocks] is 0, a
-    composition one whose k factor is 0; a product stops multiplying once it
-    reads 0.  On float and complex values this is the column rule of
-    ``_sweep`` to the bit and in type; on exact values it is the rational sum
-    the exact rule must equal.
+    value in place of order layouts, each coefficient adding its terms in
+    the template order of ``subset_splits``, ``set_partitions`` or
+    ``compose_templates``, or, when ``init`` is given, subtracting them from
+    ``init[q][ms]``.  A split skips a template whose k or g factor is 0, a
+    partition one whose f[#blocks] is 0, a composition one whose k factor is
+    0; a product stops multiplying once it reads 0.  On float and complex
+    values this is the column rule of ``_sweep`` to the bit and in type; on
+    exact values it is the rational sum the exact rule must equal.
     """
     by_kind = {"split": subset_splits, "partition": set_partitions, "compose": compose_templates}
     for n in orders:
@@ -102,10 +101,10 @@ def sweep_termwise(size, orders, kind, outs, k, g=None, f=None, sub=None, init=N
                         term = term * table[x]
                         if term == 0:
                             break
-                    if subtract:
-                        total -= term
-                    else:
+                    if init is None:
                         total += term
+                    else:
+                        total -= term
                 out[ms] = total
 
 

@@ -724,7 +724,7 @@ def _layout_sweep(size, orders, kind, outs, k, **tables):
             for m in range(N + 1)
         ]
 
-    args = {name: v if name in ("f", "subtract") else layouts(v) for name, v in tables.items()}
+    args = {name: v if name == "f" else layouts(v) for name, v in tables.items()}
     k_orders = layouts(k)
     out = k_orders if k is outs else [None] * (N + 1)
     _sweep(size, orders, kind, out, k_orders, **args)
@@ -768,7 +768,6 @@ def test_sweep_matches_termwise_walk(data):
         extra["sub"] = tables(size)
     if data.draw(hyp.booleans()):
         extra["init"] = tables(roots)
-        extra["subtract"] = data.draw(hyp.booleans())
     lo = data.draw(hyp.integers(0, 1))
     outs = [{} for _ in range(roots)]
     if data.draw(hyp.booleans()):
@@ -783,12 +782,12 @@ def test_sweep_matches_termwise_walk(data):
 
 
 def test_sweep_int_zero_has_no_sign():
-    # -1 * 0 is the int 0, and -0.0 + 0 is +0.0; in plain float64 the term
-    # would be -0.0 and the sum -0.0
+    # -1 * 0 is the int 0, and -0.0 - 0 is -0.0; in plain float64 the term
+    # would be -0.0 and the difference +0.0
     for sweep in (_layout_sweep, sweep_termwise):
         out = [{}]
         sweep(1, (1,), "partition", out, [{(): 0, (0,): 0}], f=[0, -1], init=[{(): 0, (0,): -0.0}])
-        assert _typed_bits(out[0][(0,)]) == ("float", "0x0.0p+0")
+        assert _typed_bits(out[0][(0,)]) == ("float", "-0x0.0p+0")
     # an int lane stays an int beside float lanes
     out = [{}, {}]
     _layout_sweep(2, (1,), "split", out, [{(): 1, (0,): 1, (1,): -1}, {(): 0.5, (0,): 1, (1,): 0}],

@@ -10,6 +10,7 @@ rule sums are checked against the templates walked one by one.
 """
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -20,7 +21,6 @@ from hypothesis import strategies as hyp
 from virialkit.fps import (
     FormalSeries,
     RootedSeriesFamily,
-    _groups,
     _tails,
     _template_groups,
     compose_measure,
@@ -236,7 +236,7 @@ def group_reads(kind, ms):
     """Per group of ``_template_groups`` at ms: its shape, its count and the
     tails its representative reads, keyed like ``template_reads``."""
     runs, species, tails = _tails(ms)
-    pairs, groups = _groups(kind, runs)
+    pairs, groups = _template_groups(kind, runs)
     out = []
     for shape, count, *reads in groups:
         if kind == "split":
@@ -277,19 +277,48 @@ def test_template_groups_partition_the_templates():
 def test_one_group_table_per_sorted_run_pattern():
     # permuted run patterns share the table of their sorted pattern: a cold
     # t at S=3, N=7 builds one per kind and partition of n = 1..7 into at
-    # most three parts, and relabels it for each of the compositions
+    # most three parts
     space = SpeciesSpace.uniform(3)
     f = [[Fraction(i + j - 3, 16) for j in range(3)] for i in range(3)]
     st = GCState(space, mayer=MayerMatrices.from_f(space, f, exact=True), N=7, allow_large=True)
     st.a_family
     _template_groups.cache_clear()
-    _groups.cache_clear()
     st.t_family
     patterns = [runs for n in range(1, 8) for runs in run_patterns(n) if len(runs) <= 3]
     sorted_patterns = {tuple(sorted(runs)) for runs in patterns}
     assert (len(patterns), len(sorted_patterns)) == (63, 30)
     assert _template_groups.cache_info().currsize == 2 * 30  # compose and partition
-    assert _groups.cache_info().currsize == 2 * 63
+
+
+@pytest.mark.parametrize("S, N", [(2, 6), (3, 5), (4, 4)])
+def test_species_relabelling_permutes_the_families(S, N):
+    # renaming the species permutes t, E and the extracted D with them: a
+    # multi-index whose runs are not sorted by length reads its table at
+    # the sorted pattern, with its runs relabelled
+    entries = [-1, 0, 1, 2, Fraction(1, 3), Fraction(-7, 16), Fraction(5, 7)]
+    for seed in range(2):
+        r = random.Random(100 * S + seed)
+        f = [[0] * S for _ in range(S)]
+        for i in range(S):
+            for j in range(i, S):
+                f[i][j] = f[j][i] = r.choice(entries)
+        weights = [r.choice([1, Fraction(1, 2), 3]) for _ in range(S)]
+        perm = list(range(S))
+        while perm == sorted(perm):
+            r.shuffle(perm)
+
+        def state(p):
+            space = SpeciesSpace.from_weights([weights[p[i]] for i in range(S)])
+            g = [[f[p[i]][p[j]] for j in range(S)] for i in range(S)]
+            return GCState(space, mayer=MayerMatrices.from_f(space, g, exact=True), N=N)
+
+        st, moved = state(range(S)), state(perm)
+        for name, build in (("t", lambda x: x.t_family), ("E", lambda x: x.e_family), ("D", extract_d_from_a)):
+            a, b = build(st).coeffs, build(moved).coeffs
+            for n in range(N + 1):
+                for (q, ms), v in b[n].items():
+                    key = perm[q], tuple(sorted(perm[x] for x in ms))
+                    assert repr(v) == repr(a[n][key]), (name, seed, n, q, ms)
 
 
 def test_one_run_groups_count_every_template_to_order_ten():
