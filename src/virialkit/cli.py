@@ -146,7 +146,10 @@ def cmd_virial(args):
 
 def cmd_bounds(args):
     model = _hom_model(args)
-    rows = homogeneous.bounds_report(model, B_bar=args.b_bar)
+    b_bar = parse_scalar(args.b_bar)
+    if b_bar < 0:
+        raise DomainError("--b-bar must be non-negative")
+    rows = homogeneous.bounds_report(model, B_bar=b_bar)
     _emit(args, ("name", "value", "formula"), rows)
     return 0
 

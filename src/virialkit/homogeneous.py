@@ -20,6 +20,7 @@ distance below which two particles overlap (for spheres of radius R that is
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
@@ -289,10 +290,9 @@ def virial_table(model, n_max, samples=200_000, seed=0, threads=1):
 
 def k_constant():
     """max over w in [0,1] of (2e^-w - 1) w, located by bracketing the
-    first-order condition 2e^-w (1 - w) = 1."""
-    from scipy.optimize import brentq
-
-    w = brentq(lambda t: 2.0 * math.exp(-t) * (1.0 - t) - 1.0, 0.0, 1.0, xtol=1e-14)
+    first-order condition 2e^-w (1 - w) = 1 with ``_brentq`` at xtol 1e-14.
+    Pure Python: the bounds table loads no scipy module."""
+    w = _brentq(lambda t: 2.0 * math.exp(-t) * (1.0 - t) - 1.0, 0.0, 1.0, 1e-14)
     return (2.0 * math.exp(-w) - 1.0) * w
 
 
@@ -345,16 +345,164 @@ def tree_fn_T(s):
     return T
 
 
-def _bounded_min(fn, top):
-    """scipy's bounded scalar minimum of fn over [1e-12 top, top]."""
-    from scipy.optimize import minimize_scalar
+def _div(a, b):
+    """a / b as C divides doubles: a zero divisor gives a signed infinity,
+    or NaN for 0/0, where Python raises ZeroDivisionError."""
+    if b:
+        return a / b
+    if a != a or not a:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
-    # near the float range the search's own interpolation steps overflow
-    # harmlessly; numpy would print a warning for each
-    with np.errstate(over="ignore", invalid="ignore"):
-        return minimize_scalar(
-            fn, bounds=(1e-12 * top, top), method="bounded", options={"xatol": 1e-12}
-        )
+
+def _brentq(f, a, b, xtol):
+    """A root of f bracketed by [a, b], by Brent's method.
+
+    This is scipy's C ``brentq`` (rtol = 4 eps, 100 iterations) ported
+    operation for operation, so it returns the same float; ``_div`` keeps
+    C's division by zero.  As in scipy, a NaN value of f or f(a), f(b) of
+    one sign raise ValueError, and no convergence raises RuntimeError.
+    """
+
+    def call(x):
+        fx = f(x)
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return float(fx)
+
+    def signbit(v):
+        return math.copysign(1.0, v) < 0
+
+    rtol = 4 * sys.float_info.epsilon
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if signbit(fpre) == signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and signbit(fpre) != signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2 delta
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
+            else:
+                # extrapolate
+                dpre = _div(fpre - fcur, xpre - xcur)
+                dblk = _div(fblk - fcur, xblk - xcur)
+                stry = _div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            limit = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur}")
+
+
+def _bounded_min(fn, top):
+    """The minimum of fn over [1e-12 top, top] as (x, fn(x)).
+
+    Brent's bounded search: golden-section steps, with parabolic steps once
+    they are acceptable, until the bracket is within xatol = 1e-12 plus
+    sqrt(eps)|x|, or after 500 evaluations.  This is scipy's
+    ``_minimize_scalar_bounded`` ported operation for operation, so x and
+    fn(x) are the floats scipy returns.  Python floats overflow to inf
+    without a warning, which near the float range the search's own
+    interpolation steps do harmlessly.
+    """
+    xatol = 1e-12
+    a, b = 1e-12 * top, top
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    if a > b:
+        raise ValueError("The lower bound exceeds the upper bound.")
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+
+    def direction(v):
+        """np.sign(v) + (v == 0): +1 at zero, NaN at NaN."""
+        return -1.0 if v < 0 else 1.0 if v >= 0 else v
+
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = fn(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabolic fit through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * direction(xm - xf)
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + direction(rat) * max(abs(rat), tol1)
+        fu = fn(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx
 
 
 def lp_chain(model):
@@ -364,10 +512,10 @@ def lp_chain(model):
     if cb <= 0:
         raise DomainError("exclusion integral must be positive")
     top = 1.0 / (math.e * cb)
-    res = _bounded_min(lambda r: -r * math.exp(-tree_fn_T(cb * r)), top)
+    argmax, fun = _bounded_min(lambda r: -r * math.exp(-tree_fn_T(cb * r)), top)
     return {
-        "sup": -res.fun,
-        "argmax": res.x,
+        "sup": -fun,
+        "argmax": argmax,
         "closed_form": 1.0 / (2.0 * math.e * cb),
     }
 
@@ -380,8 +528,6 @@ def banach_compare(M, r_max):
 
     by nested bracketed maximization; returns both and the ratio P'/P.
     """
-    from scipy.optimize import brentq
-
     grid = np.linspace(0.0, r_max, 33)
     vals = [float(M(r)) for r in grid]
     if abs(vals[0]) > 1e-12 or vals[-1] <= 0 or any(
@@ -389,18 +535,18 @@ def banach_compare(M, r_max):
     ):
         raise DomainError("modulus must be increasing with M(0) = 0")
 
-    res_p = _bounded_min(lambda r: -r * math.exp(-float(M(r))), r_max)
-    P = 0.125 * (-res_p.fun)
+    _, fun_p = _bounded_min(lambda r: -r * math.exp(-float(M(r))), r_max)
+    P = 0.125 * (-fun_p)
 
     b_max = float(M(r_max))
 
     def inv_M(b):
         if b >= b_max:
             return r_max
-        return brentq(lambda r: float(M(r)) - b, 0.0, r_max, xtol=1e-14)
+        return _brentq(lambda r: float(M(r)) - b, 0.0, r_max, 1e-14)
 
-    res_pp = _bounded_min(lambda b: -math.exp(-b) * inv_M(b), b_max)
-    P_prime = -res_pp.fun
+    _, fun_pp = _bounded_min(lambda b: -math.exp(-b) * inv_M(b), b_max)
+    P_prime = -fun_pp
     return {"P": P, "P_prime": P_prime, "ratio": P_prime / P}
 
 

@@ -91,19 +91,26 @@ def scan_masks(n, pi, pj, mode):
 
 
 def mc_mask_sum(xs, r2, table):
-    """Sum of table[overlap mask] over a batch of point configurations."""
+    """Sum of table[overlap mask] over a batch of point configurations.
+
+    xs has shape [B, k, d] and holds vertices 1..k.  Bit p of a sample's
+    mask is set when the p-th pair (i, j), i < j, has squared distance
+    below r2[i, j].  Only those C(k+1, 2) pairs are formed, one at a time:
+    the difference x_i - x_j, or x_j itself against the pinned vertex 0
+    (the square of 0 - x_j is that of x_j), squared and summed over the d
+    axes in order by ``einsum``.
+    """
     xs = np.ascontiguousarray(xs, np.float64)
     r2 = np.ascontiguousarray(r2, np.float64)
     table = np.ascontiguousarray(table, np.float64)
-    B, k, d = xs.shape
-    pts = np.concatenate([np.zeros((B, 1, d)), xs], axis=1)
-    diff = pts[:, :, None, :] - pts[:, None, :, :]
-    d2 = np.einsum("bijt,bijt->bij", diff, diff)
+    B, k, _ = xs.shape
     mask = np.zeros(B, np.int64)
     p = 0
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
-            mask |= (d2[:, i, j] < r2[i, j]).astype(np.int64) << p
+            diff = xs[:, j - 1] if i == 0 else xs[:, i - 1] - xs[:, j - 1]
+            d2 = np.einsum("bt,bt->b", diff, diff)
+            mask |= (d2 < r2[i, j]).astype(np.int64) << p
             p += 1
     return float(table[mask].sum())
 

@@ -134,6 +134,20 @@ def test_bounds_table(capsys):
     assert abs(rows["lp_sup"] - rows["lp_closed_form"]) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "b_bar, message",
+    [
+        ("nan", "not a finite number: nan"),
+        ("inf", "not a finite number: inf"),
+        ("-1", "--b-bar must be non-negative"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bounds_b_bar_must_be_finite_and_non_negative(capsys, b_bar, message, fmt):
+    code, out, err = run(capsys, ["bounds", f"--b-bar={b_bar}", "--format", fmt])
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
 def test_invert_fixture(capsys):
     code, out, err = run(capsys, ["invert", "--model", FIX + "grid_profile.json", "--order", "3"])
     assert code == 0 and err == ""
@@ -276,12 +290,13 @@ README_STATE = {
 
 
 def test_import_and_light_commands_load_no_scipy():
-    # scipy costs about 0.5 s of import; only bounds and mixture may load it.
+    # scipy costs about 0.5 s of import; only mixture may load it.
     # The brute-force references load only with selftest, which needs one.
     request = {"state": README_STATE, "op": "zeta_of_nu", "N": 3, "inputs": {"nu": ["1/20", "1/30"]}}
     argvs = [
         ["request", "--model", json.dumps(request)],
         ["virial", "--model", '{"kind":"hard_rod","a":"1/4"}', "--order", "3"],
+        ["bounds", "--b-bar", "0"],
     ]
     proc = run_child(
         "import json, sys\n"
@@ -295,16 +310,17 @@ def test_import_and_light_commands_load_no_scipy():
         "report['oracles'] = 'virialkit.oracles' in sys.modules\n"
         "report['codes'].append(virialkit.cli.main(['selftest', '--seed', '0']))\n"
         "report['selftest'] = scipy_mods()\n"
-        "report['codes'].append(virialkit.cli.main(['bounds', '--b-bar', '0']))\n"
-        "report['bounds'] = 'scipy.optimize' in sys.modules\n"
+        f"mixture = ['mixture', '--model', {FIX + 'mixture_spheres.json'!r}, '--order', '3']\n"
+        "report['codes'].append(virialkit.cli.main(mixture))\n"
+        "report['mixture'] = 'scipy.integrate' in sys.modules\n"
         "print(json.dumps(report))\n"
     )
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["import"] == [] and report["commands"] == [] and report["selftest"] == []
     assert report["oracles"] is False
-    assert report["codes"] == [0, 0, 0, 0]
+    assert report["codes"] == [0, 0, 0, 0, 0]
     # the probe sees scipy once a command does load it
-    assert report["bounds"] is True
+    assert report["mixture"] is True
 
 
 def test_unexpected_exception_exits_4(capsys, monkeypatch):

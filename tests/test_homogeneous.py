@@ -10,6 +10,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
 
 from virialkit import homogeneous as hom
 from virialkit.errors import CapabilityError, DomainError
@@ -235,6 +237,118 @@ def test_banach_from_samples():
     assert abs(out["P"] - 1 / (8 * 1.3 * math.e)) < 1e-4
     with pytest.raises(DomainError):
         banach_from_samples([0.1, 0.2], [0.1, 0.2])  # does not start at zero
+
+
+# ---------------------------------------------------------------------------
+# the pure-Python searches against scipy, which stays installed as their oracle
+
+# smooth functions with one sign change at the root r, rising through it
+ROOT_SHAPES = {
+    "cubic": lambda x, r, c: c * (x - r) + (x - r) ** 3,
+    "tanh": lambda x, r, c: math.tanh(c * (x - r)),
+    "exp": lambda x, r, c: math.expm1(c * (x - r) / math.sqrt(1.0 + (x - r) ** 2)),
+    "atan_shift": lambda x, r, c: math.atan(x - r) * (1.0 + c * x * x),
+    "kink": lambda x, r, c: (x - r) * math.exp(-c * abs(x)),
+}
+
+# unimodal in u = x/top on (0, 1], the minimum at or near m
+MIN_SHAPES = {
+    "parabola": lambda u, m: (u - m) ** 2 - 1.0,
+    "lp_chain": lambda u, m: -u * math.exp(-u / m),
+    "cosh": lambda u, m: math.cosh(3.0 * (u - m)),
+    "banach": lambda u, m: -math.exp(-u) * min(u, m),
+    "monotone": lambda u, m: m * u,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=hyp.sampled_from(sorted(ROOT_SHAPES)),
+    lo=hyp.floats(-50.0, 50.0),
+    width=hyp.floats(1e-6, 100.0),
+    at=hyp.floats(0.0, 1.0),
+    c=hyp.floats(0.01, 20.0),
+    xtol=hyp.sampled_from([2e-12, 1e-14]),
+    flip=hyp.booleans(),
+)
+def test_brentq_port_matches_scipy(shape, lo, width, at, c, xtol, flip):
+    from scipy.optimize import brentq
+
+    hi = lo + width
+    r = lo + at * (hi - lo)
+    sign = -1.0 if flip else 1.0
+
+    def f(x):
+        return sign * ROOT_SHAPES[shape](x, r, c)
+
+    try:
+        want = brentq(f, lo, hi, xtol=xtol)
+    except (ValueError, RuntimeError) as exc:
+        with pytest.raises(type(exc)):
+            hom._brentq(f, lo, hi, xtol)
+        return
+    got = hom._brentq(f, lo, hi, xtol)
+    assert type(got) is float and got.hex() == float(want).hex()
+
+
+# scipy's bounded search runs on numpy scalars, which warn where its
+# interpolation steps overflow
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=hyp.sampled_from(sorted(MIN_SHAPES)),
+    top_exp=hyp.floats(-300.0, 300.0),
+    m=hyp.floats(1e-3, 1.5),
+)
+def test_bounded_min_port_matches_scipy(shape, top_exp, m):
+    from scipy.optimize import minimize_scalar
+
+    top = 10.0**top_exp
+
+    def fn(x):
+        # scipy passes numpy scalars; the same arithmetic on Python floats
+        return MIN_SHAPES[shape](float(x) / top, m)
+
+    res = minimize_scalar(fn, bounds=(1e-12 * top, top), method="bounded", options={"xatol": 1e-12})
+    x, fun = hom._bounded_min(fn, top)
+    assert (x.hex(), fun.hex()) == (float(res.x).hex(), float(res.fun).hex())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bounded_min_port_matches_scipy_on_the_bounds_table():
+    from scipy.optimize import brentq, minimize_scalar
+
+    def scipy_min(fn, top):
+        res = minimize_scalar(fn, bounds=(1e-12 * top, top), method="bounded", options={"xatol": 1e-12})
+        return float(res.x).hex(), float(res.fun).hex()
+
+    for a in (1e-300, 1e-100, 0.25, 1.0, 3.0, 1e100, 1e300):
+        cb = HomogeneousModel.hard_rod(a).c_bar
+
+        def fn(r, cb=cb):
+            return -float(r) * math.exp(-tree_fn_T(cb * float(r)))
+
+        def m_minus_b(r, cb=cb):
+            return cb * r - 0.5
+
+        top = 1.0 / (math.e * cb)
+        x, fun = hom._bounded_min(fn, top)
+        assert (x.hex(), fun.hex()) == scipy_min(fn, top)
+        root = hom._brentq(m_minus_b, 0.0, 5.0 / cb, 1e-14)
+        assert root.hex() == brentq(m_minus_b, 0.0, 5.0 / cb, xtol=1e-14).hex()
+
+
+def test_brentq_port_divides_as_c():
+    assert hom._div(1.0, 0.0) == math.inf
+    assert hom._div(-1.0, 0.0) == -math.inf
+    assert hom._div(1.0, -0.0) == -math.inf
+    assert math.isnan(hom._div(0.0, 0.0))
+    assert math.isnan(hom._div(math.nan, 0.0))
+    assert hom._div(3.0, 2.0) == 1.5
+    with pytest.raises(ValueError, match="different signs"):
+        hom._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-14)
+    with pytest.raises(ValueError, match="NaN"):
+        hom._brentq(lambda x: math.nan if x > 0 else -1.0, -1.0, 1.0, 1e-14)
 
 
 def test_bloch_radii():

@@ -106,6 +106,55 @@ def test_mc_mask_sum_known_configurations():
     assert kernels.mc_mask_sum(both, r2, t2) == -1.0
 
 
+def sampled_r2(x):
+    """Squared pair distances of one sample x (vertices 1..k; vertex 0 at
+    the origin), each a plain sum over the axes in order."""
+    pts = [[0.0] * len(x[0])] + [[float(c) for c in row] for row in x]
+    r2 = np.zeros((len(pts), len(pts)))
+    for i, p in enumerate(pts):
+        for j, q in enumerate(pts):
+            acc = 0.0
+            for a, b in zip(p, q):
+                acc += (a - b) * (a - b)
+            r2[i, j] = acc
+    return r2
+
+
+# float.hex of summed mc_mask_sum values, recorded before the kernel formed
+# only the i < j pairs
+MASK_SUM_GOLDEN = {
+    (1, 1): "0x1.3d1910c504a6ap+8",
+    (1, 2): "-0x1.5f87253ddbee2p+10",
+    (1, 3): "0x1.880f16a4b5beep+8",
+    (2, 1): "0x1.6335de862e933p+9",
+    (2, 2): "0x1.b7df39c400cf2p+8",
+    (2, 3): "-0x1.3e87bf639a6d4p+10",
+    (3, 1): "-0x1.6388cfe507974p+12",
+    (3, 2): "0x1.0a5165acf7ab8p+8",
+    (3, 3): "-0x1.edd0548812aeap+7",
+}
+
+
+def test_mc_mask_sum_golden_on_sampled_boundaries():
+    # r2 sits on, and one ulp above, squared distances of samples in the
+    # batch, so a squared distance rounded another way (the axis sums in
+    # another order, say) flips bits of their masks; the random table
+    # weighs every mask differently
+    got = {}
+    for d in (1, 2, 3):
+        for k in (1, 2, 3):
+            rng = np.random.Generator(np.random.Philox(key=[11, 10 * d + k]))
+            xs = rng.uniform(-1.5, 1.5, (512, k, d))
+            table = rng.standard_normal(2 ** (k * (k + 1) // 2))
+            total = 0.0
+            for s in range(4):
+                r2 = sampled_r2(xs[s])
+                total += kernels.mc_mask_sum(xs, r2, table)
+                total += kernels.mc_mask_sum(xs, np.nextafter(r2, np.inf), table)
+            got[d, k] = total.hex()
+    assert got == MASK_SUM_GOLDEN
+
+
 def test_mc_rod_mask_sum_known_configurations():
     t2 = hard_core_d_table(2)
     # vertical rod crossing the pinned horizontal rod
@@ -196,6 +245,43 @@ def test_mc_routes_golden():
 
     est, err = rod_excluded_area_mc(1.0, 0.7, samples=3200, seed=4)
     assert (est.hex(), err.hex()) == ("0x1.3e147ae147ae2p-1", "0x1.7e86f937e3b02p-6")
+
+
+# float.hex recorded before mc_mask_sum formed only the i < j pairs: beta_n
+# (value, stderr) for d = 2, 3 and n = 2, 3, and a d = 1 mixture, whose
+# order-3 integrals are not zero
+BETA_MC_GOLDEN = [
+    ("-0x1.713f7ced91687p+1", "0x1.6078c60441946p-6"),
+    ("-0x1.5810624dd2f1ap+1", "0x1.62fcc1e35172fp-2"),
+    ("-0x1.0810624dd2f1ap+2", "0x1.db9a22b5c97fap-5"),
+    ("-0x1.5d867c3ece2a5p+2", "0x1.ea5d5f0273a8cp+1"),
+]
+MIXTURE_Z_GOLDEN = ["0x1.515a0ab995431p-6", "0x1.57d7e9290beb3p-8"]
+MIXTURE_MC_GOLDEN = [
+    ("-0x1.b8a3d70a3d70bp-1", "0x1.af4c0d6afe0f3p-4"),
+    ("-0x1.0e00000000000p+0", "0x1.41ab45d7f26adp-1"),
+    ("-0x1.0e00000000000p+2", "0x1.83f28c3d31504p-1"),
+    ("-0x1.c7a0000000000p+2", "0x1.345f416253e50p+0"),
+    ("-0x1.5180000000000p+0", "0x1.19b8ac4e39a4bp-1"),
+    ("-0x1.2fc0000000000p+2", "0x1.31bd4cc4bc22fp+0"),
+    ("-0x1.0590000000000p+3", "0x1.64256dd74d263p+0"),
+    ("-0x1.3c68000000000p+4", "0x1.0c4b22b3bcd91p+1"),
+]
+
+
+def test_mc_routes_golden_disks_and_rods():
+    got = []
+    for d in (2, 3):
+        model = HomogeneousModel.hard_sphere(d, radius=0.5)
+        for n in (2, 3):
+            est = beta_n_mc(model, n, samples=32000, seed=9)
+            got.append((est.value.hex(), est.stderr.hex()))
+    assert got == BETA_MC_GOLDEN
+    rods = MixtureSpec(radii=[0.25, 0.625], d=1, rho=[0.02, 0.005])
+    out = invert_mixture(rods, N=3, samples=3200, seed=6)
+    assert [v.hex() for v in out["z"]] == MIXTURE_Z_GOLDEN
+    integrals = [(est.hex(), err.hex()) for _, _, est, err in out["mc_integrals"]]
+    assert integrals == MIXTURE_MC_GOLDEN
 
 
 def test_batching_lives_in_kernels():
