@@ -99,7 +99,7 @@ def profile_state(gp, pot_kernel, N, beta=1.0):
     return GCState(space, pot=pot, N=N)
 
 
-def invert_profile(gp, pot_kernel, N, beta=1.0, a=None, b=None):
+def invert_profile(gp, pot_kernel, N, beta=1.0):
     """External potential reproducing a target density on the grid:
 
         beta V(q) = log z0 - log rho(q)
@@ -110,7 +110,7 @@ def invert_profile(gp, pot_kernel, N, beta=1.0, a=None, b=None):
     V(q) = +inf.  Uniqueness holds within the certified class only.
     """
     st = profile_state(gp, pot_kernel, N, beta=beta)
-    cert = check_Sab(st, gp.rho, a=a, b=b)
+    cert = check_Sab(st, gp.rho)
     if not cert.passed:
         raise CertificateError(
             "density profile fails the combined activity condition; "

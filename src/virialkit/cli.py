@@ -57,10 +57,6 @@ def _fmt(v, mode):
             return str(v.numerator)
         else:
             return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return ""
     return str(v)
 
 

@@ -283,14 +283,6 @@ class FormalSeries(_Coefficients):
     def __neg__(self):
         return self.scale(-1)
 
-    def __mul__(self, other):
-        if isinstance(other, FormalSeries):
-            return mul(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def evaluate(self, nu):
         """Numeric value sum_n (1/n!) sum_{x vec} K_n nu^n via canonical sums."""
         return measure_sums(self, nu.values if isinstance(nu, MeasureVec) else tuple(nu))
@@ -391,11 +383,12 @@ class RootedSeriesFamily(_Coefficients):
     def value(self, n, q, xs):
         return self.coeffs[n][(q, tuple(sorted(xs)))]
 
-    def root_series(self, q, allow_large=False):
-        """The plain series K with K_n = G_n(q; . )."""
+    def root_series(self, q):
+        """The plain series K with K_n = G_n(q; . ).  It is no larger than
+        the family, so it needs no scale check of its own."""
         width = [len(_rank(self.space.size, n)) for n in range(self.trunc + 1)]
         orders = (order.values()[q * w:(q + 1) * w] for order, w in zip(self._orders, width))
-        return FormalSeries.from_orders(self.space, self.trunc, orders, allow_large)
+        return FormalSeries.from_orders(self.space, self.trunc, orders, allow_large=True)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .errors import CapabilityError, DomainError
 from .fps import _EXACT, FormalSeries, RootedSeriesFamily, canonical_indices
 from .species import MayerMatrices
 
-MAX_CLASS_N = {"connected": 8, "biconnected": 8, "tree": 9}
+MAX_CLASS_N = {"connected": 7, "biconnected": 7, "tree": 9}
 URSELL_FAST_MAX = 12
 D_COEFF_MAX = 7
 

@@ -76,8 +76,12 @@ class HomogeneousModel:
 
     @property
     def c_bar(self):
-        """Exclusion integral: the volume of the overlap ball."""
-        return vol_ball(self.d, self.exclusion)
+        """Exclusion integral: the volume of the overlap ball; OverflowError
+        once it leaves the float range, where every radius would be 0."""
+        c = vol_ball(self.d, self.exclusion)
+        if c == math.inf:
+            raise OverflowError("the exclusion volume c_bar is not finite")
+        return c
 
 
 @dataclass

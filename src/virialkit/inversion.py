@@ -91,10 +91,6 @@ class GCState:
             self.beta_Bstar = (0,) * space.size
 
     @classmethod
-    def from_potential(cls, pot, N=4, allow_large=False):
-        return cls(pot.space, pot=pot, N=N, allow_large=allow_large)
-
-    @classmethod
     def from_f(cls, space, f, N=4, exact=True, allow_large=False):
         return cls(
             space,
@@ -295,32 +291,20 @@ def zeta_path_agreement(st):
     return residual_report("zeta_path_agreement", (st.t_family, bic))
 
 
-def roundtrip_check(st, x=None):
+def roundtrip_check(st):
     """Residual of zeta(rho(z)) = z and rho(zeta(nu)) = nu as formal series.
 
     Substituting the density factor family into T must invert the activity
     factor exp(-A) and vice versa; both products are compared against the
-    constant series 1.  Exact zero in rational mode.  When a measure x is
-    supplied, the numeric round trip through both maps at x is reported too.
+    constant series 1.  Exact zero in rational mode.
     """
     T, E = st.t_family, st.e_family
     unit = T._like(_start(st.space.size, st.space.size, st.N, first=1))
-    report = residual_report(
+    return residual_report(
         "roundtrip",
         (mul(E, compose_measure(T, E)), unit),
         (mul(T, compose_measure(E, T)), unit),
     )
-    if x is not None:
-        xf = [float(v) for v in x]
-        echo1 = zeta_of_nu(st, rho_of_z(st, xf), path="tree")
-        echo2 = rho_of_z(st, zeta_of_nu(st, xf, path="tree"))
-        report.notes = (
-            "numeric echo max errors: "
-            f"zeta(rho)={max(abs(a - b) for a, b in zip(echo1, xf)):.3e}, "
-            f"rho(zeta)={max(abs(a - b) for a, b in zip(echo2, xf)):.3e} "
-            "(truncation-order effects included)"
-        )
-    return report
 
 
 def extract_d_from_a(st):
@@ -417,23 +401,20 @@ def xi_exact(st, z, n_max=None):
     return XiResult(sum(by_order), n_max, not diag_hard, by_order)
 
 
-def density_exact(st, z, q=None, n_max=None):
-    """One-point density by direct configuration sums:
+def density_exact(st, z, n_max=None):
+    """One-point density of every species by direct configuration sums:
 
         rho(q) = z(q) * sum_n (1/n!) sum_x exp(-beta H_(n+1)(q, x)) z^n / Xi.
 
-    Exact under a diagonal hard core; q=None returns all species.
+    Exact under a diagonal hard core.
     """
     xi = xi_exact(st, z, n_max=n_max)
-    roots = range(st.space.size) if q is None else (q,)
     out = []
-    for root in roots:
+    for root in range(st.space.size):
         total = 1
         for _, term in _configuration_terms(st, z, xi.n_max, root=root):
             total += term
         out.append(tuple(z)[root] * total / xi.value)
-    if q is not None:
-        return out[0]
     return MeasureVec(st.space, out)
 
 

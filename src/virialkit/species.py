@@ -79,8 +79,8 @@ class SpeciesSpace:
         return cls(Species(i, w) for i, w in enumerate(weights))
 
     @classmethod
-    def uniform(cls, size, weight=1):
-        return cls.from_weights([weight] * size)
+    def uniform(cls, size):
+        return cls.from_weights([1] * size)
 
     @property
     def size(self):
@@ -242,18 +242,12 @@ class MayerMatrices:
         return self.space.size
 
 
-def build_mayer(pot, exact=None):
-    """Mayer matrices for a pair potential.
-
-    exact=None auto-detects: entries are exact integers when every energy is
-    0 or +inf (the hard-core case), floats otherwise.  Requesting exact=True
-    for a potential with other finite energies is an error since exp(-beta*v)
-    is then irrational.
+def build_mayer(pot):
+    """Mayer matrices for a pair potential: exact integers when every energy
+    is 0 or +inf (the hard-core case), floats otherwise, since exp(-beta*v)
+    of any other finite energy is irrational.
     """
-    if exact is None:
-        exact = pot.is_hard_core_only()
-    if exact and not pot.is_hard_core_only():
-        raise DomainError("exact Mayer matrices require all energies in {0, +inf}")
+    exact = pot.is_hard_core_only()
     f = []
     f_bar = []
     for row in pot.v:
@@ -372,10 +366,10 @@ def parse_measure(raw, size=None, name="measure"):
     return [parse_scalar(v) for v in raw]
 
 
-def parse_dimension(v, name="d"):
-    """A space dimension from user input: a positive int, not a bool."""
+def parse_dimension(v):
+    """A space dimension d from user input: a positive int, not a bool."""
     if type(v) is not int or v < 1:
-        raise DomainError(f"{name} must be a positive integer, got {v!r}")
+        raise DomainError(f"d must be a positive integer, got {v!r}")
     return v
 
 

@@ -40,17 +40,15 @@ from .fps import (
 )
 
 
-def compute_tn(A, N=None):
-    """Tree coefficients t_1..t_N from the activity coefficients A.
+def compute_tn(A):
+    """Tree coefficients t_1..t_N from the activity coefficients A, N its
+    truncation order.
 
     A is a rooted family whose order-n slice holds A_n(q; .); its order-0
     slice must vanish.  The result is the rooted family T(q; .): order 0 is
     identically 1 and order n holds t_n(q; .).
     """
-    if N is None:
-        N = A.trunc
-    if N > A.trunc:
-        raise DomainError("requested order exceeds the activity family")
+    N = A.trunc
     a = A._orders
     if any(v != 0 for v in a[0].values()):
         raise DomainError("activity family must have zero order-0 slice")
@@ -69,13 +67,10 @@ def compute_tn(A, N=None):
 # Evaluation and certificates
 
 
-def eval_T(t, nu, q=None):
-    """Numeric T(q; nu) = 1 + sum_n (1/n!) sum_x t_n(q; x) nu^n.
-
-    With q=None returns the list over all roots, from one pass.
-    """
-    sums = measure_sums(t, tuple(nu))
-    return sums if q is None else sums[q]
+def eval_T(t, nu):
+    """Numeric T(q; nu) = 1 + sum_n (1/n!) sum_x t_n(q; x) nu^n, as the
+    list over all roots q, from one pass."""
+    return measure_sums(t, tuple(nu))
 
 
 def eval_T_abs(t, nu, b):

@@ -83,7 +83,7 @@ def test_invert_profile_fixture_roundtrip():
     st = profile_state(gp, ROD_KERNEL, N=3)
     z = [gp.z0 * math.exp(-v) for v in bv]
     for q in range(3):
-        assert abs(density_exact(st, z, q=q) - gp.rho[q]) < 1e-6
+        assert abs(density_exact(st, z)[q] - gp.rho[q]) < 1e-6
 
 
 def test_invert_profile_flat_kernel_is_pure_log_ratio():
@@ -110,7 +110,7 @@ def test_invert_profile_periodic_constant_density():
     assert max(bv) - min(bv) == 0.0  # translation invariance, exactly
     st = profile_state(ring, kern, N=3)
     z = [math.exp(-v) for v in bv]
-    assert abs(density_exact(st, z, q=0) - 0.03) < 1e-6
+    assert abs(density_exact(st, z)[0] - 0.03) < 1e-6
 
 
 def test_invert_profile_refuses_uncertified_density():

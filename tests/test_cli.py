@@ -158,6 +158,23 @@ def test_invert_fixture(capsys):
     assert vals[1] < vals[0]  # higher target density needs a weaker wall
 
 
+def test_json_tables_carry_their_extras(capsys):
+    # invert and mixture add their certificate to the JSON table, selftest
+    # its failure count
+    argvs = [
+        ["invert", "--model", FIX + "grid_profile.json", "--order", "3"],
+        ["mixture", "--model", FIX + "mixture_spheres.json", "--samples", "640"],
+    ]
+    for argv in argvs:
+        code, out, err = run(capsys, argv + ["--format", "json"])
+        assert (code, err) == (0, "")
+        cert = json.loads(out)["certificate"]
+        assert cert["passed"] is True and min(cert["margins"]) >= 0
+    code, out, err = run(capsys, ["selftest", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["failures"] == 0
+
+
 def test_invert_refusal_prints_margins(capsys):
     doc = {
         "points": [0.0, 1.0, 2.0],
@@ -522,6 +539,20 @@ def test_bounds_near_float_range_prints_no_warnings():
         "code = main(['bounds', '--model', '{\"kind\": \"hard_rod\", \"a\": 1e-300}'])\n"
         "print('exit', code)\n"
     )
+    assert proc.stdout.splitlines()[-1] == "exit 0"
+    assert proc.stderr == ""
+
+
+def test_bounds_overflowing_c_bar_prints_one_line():
+    # c_bar = 2a leaves the float range from a of about 9e307: one line on
+    # stderr and no numpy warning; just below, the table prints as before
+    script = "from virialkit.cli import main\nprint('exit', main(['bounds', '--model', %r, '--format', %r]))\n"
+    for a in ("1e308", "9e307"):
+        for fmt in ("csv", "json"):
+            proc = run_child(script % ('{"kind": "hard_rod", "a": %s}' % a, fmt))
+            assert proc.stdout == "exit 3\n"
+            assert proc.stderr == "capability limit: float range exceeded (the exclusion volume c_bar is not finite)\n"
+    proc = run_child(script % ('{"kind": "hard_rod", "a": 8.9e307}', "csv"))
     assert proc.stdout.splitlines()[-1] == "exit 0"
     assert proc.stderr == ""
 

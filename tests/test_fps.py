@@ -613,12 +613,12 @@ def test_family_ops_equal_per_root_ops(st):
     exps = exp_series(A)
     composed_f = compose_univariate(fc, A)
     for q in range(st.space.size):
-        E_q, t_q, A_q = (X.root_series(q, allow_large=True) for X in (E, t, A))
+        E_q, t_q, A_q = (X.root_series(q) for X in (E, t, A))
         # == on floats: the family ops must reproduce every bit
-        assert products.root_series(q, allow_large=True) == mul(E_q, t_q)
-        assert composed.root_series(q, allow_large=True) == compose_measure(t_q, E)
-        assert exps.root_series(q, allow_large=True) == exp_series(A_q)
-        assert composed_f.root_series(q, allow_large=True) == compose_univariate(fc, A_q)
+        assert products.root_series(q) == mul(E_q, t_q)
+        assert composed.root_series(q) == compose_measure(t_q, E)
+        assert exps.root_series(q) == exp_series(A_q)
+        assert composed_f.root_series(q) == compose_univariate(fc, A_q)
 
 
 def test_mul_rejects_series_with_family():
@@ -647,7 +647,7 @@ def test_float_routes_golden():
     # recorded before exact sums moved to integer numerators: the float
     # route must keep every operation, and its order, of the template sums
     st = float_state(42, 6, 4)
-    logs = log_series(st.e_family.root_series(2, allow_large=True))
+    logs = log_series(st.e_family.root_series(2))
     composed = compose_univariate([0, 1, 0.5, -3.0, 2.0], st.a_family)
     d = extract_d_from_a(st)
     assert _bits_digest(logs) == "744c7808f31b87ca"

@@ -127,6 +127,14 @@ def test_class_masks_errors():
         class_masks(10, "tree")
 
 
+def test_graph_class_scans_stop_at_d_coeff_max():
+    # no caller reads a class above D_COEFF_MAX = 7; n = 8 would scan 2^28
+    # masks and keep about 2 GB of connected graphs
+    for kind in ("connected", "biconnected"):
+        with pytest.raises(CapabilityError):
+            class_masks(8, kind)
+
+
 def test_edge_mask_roundtrip():
     em = EdgeMask.from_edges(4, [(2, 0), (1, 3), (0, 1)])
     assert em.edges == ((0, 1), (0, 2), (1, 3))

@@ -126,7 +126,7 @@ def test_maps_refuse_a_measure_of_the_wrong_length():
 
 def test_gcstate_from_potential_roundtrip():
     space, pot = load_species_json(fixture_text("hardcore_pair.json"))
-    st = GCState.from_potential(pot, N=3)
+    st = GCState(pot.space, pot=pot, N=3)
     assert st.exact  # hard-core energies go rational automatically
     assert st.mayer.f[0][0] == -1 and st.mayer.f[1][1] == 0
     assert st.beta_B == (0, 0)
@@ -153,11 +153,6 @@ def test_roundtrip_exact_on_random_states():
 def test_roundtrip_exact_hard_core_and_free():
     assert roundtrip_check(hard_state()).max_abs == 0
     assert roundtrip_check(free_state()).max_abs == 0
-
-
-def test_roundtrip_numeric_echo_notes():
-    rep = roundtrip_check(mix_state(), x=[Fraction(1, 10), Fraction(1, 10)])
-    assert "numeric echo" in rep.notes
 
 
 def test_zeta_path_agreement_exact():
@@ -201,7 +196,7 @@ def test_dissymmetry_bounds():
 def test_dissymmetry_reports_non_finite_residuals():
     # f = exp(700) - 1 overflows phi_3 to inf and phi_4 to NaN: those
     # residuals are not finite, and the report neither drops nor zeroes them
-    st = GCState.from_potential(PairPotential(S2, 1.0, [[-700, -700], [-700, -700]]), N=4)
+    st = GCState(S2, pot=PairPotential(S2, 1.0, [[-700, -700], [-700, -700]]), N=4)
     rep = dissymmetry_check(st, N=4)
     assert list(rep.per_order) == [2, 3, 4]
     assert rep.per_order[2] == 0
@@ -317,7 +312,7 @@ def test_density_exact_consistency():
     st = mix_state()
     z = [Fraction(1, 10), Fraction(1, 20)]
     rho = density_exact(st, z, n_max=8)
-    assert density_exact(st, z, q=0, n_max=8) == rho.values[0]
+    assert density_exact(st, z, n_max=8)[0] == rho.values[0]
     # density of species q equals z_q d/dz_q log Xi: finite check via ratio
     xr = xi_exact(st, z, n_max=8)
     bump = [z[0] * Fraction(1001, 1000), z[1]]
@@ -558,7 +553,7 @@ def request(op, N=3, **inputs):
 
 def test_run_request_values_match_direct_calls():
     space, pot = load_species_json(MATRIX_STATE)
-    st = GCState.from_potential(pot, N=3)
+    st = GCState(pot.space, pot=pot, N=3)
     z = [Fraction(1, 10), Fraction(1, 8)]
 
     out = run_request(request("rho_of_z", z=["1/10", "1/8"]))

@@ -2,13 +2,16 @@
 
 ``perfbench/tracer.py`` wraps every function named in ``LAYER_SPANS`` by
 module and name, and the workloads call a few helpers directly, so a rename
-would otherwise break only a traced benchmark run.  The tracer and the
+would otherwise break only a traced benchmark run.  The workloads and the
+probe pass of ``perfbench/run.py`` call virialkit with fixed arguments, which
+must still bind after a parameter is removed or renamed.  The tracer and the
 workloads also read series coefficients through ``coeffs``.  Their sources
 are parsed, not imported, so this test writes nothing under ``perfbench/``.
 """
 
 import ast
 import importlib
+import inspect
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +21,7 @@ from virialkit.species import MayerMatrices, SpeciesSpace
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 WORKLOADS = PERFBENCH / "workloads.py"
+RUN = PERFBENCH / "run.py"
 
 # helpers the workloads and the probe pass call directly: (module, dotted name)
 DIRECT = [
@@ -55,6 +59,62 @@ def test_benchmark_names_resolve():
         assert name in module_of and callable(_resolve(module_of[name], name)), name
     for modname, dotted in DIRECT:
         assert callable(_resolve(modname, dotted)), f"virialkit.{modname}.{dotted}"
+
+
+def _imported(module, name):
+    """What ``from module import name`` binds: a submodule or an attribute."""
+    try:
+        return importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return getattr(importlib.import_module(module), name)
+
+
+def _virialkit_calls(tree):
+    """Every call in ``tree`` to a name imported from virialkit, or to an
+    attribute path on one, as (source, callee, call node)."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "virialkit":
+            for alias in node.names:
+                obj = _imported(node.module, alias.name)
+                assert bound.setdefault(alias.asname or alias.name, obj) is obj, alias.name
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        path, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            path.insert(0, func.attr)
+            func = func.value
+        if isinstance(func, ast.Name) and func.id in bound:
+            obj = bound[func.id]
+            for part in path:
+                obj = getattr(obj, part, None)
+            yield ast.unparse(node.func), obj, node
+
+
+def test_harness_calls_bind():
+    run_tree = ast.parse(RUN.read_text())
+    probe = next(n for n in run_tree.body if isinstance(n, ast.FunctionDef) and n.name == "probe_pass")
+    seen = set()
+    for tree in (probe, ast.parse(WORKLOADS.read_text())):
+        for source, obj, call in _virialkit_calls(tree):
+            assert callable(obj), source
+            seen.add(source)
+            try:
+                sig = inspect.signature(obj)
+            except ValueError:
+                continue  # a C callable such as lru_cache's cache_clear
+            assert not any(isinstance(a, ast.Starred) for a in call.args), source
+            assert all(k.arg is not None for k in call.keywords), source
+            try:
+                sig.bind(*call.args, **{k.arg: k.value for k in call.keywords})
+            except TypeError as exc:
+                raise AssertionError(f"{source}: {exc}") from None
+    for source in (
+        "species.build_mayer", "inversion.density_exact", "inversion.roundtrip_check",
+        "apps.invert_profile", "MayerMatrices.from_f", "GCState",
+    ):
+        assert source in seen, source
 
 
 def _harness_function(path, name, **names):

@@ -76,8 +76,6 @@ def test_finite_energy_mayer_values():
     assert my.f[0][0] == 0.0
     assert abs(my.f[0][1] - (-0.5)) < 1e-15
     assert abs(my.f_bar[0][1] - 0.5) < 1e-15
-    with pytest.raises(DomainError):
-        build_mayer(pot, exact=True)  # finite energies cannot be exact
 
 
 def test_recover_potential_roundtrip():
