@@ -2,8 +2,8 @@
 
 * grid inversion: recover an external potential from a target density on a
   finite grid, with the combined-condition certificate gating the answer;
-* hard-sphere mixtures: activities from densities with exact pair integrals
-  (overlap volumes) and Monte Carlo triples;
+* hard-sphere mixtures: activities from densities with closed-form pair and
+  triangle integrals (overlap volumes) and Monte Carlo triples;
 * rods with discrete orientations: truncated free-energy functional with a
   term-by-term breakdown;
 * the unbounded-mixture demo: a closed-form inversion that no unweighted
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -167,53 +168,64 @@ class MixtureSpec:
         )
 
 
-def _lens_volume(d, A, B, t):
-    """Volume of the intersection of balls of radii A, B at center distance t."""
-    if t >= A + B:
-        return 0.0
-    if t <= abs(A - B):
-        return vol_ball(d, min(A, B))
-    if d == 2:
-        alpha = math.acos((t * t + A * A - B * B) / (2 * t * A))
-        beta = math.acos((t * t + B * B - A * A) / (2 * t * B))
-        tri = 0.5 * math.sqrt(
-            max(0.0, (-t + A + B) * (t + A - B) * (t - A + B) * (t + A + B))
-        )
-        return A * A * alpha + B * B * beta - tri
-    if d == 3:
-        return (
-            math.pi
-            * (A + B - t) ** 2
-            * (t * t + 2 * t * (A + B) - 3 * (A - B) ** 2)
-            / (12 * t)
-        )
-    raise CapabilityError("lens volumes implemented for d in {2, 3}")
+def _angle_term(phi):
+    """phi - sin(phi) for 0 <= phi <= 2 pi; a Taylor sum below 1, where the
+    difference would cancel."""
+    if phi > 1.0:
+        return phi - math.sin(phi)
+    t = phi * phi
+    acc = 0.0
+    for k in range(19, 1, -2):
+        acc = 1.0 / math.factorial(k) - t * acc
+    return phi * t * acc
 
 
 def triangle_integral(d, r01, r02, r12):
     """vol{ |x1| < r01, |x2| < r02, |x1 - x2| < r12 } in (R^d)^2.
 
-    Exact piecewise rational in one dimension; radial quadrature over lens
-    volumes in two and three.
+    Exact piecewise rational in one dimension; closed forms in two and three.
+    The volume is symmetric in the three radii, so they are sorted first,
+    x >= y >= z.  When x >= y + z the largest constraint is implied and the
+    volume is that of two balls, vol(y) vol(z).  Otherwise x, y, z are the
+    sides of a triangle; with theta_pq its angle between sides p and q,
+
+        d = 2:  (pi/2) sum_pairs (p q)^2 (2 theta_pq - sin 2 theta_pq)
+        d = 3:  (pi^2/18) (sum_p p^6 - 9 sum_{p != q} p^4 q^2
+                           + 16 sum_pairs (p q)^3 + 18 (x y z)^2)
+
+    (radial integration of the lens volume, by parts).  The d = 3
+    polynomial is summed exactly in Fractions and rounded once.  In d = 2
+    every term is non-negative, the angles come from atan2 of the doubled
+    triangle area with the cosine numerators in cancellation-free form, and
+    x - y is exact whenever the triangle is not degenerate.
     """
     if d == 1:
         return _overlap_length_1d(r01, r02, r12)
-    surf = (lambda t: 2 * math.pi * t) if d == 2 else (lambda t: 4 * math.pi * t * t)
-    if d not in (2, 3):
+    if d == 3:
+        z, y, x = sorted(map(Fraction, (r01, r02, r12)))
+        if x >= y + z:
+            p = Fraction(16, 9) * (y * z) ** 3
+        else:
+            x2, y2, z2 = x * x, y * y, z * z
+            p = (
+                x2**3 + y2**3 + z2**3
+                - 9 * (x2 * x2 * (y2 + z2) + y2 * y2 * (x2 + z2) + z2 * z2 * (x2 + y2))
+                + 16 * ((x * y) ** 3 + (x * z) ** 3 + (y * z) ** 3)
+                + 18 * x2 * y2 * z2
+            ) / 18
+        return float(p) * math.pi**2
+    if d != 2:
         raise CapabilityError("triangle integrals implemented for d <= 3")
-    from scipy.integrate import quad
-
-    breaks = sorted(
-        {p for p in (abs(r02 - r12), r02 + r12) if 0 < p < r01}
+    z, y, x = sorted(map(float, (r01, r02, r12)))
+    e = x - y
+    if z - e <= 0:
+        return math.pi**2 * (y * z) ** 2
+    s = math.sqrt((z - e) * (x + y + z) * (z + e) * (x + (y - z)))  # 4 * area
+    return (math.pi / 2) * (
+        (x * y) ** 2 * _angle_term(2 * math.atan2(s, x * x + (y - z) * (y + z)))
+        + (x * z) ** 2 * _angle_term(2 * math.atan2(s, z * z + e * (x + y)))
+        + (y * z) ** 2 * _angle_term(2 * math.atan2(s, z * z - e * (x + y)))
     )
-    val, _ = quad(
-        lambda t: surf(t) * _lens_volume(d, r02, r12, t),
-        0.0,
-        r01,
-        points=breaks or None,
-        limit=200,
-    )
-    return val
 
 
 def _mixture_margins(ms, a, b):
@@ -256,9 +268,10 @@ def invert_mixture(ms, N, samples=100_000, seed=0, threads=1):
 
         log(z_k / rho_k) = -sum_{n<=N} (1/n!) sum_l I_n(k; l) rho_l...
 
-    with the spatial integrals exact for n <= 2 (overlap and triangle
-    volumes) and Monte Carlo for n = 3.  Refuses when the mixture activity
-    condition fails, reporting per-species margins.
+    with the spatial integrals in closed form for n <= 2 (overlap and
+    triangle volumes, see ``triangle_integral``) and Monte Carlo for n = 3.
+    Refuses when the mixture activity condition fails, reporting
+    per-species margins.
     """
     if N > 3:
         raise CapabilityError("mixture integrals implemented through order 3")

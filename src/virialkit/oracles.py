@@ -2,9 +2,10 @@
 
 Each function here computes a quantity that a production module computes
 too, by a different and much slower route (explicit enumeration, positioned
-tuples, bracketing, Monte Carlo), so a test can compare the two.  Nothing in
-the library imports this module; the tests do, and the ``selftest`` command
-imports it when it runs, for its enriched-tree cross-check of t_n.
+tuples, bracketing, quadrature, Monte Carlo), so a test can compare the
+two.  Nothing in the library imports this module; the tests do, and the
+``selftest`` command imports it when it runs, for its enriched-tree
+cross-check of t_n.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .fps import (
     sym_factor,
 )
 from .graphs import D_COEFF_MAX, _f_matrix, _prufer_edges, class_masks, pair_order
+from .homogeneous import vol_ball
 from .kernels import mc_batches, mc_rod_mask_sum
 from .species import INF
 
@@ -394,7 +396,8 @@ def tn_via_trees(A, n, q, xs):
 
 
 # ---------------------------------------------------------------------------
-# Potentials, constants and excluded areas (species, homogeneous, apps)
+# Potentials, constants, excluded areas and triangle integrals (species,
+# homogeneous, apps)
 
 
 def recover_potential(mayer, beta):
@@ -443,3 +446,52 @@ def rod_excluded_area_mc(L, gamma, samples=200_000, seed=0):
         return (2.0 * L) ** 2 * hits / per_batch
 
     return mc_batches(batch_value, seed, samples, 32, threads=1)
+
+
+def lens_volume(d, A, B, t):
+    """Volume of the intersection of balls of radii A, B at center distance
+    t, in d = 2 or 3."""
+    if t >= A + B:
+        return 0.0
+    if t <= abs(A - B):
+        return vol_ball(d, min(A, B))
+    if d == 2:
+        # rounding can push a cosine just past +-1 next to the breakpoints
+        alpha = math.acos(max(-1.0, min(1.0, (t * t + A * A - B * B) / (2 * t * A))))
+        beta = math.acos(max(-1.0, min(1.0, (t * t + B * B - A * A) / (2 * t * B))))
+        tri = 0.5 * math.sqrt(
+            max(0.0, (-t + A + B) * (t + A - B) * (t - A + B) * (t + A + B))
+        )
+        return A * A * alpha + B * B * beta - tri
+    if d == 3:
+        return (
+            math.pi
+            * (A + B - t) ** 2
+            * (t * t + 2 * t * (A + B) - 3 * (A - B) ** 2)
+            / (12 * t)
+        )
+    raise CapabilityError("lens volumes implemented for d in {2, 3}")
+
+
+def triangle_integral_quad(d, r01, r02, r12):
+    """Oracle for apps.triangle_integral in d = 2, 3: QUADPACK quadrature, to
+    a relative 1e-13, of the lens volume of (r02, r12) over the sphere
+    |x1| = t, t < r01.  Each piece between the lens breakpoints is its own
+    quad call: one call across a breakpoint an ulp below r01 missed the
+    value by a relative 3e-9."""
+    from scipy.integrate import quad
+
+    r01, r02, r12 = map(float, (r01, r02, r12))
+    surf = 2 * math.pi if d == 2 else 4 * math.pi
+    cuts = [0.0, *sorted({p for p in (abs(r02 - r12), r02 + r12) if 0 < p < r01}), r01]
+    return sum(
+        quad(
+            lambda t: surf * t ** (d - 1) * lens_volume(d, r02, r12, t),
+            lo,
+            hi,
+            epsabs=0.0,
+            epsrel=1e-13,
+            limit=200,
+        )[0]
+        for lo, hi in zip(cuts, cuts[1:])
+    )

@@ -4,21 +4,24 @@ rods with discrete orientations, and the unbounded-mixture demo.
 Cross-checks used here: the flat (f == 0) kernel must reduce the grid
 inversion to log z0 - log rho exactly; recovered potentials must reproduce
 the target density through the exact finite-volume density; the mixture
-triangle integral doubles as an independent quadrature route to the second
-hard-sphere virial coefficient, compared against Monte Carlo.
+triangle integral is a closed form, checked against QUADPACK quadrature of
+the lens volume and doubling as a route to the second hard-sphere virial
+coefficient, compared against Monte Carlo.
 """
 
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from virialkit import apps
 from virialkit.apps import (
     GridProfile,
     MixtureSpec,
     RodSystem,
-    _lens_volume,
     invert_mixture,
     invert_profile,
     profile_state,
@@ -35,7 +38,7 @@ from virialkit.errors import (
 )
 from virialkit.homogeneous import HomogeneousModel, _overlap_length_1d, beta_n_mc, vol_ball
 from virialkit.inversion import density_exact
-from virialkit.oracles import rod_excluded_area_mc
+from virialkit.oracles import lens_volume, rod_excluded_area_mc, triangle_integral_quad
 
 FIXDIR = apps.__file__.replace("apps.py", "fixtures/")
 ROD_KERNEL = {"kind": "hard_rod", "params": {"length": 1.5}}
@@ -128,12 +131,12 @@ def test_invert_profile_refuses_uncertified_density():
 
 
 def test_lens_volume():
-    assert abs(_lens_volume(3, 1.0, 1.0, 1.0) - 5 * math.pi / 12) < 1e-15
-    assert abs(_lens_volume(2, 1.0, 1.0, 1.0) - (2 * math.pi / 3 - math.sqrt(3) / 2)) < 1e-12
-    assert _lens_volume(3, 1.0, 1.0, 2.5) == 0.0
-    assert _lens_volume(3, 1.0, 2.0, 0.5) == vol_ball(3, 1.0)  # containment
+    assert abs(lens_volume(3, 1.0, 1.0, 1.0) - 5 * math.pi / 12) < 1e-15
+    assert abs(lens_volume(2, 1.0, 1.0, 1.0) - (2 * math.pi / 3 - math.sqrt(3) / 2)) < 1e-12
+    assert lens_volume(3, 1.0, 1.0, 2.5) == 0.0
+    assert lens_volume(3, 1.0, 2.0, 0.5) == vol_ball(3, 1.0)  # containment
     with pytest.raises(CapabilityError):
-        _lens_volume(4, 1.0, 1.0, 1.0)
+        lens_volume(4, 1.0, 1.0, 1.0)
 
 
 def test_triangle_integral_one_dimension_exact():
@@ -164,6 +167,58 @@ def test_triangle_integral_gives_second_virial():
     assert abs(tri - 5 * math.pi**2 / 6) < 1e-8
     est = beta_n_mc(HomogeneousModel.hard_sphere(3, radius=0.5), 2, samples=100000, seed=11)
     assert abs(-tri / 2 - est.value) <= 3 * est.stderr
+
+
+@st.composite
+def triangle_radii(draw):
+    """(r01, r02, r12) with r01 below |r02 - r12|, inside the lens range,
+    beyond r02 + r12, or within four ulps of either breakpoint."""
+    b = draw(st.floats(0.05, 5.0))
+    c = draw(st.floats(0.05, 5.0))
+    lo, hi = abs(b - c), b + c
+    regime = draw(st.sampled_from(["below", "inside", "beyond", "near_lo", "near_hi"]))
+    if regime == "below":
+        a = lo * draw(st.floats(0.01, 1.0))
+    elif regime == "inside":
+        a = lo + (hi - lo) * draw(st.floats(0.0, 1.0))
+    elif regime == "beyond":
+        a = hi * draw(st.floats(1.0, 2.0))
+    else:
+        a = lo if regime == "near_lo" else hi
+        steps = draw(st.integers(-4, 4))
+        for _ in range(abs(steps)):
+            a = math.nextafter(a, math.copysign(math.inf, steps))
+    assume(a > 1e-12)  # the quadrature's lens volume divides by 2 t r02
+    return a, b, c
+
+
+# quad at epsrel 1e-13 is exact on the d = 3 polynomial pieces.  In d = 2 the
+# (t - t0)^(3/2) corners of the lens area cost it up to ~2e-10, and it warns
+# that 1e-13 is out of reach; the tolerance below is set by that error.
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@settings(max_examples=150, deadline=None)
+@given(triangle_radii())
+def test_triangle_integral_matches_quadrature(radii):
+    for d, rel in ((2, 1e-9), (3, 1e-13)):
+        want = triangle_integral_quad(d, *radii)
+        assert triangle_integral(d, *radii) == pytest.approx(want, rel=rel, abs=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(triangle_radii())
+def test_triangle_integral_is_symmetric(radii):
+    # the volume is symmetric in the three radii, and so is every float
+    for d in (2, 3):
+        assert len({triangle_integral(d, *p) for p in permutations(radii)}) == 1
+
+
+def test_triangle_integral_implied_constraint_is_two_balls():
+    for b, c in ((1.0, 1.0), (0.75, 1.25), (0.5, 3.0)):
+        for a in (b + c, math.nextafter(b + c, math.inf), 2 * (b + c)):
+            assert triangle_integral(2, a, b, c) == math.pi**2 * b**2 * c**2
+            assert triangle_integral(3, a, b, c) == pytest.approx(
+                vol_ball(3, b) * vol_ball(3, c), rel=1e-15
+            )
 
 
 def test_mixture_spec_validation():

@@ -198,6 +198,18 @@ def test_mixture_fixture(capsys):
     assert zs[0] > 0.01 and zs[1] > 0.005  # crowding raises both activities
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_mixture_rational_radii_match_float_radii(capsys, d):
+    # "p/q" radii are exact numbers (species.parse_scalar); these equal the floats
+    outs = []
+    for radii in (["1/2", "3/4"], [0.5, 0.75]):
+        model = json.dumps({"radii": radii, "d": d, "rho": ["1/100", "1/200"]})
+        code, out, err = run(capsys, ["mixture", "--model", model, "--order", "2"])
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_rods_fixture_total_is_sum_of_terms(capsys):
     code, out, _ = run(
         capsys,
@@ -306,38 +318,54 @@ README_STATE = {
 }
 
 
-def test_import_and_light_commands_load_no_scipy():
-    # scipy costs about 0.5 s of import; only mixture may load it.
-    # The brute-force references load only with selftest, which needs one.
+def test_every_command_runs_without_scipy():
+    # scipy is a test dependency only.  One child refuses every scipy import
+    # and records each attempt, so even a caught ImportError shows; every
+    # command must exit 0 without one.  The brute-force references load only
+    # with selftest, which needs one.
     request = {"state": README_STATE, "op": "zeta_of_nu", "N": 3, "inputs": {"nu": ["1/20", "1/30"]}}
+    mixture = {"radii": [0.5, 0.75], "rho": [0.01, 0.005]}
     argvs = [
-        ["request", "--model", json.dumps(request)],
         ["virial", "--model", '{"kind":"hard_rod","a":"1/4"}', "--order", "3"],
+        ["virial", "--model", SPHERE_DOC, "--order", "3", "--samples", "6400"],
         ["bounds", "--b-bar", "0"],
+        *(
+            ["mixture", "--model", json.dumps({**mixture, "d": d}), "--order", "3", "--samples", "6400"]
+            for d in (1, 2, 3)
+        ),
+        ["rods", "--model", FIX + "rod_grid.json", "--order", "3", "--samples", "6400"],
+        ["invert", "--model", FIX + "grid_profile.json", "--order", "3"],
+        ["request", "--model", json.dumps(request)],
     ]
     proc = run_child(
         "import json, sys\n"
+        "class RefuseScipy:\n"
+        "    attempts = []\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            self.attempts.append(name)\n"
+        "            raise ImportError('scipy is refused: ' + name)\n"
+        "sys.meta_path.insert(0, RefuseScipy())\n"
         "import virialkit, virialkit.cli\n"
-        "def scipy_mods():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "report = {'import': scipy_mods(), 'codes': []}\n"
+        "report = {'preloaded': [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'codes': []}\n"
         f"for argv in json.loads({json.dumps(argvs)!r}):\n"
         "    report['codes'].append(virialkit.cli.main(argv))\n"
-        "report['commands'] = scipy_mods()\n"
         "report['oracles'] = 'virialkit.oracles' in sys.modules\n"
         "report['codes'].append(virialkit.cli.main(['selftest', '--seed', '0']))\n"
-        "report['selftest'] = scipy_mods()\n"
-        f"mixture = ['mixture', '--model', {FIX + 'mixture_spheres.json'!r}, '--order', '3']\n"
-        "report['codes'].append(virialkit.cli.main(mixture))\n"
-        "report['mixture'] = 'scipy.integrate' in sys.modules\n"
+        "report['attempts'] = list(RefuseScipy.attempts)\n"
+        "try:\n"
+        "    import scipy.integrate\n"
+        "    report['control'] = 'imported'\n"
+        "except ImportError as exc:\n"
+        "    report['control'] = str(exc)\n"
         "print(json.dumps(report))\n"
     )
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["import"] == [] and report["commands"] == [] and report["selftest"] == []
+    assert report["preloaded"] == [] and report["attempts"] == []
     assert report["oracles"] is False
-    assert report["codes"] == [0, 0, 0, 0, 0]
-    # the probe sees scipy once a command does load it
-    assert report["mixture"] is True
+    assert report["codes"] == [0] * (len(argvs) + 1)
+    # the hook does refuse scipy in this child
+    assert report["control"] == "scipy is refused: scipy"
 
 
 def test_unexpected_exception_exits_4(capsys, monkeypatch):
