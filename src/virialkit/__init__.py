@@ -64,7 +64,6 @@ from .homogeneous import (
     banach_compare,
     beta_n_exact_1d,
     beta_n_mc,
-    bloch_radii,
     hom_inversion_selftest,
     k_constant,
     lp_chain,

@@ -51,7 +51,6 @@ class GridProfile:
     cell_volumes: list
     rho: list             # target density per point
     z0: float = 1.0
-    v_ext: list = None    # known answer, for verification only
 
     def __post_init__(self):
         n = len(self.points)
@@ -79,7 +78,6 @@ class GridProfile:
             cell_volumes=parse_measure(doc["cell_volumes"], name="cell_volumes"),
             rho=parse_measure(doc["rho"], name="rho"),
             z0=parse_scalar(doc.get("z0", 1.0)),
-            v_ext=doc.get("v_ext"),
         )
 
 

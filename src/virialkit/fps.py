@@ -1096,9 +1096,9 @@ def _majorant_sums(G, nu, start=0):
 
     over canonical tails x, added in storage order, zero coefficients
     skipped, with w the weights of G's space; orders below ``start`` stay
-    0.0.  The Sb, virMb, Mb and dissym_b certificates all sum through here,
-    so their rounding is decided here.  Like ``measure_sums``, it refuses a
-    measure of another length than the species count.
+    0.0.  The Sb, virMb and Mb certificates all sum through here, so their
+    rounding is decided here.  Like ``measure_sums``, it refuses a measure
+    of another length than the species count.
     """
     _check_measure(G, nu)
     size = G.space.size

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import CapabilityError, DomainError
 from .fps import FormalSeries, exp_series, log_series, mul, sym_factor
 from .graphs import d_coeff, hard_core_d_table, pair_order, per_pattern
-from .kernels import backend_name, mc_batches, mc_mask_sum
+from .kernels import mc_batches, mc_mask_sum
 from .species import MayerMatrices, SpeciesSpace
 
 INV_2E = 1.0 / (2.0 * math.e)
@@ -78,7 +78,10 @@ class HomogeneousModel:
     def c_bar(self):
         """Exclusion integral: the volume of the overlap ball; OverflowError
         once it leaves the float range, where every radius would be 0."""
-        c = vol_ball(self.d, self.exclusion)
+        try:
+            c = vol_ball(self.d, self.exclusion)
+        except OverflowError:  # float(r) ** d raises instead of giving inf
+            c = math.inf
         if c == math.inf:
             raise OverflowError("the exclusion volume c_bar is not finite")
         return c
@@ -98,8 +101,6 @@ class MCEstimate:
     stderr: float
     samples: int
     batches: int
-    seed: int
-    backend: str
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +243,8 @@ def beta_n_mc(model, n, samples, seed, threads=1):
     ``kernels.mc_batches`` (stream 0), so a fixed seed gives bit-identical
     results for any thread count; stderr is over batch means.
     """
+    if model.d > 3:
+        raise CapabilityError("MC route covers d in {2, 3}")
     if model.d not in (2, 3):
         raise DomainError("MC route covers d in {2, 3}")
     if not 1 <= n <= 3:
@@ -267,8 +270,6 @@ def beta_n_mc(model, n, samples, seed, threads=1):
         stderr=stderr,
         samples=samples // batches * batches,
         batches=batches,
-        seed=seed,
-        backend=backend_name(),
     )
 
 
@@ -554,26 +555,6 @@ def banach_compare(M, r_max):
     return {"P": P, "P_prime": P_prime, "ratio": P_prime / P}
 
 
-def banach_from_samples(rs, Ms):
-    """banach_compare for a sampled modulus, interpolated linearly."""
-    rs = np.asarray(rs, dtype=float)
-    Ms = np.asarray(Ms, dtype=float)
-    if rs.ndim != 1 or rs.shape != Ms.shape or len(rs) < 2:
-        raise DomainError("need matching 1D sample arrays")
-    if rs[0] != 0 or Ms[0] != 0:
-        raise DomainError("samples must start at r = 0 with M(0) = 0")
-    if np.any(np.diff(rs) <= 0) or np.any(np.diff(Ms) <= 0):
-        raise DomainError("samples must be strictly increasing")
-    return banach_compare(lambda r: np.interp(r, rs, Ms), float(rs[-1]))
-
-
-def bloch_radii(R, a, M):
-    """Explicit inverse-branch radii r = R^2 a/(4M), P = R^2 a^2/(8M)."""
-    if R <= 0 or a <= 0 or M <= 0:
-        raise DomainError("bloch_radii needs positive R, a, M")
-    return {"r": R * R * a / (4.0 * M), "P": R * R * a * a / (8.0 * M)}
-
-
 @dataclass
 class NeighborhoodRadii:
     inner: float
@@ -602,8 +583,11 @@ def neighborhood_radii(model):
 
 def bounds_report(model, B_bar=0.0):
     """Rows (name, value, formula) for the bounds table."""
+    cb = float(model.c_bar)
+    if cb > 0 and 5.0 / cb == math.inf:
+        raise OverflowError("the Banach search radius 5/c_bar is not finite")
     lp = lp_chain(model)
-    bc = banach_compare(lambda r: float(model.c_bar) * r, 5.0 / float(model.c_bar))
+    bc = banach_compare(lambda r: cb * r, 5.0 / cb)
     nb = neighborhood_radii(model)
     return [
         ("k", k_constant(), "max_w (2exp(-w)-1)w"),

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 
-from .certs import BoundCertificate, ResidualReport, certify
+from .certs import ResidualReport, certify
 from .errors import CapabilityError, DomainError, StructureError, check_scale, max_order
 from .fps import (
     FormalSeries,
@@ -122,7 +122,7 @@ class GCState:
     @cached_property
     def e_family(self):
         """The factor family x -> exp(-A(x; .)) as formal series."""
-        return exp_family(self.a_family, sign=-1)
+        return exp_family(self.a_family)
 
     def measure(self, values):
         return MeasureVec(self.space, values)
@@ -230,31 +230,6 @@ def check_virMb(st, nu, b=None):
         "virMb", margins_for, S, b=b, reads="b", trunc=st.N,
         notes="partial sums through the truncation order only",
         extras={"sums": tuple(sums)},
-    )
-
-
-def check_dissym_b(st, nu, budget):
-    """Total dissymmetry mass sum_{2<=n<=N+1} ((n-1)/n!) sum |D_n| |nu|^n
-    against a scalar budget (single margin).  On a finite species space the
-    sum is finite for every nu; the certificate just quantifies it.
-
-    D_(m+1) sits in the biconnected family at order m, rooted at one of its
-    m+1 points, so the mass is sum_m m/(m+1) sum_q |nu(q)| w(q) M_m(q) with
-    M_m the order-m majorant of the family.
-    """
-    nu = st.measure(nu).values
-    w = st.space.weights
-    sums = _majorant_sums(st.d_family, nu, start=1)
-    total = 0.0
-    for m in range(1, st.N + 1):
-        total += m / (m + 1) * sum(
-            float(abs(v)) * float(wq) * s for v, wq, s in zip(nu, w, sums[m])
-        )
-    margin = (float(budget) - total,)
-    return BoundCertificate(
-        "dissym_b", margin, trunc=st.N + 1,
-        notes="finite on a finite species space; margin quantifies the mass",
-        extras={"total": total},
     )
 
 

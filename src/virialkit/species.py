@@ -126,15 +126,6 @@ class MeasureVec:
     def __len__(self):
         return len(self.values)
 
-    def scale(self, c):
-        return MeasureVec(self.space, [c * v for v in self.values])
-
-    def abs(self):
-        return MeasureVec(self.space, [abs(v) for v in self.values])
-
-    def total_variation(self):
-        return sum(abs(v) * w for v, w in zip(self.values, self.space.weights))
-
     def __eq__(self, other):
         return (
             isinstance(other, MeasureVec)
@@ -237,10 +228,6 @@ class MayerMatrices:
         ]
         return cls(space, f, f_bar, exact)
 
-    @property
-    def size(self):
-        return self.space.size
-
 
 def build_mayer(pot):
     """Mayer matrices for a pair potential: exact integers when every energy
@@ -320,16 +307,6 @@ def check_stability(pot, n_check=6):
     if worst is None:
         worst = 0
     return StabilityCertificate(passed, n_check, worst, worst_ms, margins)
-
-
-def c_bar(mayer, z_abs):
-    """Per-species interaction mass: x -> sum_y fbar(x, y) |z|(y) w(y)."""
-    w = mayer.space.weights
-    vals = z_abs.values if isinstance(z_abs, MeasureVec) else tuple(z_abs)
-    return tuple(
-        sum(self_row[y] * abs(vals[y]) * w[y] for y in range(mayer.size))
-        for self_row in mayer.f_bar
-    )
 
 
 # ---------------------------------------------------------------------------

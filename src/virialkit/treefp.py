@@ -129,10 +129,10 @@ def verify_FPprime(A, t):
     Substituting the factor family E(x; z) = exp(-A(x; z)) into T(q; .)
     must reproduce exp(A(q; z)) coefficientwise.
     """
-    lhs = compose_measure(t, exp_family(A, sign=-1))
+    lhs = compose_measure(t, exp_family(A))
     return residual_report("fixed_point_activity", (lhs, exp_series(A)))
 
 
-def exp_family(A, sign=1):
-    """The rooted family x -> exp(sign * A(x; .)), root by root."""
-    return exp_series(A.scale(sign))
+def exp_family(A):
+    """The factor family x -> exp(-A(x; .)), root by root."""
+    return exp_series(A.scale(-1))

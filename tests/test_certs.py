@@ -16,7 +16,7 @@ import pytest
 
 from virialkit.apps import MixtureSpec, invert_mixture
 from virialkit.errors import CertificateError, StructureError
-from virialkit.inversion import GCState, check_dissym_b, check_PU, check_Sab, check_Sb, check_virMb
+from virialkit.inversion import GCState, check_PU, check_Sab, check_Sb, check_virMb
 from virialkit.species import MayerMatrices, PairPotential, SpeciesSpace
 from virialkit.treefp import eval_T, eval_T_abs
 
@@ -181,7 +181,6 @@ def test_certificates_take_a_complex_measure():
         "Sb/given": lambda m: check_Sb(st, m, b=[0.3, 0.2]),
         "Sab": lambda m: check_Sab(st, m),
         "virMb": lambda m: check_virMb(st, m),
-        "dissym_b": lambda m: check_dissym_b(st, m, 1.0),
         "Mb": lambda m: eval_T_abs(st.t_family, m, [0.3, 0.2]),
     }
     for name, call in calls.items():

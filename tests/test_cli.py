@@ -585,6 +585,43 @@ def test_bounds_overflowing_c_bar_prints_one_line():
     assert proc.stderr == ""
 
 
+def test_float_range_edges_print_one_line_each():
+    # a tiny rod puts the Banach search radius 5/c_bar past the float range;
+    # a huge sphere overflows r ** d inside the ball volume.  Each case is one
+    # line naming the overflow, with no numpy warning; a = 1.4e-308 still runs
+    radius = "capability limit: float range exceeded (the Banach search radius 5/c_bar is not finite)\n"
+    volume = "capability limit: float range exceeded (the exclusion volume c_bar is not finite)\n"
+    cases = [(["bounds", "--model", '{"kind": "hard_rod", "a": %s}' % a], radius)
+             for a in ("1.3e-308", "1e-310", "5e-324")]
+    for model in ('{"kind": "hard_sphere", "d": 3, "radius": 1e200}',
+                  '{"kind": "hard_sphere", "d": 2, "exclusion": 1e160}'):
+        cases += [(["bounds", "--model", model], volume), (["virial", "--order", "1", "--model", model], volume)]
+    cases.append((["bounds", "--model", '{"kind": "hard_rod", "a": 1.4e-308}'], ""))
+    script = (
+        "import contextlib, io, sys\nfrom virialkit.cli import main\n"
+        "for argv in %r:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(code)\n"
+        "    print('--', file=sys.stderr)\n"
+    )
+    for fmt in ("csv", "json"):
+        argvs = [argv + ["--format", fmt] for argv, _ in cases]
+        proc = run_child(script % argvs)
+        assert proc.stdout.split() == ["3"] * (len(cases) - 1) + ["0"]
+        assert proc.stderr == "".join(err + "--\n" for _, err in cases)
+
+
+def test_mc_virial_beyond_three_dimensions_is_a_capability_limit():
+    proc = run_child(
+        "from virialkit.cli import main\n"
+        "print('exit', main(['virial', '--order', '2', '--model', "
+        "'{\"kind\": \"hard_sphere\", \"d\": 4, \"radius\": 0.5}']))\n"
+    )
+    assert proc.stdout == "exit 3\n"
+    assert proc.stderr == "capability limit: MC route covers d in {2, 3}\n"
+
+
 def test_request_sab_needs_both_weights(capsys):
     def req(**weights):
         inputs = {"nu": ["1/50", "1/50"], **weights}

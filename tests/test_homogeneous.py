@@ -19,10 +19,8 @@ from virialkit.homogeneous import (
     HomogeneousModel,
     INV_2E,
     banach_compare,
-    banach_from_samples,
     beta_n_exact_1d,
     beta_n_mc,
-    bloch_radii,
     bounds_report,
     grid_beta,
     hom_inversion_selftest,
@@ -230,15 +228,6 @@ def test_banach_compare_validation():
         banach_compare(lambda r: 0.0 * r, 2.0)
 
 
-def test_banach_from_samples():
-    rs = [i * 0.01 for i in range(401)]
-    out = banach_from_samples(rs, [1.3 * r for r in rs])
-    assert out["ratio"] == 8.0
-    assert abs(out["P"] - 1 / (8 * 1.3 * math.e)) < 1e-4
-    with pytest.raises(DomainError):
-        banach_from_samples([0.1, 0.2], [0.1, 0.2])  # does not start at zero
-
-
 # ---------------------------------------------------------------------------
 # the pure-Python searches against scipy, which stays installed as their oracle
 
@@ -349,18 +338,6 @@ def test_brentq_port_divides_as_c():
         hom._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-14)
     with pytest.raises(ValueError, match="NaN"):
         hom._brentq(lambda x: math.nan if x > 0 else -1.0, -1.0, 1.0, 1e-14)
-
-
-def test_bloch_radii():
-    out = bloch_radii(1.0, 1.0, 1.0)
-    assert out["r"] == 0.25 and out["P"] == 0.125
-    # r = R^2 a / (4 M), P = a r / 2
-    for R, a, M in [(2.0, 1.0, 1.0), (1.0, 2.0, 1.0), (1.0, 1.0, 2.0)]:
-        got = bloch_radii(R, a, M)
-        assert got["r"] == R * R * a / (4 * M)
-        assert got["P"] == a * got["r"] / 2
-    with pytest.raises(DomainError):
-        bloch_radii(0.0, 1.0, 1.0)
 
 
 def test_neighborhood_radii():

@@ -19,7 +19,6 @@ from virialkit.fps import exp_series
 from virialkit.homogeneous import grid_beta, ring_mayer, tonks_oracle
 from virialkit.inversion import (
     GCState,
-    check_dissym_b,
     check_PU,
     check_Sab,
     check_Sb,
@@ -115,7 +114,6 @@ def test_maps_refuse_a_measure_of_the_wrong_length():
     calls = [
         inv.rho_of_z, inv.zeta_of_nu, inv.log_xi_series, inv.pressure_of_nu,
         inv.free_energy, inv.check_PU, inv.check_Sb, inv.check_Sab, inv.check_virMb,
-        lambda st, nu: inv.check_dissym_b(st, nu, 1.0),
         lambda st, nu: inv.free_energy(st, [Fraction(1, 10)] * 2, m=nu),
     ]
     for nu in ([Fraction(1, 10)], [Fraction(1, 10)] * 3):
@@ -191,6 +189,12 @@ def test_dissymmetry_bounds():
     st6 = GCState.from_f(S2, [[-1.0, -0.5], [-0.5, 0.0]], N=6, exact=False)
     with pytest.raises(CapabilityError):
         dissymmetry_check(st6, N=6)
+    # the readers of D_(N+1) past the graph-enumeration ceiling refuse it,
+    # not truncate it
+    deep = GCState.from_f(S2, MIX_F, N=7, exact=True, allow_large=True)
+    for read in (check_virMb, zeta_of_nu):
+        with pytest.raises(CapabilityError):
+            read(deep, [Fraction(1, 10)] * 2)
 
 
 def test_dissymmetry_reports_non_finite_residuals():
@@ -511,20 +515,6 @@ def test_virmb_prefix_sums():
     assert all(m > 0 for m in cert.margins)
 
 
-def test_dissym_budget_check():
-    st = mix_state()
-    nu = [Fraction(1, 10), Fraction(1, 10)]
-    ok = check_dissym_b(st, nu, 0.5)
-    assert ok.condition == "dissym_b" and ok.passed
-    tiny = check_dissym_b(st, nu, 1e-6)
-    assert not tiny.passed
-    assert tiny.worst_margin < 0
-    # D_(N+1) past the graph-enumeration ceiling is refused, not truncated
-    deep = GCState.from_f(S2, MIX_F, N=7, exact=True, allow_large=True)
-    with pytest.raises(CapabilityError):
-        check_dissym_b(deep, nu, 0.5)
-
-
 def test_certificate_grid_search_notes():
     st = mix_state()
     cert = check_Sb(st, [Fraction(1, 50), Fraction(1, 50)])
@@ -745,9 +735,6 @@ def test_float_golden_majorants_and_tail_sums():
         "Mb": (eval_T_abs(st.t_family, nu, b), (0.1961878033372415, 0.22200937506581497,
                0.20638189259140183, 0.24508032330886875, 0.2634829520878339,
                0.15181872908212113)),
-        # the dissymmetry mass now sums through the biconnected family; at
-        # budget 0 the margin is minus the total
-        "dissym_b": (check_dissym_b(st, nu, 0), (-0.019949437892043374,)),
     }
     for name, (cert, parent) in moved.items():
         assert all(math.isclose(m, p, rel_tol=1e-12) for m, p in zip(cert.margins, parent)), name

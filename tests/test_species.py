@@ -16,7 +16,6 @@ from virialkit.species import (
     Species,
     SpeciesSpace,
     build_mayer,
-    c_bar,
     check_stability,
     load_species_json,
     parse_measure,
@@ -50,13 +49,6 @@ def test_measure_vec():
     space = SpeciesSpace.from_weights([2.0, 1.5])
     mv = MeasureVec.constant(space, Fraction(1, 2))
     assert mv.values == (Fraction(1, 2), Fraction(1, 2))
-    # total variation is weighted by the reference measure
-    assert mv.total_variation() == Fraction(1, 2) * 2 + Fraction(1, 2) * Fraction(3, 2)
-    assert mv.scale(Fraction(3)).values == (Fraction(3, 2), Fraction(3, 2))
-    assert MeasureVec(space, [Fraction(-1, 2), Fraction(1, 4)]).abs().values == (
-        Fraction(1, 2),
-        Fraction(1, 4),
-    )
 
 
 def test_hard_core_mayer_is_exact():
@@ -173,25 +165,6 @@ def test_stability_skips_hard_pairs():
     pot = PairPotential(space, 1.0, [[INF]])
     cert = check_stability(pot, n_check=4)
     assert cert.passed and cert.worst_margin == 0.0
-
-
-def test_c_bar_values():
-    space = SpeciesSpace.uniform(2)
-    f = [[Fraction(-1), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(-1)]]
-    my = MayerMatrices.from_f(space, f, exact=True)
-    assert c_bar(my, (Fraction(1), Fraction(2))) == (Fraction(2), Fraction(5, 2))
-    # weights enter the sum
-    wspace = SpeciesSpace.from_weights([2.0, 1.5])
-    myw = MayerMatrices.from_f(wspace, [[-1.0, -0.5], [-0.5, -1.0]], exact=False)
-    assert c_bar(myw, (1.0, 2.0)) == (3.5, 4.0)
-
-
-def test_c_bar_monotone_in_activity():
-    space = SpeciesSpace.uniform(2)
-    my = MayerMatrices.from_f(space, [[-0.25, -0.5], [-0.5, -1.0]], exact=False)
-    lo = c_bar(my, (0.5, 0.5))
-    hi = c_bar(my, (0.5, 1.5))
-    assert all(h >= l for h, l in zip(hi, lo))
 
 
 def test_segments_intersect_cases():

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from virialkit.errors import CapabilityError, DomainError
-from virialkit.fps import FormalSeries, RootedSeriesFamily, mul
+from virialkit.fps import FormalSeries, RootedSeriesFamily, exp_series, mul
 from virialkit.graphs import build_A_family
 from virialkit.oracles import enumerate_enriched_trees, tn_via_trees
 from virialkit.species import MayerMatrices, MeasureVec, SpeciesSpace
@@ -223,19 +223,19 @@ def test_eval_T_abs_uses_absolute_coefficients():
 
 def test_exp_family_orders():
     A = ones_family(S1, 3)
-    E = exp_family(A, sign=-1)
+    E = exp_family(A)
     assert E.value(0, 0, ()) == 1
     assert E.value(1, 0, (0,)) == -1
     assert E.value(2, 0, (0, 0)) == 0
-    P = exp_family(A, sign=1)
+    P = exp_series(A)
     assert P.value(1, 0, (0,)) == 1
     assert P.value(2, 0, (0, 0)) == 2
 
 
 def test_exp_family_signs_multiply_to_unit():
     A = rand_family(11, S2, 3)
-    plus = exp_family(A, sign=1)
-    minus = exp_family(A, sign=-1)
+    plus = exp_series(A)
+    minus = exp_family(A)
     one = FormalSeries.unit(S2, 3)
     for q in range(2):
         assert mul(plus.root_series(q), minus.root_series(q)) == one
