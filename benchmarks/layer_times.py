@@ -21,8 +21,19 @@ order, exact table first:
      "runs": [three cold times], "warm": warm median, "warm_runs": [three warm times]}
 
 A layer that refuses the shape prints ``"refused"`` with the error message
-in place of the times.  ``d_family`` at S=3, N=6 takes about ten seconds per
-run, and the whole script takes about two minutes.
+in place of the times.
+
+A last section times float ``graphs.d_coeff`` on one tuple of n distinct
+species, n = 4..7, with pair entries drawn from [-0.8, 0.4] (seed
+``d_coeff/<n>``).  Each of three fresh interpreters makes one untimed call,
+which builds the class tables, then calls until at least half a second has
+passed, and reports the time per call and its peak RSS:
+
+    {"mode": "float", "layer": "d_coeff", "n": ..., "per_call": median,
+     "runs": [three per-call times], "peak_rss_mb": median, "rss_runs": [...]}
+
+``d_family`` at S=3, N=6 takes about ten seconds per run, and the whole
+script takes about two and a half minutes.
 """
 
 from __future__ import annotations
@@ -54,6 +65,7 @@ LAYERS = {
     "roundtrip_check": (("t_family", "e_family"), lambda st, inv: inv.roundtrip_check(st)),
 }
 FLOAT_LAYERS = ("t_family", "e_family", "extract_d_from_a", "roundtrip_check", "d_family")
+D_COEFF_SIZES = (4, 5, 6, 7)
 
 
 def rational_state(seed, S, N):
@@ -107,18 +119,56 @@ def time_cell(mode, layer, S, N):
     print(json.dumps(out))
 
 
+def time_d_coeff(n):
+    """Time float d_coeff per call on one n-point tuple in this interpreter,
+    after one untimed call, and print it with the peak RSS as JSON."""
+    import resource
+    import time
+
+    from virialkit.graphs import d_coeff
+
+    r = random.Random(f"d_coeff/{n}")
+    f = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            f[i][j] = f[j][i] = r.uniform(-0.8, 0.4)
+    xs = tuple(range(n))
+    d_coeff(f, xs)
+    calls, start = 0, time.perf_counter()
+    while calls < 3 or time.perf_counter() - start < 0.5:
+        d_coeff(f, xs)
+        calls += 1
+    per_call = (time.perf_counter() - start) / calls
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps({"per_call": per_call, "peak_rss_mb": peak_mb}))
+
+
+def fresh(code):
+    """The JSON line that ``code`` prints in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=HERE, env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def run_d_coeff(n):
+    """The d_coeff line: per-call and peak-RSS medians of RUNS fresh interpreters."""
+    outs = [fresh(f"import layer_times; layer_times.time_d_coeff({n})") for _ in range(RUNS)]
+    runs = [o["per_call"] for o in outs]
+    rss = [o["peak_rss_mb"] for o in outs]
+    return {
+        "mode": "float", "layer": "d_coeff", "n": n, "per_call": statistics.median(runs), "runs": runs,
+        "peak_rss_mb": statistics.median(rss), "rss_runs": rss,
+    }
+
+
 def run_cell(mode, layer, S, N):
     """The cell's line: the cold and warm medians of RUNS fresh
     interpreters, or the refusal."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     code = f"import layer_times; layer_times.time_cell({mode!r}, {layer!r}, {S}, {N})"
     cell = {"mode": mode, "layer": layer, "S": S, "N": N}
     runs, warm = [], []
     for _ in range(RUNS):
-        proc = subprocess.run(
-            [sys.executable, "-c", code], cwd=HERE, env=env, capture_output=True, text=True, check=True
-        )
-        out = json.loads(proc.stdout)
+        out = fresh(code)
         if "refused" in out:
             return {**cell, "refused": out["refused"]}
         runs.append(out["seconds"])
@@ -134,6 +184,8 @@ def main():
         for layer in layers:
             for S, N in SHAPES[mode]:
                 print(json.dumps(run_cell(mode, layer, S, N)), flush=True)
+    for n in D_COEFF_SIZES:
+        print(json.dumps(run_d_coeff(n)), flush=True)
 
 
 if __name__ == "__main__":

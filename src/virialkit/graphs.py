@@ -18,8 +18,12 @@ A tuple's pair entries f(x_i, x_j) decide how its sums run.  Exact entries
 (int and Fraction) are put over their common denominator L, so that every
 edge weight a_p = f_p * L is a Python int; the sums then run in integer
 arithmetic and are divided by a power of L once at the end.  Float entries
-(or a matrix marked ``exact=False``) run the same recursion in floats, and
-the float biconnected sum is vectorized with numpy over the class table.
+(or a matrix marked ``exact=False``) run the same recursion in floats.  The
+float biconnected sum is one numpy gather: a cached read-only uint8 table
+[pairs x graphs] holds p where the graph has edge p and C(n, 2) where it has
+not, so taking it from the pair values plus a trailing 1.0 and multiplying
+down each column gives every graph's product in pair order; the products are
+summed once.
 
 The family builders stay on the integers too.  On a matrix of ints and
 Fractions they call ``ursell`` and ``d_coeff`` once per distinct pattern of
@@ -46,6 +50,8 @@ from .species import MayerMatrices
 MAX_CLASS_N = {"connected": 7, "biconnected": 7, "tree": 9}
 URSELL_FAST_MAX = 12
 D_COEFF_MAX = 7
+# graphs per gather of the float biconnected sum: bounds its float temporary
+GATHER_CHUNK = 4096
 
 
 @lru_cache(maxsize=None)
@@ -102,11 +108,35 @@ def count_class(n, kind):
 
 
 @lru_cache(maxsize=None)
-def _class_edge_matrix(n, kind):
-    """Bool matrix [graphs x pairs]: which edges each class member has."""
-    masks = class_masks(n, kind)
+def _biconnected_gather_index(n):
+    """Read-only uint8 table [pairs x graphs] over the biconnected class:
+    entry p where the graph has edge p, and P = C(n, 2) where it has not,
+    so that it gathers from the pair values followed by a trailing 1.0."""
+    masks = class_masks(n, "biconnected")
     P = len(pair_order(n))
-    return (masks[:, None] >> np.arange(P)[None, :] & 1).astype(bool)
+    index = np.empty((P, len(masks)), np.uint8)
+    for p in range(P):
+        index[p] = np.where(masks >> p & 1, p, P)
+    index.flags.writeable = False
+    return index
+
+
+def _gather_sum(fvec, index):
+    """sum over graphs g of prod over pairs p of fvec[index[p, g]].
+
+    Each column's product runs down the pairs in order and the terms are
+    summed once, pairwise, as one vector.  The gathered (pairs x graphs)
+    float block is built GATHER_CHUNK graphs at a time.
+    """
+    G = index.shape[1]
+    if G <= GATHER_CHUNK:
+        terms = np.multiply.reduce(fvec.take(index), axis=0)
+    else:
+        terms = np.empty(G)
+        for lo in range(0, G, GATHER_CHUNK):
+            hi = lo + GATHER_CHUNK
+            np.multiply.reduce(fvec.take(index[:, lo:hi]), axis=0, out=terms[lo:hi])
+    return float(terms.sum())
 
 
 def _f_matrix(f):
@@ -215,14 +245,18 @@ def ursell(f, xs):
 def d_coeff(f, xs):
     """Biconnected-graph sum D_n over the species tuple xs (2 <= n <= 7).
 
-    For a single pair this is just f(x1, x2).  Float inputs take a
-    vectorized numpy path over the cached class table.  Exact inputs keep
-    the biconnected graphs whose edges all lie in the support {p : a_p != 0}
-    and sum prod_(p in g) a_p * L^(P - |g|), P = C(n, 2), exactly: the
-    pairs split into a low and a high half, each half's products come from
-    a table over its edge subsets, and the low-half terms are added within
-    each run of graphs that share a high half, all in Python ints.  The sum
-    is divided by L^P once.  The result is int 0 when no graph survives, else
+    For a single pair this is just f(x1, x2).  Float inputs gather the pair
+    values, followed by 1.0 for a missing edge, through the class's cached
+    uint8 index table and multiply each graph's factors down the pairs in
+    order, GATHER_CHUNK graphs per gather (at n = 7: a 21 MB index, an 8 MB
+    term vector and about 1.4 MB per gather); the terms are summed once.
+
+    Exact inputs keep the biconnected graphs whose edges all lie in the
+    support {p : a_p != 0} and sum prod_(p in g) a_p * L^(P - |g|),
+    P = C(n, 2), exactly: the pairs split into a low and a high half, each
+    half's products come from a table over its edge subsets, and the
+    low-half terms are added within each run of graphs that share a high
+    half, all in Python ints.  The sum is divided by L^P once.  The result is int 0 when no graph survives, else
     a Fraction exactly when a surviving graph has a Fraction edge.
     """
     n = len(xs)
@@ -232,11 +266,16 @@ def d_coeff(f, xs):
     if n == 2:
         return vals[0]
     if not exact:
-        fvec = np.array([float(v) for v in vals])
-        mat = _class_edge_matrix(n, "biconnected")
+        floats = [float(v) for v in vals]
+        fvec = np.array(floats + [1.0])
+        index = _biconnected_gather_index(n)
+        if all(-1.0 <= v <= 1.0 for v in floats):
+            # every term lies in [-1, 1] and the sum within the graph count:
+            # nothing overflows, so numpy has nothing to warn about
+            return _gather_sum(fvec, index)
         # an overflow or NaN is the value; the JSON writers refuse it
         with np.errstate(all="ignore"):
-            return float(np.where(mat, fvec[None, :], 1.0).prod(axis=1).sum())
+            return _gather_sum(fvec, index)
     L, a = _over_common_denominator(vals)
     support = sum(1 << p for p, v in enumerate(a) if v)
     masks = class_masks(n, "biconnected")

@@ -43,10 +43,19 @@ RING_CELLS = 4
 
 
 def vol_ball(d, r):
-    """Volume of the d-ball of radius r; exact 2r in one dimension."""
+    """Volume of the d-ball of radius r; exact 2r in one dimension.
+
+    When r ** d alone leaves the float range (d >= 13 puts the constant below
+    1, so the volume can still be finite), r = m 2^e is split exactly and the
+    power of two is applied last."""
     if d == 1:
         return 2 * r
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * float(r) ** d
+    const = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+    try:
+        return const * float(r) ** d
+    except OverflowError:
+        m, e = math.frexp(float(r))
+        return math.ldexp(const * m**d, e * d)
 
 
 @dataclass(frozen=True)
@@ -77,13 +86,17 @@ class HomogeneousModel:
     @property
     def c_bar(self):
         """Exclusion integral: the volume of the overlap ball; OverflowError
-        once it leaves the float range, where every radius would be 0."""
+        once it leaves the float range, above (every radius would be 0) or
+        below (a positive exclusion whose volume rounds to 0.0 would read as
+        the ideal gas)."""
         try:
             c = vol_ball(self.d, self.exclusion)
-        except OverflowError:  # float(r) ** d raises instead of giving inf
+        except OverflowError:  # math raises instead of giving inf
             c = math.inf
         if c == math.inf:
             raise OverflowError("the exclusion volume c_bar is not finite")
+        if c == 0 and self.exclusion > 0:
+            raise OverflowError("the exclusion volume c_bar underflows to 0")
         return c
 
 

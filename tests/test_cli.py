@@ -612,6 +612,27 @@ def test_float_range_edges_print_one_line_each():
         assert proc.stderr == "".join(err + "--\n" for _, err in cases)
 
 
+def test_underflowing_sphere_volume_is_a_capability_limit(capsys):
+    # a positive radius whose ball volume rounds to 0.0 is a valid model that
+    # left the float range, not the ideal gas
+    model = '{"kind": "hard_sphere", "d": 3, "radius": 1e-120}'
+    for argv in (["bounds", "--model", model], ["virial", "--order", "2", "--model", model]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err == "capability limit: float range exceeded (the exclusion volume c_bar underflows to 0)\n"
+    code, out, err = run(capsys, ["virial", "--order", "2", "--model", '{"kind": "ideal", "d": 3}'])
+    assert (code, err) == (0, "") and out.splitlines()[1:] == ["1,0,analytic,0.0", "2,0,analytic,0.0"]
+
+
+def test_high_dimensional_ball_volume_past_r_to_the_d(capsys):
+    # r ** 20 overflows, the 20-ball's volume does not
+    model = '{"kind": "hard_sphere", "d": 20, "exclusion": 2.8e15}'
+    code, out, err = run(capsys, ["virial", "--order", "1", "--model", model])
+    assert (code, err) == (0, "")
+    n, beta, method, _ = out.splitlines()[1].split(",")
+    assert (n, method) == ("1", "analytic") and math.isclose(float(beta), -2.2641037337451863e307, rel_tol=1e-15)
+
+
 def test_mc_virial_beyond_three_dimensions_is_a_capability_limit():
     proc = run_child(
         "from virialkit.cli import main\n"

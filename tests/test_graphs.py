@@ -7,9 +7,12 @@ edges and biconnected graphs by explicit articulation-vertex testing.
 """
 
 import itertools
+import math
 import random
+import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
@@ -241,6 +244,49 @@ def test_d_coeff_float_path_matches_exact():
     ff = [[float(v) for v in row] for row in fq]
     for xs in [(0, 1), (0, 0, 1), (0, 1, 1, 0), (0, 0, 0, 1, 1), (0, 1, 0, 1, 0, 1)]:
         assert abs(d_coeff(ff, xs) - float(d_coeff(fq, xs))) < 1e-12
+
+
+def matrix_product_d(n, vals):
+    """The float biconnected sum as the (graphs x pairs) bool-matrix product
+    that ``d_coeff`` computed before its gather: the bit reference."""
+    masks = class_masks(n, "biconnected")
+    mat = (masks[:, None] >> np.arange(len(vals))[None, :] & 1).astype(bool)
+    fvec = np.array(vals)
+    with np.errstate(all="ignore"):
+        return float(np.where(mat, fvec[None, :], 1.0).prod(axis=1).sum())
+
+
+SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 1e-308, -1e-308, 5e-324, -5e-324, 2.5e-310)
+
+
+def float_bits(x):
+    return "nan" if math.isnan(x) else struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("chunk", [graphs.GATHER_CHUNK, 64])
+def test_float_d_coeff_keeps_the_matrix_product_bits(monkeypatch, chunk):
+    # the gather multiplies each graph's factors in pair order (a missing
+    # edge contributes an exact 1.0) and sums the terms once, so every bit
+    # matches the matrix product; chunk 64 splits n >= 5 into several gathers
+    monkeypatch.setattr(graphs, "GATHER_CHUNK", chunk)
+    r = random.Random(23)
+    draws = {
+        "random": lambda: r.uniform(-1.0, 1.0),
+        "wide": lambda: r.choice((-1.0, 1.0)) * 10.0 ** r.uniform(-300, 300),
+        "special": lambda: r.choice(SPECIAL_FLOATS) if r.random() < 0.4 else r.uniform(-2.0, 2.0),
+    }
+    for n in range(3, 7):
+        index = graphs._biconnected_gather_index(n)
+        assert index.dtype == np.uint8 and not index.flags.writeable
+        assert index.shape == (len(pair_order(n)), count_class(n, "biconnected"))
+        for kind, draw in draws.items():
+            for _ in range(12):
+                vals = [draw() for _ in pair_order(n)]
+                f = [[0.0] * n for _ in range(n)]
+                for (i, j), v in zip(pair_order(n), vals):
+                    f[i][j] = f[j][i] = v
+                got = d_coeff(f, tuple(range(n)))
+                assert float_bits(got) == float_bits(matrix_product_d(n, vals)), (n, kind, vals)
 
 
 # exact entries: hard cores and small ints, sixteenths, thirds and sevenths

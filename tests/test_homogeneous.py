@@ -49,6 +49,36 @@ def test_vol_ball():
     assert abs(vol_ball(3, 1.0) - 4 * math.pi / 3) < 1e-15
 
 
+def test_vol_ball_bits_in_range():
+    # in-range radii take const * r ** d, bit for bit
+    assert vol_ball(2, 0.7).hex() == "0x1.8a14d57b373dep+0"
+    assert vol_ball(3, 1.3).hex() == "0x1.267d1bdf78f46p+3"
+    assert vol_ball(10, 2.5).hex() == "0x1.7c0109b3b1803p+14"
+    assert vol_ball(10, 1e30).hex() == "0x1.e76b40027cdc7p+997"
+
+
+def test_vol_ball_past_r_to_the_d():
+    # r ** 20 overflows at r = 2.8e15, but the 20-ball's constant is about
+    # 0.026 and the volume, about 2.26e307, is a float
+    d, r = 20, 2.8e15
+    with pytest.raises(OverflowError):
+        float(r) ** d
+    const = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+    want = float(Fraction(const) * Fraction(r) ** d)
+    assert math.isclose(vol_ball(d, r), want, rel_tol=1e-15)
+    assert HomogeneousModel.hard_sphere(d, exclusion=r).c_bar == vol_ball(d, r)
+    with pytest.raises(OverflowError):
+        vol_ball(d, 1e16)
+
+
+def test_c_bar_underflow_is_not_the_ideal_gas():
+    tiny = HomogeneousModel.hard_sphere(3, radius=1e-120)
+    assert vol_ball(3, tiny.exclusion) == 0.0
+    with pytest.raises(OverflowError, match="underflows"):
+        tiny.c_bar
+    assert HomogeneousModel.ideal(3).c_bar == 0
+
+
 def test_model_constructors():
     assert ROD.c_bar == 2.0 and ROD.B == 0.0 and ROD.Bstar == 0.0
     assert abs(SPHERE.c_bar - 4 * math.pi / 3) < 1e-12
