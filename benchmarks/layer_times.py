@@ -32,8 +32,22 @@ passed, and reports the time per call and its peak RSS:
     {"mode": "float", "layer": "d_coeff", "n": ..., "per_call": median,
      "runs": [three per-call times], "peak_rss_mb": median, "rss_runs": [...]}
 
+A third section times the float sums against a measure per call, on the
+same soft float states at N = 4: ``fps.measure_sums`` of the biconnected
+family from order 1 ("D", the sum of ``zeta_of_nu``'s biconnected path) and
+of the tree family ("t", ``eval_T``), and ``fps._majorant_sums`` of the
+activity family from order 1 ("A", ``check_Sb``), at a measure of entries
+in [0.01, 0.05] (seed ``measure_sums/<S>``).  Each of three fresh
+interpreters builds the family and makes one call untimed, then calls until
+at least half a second has passed:
+
+    {"mode": "float", "layer": "measure_sums" or "_majorant_sums",
+     "family": ..., "S": ..., "per_call": median, "runs": [three per-call times]}
+
 ``d_family`` at S=3, N=6 takes about ten seconds per run, and the whole
-script takes about two and a half minutes.
+script takes about three minutes.  Name sections to run only those:
+
+    python3 benchmarks/layer_times.py [exact] [float] [d_coeff] [sums]
 """
 
 from __future__ import annotations
@@ -66,6 +80,12 @@ LAYERS = {
 }
 FLOAT_LAYERS = ("t_family", "e_family", "extract_d_from_a", "roundtrip_check", "d_family")
 D_COEFF_SIZES = (4, 5, 6, 7)
+# family -> (the sum, the GCState family it reads, the first order summed)
+SUMS = {
+    "D": ("measure_sums", "d_family", 1),
+    "t": ("measure_sums", "t_family", 0),
+    "A": ("_majorant_sums", "a_family", 1),
+}
 
 
 def rational_state(seed, S, N):
@@ -143,6 +163,25 @@ def time_d_coeff(n):
     print(json.dumps({"per_call": per_call, "peak_rss_mb": peak_mb}))
 
 
+def time_sums(family, S):
+    """Time one float sum against a measure per call in this interpreter,
+    after building its family and one untimed call, and print it as JSON."""
+    import time
+
+    from virialkit import fps
+
+    name, layer, start = SUMS[family]
+    fn, G = getattr(fps, name), getattr(soft_state(S, 4), layer)
+    r = random.Random(f"measure_sums/{S}")
+    nu = [round(r.uniform(0.01, 0.05), 4) for _ in range(S)]
+    fn(G, nu, start)
+    calls, t0 = 0, time.perf_counter()
+    while calls < 3 or time.perf_counter() - t0 < 0.5:
+        fn(G, nu, start)
+        calls += 1
+    print(json.dumps({"per_call": (time.perf_counter() - t0) / calls}))
+
+
 def fresh(code):
     """The JSON line that ``code`` prints in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
@@ -179,14 +218,29 @@ def run_cell(mode, layer, S, N):
     }
 
 
-def main():
+def run_sums(family, S):
+    """The sums line: the per-call median of RUNS fresh interpreters."""
+    runs = [fresh(f"import layer_times; layer_times.time_sums({family!r}, {S})")["per_call"] for _ in range(RUNS)]
+    return {
+        "mode": "float", "layer": SUMS[family][0], "family": family, "S": S,
+        "per_call": statistics.median(runs), "runs": runs,
+    }
+
+
+def main(sections):
     for mode, layers in (("exact", LAYERS), ("float", FLOAT_LAYERS)):
-        for layer in layers:
-            for S, N in SHAPES[mode]:
-                print(json.dumps(run_cell(mode, layer, S, N)), flush=True)
-    for n in D_COEFF_SIZES:
-        print(json.dumps(run_d_coeff(n)), flush=True)
+        if mode in sections:
+            for layer in layers:
+                for S, N in SHAPES[mode]:
+                    print(json.dumps(run_cell(mode, layer, S, N)), flush=True)
+    if "d_coeff" in sections:
+        for n in D_COEFF_SIZES:
+            print(json.dumps(run_d_coeff(n)), flush=True)
+    if "sums" in sections:
+        for family in SUMS:
+            for S, _ in SHAPES["float"]:
+                print(json.dumps(run_sums(family, S)), flush=True)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:] or ("exact", "float", "d_coeff", "sums"))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .certs import BoundCertificate, certify, check_weights
 from .errors import CapabilityError, CertificateError, DomainError, StructureError
-from .fps import measure_sums, sym_factor
+from .fps import left_sum, measure_sums, sym_factor
 from .graphs import hard_core_d_table
 from .homogeneous import INV_2E, _overlap_length_1d, vol_ball
 from .inversion import GCState, check_Sab
@@ -230,7 +230,7 @@ def _mixture_margins(ms, a, b):
     K = len(ms.radii)
     return tuple(
         float(a[k])
-        - sum(
+        - left_sum(
             float(ms.rho[l])
             * vol_ball(ms.d, ms.radii[k] + ms.radii[l])
             * math.exp(float(a[l]) + float(b[l]))
@@ -289,7 +289,7 @@ def invert_mixture(ms, N, samples=100_000, seed=0, threads=1):
     for k in range(K):
         log_ratio = 0.0
         if N >= 1:
-            log_ratio -= sum(
+            log_ratio -= left_sum(
                 -vol_ball(ms.d, radii[k] + radii[l]) * float(rho[l]) for l in range(K)
             )
         if N >= 2:
@@ -335,7 +335,7 @@ class RodSystem:
             raise StructureError("angles and probs must align")
         if any(p < 0 for p in self.probs):
             raise DomainError("orientation probabilities must be non-negative")
-        if abs(sum(self.probs) - 1.0) > 1e-9:
+        if abs(left_sum(self.probs) - 1.0) > 1e-9:
             raise DomainError("orientation probabilities must sum to 1")
         if self.rho0 < 0 or self.length <= 0:
             raise DomainError("need rho0 >= 0 and positive length")
@@ -371,7 +371,7 @@ def rods_free_energy(rs, N=2, samples=100_000, seed=0, threads=1):
         raise CapabilityError("rod free energy implemented through order 3")
     L = rs.length
     worst = max(
-        sum(
+        left_sum(
             p * rod_excluded_area(L, a1 - a2)
             for a2, p in zip(rs.angles, rs.probs)
         )
@@ -389,7 +389,7 @@ def rods_free_energy(rs, N=2, samples=100_000, seed=0, threads=1):
         )
     rho0 = rs.rho0
     ideal = rho0 * (math.log(rho0) - 1.0) if rho0 > 0 else 0.0
-    entropy = rho0 * sum(p * math.log(p) for p in rs.probs if p > 0)
+    entropy = rho0 * left_sum(p * math.log(p) for p in rs.probs if p > 0)
     terms = {"ideal": ideal, "orientation_entropy": entropy}
     if N >= 2:
         pair = 0.0
@@ -422,7 +422,7 @@ def rods_free_energy(rs, N=2, samples=100_000, seed=0, threads=1):
             err_acc += (err * abs(weight)) ** 2
         terms["order3"] = -(rho0**3) * total
         terms["order3_stderr"] = rho0**3 * math.sqrt(err_acc)
-    total = sum(v for kk, v in terms.items() if not kk.endswith("_stderr"))
+    total = left_sum(v for kk, v in terms.items() if not kk.endswith("_stderr"))
     return {"terms": terms, "total": total, "certificate": cert}
 
 

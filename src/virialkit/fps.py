@@ -61,9 +61,16 @@ value keeps its type.
 
 ``measure_sums``, the sum of a series or family against a measure, has two
 rules as well: on exact orders it adds their numerators over one
-denominator per order and divides once per root, and otherwise it adds the
-terms of the stored orders one at a time.  Only the float majorants of the
-certificates (``_majorant_sums``) leave exact mode.
+denominator per order and divides once per root, and otherwise a column
+rule runs each order as elementwise steps over its nonzero coefficients,
+in float64 lanes where every product is a float times a real and in the
+Python values otherwise, and each root adds its terms in storage order
+with one sequential ``np.add.accumulate`` (``_fold``), never a pairwise
+or compensated sum, so the sums equal the term-by-term loop to the bit.
+The float majorants of the certificates (``_majorant_sums``) take the
+same column steps in float64; they alone leave exact mode.  ``left_sum``
+is the same left fold for the built-in ``sum``, whose float bits change
+from Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -491,6 +498,7 @@ class _Columns:
 
 
 _EXACT = frozenset((int, Fraction))
+_REAL = frozenset((int, Fraction, float))
 
 
 def _plain(vals):
@@ -1024,8 +1032,22 @@ def measure_sums(K, vals, start=0):
     ``_Exact``, the sums run on its numerators (``_measure_sums_exact``); a
     root's sum is then int 0 when every coefficient it reads is 0, and
     otherwise a Fraction, equal to the term-by-term rational sum.
-    Otherwise each root adds the terms K_n(x) prod_j nu(x_j) w(x_j) /
-    sym(x) of the stored orders in storage order, one term at a time.
+
+    Otherwise the column rule runs each order as elementwise steps over its
+    live lanes (root, ms), those of nonzero coefficients, at once: the term
+    K_n(x) times nu(x_j), then w(x_j), position by position, times
+    1/sym(x), and each root adds its terms to its running total in storage
+    order (``_fold``).  Above order 0, an order's lanes are float64 when
+    nu, the weights and the running totals are real and each product is a
+    float times a real, which Python computes as the float times float() of
+    the real: a float64 order with no int lane, or any float64 or exact
+    order against a float nu (float(v) of an exact value rounds as its
+    first product with a float does).  Otherwise they hold the Python
+    values, so the same steps run Python's own operations (a float times
+    Fraction(1, k) is the float times 1/k).  Each sum is the term-by-term
+    sum (``oracles.measure_sums_termwise``) to the bit and in type: a root
+    with no nonzero coefficient keeps the int 0, or its exact order-0
+    value.
     """
     _check_measure(K, vals)
     weights = K.space.weights
@@ -1034,23 +1056,30 @@ def measure_sums(K, vals, start=0):
         type(K._orders[n]) is _Exact for n in orders
     ):
         return _measure_sums_exact(K, vals, orders)
-    rooted = K.rooted
+    floats = all(type(v) is float for v in vals)
+    lanes_of = np.array(vals, dtype=object), np.array(weights, dtype=object)
+    floats_of = _floats(vals), _floats(weights)
+    real = floats_of[0] is not None and floats_of[1] is not None
     totals = [0] * K.roots
-    for n in orders:
-        sym = {}
-        for key, v in zip(_keys(K.space.size, n, rooted), K._orders[n].values()):
-            if v == 0:
-                continue
-            q, ms = key if rooted else (0, key)
-            term = v
-            for x in ms:
-                term = term * vals[x] * weights[x]
-            k = sym.get(ms)
-            if k is None:
-                k = sym[ms] = sym_factor(ms)
-            # a float times a Fraction is the float times float(Fraction)
-            totals[q] += term * (1 / k) if type(term) is float else term * Fraction(1, k)
-    return totals if rooted else totals[0]
+    with np.errstate(all="ignore"):
+        for n in orders:
+            X, sym, inv = _order_plan(K.space.size, n)
+            order = K._orders[n]
+            # every product is a float times a real: a float coefficient, or
+            # any real one times a float nu (an int times a Fraction is exact)
+            plain = n > 0 and real and all(type(t) in _REAL for t in totals) and (
+                floats if type(order) is _Exact else order.plain() and (floats or order.ints is None)
+            )
+            term, live = _lanes(order, plain)
+            nu, w = floats_of if plain else lanes_of
+            for x in X.T:
+                np.multiply(term, nu[x], out=term, where=live)
+                np.multiply(term, w[x], out=term, where=live)
+            if not plain:  # a float times Fraction(1, k) is the float times 1/k
+                inv = np.array([Fraction(1, int(k)) for k in sym.tolist()], dtype=object)
+            np.multiply(term, inv, out=term, where=live)
+            _fold(totals, term, live)
+    return totals if K.rooted else totals[0]
 
 
 def _measure_sums_exact(K, vals, orders):
@@ -1097,24 +1126,112 @@ def _majorant_sums(G, nu, start=0):
     over canonical tails x, added in storage order, zero coefficients
     skipped, with w the weights of G's space; orders below ``start`` stay
     0.0.  The Sb, virMb and Mb certificates all sum through here, so their
-    rounding is decided here.  Like ``measure_sums``, it refuses a measure
-    of another length than the species count.
+    rounding is decided here.  Like ``measure_sums``, it runs each order as
+    elementwise float64 steps over its live lanes (|v| times
+    u_x = |nu(x)| w(x) position by position, over sym(x)) and adds each
+    root's terms from 0.0 in storage order (``_fold``), the term-by-term
+    loop ``oracles.majorant_sums_termwise`` to the bit.  It refuses a
+    measure of another length than the species count.
     """
     _check_measure(G, nu)
-    size = G.space.size
-    u = [float(abs(v)) * float(wx) for v, wx in zip(nu, G.space.weights)]
+    u = np.array([float(abs(v)) * float(wx) for v, wx in zip(nu, G.space.weights)])
     sums = [[0.0] * G.roots for _ in range(G.trunc + 1)]
-    for n in range(start, G.trunc + 1):
-        row = sums[n]
-        sym = {ms: sym_factor(ms) for ms in canonical_indices(size, n)}
-        for (q, ms), v in zip(_keys(size, n, True), G._orders[n].values()):
-            if v == 0:
-                continue
-            term = float(abs(v))
-            for x in ms:
-                term *= u[x]
-            row[q] += term / sym[ms]
+    with np.errstate(all="ignore"):
+        for n in range(start, G.trunc + 1):
+            X, sym, _ = _order_plan(G.space.size, n)
+            term, live = _lanes(G._orders[n], True, absolute=True)
+            for x in X.T:
+                np.multiply(term, u[x], out=term, where=live)
+            np.divide(term, sym, out=term, where=live)
+            _fold(sums[n], term, live)
     return sums
+
+
+@lru_cache(maxsize=None)
+def _order_plan(size, n):
+    """For the canonical multi-indices ms of order n in storage order, as
+    read-only arrays: the species at each position (ms x n, intp), and per
+    ms sym(ms) as a float and 1/sym(ms)."""
+    keys = _keys(size, n, False)
+    X = np.array(keys, dtype=np.intp).reshape(len(keys), n)
+    sym = np.array([sym_factor(ms) for ms in keys], dtype=float)
+    plan = X, sym, 1.0 / sym
+    for a in plan:
+        a.setflags(write=False)
+    return plan
+
+
+def _floats(xs):
+    """float64 of real values (ints, Fractions, floats), as Python converts
+    them to multiply a float; None when one is not real or leaves the float
+    range."""
+    if not all(type(x) in _REAL for x in xs):
+        return None
+    try:
+        return np.array([float(x) for x in xs])
+    except OverflowError:
+        return None
+
+
+def _lanes(order, plain, absolute=False):
+    """(lanes, live) of an order over (root, ms) for the sums against a
+    measure, with |v| in place of each value v when ``absolute``: float64
+    when ``plain`` (the stored array of a float64 ``_Columns``, num / den of
+    an ``_Exact`` order, which is float(v) correctly rounded, else float()
+    of each value), else dtype=object lanes of the values themselves.
+    ``live`` marks the nonzero values as stored, so a Fraction that rounds
+    to 0.0 stays live; the sums compute on live lanes only."""
+    if plain and type(order) is _Columns and order.plain():
+        lanes, live = order.arr.copy(), order.arr != 0
+    elif plain and type(order) is _Exact:
+        num, den = list(chain.from_iterable(order.num)), order.den
+        lanes, live = np.array([v / den for v in num]), np.array([v != 0 for v in num])
+    else:
+        vals = order.values()
+        live = np.array([v != 0 for v in vals], dtype=bool)
+        if absolute:
+            vals = [abs(v) for v in vals]
+        lanes = np.array([float(v) for v in vals]) if plain else np.array(vals, dtype=object)
+    if absolute and plain:
+        lanes = np.abs(lanes)
+    shape = order.roots, -1
+    return lanes.reshape(shape), live.reshape(shape)
+
+
+def _fold(totals, terms, live):
+    """Add to each running total ``totals[q]`` the ``live`` lanes of row q
+    of ``terms`` left to right, as Python's += would, with one sequential
+    ``np.add.accumulate`` seeded with the total; never a ``.sum()``,
+    ``math.fsum`` or the built-in ``sum``, which are pairwise or
+    compensated, so their bits differ.  A float64 row sets its dead lanes
+    to -0.0, which adds nothing to any float (+0.0 would turn -0.0 into
+    +0.0), and takes float() of its seed, as an int or a Fraction plus a
+    float does.  A row with no live lane keeps its total as it is."""
+    hit = live.any(axis=1).tolist()
+    if terms.dtype == object:
+        for q, (row, keep) in enumerate(zip(terms, live)):
+            if hit[q]:
+                seg = np.empty(int(keep.sum()) + 1, dtype=object)
+                seg[0], seg[1:] = totals[q], row[keep]
+                totals[q] = np.add.accumulate(seg)[-1]
+        return
+    seg = np.empty((len(totals), terms.shape[1] + 1))
+    seg[:, 0] = [float(t) if h else 0.0 for t, h in zip(totals, hit)]
+    np.copyto(seg[:, 1:], terms)
+    np.copyto(seg[:, 1:], -0.0, where=~live)
+    for q, total in enumerate(np.add.accumulate(seg, axis=1)[:, -1].tolist()):
+        if hit[q]:
+            totals[q] = total
+
+
+def left_sum(terms, start=0):
+    """start + terms[0] + terms[1] + ..., added left to right.  The built-in
+    ``sum`` adds floats with compensation from Python 3.12 on, so its bits
+    depend on the interpreter; this fold gives every version the bits of
+    3.11's ``sum``."""
+    for t in terms:
+        start = start + t
+    return start
 
 
 # ---------------------------------------------------------------------------

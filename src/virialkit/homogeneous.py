@@ -28,7 +28,7 @@ from itertools import combinations_with_replacement, permutations, product
 import numpy as np
 
 from .errors import CapabilityError, DomainError
-from .fps import FormalSeries, exp_series, log_series, mul, sym_factor
+from .fps import FormalSeries, exp_series, left_sum, log_series, mul, sym_factor
 from .graphs import d_coeff, hard_core_d_table, pair_order, per_pattern
 from .kernels import mc_batches, mc_mask_sum
 from .species import MayerMatrices, SpeciesSpace
@@ -47,10 +47,17 @@ def vol_ball(d, r):
 
     When r ** d alone leaves the float range (d >= 13 puts the constant below
     1, so the volume can still be finite), r = m 2^e is split exactly and the
-    power of two is applied last."""
+    power of two is applied last.  From d = 342 on Gamma(d/2 + 1) itself
+    overflows, and the volume is taken in log space instead."""
     if d == 1:
         return 2 * r
-    const = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+    try:
+        const = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+    except OverflowError:
+        r = float(r)
+        if r == 0:
+            return 0.0
+        return math.exp(d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0) + d * math.log(r))
     try:
         return const * float(r) ** d
     except OverflowError:
@@ -354,7 +361,7 @@ def tree_fn_T(s):
             - 769.0 * p**5 / 17280.0
             + 221.0 * p**6 / 8505.0
         )
-    T = sum(n ** (n - 1) * s**n / math.factorial(n) for n in range(1, 21))
+    T = left_sum(n ** (n - 1) * s**n / math.factorial(n) for n in range(1, 21))
     for _ in range(60):
         g = T - s * math.exp(T)
         if abs(g) < TREE_FN_TOL:
@@ -599,13 +606,17 @@ def bounds_report(model, B_bar=0.0):
     cb = float(model.c_bar)
     if cb > 0 and 5.0 / cb == math.inf:
         raise OverflowError("the Banach search radius 5/c_bar is not finite")
+    rs = r_star(model)
+    if rs < sys.float_info.min:
+        # a subnormal radius has lost bits, and the rows below would be wrong
+        raise OverflowError("the activity radius r_star is subnormal")
     lp = lp_chain(model)
     bc = banach_compare(lambda r: cb * r, 5.0 / cb)
     nb = neighborhood_radii(model)
     return [
         ("k", k_constant(), "max_w (2exp(-w)-1)w"),
         ("one_over_2e", INV_2E, "1/(2e)"),
-        ("r_star", r_star(model), "(1/(2e))/(cbar exp(beta(B+B*)))"),
+        ("r_star", rs, "(1/(2e))/(cbar exp(beta(B+B*)))"),
         ("r_lp", r_lp(model, B_bar), "k/(cbar exp(beta Bbar))"),
         ("nbhd_inner", nb.inner, "exp(-1-2/e)/(cbar exp(beta(B+B*)))"),
         ("nbhd_outer", nb.outer, "(1/(2 sqrt e))/(cbar exp(beta(B+B*)))"),
@@ -679,7 +690,7 @@ def hom_inversion_selftest(model=None, N=2, grid_ks=(3, 6, 12)):
         ]
     rho = Fraction(1, 5) / a
     z_series = float(rho) * math.exp(
-        -sum(float(b) * float(rho) ** n for n, b in enumerate(betas_eos, start=1))
+        -left_sum(float(b) * float(rho) ** n for n, b in enumerate(betas_eos, start=1))
     )
     z_oracle = tonks_oracle(float(a), float(rho))["z"]
     return {

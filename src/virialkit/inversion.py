@@ -44,6 +44,7 @@ from .fps import (
     canonical_indices,
     compose_measure,
     exp_series,
+    left_sum,
     measure_sums,
     mul,
     sym_factor,
@@ -154,7 +155,7 @@ def _pair_margins(st, nu, *shifts):
                 e += vec[y]
             ex.append(math.exp(e))
         return tuple(
-            float(a[x]) - sum(fbar[x][y] * ex[y] * vals[y] * w[y] for y in range(S))
+            float(a[x]) - left_sum(fbar[x][y] * ex[y] * vals[y] * w[y] for y in range(S))
             for x in range(S)
         )
 
@@ -185,7 +186,7 @@ def check_Sb(st, nu, b=None):
     def margins_for(_, bvec):
         # each tail species x carries its exp(b(x)) inside the measure
         boosted = [float(abs(v)) * math.exp(float(bvec[x])) for x, v in enumerate(nu)]
-        sums = [sum(col) for col in zip(*_majorant_sums(st.a_family, boosted, start=1))]
+        sums = [left_sum(col) for col in zip(*_majorant_sums(st.a_family, boosted, start=1))]
         return tuple(float(bvec[q]) - sums[q] for q in range(S))
 
     # on the grid, per-order sums with the exp(b) factors stripped; a
@@ -194,7 +195,7 @@ def check_Sb(st, nu, b=None):
 
     def grid_margins(c):
         return tuple(
-            c - sum(raw[n][q] * math.exp(n * c) for n in range(1, st.N + 1))
+            c - left_sum(raw[n][q] * math.exp(n * c) for n in range(1, st.N + 1))
             for q in range(S)
         )
 
@@ -221,7 +222,7 @@ def check_virMb(st, nu, b=None):
     """
     nu = st.measure(nu).values
     S = st.space.size
-    sums = [sum(col) for col in zip(*_majorant_sums(st.d_family, nu, start=1))]
+    sums = [left_sum(col) for col in zip(*_majorant_sums(st.d_family, nu, start=1))]
 
     def margins_for(_, bvec):
         return tuple(float(bvec[q]) - sums[q] for q in range(S))
@@ -373,7 +374,7 @@ def xi_exact(st, z, n_max=None):
     by_order = [1] + [0] * n_max
     for n, term in _configuration_terms(st, z, n_max):
         by_order[n] += term
-    return XiResult(sum(by_order), n_max, not diag_hard, by_order)
+    return XiResult(left_sum(by_order), n_max, not diag_hard, by_order)
 
 
 def density_exact(st, z, n_max=None):
@@ -433,7 +434,7 @@ def pressure_of_nu(st, nu):
     """
     vals = _nonnegative_density(st, nu, "pressure")
     w = st.space.weights
-    ideal = sum(v * wx for v, wx in zip(vals, w))
+    ideal = left_sum(v * wx for v, wx in zip(vals, w))
     return ideal - _d_tail_sum(st, vals, order_factor=lambda n: n - 1)
 
 

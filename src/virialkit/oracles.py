@@ -21,6 +21,8 @@ import numpy as np
 from .errors import CapabilityError, DomainError
 from .fps import (
     FormalSeries,
+    _check_measure,
+    _keys,
     canonical_indices,
     compose_templates,
     set_partitions,
@@ -140,6 +142,28 @@ def measure_sums_termwise(K, vals, start=0):
                 term = term * vals[x] * weights[x]
             totals[q] += term * Fraction(1, sym_factor(ms))
     return totals if K.rooted else totals[0]
+
+
+def majorant_sums_termwise(G, nu, start=0):
+    """``fps._majorant_sums`` one term at a time, per order n and root q:
+    |G_n(q; x)| prod_j |nu(x_j)| w(x_j) / sym(x) added from 0.0 over
+    canonical tails x in storage order, zero coefficients skipped; orders
+    below ``start`` stay 0.0.  The column rule must equal it to the bit."""
+    _check_measure(G, nu)
+    size = G.space.size
+    u = [float(abs(v)) * float(wx) for v, wx in zip(nu, G.space.weights)]
+    sums = [[0.0] * G.roots for _ in range(G.trunc + 1)]
+    for n in range(start, G.trunc + 1):
+        row = sums[n]
+        sym = {ms: sym_factor(ms) for ms in canonical_indices(size, n)}
+        for (q, ms), v in zip(_keys(size, n, True), G._orders[n].values()):
+            if v == 0:
+                continue
+            term = float(abs(v))
+            for x in ms:
+                term *= u[x]
+            row[q] += term / sym[ms]
+    return sums
 
 
 # Dense debug backend: positioned-tuple storage, for cross-checking the

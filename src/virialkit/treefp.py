@@ -36,6 +36,7 @@ from .fps import (
     _sweep,
     compose_measure,
     exp_series,
+    left_sum,
     measure_sums,
 )
 
@@ -81,7 +82,7 @@ def eval_T_abs(t, nu, b):
     one entry per root (else StructureError); a negative entry is allowed.
     """
     b = weight_vector("b", b, t.space.size)
-    sums = [sum(col) for col in zip(*_majorant_sums(t, nu))]
+    sums = [left_sum(col) for col in zip(*_majorant_sums(t, nu))]
     margins = tuple(math.exp(float(b[q])) - sums[q] for q in range(t.space.size))
     implied = tuple(math.log(s) if s > 0 else float("-inf") for s in sums)
     return BoundCertificate(

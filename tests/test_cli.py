@@ -573,29 +573,41 @@ def test_bounds_near_float_range_prints_no_warnings():
 
 def test_bounds_overflowing_c_bar_prints_one_line():
     # c_bar = 2a leaves the float range from a of about 9e307: one line on
-    # stderr and no numpy warning; just below, the table prints as before
+    # stderr and no numpy warning.  Just below, r_star = 1/(2e c_bar) is
+    # subnormal, which is one line too; the table prints from a = 4e306
+    # down, where r_star is a normal float
     script = "from virialkit.cli import main\nprint('exit', main(['bounds', '--model', %r, '--format', %r]))\n"
-    for a in ("1e308", "9e307"):
+    refusals = {
+        "1e308": "the exclusion volume c_bar is not finite",
+        "9e307": "the exclusion volume c_bar is not finite",
+        "8.9e307": "the activity radius r_star is subnormal",
+        "4.2e306": "the activity radius r_star is subnormal",
+    }
+    for a, why in refusals.items():
         for fmt in ("csv", "json"):
             proc = run_child(script % ('{"kind": "hard_rod", "a": %s}' % a, fmt))
             assert proc.stdout == "exit 3\n"
-            assert proc.stderr == "capability limit: float range exceeded (the exclusion volume c_bar is not finite)\n"
-    proc = run_child(script % ('{"kind": "hard_rod", "a": 8.9e307}', "csv"))
+            assert proc.stderr == f"capability limit: float range exceeded ({why})\n"
+    proc = run_child(script % ('{"kind": "hard_rod", "a": 4e306}', "csv"))
     assert proc.stdout.splitlines()[-1] == "exit 0"
     assert proc.stderr == ""
 
 
 def test_float_range_edges_print_one_line_each():
     # a tiny rod puts the Banach search radius 5/c_bar past the float range;
-    # a huge sphere overflows r ** d inside the ball volume.  Each case is one
+    # a huge sphere overflows r ** d inside the ball volume; a huge rod or a
+    # 20-ball of volume 2.26e307 gives a subnormal r_star.  Each case is one
     # line naming the overflow, with no numpy warning; a = 1.4e-308 still runs
     radius = "capability limit: float range exceeded (the Banach search radius 5/c_bar is not finite)\n"
     volume = "capability limit: float range exceeded (the exclusion volume c_bar is not finite)\n"
+    subnormal = "capability limit: float range exceeded (the activity radius r_star is subnormal)\n"
     cases = [(["bounds", "--model", '{"kind": "hard_rod", "a": %s}' % a], radius)
              for a in ("1.3e-308", "1e-310", "5e-324")]
     for model in ('{"kind": "hard_sphere", "d": 3, "radius": 1e200}',
                   '{"kind": "hard_sphere", "d": 2, "exclusion": 1e160}'):
         cases += [(["bounds", "--model", model], volume), (["virial", "--order", "1", "--model", model], volume)]
+    for model in ('{"kind": "hard_rod", "a": 1.1e307}', '{"kind": "hard_sphere", "d": 20, "exclusion": 2.8e15}'):
+        cases.append((["bounds", "--model", model], subnormal))
     cases.append((["bounds", "--model", '{"kind": "hard_rod", "a": 1.4e-308}'], ""))
     script = (
         "import contextlib, io, sys\nfrom virialkit.cli import main\n"
@@ -625,12 +637,15 @@ def test_underflowing_sphere_volume_is_a_capability_limit(capsys):
 
 
 def test_high_dimensional_ball_volume_past_r_to_the_d(capsys):
-    # r ** 20 overflows, the 20-ball's volume does not
-    model = '{"kind": "hard_sphere", "d": 20, "exclusion": 2.8e15}'
-    code, out, err = run(capsys, ["virial", "--order", "1", "--model", model])
-    assert (code, err) == (0, "")
-    n, beta, method, _ = out.splitlines()[1].split(",")
-    assert (n, method) == ("1", "analytic") and math.isclose(float(beta), -2.2641037337451863e307, rel_tol=1e-15)
+    # r ** 20 overflows, the 20-ball's volume does not; Gamma(201) overflows,
+    # the 400-ball's volume pi^200 2^400 / 200! (log space) does not
+    for d, exclusion, volume, rel_tol in ((20, 2.8e15, 2.2641037337451863e307, 1e-15),
+                                          (400, 2, 8.812196329878764e-156, 1e-12)):
+        model = '{"kind": "hard_sphere", "d": %d, "exclusion": %r}' % (d, exclusion)
+        code, out, err = run(capsys, ["virial", "--order", "1", "--model", model])
+        assert (code, err) == (0, "")
+        n, beta, method, _ = out.splitlines()[1].split(",")
+        assert (n, method) == ("1", "analytic") and math.isclose(float(beta), -volume, rel_tol=rel_tol)
 
 
 def test_mc_virial_beyond_three_dimensions_is_a_capability_limit():

@@ -24,12 +24,15 @@ from virialkit.errors import CapabilityError, DomainError, StructureError
 from virialkit.fps import (
     FormalSeries,
     RootedSeriesFamily,
+    _majorant_sums,
     canonical_indices,
     compose_measure,
     compose_templates,
     compose_univariate,
     exp_series,
+    left_sum,
     log_series,
+    measure_sums,
     mul,
     _store,
     _sweep,
@@ -38,7 +41,15 @@ from virialkit.fps import (
     sym_factor,
 )
 from virialkit.inversion import GCState, dissymmetry_check, extract_d_from_a
-from virialkit.oracles import dense_component, mul_dense, multi_product, sweep_termwise, var_derivative
+from virialkit.oracles import (
+    dense_component,
+    majorant_sums_termwise,
+    measure_sums_termwise,
+    mul_dense,
+    multi_product,
+    sweep_termwise,
+    var_derivative,
+)
 from virialkit.species import MeasureVec, PairPotential, SpeciesSpace
 
 from conftest import rational_state
@@ -824,3 +835,109 @@ def test_stored_orders_keep_values_and_types(data):
 
     assert bits(X.coeffs) == bits(drawn)
     assert bits(X.scale(c).coeffs) == bits([{key: c * v for key, v in comp.items()} for comp in drawn])
+
+
+# ---------------------------------------------------------------------------
+# sums against a measure: the column rules of ``measure_sums`` and
+# ``_majorant_sums`` against their term-by-term loops, bit for bit and in
+# type (repr tells an int 0 from 0.0, -0.0 from 0.0, and shows NaN)
+
+SUM_FLOATS = hyp.one_of(
+    hyp.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -2.5e-320]),
+    hyp.floats(-4, 4),
+)
+# float measures reach the float64 lanes; ints, Fractions or a complex among
+# them take the object lanes
+SUM_MEASURES = {
+    "float": SUM_FLOATS,
+    "mixed": hyp.one_of(SUM_FLOATS, hyp.sampled_from([0, 1, -2, Fraction(1, 3), Fraction(-5, 7), 0.5 - 1j])),
+}
+SUM_WEIGHTS = hyp.sampled_from([1, 2, 0.5, 1.5, 1e-300, 1e300, Fraction(1, 3), Fraction(7, 2)])
+# float64 columns with int lanes, object columns (complex, Fractions and
+# large ints among floats) and exact orders
+SUM_COEFFS = {
+    "plain": hyp.one_of(SUM_FLOATS, hyp.sampled_from([0, 1, -1])),
+    "wide": hyp.one_of(SUM_FLOATS, WIDE_VALUES),
+    "exact": EXACT_VALUES,
+}
+
+
+def _draw_sum_inputs(data, rooted):
+    """A series or family whose chosen roots and orders hold only the int 0,
+    over drawn weights, and a measure on its species."""
+    size, N = data.draw(hyp.integers(1, 4)), data.draw(hyp.integers(0, 4))
+    coeffs = SUM_COEFFS[data.draw(hyp.sampled_from(sorted(SUM_COEFFS)))]
+    zero_roots = data.draw(hyp.sets(hyp.integers(0, size - 1)))
+    zero_orders = data.draw(hyp.sets(hyp.integers(0, N)))
+
+    def coeff(n, q=0):
+        return 0 if q in zero_roots or n in zero_orders else data.draw(coeffs)
+
+    space = SpeciesSpace.from_weights([data.draw(SUM_WEIGHTS) for _ in range(size)])
+    if rooted:
+        K = RootedSeriesFamily.from_function(space, N, lambda n, q, ms: coeff(n, q), allow_large=True)
+    else:
+        K = FormalSeries.from_function(space, N, lambda n, ms: coeff(n), allow_large=True)
+    measure = SUM_MEASURES[data.draw(hyp.sampled_from(sorted(SUM_MEASURES)))]
+    return K, tuple(data.draw(measure) for _ in range(size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hyp.data())
+def test_measure_sums_column_rule_matches_termwise(data):
+    K, vals = _draw_sum_inputs(data, data.draw(hyp.booleans()))
+    start = data.draw(hyp.integers(0, 2))
+    assert repr(measure_sums(K, vals, start)) == repr(measure_sums_termwise(K, vals, start))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hyp.data())
+def test_majorant_sums_column_rule_matches_termwise(data):
+    G, nu = _draw_sum_inputs(data, True)
+    start = data.draw(hyp.integers(0, 2))
+    assert repr(_majorant_sums(G, nu, start)) == repr(majorant_sums_termwise(G, nu, start))
+
+
+def test_sums_against_a_measure_add_in_storage_order():
+    # many random terms per root, where a pairwise or compensated sum moves
+    # the last bits: the sums must add left to right as the loops do
+    rng = random.Random(24)
+    space = SpeciesSpace.from_weights([rng.choice((0.5, 1.0, 1.5)) for _ in range(4)])
+    for exact in (False, True):
+
+        def coeff(n, q, ms):
+            if exact:
+                return Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+            return rng.uniform(-1, 1) * 10.0 ** rng.randint(-3, 3)
+
+        G = RootedSeriesFamily.from_function(space, 4, coeff)
+        nu = tuple(rng.uniform(0.05, 0.9) for _ in range(4))
+        # Fractions over float weights take the object lanes
+        nu_exact = tuple(Fraction(rng.randint(1, 9), rng.randint(10, 20)) for _ in range(4))
+        for start in (0, 1, 2):
+            for vals in (nu, nu_exact):
+                assert repr(measure_sums(G, vals, start)) == repr(measure_sums_termwise(G, vals, start))
+            assert repr(_majorant_sums(G, nu, start)) == repr(majorant_sums_termwise(G, nu, start))
+    # an int 0 root stays the int 0 beside float roots; an exact order 0
+    # alone stays exact
+    G = RootedSeriesFamily.from_function(space, 2, lambda n, q, ms: (0 if q else 0.5) if n else Fraction(q, 2))
+    assert measure_sums(G, nu, 1)[1:] == [0, 0, 0] and type(measure_sums(G, nu, 1)[1]) is int
+    assert measure_sums(G, nu)[1:] == [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
+
+
+def test_left_sum_keeps_the_sequential_bits():
+    # the terms of two check_Sb margins: a compensated sum (math.fsum here,
+    # the built-in sum from Python 3.12 on) moves the last bit of each
+    terms = [
+        ["0x1.957e92566463fp-2", "0x1.aabd240368247p-4", "0x1.05d5a7d6d8ba9p-5", "0x1.524cb25dfc5a0p-7"],
+        ["0x1.12a006af9e8eep-1", "0x1.10e948554ee25p-3", "0x1.326d4ac10b1f6p-5", "0x1.699a8b9c8889ap-7"],
+    ]
+    want = ["0x1.1d75b840ae7fap-1", "0x1.871737277c2f8p-2"]
+    compensated = ["0x1.1d75b840ae7fbp-1", "0x1.871737277c2f6p-2"]
+    for hexes, w, c in zip(terms, want, compensated):
+        xs = [float.fromhex(h) for h in hexes]
+        assert (1.1 - left_sum(xs)).hex() == w
+        assert (1.1 - math.fsum(xs)).hex() == c
+    assert left_sum([]) == 0 and type(left_sum([])) is int
+    assert left_sum([-0.0]).hex() == "0x0.0p+0"  # 0 + -0.0, as sum gives
+    assert left_sum([Fraction(1, 3), 1], Fraction(0)) == Fraction(4, 3)

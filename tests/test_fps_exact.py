@@ -193,7 +193,7 @@ def test_measure_sums_exact_rule_matches_termwise(S, N, start, rooted, data):
     if not rooted:
         got, want = [got], [want]
     assert [(v, type(v)) for v in got] == [(v, type(v)) for v in want]
-    # float activities take the term-by-term loop, to the bit
+    # float activities take the column rule, equal to the loop to the bit
     fvals = tuple(float(v) for v in vals)
     got, want = measure_sums(K, fvals, start), measure_sums_termwise(K, fvals, start)
     assert repr(got) == repr(want)

@@ -7,6 +7,7 @@ against it.  Monte Carlo estimates are held to three standard errors.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,23 @@ def test_vol_ball_past_r_to_the_d():
     assert HomogeneousModel.hard_sphere(d, exclusion=r).c_bar == vol_ball(d, r)
     with pytest.raises(OverflowError):
         vol_ball(d, 1e16)
+
+
+def test_vol_ball_past_the_gamma_range():
+    # Gamma(d/2 + 1) overflows from d = 342 on; for even d = 2k the volume is
+    # pi^k r^d / k!, here worked to 40 digits with a 40-digit pi
+    with pytest.raises(OverflowError):
+        math.gamma(342 / 2 + 1)
+    pi = Decimal("3.141592653589793238462643383279502884197")
+    with localcontext() as ctx:
+        ctx.prec = 40
+        want = float(pi**200 * Decimal(2) ** 400 / math.factorial(200))  # 8.812196329878764e-156
+        want_342 = float(pi**171 / math.factorial(171))
+    assert math.isclose(vol_ball(400, 2.0), want, rel_tol=1e-12)
+    assert math.isclose(vol_ball(342, 1.0), want_342, rel_tol=1e-12)
+    assert vol_ball(341, 2.0).hex() == (math.pi ** 170.5 / math.gamma(171.5) * 2.0**341).hex()
+    assert vol_ball(400, 0.0) == 0.0
+    assert HomogeneousModel.hard_sphere(400, exclusion=2).c_bar == vol_ball(400, 2.0)
 
 
 def test_c_bar_underflow_is_not_the_ideal_gas():
