@@ -45,9 +45,7 @@ at least half a second has passed:
      "family": ..., "S": ..., "per_call": median, "runs": [three per-call times]}
 
 ``d_family`` at S=3, N=6 takes about ten seconds per run, and the whole
-script takes about three minutes.  Name sections to run only those:
-
-    python3 benchmarks/layer_times.py [exact] [float] [d_coeff] [sums]
+script takes about three minutes.
 """
 
 from __future__ import annotations
@@ -227,20 +225,17 @@ def run_sums(family, S):
     }
 
 
-def main(sections):
+def main():
     for mode, layers in (("exact", LAYERS), ("float", FLOAT_LAYERS)):
-        if mode in sections:
-            for layer in layers:
-                for S, N in SHAPES[mode]:
-                    print(json.dumps(run_cell(mode, layer, S, N)), flush=True)
-    if "d_coeff" in sections:
-        for n in D_COEFF_SIZES:
-            print(json.dumps(run_d_coeff(n)), flush=True)
-    if "sums" in sections:
-        for family in SUMS:
-            for S, _ in SHAPES["float"]:
-                print(json.dumps(run_sums(family, S)), flush=True)
+        for layer in layers:
+            for S, N in SHAPES[mode]:
+                print(json.dumps(run_cell(mode, layer, S, N)), flush=True)
+    for n in D_COEFF_SIZES:
+        print(json.dumps(run_d_coeff(n)), flush=True)
+    for family in SUMS:
+        for S, _ in SHAPES["float"]:
+            print(json.dumps(run_sums(family, S)), flush=True)
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:] or ("exact", "float", "d_coeff", "sums"))
+    main()

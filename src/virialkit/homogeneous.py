@@ -606,10 +606,11 @@ def bounds_report(model, B_bar=0.0):
     cb = float(model.c_bar)
     if cb > 0 and 5.0 / cb == math.inf:
         raise OverflowError("the Banach search radius 5/c_bar is not finite")
+    if cb > 0 and 1.0 / (2.0 * math.e * cb) < sys.float_info.min:
+        # the searches of lp_chain and banach_compare run on radii of order
+        # 1/c_bar; subnormal ones have lost bits, and those rows would be wrong
+        raise OverflowError("the search radius 1/(2e c_bar) is subnormal")
     rs = r_star(model)
-    if rs < sys.float_info.min:
-        # a subnormal radius has lost bits, and the rows below would be wrong
-        raise OverflowError("the activity radius r_star is subnormal")
     lp = lp_chain(model)
     bc = banach_compare(lambda r: cb * r, 5.0 / cb)
     nb = neighborhood_radii(model)

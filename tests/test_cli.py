@@ -573,15 +573,15 @@ def test_bounds_near_float_range_prints_no_warnings():
 
 def test_bounds_overflowing_c_bar_prints_one_line():
     # c_bar = 2a leaves the float range from a of about 9e307: one line on
-    # stderr and no numpy warning.  Just below, r_star = 1/(2e c_bar) is
-    # subnormal, which is one line too; the table prints from a = 4e306
-    # down, where r_star is a normal float
+    # stderr and no numpy warning.  Just below, the search radius
+    # 1/(2e c_bar) is subnormal, which is one line too; the table prints
+    # from a = 4e306 down, where that radius is a normal float
     script = "from virialkit.cli import main\nprint('exit', main(['bounds', '--model', %r, '--format', %r]))\n"
     refusals = {
         "1e308": "the exclusion volume c_bar is not finite",
         "9e307": "the exclusion volume c_bar is not finite",
-        "8.9e307": "the activity radius r_star is subnormal",
-        "4.2e306": "the activity radius r_star is subnormal",
+        "8.9e307": "the search radius 1/(2e c_bar) is subnormal",
+        "4.2e306": "the search radius 1/(2e c_bar) is subnormal",
     }
     for a, why in refusals.items():
         for fmt in ("csv", "json"):
@@ -596,11 +596,12 @@ def test_bounds_overflowing_c_bar_prints_one_line():
 def test_float_range_edges_print_one_line_each():
     # a tiny rod puts the Banach search radius 5/c_bar past the float range;
     # a huge sphere overflows r ** d inside the ball volume; a huge rod or a
-    # 20-ball of volume 2.26e307 gives a subnormal r_star.  Each case is one
+    # 20-ball of volume 2.26e307 makes the search radius 1/(2e c_bar)
+    # subnormal.  Each case is one
     # line naming the overflow, with no numpy warning; a = 1.4e-308 still runs
     radius = "capability limit: float range exceeded (the Banach search radius 5/c_bar is not finite)\n"
     volume = "capability limit: float range exceeded (the exclusion volume c_bar is not finite)\n"
-    subnormal = "capability limit: float range exceeded (the activity radius r_star is subnormal)\n"
+    subnormal = "capability limit: float range exceeded (the search radius 1/(2e c_bar) is subnormal)\n"
     cases = [(["bounds", "--model", '{"kind": "hard_rod", "a": %s}' % a], radius)
              for a in ("1.3e-308", "1e-310", "5e-324")]
     for model in ('{"kind": "hard_sphere", "d": 3, "radius": 1e200}',
@@ -622,6 +623,16 @@ def test_float_range_edges_print_one_line_each():
         proc = run_child(script % argvs)
         assert proc.stdout.split() == ["3"] * (len(cases) - 1) + ["0"]
         assert proc.stderr == "".join(err + "--\n" for _, err in cases)
+
+
+def test_bounds_with_a_subnormal_r_star_still_prints(capsys):
+    # exp(beta (B + B*)) = exp(708) makes r_star subnormal, but the searches
+    # run on radii of order 1/c_bar = 0.5, so the table prints as before
+    code, out, err = run(capsys, ["bounds", "--model", '{"kind": "hard_rod", "a": 1, "B": 708}'])
+    assert (code, err) == (0, "")
+    rows = {line.split(",")[0]: float(line.split(",")[1]) for line in out.splitlines()[1:]}
+    assert 0 < rows["r_star"] < sys.float_info.min
+    assert rows["lp_closed_form"] == 1 / (4 * math.e) and rows["banach_ratio"] == 8.0
 
 
 def test_underflowing_sphere_volume_is_a_capability_limit(capsys):
