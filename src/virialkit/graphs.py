@@ -19,18 +19,20 @@ A tuple's pair entries f(x_i, x_j) decide how its sums run.  Exact entries
 edge weight a_p = f_p * L is a Python int; the sums then run in integer
 arithmetic and are divided by a power of L once at the end.  Float entries
 (or a matrix marked ``exact=False``) run the same recursion in floats.  The
-float biconnected sum is one numpy gather: a cached read-only uint8 table
-[pairs x graphs] holds p where the graph has edge p and C(n, 2) where it has
-not, so taking it from the pair values plus a trailing 1.0 and multiplying
-down each column gives every graph's product in pair order; the products are
-summed once.
+float biconnected sum is a numpy gather over many tuples at once: a cached
+read-only uint8 table [pairs x graphs] holds p where the graph has edge p
+and C(n, 2) where it has not, so taking it from each tuple's pair values
+plus a trailing 1.0 and multiplying down the pairs gives every graph's
+product in pair order; each tuple's products are summed once.
 
 The family builders stay on the integers too.  On a matrix of ints and
 Fractions they call ``ursell`` and ``d_coeff`` once per distinct pattern of
 pair entries (``per_pattern``), and ``build_A_family`` writes each factor
 1 + f(q, x) as an int b_q(x) over one denominator L_q per root, so that a
 bracket is an int over L_q^n and each coefficient is one quotient.  On any
-other matrix they call per tuple and multiply the factors as they are.
+other matrix they call per tuple and multiply the factors as they are,
+except that on a float matrix ``build_D_family`` calls ``d_coeff`` once per
+order, over every (root, tail) tuple of the order.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ from .species import MayerMatrices
 MAX_CLASS_N = {"connected": 7, "biconnected": 7, "tree": 9}
 URSELL_FAST_MAX = 12
 D_COEFF_MAX = 7
-# graphs per gather of the float biconnected sum: bounds its float temporary
-GATHER_CHUNK = 4096
+# float elements per gathered (tuples x graphs) block of the float biconnected
+# sum: bounds its temporaries at any species count
+GATHER_ELEMENTS = 1 << 15
 
 
 @lru_cache(maxsize=None)
@@ -121,22 +124,33 @@ def _biconnected_gather_index(n):
     return index
 
 
-def _gather_sum(fvec, index):
-    """sum over graphs g of prod over pairs p of fvec[index[p, g]].
+def _gather_sums(pairs_of, count, index):
+    """Per tuple t < count: sum over graphs g of prod over pairs p of W[index[p, g], t],
+    with W[:, lo:hi] = pairs_of(lo, hi) the C-ordered ((pairs + 1) x tuples)
+    float64 block of the tuples' pair values over a trailing row of 1.0.
 
-    Each column's product runs down the pairs in order and the terms are
-    summed once, pairwise, as one vector.  The gathered (pairs x graphs)
-    float block is built GATHER_CHUNK graphs at a time.
+    Each graph's product runs down the pairs in order.  The products are
+    written into a C-ordered (tuples x graphs) block, whose rows are summed
+    once each, pairwise, as one contiguous row is; a reduction along an
+    F-ordered block adds in another order and moves the last bits.  The
+    blocks hold GATHER_ELEMENTS floats: a chunk of tuples, or of one
+    tuple's graphs when the class is larger.
     """
-    G = index.shape[1]
-    if G <= GATHER_CHUNK:
-        terms = np.multiply.reduce(fvec.take(index), axis=0)
-    else:
-        terms = np.empty(G)
-        for lo in range(0, G, GATHER_CHUNK):
-            hi = lo + GATHER_CHUNK
-            np.multiply.reduce(fvec.take(index[:, lo:hi]), axis=0, out=terms[lo:hi])
-    return float(terms.sum())
+    P, G = index.shape
+    rows = max(1, GATHER_ELEMENTS // G)
+    width = min(G, GATHER_ELEMENTS)
+    sums = np.empty(count)
+    for lo in range(0, count, rows):
+        W = pairs_of(lo, min(lo + rows, count))
+        terms = np.empty((W.shape[1], G))
+        for g in range(0, G, width):
+            cols = index[:, g:g + width]
+            acc = W.take(cols[0], axis=0)
+            for row in cols[1:]:
+                acc *= W.take(row, axis=0)
+            terms[:, g:g + width] = acc.T
+        sums[lo:lo + rows] = terms.sum(axis=1)
+    return sums
 
 
 def _f_matrix(f):
@@ -156,6 +170,15 @@ def _pair_values(f, xs):
     if exact is None:
         exact = not any(isinstance(v, float) for v in vals)
     return vals, exact
+
+
+def _float_entries(f):
+    """Whether every tuple's sums take the float route: a matrix marked
+    ``exact=False``, or a raw matrix of floats only."""
+    fm, exact = _f_matrix(f)
+    if exact is None:
+        return all(isinstance(v, float) for row in fm for v in row)
+    return not exact
 
 
 def _over_common_denominator(vals):
@@ -248,8 +271,15 @@ def d_coeff(f, xs):
     For a single pair this is just f(x1, x2).  Float inputs gather the pair
     values, followed by 1.0 for a missing edge, through the class's cached
     uint8 index table and multiply each graph's factors down the pairs in
-    order, GATHER_CHUNK graphs per gather (at n = 7: a 21 MB index, an 8 MB
-    term vector and about 1.4 MB per gather); the terms are summed once.
+    order; the terms are summed once (``_gather_sums``; at n = 7 a 21 MB
+    index and an 8 MB term row).  An overflow or NaN is the value; the JSON
+    writers refuse it.
+
+    On a float matrix (``exact=False``, or a raw matrix of floats only)
+    the n positions of xs may be int arrays of one length, one entry per
+    tuple: the call then returns a float64 array of every tuple's sum, the
+    same bits as one call per tuple, and ``build_D_family`` makes one such
+    call per order.
 
     Exact inputs keep the biconnected graphs whose edges all lie in the
     support {p : a_p != 0} and sum prod_(p in g) a_p * L^(P - |g|),
@@ -262,20 +292,31 @@ def d_coeff(f, xs):
     n = len(xs)
     if not 2 <= n <= D_COEFF_MAX:
         raise DomainError(f"d_coeff needs 2 <= n <= {D_COEFF_MAX}")
+    if isinstance(xs[0], np.ndarray):
+        if not _float_entries(f):
+            raise DomainError("d_coeff over arrays of tuples needs a float matrix")
+        fm = np.asarray(_f_matrix(f)[0], float)
+        cols = [np.asarray(x) for x in xs]
+        if len({len(c) for c in cols}) > 1:
+            raise DomainError("d_coeff over arrays of tuples needs arrays of one length")
+        pairs = pair_order(n)
+
+        def pairs_of(lo, hi):
+            W = np.empty((len(pairs) + 1, hi - lo))
+            for p, (i, j) in enumerate(pairs):
+                W[p] = fm[cols[i][lo:hi], cols[j][lo:hi]]
+            W[-1] = 1.0
+            return W
+
+        with np.errstate(all="ignore"):
+            return _gather_sums(pairs_of, len(cols[0]), _biconnected_gather_index(n))
     vals, exact = _pair_values(f, xs)
     if n == 2:
         return vals[0]
     if not exact:
-        floats = [float(v) for v in vals]
-        fvec = np.array(floats + [1.0])
-        index = _biconnected_gather_index(n)
-        if all(-1.0 <= v <= 1.0 for v in floats):
-            # every term lies in [-1, 1] and the sum within the graph count:
-            # nothing overflows, so numpy has nothing to warn about
-            return _gather_sum(fvec, index)
-        # an overflow or NaN is the value; the JSON writers refuse it
+        W = np.array([[float(v)] for v in vals] + [[1.0]])
         with np.errstate(all="ignore"):
-            return _gather_sum(fvec, index)
+            return float(_gather_sums(lambda lo, hi: W, 1, _biconnected_gather_index(n))[0])
     L, a = _over_common_denominator(vals)
     support = sum(1 << p for p, v in enumerate(a) if v)
     masks = class_masks(n, "biconnected")
@@ -333,7 +374,8 @@ def per_pattern(fn, mayer):
     Fraction(-1) stay apart, and the values are kept in a dict local to the
     returned function, keyed by the length and the ids of the pair entries.
     Any other matrix calls fn per tuple: equal floats need not be the same
-    entry (-0.0 == 0.0).
+    entry (-0.0 == 0.0).  ``build_D_family`` does not come here on a float
+    matrix: it calls ``d_coeff`` once per order, over all of its tuples.
     """
     fm, _ = _f_matrix(mayer)
     if not _exact_entries(fm):
@@ -417,13 +459,30 @@ def build_D_family(space, mayer, N, allow_large=False):
     """Rooted biconnected sums: order n holds D_(n+1)(q; x_1..x_n).
 
     The order-0 slice is fixed to 0 so that sums over n >= 1 start at the
-    pair term D_2 = f.
+    pair term D_2 = f.  On a float matrix order 1 reads the entries as
+    stored, and every higher order is one ``d_coeff`` call over all of its
+    (root, tail) tuples in storage order; any other matrix goes through
+    ``per_pattern``.
     """
     if N + 1 > D_COEFF_MAX:
         raise CapabilityError(
             f"biconnected family needs order + 1 <= {D_COEFF_MAX}"
         )
-    d = per_pattern(d_coeff, mayer)
-    return RootedSeriesFamily.from_function(
-        space, N, lambda n, q, ms: d((q,) + ms) if n else 0, allow_large=allow_large
-    )
+    if not _float_entries(mayer):
+        d = per_pattern(d_coeff, mayer)
+        return RootedSeriesFamily.from_function(
+            space, N, lambda n, q, ms: d((q,) + ms) if n else 0, allow_large=allow_large
+        )
+    fm, _ = _f_matrix(mayer)
+    S = space.size
+
+    def orders():
+        yield [0] * S
+        if N:
+            yield [v for row in fm for v in row]
+        for n in range(2, N + 1):
+            tails = np.array(list(canonical_indices(S, n)), np.intp)
+            roots = np.repeat(np.arange(S), len(tails))
+            yield d_coeff(mayer, [roots] + [np.tile(col, S) for col in tails.T]).tolist()
+
+    return RootedSeriesFamily.from_orders(space, N, orders(), allow_large=allow_large)

@@ -84,6 +84,7 @@ class GCState:
         self.pot = pot
         self.mayer = mayer
         self.N = N
+        self._d_tails = {}
         if pot is not None:
             self.beta_B = tuple(pot.beta * b for b in pot.b_stability)
             self.beta_Bstar = tuple(pot.beta * b for b in pot.b_star)
@@ -115,6 +116,22 @@ class GCState:
     @cached_property
     def d_family(self):
         return build_D_family(self.space, self.mayer, self.N, allow_large=True)
+
+    def d_tail(self, factors):
+        """The series of c_n D_n(x_1..x_n) over full tuples at orders
+        2 <= n <= N (0 below), c_n = factors[n - 2]: read from ``d_family``,
+        where D_n on a full tuple sits at order n-1, rooted at its first
+        entry.  Built once per factor tuple and kept; a series is never
+        changed in place."""
+        series = self._d_tails.get(factors)
+        if series is None:
+            S, N = self.space.size, self.N
+            orders = [[0] * len(_rank(S, n)) for n in range(min(N + 1, 2))]
+            for n, (c, order) in enumerate(zip(factors, self.d_family._orders[1:N]), 2):
+                D, rank = order.values(), _rank(S, n - 1)
+                orders.append([c * D[ms[0] * len(rank) + rank[ms[1:]]] for ms in canonical_indices(S, n)])
+            series = self._d_tails[factors] = FormalSeries.from_orders(self.space, N, orders, allow_large=True)
+        return series
 
     @cached_property
     def phi_series(self):
@@ -403,18 +420,10 @@ def log_xi_series(st, z):
     return st.phi_series.evaluate(st.measure(z))
 
 
-def _d_tail_sum(st, vals, order_factor=None):
+def _d_tail_sum(st, vals, factors):
     """sum_{2<=n<=N} c_n (1/n!) sum_x D_n(x_1..x_n) nu^n over full tuples,
-    with the optional per-order factor c_n = order_factor(n)."""
-    S = st.space.size
-    fac = order_factor or (lambda n: 1)
-    # D_n on a full tuple sits in the family at order n-1, rooted at its
-    # first entry
-    orders = [[0] * len(_rank(S, n)) for n in range(min(st.N + 1, 2))]
-    for n, order in enumerate(st.d_family._orders[1:st.N], 2):
-        D, rank = order.values(), _rank(S, n - 1)
-        orders.append([fac(n) * D[ms[0] * len(rank) + rank[ms[1:]]] for ms in canonical_indices(S, n)])
-    return measure_sums(FormalSeries.from_orders(st.space, st.N, orders, allow_large=True), vals, start=2)
+    with the per-order factors c_n = factors[n - 2]."""
+    return measure_sums(st.d_tail(factors), vals, start=2)
 
 
 def _nonnegative_density(st, nu, what):
@@ -435,7 +444,7 @@ def pressure_of_nu(st, nu):
     vals = _nonnegative_density(st, nu, "pressure")
     w = st.space.weights
     ideal = left_sum(v * wx for v, wx in zip(vals, w))
-    return ideal - _d_tail_sum(st, vals, order_factor=lambda n: n - 1)
+    return ideal - _d_tail_sum(st, vals, tuple(range(1, st.N)))
 
 
 def free_energy(st, nu, m=None):
@@ -460,7 +469,7 @@ def free_energy(st, nu, m=None):
         if float(m[x]) == 0:
             raise DomainError("density has mass outside the reference measure")
         entropy += fv * (math.log(fv / float(m[x])) - 1) * float(w[x])
-    return entropy - float(_d_tail_sum(st, vals))
+    return entropy - float(_d_tail_sum(st, vals, (1,) * (st.N - 1)))
 
 
 def dissymmetry_check(st, N=None):

@@ -263,25 +263,28 @@ def float_bits(x):
     return "nan" if math.isnan(x) else struct.pack("<d", x)
 
 
-@pytest.mark.parametrize("chunk", [graphs.GATHER_CHUNK, 64])
-def test_float_d_coeff_keeps_the_matrix_product_bits(monkeypatch, chunk):
+FLOAT_DRAWS = {
+    "random": lambda r: r.uniform(-1.0, 1.0),
+    "wide": lambda r: r.choice((-1.0, 1.0)) * 10.0 ** r.uniform(-300, 300),
+    "special": lambda r: r.choice(SPECIAL_FLOATS) if r.random() < 0.4 else r.uniform(-2.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("budget", [graphs.GATHER_ELEMENTS, 4096, 64])
+def test_float_d_coeff_keeps_the_matrix_product_bits(monkeypatch, budget):
     # the gather multiplies each graph's factors in pair order (a missing
     # edge contributes an exact 1.0) and sums the terms once, so every bit
-    # matches the matrix product; chunk 64 splits n >= 5 into several gathers
-    monkeypatch.setattr(graphs, "GATHER_CHUNK", chunk)
+    # matches the matrix product; budget 4096 splits n = 6 into several
+    # gathers, and budget 64 splits n >= 5
+    monkeypatch.setattr(graphs, "GATHER_ELEMENTS", budget)
     r = random.Random(23)
-    draws = {
-        "random": lambda: r.uniform(-1.0, 1.0),
-        "wide": lambda: r.choice((-1.0, 1.0)) * 10.0 ** r.uniform(-300, 300),
-        "special": lambda: r.choice(SPECIAL_FLOATS) if r.random() < 0.4 else r.uniform(-2.0, 2.0),
-    }
     for n in range(3, 7):
         index = graphs._biconnected_gather_index(n)
         assert index.dtype == np.uint8 and not index.flags.writeable
         assert index.shape == (len(pair_order(n)), count_class(n, "biconnected"))
-        for kind, draw in draws.items():
+        for kind, draw in FLOAT_DRAWS.items():
             for _ in range(12):
-                vals = [draw() for _ in pair_order(n)]
+                vals = [draw(r) for _ in pair_order(n)]
                 f = [[0.0] * n for _ in range(n)]
                 for (i, j), v in zip(pair_order(n), vals):
                     f[i][j] = f[j][i] = v
@@ -400,6 +403,10 @@ def test_d_coeff_errors():
         d_coeff(f, (0,))
     with pytest.raises(DomainError):
         d_coeff(f, (0,) * 8)
+    with pytest.raises(DomainError):
+        d_coeff(f, [np.zeros(2, np.intp)] * 3)
+    with pytest.raises(DomainError):
+        d_coeff([[0.5]], [np.zeros(2, np.intp), np.zeros(1, np.intp), np.zeros(2, np.intp)])
 
 
 def test_a_coeff_order_one_is_minus_f():
@@ -530,12 +537,91 @@ def test_float_builders_call_once_per_tuple(monkeypatch):
     f = [[-1.0, -1.0], [-1.0, -1.0]]
     space = SpeciesSpace.uniform(S)
     mayer = MayerMatrices.from_f(space, f, exact=False)
-    ursell_calls, d_calls = counting(monkeypatch, "ursell"), counting(monkeypatch, "d_coeff")
+    ursell_calls = counting(monkeypatch, "ursell")
     build_phi_series(space, mayer, N)
-    build_D_family(space, mayer, N)
     tails = [ms for n in range(1, N + 1) for ms in itertools.combinations_with_replacement(range(S), n)]
     assert len(ursell_calls) == len(tails)
-    assert len(d_calls) == S * len(tails)
+
+
+@pytest.mark.parametrize("matrix", ["mayer", "raw"])
+def test_float_d_family_calls_d_coeff_once_per_order(monkeypatch, matrix):
+    # order 1 is f as stored; each order n >= 2 is one call over all of its
+    # (root, tail) tuples, roots outermost, tails in canonical order
+    S, N = 3, 4
+    f = rand_float_f(random.Random(4), S, FLOAT_DRAWS["random"])
+    space = SpeciesSpace.uniform(S)
+    mayer = MayerMatrices.from_f(space, f, exact=False) if matrix == "mayer" else f
+    d_calls = counting(monkeypatch, "d_coeff")
+    build_D_family(space, mayer, N)
+    assert [len(xs) for xs in d_calls] == list(range(3, N + 2))
+    for n, xs in enumerate(d_calls, 2):
+        tails = list(itertools.combinations_with_replacement(range(S), n))
+        rooted = [(q,) + ms for q in range(S) for ms in tails]
+        assert all(isinstance(col, np.ndarray) for col in xs)
+        assert [tuple(int(col[t]) for col in xs) for t in range(len(rooted))] == rooted
+
+
+def rand_float_f(r, S, draw):
+    f = [[0.0] * S for _ in range(S)]
+    for i in range(S):
+        for j in range(i, S):
+            f[i][j] = f[j][i] = draw(r)
+    return f
+
+
+def typed_bits(x):
+    return type(x), float_bits(x) if isinstance(x, float) else x
+
+
+@pytest.mark.parametrize("budget", [graphs.GATHER_ELEMENTS, 16])
+@pytest.mark.parametrize("kind", sorted(FLOAT_DRAWS))
+def test_float_d_family_keeps_the_per_tuple_bits(monkeypatch, kind, budget):
+    # the batched orders equal d_coeff on each (root, tail) tuple, bit for
+    # bit and type for type; budget 16 splits the tuples of every order and
+    # the graphs of n >= 5 across blocks
+    r = random.Random(f"d_family/{kind}")
+    draw = FLOAT_DRAWS[kind]
+    for S, N in [(1, 5), (2, 5), (3, 4), (4, 3)]:
+        space = SpeciesSpace.uniform(S)
+        f = rand_float_f(r, S, draw)
+        matrices = [f]
+        if not any(v < -1 for row in f for v in row):
+            matrices.append(MayerMatrices(space, f, [[0.0] * S] * S, exact=False))
+        for mayer in matrices:
+            want = [
+                [typed_bits(d_coeff(mayer, (q,) + ms) if n else 0) for q, ms in keys]
+                for n, keys in enumerate(key_orders(S, N))
+            ]
+            with monkeypatch.context() as m:
+                m.setattr(graphs, "GATHER_ELEMENTS", budget)
+                D = build_D_family(space, mayer, N)
+            got = [[typed_bits(v) for v in order.values()] for order in D.coeffs]
+            assert got == want, (S, N, kind)
+
+
+def key_orders(S, N):
+    """Per order 0..N, the (root, tail) keys of a family in storage order."""
+    return [
+        [(q, ms) for q in range(S) for ms in itertools.combinations_with_replacement(range(S), n)]
+        for n in range(N + 1)
+    ]
+
+
+def test_float_d_family_keeps_int_entries_at_order_one():
+    # a float-marked matrix of ints: order 1 is f as stored, the higher
+    # orders are the float sums
+    S, N = 2, 3
+    f = [[-1, 0], [0, 2]]
+    space = SpeciesSpace.uniform(S)
+    mayer = MayerMatrices.from_f(space, f, exact=False)
+    D = build_D_family(space, mayer, N)
+    assert [type(v) for v in D.coeffs[1].values()] == [int] * 4
+    assert list(D.coeffs[1].values()) == [-1, 0, 0, 2]
+    for n in range(2, N + 1):
+        for (q, ms), v in D.coeffs[n].items():
+            assert type(v) is float
+            assert float_bits(v) == float_bits(d_coeff(mayer, (q,) + ms))
+    assert D.value(2, 1, (1, 1)) == 8.0
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,15 @@ def test_gcstate_caches_families():
     assert st.a_family is st.a_family
     assert st.d_family is st.d_family
     assert st.phi_series is st.phi_series
+    # the D tail series is built once per factor tuple: c_n D_n on each full
+    # tuple, D_n read from the family at order n - 1 rooted at its first entry
+    factors = tuple(range(1, st.N))
+    tail = st.d_tail(factors)
+    assert st.d_tail(factors) is tail and st.d_tail((1,) * (st.N - 1)) is not tail
+    for n in range(2, st.N + 1):
+        for ms, v in tail.coeffs[n].items():
+            assert v == (n - 1) * st.d_family.value(n - 1, ms[0], ms[1:])
+    assert all(v == 0 for n in (0, 1) for v in tail.coeffs[n].values())
 
 
 # ---------------------------------------------------------------------------
