@@ -24,12 +24,13 @@ A layer that refuses the shape prints ``"refused"`` with the error message
 in place of the times.
 
 A last section times float ``graphs.d_coeff`` on one tuple of n distinct
-species, n = 4..7, with pair entries drawn from [-0.8, 0.4] (seed
-``d_coeff/<n>``).  Each of three fresh interpreters makes one untimed call,
-which builds the class tables, then calls until at least half a second has
-passed, and reports the time per call and its peak RSS:
+species, n = 4..7, and float ``graphs.ursell`` likewise at n = 3..6, with
+pair entries drawn from [-0.8, 0.4] (seed ``<layer>/<n>``).  Each of three
+fresh interpreters makes one untimed call, which builds the class or index
+tables, then calls until at least half a second has passed, and reports
+the time per call and its peak RSS:
 
-    {"mode": "float", "layer": "d_coeff", "n": ..., "per_call": median,
+    {"mode": "float", "layer": "d_coeff" or "ursell", "n": ..., "per_call": median,
      "runs": [three per-call times], "peak_rss_mb": median, "rss_runs": [...]}
 
 A third section times the float sums against a measure per call, on the
@@ -76,8 +77,9 @@ LAYERS = {
     "d_family": ((), lambda st, inv: st.d_family),
     "roundtrip_check": (("t_family", "e_family"), lambda st, inv: inv.roundtrip_check(st)),
 }
-FLOAT_LAYERS = ("t_family", "e_family", "extract_d_from_a", "roundtrip_check", "d_family")
-D_COEFF_SIZES = (4, 5, 6, 7)
+FLOAT_LAYERS = ("a_family", "phi_series", "t_family", "e_family", "extract_d_from_a", "roundtrip_check", "d_family")
+# float sum on one tuple -> its sizes n
+ONE_TUPLE_SIZES = {"d_coeff": (4, 5, 6, 7), "ursell": (3, 4, 5, 6)}
 # family -> (the sum, the GCState family it reads, the first order summed)
 SUMS = {
     "D": ("measure_sums", "d_family", 1),
@@ -137,24 +139,26 @@ def time_cell(mode, layer, S, N):
     print(json.dumps(out))
 
 
-def time_d_coeff(n):
-    """Time float d_coeff per call on one n-point tuple in this interpreter,
-    after one untimed call, and print it with the peak RSS as JSON."""
+def time_one_tuple(layer, n):
+    """Time float graphs.<layer> per call on one n-point tuple in this
+    interpreter, after one untimed call, and print it with the peak RSS as
+    JSON."""
     import resource
     import time
 
-    from virialkit.graphs import d_coeff
+    from virialkit import graphs
 
-    r = random.Random(f"d_coeff/{n}")
+    fn = getattr(graphs, layer)
+    r = random.Random(f"{layer}/{n}")
     f = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             f[i][j] = f[j][i] = r.uniform(-0.8, 0.4)
     xs = tuple(range(n))
-    d_coeff(f, xs)
+    fn(f, xs)
     calls, start = 0, time.perf_counter()
     while calls < 3 or time.perf_counter() - start < 0.5:
-        d_coeff(f, xs)
+        fn(f, xs)
         calls += 1
     per_call = (time.perf_counter() - start) / calls
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -187,13 +191,13 @@ def fresh(code):
     return json.loads(proc.stdout)
 
 
-def run_d_coeff(n):
-    """The d_coeff line: per-call and peak-RSS medians of RUNS fresh interpreters."""
-    outs = [fresh(f"import layer_times; layer_times.time_d_coeff({n})") for _ in range(RUNS)]
+def run_one_tuple(layer, n):
+    """The one-tuple line: per-call and peak-RSS medians of RUNS fresh interpreters."""
+    outs = [fresh(f"import layer_times; layer_times.time_one_tuple({layer!r}, {n})") for _ in range(RUNS)]
     runs = [o["per_call"] for o in outs]
     rss = [o["peak_rss_mb"] for o in outs]
     return {
-        "mode": "float", "layer": "d_coeff", "n": n, "per_call": statistics.median(runs), "runs": runs,
+        "mode": "float", "layer": layer, "n": n, "per_call": statistics.median(runs), "runs": runs,
         "peak_rss_mb": statistics.median(rss), "rss_runs": rss,
     }
 
@@ -230,8 +234,9 @@ def main():
         for layer in layers:
             for S, N in SHAPES[mode]:
                 print(json.dumps(run_cell(mode, layer, S, N)), flush=True)
-    for n in D_COEFF_SIZES:
-        print(json.dumps(run_d_coeff(n)), flush=True)
+    for layer, sizes in ONE_TUPLE_SIZES.items():
+        for n in sizes:
+            print(json.dumps(run_one_tuple(layer, n)), flush=True)
     for family in SUMS:
         for S, _ in SHAPES["float"]:
             print(json.dumps(run_sums(family, S)), flush=True)

@@ -761,7 +761,7 @@ def _tail_index(size, n):
     sorted run lengths, the species of each run, and per count vector of
     that pattern the position of the tail of ms there among the canonical
     multi-indices of orders 0, 1, ..., n in turn, which is where
-    ``_numerators`` puts its numerator."""
+    ``_Numerators`` puts its numerator."""
     offset = [0]
     for m in range(n):
         offset.append(offset[-1] + len(_rank(size, m)))
@@ -772,9 +772,31 @@ def _tail_index(size, n):
     return tuple(out)
 
 
-def _numerators(X, n):
-    """Per root, the numerators of orders 0..n of exact layouts in one list."""
-    return [list(chain.from_iterable(X[m].num[q] for m in range(n + 1))) for q in range(X[0].roots)]
+class _Numerators:
+    """Per root, the numerators of orders 0..n of the exact layouts X in one
+    list, extended in place as a sweep goes up its orders.  An order is read
+    again only when X holds another layout there than the one read, as when
+    a sweep reads ``out`` and has since written that order."""
+
+    __slots__ = ("X", "read", "ends", "rows")
+
+    def __init__(self, X):
+        self.X, self.read, self.ends, self.rows = X, [], [0], [[] for _ in range(X[0].roots)]
+
+    def upto(self, n):
+        """The rows of orders 0..n as X holds them now."""
+        X, read, ends = self.X, self.read, self.ends
+        m = next((m for m, layout in enumerate(read[:n + 1]) if layout is not X[m]), len(read))
+        if m < len(read):
+            for row in self.rows:
+                del row[ends[m]:]
+            del read[m:], ends[m + 1:]
+        for m in range(len(read), n + 1):
+            for row, num in zip(self.rows, X[m].num):
+                row.extend(num)
+            read.append(X[m])
+            ends.append(len(self.rows[0]))
+        return self.rows
 
 
 def _sweep_exact(size, orders, kind, out, k, g, f, sub, init):
@@ -796,6 +818,8 @@ def _sweep_exact(size, orders, kind, out, k, g, f, sub, init):
     the same for every root, are multiplied into the scale first, and groups
     merge by the tail of ``k``."""
     second = g if g is not None else sub
+    K_rows = _Numerators(k)
+    G_rows = None if second is None else _Numerators(second)
     for n in orders:
         # the one-run pattern has every shape of order n, each once; a
         # partition with f[#blocks] == 0 is dead
@@ -818,8 +842,8 @@ def _sweep_exact(size, orders, kind, out, k, g, f, sub, init):
             fraction = fraction or init[n].frac is not False
         D = math.lcm(*dens.values())
         scale = {shape: D // d * fnum.get(shape, 1) for shape, d in dens.items()}
-        K = _numerators(k, n)
-        G = None if second is None else _numerators(second, n)
+        K = K_rows.upto(n)
+        G = None if second is None else G_rows.upto(n)
         nums = [[] for _ in K]
         scaled = {}  # sorted run pattern -> (pairs, groups with count * c_T)
         for i, (runs, species, tails) in enumerate(_tail_index(size, n)):

@@ -18,21 +18,26 @@ A tuple's pair entries f(x_i, x_j) decide how its sums run.  Exact entries
 (int and Fraction) are put over their common denominator L, so that every
 edge weight a_p = f_p * L is a Python int; the sums then run in integer
 arithmetic and are divided by a power of L once at the end.  Float entries
-(or a matrix marked ``exact=False``) run the same recursion in floats.  The
-float biconnected sum is a numpy gather over many tuples at once: a cached
-read-only uint8 table [pairs x graphs] holds p where the graph has edge p
-and C(n, 2) where it has not, so taking it from each tuple's pair values
-plus a trailing 1.0 and multiplying down the pairs gives every graph's
-product in pair order; each tuple's products are summed once.
+(or a matrix marked ``exact=False``) run in float64, and both float sums
+are numpy kernels over many tuples at once, one tuple being the one-row
+case.  The biconnected sum is a gather: a cached read-only uint8 table
+[pairs x graphs] holds p where the graph has edge p and C(n, 2) where it
+has not, so taking it from each tuple's pair values plus a trailing 1.0 and
+multiplying down the pairs gives every graph's product in pair order; each
+tuple's products are summed once.  The connected sum runs ``ursell``'s
+subset recursion one subset size at a time over every tuple of a block,
+each lane with its tuple's IEEE operations.
 
 The family builders stay on the integers too.  On a matrix of ints and
 Fractions they call ``ursell`` and ``d_coeff`` once per distinct pattern of
 pair entries (``per_pattern``), and ``build_A_family`` writes each factor
 1 + f(q, x) as an int b_q(x) over one denominator L_q per root, so that a
-bracket is an int over L_q^n and each coefficient is one quotient.  On any
-other matrix they call per tuple and multiply the factors as they are,
-except that on a float matrix ``build_D_family`` calls ``d_coeff`` once per
-order, over every (root, tail) tuple of the order.
+bracket is an int over L_q^n and each coefficient is one quotient.  On a
+float matrix each order n >= 2 is one call over all of its tuples:
+``build_phi_series`` and ``build_A_family`` call ``ursell`` over its tails
+(the brackets are float64 column products), and ``build_D_family`` calls
+``d_coeff`` over its (root, tail) tuples.  On any other matrix they call per
+tuple and multiply the factors as they are.
 """
 
 from __future__ import annotations
@@ -153,6 +158,77 @@ def _gather_sums(pairs_of, count, index):
     return sums
 
 
+@lru_cache(maxsize=None)
+def _ursell_levels(n):
+    """``ursell``'s float recursion over the subsets of n points as index
+    arrays into the rows of one block Z = [phi | w | 1.0 + f]: 2^n rows of
+    phi and 2^n of w, each over the subsets by size, then by mask, and one
+    row per pair in pair order.
+
+    One level per subset size b = 2..n: (lo, hi, grow, pick), the b-subsets
+    holding rows lo..hi-1 of phi (and of w, 2^n further on), in ascending
+    order of mask.  Row k of ``grow`` is w(S less its top vertex), S the
+    k-th subset, followed by the top vertex's factors 1.0 + f over the
+    rest's vertices in ascending order.  ``pick[0, k]`` is phi(empty) = 1.0
+    followed by phi(T) over the proper subsets T of S that hold its lowest
+    vertex, in the recursion's descending order, and ``pick[1, k]`` is w(S)
+    followed by w(S less T).
+    """
+    size = 1 << n
+    by_size = sorted(range(size), key=lambda m: (m.bit_count(), m))
+    row = {m: r for r, m in enumerate(by_size)}
+    factor = {pair: 2 * size + p for p, pair in enumerate(pair_order(n))}
+    levels = []
+    for b in range(2, n + 1):
+        masks = [m for m in by_size if m.bit_count() == b]
+        grow, subs = [], []
+        for mask in masks:
+            top = mask.bit_length() - 1
+            grow.append([size + row[mask ^ 1 << top]] + [factor[(v, top)] for v in range(top) if mask >> v & 1])
+            anchor = mask & -mask
+            free = mask ^ anchor
+            sub, ts = (free - 1) & free, [0]
+            while True:
+                ts.append(sub | anchor)
+                if sub == 0:
+                    break
+                sub = (sub - 1) & free
+            subs.append((mask, ts))
+        pick = [[[row[t] for t in ts] for _, ts in subs], [[size + row[mask ^ t] for t in ts] for mask, ts in subs]]
+        lo = row[masks[0]]
+        levels.append((lo, lo + len(masks), np.array(grow, np.intp), np.array(pick, np.intp)))
+    return levels
+
+
+def _ursell_sums(pairs_of, count, n):
+    """Per tuple t < count: the connected-graph sum of ``ursell``'s float
+    recursion, with W[:, lo:hi] = pairs_of(lo, hi) the ((pairs + 1) x tuples)
+    float64 block of the tuples' pair values over a trailing row (unread).
+
+    The subsets are taken a size at a time (``_ursell_levels``), each size
+    over every tuple of the block at once: w(S) is w(S less its top vertex)
+    times the top vertex's factors in ascending order, and phi(S) is w(S)
+    minus the terms phi(T) w(S \\ T), subtracted one by one in the
+    recursion's order.  ``multiply`` and ``subtract`` reduce left to right
+    (only ``add`` reduces pairwise), so every lane does its tuple's IEEE
+    operations.  A block takes GATHER_ELEMENTS / 2^n tuples (one at least),
+    so that phi and w each hold GATHER_ELEMENTS floats at most.
+    """
+    size = 1 << n
+    rows = max(1, GATHER_ELEMENTS >> n)
+    sums = np.empty(count)
+    for start in range(0, count, rows):
+        W = pairs_of(start, min(start + rows, count))
+        Z = np.ones((2 * size + len(W), W.shape[1]))
+        np.add(W, 1.0, out=Z[2 * size:])
+        for lo, hi, grow, pick in _ursell_levels(n):
+            np.multiply.reduce(Z.take(grow, axis=0), axis=1, out=Z[size + lo:size + hi])
+            G = Z.take(pick, axis=0)
+            np.subtract.reduce(G[0] * G[1], axis=1, out=Z[lo:hi])
+        sums[start:start + rows] = Z[size - 1]
+    return sums
+
+
 def _f_matrix(f):
     if isinstance(f, MayerMatrices):
         return f.f, f.exact
@@ -181,6 +257,35 @@ def _float_entries(f):
     return not exact
 
 
+def _tuple_block(f, xs, name):
+    """(count, pairs_of) of a float call over many tuples: xs holds n int
+    arrays of one length, one entry per tuple, and pairs_of(lo, hi) is the
+    C-ordered ((pairs + 1) x (hi - lo)) float64 block of tuples lo..hi-1,
+    their pair values in pair order over a trailing row of 1.0."""
+    if not _float_entries(f):
+        raise DomainError(f"{name} over arrays of tuples needs a float matrix")
+    fm = np.asarray(_f_matrix(f)[0], float)
+    cols = [np.asarray(x) for x in xs]
+    if len({len(c) for c in cols}) > 1:
+        raise DomainError(f"{name} over arrays of tuples needs arrays of one length")
+    pairs = pair_order(len(cols))
+
+    def pairs_of(lo, hi):
+        W = np.empty((len(pairs) + 1, hi - lo))
+        for p, (i, j) in enumerate(pairs):
+            W[p] = fm[cols[i][lo:hi], cols[j][lo:hi]]
+        W[-1] = 1.0
+        return W
+
+    return len(cols[0]), pairs_of
+
+
+def _one_tuple_block(vals):
+    """pairs_of of one tuple's pair values, as floats, over a trailing 1.0."""
+    W = np.array([*vals, 1.0], float).reshape(-1, 1)
+    return lambda lo, hi: W
+
+
 def _over_common_denominator(vals):
     """(L, a): L the lcm of the denominators, a_p = vals[p] * L as ints."""
     L = math.lcm(*(v.denominator for v in vals))
@@ -196,7 +301,7 @@ def _edge_products(a, L):
 
 
 def ursell(f, xs):
-    """Connected-graph sum phi_n over the species tuple xs.
+    """Connected-graph sum phi_n over the species tuple xs (n <= 12).
 
     Runs the subset-convolution recursion anchored at the first position:
     with w(S) = prod of (1 + f) over pairs inside S,
@@ -209,16 +314,31 @@ def ursell(f, xs):
     each term phi(T) w(S \\ T) then lacks the |T| |S \\ T| cross pairs
     and is multiplied by L to that power.  The result is divided by
     L^C(n, 2) once, and is a Fraction exactly when a pair entry is one.
+
+    Any other tuple runs the recursion in float64 (``_ursell_sums``, here
+    over one tuple) and returns a float.  On a float matrix (``exact=False``,
+    or a raw matrix of floats only) the n positions of xs may be int arrays
+    of one length, one entry per tuple, as for ``d_coeff``: the call then
+    returns a float64 array of every tuple's sum, the same bits as one call
+    per tuple, and ``build_phi_series`` and ``build_A_family`` make one such
+    call per order.
     """
     n = len(xs)
     if n == 0:
         raise DomainError("ursell needs at least one point")
-    if n == 1:
-        return 1
     if n > URSELL_FAST_MAX:
         raise CapabilityError(f"ursell fast path supports n <= {URSELL_FAST_MAX}")
+    if isinstance(xs[0], np.ndarray):
+        count, pairs_of = _tuple_block(f, xs, "ursell")
+        with np.errstate(all="ignore"):
+            return _ursell_sums(pairs_of, count, n)
+    if n == 1:
+        return 1
     vals, exact = _pair_values(f, xs)
-    L, a = _over_common_denominator(vals) if exact else (1, vals)
+    if not exact:
+        with np.errstate(all="ignore"):
+            return float(_ursell_sums(_one_tuple_block(vals), 1, n)[0])
+    L, a = _over_common_denominator(vals)
     # L ** (cross pairs between T and S \ T)
     cross = [L**k for k in range(n * n // 4 + 1)]
     one_plus = [[None] * n for _ in range(n)]
@@ -260,7 +380,7 @@ def ursell(f, xs):
                 break
             sub = (sub - 1) & rest
         phi[mask] = total
-    if exact and any(isinstance(v, Fraction) for v in vals):
+    if any(isinstance(v, Fraction) for v in vals):
         return Fraction(phi[size - 1], L ** len(vals))
     return phi[size - 1]
 
@@ -293,30 +413,15 @@ def d_coeff(f, xs):
     if not 2 <= n <= D_COEFF_MAX:
         raise DomainError(f"d_coeff needs 2 <= n <= {D_COEFF_MAX}")
     if isinstance(xs[0], np.ndarray):
-        if not _float_entries(f):
-            raise DomainError("d_coeff over arrays of tuples needs a float matrix")
-        fm = np.asarray(_f_matrix(f)[0], float)
-        cols = [np.asarray(x) for x in xs]
-        if len({len(c) for c in cols}) > 1:
-            raise DomainError("d_coeff over arrays of tuples needs arrays of one length")
-        pairs = pair_order(n)
-
-        def pairs_of(lo, hi):
-            W = np.empty((len(pairs) + 1, hi - lo))
-            for p, (i, j) in enumerate(pairs):
-                W[p] = fm[cols[i][lo:hi], cols[j][lo:hi]]
-            W[-1] = 1.0
-            return W
-
+        count, pairs_of = _tuple_block(f, xs, "d_coeff")
         with np.errstate(all="ignore"):
-            return _gather_sums(pairs_of, len(cols[0]), _biconnected_gather_index(n))
+            return _gather_sums(pairs_of, count, _biconnected_gather_index(n))
     vals, exact = _pair_values(f, xs)
     if n == 2:
         return vals[0]
     if not exact:
-        W = np.array([[float(v)] for v in vals] + [[1.0]])
         with np.errstate(all="ignore"):
-            return float(_gather_sums(lambda lo, hi: W, 1, _biconnected_gather_index(n))[0])
+            return float(_gather_sums(_one_tuple_block(vals), 1, _biconnected_gather_index(n))[0])
     L, a = _over_common_denominator(vals)
     support = sum(1 << p for p, v in enumerate(a) if v)
     masks = class_masks(n, "biconnected")
@@ -374,8 +479,9 @@ def per_pattern(fn, mayer):
     Fraction(-1) stay apart, and the values are kept in a dict local to the
     returned function, keyed by the length and the ids of the pair entries.
     Any other matrix calls fn per tuple: equal floats need not be the same
-    entry (-0.0 == 0.0).  ``build_D_family`` does not come here on a float
-    matrix: it calls ``d_coeff`` once per order, over all of its tuples.
+    entry (-0.0 == 0.0).  The family builders do not come here on a float
+    matrix: they call ``ursell`` or ``d_coeff`` once per order, over all of
+    its tuples.
     """
     fm, _ = _f_matrix(mayer)
     if not _exact_entries(fm):
@@ -394,14 +500,51 @@ def per_pattern(fn, mayer):
     return value
 
 
+def _tail_columns(S, n):
+    """The canonical tails of order n over S species, in storage order, as
+    n int arrays: column j holds every tail's j-th species."""
+    return list(np.array(list(canonical_indices(S, n)), np.intp).T)
+
+
+def _float_connected_sums(mayer, S, N):
+    """Per order n = 2..N on a float matrix: (tail columns, their connected
+    sums), one ``ursell`` call over all of the order's tails."""
+    for n in range(2, N + 1):
+        cols = _tail_columns(S, n)
+        yield cols, ursell(mayer, cols)
+
+
 def build_phi_series(space, mayer, N, allow_large=False):
     """Connected-sum series: order n coefficient is ursell on the tuple.
 
     Order 0 is 0 (no constant term in log of the partition function) and
-    order 1 is identically 1.
+    order 1 is identically 1.  On a float matrix each higher order is one
+    ``ursell`` call over all of its multi-indices; any other matrix goes
+    through ``per_pattern``.
     """
-    phi = per_pattern(ursell, mayer)
-    return FormalSeries.from_function(space, N, lambda n, ms: phi(ms) if n else 0, allow_large=allow_large)
+    if not _float_entries(mayer):
+        phi = per_pattern(ursell, mayer)
+        return FormalSeries.from_function(space, N, lambda n, ms: phi(ms) if n else 0, allow_large=allow_large)
+
+    def orders():
+        yield [0]
+        if N:
+            yield [1] * space.size
+        for _, sums in _float_connected_sums(mayer, space.size, N):
+            yield sums.tolist()
+
+    return FormalSeries.from_orders(space, N, orders(), allow_large=allow_large)
+
+
+def _float_a_order(b, cols, phi):
+    """One order n >= 2 of the float activity family, roots outermost: the
+    bracket B = prod_j b[q, x_j] multiplied left to right over the tail
+    columns, then -(B - 1.0) * phi."""
+    with np.errstate(all="ignore"):
+        B = b[:, cols[0]]
+        for col in cols[1:]:
+            B *= b[:, col]
+        return (-(B - 1.0) * phi).ravel().tolist()
 
 
 def build_A_family(space, mayer, N, allow_large=False):
@@ -414,11 +557,27 @@ def build_A_family(space, mayer, N, allow_large=False):
     prefix ms[:-1].  On a matrix of ints and Fractions L_q is the lcm of the
     denominators of row q, B is an int, and the coefficient is the one
     quotient (L_q^n - B) ursell(x) / L_q^n: a Fraction exactly when an entry
-    f(q, x_j) or ursell(x) is one, else an int.  Any other matrix has L_q = 1
-    and b_q(x) = 1 + f(q, x), so the factors are multiplied left to right as
-    they are and the coefficient is -(B - 1) ursell(x).
+    f(q, x_j) or ursell(x) is one, else an int.  A float matrix has L_q = 1
+    and b_q(x) = 1.0 + f(q, x): order 1 is -(1 + f - 1) on the entries as
+    stored, and each higher order is one ``ursell`` call over its tails and
+    one float64 product per tail column, with the factors multiplied left to
+    right and the coefficient -(B - 1.0) ursell(x).  Any other matrix (a raw
+    list mixing floats with ints or Fractions) multiplies the factors
+    1 + f(q, x) as they are, per tuple, the same way.
     """
     fm, _ = _f_matrix(mayer)
+    S = space.size
+    if _float_entries(mayer):
+        b = 1.0 + np.asarray(fm, float)
+
+        def float_orders():
+            yield [0] * S
+            if N:
+                yield [-(1 + v - 1) for row in fm for v in row]
+            for cols, phi in _float_connected_sums(mayer, S, N):
+                yield _float_a_order(b, cols, phi)
+
+        return RootedSeriesFamily.from_orders(space, N, float_orders(), allow_large=allow_large)
     exact = _exact_entries(fm)
     roots = []
     for row in fm:
@@ -481,8 +640,8 @@ def build_D_family(space, mayer, N, allow_large=False):
         if N:
             yield [v for row in fm for v in row]
         for n in range(2, N + 1):
-            tails = np.array(list(canonical_indices(S, n)), np.intp)
-            roots = np.repeat(np.arange(S), len(tails))
-            yield d_coeff(mayer, [roots] + [np.tile(col, S) for col in tails.T]).tolist()
+            cols = _tail_columns(S, n)
+            roots = np.repeat(np.arange(S), len(cols[0]))
+            yield d_coeff(mayer, [roots] + [np.tile(col, S) for col in cols]).tolist()
 
     return RootedSeriesFamily.from_orders(space, N, orders(), allow_large=allow_large)

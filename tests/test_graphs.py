@@ -407,6 +407,10 @@ def test_d_coeff_errors():
         d_coeff(f, [np.zeros(2, np.intp)] * 3)
     with pytest.raises(DomainError):
         d_coeff([[0.5]], [np.zeros(2, np.intp), np.zeros(1, np.intp), np.zeros(2, np.intp)])
+    with pytest.raises(DomainError):
+        ursell(f, [np.zeros(2, np.intp)] * 3)
+    with pytest.raises(DomainError):
+        ursell([[0.5]], [np.zeros(2, np.intp), np.zeros(1, np.intp)])
 
 
 def test_a_coeff_order_one_is_minus_f():
@@ -532,15 +536,23 @@ def test_per_pattern_tells_int_from_fraction(monkeypatch):
     assert values == [-1, -1, -1, -1]
 
 
-def test_float_builders_call_once_per_tuple(monkeypatch):
-    S, N = 2, 3
-    f = [[-1.0, -1.0], [-1.0, -1.0]]
+@pytest.mark.parametrize("matrix", ["mayer", "raw"])
+def test_float_phi_and_a_call_ursell_once_per_order(monkeypatch, matrix):
+    # orders 0 and 1 make no call; each order n >= 2 is one call over all of
+    # its tails in canonical order, for the series and the family alike
+    S, N = 3, 4
+    f = rand_float_f(random.Random(5), S, FLOAT_DRAWS["random"])
     space = SpeciesSpace.uniform(S)
-    mayer = MayerMatrices.from_f(space, f, exact=False)
+    mayer = MayerMatrices.from_f(space, f, exact=False) if matrix == "mayer" else f
     ursell_calls = counting(monkeypatch, "ursell")
-    build_phi_series(space, mayer, N)
-    tails = [ms for n in range(1, N + 1) for ms in itertools.combinations_with_replacement(range(S), n)]
-    assert len(ursell_calls) == len(tails)
+    for build in (build_phi_series, build_A_family):
+        ursell_calls.clear()
+        build(space, mayer, N)
+        assert [len(xs) for xs in ursell_calls] == list(range(2, N + 1))
+        for n, xs in enumerate(ursell_calls, 2):
+            tails = list(itertools.combinations_with_replacement(range(S), n))
+            assert all(isinstance(col, np.ndarray) for col in xs)
+            assert [tuple(int(col[t]) for col in xs) for t in range(len(tails))] == tails
 
 
 @pytest.mark.parametrize("matrix", ["mayer", "raw"])
@@ -607,6 +619,78 @@ def key_orders(S, N):
     ]
 
 
+def ursell_float_recursion(f, xs):
+    """The float connected sum as the per-tuple route computed it: w and phi
+    over subset masks in Python floats, each w(S) grown from w(S less its
+    top vertex) by the top vertex's factors in ascending order, and the
+    terms phi(T) w(S \\ T) subtracted over descending submasks."""
+    n = len(xs)
+    if n == 1:
+        return 1
+    one_plus = {(j, i): 1 + f[xs[i]][xs[j]] for i, j in pair_order(n)}
+    size = 1 << n
+    w = [1] * size
+    phi = [1] * size
+    for mask in range(3, size):
+        if mask.bit_count() < 2:
+            continue
+        top = mask.bit_length() - 1
+        acc = w[mask ^ 1 << top]
+        for v in range(top):
+            if mask >> v & 1:
+                acc = acc * one_plus[top, v]
+        w[mask] = acc
+        anchor = mask & -mask
+        free = mask ^ anchor
+        total, sub = acc, (free - 1) & free
+        while True:
+            s = sub | anchor
+            total -= phi[s] * w[mask ^ s]
+            if sub == 0:
+                break
+            sub = (sub - 1) & free
+        phi[mask] = total
+    return phi[size - 1]
+
+
+@pytest.mark.parametrize("budget", [graphs.GATHER_ELEMENTS, 16])
+@pytest.mark.parametrize("kind", sorted(FLOAT_DRAWS))
+def test_float_phi_and_a_keep_the_per_tuple_bits(monkeypatch, kind, budget):
+    # the batched orders, and ursell on one tuple, equal the per-tuple float
+    # recursion and -(prod_j (1 + f(q, x_j)) - 1) * phi(x) with the factors
+    # multiplied left to right, bit for bit and type for type; budget 16
+    # splits the tuples of every order across blocks
+    r = random.Random(f"phi_and_a/{kind}")
+    draw = FLOAT_DRAWS[kind]
+    for S, N in [(1, 5), (2, 5), (3, 4), (4, 3)]:
+        space = SpeciesSpace.uniform(S)
+        f = rand_float_f(r, S, draw)
+        matrices = [f]
+        if not any(v < -1 for row in f for v in row):
+            matrices.append(MayerMatrices(space, f, [[0.0] * S] * S, exact=False))
+        tails = [list(itertools.combinations_with_replacement(range(S), n)) for n in range(1, N + 1)]
+        phis = {ms: ursell_float_recursion(f, ms) for order in tails for ms in order}
+        want_phi = [[typed_bits(0)]] + [[typed_bits(phis[ms]) for ms in order] for order in tails]
+        want_a = [[typed_bits(0)] * S]
+        for keys in key_orders(S, N)[1:]:
+            order = []
+            for q, ms in keys:
+                bracket = 1
+                for x in ms:
+                    bracket = bracket * (1 + f[q][x])
+                order.append(typed_bits(-(bracket - 1) * phis[ms]))
+            want_a.append(order)
+        for mayer in matrices:
+            with monkeypatch.context() as m:
+                m.setattr(graphs, "GATHER_ELEMENTS", budget)
+                phi = build_phi_series(space, mayer, N)
+                A = build_A_family(space, mayer, N)
+                one = {ms: typed_bits(ursell(mayer, ms)) for ms in phis}
+            assert [[typed_bits(v) for v in order.values()] for order in phi.coeffs] == want_phi, (S, N, kind)
+            assert [[typed_bits(v) for v in order.values()] for order in A.coeffs] == want_a, (S, N, kind)
+            assert one == {ms: typed_bits(v) for ms, v in phis.items()}, (S, N, kind)
+
+
 def test_float_d_family_keeps_int_entries_at_order_one():
     # a float-marked matrix of ints: order 1 is f as stored, the higher
     # orders are the float sums
@@ -622,6 +706,28 @@ def test_float_d_family_keeps_int_entries_at_order_one():
             assert type(v) is float
             assert float_bits(v) == float_bits(d_coeff(mayer, (q,) + ms))
     assert D.value(2, 1, (1, 1)) == 8.0
+
+
+def test_float_marked_int_matrix_sums_are_floats():
+    # a float-marked matrix of ints takes the float route: order 1 keeps the
+    # stored ints, and every sum over n >= 2 points is a float64
+    S, N = 2, 3
+    f = [[-1, 0], [0, 2]]
+    space = SpeciesSpace.uniform(S)
+    mayer = MayerMatrices.from_f(space, f, exact=False)
+    phi, A = build_phi_series(space, mayer, N), build_A_family(space, mayer, N)
+    assert list(phi.coeffs[1].values()) == [1, 1] and type(phi.coeffs[1][(0,)]) is int
+    assert list(A.coeffs[1].values()) == [1, 0, 0, -2]
+    assert [type(v) for v in A.coeffs[1].values()] == [int] * 4
+    for n in range(2, N + 1):
+        for ms, v in phi.coeffs[n].items():
+            assert type(v) is float and float_bits(v) == float_bits(ursell_float_recursion(f, ms))
+        for (q, ms), v in A.coeffs[n].items():
+            assert type(v) is float
+            assert float_bits(v) == float_bits(-(math.prod(1.0 + f[q][x] for x in ms) - 1.0) * phi.coeffs[n][ms])
+    assert ursell(mayer, (1, 1, 1)) == 20.0 and type(ursell(mayer, (1, 1, 1))) is float
+    assert d_coeff(mayer, (1, 1, 1)) == 8.0
+    assert A.value(3, 1, (1, 1, 1)) == -26.0 * 20.0
 
 
 # ---------------------------------------------------------------------------
