@@ -51,13 +51,15 @@ grouped once per kind and sorted run pattern by what they read, with a
 multinomial count per group (``_template_groups``, built from vector
 partitions without enumerating a template).  ``_tails`` lists the runs of
 each ms by length, so every ms reads the table of its sorted pattern as it
-is, and a row holds one entry per group.  Otherwise (floats, complex) the
-column rule runs each template of ``subset_splits``, ``set_partitions`` or
-``compose_templates`` once per order, gathering its operands from the stored
-arrays through index arrays cached per position subset, as elementwise steps
-over every (root, ms) with the zero-skips of the term-by-term walk
-(``oracles.sweep_termwise``), so floats are identical to the bit and each
-value keeps its type.
+is, and a row holds one entry per group.  The groups scaled to an order's
+common denominator, and the rows of small split and partition orders, are
+kept in bounded caches per scale for later sweeps.  Otherwise (floats,
+complex) the column rule runs each template of ``subset_splits``,
+``set_partitions`` or ``compose_templates`` once per order, gathering its
+operands from the stored arrays through index arrays cached per position
+subset, as elementwise steps over every (root, ms) with the zero-skips of
+the term-by-term walk (``oracles.sweep_termwise``), so floats are identical
+to the bit and each value keeps its type.
 
 ``measure_sums``, the sum of a series or family against a measure, has two
 rules as well: on exact orders it adds their numerators over one
@@ -799,6 +801,79 @@ class _Numerators:
         return self.rows
 
 
+# Plans of the exact rule kept across sweeps, in LRU caches of these sizes:
+# scaled groups per (kind, sorted run pattern, scale), and the rows of a split
+# or partition order per (kind, species count, order, scale) when its
+# multi-indices times its templates are at most ROW_ENTRIES
+SCALED_PLANS = 256
+ROW_PLANS = 64
+ROW_ENTRIES = 1 << 12
+
+
+@lru_cache(maxsize=None)
+def _shapes(kind, n):
+    """The distinct shapes of ``kind`` at order n, in a fixed order: the
+    one-run pattern's groups hold every shape of order n, each once."""
+    return tuple(shape for shape, *_ in _template_groups(kind, (n,) if n else ())[1])
+
+
+@lru_cache(maxsize=SCALED_PLANS)
+def _scaled_groups(kind, runs, scale):
+    """``_template_groups`` of a sorted run pattern with each count
+    multiplied by the c_T of its shape, ``scale`` holding one c_T per shape
+    of ``_shapes`` in order.  A shape with c_T = 0 (a partition whose f is
+    0) is dead, and its groups are dropped."""
+    c_of = dict(zip(_shapes(kind, sum(runs)), scale))
+    pairs, groups = _template_groups(kind, runs)
+    scaled = ((count * c_of[shape], *reads) for shape, count, *reads in groups)
+    return pairs, tuple(group for group in scaled if group[0])
+
+
+def _row_walk(kind, size, n, scale):
+    """Per canonical ms of order n in turn, its row of a split or partition
+    sum: (c, position of the tail of k, position of the tail of g), or (c,
+    positions of the block tails), one per live group of its pattern."""
+    for runs, _, tails in _tail_index(size, n):
+        groups = _scaled_groups(kind, runs, scale)[1]
+        if kind == "split":
+            yield tuple((c, tails[j], tails[r]) for c, j, r in groups)
+        else:
+            yield tuple((c, tuple(tails[b] for b in blocks)) for c, blocks in groups)
+
+
+@lru_cache(maxsize=ROW_PLANS)
+def _kept_rows(kind, size, n, scale):
+    """Every row of ``_row_walk``, kept for the next sweep with this scale."""
+    return tuple(_row_walk(kind, size, n, scale))
+
+
+def _rows(kind, size, n, scale):
+    """The rows of a split or partition order: kept when the order reads
+    its templates at most ROW_ENTRIES times, else walked afresh."""
+    templates = subset_splits(n) if kind == "split" else set_partitions(n)
+    if len(_tail_index(size, n)) * len(templates) <= ROW_ENTRIES:
+        return _kept_rows(kind, size, n, scale)
+    return _row_walk(kind, size, n, scale)
+
+
+def _compose_rows(size, n, scale, G):
+    """Per canonical ms of order n in turn, its row of a composition: the
+    factors of ``sub`` (numerator rows ``G``) multiplied into the scaled
+    groups, merged by the tail of k, as (position of the tail of k, c)."""
+    for runs, species, tails in _tail_index(size, n):
+        pairs, groups = _scaled_groups("compose", runs, scale)
+        fv = [G[species[r]][tails[v]] for r, v in pairs]
+        coef = {}
+        for c, j, ids in groups:
+            for x in ids:
+                c *= fv[x]
+                if not c:
+                    break
+            else:
+                coef[j] = coef.get(j, 0) + c
+        yield [(tails[j], c) for j, c in coef.items() if c]
+
+
 def _sweep_exact(size, orders, kind, out, k, g, f, sub, init):
     """The exact rule of ``_sweep``.  At order n a template T that reads the
     orders m_1.. of its tables (and f[r]) has d_T = prod den(m_i) (times the
@@ -813,63 +888,46 @@ def _sweep_exact(size, orders, kind, out, k, g, f, sub, init):
     of ms, so ``_template_groups`` caches, per kind and sorted run pattern,
     one representative and a count per group, and a row adds count * c_T
     once per group; ms reads the table at its sorted pattern as ``_tails``
-    lists its runs.  The group order within a row changes no total, as
-    totals are Python-int sums.  In a composition the factors of ``sub``,
-    the same for every root, are multiplied into the scale first, and groups
+    lists its runs.  d_T depends only on the shape of T, so an order's
+    scale is one c_T per shape (``_shapes``), and the groups times c_T
+    (``_scaled_groups``) and, for small orders of a split or partition, the
+    rows of tail positions (``_kept_rows``) are kept per scale, bounded, for
+    later sweeps.  The group order within a row changes no total, as totals
+    are Python-int sums.  In a composition the factors of ``sub``, the same
+    for every root, are multiplied into the scale at each sweep, and groups
     merge by the tail of ``k``."""
     second = g if g is not None else sub
     K_rows = _Numerators(k)
     G_rows = None if second is None else _Numerators(second)
     for n in orders:
-        # the one-run pattern has every shape of order n, each once; a
-        # partition with f[#blocks] == 0 is dead
-        dens, fnum = {}, {}
-        fraction = False
-        for shape, *_ in _template_groups(kind, (n,) if n else ())[1]:
-            ko, so = shape
+        # (d_T, numerator of f) per shape; a dead partition reads (1, 0)
+        terms, fraction = [], False
+        for ko, so in _shapes(kind, n):
             if kind == "partition":
                 fr = f[len(ko)]
                 if fr == 0:
+                    terms.append((1, 0))
                     continue
-                d, frac, fnum[shape] = fr.denominator, type(fr) is Fraction, fr.numerator
+                d, fn, frac = fr.denominator, fr.numerator, type(fr) is Fraction
             else:
-                d = math.prod(second[m].den for m in so)
+                d, fn = math.prod(second[m].den for m in so), 1
                 frac = any(second[m].frac is not False for m in so)
-            dens[shape] = d * math.prod(k[m].den for m in ko)
+            terms.append((d * math.prod(k[m].den for m in ko), fn))
             fraction = fraction or frac or any(k[m].frac is not False for m in ko)
+        D = math.lcm(*(d for d, _ in terms))
         if init is not None:
-            dens["init"] = init[n].den
+            D = math.lcm(D, init[n].den)
             fraction = fraction or init[n].frac is not False
-        D = math.lcm(*dens.values())
-        scale = {shape: D // d * fnum.get(shape, 1) for shape, d in dens.items()}
+            c_init = D // init[n].den
+        scale = tuple(D // d * fn for d, fn in terms)
         K = K_rows.upto(n)
-        G = None if second is None else G_rows.upto(n)
+        if kind == "compose":
+            rows = _compose_rows(size, n, scale, G_rows.upto(n))
+        else:
+            rows = _rows(kind, size, n, scale)
+        G = None if g is None else G_rows.upto(n)
         nums = [[] for _ in K]
-        scaled = {}  # sorted run pattern -> (pairs, groups with count * c_T)
-        for i, (runs, species, tails) in enumerate(_tail_index(size, n)):
-            if runs not in scaled:
-                pairs, groups = _template_groups(kind, runs)
-                scaled[runs] = pairs, [
-                    (count * scale[shape], *reads)
-                    for shape, count, *reads in groups
-                    if shape in scale
-                ]
-            pairs, groups = scaled[runs]
-            if kind == "split":
-                row = [(c, tails[j], tails[r]) for c, j, r in groups]
-            elif kind == "partition":
-                row = [(c, [tails[b] for b in blocks]) for c, blocks in groups]
-            else:
-                fv = [G[species[r]][tails[v]] for r, v in pairs]
-                coef = {}
-                for c, j, ids in groups:
-                    for x in ids:
-                        c *= fv[x]
-                        if not c:
-                            break
-                    else:
-                        coef[j] = coef.get(j, 0) + c
-                row = [(tails[j], c) for j, c in coef.items() if c]
+        for i, row in enumerate(rows):
             for q, kq in enumerate(K):
                 total = 0
                 if kind == "split":
@@ -893,7 +951,7 @@ def _sweep_exact(size, orders, kind, out, k, g, f, sub, init):
                         if a:
                             total += c * a
                 if init is not None:
-                    total = init[n].num[q][i] * scale["init"] - total
+                    total = init[n].num[q][i] * c_init - total
                 nums[q].append(total)
         out[n] = _Exact.reduced(nums, D, fraction)
 

@@ -30,19 +30,21 @@ each lane with its tuple's IEEE operations.
 
 The family builders stay on the integers too.  On a matrix of ints and
 Fractions they call ``ursell`` and ``d_coeff`` once per distinct pattern of
-pair entries (``per_pattern``), and ``build_A_family`` writes each factor
-1 + f(q, x) as an int b_q(x) over one denominator L_q per root, so that a
-bracket is an int over L_q^n and each coefficient is one quotient.  On a
-float matrix each order n >= 2 is one call over all of its tuples:
-``build_phi_series`` and ``build_A_family`` call ``ursell`` over its tails
-(the brackets are float64 column products), and ``build_D_family`` calls
-``d_coeff`` over its (root, tail) tuples.  On any other matrix they call per
-tuple and multiply the factors as they are.
+pair entries (``per_pattern``), through one memo per ``MayerMatrices`` and
+sum that every builder on that matrix shares, and ``build_A_family`` writes
+each factor 1 + f(q, x) as an int b_q(x) over one denominator L_q per root,
+so that a bracket is an int over L_q^n and each coefficient is one
+quotient.  On a float matrix each order n >= 2 is one call over all of its
+tuples: ``build_phi_series`` and ``build_A_family`` call ``ursell`` over its
+tails (the brackets are float64 column products), and ``build_D_family``
+calls ``d_coeff`` over its (root, tail) tuples.  On a raw list that mixes
+floats with ints or Fractions φ and D call per tuple, and A is refused.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -50,7 +52,7 @@ from itertools import combinations, product
 import numpy as np
 
 from . import kernels
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, StructureError
 from .fps import _EXACT, FormalSeries, RootedSeriesFamily, canonical_indices
 from .species import MayerMatrices
 
@@ -469,6 +471,10 @@ def _exact_entries(fm):
     return all(type(v) in _EXACT for row in fm for v in row)
 
 
+# per exact MayerMatrices, {fn: its values per pattern}, dropped with the matrix
+_PATTERN_SUMS = weakref.WeakKeyDictionary()
+
+
 def per_pattern(fn, mayer):
     """xs -> fn(mayer, xs) for ``ursell`` or ``d_coeff``, with one call of fn
     per distinct pattern of pair entries.
@@ -476,19 +482,24 @@ def per_pattern(fn, mayer):
     Both sums read only the tuple's length and its pair entries f(x_i, x_j)
     in pair order, with their types.  On a matrix of ints and Fractions each
     entry gets a small int id per (type, value) class, so int -1 and
-    Fraction(-1) stay apart, and the values are kept in a dict local to the
-    returned function, keyed by the length and the ids of the pair entries.
-    Any other matrix calls fn per tuple: equal floats need not be the same
-    entry (-0.0 == 0.0).  The family builders do not come here on a float
-    matrix: they call ``ursell`` or ``d_coeff`` once per order, over all of
-    its tuples.
+    Fraction(-1) stay apart, and the values are kept in a dict keyed by the
+    length and the ids of the pair entries.  On a ``MayerMatrices`` that
+    dict is one per matrix and fn, kept as long as the matrix is, so every
+    builder and check on the matrix shares it; a raw nested list gets one
+    per call.  Any other matrix calls fn per tuple: equal floats need not be
+    the same entry (-0.0 == 0.0).  The family builders do not come here on a
+    float matrix: they call ``ursell`` or ``d_coeff`` once per order, over
+    all of its tuples.
     """
     fm, _ = _f_matrix(mayer)
     if not _exact_entries(fm):
         return lambda xs: fn(mayer, xs)
     classes = {}
     ids = [[classes.setdefault((type(v), v), len(classes)) for v in row] for row in fm]
-    values = {}
+    if isinstance(mayer, MayerMatrices):
+        values = _PATTERN_SUMS.setdefault(mayer, {}).setdefault(fn, {})
+    else:
+        values = {}
 
     def value(xs):
         key = (len(xs), *[ids[xs[i]][xs[j]] for i, j in pair_order(len(xs))])
@@ -561,9 +572,8 @@ def build_A_family(space, mayer, N, allow_large=False):
     and b_q(x) = 1.0 + f(q, x): order 1 is -(1 + f - 1) on the entries as
     stored, and each higher order is one ``ursell`` call over its tails and
     one float64 product per tail column, with the factors multiplied left to
-    right and the coefficient -(B - 1.0) ursell(x).  Any other matrix (a raw
-    list mixing floats with ints or Fractions) multiplies the factors
-    1 + f(q, x) as they are, per tuple, the same way.
+    right and the coefficient -(B - 1.0) ursell(x).  A raw list that mixes
+    floats with ints or Fractions is refused with a StructureError.
     """
     fm, _ = _f_matrix(mayer)
     S = space.size
@@ -578,14 +588,15 @@ def build_A_family(space, mayer, N, allow_large=False):
                 yield _float_a_order(b, cols, phi)
 
         return RootedSeriesFamily.from_orders(space, N, float_orders(), allow_large=allow_large)
-    exact = _exact_entries(fm)
+    if not _exact_entries(fm):
+        raise StructureError(
+            "the activity family needs a matrix of floats only or of ints and Fractions only; "
+            "build a MayerMatrices with exact=False for mixed entries"
+        )
     roots = []
     for row in fm:
-        if exact:
-            L = math.lcm(*(v.denominator for v in row))
-            b = [L + v.numerator * (L // v.denominator) for v in row]
-        else:
-            L, b = 1, [1 + v for v in row]
+        L = math.lcm(*(v.denominator for v in row))
+        b = [L + v.numerator * (L // v.denominator) for v in row]
         fractions = {x for x, v in enumerate(row) if type(v) is Fraction}
         roots.append((L, b, fractions))
     phi = per_pattern(ursell, mayer)
@@ -603,9 +614,7 @@ def build_A_family(space, mayer, N, allow_large=False):
                 Ln = L**n
                 for ms, B in cur.items():
                     p = phis[ms]
-                    if not exact:
-                        vals.append(-(B - Ln) * p)
-                    elif type(p) is Fraction or not fractions.isdisjoint(ms):
+                    if type(p) is Fraction or not fractions.isdisjoint(ms):
                         vals.append(Fraction((Ln - B) * p.numerator, Ln * p.denominator))
                     else:
                         vals.append((Ln - B) * p // Ln)

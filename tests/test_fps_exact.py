@@ -21,6 +21,9 @@ from hypothesis import strategies as hyp
 from virialkit.fps import (
     FormalSeries,
     RootedSeriesFamily,
+    _kept_rows,
+    _scaled_groups,
+    _shapes,
     _tails,
     _template_groups,
     compose_measure,
@@ -34,7 +37,7 @@ from virialkit.fps import (
 )
 from virialkit.graphs import build_D_family
 from virialkit.inversion import GCState, dissymmetry_check, extract_d_from_a
-from virialkit.oracles import measure_sums_termwise, mul_dense, multi_product, tn_via_trees
+from virialkit.oracles import measure_sums_termwise, mul_dense, multi_product, sweep_termwise, tn_via_trees
 from virialkit.species import MayerMatrices, SpeciesSpace
 from virialkit.treefp import compute_tn
 
@@ -282,12 +285,69 @@ def test_one_group_table_per_sorted_run_pattern():
     f = [[Fraction(i + j - 3, 16) for j in range(3)] for i in range(3)]
     st = GCState(space, mayer=MayerMatrices.from_f(space, f, exact=True), N=7, allow_large=True)
     st.a_family
-    _template_groups.cache_clear()
+    # the plans kept across sweeps would serve the patterns without a table
+    for cache in (_template_groups, _shapes, _scaled_groups, _kept_rows):
+        cache.cache_clear()
     st.t_family
     patterns = [runs for n in range(1, 8) for runs in run_patterns(n) if len(runs) <= 3]
     sorted_patterns = {tuple(sorted(runs)) for runs in patterns}
     assert (len(patterns), len(sorted_patterns)) == (63, 30)
     assert _template_groups.cache_info().currsize == 2 * 30  # compose and partition
+
+
+def per_root(X):
+    """Per root of a series or family, every canonical tail to its value and type."""
+    tables = [{} for _ in range(X.roots)]
+    for order in X.coeffs:
+        for key, v in order.items():
+            q, ms = key if X.rooted else (0, key)
+            tables[q][ms] = (type(v), v)
+    return tables
+
+
+def termwise(size, orders, kind, outs, k, **tables):
+    """``sweep_termwise`` on tables of ``per_root``, which it fills in kind."""
+    def values(X):
+        return [{ms: v for ms, (_, v) in t.items()} for t in X]
+
+    plain = [{ms: v for ms, (_, v) in t.items()} for t in outs]
+    sweep_termwise(size, orders, kind, plain, values(k), **{
+        name: v if name == "f" else values(v) for name, v in tables.items()
+    })
+    return [{ms: (type(v), v) for ms, v in t.items()} for t in plain]
+
+
+def test_kept_plans_serve_only_their_own_scale():
+    # two states with the same run patterns and other denominators, swept
+    # A, B, A: every sweep must read the plans of its own scale, kept from
+    # an earlier sweep or not
+    S, N = 2, 5
+    r = random.Random(28)
+    states = []
+    for den, weights in ((16, [1, Fraction(1, 2)]), (7, [Fraction(1, 3), 2])):
+        f = [[0] * S for _ in range(S)]
+        for i in range(S):
+            for j in range(i, S):
+                f[i][j] = f[j][i] = Fraction(r.randint(-den, den // 2), den)
+        space = SpeciesSpace.from_weights(weights)
+        states.append(GCState(space, mayer=MayerMatrices.from_f(space, f, exact=True), N=N))
+    ones = [1] * (N + 1)
+    for st in (states[0], states[1], states[0]):
+        A = st.a_family
+        a = per_root(A)
+        t = compute_tn(A)
+        b, want = [{(): (int, 0)}] * S, [{(): (int, 1)}] * S
+        for n in range(1, N + 1):
+            b = termwise(S, (n,), "compose", b, a, sub=want)
+            want = termwise(S, (n,), "partition", want, b, f=ones)
+        assert per_root(t) == want
+        E = exp_series(A)
+        assert per_root(E) == termwise(S, range(1, N + 1), "partition", [{(): (int, 1)}] * S, a, f=ones)
+        assert per_root(mul(t, A)) == termwise(S, range(N + 1), "split", [{}] * S, per_root(t), g=a)
+        phi = per_root(st.phi_series)
+        assert per_root(compose_measure(st.phi_series, E)) == termwise(
+            S, range(1, N + 1), "compose", [{(): phi[0][()]}], phi, sub=per_root(E)
+        )
 
 
 @pytest.mark.parametrize("S, N", [(2, 6), (3, 5), (4, 4)])

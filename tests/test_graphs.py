@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
 from virialkit import graphs
-from virialkit.errors import CapabilityError, DomainError
+from virialkit.errors import CapabilityError, DomainError, StructureError
 from virialkit.graphs import (
     build_A_family,
     build_D_family,
@@ -506,23 +506,34 @@ def patterns(f, tuples):
 
 
 def test_builders_call_once_per_pattern(monkeypatch):
-    # hard rods on a line of sites: f = -1 between neighbours, 0 further off
+    # hard rods on a line of sites: f = -1 between neighbours, 0 further off;
+    # the builders on one matrix share its memo, so phi then A call ursell
+    # once per pattern in total
     S, N = 5, 4
     f = [[Fraction(-1) if abs(i - j) <= 1 else Fraction(0) for j in range(S)] for i in range(S)]
     space = SpeciesSpace.uniform(S)
+    first = MayerMatrices.from_f(space, f, exact=True)
+    want_phi, want_A = build_phi_series(space, first, N), build_A_family(space, first, N)
+    want_d = build_D_family(space, first, N)
     mayer = MayerMatrices.from_f(space, f, exact=True)
+    assert first in graphs._PATTERN_SUMS and mayer not in graphs._PATTERN_SUMS
     tails = [ms for n in range(1, N + 1) for ms in itertools.combinations_with_replacement(range(S), n)]
-    want_phi, want_d = build_phi_series(space, mayer, N), build_D_family(space, mayer, N)
-    want_A = build_A_family(space, mayer, N)
     ursell_calls, d_calls = counting(monkeypatch, "ursell"), counting(monkeypatch, "d_coeff")
     assert build_phi_series(space, mayer, N) == want_phi
-    assert len(ursell_calls) == len(patterns(f, tails)) < len(tails)
-    ursell_calls.clear()
     assert build_A_family(space, mayer, N) == want_A
-    assert len(ursell_calls) == len(patterns(f, tails))
+    assert len(ursell_calls) == len(patterns(f, tails)) < len(tails)
     assert build_D_family(space, mayer, N) == want_d
     rooted = [(q,) + ms for q in range(S) for ms in tails]
     assert len(d_calls) == len(patterns(f, rooted)) < len(rooted)
+
+
+def test_a_family_refuses_a_raw_list_of_mixed_entries():
+    # floats beside ints or Fractions have no A route; phi keeps its per-tuple one
+    space = SpeciesSpace.uniform(2)
+    for f in ([[0.5, Fraction(-1, 2)], [Fraction(-1, 2), 0.25]], [[-1, 0.5], [0.5, 0]]):
+        with pytest.raises(StructureError, match="MayerMatrices"):
+            build_A_family(space, f, 2)
+        assert build_phi_series(space, f, 2).coeffs[2][(0, 1)] == ursell(f, (0, 1))
 
 
 def test_per_pattern_tells_int_from_fraction(monkeypatch):
