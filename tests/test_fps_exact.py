@@ -310,7 +310,7 @@ def termwise(size, orders, kind, outs, k, **tables):
     def values(X):
         return [{ms: v for ms, (_, v) in t.items()} for t in X]
 
-    plain = [{ms: v for ms, (_, v) in t.items()} for t in outs]
+    plain = values(outs)
     sweep_termwise(size, orders, kind, plain, values(k), **{
         name: v if name == "f" else values(v) for name, v in tables.items()
     })
