@@ -804,7 +804,9 @@ class _Numerators:
 # Plans of the exact rule kept across sweeps, in LRU caches of these sizes:
 # scaled groups per (kind, sorted run pattern, scale), and the rows of a split
 # or partition order per (kind, species count, order, scale) when its
-# multi-indices times its templates are at most ROW_ENTRIES
+# multi-indices times its templates are at most ROW_ENTRIES; a larger order
+# walks its rows afresh, as keeping them would cost memory in proportion to
+# the sweep (about 2.5 million row entries for a partition at S = 12, N = 6)
 SCALED_PLANS = 256
 ROW_PLANS = 64
 ROW_ENTRIES = 1 << 12
