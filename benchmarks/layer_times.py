@@ -25,13 +25,16 @@ in place of the times.
 
 A last section times float ``graphs.d_coeff`` on one tuple of n distinct
 species, n = 4..7, and float ``graphs.ursell`` likewise at n = 3..6, with
-pair entries drawn from [-0.8, 0.4] (seed ``<layer>/<n>``).  Each of three
-fresh interpreters makes one untimed call, which builds the class or index
-tables, then calls until at least half a second has passed, and reports
-the time per call and its peak RSS:
+pair entries drawn from [-0.8, 0.4] (seed ``<layer>/<n>``), and exact
+``graphs.ursell`` at n = 3..6, 8, 10 and 12, with pair entries k/16, k in
+[-16, 8] (seed ``exact/<layer>/<n>``).  Each of three fresh interpreters
+times one first call, which builds the class, index or plan tables, then
+calls until at least half a second has passed, and reports the time per
+call, the first call's time and the peak RSS:
 
-    {"mode": "float", "layer": "d_coeff" or "ursell", "n": ..., "per_call": median,
-     "runs": [three per-call times], "peak_rss_mb": median, "rss_runs": [...]}
+    {"mode": "float" or "exact", "layer": "d_coeff" or "ursell", "n": ...,
+     "per_call": median, "runs": [three per-call times], "first_call": median,
+     "first_runs": [...], "peak_rss_mb": median, "rss_runs": [...]}
 
 A third section times the float sums against a measure per call, on the
 same soft float states at N = 4: ``fps.measure_sums`` of the biconnected
@@ -78,8 +81,12 @@ LAYERS = {
     "roundtrip_check": (("t_family", "e_family"), lambda st, inv: inv.roundtrip_check(st)),
 }
 FLOAT_LAYERS = ("a_family", "phi_series", "t_family", "e_family", "extract_d_from_a", "roundtrip_check", "d_family")
-# float sum on one tuple -> its sizes n
-ONE_TUPLE_SIZES = {"d_coeff": (4, 5, 6, 7), "ursell": (3, 4, 5, 6)}
+# (mode, sum) on one tuple -> its sizes n
+ONE_TUPLE_SIZES = {
+    ("float", "d_coeff"): (4, 5, 6, 7),
+    ("float", "ursell"): (3, 4, 5, 6),
+    ("exact", "ursell"): (3, 4, 5, 6, 8, 10, 12),
+}
 # family -> (the sum, the GCState family it reads, the first order summed)
 SUMS = {
     "D": ("measure_sums", "d_family", 1),
@@ -139,30 +146,32 @@ def time_cell(mode, layer, S, N):
     print(json.dumps(out))
 
 
-def time_one_tuple(layer, n):
-    """Time float graphs.<layer> per call on one n-point tuple in this
-    interpreter, after one untimed call, and print it with the peak RSS as
-    JSON."""
+def time_one_tuple(mode, layer, n):
+    """Time graphs.<layer> per call on one n-point tuple in this
+    interpreter, after one first call, and print it with the first call's
+    time and the peak RSS as JSON."""
     import resource
     import time
 
     from virialkit import graphs
 
     fn = getattr(graphs, layer)
-    r = random.Random(f"{layer}/{n}")
+    r = random.Random(f"{layer}/{n}" if mode == "float" else f"exact/{layer}/{n}")
     f = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            f[i][j] = f[j][i] = r.uniform(-0.8, 0.4)
+            f[i][j] = f[j][i] = r.uniform(-0.8, 0.4) if mode == "float" else Fraction(r.randint(-16, 8), 16)
     xs = tuple(range(n))
+    start = time.perf_counter()
     fn(f, xs)
+    first = time.perf_counter() - start
     calls, start = 0, time.perf_counter()
     while calls < 3 or time.perf_counter() - start < 0.5:
         fn(f, xs)
         calls += 1
     per_call = (time.perf_counter() - start) / calls
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(json.dumps({"per_call": per_call, "peak_rss_mb": peak_mb}))
+    print(json.dumps({"per_call": per_call, "first_call": first, "peak_rss_mb": peak_mb}))
 
 
 def time_sums(family, S):
@@ -191,13 +200,16 @@ def fresh(code):
     return json.loads(proc.stdout)
 
 
-def run_one_tuple(layer, n):
-    """The one-tuple line: per-call and peak-RSS medians of RUNS fresh interpreters."""
-    outs = [fresh(f"import layer_times; layer_times.time_one_tuple({layer!r}, {n})") for _ in range(RUNS)]
+def run_one_tuple(mode, layer, n):
+    """The one-tuple line: per-call, first-call and peak-RSS medians of RUNS
+    fresh interpreters."""
+    outs = [fresh(f"import layer_times; layer_times.time_one_tuple({mode!r}, {layer!r}, {n})") for _ in range(RUNS)]
     runs = [o["per_call"] for o in outs]
+    first = [o["first_call"] for o in outs]
     rss = [o["peak_rss_mb"] for o in outs]
     return {
-        "mode": "float", "layer": layer, "n": n, "per_call": statistics.median(runs), "runs": runs,
+        "mode": mode, "layer": layer, "n": n, "per_call": statistics.median(runs), "runs": runs,
+        "first_call": statistics.median(first), "first_runs": first,
         "peak_rss_mb": statistics.median(rss), "rss_runs": rss,
     }
 
@@ -234,9 +246,9 @@ def main():
         for layer in layers:
             for S, N in SHAPES[mode]:
                 print(json.dumps(run_cell(mode, layer, S, N)), flush=True)
-    for layer, sizes in ONE_TUPLE_SIZES.items():
+    for (mode, layer), sizes in ONE_TUPLE_SIZES.items():
         for n in sizes:
-            print(json.dumps(run_one_tuple(layer, n)), flush=True)
+            print(json.dumps(run_one_tuple(mode, layer, n)), flush=True)
     for family in SUMS:
         for S, _ in SHAPES["float"]:
             print(json.dumps(run_sums(family, S)), flush=True)

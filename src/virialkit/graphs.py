@@ -24,9 +24,10 @@ case.  The biconnected sum is a gather: a cached read-only uint8 table
 [pairs x graphs] holds p where the graph has edge p and C(n, 2) where it
 has not, so taking it from each tuple's pair values plus a trailing 1.0 and
 multiplying down the pairs gives every graph's product in pair order; each
-tuple's products are summed once.  The connected sum runs ``ursell``'s
-subset recursion one subset size at a time over every tuple of a block,
-each lane with its tuple's IEEE operations.
+tuple's products are summed once.  The connected sum's subset recursion
+is listed once per n (``_ursell_levels``): the float kernel runs it one
+subset size at a time over every tuple of a block, each lane with its
+tuple's IEEE operations, and the exact rule walks it subset by subset.
 
 The family builders stay on the integers too.  On a matrix of ints and
 Fractions they call ``ursell`` and ``d_coeff`` once per distinct pattern of
@@ -162,44 +163,64 @@ def _gather_sums(pairs_of, count, index):
 
 @lru_cache(maxsize=None)
 def _ursell_levels(n):
-    """``ursell``'s float recursion over the subsets of n points as index
-    arrays into the rows of one block Z = [phi | w | 1.0 + f]: 2^n rows of
-    phi and 2^n of w, each over the subsets by size, then by mask, and one
-    row per pair in pair order.
+    """``ursell``'s subset recursion over the n points as index arrays into
+    the rows of one block Z = [phi | w | 1 + f]: 2^n rows of phi and 2^n of
+    w, each over the subsets by size, then by mask, and one row per pair in
+    pair order.  The float kernel and the exact rule (``_ursell_plan``) both
+    read it.
 
-    One level per subset size b = 2..n: (lo, hi, grow, pick), the b-subsets
-    holding rows lo..hi-1 of phi (and of w, 2^n further on), in ascending
-    order of mask.  Row k of ``grow`` is w(S less its top vertex), S the
-    k-th subset, followed by the top vertex's factors 1.0 + f over the
-    rest's vertices in ascending order.  ``pick[0, k]`` is phi(empty) = 1.0
+    One level per subset size b = 2..n: (lo, hi, grow, pick, cross), the
+    b-subsets holding rows lo..hi-1 of phi (and of w, 2^n further on), in
+    ascending order of mask.  Row k of ``grow`` is w(S less its top vertex),
+    S the k-th subset, followed by the top vertex's factors 1 + f over the
+    rest's vertices in ascending order.  ``pick[0, k]`` is phi(empty)
     followed by phi(T) over the proper subsets T of S that hold its lowest
-    vertex, in the recursion's descending order, and ``pick[1, k]`` is w(S)
-    followed by w(S less T).
+    vertex, in descending order of mask, and ``pick[1, k]`` is w(S) followed
+    by w(S less T).  ``cross[j]`` is |T| |S less T|, the pairs between the
+    j-th T and the rest, and 0 for the leading entry.  Entry j >= 1 takes T
+    as the lowest vertex of S and the other vertices picked by the bits of
+    2^(b-1) - 1 - j, so |T|, and with it ``cross[j]``, is the same for every
+    S of the level.
     """
     size = 1 << n
-    by_size = sorted(range(size), key=lambda m: (m.bit_count(), m))
-    row = {m: r for r, m in enumerate(by_size)}
-    factor = {pair: 2 * size + p for p, pair in enumerate(pair_order(n))}
+    by_size = np.argsort([m.bit_count() for m in range(size)], kind="stable")
+    row = np.empty(size, np.intp)
+    row[by_size] = np.arange(size)
+    factor = np.zeros((n, n), np.intp)
+    for p, (i, j) in enumerate(pair_order(n)):
+        factor[i, j] = 2 * size + p
     levels = []
+    lo = n + 1
     for b in range(2, n + 1):
-        masks = [m for m in by_size if m.bit_count() == b]
-        grow, subs = [], []
-        for mask in masks:
-            top = mask.bit_length() - 1
-            grow.append([size + row[mask ^ 1 << top]] + [factor[(v, top)] for v in range(top) if mask >> v & 1])
-            anchor = mask & -mask
-            free = mask ^ anchor
-            sub, ts = (free - 1) & free, [0]
-            while True:
-                ts.append(sub | anchor)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & free
-            subs.append((mask, ts))
-        pick = [[[row[t] for t in ts] for _, ts in subs], [[size + row[mask ^ t] for t in ts] for mask, ts in subs]]
-        lo = row[masks[0]]
-        levels.append((lo, lo + len(masks), np.array(grow, np.intp), np.array(pick, np.intp)))
+        masks = by_size[lo:lo + math.comb(n, b)]
+        verts = np.nonzero(masks[:, None] >> np.arange(n) & 1)[1].reshape(-1, b)
+        top = verts[:, -1]
+        grow = np.column_stack([size + row[masks ^ 1 << top], factor[verts[:, :-1], top[:, None]]])
+        # row j - 1 of picks: the bits of 2^(b-1) - 1 - j, over the vertices
+        # after the lowest
+        picks = np.arange((1 << b - 1) - 1)[::-1, None] >> np.arange(b - 1) & 1
+        T = (1 << verts[:, 1:]) @ picks.T | (1 << verts[:, :1])
+        pick = np.stack([np.column_stack([np.zeros(len(masks), np.intp), row[T]]),
+                         np.column_stack([size + row[masks], size + row[masks[:, None] ^ T]])])
+        t = 1 + picks.sum(axis=1)
+        levels.append((lo, lo + len(masks), grow, pick, np.concatenate([[0], t * (b - t)])))
+        lo += len(masks)
     return levels
+
+
+@lru_cache(maxsize=None)
+def _ursell_plan(n):
+    """``_ursell_levels(n)`` as Python tuples for the exact rule: per subset
+    S of two points or more, in row order, its ``grow`` row and the
+    (phi row, w row, cross) triples of its ``pick`` entries after the
+    leading one.  The rows share one int object each."""
+    row = list(range(2 * (1 << n) + len(pair_order(n)))).__getitem__
+    plan = []
+    for _, _, grow, pick, cross in _ursell_levels(n):
+        cross = cross[1:].tolist()
+        for g, ts, rs in zip(grow.tolist(), pick[0, :, 1:].tolist(), pick[1, :, 1:].tolist()):
+            plan.append((tuple(map(row, g)), tuple(zip(map(row, ts), map(row, rs), cross))))
+    return plan
 
 
 def _ursell_sums(pairs_of, count, n):
@@ -223,7 +244,7 @@ def _ursell_sums(pairs_of, count, n):
         W = pairs_of(start, min(start + rows, count))
         Z = np.ones((2 * size + len(W), W.shape[1]))
         np.add(W, 1.0, out=Z[2 * size:])
-        for lo, hi, grow, pick in _ursell_levels(n):
+        for lo, hi, grow, pick, _ in _ursell_levels(n):
             np.multiply.reduce(Z.take(grow, axis=0), axis=1, out=Z[size + lo:size + hi])
             G = Z.take(pick, axis=0)
             np.subtract.reduce(G[0] * G[1], axis=1, out=Z[lo:hi])
@@ -311,11 +332,14 @@ def ursell(f, xs):
         phi(S) = w(S) - sum over proper T containing the anchor of
                  phi(T) w(S \\ T)
 
-    which costs O(3^n) ring operations.  Exact entries run it on the
-    integers u_p = L + a_p = L (1 + f_p), which carry L^(pairs inside S);
-    each term phi(T) w(S \\ T) then lacks the |T| |S \\ T| cross pairs
-    and is multiplied by L to that power.  The result is divided by
-    L^C(n, 2) once, and is a Fraction exactly when a pair entry is one.
+    which costs O(3^n) ring operations.  Both arithmetic rules walk the
+    subsets and terms of ``_ursell_levels``.  Exact entries run it on the
+    integers u_p = L + a_p = L (1 + f_p), which carry L^(pairs inside S):
+    per subset in the plan's order (``_ursell_plan``, kept per n), w(S) is
+    w(S less its top vertex) times the top vertex's u_p, and each term
+    phi(T) w(S \\ T) lacks the |T| |S \\ T| cross pairs and is multiplied
+    by L to that power.  The result is divided by L^C(n, 2) once, and is a
+    Fraction exactly when a pair entry is one.
 
     Any other tuple runs the recursion in float64 (``_ursell_sums``, here
     over one tuple) and returns a float.  On a float matrix (``exact=False``,
@@ -341,50 +365,20 @@ def ursell(f, xs):
         with np.errstate(all="ignore"):
             return float(_ursell_sums(_one_tuple_block(vals), 1, n)[0])
     L, a = _over_common_denominator(vals)
-    # L ** (cross pairs between T and S \ T)
-    cross = [L**k for k in range(n * n // 4 + 1)]
-    one_plus = [[None] * n for _ in range(n)]
-    for (i, j), v in zip(pair_order(n), a):
-        one_plus[j][i] = L + v
     size = 1 << n
-    w = [1] * size
-    for mask in range(3, size):
-        bits = mask.bit_count()
-        if bits < 2:
-            continue
-        top = mask.bit_length() - 1
-        rest = mask ^ (1 << top)
-        acc = w[rest]
-        j = rest
-        while j:
-            low = j & -j
-            acc = acc * one_plus[top][low.bit_length() - 1]
-            j ^= low
-        w[mask] = acc
-    phi = [0] * size
-    for v in range(n):
-        phi[1 << v] = 1
-    for mask in range(3, size):
-        bits = mask.bit_count()
-        if bits < 2:
-            continue
-        anchor = mask & -mask
-        total = w[mask]
-        # proper submasks of mask containing the anchor bit
-        rest = mask ^ anchor
-        sub = (rest - 1) & rest
-        while True:
-            s = sub | anchor
-            if s != mask:
-                t = s.bit_count()
-                total -= phi[s] * w[mask ^ s] * cross[t * (bits - t)]
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        phi[mask] = total
+    Z = [1] * (2 * size) + [L + v for v in a]
+    powers = [L**c for c in range(n * n // 4 + 1)]
+    for k, (grow, terms) in enumerate(_ursell_plan(n), n + 1):
+        w = 1
+        for r in grow:
+            w *= Z[r]
+        Z[size + k] = w
+        for t, r, c in terms:
+            w -= Z[t] * Z[r] * powers[c]
+        Z[k] = w
     if any(isinstance(v, Fraction) for v in vals):
-        return Fraction(phi[size - 1], L ** len(vals))
-    return phi[size - 1]
+        return Fraction(Z[size - 1], L ** len(vals))
+    return Z[size - 1]
 
 
 def d_coeff(f, xs):
@@ -447,17 +441,18 @@ def hard_core_d_table(m):
 
     table[mask] = sum over biconnected graphs g whose edges all lie in the
     overlap mask of (-1)^(edge count of g), which is ``d_coeff`` of m points
-    with f = -1 on the mask's pairs and 0 elsewhere.  Exact integers, in one
-    read-only array per m.
+    with f = -1 on the mask's pairs and 0 elsewhere.  It is one subset-sum
+    pass over the class table: each biconnected mask starts at its sign, and
+    for each pair p the masks without p are added into those with p.  Exact
+    integers, in one read-only int64 array per m.
     """
-    pairs = pair_order(m)
-    table = np.zeros(1 << len(pairs), np.int64)
-    for mask in range(len(table)):
-        f = [[0] * m for _ in range(m)]
-        for p, (i, j) in enumerate(pairs):
-            if mask >> p & 1:
-                f[i][j] = f[j][i] = -1
-        table[mask] = d_coeff(f, tuple(range(m)))
+    P = len(pair_order(m))
+    masks = class_masks(m, "biconnected")
+    table = np.zeros(1 << P, np.int64)
+    table[masks] = [1 - 2 * (g.bit_count() & 1) for g in masks.tolist()]
+    for p in range(P):
+        halves = table.reshape(-1, 2, 1 << p)
+        halves[:, 1] += halves[:, 0]
     table.flags.writeable = False
     return table
 

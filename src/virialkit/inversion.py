@@ -311,10 +311,10 @@ def extract_d_from_a(st):
     S = st.space.size
     F = st.a_family.scale(-1)._orders
     D = _start(S, S, st.N)
-    for n in range(1, st.N + 1):
-        # the template J = all positions reads the unknown D_n term itself;
-        # it is 0 until written, so that template is skipped as a zero
-        _sweep(S, (n,), "compose", D, D, sub=st.e_family._orders, init=F)
+    # one sweep over the orders, each reading the lower orders it has
+    # written; the template J = all positions reads the unknown D_n term
+    # itself, 0 until written, so that template is skipped as a zero
+    _sweep(S, tuple(range(1, st.N + 1)), "compose", D, D, sub=st.e_family._orders, init=F)
     return st.a_family._like(D)
 
 

@@ -207,6 +207,29 @@ def test_ursell_partition_identity():
             assert prod == total
 
 
+def test_ursell_partition_identity_above_the_brute_force_range():
+    # the same identity at n = 7, where ursell_bruteforce stops, in exact
+    # Fractions: every block's sum comes from the exact plan walk
+    from virialkit.fps import set_partitions
+    from virialkit.oracles import URSELL_BRUTE_MAX
+
+    f = rand_f(5, 3)
+    for xs in [(0, 1, 0, 1, 2, 2, 0), (2, 2, 2, 1, 0, 1, 0)]:
+        n = len(xs)
+        assert n > URSELL_BRUTE_MAX
+        prod = Fraction(1)
+        for i, j in pair_order(n):
+            prod *= 1 + f[xs[i]][xs[j]]
+        total = Fraction(0)
+        for part in set_partitions(n):
+            term = Fraction(1)
+            for blk in part:
+                term *= ursell(f, tuple(xs[i] for i in blk))
+            total += term
+        assert prod == total
+        assert type(ursell(f, xs)) is Fraction
+
+
 def test_ursell_errors():
     f = rand_f(1, 2)
     with pytest.raises(DomainError):
@@ -331,6 +354,35 @@ def test_exact_sums_match_enumeration(n, data):
         assert got == want and type(got) is type(want)
         phi = ursell(m, xs)
         assert phi == want_phi and type(phi) is phi_type
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=hyp.data())
+def test_exact_ursell_matches_bruteforce(data):
+    # the exact plan walk against the enumeration of connected graphs for
+    # n <= 6, on ints, sixteenths, thirds and sevenths, int -1 beside
+    # Fraction(-1), and species whose row is zero: the same value, and a
+    # Fraction exactly when one of the tuple's pair entries is (the
+    # enumeration gives int 0 when no graph survives)
+    entry = ENTRIES[data.draw(hyp.sampled_from(sorted(ENTRIES)))]
+    S = data.draw(hyp.integers(1, 3))
+    f = [[0] * S for _ in range(S)]
+    for i in range(S):
+        for j in range(i, S):
+            f[i][j] = f[j][i] = data.draw(entry)
+    for x in data.draw(hyp.sets(hyp.integers(0, S - 1), max_size=S - 1)):
+        zero = data.draw(hyp.sampled_from([0, Fraction(0)]))
+        for j in range(S):
+            f[x][j] = f[j][x] = zero
+    n = data.draw(hyp.integers(1, 6))
+    xs = tuple(data.draw(hyp.lists(hyp.integers(0, S - 1), min_size=n, max_size=n)))
+    want = ursell_bruteforce(f, xs)
+    pair_entries = [f[xs[i]][xs[j]] for i, j in pair_order(n)]
+    phi_type = Fraction if any(isinstance(v, Fraction) for v in pair_entries) else int
+    mayer = MayerMatrices.from_f(SpeciesSpace.uniform(S), f, exact=True)
+    for m in (f, mayer):
+        got = ursell(m, xs)
+        assert got == want and type(got) is phi_type
 
 
 def test_float_sums_golden():
@@ -764,6 +816,19 @@ def test_hard_core_d_table_matches_d_coeff():
     assert hard_core_d_table(4) is table
     with pytest.raises(ValueError):
         table[0] = 1
+
+
+def test_hard_core_d_table_matches_exact_d_coeff_at_five_points():
+    # the subset-sum pass against the exact biconnected sum of every one of
+    # the 2^10 overlap masks of five points
+    table = hard_core_d_table(5)
+    assert table.dtype == np.int64 and len(table) == 1 << 10
+    for mask in range(len(table)):
+        f = [[0] * 5 for _ in range(5)]
+        for p, (i, j) in enumerate(pair_order(5)):
+            if mask >> p & 1:
+                f[i][j] = f[j][i] = -1
+        assert table[mask] == d_coeff(f, tuple(range(5)))
 
 
 # ---------------------------------------------------------------------------
