@@ -193,9 +193,10 @@ def time_sums(family, S):
     print(json.dumps({"per_call": (time.perf_counter() - t0) / calls}))
 
 
-def fresh(code):
-    """The JSON line that ``code`` prints in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+def fresh(code, src=SRC):
+    """The JSON line that ``code`` prints in a fresh interpreter that
+    imports virialkit from ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", code], cwd=HERE, env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 

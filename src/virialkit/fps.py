@@ -52,8 +52,9 @@ multinomial count per group (``_template_groups``, built from vector
 partitions without enumerating a template).  ``_tails`` lists the runs of
 each ms by length, so every ms reads the table of its sorted pattern as it
 is, and a row holds one entry per group.  The groups scaled to an order's
-common denominator, and the rows of small split and partition orders, are
-kept in bounded caches per scale for later sweeps.  Otherwise (floats,
+common denominator are kept in a bounded cache per scale for later sweeps;
+a split or partition reads the tail positions of each ms through its
+groups in place.  Otherwise (floats,
 complex) the column rule runs each template of ``subset_splits``,
 ``set_partitions`` or ``compose_templates`` once per order, gathering its
 operands from the stored arrays through index arrays cached per position
@@ -801,15 +802,10 @@ class _Numerators:
         return self.rows
 
 
-# Plans of the exact rule kept across sweeps, in LRU caches of these sizes:
-# scaled groups per (kind, sorted run pattern, scale), and the rows of a split
-# or partition order per (kind, species count, order, scale) when its
-# multi-indices times its templates are at most ROW_ENTRIES; a larger order
-# walks its rows afresh, as keeping them would cost memory in proportion to
-# the sweep (about 2.5 million row entries for a partition at S = 12, N = 6)
+# The groups times c_T of the exact rule are kept across sweeps, per (kind,
+# sorted run pattern, scale), in an LRU cache of this size: scaling the groups
+# afresh at every sweep made the identity suite 1.19x slower
 SCALED_PLANS = 256
-ROW_PLANS = 64
-ROW_ENTRIES = 1 << 12
 
 
 @lru_cache(maxsize=None)
@@ -831,37 +827,23 @@ def _scaled_groups(kind, runs, scale):
     return pairs, tuple(group for group in scaled if group[0])
 
 
-def _row_walk(kind, size, n, scale):
-    """Per canonical ms of order n in turn, its row of a split or partition
-    sum: (c, position of the tail of k, position of the tail of g), or (c,
-    positions of the block tails), one per live group of its pattern."""
+def _group_rows(kind, size, n, scale):
+    """Per canonical ms of order n in turn, the live scaled groups of its
+    sorted run pattern, (c, j, r) for a split or (c, blocks) for a
+    partition, and its tail positions (``_tail_index``), which the groups
+    index.  Each pattern's groups are looked up once per sweep."""
+    groups = {}
     for runs, _, tails in _tail_index(size, n):
-        groups = _scaled_groups(kind, runs, scale)[1]
-        if kind == "split":
-            yield tuple((c, tails[j], tails[r]) for c, j, r in groups)
-        else:
-            yield tuple((c, tuple(tails[b] for b in blocks)) for c, blocks in groups)
-
-
-@lru_cache(maxsize=ROW_PLANS)
-def _kept_rows(kind, size, n, scale):
-    """Every row of ``_row_walk``, kept for the next sweep with this scale."""
-    return tuple(_row_walk(kind, size, n, scale))
-
-
-def _rows(kind, size, n, scale):
-    """The rows of a split or partition order: kept when the order reads
-    its templates at most ROW_ENTRIES times, else walked afresh."""
-    templates = subset_splits(n) if kind == "split" else set_partitions(n)
-    if len(_tail_index(size, n)) * len(templates) <= ROW_ENTRIES:
-        return _kept_rows(kind, size, n, scale)
-    return _row_walk(kind, size, n, scale)
+        if runs not in groups:
+            groups[runs] = _scaled_groups(kind, runs, scale)[1]
+        yield groups[runs], tails
 
 
 def _compose_rows(size, n, scale, G):
     """Per canonical ms of order n in turn, its row of a composition: the
     factors of ``sub`` (numerator rows ``G``) multiplied into the scaled
-    groups, merged by the tail of k, as (position of the tail of k, c)."""
+    groups, merged by the tail of k, as (position of the tail of k, c); and
+    its tail positions, as ``_group_rows`` gives them."""
     for runs, species, tails in _tail_index(size, n):
         pairs, groups = _scaled_groups("compose", runs, scale)
         fv = [G[species[r]][tails[v]] for r, v in pairs]
@@ -873,7 +855,7 @@ def _compose_rows(size, n, scale, G):
                     break
             else:
                 coef[j] = coef.get(j, 0) + c
-        yield [(tails[j], c) for j, c in coef.items() if c]
+        yield [(tails[j], c) for j, c in coef.items() if c], tails
 
 
 def _sweep_exact(size, orders, kind, out, k, g, f, sub, init):
@@ -892,12 +874,13 @@ def _sweep_exact(size, orders, kind, out, k, g, f, sub, init):
     once per group; ms reads the table at its sorted pattern as ``_tails``
     lists its runs.  d_T depends only on the shape of T, so an order's
     scale is one c_T per shape (``_shapes``), and the groups times c_T
-    (``_scaled_groups``) and, for small orders of a split or partition, the
-    rows of tail positions (``_kept_rows``) are kept per scale, bounded, for
-    later sweeps.  The group order within a row changes no total, as totals
-    are Python-int sums.  In a composition the factors of ``sub``, the same
-    for every root, are multiplied into the scale at each sweep, and groups
-    merge by the tail of ``k``."""
+    (``_scaled_groups``) are kept per scale, bounded, for later sweeps.  A
+    split or partition reads, per ms, the groups of its sorted pattern and
+    the tail positions of ms (``_tail_index``) that they index, in place.
+    The group order within a row changes no total, as totals are Python-int
+    sums.  In a composition the factors of ``sub``, the same for every root,
+    are multiplied into the scale at each sweep, and groups merge by the
+    tail of ``k`` into a row of tail positions."""
     second = g if g is not None else sub
     K_rows = _Numerators(k)
     G_rows = None if second is None else _Numerators(second)
@@ -923,27 +906,27 @@ def _sweep_exact(size, orders, kind, out, k, g, f, sub, init):
             c_init = D // init[n].den
         scale = tuple(D // d * fn for d, fn in terms)
         K = K_rows.upto(n)
+        G = None if G_rows is None else G_rows.upto(n)
         if kind == "compose":
-            rows = _compose_rows(size, n, scale, G_rows.upto(n))
+            rows = _compose_rows(size, n, scale, G)
         else:
-            rows = _rows(kind, size, n, scale)
-        G = None if g is None else G_rows.upto(n)
+            rows = _group_rows(kind, size, n, scale)
         nums = [[] for _ in K]
-        for i, row in enumerate(rows):
+        for i, (row, tails) in enumerate(rows):
             for q, kq in enumerate(K):
                 total = 0
                 if kind == "split":
                     gq = G[q]
-                    for c, kj, kr in row:
-                        a = kq[kj]
+                    for c, j, r in row:
+                        a = kq[tails[j]]
                         if a:
-                            b = gq[kr]
+                            b = gq[tails[r]]
                             if b:
                                 total += c * a * b
                 elif kind == "partition":
                     for c, blocks in row:
-                        for kb in blocks:
-                            c *= kq[kb]
+                        for b in blocks:
+                            c *= kq[tails[b]]
                             if not c:
                                 break
                         total += c

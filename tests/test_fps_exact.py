@@ -21,7 +21,6 @@ from hypothesis import strategies as hyp
 from virialkit.fps import (
     FormalSeries,
     RootedSeriesFamily,
-    _kept_rows,
     _scaled_groups,
     _shapes,
     _tails,
@@ -286,7 +285,7 @@ def test_one_group_table_per_sorted_run_pattern():
     st = GCState(space, mayer=MayerMatrices.from_f(space, f, exact=True), N=7, allow_large=True)
     st.a_family
     # the plans kept across sweeps would serve the patterns without a table
-    for cache in (_template_groups, _shapes, _scaled_groups, _kept_rows):
+    for cache in (_template_groups, _shapes, _scaled_groups):
         cache.cache_clear()
     st.t_family
     patterns = [runs for n in range(1, 8) for runs in run_patterns(n) if len(runs) <= 3]
@@ -348,6 +347,31 @@ def test_kept_plans_serve_only_their_own_scale():
         assert per_root(compose_measure(st.phi_series, E)) == termwise(
             S, range(1, N + 1), "compose", [{(): phi[0][()]}], phi, sub=per_root(E)
         )
+
+
+def test_exact_sweeps_on_orders_with_many_reads():
+    # at S = 3, N = 7 partition orders 6 and 7 and split order 7 each read
+    # more than 4,096 multi-index x template entries.  Values against the
+    # termwise oracle; types by the orders read, as the oracle adds to an
+    # int 0 and so is no reference for them.
+    S, N = 3, 7
+    space = SpeciesSpace.from_weights([1, Fraction(1, 2), 2])
+    f = [[Fraction(i + j - 3, 16) for j in range(S)] for i in range(S)]
+    st = GCState(space, mayer=MayerMatrices.from_f(space, f, exact=True), N=N, allow_large=True)
+    P = st.phi_series
+    E = exp_series(P)
+    L, prod = log_series(E), mul(P, E)
+    p, e = ({ms: v for order in X.coeffs for ms, v in order.items()} for X in (P, E))
+    want_E, want_L, want_prod = [{(): 1}], [{(): 0}], [{}]
+    sweep_termwise(S, range(1, N + 1), "partition", want_E, [p], f=[1] * (N + 1))
+    sweep_termwise(S, range(1, N + 1), "partition", want_L, want_L, f=[0, 0] + [1] * (N - 1), init=[e])
+    sweep_termwise(S, range(N + 1), "split", want_prod, [p], g=[e])
+    # exp and log read orders 1..n, the product orders 0..n
+    for got, want, reads, low in ((E, want_E, [P], 1), (L, want_L, [E], 1), (prod, want_prod, [P, E], 0)):
+        for n in range(low, N + 1):
+            rule = int if all_int(*reads, orders=range(low, n + 1)) else Fraction
+            for ms, v in got.coeffs[n].items():
+                assert v == want[0][ms] and type(v) is rule, (n, ms)
 
 
 @pytest.mark.parametrize("S, N", [(2, 6), (3, 5), (4, 4)])
