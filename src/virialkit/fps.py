@@ -54,13 +54,13 @@ each ms by length, so every ms reads the table of its sorted pattern as it
 is, and a row holds one entry per group.  The groups scaled to an order's
 common denominator are kept in a bounded cache per scale for later sweeps;
 a split or partition reads the tail positions of each ms through its
-groups in place.  Otherwise (floats,
-complex) the column rule runs each template of ``subset_splits``,
-``set_partitions`` or ``compose_templates`` once per order, gathering its
-operands from the stored arrays through index arrays cached per position
-subset, as elementwise steps over every (root, ms) with the zero-skips of
-the term-by-term walk (``oracles.sweep_termwise``), so floats are identical
-to the bit and each value keeps its type.
+groups in place.  Otherwise (floats, complex) the column rule runs each
+template of ``subset_splits``, ``set_partitions`` or ``compose_templates``
+once per order, gathering its operands from the stored arrays through
+index arrays cached per position subset, as elementwise steps over every
+(root, ms) with the zero-skips of the term-by-term walk
+(``oracles.sweep_termwise``), so floats are identical to the bit and each
+value keeps its type.
 
 ``measure_sums``, the sum of a series or family against a measure, has two
 rules as well: on exact orders it adds their numerators over one
@@ -840,10 +840,10 @@ def _group_rows(kind, size, n, scale):
 
 
 def _compose_rows(size, n, scale, G):
-    """Per canonical ms of order n in turn, its row of a composition: the
-    factors of ``sub`` (numerator rows ``G``) multiplied into the scaled
-    groups, merged by the tail of k, as (position of the tail of k, c); and
-    its tail positions, as ``_group_rows`` gives them."""
+    """Per canonical ms of order n in turn, its row of a composition and its
+    tail positions, as ``_group_rows`` gives them: the factors of ``sub``
+    (numerator rows ``G``) multiplied into the scaled groups, merged by the
+    tail of k, as (j, c) for the tail at ``tails[j]``."""
     for runs, species, tails in _tail_index(size, n):
         pairs, groups = _scaled_groups("compose", runs, scale)
         fv = [G[species[r]][tails[v]] for r, v in pairs]
@@ -855,7 +855,7 @@ def _compose_rows(size, n, scale, G):
                     break
             else:
                 coef[j] = coef.get(j, 0) + c
-        yield [(tails[j], c) for j, c in coef.items() if c], tails
+        yield [(j, c) for j, c in coef.items() if c], tails
 
 
 def _sweep_exact(size, orders, kind, out, k, g, f, sub, init):
@@ -875,12 +875,12 @@ def _sweep_exact(size, orders, kind, out, k, g, f, sub, init):
     lists its runs.  d_T depends only on the shape of T, so an order's
     scale is one c_T per shape (``_shapes``), and the groups times c_T
     (``_scaled_groups``) are kept per scale, bounded, for later sweeps.  A
-    split or partition reads, per ms, the groups of its sorted pattern and
-    the tail positions of ms (``_tail_index``) that they index, in place.
-    The group order within a row changes no total, as totals are Python-int
-    sums.  In a composition the factors of ``sub``, the same for every root,
-    are multiplied into the scale at each sweep, and groups merge by the
-    tail of ``k`` into a row of tail positions."""
+    row indexes the tail positions of its ms (``_tail_index``), which are
+    read in place; a split or partition row is the kept groups of the
+    sorted pattern of ms.  The group order within a row changes no total,
+    as totals are Python-int sums.  In a composition the factors of
+    ``sub``, the same for every root, are multiplied into the scale at each
+    sweep, and groups merge by the tail of ``k``."""
     second = g if g is not None else sub
     K_rows = _Numerators(k)
     G_rows = None if second is None else _Numerators(second)
@@ -931,8 +931,8 @@ def _sweep_exact(size, orders, kind, out, k, g, f, sub, init):
                                 break
                         total += c
                 else:
-                    for kj, c in row:
-                        a = kq[kj]
+                    for j, c in row:
+                        a = kq[tails[j]]
                         if a:
                             total += c * a
                 if init is not None:
