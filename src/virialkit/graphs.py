@@ -31,8 +31,8 @@ tuple's IEEE operations, and the exact rule walks it subset by subset.
 
 The family builders stay on the integers too.  On a matrix of ints and
 Fractions they call ``ursell`` and ``d_coeff`` once per distinct pattern of
-pair entries (``per_pattern``), through one memo per ``MayerMatrices`` and
-sum that every builder on that matrix shares, and ``build_A_family`` writes
+pair entries (``per_pattern``), through one bounded memo per sum that every
+builder and every matrix of the process shares, and ``build_A_family`` writes
 each factor 1 + f(q, x) as an int b_q(x) over one denominator L_q per root,
 so that a bracket is an int over L_q^n and each coefficient is one
 quotient.  On a float matrix each order n >= 2 is one call over all of its
@@ -46,9 +46,10 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 import numpy as np
 
@@ -466,41 +467,62 @@ def _exact_entries(fm):
     return all(type(v) in _EXACT for row in fm for v in row)
 
 
-# per exact MayerMatrices, {fn: its values per pattern}, dropped with the matrix
+# entries of each sum's memo, and of the entry class ids, oldest dropped first
+_PATTERN_MEMO = 4096
+# per sum function, held weakly so that a wrapper's entries go with it: its
+# values by (n, exact rule, pair entry ids), oldest first
 _PATTERN_SUMS = weakref.WeakKeyDictionary()
+# (type, value) -> class id, drawn from one counter: an id is never reused
+_ENTRY_IDS = {}
+_NEXT_ID = count()
+
+
+def _entry_id(v):
+    key = (type(v), v)
+    i = _ENTRY_IDS.get(key)
+    if i is None:
+        i = _ENTRY_IDS[key] = next(_NEXT_ID)
+    return i
 
 
 def per_pattern(fn, mayer):
     """xs -> fn(mayer, xs) for ``ursell`` or ``d_coeff``, with one call of fn
-    per distinct pattern of pair entries.
+    per distinct pattern of pair entries in the process.
 
-    Both sums read only the tuple's length and its pair entries f(x_i, x_j)
-    in pair order, with their types.  On a matrix of ints and Fractions each
-    entry gets a small int id per (type, value) class, so int -1 and
-    Fraction(-1) stay apart, and the values are kept in a dict keyed by the
-    length and the ids of the pair entries.  On a ``MayerMatrices`` that
-    dict is one per matrix and fn, kept as long as the matrix is, so every
-    builder and check on the matrix shares it; a raw nested list gets one
-    per call.  Any other matrix calls fn per tuple: equal floats need not be
-    the same entry (-0.0 == 0.0).  The family builders do not come here on a
-    float matrix: they call ``ursell`` or ``d_coeff`` once per order, over
+    Both sums read only the tuple's length, the matrix's arithmetic rule and
+    the pair entries f(x_i, x_j) in pair order, with their types.  On a
+    matrix of ints and Fractions each entry maps to a class id per (type,
+    value), shared across the process, so int -1 and Fraction(-1) stay
+    apart.  The values live in one memo per fn for the whole process, keyed
+    by (n, rule, the ids of the pair entries), so every builder and check on
+    every matrix with equal entries shares them, as the hard-core matrices
+    (entries -1 and 0 only) of all requests do.  The rule is whether the
+    matrix is exact: a matrix marked ``exact=False`` runs the float sums on
+    the same ints, and ``d_coeff`` of (0, 0, 1) is -1.0 there and -1 on the
+    exact matrix.  Each memo keeps the latest _PATTERN_MEMO patterns, the
+    oldest dropped first; the id table is emptied once it holds more
+    entries than that, and ids come from one counter, so a key never meets
+    a reused id.  Any other matrix calls fn per tuple: equal floats need not
+    be the same entry (-0.0 == 0.0).  The family builders do not come here on
+    a float matrix: they call ``ursell`` or ``d_coeff`` once per order, over
     all of its tuples.
     """
-    fm, _ = _f_matrix(mayer)
+    fm, exact = _f_matrix(mayer)
     if not _exact_entries(fm):
         return lambda xs: fn(mayer, xs)
-    classes = {}
-    ids = [[classes.setdefault((type(v), v), len(classes)) for v in row] for row in fm]
-    if isinstance(mayer, MayerMatrices):
-        values = _PATTERN_SUMS.setdefault(mayer, {}).setdefault(fn, {})
-    else:
-        values = {}
+    if len(_ENTRY_IDS) > _PATTERN_MEMO:
+        _ENTRY_IDS.clear()
+    ids = [[_entry_id(v) for v in row] for row in fm]
+    rule = exact is None or bool(exact)
+    values = _PATTERN_SUMS.setdefault(fn, OrderedDict())
 
     def value(xs):
-        key = (len(xs), *[ids[xs[i]][xs[j]] for i, j in pair_order(len(xs))])
+        key = (len(xs), rule, *[ids[xs[i]][xs[j]] for i, j in pair_order(len(xs))])
         v = values.get(key)
         if v is None:
             v = values[key] = fn(mayer, xs)
+            if len(values) > _PATTERN_MEMO:
+                values.popitem(last=False)
         return v
 
     return value

@@ -559,24 +559,27 @@ def patterns(f, tuples):
 
 def test_builders_call_once_per_pattern(monkeypatch):
     # hard rods on a line of sites: f = -1 between neighbours, 0 further off;
-    # the builders on one matrix share its memo, so phi then A call ursell
-    # once per pattern in total
+    # the builders share one memo per sum, so phi then A call ursell once per
+    # pattern in total
     S, N = 5, 4
     f = [[Fraction(-1) if abs(i - j) <= 1 else Fraction(0) for j in range(S)] for i in range(S)]
     space = SpeciesSpace.uniform(S)
-    first = MayerMatrices.from_f(space, f, exact=True)
-    want_phi, want_A = build_phi_series(space, first, N), build_A_family(space, first, N)
-    want_d = build_D_family(space, first, N)
     mayer = MayerMatrices.from_f(space, f, exact=True)
-    assert first in graphs._PATTERN_SUMS and mayer not in graphs._PATTERN_SUMS
     tails = [ms for n in range(1, N + 1) for ms in itertools.combinations_with_replacement(range(S), n)]
     ursell_calls, d_calls = counting(monkeypatch, "ursell"), counting(monkeypatch, "d_coeff")
-    assert build_phi_series(space, mayer, N) == want_phi
-    assert build_A_family(space, mayer, N) == want_A
+    want_phi, want_A = build_phi_series(space, mayer, N), build_A_family(space, mayer, N)
     assert len(ursell_calls) == len(patterns(f, tails)) < len(tails)
-    assert build_D_family(space, mayer, N) == want_d
+    want_d = build_D_family(space, mayer, N)
     rooted = [(q,) + ms for q in range(S) for ms in tails]
     assert len(d_calls) == len(patterns(f, rooted)) < len(rooted)
+    # a second matrix with equal entries reads every pattern from the memo
+    ursell_calls.clear()
+    d_calls.clear()
+    again = MayerMatrices.from_f(space, f, exact=True)
+    assert build_phi_series(space, again, N) == want_phi
+    assert build_A_family(space, again, N) == want_A
+    assert build_D_family(space, again, N) == want_d
+    assert ursell_calls == d_calls == []
 
 
 def test_a_family_refuses_a_raw_list_of_mixed_entries():
@@ -597,6 +600,53 @@ def test_per_pattern_tells_int_from_fraction(monkeypatch):
     assert len(calls) == 2
     assert [type(v) for v in values] == [int, Fraction, int, Fraction]
     assert values == [-1, -1, -1, -1]
+
+
+@pytest.mark.parametrize("exact_first", [True, False])
+def test_shared_memo_keeps_the_arithmetic_rule(exact_first):
+    # the same ints on an exact and on a float-marked matrix: int sums on the
+    # one, float64 sums on the other, whichever is built first
+    space = SpeciesSpace.uniform(2)
+    f = [[-1, -1], [-1, -1]]
+    exact, marked = MayerMatrices.from_f(space, f, exact=True), MayerMatrices.from_f(space, f, exact=False)
+    for mayer in (exact, marked) if exact_first else (marked, exact):
+        kind = int if mayer.exact else float
+        d, phi = graphs.per_pattern(d_coeff, mayer), graphs.per_pattern(ursell, mayer)
+        assert [(v, type(v)) for v in (d((0, 0, 1)), phi((0, 0, 1)))] == [(-1, kind), (2, kind)]
+
+
+def test_shared_memo_keeps_int_and_fraction_apart_across_matrices():
+    # -1 and Fraction(-1) on matrices of the same layout, in turn
+    space = SpeciesSpace.uniform(2)
+    for entry in (-1, Fraction(-1), -1, Fraction(-1)):
+        mayer = MayerMatrices.from_f(space, [[entry, entry], [entry, entry]], exact=True)
+        d, phi = graphs.per_pattern(d_coeff, mayer), graphs.per_pattern(ursell, mayer)
+        values = [d((0, 1)), d((0, 0, 1)), phi((0, 1)), phi((0, 0, 1))]
+        assert values == [-1, -1, -1, 2]
+        assert {type(v) for v in values} == {type(entry)}
+
+
+def test_shared_memo_is_bounded(monkeypatch):
+    # more distinct patterns than the cap: the memo stays at the cap and
+    # every value is that of a direct call
+    monkeypatch.setattr(graphs, "_PATTERN_MEMO", 8)
+    monkeypatch.setattr(graphs, "_PATTERN_SUMS", type(graphs._PATTERN_SUMS)())
+    monkeypatch.setattr(graphs, "_ENTRY_IDS", {})
+    S = 4
+    mayer = MayerMatrices.from_f(SpeciesSpace.uniform(S), rand_f(3, S), exact=True)
+    phi = graphs.per_pattern(ursell, mayer)
+    tuples = list(itertools.combinations_with_replacement(range(S), 3))
+    assert len(patterns(mayer.f, tuples)) > 8
+    for xs in tuples + tuples:
+        assert phi(xs) == ursell(mayer, xs) and type(phi(xs)) is type(ursell(mayer, xs))
+    assert len(graphs._PATTERN_SUMS[ursell]) == 8
+    for k in range(20):
+        # more distinct entries than the cap, a fresh matrix each
+        entry = Fraction(-1, k + 2)
+        m = MayerMatrices.from_f(SpeciesSpace.uniform(1), [[entry]], exact=True)
+        assert graphs.per_pattern(ursell, m)((0, 0)) == entry
+    assert len(graphs._ENTRY_IDS) <= 9
+    assert len(graphs._PATTERN_SUMS[ursell]) == 8
 
 
 @pytest.mark.parametrize("matrix", ["mayer", "raw"])
