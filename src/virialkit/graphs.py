@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count, product
@@ -472,47 +472,37 @@ _PATTERN_MEMO = 4096
 # per sum function, held weakly so that a wrapper's entries go with it: its
 # values by (n, exact rule, pair entry ids), oldest first
 _PATTERN_SUMS = weakref.WeakKeyDictionary()
-# (type, value) -> class id, drawn from one counter: an id is never reused
-_ENTRY_IDS = {}
-_NEXT_ID = count()
-
-
-def _entry_id(v):
-    key = (type(v), v)
-    i = _ENTRY_IDS.get(key)
-    if i is None:
-        i = _ENTRY_IDS[key] = next(_NEXT_ID)
-    return i
+# (type, value) -> class id, drawn from one counter that a clear keeps
+_ENTRY_IDS = defaultdict(count().__next__)
 
 
 def per_pattern(fn, mayer):
     """xs -> fn(mayer, xs) for ``ursell`` or ``d_coeff``, with one call of fn
     per distinct pattern of pair entries in the process.
 
-    Both sums read only the tuple's length, the matrix's arithmetic rule and
-    the pair entries f(x_i, x_j) in pair order, with their types.  On a
-    matrix of ints and Fractions each entry maps to a class id per (type,
-    value), shared across the process, so int -1 and Fraction(-1) stay
-    apart.  The values live in one memo per fn for the whole process, keyed
-    by (n, rule, the ids of the pair entries), so every builder and check on
-    every matrix with equal entries shares them, as the hard-core matrices
-    (entries -1 and 0 only) of all requests do.  The rule is whether the
-    matrix is exact: a matrix marked ``exact=False`` runs the float sums on
-    the same ints, and ``d_coeff`` of (0, 0, 1) is -1.0 there and -1 on the
-    exact matrix.  Each memo keeps the latest _PATTERN_MEMO patterns, the
-    oldest dropped first; the id table is emptied once it holds more
-    entries than that, and ids come from one counter, so a key never meets
-    a reused id.  Any other matrix calls fn per tuple: equal floats need not
-    be the same entry (-0.0 == 0.0).  The family builders do not come here on
-    a float matrix: they call ``ursell`` or ``d_coeff`` once per order, over
-    all of its tuples.
+    Both sums read only the tuple's length, the pair entries f(x_i, x_j) in
+    pair order with their types, and the matrix's arithmetic rule.  On a
+    matrix of ints and Fractions the values live in one memo per fn, shared
+    by every matrix of the process and keyed by (n, rule, the class ids of
+    the pair entries).  An entry's id is kept per (type, value), so int -1
+    and Fraction(-1) stay apart.  The rule (exact or not) is in the key
+    because a matrix marked ``exact=False`` runs the float sums on the same
+    ints: ``d_coeff`` of (0, 0, 1) is -1.0 there and -1 on the exact matrix.
+    So the builders and checks on every hard-core matrix (entries -1 and 0)
+    share their patterns.  A memo keeps its latest _PATTERN_MEMO patterns,
+    the oldest dropped first; the id table is emptied when it outgrows that,
+    and its ids come from one counter, so no key meets a reused id.  Any
+    other matrix calls fn per tuple: equal floats need not be the same entry
+    (-0.0 == 0.0).  The family builders do not come here on a float matrix:
+    they call ``ursell`` or ``d_coeff`` once per order, over all of its
+    tuples.
     """
     fm, exact = _f_matrix(mayer)
     if not _exact_entries(fm):
         return lambda xs: fn(mayer, xs)
     if len(_ENTRY_IDS) > _PATTERN_MEMO:
         _ENTRY_IDS.clear()
-    ids = [[_entry_id(v) for v in row] for row in fm]
+    ids = [[_ENTRY_IDS[type(v), v] for v in row] for row in fm]
     rule = exact is None or bool(exact)
     values = _PATTERN_SUMS.setdefault(fn, OrderedDict())
 

@@ -631,14 +631,15 @@ def test_shared_memo_is_bounded(monkeypatch):
     # every value is that of a direct call
     monkeypatch.setattr(graphs, "_PATTERN_MEMO", 8)
     monkeypatch.setattr(graphs, "_PATTERN_SUMS", type(graphs._PATTERN_SUMS)())
-    monkeypatch.setattr(graphs, "_ENTRY_IDS", {})
+    monkeypatch.setattr(graphs, "_ENTRY_IDS", graphs._ENTRY_IDS.copy())
     S = 4
     mayer = MayerMatrices.from_f(SpeciesSpace.uniform(S), rand_f(3, S), exact=True)
     phi = graphs.per_pattern(ursell, mayer)
     tuples = list(itertools.combinations_with_replacement(range(S), 3))
     assert len(patterns(mayer.f, tuples)) > 8
     for xs in tuples + tuples:
-        assert phi(xs) == ursell(mayer, xs) and type(phi(xs)) is type(ursell(mayer, xs))
+        v, want = phi(xs), ursell(mayer, xs)
+        assert v == want and type(v) is type(want)
     assert len(graphs._PATTERN_SUMS[ursell]) == 8
     for k in range(20):
         # more distinct entries than the cap, a fresh matrix each
