@@ -451,6 +451,8 @@ class _Exact:
         flat, den, frac = chain.from_iterable(self.num), self.den, self.frac
         if frac is False:
             return list(flat)
+        if den == 1:  # one-argument Fractions skip the gcd
+            return list(map(Fraction, flat)) if frac is True else [Fraction(v) if f else v for v, f in zip(flat, frac)]
         if frac is True:
             return [Fraction(v, den) for v in flat]
         return [Fraction(v, den) if f else v // den for v, f in zip(flat, frac)]

@@ -622,7 +622,9 @@ def build_A_family(space, mayer, N, allow_large=False):
                 for ms, B in cur.items():
                     p = phis[ms]
                     if type(p) is Fraction or not fractions.isdisjoint(ms):
-                        vals.append(Fraction((Ln - B) * p.numerator, Ln * p.denominator))
+                        # over 1, as on every hard-core matrix, skip the gcd
+                        x, den = (Ln - B) * p.numerator, Ln * p.denominator
+                        vals.append(Fraction(x) if den == 1 else Fraction(x, den))
                     else:
                         vals.append((Ln - B) * p // Ln)
             yield vals
