@@ -10,8 +10,9 @@ rational state, the ``rational_state`` recipe of tests/conftest.py with seed
 of the ``float_wide`` benchmark workload (``soft_state`` of
 perfbench/workloads.py, variant 0: energies in [-0.3, 1.5] at beta 1,
 weights 0.5, 1 or 1.5).  A cell runs in three fresh interpreters.  Each one
-builds, untimed, the layers that the timed layer reads, then times that
-layer once: the cold time, which includes filling the per-process caches
+builds, untimed, the layers that the timed layer reads (``phi_series`` for
+``dissymmetry_check``, which runs at its default order min(N, 5)), then
+times that layer once: the cold time, which includes filling the per-process caches
 (template and group tables, index arrays).  It then builds a fresh state of
 the same recipe and times the layer again in the same process: the warm
 time, the steady cost.  The script prints one line per cell, in table
@@ -79,8 +80,12 @@ LAYERS = {
     "extract_d_from_a": (("a_family", "e_family"), lambda st, inv: inv.extract_d_from_a(st)),
     "d_family": ((), lambda st, inv: st.d_family),
     "roundtrip_check": (("t_family", "e_family"), lambda st, inv: inv.roundtrip_check(st)),
+    "dissymmetry_check": (("phi_series",), lambda st, inv: inv.dissymmetry_check(st)),
 }
-FLOAT_LAYERS = ("a_family", "phi_series", "t_family", "e_family", "extract_d_from_a", "roundtrip_check", "d_family")
+FLOAT_LAYERS = (
+    "a_family", "phi_series", "t_family", "e_family", "extract_d_from_a", "roundtrip_check", "d_family",
+    "dissymmetry_check",
+)
 # (mode, sum) on one tuple -> its sizes n
 ONE_TUPLE_SIZES = {
     ("float", "d_coeff"): (4, 5, 6, 7),

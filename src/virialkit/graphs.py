@@ -488,8 +488,8 @@ def per_pattern(fn, mayer):
     and Fraction(-1) stay apart.  The rule (exact or not) is in the key
     because a matrix marked ``exact=False`` runs the float sums on the same
     ints: ``d_coeff`` of (0, 0, 1) is -1.0 there and -1 on the exact matrix.
-    So the builders and checks on every hard-core matrix (entries -1 and 0)
-    share their patterns.  A memo keeps its latest _PATTERN_MEMO patterns,
+    So the builders on every hard-core matrix (entries -1 and 0) share
+    their patterns.  A memo keeps its latest _PATTERN_MEMO patterns,
     the oldest dropped first; the id table is emptied when it outgrows that,
     and its ids come from one counter, so no key meets a reused id.  Any
     other matrix calls fn per tuple: equal floats need not be the same entry

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError
 from .fps import FormalSeries, exp_series, left_sum, log_series, mul, sym_factor
-from .graphs import d_coeff, hard_core_d_table, pair_order, per_pattern
+from .graphs import hard_core_d_table, pair_order
 from .kernels import mc_batches, mc_mask_sum
 from .species import MayerMatrices, SpeciesSpace
 
@@ -655,12 +655,13 @@ def grid_beta(a, k, n):
     """
     mayer = ring_mayer(a, k)
     h = Fraction(a) / k
-    S = mayer.space.size
+    f, S = mayer.f, mayer.space.size
     total = Fraction(0)
-    # the ring repeats each pattern of overlaps under translation
-    d = per_pattern(d_coeff, mayer)
+    # a pure hard core of ints: D_(n+1) is the table's int at the overlap mask
+    table, pairs = hard_core_d_table(n + 1), pair_order(n + 1)
     for ms in combinations_with_replacement(range(S), n):
-        v = d((0,) + ms)
+        xs = (0,) + ms
+        v = int(table[sum(1 << p for p, (i, j) in enumerate(pairs) if f[xs[i]][xs[j]])])
         if v == 0:
             continue
         total += Fraction(v, sym_factor(ms))

@@ -49,7 +49,7 @@ from .fps import (
     mul,
     sym_factor,
 )
-from .graphs import build_A_family, build_D_family, build_phi_series, d_coeff, per_pattern
+from .graphs import build_A_family, build_D_family, build_phi_series
 from .species import (
     MayerMatrices,
     MeasureVec,
@@ -67,6 +67,19 @@ from .treefp import (
 
 def _exp(v):
     return cmath.exp(v) if isinstance(v, complex) else math.exp(v)
+
+
+def _full_tuple_d(space, d_family, N, factors):
+    """The series of c_n D_n(x_1..x_n) over full tuples at orders 2 <= n <= N
+    (0 below), c_n = factors[n - 2], read from a rooted biconnected family
+    through order N - 1 or more, where D_n on a full tuple sits at order n-1,
+    rooted at its first entry."""
+    S = space.size
+    orders = [[0] * len(_rank(S, n)) for n in range(min(N + 1, 2))]
+    for n, (c, order) in enumerate(zip(factors, d_family._orders[1:N]), 2):
+        D, rank = order.values(), _rank(S, n - 1)
+        orders.append([c * D[ms[0] * len(rank) + rank[ms[1:]]] for ms in canonical_indices(S, n)])
+    return FormalSeries.from_orders(space, N, orders, allow_large=True)
 
 
 class GCState:
@@ -118,19 +131,11 @@ class GCState:
         return build_D_family(self.space, self.mayer, self.N, allow_large=True)
 
     def d_tail(self, factors):
-        """The series of c_n D_n(x_1..x_n) over full tuples at orders
-        2 <= n <= N (0 below), c_n = factors[n - 2]: read from ``d_family``,
-        where D_n on a full tuple sits at order n-1, rooted at its first
-        entry.  Built once per factor tuple and kept; a series is never
-        changed in place."""
+        """``_full_tuple_d`` of ``d_family`` through order N, built once per
+        factor tuple and kept; a series is never changed in place."""
         series = self._d_tails.get(factors)
         if series is None:
-            S, N = self.space.size, self.N
-            orders = [[0] * len(_rank(S, n)) for n in range(min(N + 1, 2))]
-            for n, (c, order) in enumerate(zip(factors, self.d_family._orders[1:N]), 2):
-                D, rank = order.values(), _rank(S, n - 1)
-                orders.append([c * D[ms[0] * len(rank) + rank[ms[1:]]] for ms in canonical_indices(S, n)])
-            series = self._d_tails[factors] = FormalSeries.from_orders(self.space, N, orders, allow_large=True)
+            series = self._d_tails[factors] = _full_tuple_d(self.space, self.d_family, self.N, factors)
         return series
 
     @cached_property
@@ -420,12 +425,6 @@ def log_xi_series(st, z):
     return st.phi_series.evaluate(st.measure(z))
 
 
-def _d_tail_sum(st, vals, factors):
-    """sum_{2<=n<=N} c_n (1/n!) sum_x D_n(x_1..x_n) nu^n over full tuples,
-    with the per-order factors c_n = factors[n - 2]."""
-    return measure_sums(st.d_tail(factors), vals, start=2)
-
-
 def _nonnegative_density(st, nu, what):
     vals = st.measure(nu).values
     if any(float(v) < 0 for v in vals):
@@ -444,7 +443,7 @@ def pressure_of_nu(st, nu):
     vals = _nonnegative_density(st, nu, "pressure")
     w = st.space.weights
     ideal = left_sum(v * wx for v, wx in zip(vals, w))
-    return ideal - _d_tail_sum(st, vals, tuple(range(1, st.N)))
+    return ideal - measure_sums(st.d_tail(tuple(range(1, st.N))), vals, start=2)
 
 
 def free_energy(st, nu, m=None):
@@ -469,7 +468,7 @@ def free_energy(st, nu, m=None):
         if float(m[x]) == 0:
             raise DomainError("density has mass outside the reference measure")
         entropy += fv * (math.log(fv / float(m[x])) - 1) * float(w[x])
-    return entropy - float(_d_tail_sum(st, vals, (1,) * (st.N - 1)))
+    return entropy - float(measure_sums(st.d_tail((1,) * (st.N - 1)), vals, start=2))
 
 
 def dissymmetry_check(st, N=None):
@@ -488,13 +487,13 @@ def dissymmetry_check(st, N=None):
     if N > 5:
         raise CapabilityError("dissymmetry check supports orders n <= 5")
     phi = st.phi_series
-    S = st.space.size
-    # (m - 1) D_m on every canonical tuple of orders 2..N, one d_coeff call
-    # per pattern of pair entries; order 1 holds 0, which drops the
-    # single-owner templates
-    d = per_pattern(d_coeff, st.mayer)
     space = st.space
-    dm = FormalSeries.from_function(space, N, lambda m, ms: (m - 1) * d(ms) if m >= 2 else 0, allow_large=True)
+    S = space.size
+    # (m - 1) D_m on every canonical tuple of orders 2..N, read from the
+    # rooted family through order N - 1; order 1 holds 0, which drops the
+    # single-owner templates
+    D = build_D_family(space, st.mayer, max(N - 1, 0), allow_large=True)
+    dm = _full_tuple_d(space, D, N, tuple(range(1, N)))
     # phi's values per order, read from its stored orders
     P = [order.values() for order in phi._orders[:N + 1]]
     # owner x with the block V: phi_(|V|+1)(x_V, x), read below order N

@@ -230,9 +230,9 @@ class MayerMatrices:
 
 
 def build_mayer(pot):
-    """Mayer matrices for a pair potential: exact integers when every energy
-    is 0 or +inf (the hard-core case), floats otherwise, since exp(-beta*v)
-    of any other finite energy is irrational.
+    """Mayer matrices for a pair potential: exact Fractions (-1, 0 and 1)
+    when every energy is 0 or +inf (the hard-core case), floats otherwise,
+    since exp(-beta*v) of any other finite energy is irrational.
     """
     exact = pot.is_hard_core_only()
     f = []

@@ -446,6 +446,12 @@ def test_grid_beta_frozen_values():
         Fraction(-91, 72),
         Fraction(-397, 288),
     ]
+    # n = 3 reads the m = 4 hard-core table
+    assert [grid_beta(1, k, 3) for k in (3, 6, 12)] == [
+        Fraction(-65, 81),
+        Fraction(-671, 648),
+        Fraction(-6095, 5184),
+    ]
 
 
 def test_grid_beta_first_order_convergence():

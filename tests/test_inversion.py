@@ -12,10 +12,12 @@ from fractions import Fraction
 
 import pytest
 
+from virialkit import graphs
 from virialkit import inversion as inv
 from virialkit.cli import _random_state, fixture_text
 from virialkit.errors import CapabilityError, DomainError, StructureError
-from virialkit.fps import exp_series
+from virialkit.fps import canonical_indices, exp_series
+from virialkit.graphs import pair_order
 from virialkit.homogeneous import grid_beta, ring_mayer, tonks_oracle
 from virialkit.inversion import (
     GCState,
@@ -666,17 +668,30 @@ def test_pressure_refuses_negative_density():
 
 def test_dissymmetry_builds_each_d_once(monkeypatch):
     calls = []
-    real = inv.d_coeff
+    real = graphs.d_coeff
 
-    def counting(mayer, ms):
-        calls.append(ms)
-        return real(mayer, ms)
+    def counting(mayer, xs):
+        calls.append(xs)
+        return real(mayer, xs)
 
-    monkeypatch.setattr(inv, "d_coeff", counting)
-    rep = dissymmetry_check(mix_state(N=5), N=5)
+    monkeypatch.setattr(graphs, "d_coeff", counting)
+    st = mix_state(N=5)
+    rep = dissymmetry_check(st, N=5)
     assert rep.exact and rep.max_abs == 0
-    # one call per canonical tuple of orders 2..5 over two species
-    assert len(calls) == len(set(calls)) == 3 + 4 + 5 + 6
+    # D comes from the rooted family through order 4: one call per distinct
+    # pattern of pair entries over its (root, tail) tuples
+    f = st.mayer.f
+    rooted = [(q,) + ms for n in range(1, 5) for q in range(2) for ms in canonical_indices(2, n)]
+    patterns = {tuple((type(f[xs[i]][xs[j]]), f[xs[i]][xs[j]]) for i, j in pair_order(len(xs))) for xs in rooted}
+    assert len(calls) == len(set(calls)) == len(patterns)
+
+
+def test_dissymmetry_below_order_two_is_an_empty_exact_report():
+    # no order n >= 2 to check, and no D family of negative order to build
+    for st in (mix_state(), soft_state(2024, 4, 4)):
+        for N in (0, 1):
+            rep = dissymmetry_check(st, N=N)
+            assert rep.exact and rep.max_abs == 0 and rep.per_order == {}
 
 
 def soft_state(seed, S, N):
@@ -713,6 +728,20 @@ def test_float_golden_tree_coefficients_and_roundtrip():
         3: "0x1.8000000000000p-51",
         4: "0x1.d000000000000p-48",
     }
+
+
+def test_float_golden_dissymmetry_residuals():
+    # float bits recorded when D was read per canonical tuple through
+    # d_coeff; the rooted family's batched orders give each tuple its bits
+    golden = {
+        4: {2: "0x1.0000000000000p-54", 3: "0x1.4000000000000p-51", 4: "0x1.0000000000000p-48"},
+        8: {2: "0x1.0000000000000p-53", 3: "0x1.4000000000000p-50", 4: "0x1.8000000000000p-48"},
+    }
+    for S, per_order in golden.items():
+        rep = dissymmetry_check(soft_state(2024, S, 4))
+        assert not rep.exact
+        assert {n: v.hex() for n, v in rep.per_order.items()} == per_order
+        assert rep.max_abs.hex() == per_order[4]
 
 
 def test_float_golden_majorants_and_tail_sums():
