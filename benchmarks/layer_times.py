@@ -12,11 +12,11 @@ perfbench/workloads.py, variant 0: energies in [-0.3, 1.5] at beta 1,
 weights 0.5, 1 or 1.5).  A cell runs in three fresh interpreters.  Each one
 builds, untimed, the layers that the timed layer reads (``phi_series`` for
 ``dissymmetry_check``, which runs at its default order min(N, 5)), then
-times that layer once: the cold time, which includes filling the per-process caches
-(template and group tables, index arrays).  It then builds a fresh state of
-the same recipe and times the layer again in the same process: the warm
-time, the steady cost.  The script prints one line per cell, in table
-order, exact table first:
+times that layer once: the cold time, which includes filling the
+per-process caches (template and group tables, index arrays).  It then
+builds a fresh state of the same recipe and times the layer again in the
+same process: the warm time, the steady cost.  The script prints one line
+per cell, in table order, exact table first:
 
     {"mode": ..., "layer": ..., "S": ..., "N": ..., "seconds": cold median,
      "runs": [three cold times], "warm": warm median, "warm_runs": [three warm times]}
