@@ -69,17 +69,17 @@ def _exp(v):
     return cmath.exp(v) if isinstance(v, complex) else math.exp(v)
 
 
-def _full_tuple_d(space, d_family, N, factors):
+def _full_tuple_d(d_family, N, factors):
     """The series of c_n D_n(x_1..x_n) over full tuples at orders 2 <= n <= N
     (0 below), c_n = factors[n - 2], read from a rooted biconnected family
     through order N - 1 or more, where D_n on a full tuple sits at order n-1,
     rooted at its first entry."""
-    S = space.size
+    S = d_family.space.size
     orders = [[0] * len(_rank(S, n)) for n in range(min(N + 1, 2))]
     for n, (c, order) in enumerate(zip(factors, d_family._orders[1:N]), 2):
         D, rank = order.values(), _rank(S, n - 1)
         orders.append([c * D[ms[0] * len(rank) + rank[ms[1:]]] for ms in canonical_indices(S, n)])
-    return FormalSeries.from_orders(space, N, orders, allow_large=True)
+    return FormalSeries.from_orders(d_family.space, N, orders, allow_large=True)
 
 
 class GCState:
@@ -135,7 +135,7 @@ class GCState:
         factor tuple and kept; a series is never changed in place."""
         series = self._d_tails.get(factors)
         if series is None:
-            series = self._d_tails[factors] = _full_tuple_d(self.space, self.d_family, self.N, factors)
+            series = self._d_tails[factors] = _full_tuple_d(self.d_family, self.N, factors)
         return series
 
     @cached_property
@@ -493,7 +493,7 @@ def dissymmetry_check(st, N=None):
     # rooted family through order N - 1; order 1 holds 0, which drops the
     # single-owner templates
     D = build_D_family(space, st.mayer, max(N - 1, 0), allow_large=True)
-    dm = _full_tuple_d(space, D, N, tuple(range(1, N)))
+    dm = _full_tuple_d(D, N, tuple(range(1, N)))
     # phi's values per order, read from its stored orders
     P = [order.values() for order in phi._orders[:N + 1]]
     # owner x with the block V: phi_(|V|+1)(x_V, x), read below order N
