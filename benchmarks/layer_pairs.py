@@ -1,13 +1,17 @@
-"""Alternating parent/change runs of the exact layer cells, as JSON lines.
+"""Alternating parent/change runs of the layer cells, as JSON lines.
 
     python3 benchmarks/layer_pairs.py PARENT [--rounds R] [--layer LAYER ...] [--shape S,N ...]
 
 PARENT is any git revision; its committed files are exported with ``git
 archive`` into a fresh temporary directory (``TMPDIR`` decides where).  The
 change is the source of this checkout, ``src/`` as it is on disk.  A cell is
-one exact layer of ``benchmarks/layer_times.py`` on its rational state at one
-(S, N): by default every layer of its ``LAYERS`` at every shape of its exact
-grid, else the layers and shapes given.  Each cell runs R rounds (default 5).
+one (mode, layer, S, N) cell of the exact and float grids of
+``benchmarks/layer_times.py`` (``GRIDS``): the layer on the mode's state at
+one (S, N), the rational state in exact mode and the soft float state in
+float mode.  By default every cell of both grids runs, exact grid first;
+``--layer`` keeps the layers given, and ``--shape`` replaces each mode's
+shapes with the given ones, run in each mode whose grid lists the layer.
+Each cell runs R rounds (default 5).
 A round times the cell once per side, each in a fresh interpreter running
 ``layer_times.time_cell`` (the cold time, then the warm time on a fresh state
 of the same recipe), the parent first in even rounds and the change first in
@@ -15,7 +19,7 @@ odd ones, so that a drift of the machine's speed falls on both sides.  Both
 sides run the timing code of this checkout; only the imported virialkit
 differs.  The script prints one line per cell:
 
-    {"layer": ..., "S": ..., "N": ..., "rounds": R,
+    {"mode": ..., "layer": ..., "S": ..., "N": ..., "rounds": R,
      "parent": {"seconds": cold median, "warm": warm median,
                 "runs": [cold times], "warm_runs": [warm times]},
      "change": {...}, "ratio": {"seconds": change / parent, "warm": ...},
@@ -24,7 +28,7 @@ differs.  The script prints one line per cell:
 
 A cell that either side refuses prints ``"refused"`` with that side's error
 message in place of the times.  A shape beyond the desk ceiling needs no
-setting, as the states are built with ``allow_large=True``.
+setting, as the exact states are built with ``allow_large=True``.
 """
 
 from __future__ import annotations
@@ -48,10 +52,21 @@ def shape(text):
     return S, N
 
 
-def run_cell(layer, S, N, rounds, srcs):
+def cells(layers, shapes):
+    """The (mode, layer, S, N) cells to run, exact grid first: the given
+    layers (all when None), each at the given shapes (the mode's own when
+    None)."""
+    for mode, grid in layer_times.GRIDS.items():
+        for layer in grid:
+            if layers is None or layer in layers:
+                for S, N in shapes or layer_times.SHAPES[mode]:
+                    yield mode, layer, S, N
+
+
+def run_cell(mode, layer, S, N, rounds, srcs):
     """The cell's line, from ``rounds`` alternating rounds on the two sources."""
-    code = f"import layer_times; layer_times.time_cell('exact', {layer!r}, {S}, {N})"
-    cell = {"layer": layer, "S": S, "N": N, "rounds": rounds}
+    code = f"import layer_times; layer_times.time_cell({mode!r}, {layer!r}, {S}, {N})"
+    cell = {"mode": mode, "layer": layer, "S": S, "N": N, "rounds": rounds}
     runs = {side: {key: [] for key in TIMES} for side in srcs}
     for k in range(rounds):
         for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
@@ -78,15 +93,12 @@ def main(argv=None):
     if args.rounds < 1:
         p.error("rounds must be at least 1")
     commit = bench_pairs.git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
-    layers = args.layer or list(layer_times.LAYERS)
-    shapes = args.shape or list(layer_times.SHAPES["exact"])
     with tempfile.TemporaryDirectory(prefix="layer_pairs-") as tmp:
         parent = Path(tmp) / "parent"
         bench_pairs.export(commit, parent)
         srcs = {"parent": parent / "src", "change": layer_times.SRC}
-        for layer in layers:
-            for S, N in shapes:
-                print(json.dumps(run_cell(layer, S, N, args.rounds, srcs)), flush=True)
+        for cell in cells(args.layer, args.shape):
+            print(json.dumps(run_cell(*cell, args.rounds, srcs)), flush=True)
     return 0
 
 

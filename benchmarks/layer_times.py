@@ -86,6 +86,8 @@ FLOAT_LAYERS = (
     "a_family", "phi_series", "t_family", "e_family", "extract_d_from_a", "roundtrip_check", "d_family",
     "dissymmetry_check",
 )
+# mode -> the layers of its grid, in table order
+GRIDS = {"exact": tuple(LAYERS), "float": FLOAT_LAYERS}
 # (mode, sum) on one tuple -> its sizes n
 ONE_TUPLE_SIZES = {
     ("float", "d_coeff"): (4, 5, 6, 7),
@@ -248,7 +250,7 @@ def run_sums(family, S):
 
 
 def main():
-    for mode, layers in (("exact", LAYERS), ("float", FLOAT_LAYERS)):
+    for mode, layers in GRIDS.items():
         for layer in layers:
             for S, N in SHAPES[mode]:
                 print(json.dumps(run_cell(mode, layer, S, N)), flush=True)

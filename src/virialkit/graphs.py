@@ -29,17 +29,16 @@ is listed once per n (``_ursell_levels``): the float kernel runs it one
 subset size at a time over every tuple of a block, each lane with its
 tuple's IEEE operations, and the exact rule walks it subset by subset.
 
-The family builders stay on the integers too.  On a matrix of ints and
-Fractions they call ``ursell`` and ``d_coeff`` once per distinct pattern of
+The family builders get every graph sum of an order n >= 2 from one
+generator, ``_order_sums``: on a float matrix one ``ursell`` or ``d_coeff``
+call over all of the order's tuples, else one call per distinct pattern of
 pair entries (``per_pattern``), through one bounded memo per sum that every
-builder and every matrix of the process shares, and ``build_A_family`` writes
-each factor 1 + f(q, x) as an int b_q(x) over one denominator L_q per root,
-so that a bracket is an int over L_q^n and each coefficient is one
-quotient.  On a float matrix each order n >= 2 is one call over all of its
-tuples: ``build_phi_series`` and ``build_A_family`` call ``ursell`` over its
-tails (the brackets are float64 column products), and ``build_D_family``
-calls ``d_coeff`` over its (root, tail) tuples.  On a raw list that mixes
-floats with ints or Fractions φ and D call per tuple, and A is refused.
+builder and every exact matrix of the process shares.  ``build_A_family``
+writes each factor 1 + f(q, x) of an exact matrix as an int b_q(x) over one
+denominator L_q per root, so that a bracket is an int over L_q^n and each
+coefficient is one quotient; on a float matrix the brackets are float64
+column products.  A raw list that mixes floats with ints or Fractions gets
+φ and D per tuple, and A is refused.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import weakref
 from collections import OrderedDict, defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, count, product
+from itertools import chain, combinations, count, product
 
 import numpy as np
 
@@ -347,8 +346,7 @@ def ursell(f, xs):
     or a raw matrix of floats only) the n positions of xs may be int arrays
     of one length, one entry per tuple, as for ``d_coeff``: the call then
     returns a float64 array of every tuple's sum, the same bits as one call
-    per tuple, and ``build_phi_series`` and ``build_A_family`` make one such
-    call per order.
+    per tuple, and ``_order_sums`` makes one such call per order.
     """
     n = len(xs)
     if n == 0:
@@ -395,16 +393,17 @@ def d_coeff(f, xs):
     On a float matrix (``exact=False``, or a raw matrix of floats only)
     the n positions of xs may be int arrays of one length, one entry per
     tuple: the call then returns a float64 array of every tuple's sum, the
-    same bits as one call per tuple, and ``build_D_family`` makes one such
-    call per order.
+    same bits as one call per tuple, and ``_order_sums`` makes one such call
+    per order.
 
     Exact inputs keep the biconnected graphs whose edges all lie in the
     support {p : a_p != 0} and sum prod_(p in g) a_p * L^(P - |g|),
     P = C(n, 2), exactly: the pairs split into a low and a high half, each
     half's products come from a table over its edge subsets, and the
     low-half terms are added within each run of graphs that share a high
-    half, all in Python ints.  The sum is divided by L^P once.  The result is int 0 when no graph survives, else
-    a Fraction exactly when a surviving graph has a Fraction edge.
+    half, all in Python ints.  The sum is divided by L^P once.  The result
+    is int 0 when no graph survives, else a Fraction exactly when a
+    surviving graph has a Fraction edge.
     """
     n = len(xs)
     if not 2 <= n <= D_COEFF_MAX:
@@ -470,7 +469,7 @@ def _exact_entries(fm):
 # entries of each sum's memo, and of the entry class ids, oldest dropped first
 _PATTERN_MEMO = 4096
 # per sum function, held weakly so that a wrapper's entries go with it: its
-# values by (n, exact rule, pair entry ids), oldest first
+# exact values by (n, pair entry ids), oldest first
 _PATTERN_SUMS = weakref.WeakKeyDictionary()
 # (type, value) -> class id, drawn from one counter that a clear keeps
 _ENTRY_IDS = defaultdict(count().__next__)
@@ -482,32 +481,27 @@ def per_pattern(fn, mayer):
 
     Both sums read only the tuple's length, the pair entries f(x_i, x_j) in
     pair order with their types, and the matrix's arithmetic rule.  On a
-    matrix of ints and Fractions the values live in one memo per fn, shared
-    by every matrix of the process and keyed by (n, rule, the class ids of
-    the pair entries).  An entry's id is kept per (type, value), so int -1
-    and Fraction(-1) stay apart.  The rule (exact or not) is in the key
-    because a matrix marked ``exact=False`` runs the float sums on the same
-    ints: ``d_coeff`` of (0, 0, 1) is -1.0 there and -1 on the exact matrix.
-    So the builders on every hard-core matrix (entries -1 and 0) share
-    their patterns.  A memo keeps its latest _PATTERN_MEMO patterns,
-    the oldest dropped first; the id table is emptied when it outgrows that,
-    and its ids come from one counter, so no key meets a reused id.  Any
-    other matrix calls fn per tuple: equal floats need not be the same entry
-    (-0.0 == 0.0).  The family builders do not come here on a float matrix:
-    they call ``ursell`` or ``d_coeff`` once per order, over all of its
-    tuples.
+    matrix of ints and Fractions that takes the exact rule the values live
+    in one memo per fn, shared by every matrix of the process and keyed by
+    (n, the class ids of the pair entries).  An entry's id is kept per
+    (type, value), so int -1 and Fraction(-1) stay apart, and the builders
+    on every hard-core matrix (entries -1 and 0) share their patterns.  A
+    memo keeps its latest _PATTERN_MEMO patterns, the oldest dropped first;
+    the id table is emptied when it outgrows that, and its ids come from one
+    counter, so no key meets a reused id.  Any other matrix calls fn per
+    tuple: a float-rule matrix (``_float_entries``) runs the float sums,
+    also on ints, and equal floats need not be the same entry (-0.0 == 0.0).
     """
-    fm, exact = _f_matrix(mayer)
-    if not _exact_entries(fm):
+    fm, _ = _f_matrix(mayer)
+    if _float_entries(mayer) or not _exact_entries(fm):
         return lambda xs: fn(mayer, xs)
     if len(_ENTRY_IDS) > _PATTERN_MEMO:
         _ENTRY_IDS.clear()
     ids = [[_ENTRY_IDS[type(v), v] for v in row] for row in fm]
-    rule = exact is None or bool(exact)
     values = _PATTERN_SUMS.setdefault(fn, OrderedDict())
 
     def value(xs):
-        key = (len(xs), rule, *[ids[xs[i]][xs[j]] for i, j in pair_order(len(xs))])
+        key = (len(xs), *[ids[xs[i]][xs[j]] for i, j in pair_order(len(xs))])
         v = values.get(key)
         if v is None:
             v = values[key] = fn(mayer, xs)
@@ -518,38 +512,50 @@ def per_pattern(fn, mayer):
     return value
 
 
+@lru_cache(maxsize=None)
 def _tail_columns(S, n):
     """The canonical tails of order n over S species, in storage order, as
-    n int arrays: column j holds every tail's j-th species."""
-    return list(np.array(list(canonical_indices(S, n)), np.intp).T)
+    n read-only int arrays: column j holds every tail's j-th species."""
+    cols = np.array(list(canonical_indices(S, n)), np.intp).reshape(-1, n).T.copy()
+    cols.flags.writeable = False
+    return tuple(cols)
 
 
-def _float_connected_sums(mayer, S, N):
-    """Per order n = 2..N on a float matrix: (tail columns, their connected
-    sums), one ``ursell`` call over all of the order's tails."""
+def _order_sums(fn, mayer, S, N, rooted=False):
+    """Per order n = 2..N, the list of fn (``ursell`` or ``d_coeff``) at every
+    tuple of the order in storage order: the canonical tails, or with
+    ``rooted`` the (root, tail) tuples, roots outermost.
+
+    This is where the family builders get their graph sums.  On a float
+    matrix an order is one fn call over all of its tuples (int arrays of
+    ``_tail_columns``), read out with one ``tolist``; any other matrix calls
+    one ``per_pattern`` closure per tuple.
+    """
+    if _float_entries(mayer):
+        for n in range(2, N + 1):
+            cols = _tail_columns(S, n)
+            if rooted:
+                cols = [np.repeat(np.arange(S), len(cols[0])), *(np.tile(col, S) for col in cols)]
+            yield fn(mayer, cols).tolist()
+        return
+    value = per_pattern(fn, mayer)
     for n in range(2, N + 1):
-        cols = _tail_columns(S, n)
-        yield cols, ursell(mayer, cols)
+        tails = list(canonical_indices(S, n))
+        yield [value((q, *ms)) for q in range(S) for ms in tails] if rooted else list(map(value, tails))
 
 
 def build_phi_series(space, mayer, N, allow_large=False):
     """Connected-sum series: order n coefficient is ursell on the tuple.
 
     Order 0 is 0 (no constant term in log of the partition function) and
-    order 1 is identically 1.  On a float matrix each higher order is one
-    ``ursell`` call over all of its multi-indices; any other matrix goes
-    through ``per_pattern``.
+    order 1 is identically 1; every higher order comes from ``_order_sums``.
     """
-    if not _float_entries(mayer):
-        phi = per_pattern(ursell, mayer)
-        return FormalSeries.from_function(space, N, lambda n, ms: phi(ms) if n else 0, allow_large=allow_large)
 
     def orders():
         yield [0]
         if N:
             yield [1] * space.size
-        for _, sums in _float_connected_sums(mayer, space.size, N):
-            yield sums.tolist()
+        yield from _order_sums(ursell, mayer, space.size, N)
 
     return FormalSeries.from_orders(space, N, orders(), allow_large=allow_large)
 
@@ -562,7 +568,7 @@ def _float_a_order(b, cols, phi):
         B = b[:, cols[0]]
         for col in cols[1:]:
             B *= b[:, col]
-        return (-(B - 1.0) * phi).ravel().tolist()
+        return (-(B - 1.0) * np.array(phi)).ravel().tolist()
 
 
 def build_A_family(space, mayer, N, allow_large=False):
@@ -570,6 +576,7 @@ def build_A_family(space, mayer, N, allow_large=False):
 
         A_n(q; x) = -(prod_j (1 + f(q, x_j)) - 1) * ursell(x).
 
+    ursell(x) is 1 at order 1 and comes from ``_order_sums`` above it.
     Root q writes its factors as 1 + f(q, x) = b_q(x) / L_q, and the bracket
     of ms is B = prod_j b_q(x_j) over L_q^n, carried from the bracket of its
     prefix ms[:-1].  On a matrix of ints and Fractions L_q is the lcm of the
@@ -577,10 +584,10 @@ def build_A_family(space, mayer, N, allow_large=False):
     quotient (L_q^n - B) ursell(x) / L_q^n: a Fraction exactly when an entry
     f(q, x_j) or ursell(x) is one, else an int.  A float matrix has L_q = 1
     and b_q(x) = 1.0 + f(q, x): order 1 is -(1 + f - 1) on the entries as
-    stored, and each higher order is one ``ursell`` call over its tails and
-    one float64 product per tail column, with the factors multiplied left to
-    right and the coefficient -(B - 1.0) ursell(x).  A raw list that mixes
-    floats with ints or Fractions is refused with a StructureError.
+    stored, and each higher order one float64 product per tail column, with
+    the factors multiplied left to right and the coefficient
+    -(B - 1.0) ursell(x).  A raw list that mixes floats with ints or
+    Fractions is refused with a StructureError.
     """
     fm, _ = _f_matrix(mayer)
     S = space.size
@@ -591,8 +598,8 @@ def build_A_family(space, mayer, N, allow_large=False):
             yield [0] * S
             if N:
                 yield [-(1 + v - 1) for row in fm for v in row]
-            for cols, phi in _float_connected_sums(mayer, S, N):
-                yield _float_a_order(b, cols, phi)
+            for n, phi in enumerate(_order_sums(ursell, mayer, S, N), 2):
+                yield _float_a_order(b, _tail_columns(S, n), phi)
 
         return RootedSeriesFamily.from_orders(space, N, float_orders(), allow_large=allow_large)
     if not _exact_entries(fm):
@@ -606,14 +613,14 @@ def build_A_family(space, mayer, N, allow_large=False):
         b = [L + v.numerator * (L // v.denominator) for v in row]
         fractions = {x for x, v in enumerate(row) if type(v) is Fraction}
         roots.append((L, b, fractions))
-    phi = per_pattern(ursell, mayer)
 
     def orders():
         # each order's values in storage order: roots outermost, then ms
-        yield [0] * space.size
+        yield [0] * S
         brackets = [{(): 1} for _ in roots]
-        for n in range(1, N + 1):
-            phis = {ms: phi(ms) for ms in canonical_indices(space.size, n)}
+        sums = chain([[1] * S], _order_sums(ursell, mayer, S, N))
+        for n, phi in zip(range(1, N + 1), sums):
+            phis = dict(zip(canonical_indices(S, n), phi))
             vals = []
             for q, (L, b, fractions) in enumerate(roots):
                 prev = brackets[q]
@@ -636,30 +643,19 @@ def build_D_family(space, mayer, N, allow_large=False):
     """Rooted biconnected sums: order n holds D_(n+1)(q; x_1..x_n).
 
     The order-0 slice is fixed to 0 so that sums over n >= 1 start at the
-    pair term D_2 = f.  On a float matrix order 1 reads the entries as
-    stored, and every higher order is one ``d_coeff`` call over all of its
-    (root, tail) tuples in storage order; any other matrix goes through
-    ``per_pattern``.
+    pair term D_2 = f.  Order 1 holds the entries as stored, and every higher
+    order comes from ``_order_sums`` over the (root, tail) tuples.
     """
     if N + 1 > D_COEFF_MAX:
         raise CapabilityError(
             f"biconnected family needs order + 1 <= {D_COEFF_MAX}"
         )
-    if not _float_entries(mayer):
-        d = per_pattern(d_coeff, mayer)
-        return RootedSeriesFamily.from_function(
-            space, N, lambda n, q, ms: d((q,) + ms) if n else 0, allow_large=allow_large
-        )
     fm, _ = _f_matrix(mayer)
-    S = space.size
 
     def orders():
-        yield [0] * S
+        yield [0] * space.size
         if N:
             yield [v for row in fm for v in row]
-        for n in range(2, N + 1):
-            cols = _tail_columns(S, n)
-            roots = np.repeat(np.arange(S), len(cols[0]))
-            yield d_coeff(mayer, [roots] + [np.tile(col, S) for col in cols]).tolist()
+        yield from _order_sums(d_coeff, mayer, space.size, N, rooted=True)
 
     return RootedSeriesFamily.from_orders(space, N, orders(), allow_large=allow_large)

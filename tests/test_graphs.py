@@ -560,12 +560,12 @@ def patterns(f, tuples):
 def test_builders_call_once_per_pattern(monkeypatch):
     # hard rods on a line of sites: f = -1 between neighbours, 0 further off;
     # the builders share one memo per sum, so phi then A call ursell once per
-    # pattern in total
+    # pattern of order 2 or more in total (orders 0 and 1 call no sum)
     S, N = 5, 4
     f = [[Fraction(-1) if abs(i - j) <= 1 else Fraction(0) for j in range(S)] for i in range(S)]
     space = SpeciesSpace.uniform(S)
     mayer = MayerMatrices.from_f(space, f, exact=True)
-    tails = [ms for n in range(1, N + 1) for ms in itertools.combinations_with_replacement(range(S), n)]
+    tails = [ms for n in range(2, N + 1) for ms in itertools.combinations_with_replacement(range(S), n)]
     ursell_calls, d_calls = counting(monkeypatch, "ursell"), counting(monkeypatch, "d_coeff")
     want_phi, want_A = build_phi_series(space, mayer, N), build_A_family(space, mayer, N)
     assert len(ursell_calls) == len(patterns(f, tails)) < len(tails)
@@ -591,6 +591,38 @@ def test_a_family_refuses_a_raw_list_of_mixed_entries():
         assert build_phi_series(space, f, 2).coeffs[2][(0, 1)] == ursell(f, (0, 1))
 
 
+@pytest.mark.parametrize("N", [0, 1])
+@pytest.mark.parametrize("matrix", ["exact", "float", "marked", "raw"])
+def test_builders_below_order_two_call_no_sum(monkeypatch, matrix, N):
+    # order 0 is 0, and order 1 is 1 (phi), -f (A, as -(1 + f - 1) on the
+    # float rule) and f as stored (D), each of its type, on every matrix
+    space = SpeciesSpace.uniform(2)
+    f, exact = {
+        "exact": ([[-1, Fraction(1, 3)], [Fraction(1, 3), 0]], True),
+        "float": ([[-0.25, 0.3], [0.3, 0.1]], False),
+        "marked": ([[-1, 0], [0, -1]], False),
+        "raw": ([[0.5, Fraction(-1, 2)], [Fraction(-1, 2), 0.25]], None),
+    }[matrix]
+    mayer = f if exact is None else MayerMatrices.from_f(space, f, exact=exact)
+    calls = counting(monkeypatch, "ursell") + counting(monkeypatch, "d_coeff")
+    entries = [f[q][x] for q in range(2) for x in range(2)]
+    want = {
+        build_phi_series: [[0], [1, 1]],
+        build_D_family: [[0, 0], entries],
+        build_A_family: [[0, 0], [-(1 + v - 1) if isinstance(v, float) else -v for v in entries]],
+    }
+    for build, orders in want.items():
+        if build is build_A_family and exact is None:
+            with pytest.raises(StructureError):
+                build(space, mayer, N)
+            continue
+        got = build(space, mayer, N)
+        assert [[typed_bits(v) for v in order.values()] for order in got.coeffs] == [
+            list(map(typed_bits, order)) for order in orders[:N + 1]
+        ]
+    assert calls == []
+
+
 def test_per_pattern_tells_int_from_fraction(monkeypatch):
     # -1 and Fraction(-1) are equal but give sums of different types
     f = [[-1, Fraction(-1)], [Fraction(-1), -1]]
@@ -603,16 +635,21 @@ def test_per_pattern_tells_int_from_fraction(monkeypatch):
 
 
 @pytest.mark.parametrize("exact_first", [True, False])
-def test_shared_memo_keeps_the_arithmetic_rule(exact_first):
+def test_shared_memo_keeps_the_arithmetic_rule(monkeypatch, exact_first):
     # the same ints on an exact and on a float-marked matrix: int sums on the
     # one, float64 sums on the other, whichever is built first
+    monkeypatch.setattr(graphs, "_PATTERN_SUMS", type(graphs._PATTERN_SUMS)())
     space = SpeciesSpace.uniform(2)
     f = [[-1, -1], [-1, -1]]
     exact, marked = MayerMatrices.from_f(space, f, exact=True), MayerMatrices.from_f(space, f, exact=False)
     for mayer in (exact, marked) if exact_first else (marked, exact):
         kind = int if mayer.exact else float
+        memo = {fn: dict(values) for fn, values in graphs._PATTERN_SUMS.items()}
         d, phi = graphs.per_pattern(d_coeff, mayer), graphs.per_pattern(ursell, mayer)
         assert [(v, type(v)) for v in (d((0, 0, 1)), phi((0, 0, 1)))] == [(-1, kind), (2, kind)]
+        if not mayer.exact:
+            # the memo holds exact sums only: the float-marked matrix's go per tuple
+            assert {fn: dict(values) for fn, values in graphs._PATTERN_SUMS.items()} == memo
 
 
 def test_shared_memo_keeps_int_and_fraction_apart_across_matrices():
