@@ -512,10 +512,11 @@ def per_pattern(fn, mayer):
     return value
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _tail_columns(S, n):
     """The canonical tails of order n over S species, in storage order, as
-    n read-only int arrays: column j holds every tail's j-th species."""
+    n read-only int arrays: column j holds every tail's j-th species.  The
+    latest 16 (S, n) are kept, so a large order's columns do not stay."""
     cols = np.array(list(canonical_indices(S, n)), np.intp).reshape(-1, n).T.copy()
     cols.flags.writeable = False
     return tuple(cols)
@@ -620,14 +621,13 @@ def build_A_family(space, mayer, N, allow_large=False):
         brackets = [{(): 1} for _ in roots]
         sums = chain([[1] * S], _order_sums(ursell, mayer, S, N))
         for n, phi in zip(range(1, N + 1), sums):
-            phis = dict(zip(canonical_indices(S, n), phi))
+            tails = list(canonical_indices(S, n))
             vals = []
             for q, (L, b, fractions) in enumerate(roots):
                 prev = brackets[q]
-                brackets[q] = cur = {ms: prev[ms[:-1]] * b[ms[-1]] for ms in phis}
+                brackets[q] = cur = {ms: prev[ms[:-1]] * b[ms[-1]] for ms in tails}
                 Ln = L**n
-                for ms, B in cur.items():
-                    p = phis[ms]
+                for (ms, B), p in zip(cur.items(), phi):
                     if type(p) is Fraction or not fractions.isdisjoint(ms):
                         # over 1, as on every hard-core matrix, skip the gcd
                         x, den = (Ln - B) * p.numerator, Ln * p.denominator
