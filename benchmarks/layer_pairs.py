@@ -13,14 +13,16 @@ float mode.  By default every cell of both grids runs, exact grid first;
 shapes with the given ones, run in each mode whose grid lists the layer.
 Each cell runs R rounds (default 5).
 A round times the cell once per side, each in a fresh interpreter running
-``layer_times.time_cell`` (the cold time, then the warm time on a fresh state
-of the same recipe), the parent first in even rounds and the change first in
-odd ones, so that a drift of the machine's speed falls on both sides.  Both
-sides run the timing code of this checkout; only the imported virialkit
-differs.  The script prints one line per cell:
+``layer_times.time_cell`` (the cold time, then the median warm time over
+0.2 s of calls on fresh states of the same recipe, each timed call after
+emptying the family memo where that side's virialkit has one), the parent
+first in even rounds and the change first in odd ones, so that a drift of
+the machine's speed falls on both sides.  Both sides run the timing code of
+this checkout; only the imported virialkit differs.  The script prints one
+line per cell:
 
     {"mode": ..., "layer": ..., "S": ..., "N": ..., "rounds": R,
-     "parent": {"seconds": cold median, "warm": warm median,
+     "parent": {"seconds": cold median, "warm": median of the rounds' warm times,
                 "runs": [cold times], "warm_runs": [warm times]},
      "change": {...}, "ratio": {"seconds": change / parent, "warm": ...},
      "wins": {"seconds": rounds in which the change was faster cold,

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CapabilityError, DomainError, StructureError
-from .fps import _EXACT, FormalSeries, RootedSeriesFamily, canonical_indices
+from .fps import _EXACT, FormalSeries, RootedSeriesFamily, _keys, canonical_indices
 from .species import MayerMatrices
 
 MAX_CLASS_N = {"connected": 7, "biconnected": 7, "tree": 9}
@@ -475,6 +475,22 @@ _PATTERN_SUMS = weakref.WeakKeyDictionary()
 _ENTRY_IDS = defaultdict(count().__next__)
 
 
+def _entry_ids(mayer):
+    """The class id of every entry f(x, y), row by row, of a matrix of ints
+    and Fractions that takes the exact rule, and None for any other matrix
+    (``_float_entries``, or a raw list that mixes in floats), whose equal
+    entries need not be the same (-0.0 == 0.0).  An id is kept per (type,
+    value), so int -1 and Fraction(-1) stay apart.  The id table is emptied
+    when it outgrows _PATTERN_MEMO, and its ids come from one counter, so no
+    key made of ids meets a reused one."""
+    fm, _ = _f_matrix(mayer)
+    if _float_entries(mayer) or not _exact_entries(fm):
+        return None
+    if len(_ENTRY_IDS) > _PATTERN_MEMO:
+        _ENTRY_IDS.clear()
+    return [[_ENTRY_IDS[type(v), v] for v in row] for row in fm]
+
+
 def per_pattern(fn, mayer):
     """xs -> fn(mayer, xs) for ``ursell`` or ``d_coeff``, with one call of fn
     per distinct pattern of pair entries in the process.
@@ -483,21 +499,15 @@ def per_pattern(fn, mayer):
     pair order with their types, and the matrix's arithmetic rule.  On a
     matrix of ints and Fractions that takes the exact rule the values live
     in one memo per fn, shared by every matrix of the process and keyed by
-    (n, the class ids of the pair entries).  An entry's id is kept per
-    (type, value), so int -1 and Fraction(-1) stay apart, and the builders
+    (n, the class ids of the pair entries, ``_entry_ids``), so the builders
     on every hard-core matrix (entries -1 and 0) share their patterns.  A
-    memo keeps its latest _PATTERN_MEMO patterns, the oldest dropped first;
-    the id table is emptied when it outgrows that, and its ids come from one
-    counter, so no key meets a reused id.  Any other matrix calls fn per
-    tuple: a float-rule matrix (``_float_entries``) runs the float sums,
-    also on ints, and equal floats need not be the same entry (-0.0 == 0.0).
+    memo keeps its latest _PATTERN_MEMO patterns, the oldest dropped first.
+    Any other matrix calls fn per tuple: a float-rule matrix runs the float
+    sums, also on ints.
     """
-    fm, _ = _f_matrix(mayer)
-    if _float_entries(mayer) or not _exact_entries(fm):
+    ids = _entry_ids(mayer)
+    if ids is None:
         return lambda xs: fn(mayer, xs)
-    if len(_ENTRY_IDS) > _PATTERN_MEMO:
-        _ENTRY_IDS.clear()
-    ids = [[_ENTRY_IDS[type(v), v] for v in row] for row in fm]
     values = _PATTERN_SUMS.setdefault(fn, OrderedDict())
 
     def value(xs):
@@ -530,7 +540,8 @@ def _order_sums(fn, mayer, S, N, rooted=False):
     This is where the family builders get their graph sums.  On a float
     matrix an order is one fn call over all of its tuples (int arrays of
     ``_tail_columns``), read out with one ``tolist``; any other matrix calls
-    one ``per_pattern`` closure per tuple.
+    one ``per_pattern`` closure per tuple, over the order's cached tails
+    (``fps._keys``), which exact ``build_A_family`` reads again.
     """
     if _float_entries(mayer):
         for n in range(2, N + 1):
@@ -541,7 +552,7 @@ def _order_sums(fn, mayer, S, N, rooted=False):
         return
     value = per_pattern(fn, mayer)
     for n in range(2, N + 1):
-        tails = list(canonical_indices(S, n))
+        tails = _keys(S, n, False)
         yield [value((q, *ms)) for q in range(S) for ms in tails] if rooted else list(map(value, tails))
 
 
@@ -621,7 +632,7 @@ def build_A_family(space, mayer, N, allow_large=False):
         brackets = [{(): 1} for _ in roots]
         sums = chain([[1] * S], _order_sums(ursell, mayer, S, N))
         for n, phi in zip(range(1, N + 1), sums):
-            tails = list(canonical_indices(S, n))
+            tails = _keys(S, n, False)
             vals = []
             for q, (L, b, fractions) in enumerate(roots):
                 prev = brackets[q]

@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 
 from .certs import ResidualReport, certify
 from .errors import CapabilityError, DomainError, StructureError, check_scale, max_order
@@ -49,7 +51,7 @@ from .fps import (
     mul,
     sym_factor,
 )
-from .graphs import build_A_family, build_D_family, build_phi_series
+from .graphs import _entry_ids, build_A_family, build_D_family, build_phi_series
 from .species import (
     MayerMatrices,
     MeasureVec,
@@ -82,8 +84,70 @@ def _full_tuple_d(d_family, N, factors):
     return FormalSeries.from_orders(d_family.space, N, orders, allow_large=True)
 
 
+# coefficients that the family memo holds at most, over all of its families:
+# twice the 3,950 of the 30 families that the requests_exact benchmark reads,
+# and about 0.4 MB of the rational families of identity_exact, whose
+# matrices never repeat
+FAMILY_MEMO_COEFFS = 8192
+
+
+class _FamilyMemo:
+    """The coefficient families of exact states, shared by every state of the
+    process that has the same Mayer function f.
+
+    A, t, D, phi and exp(-A) are functionals of f alone: the species weights
+    enter only when a series is summed.  So a family is kept by (its name,
+    its order N, the class ids of the matrix's entries), as its immutable
+    order layouts, and a hit wraps them in the reading state's own space.
+    The memo holds at most ``bound`` coefficients; the least recently read
+    family is dropped first, and a larger family is not kept.  A lock guards
+    the entries; a family is built outside it, and of two threads that miss
+    on one key, the first to finish keeps its family.
+    """
+
+    def __init__(self, bound):
+        self.bound = bound
+        self.coeffs = 0
+        self._entries = OrderedDict()
+        self._lock = threading.Lock()
+
+    def family(self, key, space, build):
+        """The family kept under ``key`` over ``space``, else ``build()``,
+        which is then kept when it fits."""
+        with self._lock:
+            hit = self._entries.get(key)
+            if hit is not None:
+                self._entries.move_to_end(key)
+        if hit is not None:
+            cls, layouts, _ = hit
+            return cls(space, list(layouts))
+        fam = build()
+        size = fam.roots * sum(len(_rank(space.size, n)) for n in range(fam.trunc + 1))
+        if size <= self.bound:
+            with self._lock:
+                if key not in self._entries:
+                    self._entries[key] = (type(fam), tuple(fam._orders), size)
+                    self.coeffs += size
+                    while self.coeffs > self.bound:
+                        self.coeffs -= self._entries.popitem(last=False)[1][2]
+        return fam
+
+    def clear(self):
+        with self._lock:
+            self._entries.clear()
+            self.coeffs = 0
+
+
+_FAMILIES = _FamilyMemo(FAMILY_MEMO_COEFFS)
+
+
 class GCState:
-    """A species space with Mayer matrices and truncation order, plus caches."""
+    """A species space with Mayer matrices and truncation order, plus caches.
+
+    On a matrix of ints and Fractions under the exact rule, every family is
+    read through the process's family memo (``_FamilyMemo``), so states with
+    the same f build each family once; any other matrix builds its own.
+    """
 
     def __init__(self, space, pot=None, mayer=None, N=4, allow_large=False):
         if mayer is None:
@@ -119,16 +183,33 @@ class GCState:
         return bool(self.mayer.exact)
 
     @cached_property
+    def _family_key(self):
+        """The entry class ids of an exact matrix, flattened: with a family's
+        name and order, its key in the family memo; None bypasses it."""
+        ids = _entry_ids(self.mayer)
+        return None if ids is None else tuple(chain.from_iterable(ids))
+
+    def _family(self, name, N, build):
+        """build(), the family ``name`` of order N, read through the family
+        memo when the matrix has a key."""
+        if self._family_key is None:
+            return build()
+        return _FAMILIES.family((name, N, self._family_key), self.space, build)
+
+    def _d_family(self, N):
+        return self._family("D", N, lambda: build_D_family(self.space, self.mayer, N, allow_large=True))
+
+    @cached_property
     def a_family(self):
-        return build_A_family(self.space, self.mayer, self.N, allow_large=True)
+        return self._family("A", self.N, lambda: build_A_family(self.space, self.mayer, self.N, allow_large=True))
 
     @cached_property
     def t_family(self):
-        return compute_tn(self.a_family)
+        return self._family("t", self.N, lambda: compute_tn(self.a_family))
 
     @cached_property
     def d_family(self):
-        return build_D_family(self.space, self.mayer, self.N, allow_large=True)
+        return self._d_family(self.N)
 
     def d_tail(self, factors):
         """``_full_tuple_d`` of ``d_family`` through order N, built once per
@@ -140,12 +221,12 @@ class GCState:
 
     @cached_property
     def phi_series(self):
-        return build_phi_series(self.space, self.mayer, self.N, allow_large=True)
+        return self._family("phi", self.N, lambda: build_phi_series(self.space, self.mayer, self.N, allow_large=True))
 
     @cached_property
     def e_family(self):
         """The factor family x -> exp(-A(x; .)) as formal series."""
-        return exp_family(self.a_family)
+        return self._family("exp(-A)", self.N, lambda: exp_family(self.a_family))
 
     def measure(self, values):
         return MeasureVec(self.space, values)
@@ -492,8 +573,7 @@ def dissymmetry_check(st, N=None):
     # (m - 1) D_m on every canonical tuple of orders 2..N, read from the
     # rooted family through order N - 1; order 1 holds 0, which drops the
     # single-owner templates
-    D = build_D_family(space, st.mayer, max(N - 1, 0), allow_large=True)
-    dm = _full_tuple_d(D, N, tuple(range(1, N)))
+    dm = _full_tuple_d(st._d_family(max(N - 1, 0)), N, tuple(range(1, N)))
     # phi's values per order, read from its stored orders
     P = [order.values() for order in phi._orders[:N + 1]]
     # owner x with the block V: phi_(|V|+1)(x_V, x), read below order N

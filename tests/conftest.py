@@ -7,8 +7,20 @@ this directory on ``sys.path`` when it loads the conftest.
 import random
 from fractions import Fraction
 
+import pytest
+
+from virialkit import inversion
 from virialkit.inversion import GCState
 from virialkit.species import MayerMatrices, SpeciesSpace
+
+
+@pytest.fixture
+def fresh_family_memo(monkeypatch):
+    """An empty family memo of the default bound, in place of the process's
+    one for the test, so that no family is read from an earlier test."""
+    memo = inversion._FamilyMemo(inversion.FAMILY_MEMO_COEFFS)
+    monkeypatch.setattr(inversion, "_FAMILIES", memo)
+    return memo
 
 
 def rational_state(seed, S, N):

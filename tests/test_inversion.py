@@ -6,8 +6,11 @@ equation of state, the Legendre pairing of free energy and pressure) carry
 explicit tolerances tied to the truncation order.
 """
 
+import json
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -146,6 +149,173 @@ def test_gcstate_caches_families():
         for ms, v in tail.coeffs[n].items():
             assert v == (n - 1) * st.d_family.value(n - 1, ms[0], ms[1:])
     assert all(v == 0 for n in (0, 1) for v in tail.coeffs[n].values())
+
+
+# ---------------------------------------------------------------------------
+# the family memo
+
+FAMILIES = ("a_family", "t_family", "d_family", "phi_series", "e_family")
+
+
+def memo_free(st):
+    """Each family of the state, built without the memo."""
+    A = inv.build_A_family(st.space, st.mayer, st.N, allow_large=True)
+    return {
+        "a_family": A,
+        "t_family": inv.compute_tn(A),
+        "d_family": inv.build_D_family(st.space, st.mayer, st.N, allow_large=True),
+        "phi_series": inv.build_phi_series(st.space, st.mayer, st.N, allow_large=True),
+        "e_family": inv.exp_family(A),
+    }
+
+
+def typed(fam):
+    return [{key: (v, type(v)) for key, v in order.items()} for order in fam.coeffs]
+
+
+def hard_core_state(S, N, seed):
+    """A seeded hard-core state of ints: f = -1 on the diagonal and on a
+    random set of pairs, 0 elsewhere."""
+    r = random.Random(seed)
+    f = [[-1 if i == j else 0 for j in range(S)] for i in range(S)]
+    for i in range(S):
+        for j in range(i + 1, S):
+            if r.random() < 0.5:
+                f[i][j] = f[j][i] = -1
+    space = SpeciesSpace.from_weights([r.randint(1, 2) for _ in range(S)])
+    return GCState.from_f(space, f, N=N, exact=True)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: hard_core_state(4, 4, 3), lambda: rational_state(7, 3, 4), lambda: mix_state(N=5)],
+    ids=["hard_core", "rational", "mix"],
+)
+def test_family_memo_hit_equals_a_memo_free_build(fresh_family_memo, make):
+    first = make()
+    for name in FAMILIES:
+        getattr(first, name)
+    assert len(fresh_family_memo._entries) == len(FAMILIES)
+    st = make()
+    want = memo_free(st)
+    for name in FAMILIES:
+        fam = getattr(st, name)
+        # a hit shares the stored layouts, never the list that holds them
+        assert fam.space is st.space and fam._orders is not getattr(first, name)._orders
+        assert all(x is y for x, y in zip(fam._orders, getattr(first, name)._orders))
+        assert fam == want[name] and typed(fam) == typed(want[name])
+    assert len(fresh_family_memo._entries) == len(FAMILIES)
+
+
+def test_family_memo_keeps_each_states_weights(fresh_family_memo, monkeypatch):
+    # the same f under two weightings: each reads the other's families and
+    # still sums them against its own weights
+    f = [[Fraction(-1), Fraction(-1, 2), 0], [Fraction(-1, 2), 0, Fraction(1, 4)], [0, Fraction(1, 4), -1]]
+    spaces = [SpeciesSpace.from_weights(w) for w in ([1, 1, 1], [Fraction(1, 2), 2, 3])]
+    z = [Fraction(1, 10), Fraction(1, 20), Fraction(1, 7)]
+    hits = [rho_of_z(GCState.from_f(space, f, N=4), z) for space in spaces]
+    assert len(fresh_family_memo._entries) == 1
+    monkeypatch.setattr(inv, "_FAMILIES", inv._FamilyMemo(0))
+    cold = [rho_of_z(GCState.from_f(space, f, N=4), z) for space in spaces]
+    assert len(inv._FAMILIES._entries) == 0
+    assert cold[0] != cold[1]
+    for hit, want in zip(hits, cold):
+        assert [(v, type(v)) for v in hit] == [(v, type(v)) for v in want]
+
+
+def test_family_memo_skips_float_and_mixed_matrices(fresh_family_memo):
+    f = [[-1, Fraction(-1, 2)], [Fraction(-1, 2), 0]]
+    states = [
+        soft_state(2024, 3, 3),
+        GCState.from_f(S2, [[-1, -1], [-1, 0]], N=3, exact=False),
+        GCState(S2, mayer=MayerMatrices(S2, [[-1, -0.5], f[1]], [[1, 0.5], [0.5, 0]], exact=False), N=3),
+    ]
+    for st in states + [GCState(st.space, mayer=st.mayer, N=3) for st in states]:
+        for name in FAMILIES:
+            getattr(st, name)
+        dissymmetry_check(st)
+    assert len(fresh_family_memo._entries) == 0 and fresh_family_memo.coeffs == 0
+
+
+def test_family_memo_keeps_int_and_fraction_apart(fresh_family_memo):
+    for entry in (-1, Fraction(-1), -1, Fraction(-1)):
+        st = GCState.from_f(S2, [[entry, entry], [entry, entry]], N=3)
+        for fam in (st.a_family, st.phi_series):
+            assert {type(v) for v in fam.coeffs[2].values()} == {type(entry)}
+    assert len(fresh_family_memo._entries) == 4
+
+
+def test_family_memo_is_bounded(monkeypatch):
+    # A at S = 2, N = 3 holds 2 * (1 + 2 + 3 + 4) = 20 coefficients, phi 10
+    memo = inv._FamilyMemo(45)
+    monkeypatch.setattr(inv, "_FAMILIES", memo)
+    states = [GCState.from_f(S2, [[Fraction(-k, 8), 0], [0, -1]], N=3) for k in range(1, 5)]
+    for st in states:
+        assert st.a_family == inv.build_A_family(S2, st.mayer, 3)
+        assert memo.coeffs <= 45
+    # the least recently read family goes first
+    assert memo.coeffs == 40 and len(memo._entries) == 2
+    GCState(S2, mayer=states[2].mayer, N=3).a_family
+    GCState(S2, mayer=states[0].mayer, N=3).phi_series
+    assert memo.coeffs == 30 and len(memo._entries) == 2
+    assert [key[0] for key in memo._entries] == ["A", "phi"]
+    # a family larger than the bound is not kept
+    big = GCState.from_f(SpeciesSpace.uniform(3), [[Fraction(-1, 3)] * 3] * 3, N=3)
+    assert big.a_family == inv.build_A_family(big.space, big.mayer, 3)
+    assert memo.coeffs == 30 and len(memo._entries) == 2
+
+
+def test_request_bytes_cold_and_on_a_hit(fresh_family_memo):
+    nu = ["1/20", "1/30"]
+    reqs = [
+        request("rho_of_z", N=4, z=["1/10", "1/8"]),
+        request("zeta_of_nu", N=4, nu=nu, path="tree"),
+        request("zeta_of_nu", N=4, nu=nu),
+        request("log_xi_series", N=4, z=nu),
+        request("pressure", N=4, nu=nu),
+        request("free_energy", N=4, nu=nu),
+        request("check_Sb", N=4, nu=nu),
+        request("roundtrip", N=4),
+        request("dissymmetry", N=4),
+        request("zeta_paths", N=4),
+    ]
+    for req in reqs:
+        fresh_family_memo.clear()
+        cold = json.dumps(run_request(req))
+        assert len(fresh_family_memo._entries) > 0
+        assert json.dumps(run_request(req)) == cold
+
+
+def test_family_memo_under_threads(monkeypatch):
+    # more threads than cores read the families of four matrices through a
+    # memo that holds two of them; a lost update would break its count
+    memo = inv._FamilyMemo(40)
+    monkeypatch.setattr(inv, "_FAMILIES", memo)
+    mayers = [MayerMatrices.from_f(S2, [[Fraction(-k, 8), 0], [0, -1]], exact=True) for k in range(1, 5)]
+    want = [inv.build_A_family(S2, m, 3) for m in mayers]
+    errors = []
+
+    def reader(seed):
+        r = random.Random(seed)
+        try:
+            for _ in range(200):
+                k = r.randrange(4)
+                if GCState(S2, mayer=mayers[k], N=3).a_family != want[k]:
+                    errors.append(k)
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert memo.coeffs == sum(size for _, _, size in memo._entries.values()) <= 40
 
 
 # ---------------------------------------------------------------------------
@@ -666,15 +836,20 @@ def test_pressure_refuses_negative_density():
     assert run_request(request("pressure", nu=[0, "1/30"]))["values"] > 0
 
 
-def test_dissymmetry_builds_each_d_once(monkeypatch):
-    calls = []
-    real = graphs.d_coeff
+def test_dissymmetry_builds_each_d_once(monkeypatch, fresh_family_memo):
+    calls, builds = [], []
+    real, real_build = graphs.d_coeff, inv.build_D_family
 
     def counting(mayer, xs):
         calls.append(xs)
         return real(mayer, xs)
 
+    def counting_build(*args, **kwargs):
+        builds.append(args[2])
+        return real_build(*args, **kwargs)
+
     monkeypatch.setattr(graphs, "d_coeff", counting)
+    monkeypatch.setattr(inv, "build_D_family", counting_build)
     st = mix_state(N=5)
     rep = dissymmetry_check(st, N=5)
     assert rep.exact and rep.max_abs == 0
@@ -685,6 +860,12 @@ def test_dissymmetry_builds_each_d_once(monkeypatch):
     rooted = [(q,) + ms for n in range(2, 5) for q in range(2) for ms in canonical_indices(2, n)]
     patterns = {tuple((type(f[xs[i]][xs[j]]), f[xs[i]][xs[j]]) for i, j in pair_order(len(xs))) for xs in rooted}
     assert len(calls) == len(set(calls)) == len(patterns)
+    assert builds == [4]
+    # a second state of the same f reads that family from the memo, and so
+    # does a state of order 4
+    assert dissymmetry_check(mix_state(N=5), N=5).to_dict() == rep.to_dict()
+    assert mix_state(N=4).d_family == real_build(S2, st.mayer, 4)
+    assert builds == [4]
 
 
 def test_dissymmetry_below_order_two_is_an_empty_exact_report():
