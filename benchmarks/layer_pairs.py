@@ -15,7 +15,8 @@ Each cell runs R rounds (default 5).
 A round times the cell once per side, each in a fresh interpreter running
 ``layer_times.time_cell`` (the cold time, then the median warm time over
 0.2 s of calls on fresh states of the same recipe, each timed call after
-emptying the family memo where that side's virialkit has one), the parent
+emptying every memo of values of f that that side's virialkit has, so that
+both sides build their graph sums), the parent
 first in even rounds and the change first in odd ones, so that a drift of
 the machine's speed falls on both sides.  Both sides run the timing code of
 this checkout; only the imported virialkit differs.  The script prints one

@@ -17,11 +17,14 @@ per-process caches (template and group tables, index arrays).  It then
 builds a fresh state of the same recipe and times the layer again in the
 same process, over and over, until the timed calls add up to 0.2 s: the
 median of these is the warm time, the steady cost.  Every timed call first
-empties the family memo of ``virialkit.inversion`` (where the imported
-virialkit has one), so that it builds its layer rather than read the family
-that the last call, on the same recipe and seed, kept; the exact rule's
-plans and the pattern memo of ``graphs`` stay kept.  The script prints one
-line per cell, in table order, exact table first:
+empties each memo of values of f that the imported virialkit has: it puts
+a new memo of graph sums and families in ``graphs._MEMO``, or, in earlier
+versions, clears the family memo ``inversion._FAMILIES`` and the pattern
+sums ``graphs._PATTERN_SUMS``.  So the call builds its layer, graph sums
+included, rather than read what the last call, on the same recipe and
+seed, kept, and two versions time the same work; the exact rule's plans
+stay kept.  The script prints one line per cell, in table order, exact
+table first:
 
     {"mode": ..., "layer": ..., "S": ..., "N": ..., "seconds": cold median,
      "runs": [three cold times], "warm": warm median, "warm_runs": [three warm times]}
@@ -142,18 +145,23 @@ def time_cell(mode, layer, S, N):
     and print the cold time and the median warm time as JSON."""
     import time
 
-    from virialkit import inversion
+    from virialkit import graphs, inversion
     from virialkit.errors import CapabilityError
 
     deps, call = LAYERS[layer]
-    families = getattr(inversion, "_FAMILIES", None)
+
+    def empty_memos():
+        if hasattr(graphs, "_MEMO"):
+            graphs._MEMO = graphs._Memo(graphs.MEMO_BOUND)
+        for memo in (getattr(inversion, "_FAMILIES", None), getattr(graphs, "_PATTERN_SUMS", None)):
+            if memo is not None:
+                memo.clear()
 
     def timed():
         st = rational_state(SEED, S, N) if mode == "exact" else soft_state(S, N)
         for dep in deps:
             getattr(st, dep)
-        if families is not None:
-            families.clear()
+        empty_memos()
         start = time.perf_counter()
         call(st, inversion)
         return time.perf_counter() - start

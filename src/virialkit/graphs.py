@@ -32,8 +32,8 @@ tuple's IEEE operations, and the exact rule walks it subset by subset.
 The family builders get every graph sum of an order n >= 2 from one
 generator, ``_order_sums``: on a float matrix one ``ursell`` or ``d_coeff``
 call over all of the order's tuples, else one call per distinct pattern of
-pair entries (``per_pattern``), through one bounded memo per sum that every
-builder and every exact matrix of the process shares.  ``build_A_family``
+pair entries (``per_pattern``), through the one bounded memo of values of f
+(``_Memo``) that every exact matrix of the process shares.  ``build_A_family``
 writes each factor 1 + f(q, x) of an exact matrix as an int b_q(x) over one
 denominator L_q per root, so that a bracket is an int over L_q^n and each
 coefficient is one quotient; on a float matrix the brackets are float64
@@ -44,7 +44,7 @@ column products.  A raw list that mixes floats with ints or Fractions gets
 from __future__ import annotations
 
 import math
-import weakref
+import threading
 from collections import OrderedDict, defaultdict
 from fractions import Fraction
 from functools import lru_cache
@@ -466,11 +466,53 @@ def _exact_entries(fm):
     return all(type(v) in _EXACT for row in fm for v in row)
 
 
-# entries of each sum's memo, and of the entry class ids, oldest dropped first
-_PATTERN_MEMO = 4096
-# per sum function, held weakly so that a wrapper's entries go with it: its
-# exact values by (n, pair entry ids), oldest first
-_PATTERN_SUMS = weakref.WeakKeyDictionary()
+# values that the f-keyed memo holds at most, a graph sum counting one and a
+# family its coefficients: about twice the 4,126 of requests_exact's 176
+# patterns and 30 families
+MEMO_BOUND = 8192
+
+
+class _Memo:
+    """Values that depend on the Mayer function f alone, shared by every
+    exact matrix of the process and keyed by class ids of its entries
+    (``_entry_ids``): the graph sums of ``per_pattern`` and the coefficient
+    families of ``inversion.GCState``.
+
+    Each value is kept with a size (a sum 1, a family its coefficient
+    count), and the kept sizes add up to ``bound`` at most: the least
+    recently read value is dropped first, and a value larger than the bound
+    is not kept.  A lock guards the entries; a value is made outside it, and
+    of two threads that miss on one key, the first to put its value keeps it.
+    """
+
+    def __init__(self, bound):
+        self.bound = bound
+        self.size = 0
+        self._entries = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        """The value kept under ``key``, now the most recently read, else None."""
+        with self._lock:
+            hit = self._entries.get(key)
+            if hit is not None:
+                self._entries.move_to_end(key)
+                return hit[0]
+        return None
+
+    def put(self, key, value, size=1):
+        """Keep ``value`` under ``key`` when it fits and the key is free."""
+        if size > self.bound:
+            return
+        with self._lock:
+            if key not in self._entries:
+                self._entries[key] = (value, size)
+                self.size += size
+                while self.size > self.bound:
+                    self.size -= self._entries.popitem(last=False)[1][1]
+
+
+_MEMO = _Memo(MEMO_BOUND)
 # (type, value) -> class id, drawn from one counter that a clear keeps
 _ENTRY_IDS = defaultdict(count().__next__)
 
@@ -481,12 +523,12 @@ def _entry_ids(mayer):
     (``_float_entries``, or a raw list that mixes in floats), whose equal
     entries need not be the same (-0.0 == 0.0).  An id is kept per (type,
     value), so int -1 and Fraction(-1) stay apart.  The id table is emptied
-    when it outgrows _PATTERN_MEMO, and its ids come from one counter, so no
-    key made of ids meets a reused one."""
+    when it outgrows MEMO_BOUND, and its ids come from one counter, so no
+    key made of ids meets a reused one, also when threads race on it."""
     fm, _ = _f_matrix(mayer)
     if _float_entries(mayer) or not _exact_entries(fm):
         return None
-    if len(_ENTRY_IDS) > _PATTERN_MEMO:
+    if len(_ENTRY_IDS) > MEMO_BOUND:
         _ENTRY_IDS.clear()
     return [[_ENTRY_IDS[type(v), v] for v in row] for row in fm]
 
@@ -498,25 +540,21 @@ def per_pattern(fn, mayer):
     Both sums read only the tuple's length, the pair entries f(x_i, x_j) in
     pair order with their types, and the matrix's arithmetic rule.  On a
     matrix of ints and Fractions that takes the exact rule the values live
-    in one memo per fn, shared by every matrix of the process and keyed by
-    (n, the class ids of the pair entries, ``_entry_ids``), so the builders
-    on every hard-core matrix (entries -1 and 0) share their patterns.  A
-    memo keeps its latest _PATTERN_MEMO patterns, the oldest dropped first.
-    Any other matrix calls fn per tuple: a float-rule matrix runs the float
-    sums, also on ints.
+    in the process's f-keyed memo (``_Memo``), keyed by (fn, n, the class
+    ids of the pair entries), so the builders on every hard-core matrix
+    (entries -1 and 0) share their patterns.  Any other matrix calls fn per
+    tuple: a float-rule matrix runs the float sums, also on ints.
     """
     ids = _entry_ids(mayer)
     if ids is None:
         return lambda xs: fn(mayer, xs)
-    values = _PATTERN_SUMS.setdefault(fn, OrderedDict())
 
     def value(xs):
-        key = (len(xs), *[ids[xs[i]][xs[j]] for i, j in pair_order(len(xs))])
-        v = values.get(key)
+        key = (fn, len(xs), *[ids[xs[i]][xs[j]] for i, j in pair_order(len(xs))])
+        v = _MEMO.get(key)
         if v is None:
-            v = values[key] = fn(mayer, xs)
-            if len(values) > _PATTERN_MEMO:
-                values.popitem(last=False)
+            v = fn(mayer, xs)
+            _MEMO.put(key, v)
         return v
 
     return value

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement
 
+from . import graphs
 from .certs import ResidualReport, certify
 from .errors import CapabilityError, DomainError, StructureError, check_scale, max_order
 from .fps import (
@@ -84,69 +83,12 @@ def _full_tuple_d(d_family, N, factors):
     return FormalSeries.from_orders(d_family.space, N, orders, allow_large=True)
 
 
-# coefficients that the family memo holds at most, over all of its families:
-# twice the 3,950 of the 30 families that the requests_exact benchmark reads,
-# and about 0.4 MB of the rational families of identity_exact, whose
-# matrices never repeat
-FAMILY_MEMO_COEFFS = 8192
-
-
-class _FamilyMemo:
-    """The coefficient families of exact states, shared by every state of the
-    process that has the same Mayer function f.
-
-    A, t, D, phi and exp(-A) are functionals of f alone: the species weights
-    enter only when a series is summed.  So a family is kept by (its name,
-    its order N, the class ids of the matrix's entries), as its immutable
-    order layouts, and a hit wraps them in the reading state's own space.
-    The memo holds at most ``bound`` coefficients; the least recently read
-    family is dropped first, and a larger family is not kept.  A lock guards
-    the entries; a family is built outside it, and of two threads that miss
-    on one key, the first to finish keeps its family.
-    """
-
-    def __init__(self, bound):
-        self.bound = bound
-        self.coeffs = 0
-        self._entries = OrderedDict()
-        self._lock = threading.Lock()
-
-    def family(self, key, space, build):
-        """The family kept under ``key`` over ``space``, else ``build()``,
-        which is then kept when it fits."""
-        with self._lock:
-            hit = self._entries.get(key)
-            if hit is not None:
-                self._entries.move_to_end(key)
-        if hit is not None:
-            cls, layouts, _ = hit
-            return cls(space, list(layouts))
-        fam = build()
-        size = fam.roots * sum(len(_rank(space.size, n)) for n in range(fam.trunc + 1))
-        if size <= self.bound:
-            with self._lock:
-                if key not in self._entries:
-                    self._entries[key] = (type(fam), tuple(fam._orders), size)
-                    self.coeffs += size
-                    while self.coeffs > self.bound:
-                        self.coeffs -= self._entries.popitem(last=False)[1][2]
-        return fam
-
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
-            self.coeffs = 0
-
-
-_FAMILIES = _FamilyMemo(FAMILY_MEMO_COEFFS)
-
-
 class GCState:
     """A species space with Mayer matrices and truncation order, plus caches.
 
     On a matrix of ints and Fractions under the exact rule, every family is
-    read through the process's family memo (``_FamilyMemo``), so states with
-    the same f build each family once; any other matrix builds its own.
+    read through the process's f-keyed memo (``graphs._Memo``), so states
+    with the same f build each family once; any other matrix builds its own.
     """
 
     def __init__(self, space, pot=None, mayer=None, N=4, allow_large=False):
@@ -185,16 +127,27 @@ class GCState:
     @cached_property
     def _family_key(self):
         """The entry class ids of an exact matrix, flattened: with a family's
-        name and order, its key in the family memo; None bypasses it."""
+        name and order, its key in the f-keyed memo; None bypasses it."""
         ids = _entry_ids(self.mayer)
         return None if ids is None else tuple(chain.from_iterable(ids))
 
     def _family(self, name, N, build):
-        """build(), the family ``name`` of order N, read through the family
-        memo when the matrix has a key."""
+        """build(), the family ``name`` of order N, read through the f-keyed
+        memo when the matrix has a key: a family is kept as its immutable
+        order layouts, sized by its coefficient count, and a hit wraps them
+        in this state's own space, whose weights enter only when a series
+        is summed."""
         if self._family_key is None:
             return build()
-        return _FAMILIES.family((name, N, self._family_key), self.space, build)
+        key = (name, N, self._family_key)
+        hit = graphs._MEMO.get(key)
+        if hit is not None:
+            cls, layouts = hit
+            return cls(self.space, list(layouts))
+        fam = build()
+        size = fam.roots * sum(len(_rank(self.space.size, n)) for n in range(fam.trunc + 1))
+        graphs._MEMO.put(key, (type(fam), tuple(fam._orders)), size)
+        return fam
 
     def _d_family(self, N):
         return self._family("D", N, lambda: build_D_family(self.space, self.mayer, N, allow_large=True))

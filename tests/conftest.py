@@ -9,17 +9,18 @@ from fractions import Fraction
 
 import pytest
 
-from virialkit import inversion
+from virialkit import graphs
 from virialkit.inversion import GCState
 from virialkit.species import MayerMatrices, SpeciesSpace
 
 
 @pytest.fixture
-def fresh_family_memo(monkeypatch):
-    """An empty family memo of the default bound, in place of the process's
-    one for the test, so that no family is read from an earlier test."""
-    memo = inversion._FamilyMemo(inversion.FAMILY_MEMO_COEFFS)
-    monkeypatch.setattr(inversion, "_FAMILIES", memo)
+def fresh_memo(monkeypatch):
+    """An empty f-keyed memo of the default bound, in place of the process's
+    one for the test, so that no graph sum or family is read from an
+    earlier test."""
+    memo = graphs._Memo(graphs.MEMO_BOUND)
+    monkeypatch.setattr(graphs, "_MEMO", memo)
     return memo
 
 

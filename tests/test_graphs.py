@@ -557,9 +557,9 @@ def patterns(f, tuples):
     }
 
 
-def test_builders_call_once_per_pattern(monkeypatch):
+def test_builders_call_once_per_pattern(monkeypatch, fresh_memo):
     # hard rods on a line of sites: f = -1 between neighbours, 0 further off;
-    # the builders share one memo per sum, so phi then A call ursell once per
+    # the builders share one memo, so phi then A call ursell once per
     # pattern of order 2 or more in total (orders 0 and 1 call no sum)
     S, N = 5, 4
     f = [[Fraction(-1) if abs(i - j) <= 1 else Fraction(0) for j in range(S)] for i in range(S)]
@@ -572,6 +572,8 @@ def test_builders_call_once_per_pattern(monkeypatch):
     want_d = build_D_family(space, mayer, N)
     rooted = [(q,) + ms for q in range(S) for ms in tails]
     assert len(d_calls) == len(patterns(f, rooted)) < len(rooted)
+    # the memo holds one value per pattern of each sum
+    assert len(fresh_memo._entries) == fresh_memo.size == len(ursell_calls) + len(d_calls)
     # a second matrix with equal entries reads every pattern from the memo
     ursell_calls.clear()
     d_calls.clear()
@@ -635,21 +637,20 @@ def test_per_pattern_tells_int_from_fraction(monkeypatch):
 
 
 @pytest.mark.parametrize("exact_first", [True, False])
-def test_shared_memo_keeps_the_arithmetic_rule(monkeypatch, exact_first):
+def test_shared_memo_keeps_the_arithmetic_rule(fresh_memo, exact_first):
     # the same ints on an exact and on a float-marked matrix: int sums on the
     # one, float64 sums on the other, whichever is built first
-    monkeypatch.setattr(graphs, "_PATTERN_SUMS", type(graphs._PATTERN_SUMS)())
     space = SpeciesSpace.uniform(2)
     f = [[-1, -1], [-1, -1]]
     exact, marked = MayerMatrices.from_f(space, f, exact=True), MayerMatrices.from_f(space, f, exact=False)
     for mayer in (exact, marked) if exact_first else (marked, exact):
         kind = int if mayer.exact else float
-        memo = {fn: dict(values) for fn, values in graphs._PATTERN_SUMS.items()}
+        memo = dict(fresh_memo._entries)
         d, phi = graphs.per_pattern(d_coeff, mayer), graphs.per_pattern(ursell, mayer)
         assert [(v, type(v)) for v in (d((0, 0, 1)), phi((0, 0, 1)))] == [(-1, kind), (2, kind)]
         if not mayer.exact:
             # the memo holds exact sums only: the float-marked matrix's go per tuple
-            assert {fn: dict(values) for fn, values in graphs._PATTERN_SUMS.items()} == memo
+            assert dict(fresh_memo._entries) == memo
 
 
 def test_shared_memo_keeps_int_and_fraction_apart_across_matrices():
@@ -664,10 +665,10 @@ def test_shared_memo_keeps_int_and_fraction_apart_across_matrices():
 
 
 def test_shared_memo_is_bounded(monkeypatch):
-    # more distinct patterns than the cap: the memo stays at the cap and
+    # more distinct patterns than the bound: the memo stays at the bound and
     # every value is that of a direct call
-    monkeypatch.setattr(graphs, "_PATTERN_MEMO", 8)
-    monkeypatch.setattr(graphs, "_PATTERN_SUMS", type(graphs._PATTERN_SUMS)())
+    monkeypatch.setattr(graphs, "MEMO_BOUND", 8)
+    monkeypatch.setattr(graphs, "_MEMO", graphs._Memo(8))
     monkeypatch.setattr(graphs, "_ENTRY_IDS", graphs._ENTRY_IDS.copy())
     S = 4
     mayer = MayerMatrices.from_f(SpeciesSpace.uniform(S), rand_f(3, S), exact=True)
@@ -677,14 +678,14 @@ def test_shared_memo_is_bounded(monkeypatch):
     for xs in tuples + tuples:
         v, want = phi(xs), ursell(mayer, xs)
         assert v == want and type(v) is type(want)
-    assert len(graphs._PATTERN_SUMS[ursell]) == 8
+    assert len(graphs._MEMO._entries) == graphs._MEMO.size == 8
     for k in range(20):
         # more distinct entries than the cap, a fresh matrix each
         entry = Fraction(-1, k + 2)
         m = MayerMatrices.from_f(SpeciesSpace.uniform(1), [[entry]], exact=True)
         assert graphs.per_pattern(ursell, m)((0, 0)) == entry
     assert len(graphs._ENTRY_IDS) <= 9
-    assert len(graphs._PATTERN_SUMS[ursell]) == 8
+    assert len(graphs._MEMO._entries) == graphs._MEMO.size == 8
 
 
 @pytest.mark.parametrize("matrix", ["mayer", "raw"])

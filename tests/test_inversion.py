@@ -152,9 +152,15 @@ def test_gcstate_caches_families():
 
 
 # ---------------------------------------------------------------------------
-# the family memo
+# the families in the f-keyed memo
 
 FAMILIES = ("a_family", "t_family", "d_family", "phi_series", "e_family")
+
+
+def family_keys(memo):
+    """The keys of the families the memo keeps, least recently read first;
+    a graph sum's key starts with its sum function, a family's with its name."""
+    return [key for key in memo._entries if isinstance(key[0], str)]
 
 
 def memo_free(st):
@@ -190,11 +196,11 @@ def hard_core_state(S, N, seed):
     "make", [lambda: hard_core_state(4, 4, 3), lambda: rational_state(7, 3, 4), lambda: mix_state(N=5)],
     ids=["hard_core", "rational", "mix"],
 )
-def test_family_memo_hit_equals_a_memo_free_build(fresh_family_memo, make):
+def test_family_memo_hit_equals_a_memo_free_build(fresh_memo, make):
     first = make()
     for name in FAMILIES:
         getattr(first, name)
-    assert len(fresh_family_memo._entries) == len(FAMILIES)
+    assert len(family_keys(fresh_memo)) == len(FAMILIES)
     st = make()
     want = memo_free(st)
     for name in FAMILIES:
@@ -203,26 +209,26 @@ def test_family_memo_hit_equals_a_memo_free_build(fresh_family_memo, make):
         assert fam.space is st.space and fam._orders is not getattr(first, name)._orders
         assert all(x is y for x, y in zip(fam._orders, getattr(first, name)._orders))
         assert fam == want[name] and typed(fam) == typed(want[name])
-    assert len(fresh_family_memo._entries) == len(FAMILIES)
+    assert len(family_keys(fresh_memo)) == len(FAMILIES)
 
 
-def test_family_memo_keeps_each_states_weights(fresh_family_memo, monkeypatch):
+def test_family_memo_keeps_each_states_weights(fresh_memo, monkeypatch):
     # the same f under two weightings: each reads the other's families and
     # still sums them against its own weights
     f = [[Fraction(-1), Fraction(-1, 2), 0], [Fraction(-1, 2), 0, Fraction(1, 4)], [0, Fraction(1, 4), -1]]
     spaces = [SpeciesSpace.from_weights(w) for w in ([1, 1, 1], [Fraction(1, 2), 2, 3])]
     z = [Fraction(1, 10), Fraction(1, 20), Fraction(1, 7)]
     hits = [rho_of_z(GCState.from_f(space, f, N=4), z) for space in spaces]
-    assert len(fresh_family_memo._entries) == 1
-    monkeypatch.setattr(inv, "_FAMILIES", inv._FamilyMemo(0))
+    assert len(family_keys(fresh_memo)) == 1
+    monkeypatch.setattr(graphs, "_MEMO", graphs._Memo(0))
     cold = [rho_of_z(GCState.from_f(space, f, N=4), z) for space in spaces]
-    assert len(inv._FAMILIES._entries) == 0
+    assert len(graphs._MEMO._entries) == 0
     assert cold[0] != cold[1]
     for hit, want in zip(hits, cold):
         assert [(v, type(v)) for v in hit] == [(v, type(v)) for v in want]
 
 
-def test_family_memo_skips_float_and_mixed_matrices(fresh_family_memo):
+def test_family_memo_skips_float_and_mixed_matrices(fresh_memo):
     f = [[-1, Fraction(-1, 2)], [Fraction(-1, 2), 0]]
     states = [
         soft_state(2024, 3, 3),
@@ -233,38 +239,39 @@ def test_family_memo_skips_float_and_mixed_matrices(fresh_family_memo):
         for name in FAMILIES:
             getattr(st, name)
         dissymmetry_check(st)
-    assert len(fresh_family_memo._entries) == 0 and fresh_family_memo.coeffs == 0
+    assert len(fresh_memo._entries) == 0 and fresh_memo.size == 0
 
 
-def test_family_memo_keeps_int_and_fraction_apart(fresh_family_memo):
+def test_family_memo_keeps_int_and_fraction_apart(fresh_memo):
     for entry in (-1, Fraction(-1), -1, Fraction(-1)):
         st = GCState.from_f(S2, [[entry, entry], [entry, entry]], N=3)
         for fam in (st.a_family, st.phi_series):
             assert {type(v) for v in fam.coeffs[2].values()} == {type(entry)}
-    assert len(fresh_family_memo._entries) == 4
+    assert len(family_keys(fresh_memo)) == 4
 
 
 def test_family_memo_is_bounded(monkeypatch):
-    # A at S = 2, N = 3 holds 2 * (1 + 2 + 3 + 4) = 20 coefficients, phi 10
-    memo = inv._FamilyMemo(45)
-    monkeypatch.setattr(inv, "_FAMILIES", memo)
-    states = [GCState.from_f(S2, [[Fraction(-k, 8), 0], [0, -1]], N=3) for k in range(1, 5)]
+    # at order 1 no family reads a graph sum, so the memo holds families
+    # only: A at S = 2 holds 2 * (1 + 2) = 6 coefficients, phi 3
+    memo = graphs._Memo(14)
+    monkeypatch.setattr(graphs, "_MEMO", memo)
+    states = [GCState.from_f(S2, [[Fraction(-k, 8), 0], [0, -1]], N=1) for k in range(1, 5)]
     for st in states:
-        assert st.a_family == inv.build_A_family(S2, st.mayer, 3)
-        assert memo.coeffs <= 45
+        assert st.a_family == inv.build_A_family(S2, st.mayer, 1)
+        assert memo.size <= 14
     # the least recently read family goes first
-    assert memo.coeffs == 40 and len(memo._entries) == 2
-    GCState(S2, mayer=states[2].mayer, N=3).a_family
-    GCState(S2, mayer=states[0].mayer, N=3).phi_series
-    assert memo.coeffs == 30 and len(memo._entries) == 2
+    assert memo.size == 12 and len(memo._entries) == 2
+    GCState(S2, mayer=states[2].mayer, N=1).a_family
+    GCState(S2, mayer=states[0].mayer, N=1).phi_series
+    assert memo.size == 9 and len(memo._entries) == 2
     assert [key[0] for key in memo._entries] == ["A", "phi"]
     # a family larger than the bound is not kept
-    big = GCState.from_f(SpeciesSpace.uniform(3), [[Fraction(-1, 3)] * 3] * 3, N=3)
-    assert big.a_family == inv.build_A_family(big.space, big.mayer, 3)
-    assert memo.coeffs == 30 and len(memo._entries) == 2
+    big = GCState.from_f(SpeciesSpace.uniform(4), [[Fraction(-1, 3)] * 4] * 4, N=1)
+    assert big.a_family == inv.build_A_family(big.space, big.mayer, 1)
+    assert memo.size == 9 and len(memo._entries) == 2
 
 
-def test_request_bytes_cold_and_on_a_hit(fresh_family_memo):
+def test_request_bytes_cold_and_on_a_hit(monkeypatch):
     nu = ["1/20", "1/30"]
     reqs = [
         request("rho_of_z", N=4, z=["1/10", "1/8"]),
@@ -279,19 +286,23 @@ def test_request_bytes_cold_and_on_a_hit(fresh_family_memo):
         request("zeta_paths", N=4),
     ]
     for req in reqs:
-        fresh_family_memo.clear()
+        memo = graphs._Memo(graphs.MEMO_BOUND)
+        monkeypatch.setattr(graphs, "_MEMO", memo)
         cold = json.dumps(run_request(req))
-        assert len(fresh_family_memo._entries) > 0
+        assert family_keys(memo)
         assert json.dumps(run_request(req)) == cold
 
 
 def test_family_memo_under_threads(monkeypatch):
-    # more threads than cores read the families of four matrices through a
-    # memo that holds two of them; a lost update would break its count
-    memo = inv._FamilyMemo(40)
-    monkeypatch.setattr(inv, "_FAMILIES", memo)
+    # more threads than cores read the families of four matrices, and their
+    # graph sums through per_pattern, from a memo that holds about two
+    # families; a lost update would break its size
+    memo = graphs._Memo(40)
+    monkeypatch.setattr(graphs, "_MEMO", memo)
     mayers = [MayerMatrices.from_f(S2, [[Fraction(-k, 8), 0], [0, -1]], exact=True) for k in range(1, 5)]
     want = [inv.build_A_family(S2, m, 3) for m in mayers]
+    tuples = [xs for n in (2, 3, 4) for xs in canonical_indices(2, n)]
+    sums = [[(v, type(v)) for v in (graphs.ursell(m, xs) for xs in tuples)] for m in mayers]
     errors = []
 
     def reader(seed):
@@ -300,6 +311,9 @@ def test_family_memo_under_threads(monkeypatch):
             for _ in range(200):
                 k = r.randrange(4)
                 if GCState(S2, mayer=mayers[k], N=3).a_family != want[k]:
+                    errors.append(k)
+                value = graphs.per_pattern(graphs.ursell, mayers[k])
+                if [(v, type(v)) for v in map(value, tuples)] != sums[k]:
                     errors.append(k)
         except Exception as exc:  # reported below
             errors.append(exc)
@@ -315,7 +329,32 @@ def test_family_memo_under_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and errors == []
-    assert memo.coeffs == sum(size for _, _, size in memo._entries.values()) <= 40
+    assert memo.size == sum(size for _, size in memo._entries.values()) <= 40
+
+
+def test_sums_and_families_share_one_bound(monkeypatch):
+    # three connected sums, one of them read again, then A at S = 2, N = 1
+    # (2 * (1 + 2) = 6 coefficients, no graph sum) against a bound of 8
+    memo = graphs._Memo(8)
+    monkeypatch.setattr(graphs, "_MEMO", memo)
+    mayer = MayerMatrices.from_f(S2, [[Fraction(-1, 2), 0], [0, -1]], exact=True)
+    ids = graphs._entry_ids(mayer)
+    phi = graphs.per_pattern(graphs.ursell, mayer)
+    for xs in [(0, 0), (0, 1), (1, 1), (0, 0)]:
+        phi(xs)
+    assert list(memo._entries) == [(graphs.ursell, 2, ids[x][y]) for x, y in [(0, 1), (1, 1), (0, 0)]]
+    assert memo.size == 3
+    # the family read drops the least recently read sum, (0, 1), and nothing more
+    st = GCState(S2, mayer=mayer, N=1)
+    assert st.a_family == inv.build_A_family(S2, mayer, 1)
+    assert [key[0] for key in memo._entries] == [graphs.ursell, graphs.ursell, "A"]
+    assert (graphs.ursell, 2, ids[0][1]) not in memo._entries
+    assert memo.size == sum(size for _, size in memo._entries.values()) == 8
+    # a family of 3 * (1 + 3) = 12 coefficients is larger than the bound
+    big = GCState.from_f(SpeciesSpace.uniform(3), [[Fraction(-1, 3)] * 3] * 3, N=1)
+    kept = dict(memo._entries)
+    assert big.a_family == inv.build_A_family(big.space, big.mayer, 1)
+    assert dict(memo._entries) == kept and memo.size == 8
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +875,7 @@ def test_pressure_refuses_negative_density():
     assert run_request(request("pressure", nu=[0, "1/30"]))["values"] > 0
 
 
-def test_dissymmetry_builds_each_d_once(monkeypatch, fresh_family_memo):
+def test_dissymmetry_builds_each_d_once(monkeypatch, fresh_memo):
     calls, builds = [], []
     real, real_build = graphs.d_coeff, inv.build_D_family
 
