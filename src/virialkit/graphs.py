@@ -542,26 +542,19 @@ def per_pattern(fn, mayer):
     matrix of ints and Fractions that takes the exact rule the values live
     in the process's f-keyed memo (``_Memo``), keyed by (fn, n, the class
     ids of the pair entries), so the builders on every hard-core matrix
-    (entries -1 and 0) share their patterns; the closure reads each pattern
-    from it once.  Any other matrix calls fn per tuple: a float-rule matrix
-    runs the float sums, also on ints.
+    (entries -1 and 0) share their patterns.  Any other matrix calls fn per
+    tuple: a float-rule matrix runs the float sums, also on ints.
     """
     ids = _entry_ids(mayer)
     if ids is None:
         return lambda xs: fn(mayer, xs)
-    # the values this closure has read: a build meets each pattern at many
-    # tuples, and reads the locked memo once per pattern
-    seen = {}
 
     def value(xs):
         key = (fn, len(xs), *[ids[xs[i]][xs[j]] for i, j in pair_order(len(xs))])
-        v = seen.get(key)
+        v = _MEMO.get(key)
         if v is None:
-            v = _MEMO.get(key)
-            if v is None:
-                v = fn(mayer, xs)
-                _MEMO.put(key, v)
-            seen[key] = v
+            v = fn(mayer, xs)
+            _MEMO.put(key, v)
         return v
 
     return value

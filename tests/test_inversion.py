@@ -333,17 +333,15 @@ def test_family_memo_under_threads(monkeypatch):
 
 
 def test_sums_and_families_share_one_bound(monkeypatch):
-    # three connected sums, one of them read again by a second closure, then
-    # A at S = 2, N = 1 (2 * (1 + 2) = 6 coefficients, no graph sum) against
-    # a bound of 8
+    # three connected sums, one of them read again, then A at S = 2, N = 1
+    # (2 * (1 + 2) = 6 coefficients, no graph sum) against a bound of 8
     memo = graphs._Memo(8)
     monkeypatch.setattr(graphs, "_MEMO", memo)
     mayer = MayerMatrices.from_f(S2, [[Fraction(-1, 2), 0], [0, -1]], exact=True)
     ids = graphs._entry_ids(mayer)
     phi = graphs.per_pattern(graphs.ursell, mayer)
-    for xs in [(0, 0), (0, 1), (1, 1)]:
+    for xs in [(0, 0), (0, 1), (1, 1), (0, 0)]:
         phi(xs)
-    graphs.per_pattern(graphs.ursell, mayer)((0, 0))
     assert list(memo._entries) == [(graphs.ursell, 2, ids[x][y]) for x, y in [(0, 1), (1, 1), (0, 0)]]
     assert memo.size == 3
     # the family read drops the least recently read sum, (0, 1), and nothing more
