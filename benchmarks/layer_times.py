@@ -57,8 +57,19 @@ at least half a second has passed:
     {"mode": "float", "layer": "measure_sums" or "_majorant_sums",
      "family": ..., "S": ..., "per_call": median, "runs": [three per-call times]}
 
+A last section times one grid-search certificate per call (no weights
+given, so every constant of ``certs.AB_GRID`` is tried): ``check_PU``,
+``check_Sb`` and ``check_Sab`` on the exact state above at (3, 5) and on the
+soft float states at N = 4, S = 8, 10 and 12, at a measure of entries k/100,
+k in [1, 5], and in [0.01, 0.05] (seed ``certificates/<mode>/<S>``).  Each
+of three fresh interpreters builds the state and its activity family, makes
+one call untimed, then calls until at least half a second has passed:
+
+    {"mode": ..., "layer": "check_PU", "check_Sb" or "check_Sab", "S": ...,
+     "N": ..., "per_call": median, "runs": [three per-call times]}
+
 ``d_family`` at S=3, N=6 takes about ten seconds per run, and the whole
-script takes about three minutes.
+script takes about three and a half minutes.
 """
 
 from __future__ import annotations
@@ -110,6 +121,10 @@ SUMS = {
     "t": ("measure_sums", "t_family", 0),
     "A": ("_majorant_sums", "a_family", 1),
 }
+
+# (mode, S, N) of the certificate cells, and the checks timed on each
+CERT_SHAPES = (("exact", 3, 5), ("float", 8, 4), ("float", 10, 4), ("float", 12, 4))
+CERTS = ("check_PU", "check_Sb", "check_Sab")
 
 
 def rational_state(seed, S, N):
@@ -223,6 +238,30 @@ def time_sums(family, S):
     print(json.dumps({"per_call": (time.perf_counter() - t0) / calls}))
 
 
+def time_certificate(check, mode, S, N):
+    """Time one grid-search certificate per call in this interpreter, after
+    building the state's activity family and one untimed call, and print it
+    as JSON."""
+    import time
+
+    from virialkit import inversion
+
+    fn = getattr(inversion, check)
+    st = rational_state(SEED, S, N) if mode == "exact" else soft_state(S, N)
+    st.a_family
+    r = random.Random(f"certificates/{mode}/{S}")
+    if mode == "exact":
+        nu = [Fraction(r.randint(1, 5), 100) for _ in range(S)]
+    else:
+        nu = [round(r.uniform(0.01, 0.05), 4) for _ in range(S)]
+    fn(st, nu)
+    calls, t0 = 0, time.perf_counter()
+    while calls < 3 or time.perf_counter() - t0 < 0.5:
+        fn(st, nu)
+        calls += 1
+    print(json.dumps({"per_call": (time.perf_counter() - t0) / calls}))
+
+
 def fresh(code, src=SRC):
     """The JSON line that ``code`` prints in a fresh interpreter that
     imports virialkit from ``src``."""
@@ -272,6 +311,14 @@ def run_sums(family, S):
     }
 
 
+def run_certificate(check, mode, S, N, src=SRC):
+    """The certificate line: the per-call median of RUNS fresh interpreters
+    that import virialkit from ``src``."""
+    code = f"import layer_times; layer_times.time_certificate({check!r}, {mode!r}, {S}, {N})"
+    runs = [fresh(code, src)["per_call"] for _ in range(RUNS)]
+    return {"mode": mode, "layer": check, "S": S, "N": N, "per_call": statistics.median(runs), "runs": runs}
+
+
 def main():
     for mode, layers in GRIDS.items():
         for layer in layers:
@@ -283,6 +330,9 @@ def main():
     for family in SUMS:
         for S, _ in SHAPES["float"]:
             print(json.dumps(run_sums(family, S)), flush=True)
+    for mode, S, N in CERT_SHAPES:
+        for check in CERTS:
+            print(json.dumps(run_certificate(check, mode, S, N)), flush=True)
 
 
 if __name__ == "__main__":

@@ -274,7 +274,7 @@ def invert_mixture(ms, N, samples=100_000, seed=0, threads=1):
     if N > 3:
         raise CapabilityError("mixture integrals implemented through order 3")
     K = len(ms.radii)
-    cert = certify("mix_ab", lambda a, b: _mixture_margins(ms, a, b), K, a=ms.a, b=ms.b)
+    cert = certify("mix_ab", lambda rows: [_mixture_margins(ms, a, b) for a, b in rows], K, a=ms.a, b=ms.b)
     if not cert.passed:
         raise CertificateError(
             "mixture densities fail the activity condition; "

@@ -4,17 +4,24 @@ This module holds the certificate policy: when a certificate passes, and
 the one path every weighted condition (PU, Sb, Sab, virMb, mix_ab) takes
 through ``certify``.  It checks the caller's weight vectors, searches the
 constant weights of ``AB_GRID`` when the caller gives none, and builds the
-certificate.
+certificate.  A condition hands ``certify`` one batch callable, which
+returns the margins of a list of weight rows at once: the grid search asks
+for all of ``AB_GRID`` in one call and builds one certificate, the winner.
+Each margin keeps every bit of the row-at-a-time search it replaced,
+``oracles.certify_termwise``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import ge
 
 from .errors import DomainError, StructureError
 
 AB_GRID = tuple(Fraction(5 * k, 100) for k in range(1, 61))
+_GRID_FLOATS = tuple(map(float, AB_GRID))
 
 
 @dataclass
@@ -82,34 +89,37 @@ def check_weights(size, a=None, b=None, reads="ab"):
     return a, b
 
 
-def certify(condition, margins_for, size, a=None, b=None, reads="ab", trunc=None,
-            notes="", extras=None, grid_margins=None):
-    """Certificate of a weighted condition on ``size`` species, whose margins
-    at a weight pair are ``margins_for(a, b)``.  ``reads`` names the weights
-    the condition reads ("a", "b" or "ab"); the caller passes only those.
+def certify(condition, margins, size, a=None, b=None, reads="ab", trunc=None, notes="", extras=None):
+    """Certificate of a weighted condition on ``size`` species.  ``reads``
+    names the weights the condition reads ("a", "b" or "ab"); the caller
+    passes only those.  ``margins(rows)`` takes a list of weight rows (a, b),
+    a weight the condition does not read being None, and returns one tuple
+    of per-species margins per row, in order.
 
-    Given weights pass ``check_weights`` and the certificate carries them with
-    ``notes`` and ``extras``.  With none given, each constant c of ``AB_GRID``
-    fills the weights read, as a float, and the best certificate wins: a pass
-    beats a fail, then the larger worst margin, then the smaller c.  On the
-    grid, ``grid_margins(c)`` replaces ``margins_for`` when given.
+    Given weights pass ``check_weights`` and are a batch of one row; the
+    certificate carries them with ``notes`` and ``extras``.  With none given,
+    each constant c of ``AB_GRID``, as a float, fills the weights read, all
+    60 rows go to one ``margins`` call, and the best row is certified: a pass
+    beats a fail, then the larger worst margin, then the smaller c (the first
+    maximum of ``max``, so a NaN margin decides as it would in
+    ``BoundCertificate``).  Every row of the grid is constant, which a
+    condition may use to sum faster, provided each margin keeps its bits.
     """
     a, b = check_weights(size, a, b, reads)
     if a is not None or b is not None:
         return BoundCertificate(
-            condition, margins_for(a, b), a=a, b=b, trunc=trunc, notes=notes,
-            extras=extras or {},
+            condition, margins([(a, b)])[0], a=a, b=b, trunc=trunc, notes=notes, extras=extras or {},
         )
-
-    def cert_at(c):
-        c = float(c)
-        a, b = ((c,) * size if w in reads else None for w in "ab")
-        return BoundCertificate(
-            condition, margins_for(a, b) if grid_margins is None else grid_margins(c),
-            a=a, b=b, trunc=trunc, notes="constant weights chosen by grid search",
-        )
-
-    return max(map(cert_at, AB_GRID), key=lambda cert: (cert.passed, cert.worst_margin))
+    fills = [(c,) * size for c in _GRID_FLOATS]
+    rows = [(row if "a" in reads else None, row if "b" in reads else None) for row in fills]
+    batch = margins(rows)
+    # per row, the (passed, worst_margin) of its BoundCertificate
+    keys = [(all(map(ge, ms, repeat(0))), min(ms) if ms else 0) for ms in batch]
+    best = max(range(len(rows)), key=keys.__getitem__)
+    a, b = rows[best]
+    return BoundCertificate(
+        condition, batch[best], a=a, b=b, trunc=trunc, notes="constant weights chosen by grid search",
+    )
 
 
 @dataclass

@@ -31,6 +31,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement
 
+import numpy as np
+
 from . import graphs
 from .certs import ResidualReport, certify
 from .errors import CapabilityError, DomainError, StructureError, check_scale, max_order
@@ -189,33 +191,51 @@ class GCState:
 # Certificates
 
 
+def _exp_lanes(e):
+    """``math.exp`` of each lane of the float64 array ``e``, in an array of
+    its shape: the bits of the scalar ``math.exp``, which ``np.exp`` need
+    not share, and its OverflowError."""
+    return np.array(list(map(math.exp, e.ravel().tolist()))).reshape(e.shape)
+
+
 def _pair_margins(st, nu, *shifts):
-    """The margins of a pair condition as a function of the weights (a, b):
-    per species x, a(x) - sum_y fbar(x, y) exp(e(y)) |nu|(y) w(y), where
-    e(y) adds a(y), then b(y) unless b is None, then each vector of
-    ``shifts`` at y, as floats, left to right.  The state, the measure and
-    the shifts are converted to floats once, for every weight tried."""
+    """The margins of a pair condition as a batch function of weight rows
+    (a, b): per row and species x, a(x) - sum_y fbar(x, y) exp(e(y)) |nu|(y)
+    w(y), where e(y) adds a(y), then b(y) unless b is None, then each vector
+    of ``shifts`` at y, as floats, left to right.  The state, the measure
+    and the shifts are converted to floats once, for every row.
+
+    The rows run as float64 lanes with the scalar operations in the scalar
+    order, so each margin has the bits of the one-row loop
+    (``oracles.pair_margins_termwise``): ``math.exp`` per lane
+    (``_exp_lanes``), each term ((fbar exp(e)) |nu|) w, the sum
+    over y from 0.0 left to right, and the margins returned as Python
+    floats.  Every row of one batch reads b, or none does."""
     S = st.space.size
-    vals = [float(abs(v)) for v in nu]
-    w = [float(v) for v in st.space.weights]
-    fbar = [[float(v) for v in row] for row in st.mayer.f_bar]
-    shifts = [[float(v) for v in vec] for vec in shifts]
+    vals = np.array([float(abs(v)) for v in nu])
+    w = np.array([float(v) for v in st.space.weights])
+    fbar = np.array([[float(v) for v in row] for row in st.mayer.f_bar])
+    shifts = [np.array([float(v) for v in vec]) for vec in shifts]
 
-    def margins_for(a, b):
-        ex = []
-        for y in range(S):
-            e = float(a[y])
-            if b is not None:
-                e += float(b[y])
-            for vec in shifts:
-                e += vec[y]
-            ex.append(math.exp(e))
-        return tuple(
-            float(a[x]) - left_sum(fbar[x][y] * ex[y] * vals[y] * w[y] for y in range(S))
-            for x in range(S)
-        )
+    def margins(rows):
+        a = np.array([[float(v) for v in row_a] for row_a, _ in rows]).reshape(len(rows), S)
+        e = a.copy()
+        if rows[0][1] is not None:
+            e += [[float(v) for v in row_b] for _, row_b in rows]
+        for vec in shifts:
+            e += vec
+        ex = _exp_lanes(e)
+        with np.errstate(all="ignore"):
+            # term[r, x, y] = ((fbar(x, y) exp(e_r(y))) |nu|(y)) w(y)
+            term = fbar * ex[:, None, :]
+            term *= vals
+            term *= w
+            total = np.zeros(a.shape)
+            for y in range(S):
+                total += term[:, :, y]
+            return [tuple(row) for row in (a - total).tolist()]
 
-    return margins_for
+    return margins
 
 
 def check_PU(st, z, a=None):
@@ -238,26 +258,32 @@ def check_Sb(st, nu, b=None):
     """
     nu = st.measure(nu).values
     S = st.space.size
+    if b is not None:
+        def margins(rows):
+            out = []
+            for _, bvec in rows:
+                # each tail species x carries its exp(b(x)) inside the measure
+                boosted = [float(abs(v)) * math.exp(float(bvec[x])) for x, v in enumerate(nu)]
+                sums = [left_sum(col) for col in zip(*_majorant_sums(st.a_family, boosted, start=1))]
+                out.append(tuple(float(bvec[q]) - sums[q] for q in range(S)))
+            return out
+    else:
+        # on the grid, per-order sums with the exp(b) factors stripped; a
+        # constant b = c re-enters as exp(n c), one per (c, n), and each root
+        # adds its orders from 0.0, n = 1..N, for every constant at once
+        raw = np.array(_majorant_sums(st.a_family, nu, start=1)[1 : st.N + 1]).reshape(st.N, S)
 
-    def margins_for(_, bvec):
-        # each tail species x carries its exp(b(x)) inside the measure
-        boosted = [float(abs(v)) * math.exp(float(bvec[x])) for x, v in enumerate(nu)]
-        sums = [left_sum(col) for col in zip(*_majorant_sums(st.a_family, boosted, start=1))]
-        return tuple(float(bvec[q]) - sums[q] for q in range(S))
-
-    # on the grid, per-order sums with the exp(b) factors stripped; a
-    # constant b re-enters as exp(n b)
-    raw = None if b is not None else _majorant_sums(st.a_family, nu, start=1)
-
-    def grid_margins(c):
-        return tuple(
-            c - left_sum(raw[n][q] * math.exp(n * c) for n in range(1, st.N + 1))
-            for q in range(S)
-        )
+        def margins(rows):
+            c = np.array([bvec[0] for _, bvec in rows])
+            boost = _exp_lanes(np.outer(c, np.arange(1, st.N + 1)))
+            total = np.zeros((len(rows), S))
+            with np.errstate(all="ignore"):
+                for n in range(st.N):
+                    total += raw[n] * boost[:, n, None]
+                return [tuple(row) for row in (c[:, None] - total).tolist()]
 
     return certify(
-        "Sb", margins_for, S, b=b, reads="b", trunc=st.N,
-        notes="partial sums through the truncation order only", grid_margins=grid_margins,
+        "Sb", margins, S, b=b, reads="b", trunc=st.N, notes="partial sums through the truncation order only",
     )
 
 
@@ -267,8 +293,7 @@ def check_Sab(st, nu, a=None, b=None):
         sum_y fbar(x, y) exp(a + b + beta B + beta B*)(y) |nu|(y) w(y) <= a(x).
     """
     nu = st.measure(nu).values
-    margins_for = _pair_margins(st, nu, st.beta_B, st.beta_Bstar)
-    return certify("Sab", margins_for, st.space.size, a=a, b=b)
+    return certify("Sab", _pair_margins(st, nu, st.beta_B, st.beta_Bstar), st.space.size, a=a, b=b)
 
 
 def check_virMb(st, nu, b=None):
@@ -280,11 +305,11 @@ def check_virMb(st, nu, b=None):
     S = st.space.size
     sums = [left_sum(col) for col in zip(*_majorant_sums(st.d_family, nu, start=1))]
 
-    def margins_for(_, bvec):
-        return tuple(float(bvec[q]) - sums[q] for q in range(S))
+    def margins(rows):
+        return [tuple(float(bvec[q]) - sums[q] for q in range(S)) for _, bvec in rows]
 
     return certify(
-        "virMb", margins_for, S, b=b, reads="b", trunc=st.N,
+        "virMb", margins, S, b=b, reads="b", trunc=st.N,
         notes="partial sums through the truncation order only",
         extras={"sums": tuple(sums)},
     )

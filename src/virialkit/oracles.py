@@ -18,13 +18,17 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .apps import _mixture_margins
+from .certs import AB_GRID, BoundCertificate, check_weights
 from .errors import CapabilityError, DomainError
 from .fps import (
     FormalSeries,
     _check_measure,
     _keys,
+    _majorant_sums,
     canonical_indices,
     compose_templates,
+    left_sum,
     set_partitions,
     subset_splits,
     sym_factor,
@@ -417,6 +421,120 @@ def tn_via_trees(A, n, q, xs):
                 break
         total += term
     return total
+
+
+# ---------------------------------------------------------------------------
+# Certificates (certs, inversion, apps)
+
+
+def certify_termwise(condition, margins_for, size, a=None, b=None, reads="ab", trunc=None,
+                     notes="", extras=None, grid_margins=None):
+    """``certs.certify`` one weight row at a time: the margins at a weight
+    pair are ``margins_for(a, b)``; with no weights given, one certificate
+    per constant c of ``AB_GRID`` (margins ``grid_margins(c)`` when given),
+    and ``max`` keeps the first best, by pass and then worst margin.  The
+    batched search must build the same certificate to the bit."""
+    a, b = check_weights(size, a, b, reads)
+    if a is not None or b is not None:
+        return BoundCertificate(
+            condition, margins_for(a, b), a=a, b=b, trunc=trunc, notes=notes, extras=extras or {},
+        )
+
+    def cert_at(c):
+        c = float(c)
+        a, b = ((c,) * size if w in reads else None for w in "ab")
+        return BoundCertificate(
+            condition, margins_for(a, b) if grid_margins is None else grid_margins(c),
+            a=a, b=b, trunc=trunc, notes="constant weights chosen by grid search",
+        )
+
+    return max(map(cert_at, AB_GRID), key=lambda cert: (cert.passed, cert.worst_margin))
+
+
+def pair_margins_termwise(st, nu, *shifts):
+    """The margins of a pair condition at one weight pair (a, b), a Python
+    float at a time: per species x, a(x) - sum_y fbar(x, y) exp(e(y))
+    |nu|(y) w(y), e(y) = a(y) (+ b(y)) + each shift at y, left to right."""
+    S = st.space.size
+    vals = [float(abs(v)) for v in nu]
+    w = [float(v) for v in st.space.weights]
+    fbar = [[float(v) for v in row] for row in st.mayer.f_bar]
+    shifts = [[float(v) for v in vec] for vec in shifts]
+
+    def margins_for(a, b):
+        ex = []
+        for y in range(S):
+            e = float(a[y])
+            if b is not None:
+                e += float(b[y])
+            for vec in shifts:
+                e += vec[y]
+            ex.append(math.exp(e))
+        return tuple(
+            float(a[x]) - left_sum(fbar[x][y] * ex[y] * vals[y] * w[y] for y in range(S))
+            for x in range(S)
+        )
+
+    return margins_for
+
+
+def check_PU_termwise(st, z, a=None):
+    """``inversion.check_PU`` through ``certify_termwise``."""
+    z = st.measure(z).values
+    return certify_termwise("PU", pair_margins_termwise(st, z, st.beta_B), st.space.size, a=a, reads="a")
+
+
+def check_Sab_termwise(st, nu, a=None, b=None):
+    """``inversion.check_Sab`` through ``certify_termwise``."""
+    nu = st.measure(nu).values
+    margins_for = pair_margins_termwise(st, nu, st.beta_B, st.beta_Bstar)
+    return certify_termwise("Sab", margins_for, st.space.size, a=a, b=b)
+
+
+def check_Sb_termwise(st, nu, b=None):
+    """``inversion.check_Sb`` through ``certify_termwise``: at given weights
+    exp(b(x)) rides in the measure; on the grid the per-order sums are
+    taken once and a constant c re-enters as exp(n c), per root and order."""
+    nu = st.measure(nu).values
+    S = st.space.size
+
+    def margins_for(_, bvec):
+        boosted = [float(abs(v)) * math.exp(float(bvec[x])) for x, v in enumerate(nu)]
+        sums = [left_sum(col) for col in zip(*_majorant_sums(st.a_family, boosted, start=1))]
+        return tuple(float(bvec[q]) - sums[q] for q in range(S))
+
+    raw = None if b is not None else _majorant_sums(st.a_family, nu, start=1)
+
+    def grid_margins(c):
+        return tuple(
+            c - left_sum(raw[n][q] * math.exp(n * c) for n in range(1, st.N + 1))
+            for q in range(S)
+        )
+
+    return certify_termwise(
+        "Sb", margins_for, S, b=b, reads="b", trunc=st.N,
+        notes="partial sums through the truncation order only", grid_margins=grid_margins,
+    )
+
+
+def check_virMb_termwise(st, nu, b=None):
+    """``inversion.check_virMb`` through ``certify_termwise``."""
+    nu = st.measure(nu).values
+    S = st.space.size
+    sums = [left_sum(col) for col in zip(*_majorant_sums(st.d_family, nu, start=1))]
+    return certify_termwise(
+        "virMb", lambda _, bvec: tuple(float(bvec[q]) - sums[q] for q in range(S)), S, b=b,
+        reads="b", trunc=st.N, notes="partial sums through the truncation order only",
+        extras={"sums": tuple(sums)},
+    )
+
+
+def mixture_certificate_termwise(ms):
+    """The activity-condition certificate of ``apps.invert_mixture`` through
+    ``certify_termwise``."""
+    return certify_termwise(
+        "mix_ab", lambda a, b: _mixture_margins(ms, a, b), len(ms.radii), a=ms.a, b=ms.b,
+    )
 
 
 # ---------------------------------------------------------------------------

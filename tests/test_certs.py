@@ -4,19 +4,34 @@ The golden below holds, per certificate, a digest of ``repr`` and
 ``to_dict()`` (margins, weights, truncation, notes, extras) and the
 ``float.hex`` of each margin.  It was recorded before the caller's-weights
 and constant-weight paths of PU, Sb, Sab, virMb and mix_ab moved into
-``certs.certify``; every certificate must keep every bit.
+``certs.certify``, and before the grid search ran all constants in one
+batch; every certificate must keep every bit.  The property tests compare
+each certificate with the one-row-at-a-time search of
+``oracles.certify_termwise`` on drawn states, measures and weights.
 """
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
 
 from virialkit.apps import MixtureSpec, invert_mixture
-from virialkit.errors import CertificateError, StructureError
+from virialkit.certs import AB_GRID, certify
+from virialkit.errors import CertificateError, StructureError, VirialKitError
 from virialkit.inversion import GCState, check_PU, check_Sab, check_Sb, check_virMb
+from virialkit.oracles import (
+    certify_termwise,
+    check_PU_termwise,
+    check_Sab_termwise,
+    check_Sb_termwise,
+    check_virMb_termwise,
+    mixture_certificate_termwise,
+)
 from virialkit.species import MayerMatrices, PairPotential, SpeciesSpace
 from virialkit.treefp import eval_T, eval_T_abs
 
@@ -187,3 +202,109 @@ def test_certificates_take_a_complex_measure():
         cert = call(nu)
         assert cert.passed, name
         assert cert.to_dict() == call([abs(v) for v in nu]).to_dict(), name
+
+
+def outcome(call):
+    """The certificate of ``call()`` to the bit (repr, to_dict and the hex
+    of each margin), or the type and message of what it raised."""
+    try:
+        cert = call()
+    except (ArithmeticError, VirialKitError) as exc:
+        if isinstance(exc, CertificateError):
+            cert = exc.certificate
+        else:
+            return type(exc).__name__, str(exc)
+    return repr(cert), json.dumps(cert.to_dict()), [m.hex() for m in cert.margins], cert.passed, cert.notes
+
+
+# entries that stress the float path: signed zeros, the smallest subnormal, a
+# value whose powers and exponentials overflow, and infinity
+SPECIAL = (0.0, -0.0, 5e-324, 1e300, math.inf)
+entry = hyp.one_of(
+    hyp.sampled_from(SPECIAL),
+    hyp.floats(0, 0.3),
+    hyp.fractions(0, Fraction(3, 10), max_denominator=64),
+)
+measure_entry = hyp.one_of(
+    entry, hyp.builds(complex, hyp.floats(-0.05, 0.05), hyp.floats(-0.05, 0.05))
+)
+weight_entry = hyp.one_of(
+    hyp.sampled_from(SPECIAL + (math.nan, 2.5, 800.0)),
+    hyp.floats(0, 3),
+    hyp.fractions(0, 3, max_denominator=20),
+)
+
+
+def drawn_state(data):
+    """An exact, float or hard-core state (v = inf entries, with 0 or with
+    finite energies) on 1 to 3 species, N 1 to 3, with drawn stability
+    constants, some large enough to overflow exp on every weight."""
+    kind = data.draw(hyp.sampled_from(["exact", "float", "hard", "hard/soft"]), label="kind")
+    S, N = data.draw(hyp.integers(1, 3), label="S"), data.draw(hyp.integers(1, 3), label="N")
+    r = random.Random(data.draw(hyp.integers(0, 2**16), label="seed"))
+    space = SpeciesSpace.from_weights([r.choice((Fraction(1, 2), 1, Fraction(3, 2))) for _ in range(S)])
+    if kind == "exact":
+        f = [[Fraction(0)] * S for _ in range(S)]
+        for i in range(S):
+            for j in range(i, S):
+                f[i][j] = f[j][i] = Fraction(r.randint(-16, 8), 16)
+        return GCState(space, mayer=MayerMatrices.from_f(space, f, exact=True), N=N)
+    choices = {"float": None, "hard": (0, math.inf), "hard/soft": (math.inf, 0.7, -0.2)}[kind]
+    v = [[0.0] * S for _ in range(S)]
+    for i in range(S):
+        for j in range(i, S):
+            v[i][j] = v[j][i] = round(r.uniform(-0.3, 1.5), 3) if choices is None else r.choice(choices)
+    B = data.draw(hyp.sampled_from([None, (Fraction(1, 3),) * S, (800.0,) * S]), label="B")
+    return GCState(space, pot=PairPotential(space, 1.0, v, b_stability=B), N=N)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hyp.data())
+def test_certificates_match_the_termwise_search(data):
+    st = drawn_state(data)
+    S = st.space.size
+    nu = data.draw(hyp.lists(measure_entry, min_size=S, max_size=S), label="nu")
+    weights = hyp.none() | hyp.lists(weight_entry, min_size=S, max_size=S)
+    a, b = data.draw(weights, label="a"), data.draw(weights, label="b")
+    if a is not None and b is not None:  # Sab wants a <= b; NaN stays in a
+        b = [max(x, y) if x == x else y for x, y in zip(a, b)]
+    pairs = {
+        "PU": (lambda: check_PU(st, nu, a=a), lambda: check_PU_termwise(st, nu, a=a)),
+        "Sb": (lambda: check_Sb(st, nu, b=b), lambda: check_Sb_termwise(st, nu, b=b)),
+        "Sab": (lambda: check_Sab(st, nu, a=a, b=b), lambda: check_Sab_termwise(st, nu, a=a, b=b)),
+        "Sab/grid": (lambda: check_Sab(st, nu), lambda: check_Sab_termwise(st, nu)),
+        "virMb": (lambda: check_virMb(st, nu, b=b), lambda: check_virMb_termwise(st, nu, b=b)),
+    }
+    for name, (batched, termwise) in pairs.items():
+        assert outcome(batched) == outcome(termwise), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(hyp.data())
+def test_mixture_certificate_matches_the_termwise_search(data):
+    K = data.draw(hyp.integers(1, 3), label="K")
+    radii = data.draw(hyp.lists(hyp.sampled_from((0.5, 0.75, 1.0)), min_size=K, max_size=K), label="radii")
+    rho = data.draw(hyp.lists(entry, min_size=K, max_size=K), label="rho")
+    ab = data.draw(hyp.none() | hyp.lists(hyp.tuples(weight_entry, weight_entry), min_size=K, max_size=K))
+    a, b = (None, None) if ab is None else zip(*[sorted(p) if p[0] == p[0] else p for p in ab])
+    ms = MixtureSpec(radii=radii, d=data.draw(hyp.integers(1, 3), label="d"), rho=rho, a=a, b=b)
+    assert outcome(lambda: invert_mixture(ms, N=1)["certificate"]) == outcome(lambda: mixture_certificate_termwise(ms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hyp.data())
+def test_grid_selection_matches_the_termwise_search(data):
+    # margin tables full of ties, NaNs, infinities and signed zeros, each
+    # NaN its own object, as a computed margin is
+    size = data.draw(hyp.integers(0, 3), label="size")
+    value = hyp.sampled_from((math.nan, -math.inf, -1.0, -0.0, 0.0, 5e-324, 0.5, math.inf)).map(lambda v: v * 1.0)
+    table = data.draw(hyp.lists(hyp.tuples(*[value] * size), min_size=len(AB_GRID), max_size=len(AB_GRID)))
+    reads = data.draw(hyp.sampled_from(("a", "b", "ab")), label="reads")
+    row = {float(c): i for i, c in enumerate(AB_GRID)}
+
+    def margins_for(a, b):
+        return table[row[(a or b)[0]]] if size else table[0]
+
+    got = certify("X", lambda rows: [margins_for(a, b) for a, b in rows], size, reads=reads, trunc=2)
+    want = certify_termwise("X", margins_for, size, reads=reads, trunc=2)
+    assert outcome(lambda: got) == outcome(lambda: want)
