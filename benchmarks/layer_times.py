@@ -57,7 +57,7 @@ at least half a second has passed:
     {"mode": "float", "layer": "measure_sums" or "_majorant_sums",
      "family": ..., "S": ..., "per_call": median, "runs": [three per-call times]}
 
-A last section times one grid-search certificate per call (no weights
+A fourth section times one grid-search certificate per call (no weights
 given, so every constant of ``certs.AB_GRID`` is tried): ``check_PU``,
 ``check_Sb`` and ``check_Sab`` on the exact state above at (3, 5) and on the
 soft float states at N = 4, S = 8, 10 and 12, at a measure of entries k/100,

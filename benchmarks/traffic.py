@@ -7,8 +7,10 @@ The script runs one cycle of each benchmark workload in this process under
 ``float_wide`` from perfbench/workloads.py, warm-up included (it fills the
 caches the first ops would otherwise fill), and the eight argv of one
 ``cli_batch`` cycle (``cli_commands(0)``, with ``--threads 1``) through
-``cli.main``.  It then prints one line per function or method defined in a
-virialkit module other than ``oracles`` whose code no call entered:
+``cli.main``.  It imports virialkit only once the profile is on, so a
+function that runs at import counts as entered.  It then prints one line
+per function or method defined in a virialkit module other than
+``oracles`` whose code no call entered:
 
     {"module": ..., "name": ..., "line": ...}
 
@@ -65,9 +67,7 @@ def production_functions():
 
 
 def run_cycle():
-    """Run one cycle of every workload; True when every op passed its check.
-    It imports virialkit, so that a function run at import counts as
-    entered."""
+    """Run one cycle of every workload; True when every op passed its check."""
     from virialkit import cli
     from workloads import WORKLOADS, cli_commands, load_references
 

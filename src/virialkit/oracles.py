@@ -440,7 +440,7 @@ def certify_termwise(condition, margins_for, size, a=None, b=None, reads="ab", t
             condition, margins_for(a, b), a=a, b=b, trunc=trunc, notes=notes, extras=extras or {},
         )
 
-    def cert_at(c):
+    def certificate(c):
         c = float(c)
         a, b = ((c,) * size if w in reads else None for w in "ab")
         return BoundCertificate(
@@ -448,7 +448,7 @@ def certify_termwise(condition, margins_for, size, a=None, b=None, reads="ab", t
             a=a, b=b, trunc=trunc, notes="constant weights chosen by grid search",
         )
 
-    return max(map(cert_at, AB_GRID), key=lambda cert: (cert.passed, cert.worst_margin))
+    return max(map(certificate, AB_GRID), key=lambda cert: (cert.passed, cert.worst_margin))
 
 
 def pair_margins_termwise(st, nu, *shifts):
