@@ -218,7 +218,7 @@ def _pair_margins(st, nu, *shifts):
     shifts = [np.array([float(v) for v in vec]) for vec in shifts]
 
     def margins(rows):
-        a = np.array([[float(v) for v in row_a] for row_a, _ in rows]).reshape(len(rows), S)
+        a = np.array([[float(v) for v in row_a] for row_a, _ in rows])
         e = a.copy()
         if rows[0][1] is not None:
             e += [[float(v) for v in row_b] for _, row_b in rows]
