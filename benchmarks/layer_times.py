@@ -34,14 +34,14 @@ in place of the times.
 
 A last section times float ``graphs.d_coeff`` on one tuple of n distinct
 species, n = 4..7, and float ``graphs.ursell`` likewise at n = 3..6, with
-pair entries drawn from [-0.8, 0.4] (seed ``<layer>/<n>``), and exact
-``graphs.ursell`` at n = 3..6, 8, 10 and 12, with pair entries k/16, k in
-[-16, 8] (seed ``exact/<layer>/<n>``).  Each of three fresh interpreters
-times one first call, which builds the class, index or plan tables, then
-calls until at least half a second has passed, and reports the time per
-call, the first call's time and the peak RSS:
+pair entries drawn from [-0.8, 0.4] (seed ``<layer>/<n>``).  Exact
+connected sums of one tuple are no production layer (exact phi is log W),
+so no exact row is timed.  Each of three fresh interpreters times one
+first call, which builds the class or index tables, then calls until at
+least half a second has passed, and reports the time per call, the first
+call's time and the peak RSS:
 
-    {"mode": "float" or "exact", "layer": "d_coeff" or "ursell", "n": ...,
+    {"mode": "float", "layer": "d_coeff" or "ursell", "n": ...,
      "per_call": median, "runs": [three per-call times], "first_call": median,
      "first_runs": [...], "peak_rss_mb": median, "rss_runs": [...]}
 
@@ -113,7 +113,6 @@ GRIDS = {"exact": tuple(LAYERS), "float": FLOAT_LAYERS}
 ONE_TUPLE_SIZES = {
     ("float", "d_coeff"): (4, 5, 6, 7),
     ("float", "ursell"): (3, 4, 5, 6),
-    ("exact", "ursell"): (3, 4, 5, 6, 8, 10, 12),
 }
 # family -> (the sum, the GCState family it reads, the first order summed)
 SUMS = {
@@ -191,8 +190,8 @@ def time_cell(mode, layer, S, N):
     print(json.dumps(out))
 
 
-def time_one_tuple(mode, layer, n):
-    """Time graphs.<layer> per call on one n-point tuple in this
+def time_one_tuple(layer, n):
+    """Time float graphs.<layer> per call on one n-point tuple in this
     interpreter, after one first call, and print it with the first call's
     time and the peak RSS as JSON."""
     import resource
@@ -201,11 +200,11 @@ def time_one_tuple(mode, layer, n):
     from virialkit import graphs
 
     fn = getattr(graphs, layer)
-    r = random.Random(f"{layer}/{n}" if mode == "float" else f"exact/{layer}/{n}")
+    r = random.Random(f"{layer}/{n}")
     f = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            f[i][j] = f[j][i] = r.uniform(-0.8, 0.4) if mode == "float" else Fraction(r.randint(-16, 8), 16)
+            f[i][j] = f[j][i] = r.uniform(-0.8, 0.4)
     xs = tuple(range(n))
     start = time.perf_counter()
     fn(f, xs)
@@ -273,7 +272,7 @@ def fresh(code, src=SRC):
 def run_one_tuple(mode, layer, n):
     """The one-tuple line: per-call, first-call and peak-RSS medians of RUNS
     fresh interpreters."""
-    outs = [fresh(f"import layer_times; layer_times.time_one_tuple({mode!r}, {layer!r}, {n})") for _ in range(RUNS)]
+    outs = [fresh(f"import layer_times; layer_times.time_one_tuple({layer!r}, {n})") for _ in range(RUNS)]
     runs = [o["per_call"] for o in outs]
     first = [o["first_call"] for o in outs]
     rss = [o["peak_rss_mb"] for o in outs]

@@ -5,14 +5,16 @@ i < j, in lexicographic order.  The three classes used downstream are
 connected graphs, biconnected graphs (no articulation vertex; a single edge
 counts), and trees.  On top of the class tables this module provides
 
-* ursell:    sum over connected graphs of the product of f over edges
+* ursell:    float sum over connected graphs of the product of f over edges
              (the truncated weight of a configuration),
-* d_coeff:   the same sum over biconnected graphs,
+* d_coeff:   the same sum over biconnected graphs, exact or float,
 
 together with builders that assemble whole coefficient families as formal
-series over a species space, among them the rooted activity coefficients
+series over a species space: the connected sums phi, on a matrix of ints
+and Fractions log W of the all-graph weights W (the exponential formula),
+and from phi the rooted activity coefficients
 
-    A_n(q; x) = -(prod_j (1 + f(q, x_j)) - 1) * ursell(x).
+    A_n(q; x) = -(prod_j (1 + f(q, x_j)) - 1) * phi_n(x).
 
 A tuple's pair entries f(x_i, x_j) decide how its sums run.  Exact entries
 (int and Fraction) are put over their common denominator L, so that every
@@ -24,21 +26,20 @@ case.  The biconnected sum is a gather: a cached read-only uint8 table
 [pairs x graphs] holds p where the graph has edge p and C(n, 2) where it
 has not, so taking it from each tuple's pair values plus a trailing 1.0 and
 multiplying down the pairs gives every graph's product in pair order; each
-tuple's products are summed once.  The connected sum's subset recursion
-is listed once per n (``_ursell_levels``): the float kernel runs it one
-subset size at a time over every tuple of a block, each lane with its
-tuple's IEEE operations, and the exact rule walks it subset by subset.
+tuple's products are summed once.  The float kernel of the connected sum
+runs its subset recursion (``_ursell_levels``) one subset size at a time
+over every tuple of a block, each lane with its tuple's IEEE operations.
 
 The family builders get every graph sum of an order n >= 2 from one
 generator, ``_order_sums``: on a float matrix one ``ursell`` or ``d_coeff``
-call over all of the order's tuples, else one call per distinct pattern of
-pair entries (``per_pattern``), through the one bounded memo of values of f
-(``_Memo``) that every exact matrix of the process shares.  ``build_A_family``
-writes each factor 1 + f(q, x) of an exact matrix as an int b_q(x) over one
-denominator L_q per root, so that a bracket is an int over L_q^n and each
-coefficient is one quotient; on a float matrix the brackets are float64
-column products.  A raw list that mixes floats with ints or Fractions gets
-φ and D per tuple, and A is refused.
+call over all of the order's tuples, else one ``d_coeff`` call per distinct
+pattern of pair entries (``per_pattern``), through the one bounded memo of
+values of f (``_Memo``) that every exact matrix of the process shares.
+``build_A_family`` writes each factor 1 + f(q, x) of an exact matrix as an
+int b_q(x) over one denominator L_q per root, so that a bracket is an int
+over L_q^n and each coefficient is one quotient; on a float matrix the
+brackets are float64 column products.  A raw list that mixes floats with
+ints or Fractions gets D per tuple, and phi and A are refused.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CapabilityError, DomainError, StructureError
-from .fps import _EXACT, FormalSeries, RootedSeriesFamily, _keys, canonical_indices
+from .fps import _EXACT, FormalSeries, RootedSeriesFamily, _check_trunc, _Exact, _keys, canonical_indices, log_series
 from .species import MayerMatrices
 
 MAX_CLASS_N = {"connected": 7, "biconnected": 7, "tree": 9}
@@ -166,8 +167,7 @@ def _ursell_levels(n):
     """``ursell``'s subset recursion over the n points as index arrays into
     the rows of one block Z = [phi | w | 1 + f]: 2^n rows of phi and 2^n of
     w, each over the subsets by size, then by mask, and one row per pair in
-    pair order.  The float kernel and the exact rule (``_ursell_plan``) both
-    read it.
+    pair order, for the float kernel ``_ursell_sums``.
 
     One level per subset size b = 2..n: (lo, hi, grow, pick, cross), the
     b-subsets holding rows lo..hi-1 of phi (and of w, 2^n further on), in
@@ -206,21 +206,6 @@ def _ursell_levels(n):
         levels.append((lo, lo + len(masks), grow, pick, np.concatenate([[0], t * (b - t)])))
         lo += len(masks)
     return levels
-
-
-@lru_cache(maxsize=None)
-def _ursell_plan(n):
-    """``_ursell_levels(n)`` as Python tuples for the exact rule: per subset
-    S of two points or more, in row order, its ``grow`` row and the
-    (phi row, w row, cross) triples of its ``pick`` entries after the
-    leading one.  The rows share one int object each."""
-    row = list(range(2 * (1 << n) + len(pair_order(n)))).__getitem__
-    plan = []
-    for _, _, grow, pick, cross in _ursell_levels(n):
-        cross = cross[1:].tolist()
-        for g, ts, rs in zip(grow.tolist(), pick[0, :, 1:].tolist(), pick[1, :, 1:].tolist()):
-            plan.append((tuple(map(row, g)), tuple(zip(map(row, ts), map(row, rs), cross))))
-    return plan
 
 
 def _ursell_sums(pairs_of, count, n):
@@ -309,12 +294,6 @@ def _one_tuple_block(vals):
     return lambda lo, hi: W
 
 
-def _over_common_denominator(vals):
-    """(L, a): L the lcm of the denominators, a_p = vals[p] * L as ints."""
-    L = math.lcm(*(v.denominator for v in vals))
-    return L, [v.numerator * (L // v.denominator) for v in vals]
-
-
 def _edge_products(a, L):
     """Object array T with T[b] = prod over t of (a[t] if bit t of b is set else L)."""
     table = [1]
@@ -324,7 +303,7 @@ def _edge_products(a, L):
 
 
 def ursell(f, xs):
-    """Connected-graph sum phi_n over the species tuple xs (n <= 12).
+    """Float connected-graph sum phi_n over the species tuple xs (n <= 12).
 
     Runs the subset-convolution recursion anchored at the first position:
     with w(S) = prod of (1 + f) over pairs inside S,
@@ -332,21 +311,13 @@ def ursell(f, xs):
         phi(S) = w(S) - sum over proper T containing the anchor of
                  phi(T) w(S \\ T)
 
-    which costs O(3^n) ring operations.  Both arithmetic rules walk the
-    subsets and terms of ``_ursell_levels``.  Exact entries run it on the
-    integers u_p = L + a_p = L (1 + f_p), which carry L^(pairs inside S):
-    per subset in the plan's order (``_ursell_plan``, kept per n), w(S) is
-    w(S less its top vertex) times the top vertex's u_p, and each term
-    phi(T) w(S \\ T) lacks the |T| |S \\ T| cross pairs and is multiplied
-    by L to that power.  The result is divided by L^C(n, 2) once, and is a
-    Fraction exactly when a pair entry is one.
-
-    Any other tuple runs the recursion in float64 (``_ursell_sums``, here
-    over one tuple) and returns a float.  On a float matrix (``exact=False``,
-    or a raw matrix of floats only) the n positions of xs may be int arrays
-    of one length, one entry per tuple, as for ``d_coeff``: the call then
-    returns a float64 array of every tuple's sum, the same bits as one call
-    per tuple, and ``_order_sums`` makes one such call per order.
+    in O(3^n) float64 operations (``_ursell_sums``, here over one tuple).
+    On a float matrix (``exact=False``, or a raw matrix of floats only) the
+    n positions of xs may be int arrays of one length, one entry per tuple,
+    as for ``d_coeff``: the call then returns a float64 array of every
+    tuple's sum, the same bits as one call per tuple, and ``_order_sums``
+    makes one such call per order.  An exact tuple is refused: exact phi is
+    ``build_phi_series``, checked by ``virialkit.oracles.ursell``.
     """
     n = len(xs)
     if n == 0:
@@ -360,24 +331,11 @@ def ursell(f, xs):
     if n == 1:
         return 1
     vals, exact = _pair_values(f, xs)
-    if not exact:
-        with np.errstate(all="ignore"):
-            return float(_ursell_sums(_one_tuple_block(vals), 1, n)[0])
-    L, a = _over_common_denominator(vals)
-    size = 1 << n
-    Z = [1] * (2 * size) + [L + v for v in a]
-    powers = [L**c for c in range(n * n // 4 + 1)]
-    for k, (grow, terms) in enumerate(_ursell_plan(n), n + 1):
-        w = 1
-        for r in grow:
-            w *= Z[r]
-        Z[size + k] = w
-        for t, r, c in terms:
-            w -= Z[t] * Z[r] * powers[c]
-        Z[k] = w
-    if any(isinstance(v, Fraction) for v in vals):
-        return Fraction(Z[size - 1], L ** len(vals))
-    return Z[size - 1]
+    if exact:
+        raise DomainError("ursell sums floats; exact connected sums come from build_phi_series, "
+                          "and one tuple's from virialkit.oracles.ursell")
+    with np.errstate(all="ignore"):
+        return float(_ursell_sums(_one_tuple_block(vals), 1, n)[0])
 
 
 def d_coeff(f, xs):
@@ -418,7 +376,8 @@ def d_coeff(f, xs):
     if not exact:
         with np.errstate(all="ignore"):
             return float(_gather_sums(_one_tuple_block(vals), 1, _biconnected_gather_index(n))[0])
-    L, a = _over_common_denominator(vals)
+    L = math.lcm(*(v.denominator for v in vals))
+    a = [v.numerator * (L // v.denominator) for v in vals]
     support = sum(1 << p for p, v in enumerate(a) if v)
     masks = class_masks(n, "biconnected")
     live = masks[(masks & ~support) == 0]
@@ -467,8 +426,8 @@ def _exact_entries(fm):
 
 
 # values that the f-keyed memo holds at most, a graph sum counting one and a
-# family its coefficients: about twice the 4,126 of requests_exact's 176
-# patterns and 30 families
+# family its coefficients: nearly twice the 4,389 of requests_exact's 116
+# biconnected patterns and 36 families (phi is kept with every A)
 MEMO_BOUND = 8192
 
 
@@ -534,10 +493,10 @@ def _entry_ids(mayer):
 
 
 def per_pattern(fn, mayer):
-    """xs -> fn(mayer, xs) for ``ursell`` or ``d_coeff``, with one call of fn
-    per distinct pattern of pair entries in the process.
+    """xs -> fn(mayer, xs) for ``d_coeff``, with one call of fn per distinct
+    pattern of pair entries in the process.
 
-    Both sums read only the tuple's length, the pair entries f(x_i, x_j) in
+    The sum reads only the tuple's length, the pair entries f(x_i, x_j) in
     pair order with their types, and the matrix's arithmetic rule.  On a
     matrix of ints and Fractions that takes the exact rule the values live
     in the process's f-keyed memo (``_Memo``), keyed by (fn, n, the class
@@ -571,15 +530,15 @@ def _tail_columns(S, n):
 
 
 def _order_sums(fn, mayer, S, N, rooted=False):
-    """Per order n = 2..N, the list of fn (``ursell`` or ``d_coeff``) at every
-    tuple of the order in storage order: the canonical tails, or with
-    ``rooted`` the (root, tail) tuples, roots outermost.
+    """Per order n = 2..N, the list of fn at every tuple of the order in
+    storage order: the canonical tails, or with ``rooted`` the (root, tail)
+    tuples, roots outermost.
 
-    This is where the family builders get their graph sums.  On a float
-    matrix an order is one fn call over all of its tuples (int arrays of
-    ``_tail_columns``), read out with one ``tolist``; any other matrix calls
-    one ``per_pattern`` closure per tuple, over the order's cached tails
-    (``fps._keys``), which exact ``build_A_family`` reads again.
+    This is where the family builders get their graph sums: float ``ursell``
+    for phi, and ``d_coeff`` for D.  On a float matrix an order is one fn
+    call over all of its tuples (int arrays of ``_tail_columns``), read out
+    with one ``tolist``; any other matrix calls one ``per_pattern`` closure
+    per tuple, over the order's cached tails (``fps._keys``).
     """
     if _float_entries(mayer):
         for n in range(2, N + 1):
@@ -594,20 +553,57 @@ def _order_sums(fn, mayer, S, N, rooted=False):
         yield [value((q, *ms)) for q in range(S) for ms in tails] if rooted else list(map(value, tails))
 
 
+def _require_one_rule(fm):
+    """Refuse a raw list that mixes floats with ints or Fractions, as phi and A do."""
+    if not _exact_entries(fm):
+        raise StructureError("phi and A need a matrix of floats only or of ints and Fractions only; "
+                             "build a MayerMatrices with exact=False for mixed entries")
+
+
+def _all_graph_orders(fm, S, N):
+    """Per order n = 0..N, the all-graph weights W_n(ms) = prod over pairs
+    i < j of (1 + f(x_i, x_j)) at every canonical ms, as one ``_Exact``
+    layout: ints over L^C(n, 2), L the common denominator of the matrix,
+    each W_(n-1)(ms[:-1]) times the ints u = L + a of the n - 1 new pairs.
+    A weight is flagged a Fraction exactly when a pair entry is one.
+    """
+    L = math.lcm(*(v.denominator for row in fm for v in row))
+    u = [[L + v.numerator * (L // v.denominator) for v in row] for row in fm]
+    fractions = [{x for x, v in enumerate(row) if type(v) is Fraction} for row in fm]
+    weights, flags, frac = {(): 1}, {(): False}, False
+    yield _Exact([[1]])
+    for n in range(1, N + 1):
+        tails = _keys(S, n, False)
+        prev, weights = weights, {}
+        for ms in tails:
+            head, uy = ms[:-1], u[ms[-1]]
+            w = prev[head]
+            for x in head:
+                w *= uy[x]
+            weights[ms] = w
+        if any(fractions):
+            flags = {ms: flags[ms[:-1]] or not fractions[ms[-1]].isdisjoint(ms[:-1]) for ms in tails}
+            frac = all(flags.values()) or (any(flags.values()) and tuple(flags.values()))
+        yield _Exact.reduced([list(weights.values())], L ** math.comb(n, 2), frac)
+
+
 def build_phi_series(space, mayer, N, allow_large=False):
-    """Connected-sum series: order n coefficient is ursell on the tuple.
+    """Connected-sum series: order n coefficient is phi_n on the tuple.
 
     Order 0 is 0 (no constant term in log of the partition function) and
-    order 1 is identically 1; every higher order comes from ``_order_sums``.
+    order 1 is identically 1.  On a matrix of ints and Fractions phi is
+    ``log_series`` of the all-graph weights (``_all_graph_orders``), each
+    value a Fraction exactly when its weight is flagged one; a float matrix
+    gets every higher order from ``_order_sums``.
     """
-
-    def orders():
-        yield [0]
-        if N:
-            yield [1] * space.size
-        yield from _order_sums(ursell, mayer, space.size, N)
-
-    return FormalSeries.from_orders(space, N, orders(), allow_large=allow_large)
+    fm, _ = _f_matrix(mayer)
+    if _float_entries(mayer):
+        orders = chain([[0], [1] * space.size][:N + 1], _order_sums(ursell, mayer, space.size, N))
+        return FormalSeries.from_orders(space, N, orders, allow_large=allow_large)
+    _require_one_rule(fm)
+    _check_trunc(space, N, allow_large)
+    W = FormalSeries(space, list(_all_graph_orders(fm, space.size, N)))
+    return FormalSeries(space, [_Exact(p.num, p.den, w.frac) for p, w in zip(log_series(W)._orders, W._orders)])
 
 
 def _float_a_order(b, cols, phi):
@@ -621,26 +617,31 @@ def _float_a_order(b, cols, phi):
         return (-(B - 1.0) * np.array(phi)).ravel().tolist()
 
 
-def build_A_family(space, mayer, N, allow_large=False):
+def build_A_family(space, mayer, N, phi=None, allow_large=False):
     """Rooted activity coefficients for 1 <= n <= N (order 0 is 0):
 
-        A_n(q; x) = -(prod_j (1 + f(q, x_j)) - 1) * ursell(x).
+        A_n(q; x) = -(prod_j (1 + f(q, x_j)) - 1) * phi_n(x),
 
-    ursell(x) is 1 at order 1 and comes from ``_order_sums`` above it.
-    Root q writes its factors as 1 + f(q, x) = b_q(x) / L_q, and the bracket
-    of ms is B = prod_j b_q(x_j) over L_q^n, carried from the bracket of its
-    prefix ms[:-1].  On a matrix of ints and Fractions L_q is the lcm of the
+    phi_n(x) read from ``phi``, the series of ``build_phi_series`` (built
+    first when not given).  Root q writes its factors as 1 + f(q, x) =
+    b_q(x) / L_q, and the bracket of ms is B = prod_j b_q(x_j) over L_q^n,
+    carried from the bracket of its prefix ms[:-1].  On a matrix of ints and Fractions L_q is the lcm of the
     denominators of row q, B is an int, and the coefficient is the one
-    quotient (L_q^n - B) ursell(x) / L_q^n: a Fraction exactly when an entry
-    f(q, x_j) or ursell(x) is one, else an int.  A float matrix has L_q = 1
+    quotient (L_q^n - B) phi_n(x) / L_q^n: a Fraction exactly when an entry
+    f(q, x_j) or phi_n(x) is one, else an int.  A float matrix has L_q = 1
     and b_q(x) = 1.0 + f(q, x): order 1 is -(1 + f - 1) on the entries as
     stored, and each higher order one float64 product per tail column, with
     the factors multiplied left to right and the coefficient
-    -(B - 1.0) ursell(x).  A raw list that mixes floats with ints or
+    -(B - 1.0) phi_n(x).  A raw list that mixes floats with ints or
     Fractions is refused with a StructureError.
     """
     fm, _ = _f_matrix(mayer)
     S = space.size
+    if phi is None:
+        phi = build_phi_series(space, mayer, N, allow_large)
+    elif phi.space != space or phi.trunc != N:
+        raise StructureError("phi must share space and truncation order with the family")
+    sums = [order.values() for order in phi._orders]
     if _float_entries(mayer):
         b = 1.0 + np.asarray(fm, float)
 
@@ -648,15 +649,11 @@ def build_A_family(space, mayer, N, allow_large=False):
             yield [0] * S
             if N:
                 yield [-(1 + v - 1) for row in fm for v in row]
-            for n, phi in enumerate(_order_sums(ursell, mayer, S, N), 2):
-                yield _float_a_order(b, _tail_columns(S, n), phi)
+            for n in range(2, N + 1):
+                yield _float_a_order(b, _tail_columns(S, n), sums[n])
 
         return RootedSeriesFamily.from_orders(space, N, float_orders(), allow_large=allow_large)
-    if not _exact_entries(fm):
-        raise StructureError(
-            "the activity family needs a matrix of floats only or of ints and Fractions only; "
-            "build a MayerMatrices with exact=False for mixed entries"
-        )
+    _require_one_rule(fm)
     roots = []
     for row in fm:
         L = math.lcm(*(v.denominator for v in row))
@@ -668,15 +665,14 @@ def build_A_family(space, mayer, N, allow_large=False):
         # each order's values in storage order: roots outermost, then ms
         yield [0] * S
         brackets = [{(): 1} for _ in roots]
-        sums = chain([[1] * S], _order_sums(ursell, mayer, S, N))
-        for n, phi in zip(range(1, N + 1), sums):
+        for n in range(1, N + 1):
             tails = _keys(S, n, False)
             vals = []
             for q, (L, b, fractions) in enumerate(roots):
                 prev = brackets[q]
                 brackets[q] = cur = {ms: prev[ms[:-1]] * b[ms[-1]] for ms in tails}
                 Ln = L**n
-                for (ms, B), p in zip(cur.items(), phi):
+                for (ms, B), p in zip(cur.items(), sums[n]):
                     if type(p) is Fraction or not fractions.isdisjoint(ms):
                         # over 1, as on every hard-core matrix, skip the gcd
                         x, den = (Ln - B) * p.numerator, Ln * p.denominator

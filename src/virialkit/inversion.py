@@ -156,7 +156,9 @@ class GCState:
 
     @cached_property
     def a_family(self):
-        return self._family("A", self.N, lambda: build_A_family(self.space, self.mayer, self.N, allow_large=True))
+        return self._family(
+            "A", self.N, lambda: build_A_family(self.space, self.mayer, self.N, self.phi_series, allow_large=True)
+        )
 
     @cached_property
     def t_family(self):

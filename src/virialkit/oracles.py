@@ -211,6 +211,7 @@ def mul_dense(K, G):
 # Graph sums (graphs, kernels)
 
 URSELL_BRUTE_MAX = 6
+URSELL_MAX = 12
 
 
 class EdgeMask(NamedTuple):
@@ -281,6 +282,58 @@ def ursell_bruteforce(f, xs):
         if term != 0:
             total += term
     return total
+
+
+def ursell(f, xs):
+    """Exact connected-graph sum phi_n over the species tuple xs (n <= 12),
+    by the subset recursion anchored at the first position: with w(S) the
+    product of (1 + f) over the pairs inside S,
+
+        phi(S) = w(S) - sum over proper T holding the anchor of phi(T) w(S \\ T)
+
+    in O(3^n) int operations.  The factors are ints u_p = L (1 + f_p) over
+    the common denominator L of the pair entries, so w(S) carries
+    L^(pairs inside S), and a term phi(T) w(S \\ T), which lacks the
+    |T| |S \\ T| pairs across, is multiplied by L to that power.  The result
+    is divided by L^C(n, 2) once, and is a Fraction exactly when a pair
+    entry is one.  It checks ``graphs.build_phi_series`` (log W) above the
+    reach of ``ursell_bruteforce``; float tuples have ``graphs.ursell``.
+    """
+    fm, _ = _f_matrix(f)
+    n = len(xs)
+    if n == 0:
+        raise DomainError("ursell needs at least one point")
+    if n > URSELL_MAX:
+        raise CapabilityError(f"exact ursell supports n <= {URSELL_MAX}")
+    if n == 1:
+        return 1
+    vals = [fm[xs[i]][xs[j]] for i, j in pair_order(n)]
+    if not all(type(v) in (int, Fraction) for v in vals):
+        raise DomainError("oracles.ursell needs int and Fraction pair entries; graphs.ursell sums floats")
+    L = math.lcm(*(v.denominator for v in vals))
+    u = [[0] * n for _ in range(n)]
+    for (i, j), v in zip(pair_order(n), vals):
+        u[i][j] = L + v.numerator * (L // v.denominator)
+    size = 1 << n
+    w = [1] * size
+    for S in range(3, size):
+        top = S.bit_length() - 1
+        w[S] = w[S ^ 1 << top] * math.prod(u[i][top] for i in range(top) if S >> i & 1)
+    powers = [L**c for c in range(n * n // 4 + 1)]
+    phi = [0] * size
+    for S in range(1, size, 2):
+        total, free = w[S], S ^ 1
+        sub = (free - 1) & free
+        while free:
+            T = sub | 1
+            total -= phi[T] * w[S ^ T] * powers[T.bit_count() * (S ^ T).bit_count()]
+            if not sub:
+                break
+            sub = (sub - 1) & free
+        phi[S] = total
+    if any(type(v) is Fraction for v in vals):
+        return Fraction(phi[-1], L ** len(vals))
+    return phi[-1]
 
 
 def scan_masks_reference(n, pairs, mode):

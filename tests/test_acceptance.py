@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 from virialkit.fps import FormalSeries, RootedSeriesFamily, exp_series, sym_factor
-from virialkit.graphs import count_class, pair_order, ursell
+from virialkit.graphs import build_phi_series, count_class, pair_order
 from virialkit.homogeneous import (
     INV_2E,
     HomogeneousModel,
@@ -182,11 +182,12 @@ def test_criterion_6_oracle_equivalences():
         for ms in {(0,) * n, (1,) * n, tuple(i % 2 for i in range(n))}:
             for q in range(2):
                 assert t_rand.value(n, q, ms) == tn_via_trees(rand_a, n, q, ms)
-    # connected-sum recursion vs partition brute force
+    # connected sums (log of the all-graph weights) vs graph brute force
     f = [[Fraction(-1), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(1, 4)]]
+    phi = build_phi_series(s2, f, 6)
     for n in range(2, 7):
         for xs in ((0,) * n, tuple(i % 2 for i in range(n))):
-            assert ursell(f, xs) == ursell_bruteforce(f, xs)
+            assert phi.value(n, xs) == ursell_bruteforce(f, xs)
     # graph class counts vs independent mask scans
     for n, expect in zip(range(2, 6), (1, 4, 38, 728)):
         assert count_class(n, "connected") == expect
@@ -216,8 +217,8 @@ def test_criterion_6_oracle_equivalences():
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     print(
-        "criterion 6: PASS - tree recursion == enumeration (n<=4), ursell "
-        "fast == brute (n<=6), class counts == brute masks, Bell numbers "
+        "criterion 6: PASS - tree recursion == enumeration (n<=4), phi "
+        "series == brute (n<=6), class counts == brute masks, Bell numbers "
         f"1,1,2,5,15,52 ({elapsed:.2f}s)"
     )
 

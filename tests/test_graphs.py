@@ -31,6 +31,7 @@ from virialkit.graphs import (
     ursell,
 )
 from virialkit.oracles import EdgeMask, d_coeff_enumerated, ursell_bruteforce
+from virialkit.oracles import ursell as ursell_exact
 from virialkit.species import MayerMatrices, SpeciesSpace
 
 CONNECTED = {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
@@ -159,8 +160,8 @@ def test_prufer_star_and_bijection():
 
 def test_ursell_small_orders():
     f = rand_f(0, 2)
-    assert ursell(f, (0,)) == 1
-    assert ursell(f, (0, 1)) == f[0][1]
+    assert ursell_exact(f, (0,)) == 1
+    assert ursell_exact(f, (0, 1)) == f[0][1]
     x, y, z = 0, 1, 0
     expect = (
         f[x][y] * f[x][z]
@@ -168,12 +169,12 @@ def test_ursell_small_orders():
         + f[x][z] * f[y][z]
         + f[x][y] * f[x][z] * f[y][z]
     )
-    assert ursell(f, (x, y, z)) == expect
+    assert ursell_exact(f, (x, y, z)) == expect
 
 
 def test_ursell_hard_core_pair():
     f = [[Fraction(-1)]]
-    assert ursell(f, (0, 0)) == -1
+    assert ursell_exact(f, (0, 0)) == -1
 
 
 def test_ursell_fast_matches_bruteforce():
@@ -182,7 +183,7 @@ def test_ursell_fast_matches_bruteforce():
         for n in range(2, 7):
             r = random.Random(100 + seed + n)
             xs = tuple(r.randrange(3) for _ in range(n))
-            assert ursell(f, xs) == ursell_bruteforce(f, xs)
+            assert ursell_exact(f, xs) == ursell_bruteforce(f, xs)
 
 
 def test_ursell_partition_identity():
@@ -202,14 +203,14 @@ def test_ursell_partition_identity():
             for part in set_partitions(n):
                 term = Fraction(1)
                 for blk in part:
-                    term *= ursell(f, tuple(xs[i] for i in blk))
+                    term *= ursell_exact(f, tuple(xs[i] for i in blk))
                 total += term
             assert prod == total
 
 
 def test_ursell_partition_identity_above_the_brute_force_range():
     # the same identity at n = 7, where ursell_bruteforce stops, in exact
-    # Fractions: every block's sum comes from the exact plan walk
+    # Fractions: every block's sum comes from the exact subset recursion
     from virialkit.fps import set_partitions
     from virialkit.oracles import URSELL_BRUTE_MAX
 
@@ -224,20 +225,27 @@ def test_ursell_partition_identity_above_the_brute_force_range():
         for part in set_partitions(n):
             term = Fraction(1)
             for blk in part:
-                term *= ursell(f, tuple(xs[i] for i in blk))
+                term *= ursell_exact(f, tuple(xs[i] for i in blk))
             total += term
         assert prod == total
-        assert type(ursell(f, xs)) is Fraction
+        assert type(ursell_exact(f, xs)) is Fraction
 
 
 def test_ursell_errors():
     f = rand_f(1, 2)
-    with pytest.raises(DomainError):
-        ursell(f, ())
+    for fn in (ursell, ursell_exact):
+        with pytest.raises(DomainError):
+            fn(f, ())
+        with pytest.raises(CapabilityError):
+            fn(f, (0,) * 13)
     with pytest.raises(CapabilityError):
         ursell_bruteforce(f, (0,) * 7)
-    with pytest.raises(CapabilityError):
-        ursell(f, (0,) * 13)
+    # the float sum refuses an exact tuple, and the exact oracle a float one
+    for m in (f, MayerMatrices.from_f(SpeciesSpace.uniform(2), f, exact=True)):
+        with pytest.raises(DomainError, match="build_phi_series.*oracles.ursell"):
+            ursell(m, (0, 1, 1))
+    with pytest.raises(DomainError):
+        ursell_exact([[0.5]], (0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +360,14 @@ def test_exact_sums_match_enumeration(n, data):
     for m in (f, mayer):
         got = d_coeff(m, xs)
         assert got == want and type(got) is type(want)
-        phi = ursell(m, xs)
+        phi = ursell_exact(m, xs)
         assert phi == want_phi and type(phi) is phi_type
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=hyp.data())
 def test_exact_ursell_matches_bruteforce(data):
-    # the exact plan walk against the enumeration of connected graphs for
+    # the exact subset recursion against the enumeration of connected graphs for
     # n <= 6, on ints, sixteenths, thirds and sevenths, int -1 beside
     # Fraction(-1), and species whose row is zero: the same value, and a
     # Fraction exactly when one of the tuple's pair entries is (the
@@ -381,8 +389,24 @@ def test_exact_ursell_matches_bruteforce(data):
     phi_type = Fraction if any(isinstance(v, Fraction) for v in pair_entries) else int
     mayer = MayerMatrices.from_f(SpeciesSpace.uniform(S), f, exact=True)
     for m in (f, mayer):
-        got = ursell(m, xs)
+        got = ursell_exact(m, xs)
         assert got == want and type(got) is phi_type
+
+
+def test_log_w_phi_and_a_at_order_twelve():
+    # one spot check at the oracle's ceiling, on a matrix of ints beside
+    # Fractions: every tuple of order 12, and A at each root
+    N, S = 12, 2
+    f = [[-1, Fraction(1, 3)], [Fraction(1, 3), 2]]
+    space = SpeciesSpace.uniform(S)
+    phi = build_phi_series(space, f, N, allow_large=True)
+    A = build_A_family(space, f, N, phi, allow_large=True)
+    for ms, v in phi.coeffs[N].items():
+        want = ursell_exact(f, ms)
+        assert v == want and type(v) is type(want) is (Fraction if 0 in ms and 1 in ms else int)
+        for q in range(S):
+            a = -(math.prod(1 + f[q][x] for x in ms) - 1) * want
+            assert A.value(N, q, ms) == a and type(A.value(N, q, ms)) is type(a)
 
 
 def test_float_sums_golden():
@@ -443,7 +467,7 @@ def test_exact_sums_make_no_fraction_products(monkeypatch):
     want = d_coeff_enumerated(f, xs), ursell_bruteforce(f, xs)
     for name in ("__mul__", "__rmul__"):
         monkeypatch.setattr(Fraction, name, counted(name))
-    for fn, value in zip((d_coeff, ursell), want):
+    for fn, value in zip((d_coeff, ursell_exact), want):
         calls["n"] = 0
         assert fn(mayer, xs) == value
         assert calls["n"] < 100
@@ -508,31 +532,37 @@ def test_a_family_matches_literal_formula(exact):
             bracket = 1
             for x in ms:
                 bracket = bracket * (1 + f[q][x])
-            assert repr(v) == repr(-(bracket - 1) * ursell(mayer, ms))
+            assert repr(v) == repr(-(bracket - 1) * (ursell_exact if exact else ursell)(mayer, ms))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(data=hyp.data())
 def test_a_family_matches_literal_formula_in_fractions(data):
-    # the integer brackets against -(prod_j (1 + f(q, x_j)) - 1) ursell(x)
-    # in Fraction arithmetic, value and type: a Fraction exactly when an
-    # entry f(q, x_j) or ursell(x) is one; raw lists mixing ints and
-    # Fractions, hard cores and denominators 3, 7 and 16
+    # phi (log of the all-graph weights) against the exact subset recursion
+    # of oracles.ursell, and the integer brackets of A against
+    # -(prod_j (1 + f(q, x_j)) - 1) phi(x) in Fraction arithmetic, value and
+    # type: phi is a Fraction exactly when a pair entry is one, A when an
+    # entry f(q, x_j) or phi(x) is one; raw lists mixing ints and Fractions,
+    # hard cores and denominators 3, 7 and 16, up to order 7
     entry = ENTRIES[data.draw(hyp.sampled_from(sorted(ENTRIES)))]
-    S, N = data.draw(hyp.integers(1, 3)), data.draw(hyp.integers(1, 4))
+    N = data.draw(hyp.integers(1, 7))
+    S = data.draw(hyp.integers(1, 3 if N < 7 else 2))
     f = [[0] * S for _ in range(S)]
     for i in range(S):
         for j in range(i, S):
             f[i][j] = f[j][i] = data.draw(entry)
     space = SpeciesSpace.uniform(S)
     for m in (f, MayerMatrices.from_f(space, f, exact=True)):
-        A = build_A_family(space, m, N)
+        phi, A = build_phi_series(space, m, N, allow_large=True), build_A_family(space, m, N, allow_large=True)
         for n in range(1, N + 1):
+            for ms, v in phi.coeffs[n].items():
+                want = ursell_exact(f, ms)
+                assert v == want and type(v) is type(want)
             for (q, ms), v in A.coeffs[n].items():
                 bracket = 1
                 for x in ms:
                     bracket = bracket * (1 + f[q][x])
-                want = -(bracket - 1) * ursell(f, ms)
+                want = -(bracket - 1) * ursell_exact(f, ms)
                 assert v == want and type(v) is type(want)
 
 
@@ -559,8 +589,8 @@ def patterns(f, tuples):
 
 def test_builders_call_once_per_pattern(monkeypatch, fresh_memo):
     # hard rods on a line of sites: f = -1 between neighbours, 0 further off;
-    # the builders share one memo, so phi then A call ursell once per
-    # pattern of order 2 or more in total (orders 0 and 1 call no sum)
+    # exact phi and A are log W and call no graph sum, and D calls d_coeff
+    # once per pattern of order 2 or more (orders 0 and 1 call no sum)
     S, N = 5, 4
     f = [[Fraction(-1) if abs(i - j) <= 1 else Fraction(0) for j in range(S)] for i in range(S)]
     space = SpeciesSpace.uniform(S)
@@ -568,12 +598,12 @@ def test_builders_call_once_per_pattern(monkeypatch, fresh_memo):
     tails = [ms for n in range(2, N + 1) for ms in itertools.combinations_with_replacement(range(S), n)]
     ursell_calls, d_calls = counting(monkeypatch, "ursell"), counting(monkeypatch, "d_coeff")
     want_phi, want_A = build_phi_series(space, mayer, N), build_A_family(space, mayer, N)
-    assert len(ursell_calls) == len(patterns(f, tails)) < len(tails)
+    assert ursell_calls == d_calls == [] and len(fresh_memo._entries) == 0
     want_d = build_D_family(space, mayer, N)
     rooted = [(q,) + ms for q in range(S) for ms in tails]
     assert len(d_calls) == len(patterns(f, rooted)) < len(rooted)
-    # the memo holds one value per pattern of each sum
-    assert len(fresh_memo._entries) == fresh_memo.size == len(ursell_calls) + len(d_calls)
+    # the memo holds one value per pattern of the sum
+    assert len(fresh_memo._entries) == fresh_memo.size == len(d_calls)
     # a second matrix with equal entries reads every pattern from the memo
     ursell_calls.clear()
     d_calls.clear()
@@ -585,12 +615,14 @@ def test_builders_call_once_per_pattern(monkeypatch, fresh_memo):
 
 
 def test_a_family_refuses_a_raw_list_of_mixed_entries():
-    # floats beside ints or Fractions have no A route; phi keeps its per-tuple one
+    # floats beside ints or Fractions have no A route and no phi route; D
+    # keeps its per-tuple one
     space = SpeciesSpace.uniform(2)
     for f in ([[0.5, Fraction(-1, 2)], [Fraction(-1, 2), 0.25]], [[-1, 0.5], [0.5, 0]]):
-        with pytest.raises(StructureError, match="MayerMatrices"):
-            build_A_family(space, f, 2)
-        assert build_phi_series(space, f, 2).coeffs[2][(0, 1)] == ursell(f, (0, 1))
+        for build in (build_A_family, build_phi_series):
+            with pytest.raises(StructureError, match="MayerMatrices"):
+                build(space, f, 2)
+        assert build_D_family(space, f, 2).value(2, 0, (0, 1)) == d_coeff(f, (0, 0, 1))
 
 
 @pytest.mark.parametrize("N", [0, 1])
@@ -614,7 +646,7 @@ def test_builders_below_order_two_call_no_sum(monkeypatch, matrix, N):
         build_A_family: [[0, 0], [-(1 + v - 1) if isinstance(v, float) else -v for v in entries]],
     }
     for build, orders in want.items():
-        if build is build_A_family and exact is None:
+        if build is not build_D_family and exact is None:
             with pytest.raises(StructureError):
                 build(space, mayer, N)
             continue
@@ -628,9 +660,9 @@ def test_builders_below_order_two_call_no_sum(monkeypatch, matrix, N):
 def test_per_pattern_tells_int_from_fraction(monkeypatch):
     # -1 and Fraction(-1) are equal but give sums of different types
     f = [[-1, Fraction(-1)], [Fraction(-1), -1]]
-    calls = counting(monkeypatch, "ursell")
-    phi = graphs.per_pattern(graphs.ursell, f)
-    values = [phi(xs) for xs in [(0, 0), (0, 1), (1, 1), (1, 0)]]
+    calls = counting(monkeypatch, "d_coeff")
+    d = graphs.per_pattern(graphs.d_coeff, f)
+    values = [d(xs) for xs in [(0, 0), (0, 1), (1, 1), (1, 0)]]
     assert len(calls) == 2
     assert [type(v) for v in values] == [int, Fraction, int, Fraction]
     assert values == [-1, -1, -1, -1]
@@ -646,8 +678,8 @@ def test_shared_memo_keeps_the_arithmetic_rule(fresh_memo, exact_first):
     for mayer in (exact, marked) if exact_first else (marked, exact):
         kind = int if mayer.exact else float
         memo = dict(fresh_memo._entries)
-        d, phi = graphs.per_pattern(d_coeff, mayer), graphs.per_pattern(ursell, mayer)
-        assert [(v, type(v)) for v in (d((0, 0, 1)), phi((0, 0, 1)))] == [(-1, kind), (2, kind)]
+        d = graphs.per_pattern(d_coeff, mayer)
+        assert [(v, type(v)) for v in (d((0, 0, 1)), d((0, 0, 1, 1)))] == [(-1, kind), (-2, kind)]
         if not mayer.exact:
             # the memo holds exact sums only: the float-marked matrix's go per tuple
             assert dict(fresh_memo._entries) == memo
@@ -658,9 +690,9 @@ def test_shared_memo_keeps_int_and_fraction_apart_across_matrices():
     space = SpeciesSpace.uniform(2)
     for entry in (-1, Fraction(-1), -1, Fraction(-1)):
         mayer = MayerMatrices.from_f(space, [[entry, entry], [entry, entry]], exact=True)
-        d, phi = graphs.per_pattern(d_coeff, mayer), graphs.per_pattern(ursell, mayer)
-        values = [d((0, 1)), d((0, 0, 1)), phi((0, 1)), phi((0, 0, 1))]
-        assert values == [-1, -1, -1, 2]
+        d = graphs.per_pattern(d_coeff, mayer)
+        values = [d((0, 1)), d((0, 0, 1)), d((0, 0, 1, 1)), d((0, 1, 1, 1))]
+        assert values == [-1, -1, -2, -2]
         assert {type(v) for v in values} == {type(entry)}
 
 
@@ -672,18 +704,18 @@ def test_shared_memo_is_bounded(monkeypatch):
     monkeypatch.setattr(graphs, "_ENTRY_IDS", graphs._ENTRY_IDS.copy())
     S = 4
     mayer = MayerMatrices.from_f(SpeciesSpace.uniform(S), rand_f(3, S), exact=True)
-    phi = graphs.per_pattern(ursell, mayer)
+    d = graphs.per_pattern(d_coeff, mayer)
     tuples = list(itertools.combinations_with_replacement(range(S), 3))
     assert len(patterns(mayer.f, tuples)) > 8
     for xs in tuples + tuples:
-        v, want = phi(xs), ursell(mayer, xs)
+        v, want = d(xs), d_coeff(mayer, xs)
         assert v == want and type(v) is type(want)
     assert len(graphs._MEMO._entries) == graphs._MEMO.size == 8
     for k in range(20):
         # more distinct entries than the cap, a fresh matrix each
         entry = Fraction(-1, k + 2)
         m = MayerMatrices.from_f(SpeciesSpace.uniform(1), [[entry]], exact=True)
-        assert graphs.per_pattern(ursell, m)((0, 0)) == entry
+        assert graphs.per_pattern(d_coeff, m)((0, 0)) == entry
     assert len(graphs._ENTRY_IDS) <= 9
     assert len(graphs._MEMO._entries) == graphs._MEMO.size == 8
 

@@ -214,12 +214,12 @@ def test_family_memo_hit_equals_a_memo_free_build(fresh_memo, make):
 
 def test_family_memo_keeps_each_states_weights(fresh_memo, monkeypatch):
     # the same f under two weightings: each reads the other's families and
-    # still sums them against its own weights
+    # still sums them against its own weights; A keeps the phi it reads
     f = [[Fraction(-1), Fraction(-1, 2), 0], [Fraction(-1, 2), 0, Fraction(1, 4)], [0, Fraction(1, 4), -1]]
     spaces = [SpeciesSpace.from_weights(w) for w in ([1, 1, 1], [Fraction(1, 2), 2, 3])]
     z = [Fraction(1, 10), Fraction(1, 20), Fraction(1, 7)]
     hits = [rho_of_z(GCState.from_f(space, f, N=4), z) for space in spaces]
-    assert len(family_keys(fresh_memo)) == 1
+    assert [key[0] for key in family_keys(fresh_memo)] == ["phi", "A"]
     monkeypatch.setattr(graphs, "_MEMO", graphs._Memo(0))
     cold = [rho_of_z(GCState.from_f(space, f, N=4), z) for space in spaces]
     assert len(graphs._MEMO._entries) == 0
@@ -251,24 +251,27 @@ def test_family_memo_keeps_int_and_fraction_apart(fresh_memo):
 
 
 def test_family_memo_is_bounded(monkeypatch):
-    # at order 1 no family reads a graph sum, so the memo holds families
-    # only: A at S = 2 holds 2 * (1 + 2) = 6 coefficients, phi 3
+    # the memo holds families only (no family reads a connected sum from it):
+    # A at S = 2, N = 1 holds 2 * (1 + 2) = 6 coefficients, and the phi it
+    # reads, kept first, 3
     memo = graphs._Memo(14)
     monkeypatch.setattr(graphs, "_MEMO", memo)
     states = [GCState.from_f(S2, [[Fraction(-k, 8), 0], [0, -1]], N=1) for k in range(1, 5)]
     for st in states:
         assert st.a_family == inv.build_A_family(S2, st.mayer, 1)
         assert memo.size <= 14
-    # the least recently read family goes first
-    assert memo.size == 12 and len(memo._entries) == 2
-    GCState(S2, mayer=states[2].mayer, N=1).a_family
-    GCState(S2, mayer=states[0].mayer, N=1).phi_series
-    assert memo.size == 9 and len(memo._entries) == 2
-    assert [key[0] for key in memo._entries] == ["A", "phi"]
-    # a family larger than the bound is not kept
-    big = GCState.from_f(SpeciesSpace.uniform(4), [[Fraction(-1, 3)] * 4] * 4, N=1)
-    assert big.a_family == inv.build_A_family(big.space, big.mayer, 1)
-    assert memo.size == 9 and len(memo._entries) == 2
+    assert memo.size == 9 and [key[0] for key in memo._entries] == ["phi", "A"]
+    # the least recently read family goes first: the last state's phi is read
+    # again, so its A goes when two more phi series come in
+    last_a = list(memo._entries)[1]
+    for k in (3, 0, 1):
+        GCState(S2, mayer=states[k].mayer, N=1).phi_series
+    assert memo.size == 9 and len(memo._entries) == 3 and last_a not in memo._entries
+    assert [key[0] for key in memo._entries] == ["phi", "phi", "phi"]
+    # a family larger than the bound is not kept, nor a phi that is
+    big = GCState.from_f(SpeciesSpace.uniform(4), [[Fraction(-1, 3)] * 4] * 4, N=2)
+    assert big.a_family == inv.build_A_family(big.space, big.mayer, 2)
+    assert memo.size == 9 and len(memo._entries) == 3
 
 
 def test_request_bytes_cold_and_on_a_hit(monkeypatch):
@@ -295,14 +298,15 @@ def test_request_bytes_cold_and_on_a_hit(monkeypatch):
 
 def test_family_memo_under_threads(monkeypatch):
     # more threads than cores read the families of four matrices, and their
-    # graph sums through per_pattern, from a memo that holds about two
-    # families; a lost update would break its size
+    # biconnected sums through per_pattern, from a memo that holds about one
+    # state's A (20 coefficients) and phi (10); a lost update would break its
+    # size
     memo = graphs._Memo(40)
     monkeypatch.setattr(graphs, "_MEMO", memo)
     mayers = [MayerMatrices.from_f(S2, [[Fraction(-k, 8), 0], [0, -1]], exact=True) for k in range(1, 5)]
     want = [inv.build_A_family(S2, m, 3) for m in mayers]
     tuples = [xs for n in (2, 3, 4) for xs in canonical_indices(2, n)]
-    sums = [[(v, type(v)) for v in (graphs.ursell(m, xs) for xs in tuples)] for m in mayers]
+    sums = [[(v, type(v)) for v in (graphs.d_coeff(m, xs) for xs in tuples)] for m in mayers]
     errors = []
 
     def reader(seed):
@@ -312,7 +316,7 @@ def test_family_memo_under_threads(monkeypatch):
                 k = r.randrange(4)
                 if GCState(S2, mayer=mayers[k], N=3).a_family != want[k]:
                     errors.append(k)
-                value = graphs.per_pattern(graphs.ursell, mayers[k])
+                value = graphs.per_pattern(graphs.d_coeff, mayers[k])
                 if [(v, type(v)) for v in map(value, tuples)] != sums[k]:
                     errors.append(k)
         except Exception as exc:  # reported below
@@ -333,28 +337,30 @@ def test_family_memo_under_threads(monkeypatch):
 
 
 def test_sums_and_families_share_one_bound(monkeypatch):
-    # three connected sums, one of them read again, then A at S = 2, N = 1
-    # (2 * (1 + 2) = 6 coefficients, no graph sum) against a bound of 8
-    memo = graphs._Memo(8)
+    # three biconnected sums, one of them read again, then A at S = 2, N = 1
+    # (2 * (1 + 2) = 6 coefficients, and the 1 + 2 = 3 of the phi it reads,
+    # no graph sum) against a bound of 11
+    memo = graphs._Memo(11)
     monkeypatch.setattr(graphs, "_MEMO", memo)
     mayer = MayerMatrices.from_f(S2, [[Fraction(-1, 2), 0], [0, -1]], exact=True)
     ids = graphs._entry_ids(mayer)
-    phi = graphs.per_pattern(graphs.ursell, mayer)
+    d = graphs.per_pattern(graphs.d_coeff, mayer)
     for xs in [(0, 0), (0, 1), (1, 1), (0, 0)]:
-        phi(xs)
-    assert list(memo._entries) == [(graphs.ursell, 2, ids[x][y]) for x, y in [(0, 1), (1, 1), (0, 0)]]
+        d(xs)
+    assert list(memo._entries) == [(graphs.d_coeff, 2, ids[x][y]) for x, y in [(0, 1), (1, 1), (0, 0)]]
     assert memo.size == 3
     # the family read drops the least recently read sum, (0, 1), and nothing more
     st = GCState(S2, mayer=mayer, N=1)
     assert st.a_family == inv.build_A_family(S2, mayer, 1)
-    assert [key[0] for key in memo._entries] == [graphs.ursell, graphs.ursell, "A"]
-    assert (graphs.ursell, 2, ids[0][1]) not in memo._entries
-    assert memo.size == sum(size for _, size in memo._entries.values()) == 8
-    # a family of 3 * (1 + 3) = 12 coefficients is larger than the bound
-    big = GCState.from_f(SpeciesSpace.uniform(3), [[Fraction(-1, 3)] * 3] * 3, N=1)
+    assert [key[0] for key in memo._entries] == [graphs.d_coeff, graphs.d_coeff, "phi", "A"]
+    assert (graphs.d_coeff, 2, ids[0][1]) not in memo._entries
+    assert memo.size == sum(size for _, size in memo._entries.values()) == 11
+    # a family of 4 * (1 + 4 + 10) = 60 coefficients, and its phi of 15, are
+    # larger than the bound
+    big = GCState.from_f(SpeciesSpace.uniform(4), [[Fraction(-1, 3)] * 4] * 4, N=2)
     kept = dict(memo._entries)
-    assert big.a_family == inv.build_A_family(big.space, big.mayer, 1)
-    assert dict(memo._entries) == kept and memo.size == 8
+    assert big.a_family == inv.build_A_family(big.space, big.mayer, 2)
+    assert dict(memo._entries) == kept and memo.size == 11
 
 
 # ---------------------------------------------------------------------------
