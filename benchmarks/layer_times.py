@@ -18,9 +18,10 @@ builds a fresh state of the same recipe and times the layer again in the
 same process, over and over, until the timed calls add up to 0.2 s: the
 median of these is the warm time, the steady cost.  Every timed call first
 empties each memo of values of f that the imported virialkit has: it puts
-a new memo of graph sums and families in ``graphs._MEMO``, or, in earlier
-versions, clears the family memo ``inversion._FAMILIES`` and the pattern
-sums ``graphs._PATTERN_SUMS``.  So the call builds its layer, graph sums
+a new family memo in ``inversion._MEMO``, or, in versions up to c53886a, a
+new memo of graph sums and families in ``graphs._MEMO``, or, before those,
+clears the family memo ``inversion._FAMILIES`` and the pattern sums
+``graphs._PATTERN_SUMS``.  So the call builds its layer, graph sums
 included, rather than read what the last call, on the same recipe and
 seed, kept, and two versions time the same work; the exact rule's plans
 stay kept.  The script prints one line per cell, in table order, exact
@@ -165,8 +166,9 @@ def time_cell(mode, layer, S, N):
     deps, call = LAYERS[layer]
 
     def empty_memos():
-        if hasattr(graphs, "_MEMO"):
-            graphs._MEMO = graphs._Memo(graphs.MEMO_BOUND)
+        for module in (inversion, graphs):
+            if hasattr(module, "_MEMO"):
+                module._MEMO = module._Memo(module.MEMO_BOUND)
         for memo in (getattr(inversion, "_FAMILIES", None), getattr(graphs, "_PATTERN_SUMS", None)):
             if memo is not None:
                 memo.clear()

@@ -16,40 +16,40 @@ and from phi the rooted activity coefficients
 
     A_n(q; x) = -(prod_j (1 + f(q, x_j)) - 1) * phi_n(x).
 
-A tuple's pair entries f(x_i, x_j) decide how its sums run.  Exact entries
-(int and Fraction) are put over their common denominator L, so that every
-edge weight a_p = f_p * L is a Python int; the sums then run in integer
-arithmetic and are divided by a power of L once at the end.  Float entries
-(or a matrix marked ``exact=False``) run in float64, and both float sums
-are numpy kernels over many tuples at once, one tuple being the one-row
-case.  The biconnected sum is a gather: a cached read-only uint8 table
-[pairs x graphs] holds p where the graph has edge p and C(n, 2) where it
-has not, so taking it from each tuple's pair values plus a trailing 1.0 and
-multiplying down the pairs gives every graph's product in pair order; each
-tuple's products are summed once.  The float kernel of the connected sum
+Every function here is a pure function of the matrix it is given, and the
+matrix takes one arithmetic rule for all its tuples (``_f_matrix``): a
+``MayerMatrices`` by its ``exact`` flag, a raw nested list the exact rule
+when its entries are all ints and Fractions and the float rule when they
+are all floats; any other raw list is refused with a StructureError.  Under
+the exact rule a tuple's pair entries f(x_i, x_j) are put over their common
+denominator L, so that every edge weight a_p = f_p * L is a Python int; the
+sums then run in integer arithmetic and are divided by a power of L once at
+the end.  Under the float rule they run in float64, and both float sums are
+numpy kernels over many tuples at once, one tuple being the one-row case.
+The biconnected sum is a gather: a cached read-only uint8 table [pairs x
+graphs] holds p where the graph has edge p and C(n, 2) where it has not, so
+taking it from each tuple's pair values plus a trailing 1.0 and multiplying
+down the pairs gives every graph's product in pair order; each tuple's
+products are summed once.  The float kernel of the connected sum
 runs its subset recursion (``_ursell_levels``) one subset size at a time
 over every tuple of a block, each lane with its tuple's IEEE operations.
 
 The family builders get every graph sum of an order n >= 2 from one
 generator, ``_order_sums``: on a float matrix one ``ursell`` or ``d_coeff``
 call over all of the order's tuples, else one ``d_coeff`` call per distinct
-pattern of pair entries (``per_pattern``), through the one bounded memo of
-values of f (``_Memo``) that every exact matrix of the process shares.
-``build_A_family`` writes each factor 1 + f(q, x) of an exact matrix as an
-int b_q(x) over one denominator L_q per root, so that a bracket is an int
-over L_q^n and each coefficient is one quotient; on a float matrix the
-brackets are float64 column products.  A raw list that mixes floats with
-ints or Fractions gets D per tuple, and phi and A are refused.
+pattern of pair entries among the build's tuples (``per_pattern``), whose
+values live for that build only.  ``build_A_family`` writes each factor
+1 + f(q, x) of an exact matrix as an int b_q(x) over one denominator L_q
+per root, so that a bracket is an int over L_q^n and each coefficient is
+one quotient; on a float matrix the brackets are float64 column products.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict, defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, count, product
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -169,18 +169,15 @@ def _ursell_levels(n):
     w, each over the subsets by size, then by mask, and one row per pair in
     pair order, for the float kernel ``_ursell_sums``.
 
-    One level per subset size b = 2..n: (lo, hi, grow, pick, cross), the
-    b-subsets holding rows lo..hi-1 of phi (and of w, 2^n further on), in
-    ascending order of mask.  Row k of ``grow`` is w(S less its top vertex),
-    S the k-th subset, followed by the top vertex's factors 1 + f over the
-    rest's vertices in ascending order.  ``pick[0, k]`` is phi(empty)
-    followed by phi(T) over the proper subsets T of S that hold its lowest
-    vertex, in descending order of mask, and ``pick[1, k]`` is w(S) followed
-    by w(S less T).  ``cross[j]`` is |T| |S less T|, the pairs between the
-    j-th T and the rest, and 0 for the leading entry.  Entry j >= 1 takes T
-    as the lowest vertex of S and the other vertices picked by the bits of
-    2^(b-1) - 1 - j, so |T|, and with it ``cross[j]``, is the same for every
-    S of the level.
+    One level per subset size b = 2..n: (lo, hi, grow, pick), the b-subsets
+    holding rows lo..hi-1 of phi (and of w, 2^n further on), in ascending
+    order of mask.  Row k of ``grow`` is w(S less its top vertex), S the
+    k-th subset, followed by the top vertex's factors 1 + f over the rest's
+    vertices in ascending order.  ``pick[0, k]`` is phi(empty) followed by
+    phi(T) over the proper subsets T of S that hold its lowest vertex, in
+    descending order of mask, and ``pick[1, k]`` is w(S) followed by
+    w(S less T).  Entry j >= 1 takes T as the lowest vertex of S and the
+    other vertices picked by the bits of 2^(b-1) - 1 - j.
     """
     size = 1 << n
     by_size = np.argsort([m.bit_count() for m in range(size)], kind="stable")
@@ -202,8 +199,7 @@ def _ursell_levels(n):
         T = (1 << verts[:, 1:]) @ picks.T | (1 << verts[:, :1])
         pick = np.stack([np.column_stack([np.zeros(len(masks), np.intp), row[T]]),
                          np.column_stack([size + row[masks], size + row[masks[:, None] ^ T]])])
-        t = 1 + picks.sum(axis=1)
-        levels.append((lo, lo + len(masks), grow, pick, np.concatenate([[0], t * (b - t)])))
+        levels.append((lo, lo + len(masks), grow, pick))
         lo += len(masks)
     return levels
 
@@ -229,7 +225,7 @@ def _ursell_sums(pairs_of, count, n):
         W = pairs_of(start, min(start + rows, count))
         Z = np.ones((2 * size + len(W), W.shape[1]))
         np.add(W, 1.0, out=Z[2 * size:])
-        for lo, hi, grow, pick, _ in _ursell_levels(n):
+        for lo, hi, grow, pick in _ursell_levels(n):
             np.multiply.reduce(Z.take(grow, axis=0), axis=1, out=Z[size + lo:size + hi])
             G = Z.take(pick, axis=0)
             np.subtract.reduce(G[0] * G[1], axis=1, out=Z[lo:hi])
@@ -238,31 +234,25 @@ def _ursell_sums(pairs_of, count, n):
 
 
 def _f_matrix(f):
+    """(entries, exact): the rows of f and the one arithmetic rule that all
+    of its tuples take.  A ``MayerMatrices`` says so by its ``exact`` flag;
+    a raw nested list takes the float rule when every entry is a float and
+    the exact rule when every entry is an int or a Fraction, and any other
+    raw list is refused."""
     if isinstance(f, MayerMatrices):
-        return f.f, f.exact
-    return f, None
+        return f.f, bool(f.exact)
+    if all(isinstance(v, float) for row in f for v in row):
+        return f, False
+    if all(type(v) in _EXACT for row in f for v in row):
+        return f, True
+    raise StructureError("graph sums need a matrix of floats only or of ints and Fractions only; "
+                         "build a MayerMatrices with exact=False for mixed entries")
 
 
 def _pair_values(f, xs):
-    """The entries f(x_i, x_j), i < j, in pair order, and whether they are exact.
-
-    A matrix says so itself; a raw nested list is exact unless one of the
-    tuple's pair entries is a float.
-    """
+    """The entries f(x_i, x_j), i < j, in pair order, and the matrix's rule."""
     fm, exact = _f_matrix(f)
-    vals = [fm[xs[i]][xs[j]] for i, j in pair_order(len(xs))]
-    if exact is None:
-        exact = not any(isinstance(v, float) for v in vals)
-    return vals, exact
-
-
-def _float_entries(f):
-    """Whether every tuple's sums take the float route: a matrix marked
-    ``exact=False``, or a raw matrix of floats only."""
-    fm, exact = _f_matrix(f)
-    if exact is None:
-        return all(isinstance(v, float) for row in fm for v in row)
-    return not exact
+    return [fm[xs[i]][xs[j]] for i, j in pair_order(len(xs))], exact
 
 
 def _tuple_block(f, xs, name):
@@ -270,9 +260,10 @@ def _tuple_block(f, xs, name):
     arrays of one length, one entry per tuple, and pairs_of(lo, hi) is the
     C-ordered ((pairs + 1) x (hi - lo)) float64 block of tuples lo..hi-1,
     their pair values in pair order over a trailing row of 1.0."""
-    if not _float_entries(f):
+    fm, exact = _f_matrix(f)
+    if exact:
         raise DomainError(f"{name} over arrays of tuples needs a float matrix")
-    fm = np.asarray(_f_matrix(f)[0], float)
+    fm = np.asarray(fm, float)
     cols = [np.asarray(x) for x in xs]
     if len({len(c) for c in cols}) > 1:
         raise DomainError(f"{name} over arrays of tuples needs arrays of one length")
@@ -316,8 +307,9 @@ def ursell(f, xs):
     n positions of xs may be int arrays of one length, one entry per tuple,
     as for ``d_coeff``: the call then returns a float64 array of every
     tuple's sum, the same bits as one call per tuple, and ``_order_sums``
-    makes one such call per order.  An exact tuple is refused: exact phi is
-    ``build_phi_series``, checked by ``virialkit.oracles.ursell``.
+    makes one such call per order.  A matrix under the exact rule
+    (``_f_matrix``) is refused: exact phi is ``build_phi_series``, checked
+    by ``virialkit.oracles.ursell``.
     """
     n = len(xs)
     if n == 0:
@@ -341,7 +333,8 @@ def ursell(f, xs):
 def d_coeff(f, xs):
     """Biconnected-graph sum D_n over the species tuple xs (2 <= n <= 7).
 
-    For a single pair this is just f(x1, x2).  Float inputs gather the pair
+    For a single pair this is just f(x1, x2).  The matrix's rule
+    (``_f_matrix``) decides the arithmetic.  The float rule gathers the pair
     values, followed by 1.0 for a missing edge, through the class's cached
     uint8 index table and multiply each graph's factors down the pairs in
     order; the terms are summed once (``_gather_sums``; at n = 7 a 21 MB
@@ -354,7 +347,7 @@ def d_coeff(f, xs):
     same bits as one call per tuple, and ``_order_sums`` makes one such call
     per order.
 
-    Exact inputs keep the biconnected graphs whose edges all lie in the
+    The exact rule keeps the biconnected graphs whose edges all lie in the
     support {p : a_p != 0} and sum prod_(p in g) a_p * L^(P - |g|),
     P = C(n, 2), exactly: the pairs split into a low and a high half, each
     half's products come from a table over its edge subsets, and the
@@ -420,100 +413,32 @@ def hard_core_d_table(m):
 # Family builders
 
 
-def _exact_entries(fm):
-    """Whether every entry of the matrix is an int or a Fraction."""
-    return all(type(v) in _EXACT for row in fm for v in row)
-
-
-# values that the f-keyed memo holds at most, a graph sum counting one and a
-# family its coefficients: nearly twice the 4,389 of requests_exact's 116
-# biconnected patterns and 36 families (phi is kept with every A)
-MEMO_BOUND = 8192
-
-
-class _Memo:
-    """Values that depend on the Mayer function f alone, shared by every
-    exact matrix of the process and keyed by class ids of its entries
-    (``_entry_ids``): the graph sums of ``per_pattern`` and the coefficient
-    families of ``inversion.GCState``.
-
-    Each value is kept with a size (a sum 1, a family its coefficient
-    count), and the kept sizes add up to ``bound`` at most: the least
-    recently read value is dropped first, and a value larger than the bound
-    is not kept.  A lock guards the entries; a value is made outside it, and
-    of two threads that miss on one key, the first to put its value keeps it.
-    """
-
-    def __init__(self, bound):
-        self.bound = bound
-        self.size = 0
-        self._entries = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        """The value kept under ``key``, now the most recently read, else None."""
-        with self._lock:
-            hit = self._entries.get(key)
-            if hit is not None:
-                self._entries.move_to_end(key)
-                return hit[0]
-        return None
-
-    def put(self, key, value, size=1):
-        """Keep ``value`` under ``key`` when it fits and the key is free."""
-        if size > self.bound:
-            return
-        with self._lock:
-            if key not in self._entries:
-                self._entries[key] = (value, size)
-                self.size += size
-                while self.size > self.bound:
-                    self.size -= self._entries.popitem(last=False)[1][1]
-
-
-_MEMO = _Memo(MEMO_BOUND)
-# (type, value) -> class id, drawn from one counter that a clear keeps
-_ENTRY_IDS = defaultdict(count().__next__)
-
-
-def _entry_ids(mayer):
-    """The class id of every entry f(x, y), row by row, of a matrix of ints
-    and Fractions that takes the exact rule, and None for any other matrix
-    (``_float_entries``, or a raw list that mixes in floats), whose equal
-    entries need not be the same (-0.0 == 0.0).  An id is kept per (type,
-    value), so int -1 and Fraction(-1) stay apart.  The id table is emptied
-    when it outgrows MEMO_BOUND, and its ids come from one counter, so no
-    key made of ids meets a reused one, also when threads race on it."""
-    fm, _ = _f_matrix(mayer)
-    if _float_entries(mayer) or not _exact_entries(fm):
-        return None
-    if len(_ENTRY_IDS) > MEMO_BOUND:
-        _ENTRY_IDS.clear()
-    return [[_ENTRY_IDS[type(v), v] for v in row] for row in fm]
-
-
 def per_pattern(fn, mayer):
     """xs -> fn(mayer, xs) for ``d_coeff``, with one call of fn per distinct
-    pattern of pair entries in the process.
+    pattern of pair entries among the tuples that this closure is given.
 
     The sum reads only the tuple's length, the pair entries f(x_i, x_j) in
-    pair order with their types, and the matrix's arithmetic rule.  On a
-    matrix of ints and Fractions that takes the exact rule the values live
-    in the process's f-keyed memo (``_Memo``), keyed by (fn, n, the class
-    ids of the pair entries), so the builders on every hard-core matrix
-    (entries -1 and 0) share their patterns.  Any other matrix calls fn per
-    tuple: a float-rule matrix runs the float sums, also on ints.
+    pair order with their types, and the matrix's arithmetic rule.  Under
+    the exact rule (``_f_matrix``) the closure keeps its values in a dict of
+    its own, keyed by (n, the class ids of the pair entries), a class being
+    one (type, value) of the matrix, so that -1 and Fraction(-1) stay apart;
+    the values live as long as the closure, one build.  Under the float rule
+    fn runs per tuple, also on ints, since equal floats need not be the same
+    entry (-0.0 == 0.0).
     """
-    ids = _entry_ids(mayer)
-    if ids is None:
+    fm, exact = _f_matrix(mayer)
+    if not exact:
         return lambda xs: fn(mayer, xs)
+    classes = {}
+    ids = [[classes.setdefault((type(v), v), len(classes)) for v in row] for row in fm]
+    values = {}
 
     def value(xs):
-        key = (fn, len(xs), *[ids[xs[i]][xs[j]] for i, j in pair_order(len(xs))])
-        v = _MEMO.get(key)
+        n = len(xs)
+        key = (n, *[ids[xs[i]][xs[j]] for i, j in pair_order(n)])
+        v = values.get(key)
         if v is None:
-            v = fn(mayer, xs)
-            _MEMO.put(key, v)
+            v = values[key] = fn(mayer, xs)
         return v
 
     return value
@@ -535,12 +460,13 @@ def _order_sums(fn, mayer, S, N, rooted=False):
     tuples, roots outermost.
 
     This is where the family builders get their graph sums: float ``ursell``
-    for phi, and ``d_coeff`` for D.  On a float matrix an order is one fn
+    for phi, and ``d_coeff`` for D.  Under the float rule an order is one fn
     call over all of its tuples (int arrays of ``_tail_columns``), read out
-    with one ``tolist``; any other matrix calls one ``per_pattern`` closure
-    per tuple, over the order's cached tails (``fps._keys``).
+    with one ``tolist``; under the exact rule one ``per_pattern`` closure
+    serves every tuple of every order, over the orders' cached tails
+    (``fps._keys``), so each distinct pattern of the build is summed once.
     """
-    if _float_entries(mayer):
+    if not _f_matrix(mayer)[1]:
         for n in range(2, N + 1):
             cols = _tail_columns(S, n)
             if rooted:
@@ -551,13 +477,6 @@ def _order_sums(fn, mayer, S, N, rooted=False):
     for n in range(2, N + 1):
         tails = _keys(S, n, False)
         yield [value((q, *ms)) for q in range(S) for ms in tails] if rooted else list(map(value, tails))
-
-
-def _require_one_rule(fm):
-    """Refuse a raw list that mixes floats with ints or Fractions, as phi and A do."""
-    if not _exact_entries(fm):
-        raise StructureError("phi and A need a matrix of floats only or of ints and Fractions only; "
-                             "build a MayerMatrices with exact=False for mixed entries")
 
 
 def _all_graph_orders(fm, S, N):
@@ -591,16 +510,15 @@ def build_phi_series(space, mayer, N, allow_large=False):
     """Connected-sum series: order n coefficient is phi_n on the tuple.
 
     Order 0 is 0 (no constant term in log of the partition function) and
-    order 1 is identically 1.  On a matrix of ints and Fractions phi is
+    order 1 is identically 1.  Under the exact rule (``_f_matrix``) phi is
     ``log_series`` of the all-graph weights (``_all_graph_orders``), each
-    value a Fraction exactly when its weight is flagged one; a float matrix
-    gets every higher order from ``_order_sums``.
+    value a Fraction exactly when its weight is flagged one; under the float
+    rule every higher order comes from ``_order_sums``.
     """
-    fm, _ = _f_matrix(mayer)
-    if _float_entries(mayer):
+    fm, exact = _f_matrix(mayer)
+    if not exact:
         orders = chain([[0], [1] * space.size][:N + 1], _order_sums(ursell, mayer, space.size, N))
         return FormalSeries.from_orders(space, N, orders, allow_large=allow_large)
-    _require_one_rule(fm)
     _check_trunc(space, N, allow_large)
     W = FormalSeries(space, list(_all_graph_orders(fm, space.size, N)))
     return FormalSeries(space, [_Exact(p.num, p.den, w.frac) for p, w in zip(log_series(W)._orders, W._orders)])
@@ -625,24 +543,24 @@ def build_A_family(space, mayer, N, phi=None, allow_large=False):
     phi_n(x) read from ``phi``, the series of ``build_phi_series`` (built
     first when not given).  Root q writes its factors as 1 + f(q, x) =
     b_q(x) / L_q, and the bracket of ms is B = prod_j b_q(x_j) over L_q^n,
-    carried from the bracket of its prefix ms[:-1].  On a matrix of ints and Fractions L_q is the lcm of the
-    denominators of row q, B is an int, and the coefficient is the one
-    quotient (L_q^n - B) phi_n(x) / L_q^n: a Fraction exactly when an entry
-    f(q, x_j) or phi_n(x) is one, else an int.  A float matrix has L_q = 1
-    and b_q(x) = 1.0 + f(q, x): order 1 is -(1 + f - 1) on the entries as
-    stored, and each higher order one float64 product per tail column, with
-    the factors multiplied left to right and the coefficient
-    -(B - 1.0) phi_n(x).  A raw list that mixes floats with ints or
-    Fractions is refused with a StructureError.
+    carried from the bracket of its prefix ms[:-1].  The matrix's rule
+    (``_f_matrix``) decides the arithmetic.  Under the exact rule L_q is the
+    lcm of the denominators of row q, B is an int, and the coefficient is
+    the one quotient (L_q^n - B) phi_n(x) / L_q^n: a Fraction exactly when
+    an entry f(q, x_j) or phi_n(x) is one, else an int.  Under the float
+    rule L_q = 1 and b_q(x) = 1.0 + f(q, x): order 1 is -(1 + f - 1) on the
+    entries as stored, and each higher order one float64 product per tail
+    column, with the factors multiplied left to right and the coefficient
+    -(B - 1.0) phi_n(x).
     """
-    fm, _ = _f_matrix(mayer)
+    fm, exact = _f_matrix(mayer)
     S = space.size
     if phi is None:
         phi = build_phi_series(space, mayer, N, allow_large)
     elif phi.space != space or phi.trunc != N:
         raise StructureError("phi must share space and truncation order with the family")
     sums = [order.values() for order in phi._orders]
-    if _float_entries(mayer):
+    if not exact:
         b = 1.0 + np.asarray(fm, float)
 
         def float_orders():
@@ -653,7 +571,6 @@ def build_A_family(space, mayer, N, phi=None, allow_large=False):
                 yield _float_a_order(b, _tail_columns(S, n), sums[n])
 
         return RootedSeriesFamily.from_orders(space, N, float_orders(), allow_large=allow_large)
-    _require_one_rule(fm)
     roots = []
     for row in fm:
         L = math.lcm(*(v.denominator for v in row))

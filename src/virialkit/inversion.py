@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, count
 
 import numpy as np
 
-from . import graphs
 from .certs import ResidualReport, certify
 from .errors import CapabilityError, DomainError, StructureError, check_scale, max_order
 from .fps import (
@@ -52,7 +53,7 @@ from .fps import (
     mul,
     sym_factor,
 )
-from .graphs import _entry_ids, build_A_family, build_D_family, build_phi_series
+from .graphs import build_A_family, build_D_family, build_phi_series
 from .species import (
     MayerMatrices,
     MeasureVec,
@@ -85,12 +86,74 @@ def _full_tuple_d(d_family, N, factors):
     return FormalSeries.from_orders(d_family.space, N, orders, allow_large=True)
 
 
+# coefficients that the f-keyed memo holds at most, over all its families:
+# nearly twice the 4,273 of requests_exact's 36 families (phi is kept with
+# every A)
+MEMO_BOUND = 8192
+
+
+class _Memo:
+    """Coefficient families that depend on the Mayer function f alone,
+    shared by every exact matrix of the process and keyed by the class ids
+    of its entries (``_entry_ids``).
+
+    Each family is kept with its size, its coefficient count, and the kept
+    sizes add up to ``bound`` at most: the least recently read family is
+    dropped first, and one larger than the bound is not kept.  A lock guards
+    the entries; a family is built outside it, and of two threads that miss
+    on one key, the first to put its family keeps it.
+    """
+
+    def __init__(self, bound):
+        self.bound = bound
+        self.size = 0
+        self._entries = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        """The value kept under ``key``, now the most recently read, else None."""
+        with self._lock:
+            hit = self._entries.get(key)
+            if hit is not None:
+                self._entries.move_to_end(key)
+                return hit[0]
+        return None
+
+    def put(self, key, value, size):
+        """Keep ``value`` of ``size`` under ``key`` when it fits and the key is free."""
+        if size > self.bound:
+            return
+        with self._lock:
+            if key not in self._entries:
+                self._entries[key] = (value, size)
+                self.size += size
+                while self.size > self.bound:
+                    self.size -= self._entries.popitem(last=False)[1][1]
+
+
+_MEMO = _Memo(MEMO_BOUND)
+# (type, value) -> class id, drawn from one counter that a clear keeps
+_ENTRY_IDS = defaultdict(count().__next__)
+
+
+def _entry_ids(fm):
+    """The class id of every entry of the matrix fm of ints and Fractions,
+    row by row, in one tuple.  An id is kept per (type, value), so int -1
+    and Fraction(-1) stay apart.  The id table is emptied when it outgrows
+    MEMO_BOUND, and its ids come from one counter, so no key made of ids
+    meets a reused one, also when threads race on it."""
+    if len(_ENTRY_IDS) > MEMO_BOUND:
+        _ENTRY_IDS.clear()
+    return tuple(_ENTRY_IDS[type(v), v] for row in fm for v in row)
+
+
 class GCState:
     """A species space with Mayer matrices and truncation order, plus caches.
 
-    On a matrix of ints and Fractions under the exact rule, every family is
-    read through the process's f-keyed memo (``graphs._Memo``), so states
-    with the same f build each family once; any other matrix builds its own.
+    On a matrix marked exact, every family is read through the process's
+    f-keyed memo (``_Memo``), so states with the same f build each family
+    once; a float matrix builds its own, since equal floats need not be the
+    same entry (-0.0 == 0.0).
     """
 
     def __init__(self, space, pot=None, mayer=None, N=4, allow_large=False):
@@ -128,10 +191,10 @@ class GCState:
 
     @cached_property
     def _family_key(self):
-        """The entry class ids of an exact matrix, flattened: with a family's
-        name and order, its key in the f-keyed memo; None bypasses it."""
-        ids = _entry_ids(self.mayer)
-        return None if ids is None else tuple(chain.from_iterable(ids))
+        """The entry class ids of an exact matrix, row by row: with a
+        family's name and order, its key in the f-keyed memo; None, on a
+        float matrix, bypasses it."""
+        return _entry_ids(self.mayer.f) if self.mayer.exact else None
 
     def _family(self, name, N, build):
         """build(), the family ``name`` of order N, read through the f-keyed
@@ -142,13 +205,13 @@ class GCState:
         if self._family_key is None:
             return build()
         key = (name, N, self._family_key)
-        hit = graphs._MEMO.get(key)
+        hit = _MEMO.get(key)
         if hit is not None:
             cls, layouts = hit
             return cls(self.space, list(layouts))
         fam = build()
         size = fam.roots * sum(len(_rank(self.space.size, n)) for n in range(fam.trunc + 1))
-        graphs._MEMO.put(key, (type(fam), tuple(fam._orders)), size)
+        _MEMO.put(key, (type(fam), tuple(fam._orders)), size)
         return fam
 
     def _d_family(self, N):

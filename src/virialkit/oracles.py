@@ -261,6 +261,52 @@ def d_coeff_enumerated(f, xs):
     return total
 
 
+def _two_connected(n, edges):
+    """Whether the graph on n >= 3 vertices with these edges stays connected
+    when any one vertex is taken out (and so is connected itself)."""
+    adj = [set() for _ in range(n)]
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    for cut in range(n):
+        rest = set(range(n)) - {cut}
+        seen, stack = set(), [min(rest)]
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(adj[v] & rest)
+        if seen != rest:
+            return False
+    return True
+
+
+def chordal_d(f, xs):
+    """Biconnected-graph sum D_n over the tuple xs on a chordal hard core,
+    in closed form (ROADMAP item 14), with no graph enumeration.
+
+    Every entry of f is -1 (the species overlap, each with itself too) or 0,
+    and the graph of overlaps between species is chordal.  Then D_n is
+    -(n - 2)! when every pair of xs overlaps, repeats included, and 0
+    otherwise; at n = 2 it is the entry f(x_1, x_2) itself.  The type is
+    ``graphs.d_coeff``'s: int 0 when no biconnected graph on the n points
+    lies within the overlapping pairs (the graph of overlaps is not
+    2-connected), else a Fraction exactly when an overlapping pair entry is.
+    """
+    fm, _ = _f_matrix(f)
+    n = len(xs)
+    vals = [fm[xs[i]][xs[j]] for i, j in pair_order(n)]
+    if any(v not in (-1, 0) for v in vals):
+        raise DomainError("chordal_d needs hard-core entries -1 and 0")
+    if n == 2:
+        return vals[0]
+    overlaps = [(pair, v) for pair, v in zip(pair_order(n), vals) if v == -1]
+    if not _two_connected(n, [pair for pair, _ in overlaps]):
+        return 0
+    kind = Fraction if any(type(v) is Fraction for _, v in overlaps) else int
+    return kind(-math.factorial(n - 2) if len(overlaps) == len(vals) else 0)
+
+
 def ursell_bruteforce(f, xs):
     """Connected-graph sum by explicit enumeration (oracle path, n <= 6)."""
     fm, _ = _f_matrix(f)

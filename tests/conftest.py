@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from virialkit import graphs
+from virialkit import inversion
 from virialkit.inversion import GCState
 from virialkit.species import MayerMatrices, SpeciesSpace
 
@@ -17,10 +17,9 @@ from virialkit.species import MayerMatrices, SpeciesSpace
 @pytest.fixture
 def fresh_memo(monkeypatch):
     """An empty f-keyed memo of the default bound, in place of the process's
-    one for the test, so that no graph sum or family is read from an
-    earlier test."""
-    memo = graphs._Memo(graphs.MEMO_BOUND)
-    monkeypatch.setattr(graphs, "_MEMO", memo)
+    one for the test, so that no family is read from an earlier test."""
+    memo = inversion._Memo(inversion.MEMO_BOUND)
+    monkeypatch.setattr(inversion, "_MEMO", memo)
     return memo
 
 

@@ -32,6 +32,7 @@ from virialkit.graphs import (
 )
 from virialkit.oracles import EdgeMask, d_coeff_enumerated, ursell_bruteforce
 from virialkit.oracles import ursell as ursell_exact
+from virialkit.inversion import GCState
 from virialkit.species import MayerMatrices, SpeciesSpace
 
 CONNECTED = {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
@@ -587,7 +588,7 @@ def patterns(f, tuples):
     }
 
 
-def test_builders_call_once_per_pattern(monkeypatch, fresh_memo):
+def test_builders_call_once_per_pattern(monkeypatch):
     # hard rods on a line of sites: f = -1 between neighbours, 0 further off;
     # exact phi and A are log W and call no graph sum, and D calls d_coeff
     # once per pattern of order 2 or more (orders 0 and 1 call no sum)
@@ -597,39 +598,48 @@ def test_builders_call_once_per_pattern(monkeypatch, fresh_memo):
     mayer = MayerMatrices.from_f(space, f, exact=True)
     tails = [ms for n in range(2, N + 1) for ms in itertools.combinations_with_replacement(range(S), n)]
     ursell_calls, d_calls = counting(monkeypatch, "ursell"), counting(monkeypatch, "d_coeff")
-    want_phi, want_A = build_phi_series(space, mayer, N), build_A_family(space, mayer, N)
-    assert ursell_calls == d_calls == [] and len(fresh_memo._entries) == 0
+    build_phi_series(space, mayer, N), build_A_family(space, mayer, N)
+    assert ursell_calls == d_calls == []
     want_d = build_D_family(space, mayer, N)
     rooted = [(q,) + ms for q in range(S) for ms in tails]
     assert len(d_calls) == len(patterns(f, rooted)) < len(rooted)
-    # the memo holds one value per pattern of the sum
-    assert len(fresh_memo._entries) == fresh_memo.size == len(d_calls)
-    # a second matrix with equal entries reads every pattern from the memo
-    ursell_calls.clear()
+    # the patterns live for one build: a second matrix with equal entries
+    # sums each of them again, in the same order
+    first = list(d_calls)
     d_calls.clear()
     again = MayerMatrices.from_f(space, f, exact=True)
-    assert build_phi_series(space, again, N) == want_phi
-    assert build_A_family(space, again, N) == want_A
-    assert build_D_family(space, again, N) == want_d
-    assert ursell_calls == d_calls == []
+    got = build_D_family(space, again, N)
+    assert [list(map(typed_bits, order.values())) for order in got.coeffs] == [
+        list(map(typed_bits, order.values())) for order in want_d.coeffs
+    ]
+    assert d_calls == first
 
 
 def test_a_family_refuses_a_raw_list_of_mixed_entries():
-    # floats beside ints or Fractions have no A route and no phi route; D
-    # keeps its per-tuple one
+    # a raw list of floats beside ints or Fractions takes no arithmetic rule:
+    # A, phi, D and the graph sums of one tuple refuse it alike, and the same
+    # entries in a matrix marked exact=False take the float rule
     space = SpeciesSpace.uniform(2)
     for f in ([[0.5, Fraction(-1, 2)], [Fraction(-1, 2), 0.25]], [[-1, 0.5], [0.5, 0]]):
-        for build in (build_A_family, build_phi_series):
+        for build in (build_A_family, build_phi_series, build_D_family):
             with pytest.raises(StructureError, match="MayerMatrices"):
                 build(space, f, 2)
-        assert build_D_family(space, f, 2).value(2, 0, (0, 1)) == d_coeff(f, (0, 0, 1))
+        for sum_of in (d_coeff, ursell):
+            for xs in ((0, 1), (0, 0, 1)):
+                with pytest.raises(StructureError, match="MayerMatrices"):
+                    sum_of(f, xs)
+        marked = MayerMatrices.from_f(space, f, exact=False)
+        floats = [[float(v) for v in row] for row in f]
+        D = build_D_family(space, marked, 2).value(2, 0, (0, 1))
+        assert float_bits(D) == float_bits(d_coeff(marked, (0, 0, 1))) == float_bits(d_coeff(floats, (0, 0, 1)))
 
 
 @pytest.mark.parametrize("N", [0, 1])
 @pytest.mark.parametrize("matrix", ["exact", "float", "marked", "raw"])
 def test_builders_below_order_two_call_no_sum(monkeypatch, matrix, N):
     # order 0 is 0, and order 1 is 1 (phi), -f (A, as -(1 + f - 1) on the
-    # float rule) and f as stored (D), each of its type, on every matrix
+    # float rule) and f as stored (D), each of its type, on every matrix; a
+    # raw list of floats beside Fractions is refused by every builder
     space = SpeciesSpace.uniform(2)
     f, exact = {
         "exact": ([[-1, Fraction(1, 3)], [Fraction(1, 3), 0]], True),
@@ -646,8 +656,8 @@ def test_builders_below_order_two_call_no_sum(monkeypatch, matrix, N):
         build_A_family: [[0, 0], [-(1 + v - 1) if isinstance(v, float) else -v for v in entries]],
     }
     for build, orders in want.items():
-        if build is not build_D_family and exact is None:
-            with pytest.raises(StructureError):
+        if exact is None:
+            with pytest.raises(StructureError, match="MayerMatrices"):
                 build(space, mayer, N)
             continue
         got = build(space, mayer, N)
@@ -666,27 +676,8 @@ def test_per_pattern_tells_int_from_fraction(monkeypatch):
     assert len(calls) == 2
     assert [type(v) for v in values] == [int, Fraction, int, Fraction]
     assert values == [-1, -1, -1, -1]
-
-
-@pytest.mark.parametrize("exact_first", [True, False])
-def test_shared_memo_keeps_the_arithmetic_rule(fresh_memo, exact_first):
-    # the same ints on an exact and on a float-marked matrix: int sums on the
-    # one, float64 sums on the other, whichever is built first
-    space = SpeciesSpace.uniform(2)
-    f = [[-1, -1], [-1, -1]]
-    exact, marked = MayerMatrices.from_f(space, f, exact=True), MayerMatrices.from_f(space, f, exact=False)
-    for mayer in (exact, marked) if exact_first else (marked, exact):
-        kind = int if mayer.exact else float
-        memo = dict(fresh_memo._entries)
-        d = graphs.per_pattern(d_coeff, mayer)
-        assert [(v, type(v)) for v in (d((0, 0, 1)), d((0, 0, 1, 1)))] == [(-1, kind), (-2, kind)]
-        if not mayer.exact:
-            # the memo holds exact sums only: the float-marked matrix's go per tuple
-            assert dict(fresh_memo._entries) == memo
-
-
-def test_shared_memo_keeps_int_and_fraction_apart_across_matrices():
-    # -1 and Fraction(-1) on matrices of the same layout, in turn
+    # matrices of one layout in turn, all -1 or all Fraction(-1): each
+    # closure's sums take its own matrix's type
     space = SpeciesSpace.uniform(2)
     for entry in (-1, Fraction(-1), -1, Fraction(-1)):
         mayer = MayerMatrices.from_f(space, [[entry, entry], [entry, entry]], exact=True)
@@ -696,28 +687,21 @@ def test_shared_memo_keeps_int_and_fraction_apart_across_matrices():
         assert {type(v) for v in values} == {type(entry)}
 
 
-def test_shared_memo_is_bounded(monkeypatch):
-    # more distinct patterns than the bound: the memo stays at the bound and
-    # every value is that of a direct call
-    monkeypatch.setattr(graphs, "MEMO_BOUND", 8)
-    monkeypatch.setattr(graphs, "_MEMO", graphs._Memo(8))
-    monkeypatch.setattr(graphs, "_ENTRY_IDS", graphs._ENTRY_IDS.copy())
-    S = 4
-    mayer = MayerMatrices.from_f(SpeciesSpace.uniform(S), rand_f(3, S), exact=True)
-    d = graphs.per_pattern(d_coeff, mayer)
-    tuples = list(itertools.combinations_with_replacement(range(S), 3))
-    assert len(patterns(mayer.f, tuples)) > 8
-    for xs in tuples + tuples:
-        v, want = d(xs), d_coeff(mayer, xs)
-        assert v == want and type(v) is type(want)
-    assert len(graphs._MEMO._entries) == graphs._MEMO.size == 8
-    for k in range(20):
-        # more distinct entries than the cap, a fresh matrix each
-        entry = Fraction(-1, k + 2)
-        m = MayerMatrices.from_f(SpeciesSpace.uniform(1), [[entry]], exact=True)
-        assert graphs.per_pattern(d_coeff, m)((0, 0)) == entry
-    assert len(graphs._ENTRY_IDS) <= 9
-    assert len(graphs._MEMO._entries) == graphs._MEMO.size == 8
+@pytest.mark.parametrize("exact_first", [True, False])
+def test_shared_memo_keeps_the_arithmetic_rule(fresh_memo, exact_first):
+    # the same ints on an exact and on a float-marked matrix: int sums and
+    # families on the one, float64 on the other, whichever is built first;
+    # the process's f-keyed family memo holds the exact matrix's D only
+    space = SpeciesSpace.uniform(2)
+    f = [[-1, -1], [-1, -1]]
+    exact, marked = MayerMatrices.from_f(space, f, exact=True), MayerMatrices.from_f(space, f, exact=False)
+    for mayer in (exact, marked) if exact_first else (marked, exact):
+        kind = int if mayer.exact else float
+        d = graphs.per_pattern(d_coeff, mayer)
+        assert [(v, type(v)) for v in (d((0, 0, 1)), d((0, 0, 1, 1)))] == [(-1, kind), (-2, kind)]
+        D = GCState(space, mayer=mayer, N=3).d_family
+        assert {(v, type(v)) for v in D.coeffs[3].values()} == {(-2, kind)}
+    assert [key[:2] for key in fresh_memo._entries] == [("D", 3)]
 
 
 @pytest.mark.parametrize("matrix", ["mayer", "raw"])

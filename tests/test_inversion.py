@@ -14,6 +14,8 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
 
 from virialkit import graphs
 from virialkit import inversion as inv
@@ -41,7 +43,7 @@ from virialkit.inversion import (
     zeta_of_nu,
     zeta_path_agreement,
 )
-from virialkit.oracles import var_derivative
+from virialkit.oracles import chordal_d, var_derivative
 from virialkit.species import (
     MayerMatrices,
     MeasureVec,
@@ -158,9 +160,8 @@ FAMILIES = ("a_family", "t_family", "d_family", "phi_series", "e_family")
 
 
 def family_keys(memo):
-    """The keys of the families the memo keeps, least recently read first;
-    a graph sum's key starts with its sum function, a family's with its name."""
-    return [key for key in memo._entries if isinstance(key[0], str)]
+    """The keys of the families the memo keeps, least recently read first."""
+    return list(memo._entries)
 
 
 def memo_free(st):
@@ -220,9 +221,9 @@ def test_family_memo_keeps_each_states_weights(fresh_memo, monkeypatch):
     z = [Fraction(1, 10), Fraction(1, 20), Fraction(1, 7)]
     hits = [rho_of_z(GCState.from_f(space, f, N=4), z) for space in spaces]
     assert [key[0] for key in family_keys(fresh_memo)] == ["phi", "A"]
-    monkeypatch.setattr(graphs, "_MEMO", graphs._Memo(0))
+    monkeypatch.setattr(inv, "_MEMO", inv._Memo(0))
     cold = [rho_of_z(GCState.from_f(space, f, N=4), z) for space in spaces]
-    assert len(graphs._MEMO._entries) == 0
+    assert len(inv._MEMO._entries) == 0
     assert cold[0] != cold[1]
     for hit, want in zip(hits, cold):
         assert [(v, type(v)) for v in hit] == [(v, type(v)) for v in want]
@@ -251,11 +252,10 @@ def test_family_memo_keeps_int_and_fraction_apart(fresh_memo):
 
 
 def test_family_memo_is_bounded(monkeypatch):
-    # the memo holds families only (no family reads a connected sum from it):
     # A at S = 2, N = 1 holds 2 * (1 + 2) = 6 coefficients, and the phi it
     # reads, kept first, 3
-    memo = graphs._Memo(14)
-    monkeypatch.setattr(graphs, "_MEMO", memo)
+    memo = inv._Memo(14)
+    monkeypatch.setattr(inv, "_MEMO", memo)
     states = [GCState.from_f(S2, [[Fraction(-k, 8), 0], [0, -1]], N=1) for k in range(1, 5)]
     for st in states:
         assert st.a_family == inv.build_A_family(S2, st.mayer, 1)
@@ -272,6 +272,18 @@ def test_family_memo_is_bounded(monkeypatch):
     big = GCState.from_f(SpeciesSpace.uniform(4), [[Fraction(-1, 3)] * 4] * 4, N=2)
     assert big.a_family == inv.build_A_family(big.space, big.mayer, 2)
     assert memo.size == 9 and len(memo._entries) == 3
+    # more distinct entries than the id table's cap, a fresh matrix each:
+    # the table is emptied when it outgrows the cap, and no id is reused
+    monkeypatch.setattr(inv, "MEMO_BOUND", 8)
+    monkeypatch.setattr(inv, "_ENTRY_IDS", inv._ENTRY_IDS.copy())
+    keys = set()
+    for k in range(20):
+        entry = Fraction(-1, k + 2)
+        st = GCState.from_f(SpeciesSpace.uniform(1), [[entry]], N=1)
+        assert st.d_family.value(1, 0, (0,)) == entry
+        keys.add(st._family_key)
+    assert len(inv._ENTRY_IDS) <= 9 and len(keys) == 20
+    assert memo.size == sum(size for _, size in memo._entries.values()) <= 14
 
 
 def test_request_bytes_cold_and_on_a_hit(monkeypatch):
@@ -289,24 +301,21 @@ def test_request_bytes_cold_and_on_a_hit(monkeypatch):
         request("zeta_paths", N=4),
     ]
     for req in reqs:
-        memo = graphs._Memo(graphs.MEMO_BOUND)
-        monkeypatch.setattr(graphs, "_MEMO", memo)
+        memo = inv._Memo(inv.MEMO_BOUND)
+        monkeypatch.setattr(inv, "_MEMO", memo)
         cold = json.dumps(run_request(req))
         assert family_keys(memo)
         assert json.dumps(run_request(req)) == cold
 
 
 def test_family_memo_under_threads(monkeypatch):
-    # more threads than cores read the families of four matrices, and their
-    # biconnected sums through per_pattern, from a memo that holds about one
-    # state's A (20 coefficients) and phi (10); a lost update would break its
-    # size
-    memo = graphs._Memo(40)
-    monkeypatch.setattr(graphs, "_MEMO", memo)
+    # more threads than cores read the families of four matrices from a memo
+    # that holds about one state's A (20 coefficients) and phi (10); a lost
+    # update would break its size
+    memo = inv._Memo(40)
+    monkeypatch.setattr(inv, "_MEMO", memo)
     mayers = [MayerMatrices.from_f(S2, [[Fraction(-k, 8), 0], [0, -1]], exact=True) for k in range(1, 5)]
     want = [inv.build_A_family(S2, m, 3) for m in mayers]
-    tuples = [xs for n in (2, 3, 4) for xs in canonical_indices(2, n)]
-    sums = [[(v, type(v)) for v in (graphs.d_coeff(m, xs) for xs in tuples)] for m in mayers]
     errors = []
 
     def reader(seed):
@@ -315,9 +324,6 @@ def test_family_memo_under_threads(monkeypatch):
             for _ in range(200):
                 k = r.randrange(4)
                 if GCState(S2, mayer=mayers[k], N=3).a_family != want[k]:
-                    errors.append(k)
-                value = graphs.per_pattern(graphs.d_coeff, mayers[k])
-                if [(v, type(v)) for v in map(value, tuples)] != sums[k]:
                     errors.append(k)
         except Exception as exc:  # reported below
             errors.append(exc)
@@ -334,33 +340,6 @@ def test_family_memo_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and errors == []
     assert memo.size == sum(size for _, size in memo._entries.values()) <= 40
-
-
-def test_sums_and_families_share_one_bound(monkeypatch):
-    # three biconnected sums, one of them read again, then A at S = 2, N = 1
-    # (2 * (1 + 2) = 6 coefficients, and the 1 + 2 = 3 of the phi it reads,
-    # no graph sum) against a bound of 11
-    memo = graphs._Memo(11)
-    monkeypatch.setattr(graphs, "_MEMO", memo)
-    mayer = MayerMatrices.from_f(S2, [[Fraction(-1, 2), 0], [0, -1]], exact=True)
-    ids = graphs._entry_ids(mayer)
-    d = graphs.per_pattern(graphs.d_coeff, mayer)
-    for xs in [(0, 0), (0, 1), (1, 1), (0, 0)]:
-        d(xs)
-    assert list(memo._entries) == [(graphs.d_coeff, 2, ids[x][y]) for x, y in [(0, 1), (1, 1), (0, 0)]]
-    assert memo.size == 3
-    # the family read drops the least recently read sum, (0, 1), and nothing more
-    st = GCState(S2, mayer=mayer, N=1)
-    assert st.a_family == inv.build_A_family(S2, mayer, 1)
-    assert [key[0] for key in memo._entries] == [graphs.d_coeff, graphs.d_coeff, "phi", "A"]
-    assert (graphs.d_coeff, 2, ids[0][1]) not in memo._entries
-    assert memo.size == sum(size for _, size in memo._entries.values()) == 11
-    # a family of 4 * (1 + 4 + 10) = 60 coefficients, and its phi of 15, are
-    # larger than the bound
-    big = GCState.from_f(SpeciesSpace.uniform(4), [[Fraction(-1, 3)] * 4] * 4, N=2)
-    kept = dict(memo._entries)
-    assert big.a_family == inv.build_A_family(big.space, big.mayer, 2)
-    assert dict(memo._entries) == kept and memo.size == 11
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +367,58 @@ def test_zeta_path_agreement_exact():
 def test_extract_d_from_a_equals_direct_build():
     for st in (mix_state(), _random_state(3), rational_state(7, 3, 5)):
         assert extract_d_from_a(st) == st.d_family
+
+
+def chordal_hard_core(data, S):
+    """A drawn hard-core matrix on S species whose graph of overlaps is
+    chordal: the species join in a drawn order, each overlapping itself, a
+    drawn earlier species u and a drawn subset of u's earlier neighbours,
+    which with u form a clique, so that the join order reversed eliminates
+    each species with a clique of neighbours.  Each entry -1 or 0 is an int
+    or a Fraction, by a drawn rule per matrix."""
+    order = data.draw(hyp.permutations(range(S)))
+    earlier = [[]]
+    for k in range(1, S):
+        u = data.draw(hyp.integers(0, k - 1))
+        earlier.append([u, *(x for x in earlier[u] if data.draw(hyp.booleans()))])
+    kind = data.draw(hyp.sampled_from(["int", "fraction", "mixed"]))
+    f = [[0] * S for _ in range(S)]
+    for i in range(S):
+        for j in range(i, S):
+            overlap = i == j or j in earlier[i] or i in earlier[j]
+            as_fraction = kind == "fraction" or (kind == "mixed" and data.draw(hyp.booleans()))
+            v = -1 if overlap else 0
+            f[order[i]][order[j]] = f[order[j]][order[i]] = Fraction(v) if as_fraction else v
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=hyp.data())
+def test_d_family_matches_the_chordal_rule(data):
+    # on a chordal hard core D_n is -(n - 2)! when every pair of the tuple
+    # overlaps and 0 otherwise (the pair entry at n = 2): exact d_family
+    # through order 5, value and type, its patterns summed once per build
+    S = data.draw(hyp.integers(1, 5))
+    N = data.draw(hyp.integers(1, 5))
+    f = chordal_hard_core(data, S)
+    D = GCState.from_f(SpeciesSpace.uniform(S), f, N=N, exact=True).d_family
+    for n in range(1, N + 1):
+        for (q, ms), v in D.coeffs[n].items():
+            want = chordal_d(f, (q, *ms))
+            assert v == want and type(v) is type(want), (f, q, ms)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=hyp.data())
+def test_extracted_d_matches_the_chordal_rule_at_order_seven(data):
+    # D from A by triangular extraction through D_8, above D_COEFF_MAX
+    S = data.draw(hyp.integers(1, 3))
+    f = chordal_hard_core(data, S)
+    st = GCState.from_f(SpeciesSpace.uniform(S), f, N=7, exact=True, allow_large=True)
+    D = extract_d_from_a(st)
+    for n in range(1, 8):
+        for (q, ms), v in D.coeffs[n].items():
+            assert v == chordal_d(f, (q, *ms)), (f, q, ms)
 
 
 def test_phi_derivative_is_exp_of_minus_A():
