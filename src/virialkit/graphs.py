@@ -16,8 +16,8 @@ and from phi the rooted activity coefficients
 
     A_n(q; x) = -(prod_j (1 + f(q, x_j)) - 1) * phi_n(x).
 
-Every function here is a pure function of the matrix it is given, and the
-matrix takes one arithmetic rule for all its tuples (``_f_matrix``): a
+Every function here is a pure function of its arguments, and a matrix
+takes one arithmetic rule for all its tuples (``_f_matrix``): a
 ``MayerMatrices`` by its ``exact`` flag, a raw nested list the exact rule
 when its entries are all ints and Fractions and the float rule when they
 are all floats; any other raw list is refused with a StructureError.  Under

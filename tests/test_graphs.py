@@ -598,7 +598,8 @@ def test_builders_call_once_per_pattern(monkeypatch):
     mayer = MayerMatrices.from_f(space, f, exact=True)
     tails = [ms for n in range(2, N + 1) for ms in itertools.combinations_with_replacement(range(S), n)]
     ursell_calls, d_calls = counting(monkeypatch, "ursell"), counting(monkeypatch, "d_coeff")
-    build_phi_series(space, mayer, N), build_A_family(space, mayer, N)
+    build_phi_series(space, mayer, N)
+    build_A_family(space, mayer, N)
     assert ursell_calls == d_calls == []
     want_d = build_D_family(space, mayer, N)
     rooted = [(q,) + ms for q in range(S) for ms in tails]
