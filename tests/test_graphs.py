@@ -32,6 +32,7 @@ from virialkit.graphs import (
 )
 from virialkit.oracles import EdgeMask, d_coeff_enumerated, ursell_bruteforce
 from virialkit.oracles import ursell as ursell_exact
+from virialkit import inversion as inv
 from virialkit.inversion import GCState
 from virialkit.species import MayerMatrices, SpeciesSpace
 
@@ -677,8 +678,11 @@ def test_per_pattern_tells_int_from_fraction(monkeypatch):
     assert len(calls) == 2
     assert [type(v) for v in values] == [int, Fraction, int, Fraction]
     assert values == [-1, -1, -1, -1]
-    # matrices of one layout in turn, all -1 or all Fraction(-1): each
-    # closure's sums take its own matrix's type
+
+
+def test_shared_memo_keeps_int_and_fraction_apart_across_matrices():
+    # -1 and Fraction(-1) on matrices of the same layout, in turn: no sum is
+    # shared across matrices, so each closure's sums take its own matrix's type
     space = SpeciesSpace.uniform(2)
     for entry in (-1, Fraction(-1), -1, Fraction(-1)):
         mayer = MayerMatrices.from_f(space, [[entry, entry], [entry, entry]], exact=True)
@@ -703,6 +707,35 @@ def test_shared_memo_keeps_the_arithmetic_rule(fresh_memo, exact_first):
         D = GCState(space, mayer=mayer, N=3).d_family
         assert {(v, type(v)) for v in D.coeffs[3].values()} == {(-2, kind)}
     assert [key[:2] for key in fresh_memo._entries] == [("D", 3)]
+
+
+def test_shared_memo_is_bounded(monkeypatch):
+    # more distinct patterns than the bound: each sum is that of a direct
+    # call, and the process's f-keyed memo, which holds families only, keeps
+    # no sum
+    monkeypatch.setattr(inv, "MEMO_BOUND", 8)
+    monkeypatch.setattr(inv, "_MEMO", inv._Memo(8))
+    monkeypatch.setattr(inv, "_ENTRY_IDS", inv._ENTRY_IDS.copy())
+    S = 4
+    mayer = MayerMatrices.from_f(SpeciesSpace.uniform(S), rand_f(3, S), exact=True)
+    d = graphs.per_pattern(d_coeff, mayer)
+    tuples = list(itertools.combinations_with_replacement(range(S), 3))
+    assert len(patterns(mayer.f, tuples)) > 8
+    for xs in tuples + tuples:
+        v, want = d(xs), d_coeff(mayer, xs)
+        assert v == want and type(v) is type(want)
+    assert len(inv._MEMO._entries) == inv._MEMO.size == 0
+    # more distinct entries than the id table's cap, a fresh matrix each:
+    # the table is emptied when it outgrows the cap, and no id is reused
+    keys = set()
+    for k in range(20):
+        entry = Fraction(-1, k + 2)
+        st = GCState.from_f(SpeciesSpace.uniform(1), [[entry]], N=1)
+        assert graphs.per_pattern(d_coeff, st.mayer)((0, 0)) == entry
+        assert st.d_family.value(1, 0, (0,)) == entry
+        keys.add(st._family_key)
+    assert len(inv._ENTRY_IDS) <= 9 and len(keys) == 20
+    assert inv._MEMO.size == sum(size for _, size in inv._MEMO._entries.values()) <= 8
 
 
 @pytest.mark.parametrize("matrix", ["mayer", "raw"])
