@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .certs import BoundCertificate, certify, check_weights
-from .errors import CapabilityError, CertificateError, DomainError, StructureError
+from .errors import CapabilityError, CertificateError, DomainError, StructureError, required_fields
 from .fps import left_sum, measure_sums, sym_factor
 from .graphs import hard_core_d_table
 from .homogeneous import INV_2E, _overlap_length_1d, vol_ball
@@ -66,19 +66,20 @@ class GridProfile:
     @classmethod
     def from_json(cls, source):
         doc = load_doc(source)
-        points = doc["points"]
-        if not isinstance(points, list):
-            raise StructureError("points must be a list")
-        return cls(
-            # a point is a number in one dimension, a list of numbers beyond
-            points=[
-                parse_measure(p, name="point") if isinstance(p, list) else parse_scalar(p)
-                for p in points
-            ],
-            cell_volumes=parse_measure(doc["cell_volumes"], name="cell_volumes"),
-            rho=parse_measure(doc["rho"], name="rho"),
-            z0=parse_scalar(doc.get("z0", 1.0)),
-        )
+        with required_fields("model"):
+            points = doc["points"]
+            if not isinstance(points, list):
+                raise StructureError("points must be a list")
+            return cls(
+                # a point is a number in one dimension, a list of numbers beyond
+                points=[
+                    parse_measure(p, name="point") if isinstance(p, list) else parse_scalar(p)
+                    for p in points
+                ],
+                cell_volumes=parse_measure(doc["cell_volumes"], name="cell_volumes"),
+                rho=parse_measure(doc["rho"], name="rho"),
+                z0=parse_scalar(doc.get("z0", 1.0)),
+            )
 
 
 def profile_state(gp, pot_kernel, N, beta=1.0):
@@ -93,7 +94,8 @@ def profile_state(gp, pot_kernel, N, beta=1.0):
         Species(i, gp.cell_volumes[i], {"position": gp.points[i]})
         for i in range(S)
     )
-    v = _potential_matrix_from_kind(space, pot_kernel["kind"], pot_kernel.get("params", {}))
+    with required_fields("model"):
+        v = _potential_matrix_from_kind(space, pot_kernel["kind"], pot_kernel.get("params", {}))
     pot = PairPotential(space, beta, v)
     return GCState(space, pot=pot, N=N)
 
@@ -157,13 +159,14 @@ class MixtureSpec:
     def from_json(cls, source):
         doc = load_doc(source)
         a, b = (None if doc.get(k) is None else parse_measure(doc[k], name=k) for k in "ab")
-        return cls(
-            radii=parse_measure(doc["radii"], name="radii"),
-            d=parse_dimension(doc["d"]),
-            rho=parse_measure(doc["rho"], name="rho"),
-            a=a,
-            b=b,
-        )
+        with required_fields("model"):
+            return cls(
+                radii=parse_measure(doc["radii"], name="radii"),
+                d=parse_dimension(doc["d"]),
+                rho=parse_measure(doc["rho"], name="rho"),
+                a=a,
+                b=b,
+            )
 
 
 def _angle_term(phi):
@@ -343,12 +346,13 @@ class RodSystem:
     @classmethod
     def from_json(cls, source):
         doc = load_doc(source)
-        return cls(
-            rho0=parse_scalar(doc["rho0"]),
-            length=parse_scalar(doc["length"]),
-            angles=parse_measure(doc["angles"], name="angles"),
-            probs=parse_measure(doc["probs"], name="probs"),
-        )
+        with required_fields("model"):
+            return cls(
+                rho0=parse_scalar(doc["rho0"]),
+                length=parse_scalar(doc["length"]),
+                angles=parse_measure(doc["angles"], name="angles"),
+                probs=parse_measure(doc["probs"], name="probs"),
+            )
 
 
 def rod_excluded_area(L, gamma):

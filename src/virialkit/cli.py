@@ -33,6 +33,7 @@ from .errors import (
     CertificateError,
     DomainError,
     StructureError,
+    required_fields,
 )
 from .fps import FormalSeries, exp_series
 from .species import (
@@ -153,9 +154,9 @@ def cmd_bounds(args):
 def cmd_invert(args):
     doc = load_doc(args.model)
     gp = apps.GridProfile.from_json(doc)
-    result = apps.invert_profile(
-        gp, doc["kernel"], args.order, beta=parse_scalar(doc.get("beta", 1.0))
-    )
+    with required_fields("model"):
+        kernel = doc["kernel"]
+    result = apps.invert_profile(gp, kernel, args.order, beta=parse_scalar(doc.get("beta", 1.0)))
     rows = [
         (i, gp.points[i], result["v_ext"][i]) for i in range(len(gp.points))
     ]

@@ -1,6 +1,7 @@
 """Error types and desk-scale limits shared across the package."""
 
 import os
+from contextlib import contextmanager
 
 # Default ceilings for truncation order and species count.  Everything in this
 # package is meant for exact desk-scale work; the ceilings keep accidental
@@ -32,6 +33,16 @@ class CertificateError(VirialKitError):
     def __init__(self, message, certificate=None):
         super().__init__(message)
         self.certificate = certificate
+
+
+@contextmanager
+def required_fields(what):
+    """Read the fields of a ``what`` document: a missing one (a KeyError)
+    is a StructureError that names it, ``malformed what: missing 'key'``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise StructureError(f"malformed {what}: missing {exc}") from exc
 
 
 def max_order():

@@ -205,9 +205,10 @@ class _Coefficients:
 
     @classmethod
     def from_orders(cls, space, trunc, orders, allow_large=False):
-        """Build from ``orders``, one list per order 0..trunc of its values
-        in storage order (``_keys``), each stored as it comes.  ``orders`` is
-        read after the scale check, so a lazy one computes nothing first."""
+        """Build from ``orders``, one list or array per order 0..trunc of
+        its values in storage order (``_keys``), each stored as it comes.
+        ``orders`` is read after the scale check, so a lazy one computes
+        nothing first."""
         _check_trunc(space, trunc, allow_large)
         roots = space.size if cls.rooted else 1
         return cls(space, [_store(vals, roots) for vals in orders])
@@ -531,7 +532,10 @@ def _array(vals, roots, plain):
 
 def _store(vals, roots):
     """The layout of one order from its values, roots outermost: ``_Exact``
-    when every value is an int or a Fraction, else ``_Columns``."""
+    when every value is an int or a Fraction, else ``_Columns``.  A float64
+    array, as a float kernel returns it, has no int lane and is kept as it is."""
+    if isinstance(vals, np.ndarray) and vals.dtype == np.float64:
+        return _Columns(vals.reshape(roots, -1))
     types = set(map(type, vals))
     if types <= _EXACT:
         den = math.lcm(*(v.denominator for v in vals))
@@ -1220,7 +1224,8 @@ def _majorant_sums(G, nu, start=0):
 def _order_plan(size, n):
     """For the canonical multi-indices ms of order n in storage order, as
     read-only arrays: the species at each position (ms x n, intp), and per
-    ms sym(ms) as a float and 1/sym(ms)."""
+    ms sym(ms) as a float and 1/sym(ms).  Column j of the first, the j-th
+    species of every ms, is also what the float graph sums read."""
     keys = _keys(size, n, False)
     X = np.array(keys, dtype=np.intp).reshape(len(keys), n)
     sym = np.array([sym_factor(ms) for ms in keys], dtype=float)

@@ -25,23 +25,29 @@ the exact rule a tuple's pair entries f(x_i, x_j) are put over their common
 denominator L, so that every edge weight a_p = f_p * L is a Python int; the
 sums then run in integer arithmetic and are divided by a power of L once at
 the end.  Under the float rule they run in float64, and both float sums are
-numpy kernels over many tuples at once, one tuple being the one-row case.
-The biconnected sum is a gather: a cached read-only uint8 table [pairs x
-graphs] holds p where the graph has edge p and C(n, 2) where it has not, so
-taking it from each tuple's pair values plus a trailing 1.0 and multiplying
-down the pairs gives every graph's product in pair order; each tuple's
-products are summed once.  The float kernel of the connected sum
-runs its subset recursion (``_ursell_levels``) one subset size at a time
-over every tuple of a block, each lane with its tuple's IEEE operations.
+numpy kernels over many tuples at once; one tuple takes the same path as
+one-row columns.  The biconnected sum is a gather: a cached read-only uint8
+table [pairs x graphs] holds p where the graph has edge p and C(n, 2) where
+it has not, so taking it from each tuple's pair values plus a trailing 1.0
+and multiplying down the pairs gives every graph's product in pair order;
+each tuple's products are summed once.  The float kernel of the connected
+sum runs its subset recursion (``_ursell_levels``) one subset size at a
+time over every tuple of a block, each lane with its tuple's IEEE
+operations.
 
 The family builders get every graph sum of an order n >= 2 from one
 generator, ``_order_sums``: on a float matrix one ``ursell`` or ``d_coeff``
-call over all of the order's tuples, else one ``d_coeff`` call per distinct
-pattern of pair entries among the build's tuples (``per_pattern``), whose
-values live for that build only.  ``build_A_family`` writes each factor
-1 + f(q, x) of an exact matrix as an int b_q(x) over one denominator L_q
-per root, so that a bracket is an int over L_q^n and each coefficient is
-one quotient; on a float matrix the brackets are float64 column products.
+call over all of the order's tuples, read from the species columns of
+``fps._order_plan`` and stored as the float64 array the kernel returns,
+else one ``d_coeff`` call per distinct pattern of pair entries among the
+build's tuples (``per_pattern``), whose values live for that build only.
+A pattern is written in the matrix's entry classes (``entry_classes``),
+which also key the family memo of ``virialkit.inversion``.
+``build_A_family`` writes each factor 1 + f(q, x) of an exact matrix as an
+int b_q(x) over one denominator L_q per root, so that a bracket is an int
+over L_q^n and each coefficient is one quotient; on a float matrix the
+brackets are float64 products over the same columns, times phi's stored
+float64 order.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CapabilityError, DomainError, StructureError
-from .fps import _EXACT, FormalSeries, RootedSeriesFamily, _check_trunc, _Exact, _keys, canonical_indices, log_series
+from .fps import _EXACT, FormalSeries, RootedSeriesFamily, _arrays, _check_trunc, _Exact, _keys, _order_plan, log_series
 from .species import MayerMatrices
 
 MAX_CLASS_N = {"connected": 7, "biconnected": 7, "tree": 9}
@@ -279,12 +285,6 @@ def _tuple_block(f, xs, name):
     return len(cols[0]), pairs_of
 
 
-def _one_tuple_block(vals):
-    """pairs_of of one tuple's pair values, as floats, over a trailing 1.0."""
-    W = np.array([*vals, 1.0], float).reshape(-1, 1)
-    return lambda lo, hi: W
-
-
 def _edge_products(a, L):
     """Object array T with T[b] = prod over t of (a[t] if bit t of b is set else L)."""
     table = [1]
@@ -302,12 +302,12 @@ def ursell(f, xs):
         phi(S) = w(S) - sum over proper T containing the anchor of
                  phi(T) w(S \\ T)
 
-    in O(3^n) float64 operations (``_ursell_sums``, here over one tuple).
-    On a float matrix (``exact=False``, or a raw matrix of floats only) the
-    n positions of xs may be int arrays of one length, one entry per tuple,
-    as for ``d_coeff``: the call then returns a float64 array of every
-    tuple's sum, the same bits as one call per tuple, and ``_order_sums``
-    makes one such call per order.  A matrix under the exact rule
+    in O(3^n) float64 operations (``_ursell_sums``).  On a float matrix
+    (``exact=False``, or a raw matrix of floats only) the n positions of xs
+    may be int arrays of one length, one entry per tuple, as for
+    ``d_coeff``: the call then returns a float64 array of every tuple's sum,
+    and ``_order_sums`` makes one such call per order.  One tuple of ints
+    is that call on one-row columns.  A matrix under the exact rule
     (``_f_matrix``) is refused: exact phi is ``build_phi_series``, checked
     by ``virialkit.oracles.ursell``.
     """
@@ -322,12 +322,10 @@ def ursell(f, xs):
             return _ursell_sums(pairs_of, count, n)
     if n == 1:
         return 1
-    vals, exact = _pair_values(f, xs)
-    if exact:
+    if _f_matrix(f)[1]:
         raise DomainError("ursell sums floats; exact connected sums come from build_phi_series, "
                           "and one tuple's from virialkit.oracles.ursell")
-    with np.errstate(all="ignore"):
-        return float(_ursell_sums(_one_tuple_block(vals), 1, n)[0])
+    return float(ursell(f, np.array(xs, np.intp)[:, None])[0])
 
 
 def d_coeff(f, xs):
@@ -343,9 +341,9 @@ def d_coeff(f, xs):
 
     On a float matrix (``exact=False``, or a raw matrix of floats only)
     the n positions of xs may be int arrays of one length, one entry per
-    tuple: the call then returns a float64 array of every tuple's sum, the
-    same bits as one call per tuple, and ``_order_sums`` makes one such call
-    per order.
+    tuple: the call then returns a float64 array of every tuple's sum, and
+    ``_order_sums`` makes one such call per order.  One tuple of ints at
+    n >= 3 is that call on one-row columns.
 
     The exact rule keeps the biconnected graphs whose edges all lie in the
     support {p : a_p != 0} and sum prod_(p in g) a_p * L^(P - |g|),
@@ -367,8 +365,7 @@ def d_coeff(f, xs):
     if n == 2:
         return vals[0]
     if not exact:
-        with np.errstate(all="ignore"):
-            return float(_gather_sums(_one_tuple_block(vals), 1, _biconnected_gather_index(n))[0])
+        return float(d_coeff(f, np.array(xs, np.intp)[:, None])[0])
     L = math.lcm(*(v.denominator for v in vals))
     a = [v.numerator * (L // v.denominator) for v in vals]
     support = sum(1 << p for p, v in enumerate(a) if v)
@@ -413,6 +410,18 @@ def hard_core_d_table(m):
 # Family builders
 
 
+def entry_classes(fm):
+    """(entries, index) of a matrix of ints and Fractions: its distinct
+    entries, each written (is a Fraction, numerator, denominator), in
+    row-major order of first appearance, and per row the index of each
+    entry among them.  Equal entries share a class, and int -1 and
+    Fraction(-1) do not; the pair is a key of the matrix itself."""
+    classes = {}
+    index = tuple(tuple(classes.setdefault((isinstance(v, Fraction), v.numerator, v.denominator), len(classes))
+                        for v in row) for row in fm)
+    return tuple(classes), index
+
+
 def per_pattern(fn, mayer):
     """xs -> fn(mayer, xs) for ``d_coeff``, with one call of fn per distinct
     pattern of pair entries among the tuples that this closure is given.
@@ -420,17 +429,16 @@ def per_pattern(fn, mayer):
     The sum reads only the tuple's length, the pair entries f(x_i, x_j) in
     pair order with their types, and the matrix's arithmetic rule.  Under
     the exact rule (``_f_matrix``) the closure keeps its values in a dict of
-    its own, keyed by (n, the class ids of the pair entries), a class being
-    one (type, value) of the matrix, so that -1 and Fraction(-1) stay apart;
-    the values live as long as the closure, one build.  Under the float rule
-    fn runs per tuple, also on ints, since equal floats need not be the same
-    entry (-0.0 == 0.0).
+    its own, keyed by (n, the pair entries' indices among the matrix's
+    entry classes, ``entry_classes``), so that -1 and Fraction(-1) stay
+    apart; the values live as long as the closure, one build.  Under the
+    float rule fn runs per tuple, also on ints, since equal floats need not
+    be the same entry (-0.0 == 0.0).
     """
     fm, exact = _f_matrix(mayer)
     if not exact:
         return lambda xs: fn(mayer, xs)
-    classes = {}
-    ids = [[classes.setdefault((type(v), v), len(classes)) for v in row] for row in fm]
+    ids = entry_classes(fm)[1]
     values = {}
 
     def value(xs):
@@ -444,34 +452,25 @@ def per_pattern(fn, mayer):
     return value
 
 
-@lru_cache(maxsize=16)
-def _tail_columns(S, n):
-    """The canonical tails of order n over S species, in storage order, as
-    n read-only int arrays: column j holds every tail's j-th species.  The
-    latest 16 (S, n) are kept, so a large order's columns do not stay."""
-    cols = np.array(list(canonical_indices(S, n)), np.intp).reshape(-1, n).T.copy()
-    cols.flags.writeable = False
-    return tuple(cols)
-
-
 def _order_sums(fn, mayer, S, N, rooted=False):
-    """Per order n = 2..N, the list of fn at every tuple of the order in
-    storage order: the canonical tails, or with ``rooted`` the (root, tail)
-    tuples, roots outermost.
+    """Per order n = 2..N, fn at every tuple of the order in storage order:
+    the canonical tails, or with ``rooted`` the (root, tail) tuples, roots
+    outermost.
 
     This is where the family builders get their graph sums: float ``ursell``
-    for phi, and ``d_coeff`` for D.  Under the float rule an order is one fn
-    call over all of its tuples (int arrays of ``_tail_columns``), read out
-    with one ``tolist``; under the exact rule one ``per_pattern`` closure
-    serves every tuple of every order, over the orders' cached tails
-    (``fps._keys``), so each distinct pattern of the build is summed once.
+    for phi, and ``d_coeff`` for D.  Under the float rule an order is the
+    float64 array of one fn call over the species columns of
+    ``fps._order_plan``; under the exact rule a list, one ``per_pattern``
+    closure serving every tuple of every order, over the orders' cached
+    tails (``fps._keys``), so each distinct pattern of the build is summed
+    once.
     """
     if not _f_matrix(mayer)[1]:
         for n in range(2, N + 1):
-            cols = _tail_columns(S, n)
+            cols = _order_plan(S, n)[0].T
             if rooted:
                 cols = [np.repeat(np.arange(S), len(cols[0])), *(np.tile(col, S) for col in cols)]
-            yield fn(mayer, cols).tolist()
+            yield fn(mayer, cols)
         return
     value = per_pattern(fn, mayer)
     for n in range(2, N + 1):
@@ -525,14 +524,15 @@ def build_phi_series(space, mayer, N, allow_large=False):
 
 
 def _float_a_order(b, cols, phi):
-    """One order n >= 2 of the float activity family, roots outermost: the
-    bracket B = prod_j b[q, x_j] multiplied left to right over the tail
-    columns, then -(B - 1.0) * phi."""
+    """One order n >= 2 of the float activity family, roots outermost, as
+    one float64 array: the bracket B = prod_j b[q, x_j] multiplied left to
+    right over the tail columns, then -(B - 1.0) * phi, with phi the
+    order's stored lanes (one row)."""
     with np.errstate(all="ignore"):
         B = b[:, cols[0]]
         for col in cols[1:]:
             B *= b[:, col]
-        return (-(B - 1.0) * np.array(phi)).ravel().tolist()
+        return (-(B - 1.0) * phi).ravel()
 
 
 def build_A_family(space, mayer, N, phi=None, allow_large=False):
@@ -549,9 +549,10 @@ def build_A_family(space, mayer, N, phi=None, allow_large=False):
     the one quotient (L_q^n - B) phi_n(x) / L_q^n: a Fraction exactly when
     an entry f(q, x_j) or phi_n(x) is one, else an int.  Under the float
     rule L_q = 1 and b_q(x) = 1.0 + f(q, x): order 1 is -(1 + f - 1) on the
-    entries as stored, and each higher order one float64 product per tail
-    column, with the factors multiplied left to right and the coefficient
-    -(B - 1.0) phi_n(x).
+    entries as stored, and each higher order one float64 product per
+    species column of ``fps._order_plan``, with the factors multiplied left
+    to right and the coefficient -(B - 1.0) phi_n(x), phi_n read as its
+    stored order (``fps._arrays``) and the result stored as it is computed.
     """
     fm, exact = _f_matrix(mayer)
     S = space.size
@@ -559,7 +560,6 @@ def build_A_family(space, mayer, N, phi=None, allow_large=False):
         phi = build_phi_series(space, mayer, N, allow_large)
     elif phi.space != space or phi.trunc != N:
         raise StructureError("phi must share space and truncation order with the family")
-    sums = [order.values() for order in phi._orders]
     if not exact:
         b = 1.0 + np.asarray(fm, float)
 
@@ -568,9 +568,11 @@ def build_A_family(space, mayer, N, phi=None, allow_large=False):
             if N:
                 yield [-(1 + v - 1) for row in fm for v in row]
             for n in range(2, N + 1):
-                yield _float_a_order(b, _tail_columns(S, n), sums[n])
+                order = phi._orders[n]
+                yield _float_a_order(b, _order_plan(S, n)[0].T, _arrays(order, order.plain())[0])
 
         return RootedSeriesFamily.from_orders(space, N, float_orders(), allow_large=allow_large)
+    sums = [order.values() for order in phi._orders]
     roots = []
     for row in fm:
         L = math.lcm(*(v.denominator for v in row))

@@ -27,16 +27,16 @@ from __future__ import annotations
 import cmath
 import math
 import threading
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement, count
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
 from .certs import ResidualReport, certify
-from .errors import CapabilityError, DomainError, StructureError, check_scale, max_order
+from .errors import CapabilityError, DomainError, StructureError, check_scale, max_order, required_fields
 from .fps import (
     FormalSeries,
     RootedSeriesFamily,
@@ -53,7 +53,7 @@ from .fps import (
     mul,
     sym_factor,
 )
-from .graphs import build_A_family, build_D_family, build_phi_series
+from .graphs import build_A_family, build_D_family, build_phi_series, entry_classes
 from .species import (
     MayerMatrices,
     MeasureVec,
@@ -94,8 +94,8 @@ MEMO_BOUND = 8192
 
 class _Memo:
     """Coefficient families that depend on the Mayer function f alone,
-    shared by every exact matrix of the process and keyed by the class ids
-    of its entries (``_entry_ids``).
+    shared by every exact matrix of the process and keyed by its entry
+    classes (``graphs.entry_classes``).
 
     Each family is kept with its size, its coefficient count, and the kept
     sizes add up to ``bound`` at most: the least recently read family is
@@ -132,19 +132,6 @@ class _Memo:
 
 
 _MEMO = _Memo(MEMO_BOUND)
-# (type, value) -> class id, drawn from one counter that a clear keeps
-_ENTRY_IDS = defaultdict(count().__next__)
-
-
-def _entry_ids(fm):
-    """The class id of every entry of the matrix fm of ints and Fractions,
-    row by row, in one tuple.  An id is kept per (type, value), so int -1
-    and Fraction(-1) stay apart.  The id table is emptied when it outgrows
-    MEMO_BOUND, and its ids come from one counter, so no key made of ids
-    meets a reused one, also when threads race on it."""
-    if len(_ENTRY_IDS) > MEMO_BOUND:
-        _ENTRY_IDS.clear()
-    return tuple(_ENTRY_IDS[type(v), v] for row in fm for v in row)
 
 
 class GCState:
@@ -191,10 +178,12 @@ class GCState:
 
     @cached_property
     def _family_key(self):
-        """The entry class ids of an exact matrix, row by row: with a
-        family's name and order, its key in the f-keyed memo; None, on a
-        float matrix, bypasses it."""
-        return _entry_ids(self.mayer.f) if self.mayer.exact else None
+        """The entry classes of an exact matrix (``graphs.entry_classes``):
+        its distinct entries and each entry's index among them, which
+        equal matrices share.  With a family's name and order, this is the
+        family's key in the f-keyed memo; None, on a float matrix, bypasses
+        it."""
+        return entry_classes(self.mayer.f) if self.mayer.exact else None
 
     def _family(self, name, N, build):
         """build(), the family ``name`` of order N, read through the f-keyed
@@ -663,13 +652,11 @@ def run_request(request):
     and return a JSON-compatible response with values, certificates, and
     residuals as appropriate for the operation.
     """
-    try:
+    with required_fields("request"):
         space, pot = load_species_json(request["state"])
         op = request["op"]
         N = request.get("N", 4)
         inputs = request.get("inputs", {})
-    except KeyError as exc:
-        raise StructureError(f"malformed request: missing {exc}") from exc
     if not isinstance(inputs, dict):
         raise StructureError(f"inputs must be an object, got {inputs!r}")
     _check_count(N, "N")

@@ -11,6 +11,7 @@ cross-check of t_n.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -520,6 +521,126 @@ def tn_via_trees(A, n, q, xs):
                 break
         total += term
     return total
+
+
+# ---------------------------------------------------------------------------
+# Hard-core graphs: phi, A, t and D from the independence polynomial
+# (graphs, treefp, inversion)
+
+
+def _add_product(acc, P, Q, c):
+    """acc += c * P * Q for the homogeneous parts P and Q (dicts from
+    exponent vectors to coefficients)."""
+    for a, x in P.items():
+        for b, y in Q.items():
+            key = tuple(map(operator.add, a, b))
+            acc[key] = acc.get(key, 0) + c * x * y
+    return acc
+
+
+def _series_mul(p, q, N):
+    """p q through degree N, for series stored as one homogeneous part per degree."""
+    out = []
+    for d in range(N + 1):
+        acc = {}
+        for j in range(d + 1):
+            _add_product(acc, p[j], q[d - j], 1)
+        out.append(acc)
+    return out
+
+
+def _series_div(p, q, N):
+    """p / q through degree N, q of constant term 1: out_d = p_d - sum over
+    1 <= j <= d of q_j out_(d-j)."""
+    out = []
+    for d in range(N + 1):
+        acc = dict(p[d])
+        for j in range(1, d + 1):
+            _add_product(acc, q[j], out[d - j], -1)
+        out.append(acc)
+    return out
+
+
+def _series_log(p, N):
+    """log p through degree N, p of constant term 1, by the degree operator:
+    d L_d = d p_d - sum over 1 <= j < d of j L_j p_(d-j)."""
+    out = [{}]
+    for d in range(1, N + 1):
+        acc = {a: d * c for a, c in p[d].items()}
+        for j in range(1, d):
+            _add_product(acc, out[j], p[d - j], -j)
+        out.append({a: Fraction(c, d) for a, c in acc.items()})
+    return out
+
+
+def hard_core_series(adj, N):
+    """phi, A, t and D of the hard-core state on a graph G, from its
+    independence polynomial alone, through order N.
+
+    ``adj[q]`` holds the neighbours of vertex q among 0..S-1; the state has
+    f = -1 on the diagonal and on the edges of G, 0 elsewhere.  Its
+    partition function is Z_G(z) = sum over the independent sets I of z^I,
+    and with N[q] the vertex q with its neighbours, d Z_G / d z_q =
+    Z_(G - N[q]) (Scott and Sokal, J. Stat. Phys. 118 (2005) 1151).  So, as
+    power series: phi = log Z_G; A_q = log Z_G - log Z_(G - N[q]), since
+    rho_q = z_q d_q log Z_G = z_q exp(-A_q); T_q(rho) = Z_G(w) /
+    Z_(G - N[q])(w) at w = rho T, solved by iteration from T = 1, each step
+    k fixing order k; and D_q = -log T_q.  A series is one dict per degree,
+    from exponent vectors to ints and Fractions; nothing sums graphs.
+
+    Returns (phi, A, t, D), each one mapping per order 0..N keyed as the
+    families' ``coeffs`` (ms for phi, (q, ms) for A, t and D), the value at
+    ms being alpha! [z^alpha], alpha the species counts of ms.
+    """
+    S = len(adj)
+    unit = [tuple(int(y == x) for y in range(S)) for x in range(S)]
+    subsets = (tuple(x for x in range(S) if m >> x & 1) for m in range(1 << S))
+    sets = [I for I in subsets if len(I) <= N and not any(y in adj[x] for x in I for y in I)]
+    closed = [{q, *adj[q]} for q in range(S)]
+
+    def monomials(w, k):
+        # per independent set I, prod over x in I of w_x through degree k;
+        # I less its last vertex comes earlier in ``sets``
+        M = {}
+        for I in sets:
+            M[I] = _series_mul(M[I[:-1]], w[I[-1]], k) if I else [{(0,) * S: 1}] + [{} for _ in range(k)]
+        return M
+
+    def Z(M, avoid, k):
+        # the sum of M over the independent sets outside ``avoid``
+        out = [{} for _ in range(k + 1)]
+        for I, m in M.items():
+            if avoid.isdisjoint(I):
+                for part, mpart in zip(out, m):
+                    for a, c in mpart.items():
+                        part[a] = part.get(a, 0) + c
+        return out
+
+    z = [[{}, {unit[x]: 1}, *({} for _ in range(N - 1))][:N + 1] for x in range(S)]
+    Mz = monomials(z, N)
+    phi = _series_log(Z(Mz, set(), N), N)
+    A = []
+    for q in range(S):
+        rest = _series_log(Z(Mz, closed[q], N), N)
+        A.append([{a: phi[d].get(a, 0) - rest[d].get(a, 0) for a in {*phi[d], *rest[d]}} for d in range(N + 1)])
+    T = [[{(0,) * S: 1}] for _ in range(S)]
+    for k in range(1, N + 1):
+        w = [[{}, *({tuple(map(operator.add, a, unit[x])): c for a, c in T[x][d].items()} for d in range(k))]
+             for x in range(S)]
+        M = monomials(w, k)
+        P = Z(M, set(), k)
+        T = [_series_div(P, Z(M, closed[q], k), k) for q in range(S)]
+    D = [[{a: -c for a, c in part.items()} for part in _series_log(T[q], N)] for q in range(S)]
+
+    def stored(series, n, ms):
+        return sym_factor(ms) * series[n].get(tuple(map(ms.count, range(S))), 0)
+
+    orders = [tuple(canonical_indices(S, n)) for n in range(N + 1)]
+    return (
+        [{ms: stored(phi, n, ms) for ms in keys} for n, keys in enumerate(orders)],
+        *([{(q, ms): stored(fam[q], n, ms) for q in range(S) for ms in keys} for n, keys in enumerate(orders)]
+          for fam in (A, T, D)),
+    )
 
 
 # ---------------------------------------------------------------------------

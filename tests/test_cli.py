@@ -464,6 +464,39 @@ def test_app_document_field_types_exit_2(capsys, command, doc):
     assert err.startswith("input error: ") and err.count("\n") == 1
 
 
+def _drop(doc, path):
+    """doc without the field at ``path``, a tuple of keys into nested objects."""
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    del inner[path[-1]]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, doc, path",
+    [
+        *(("mixture", "mixture_spheres.json", (k,)) for k in ("radii", "d", "rho")),
+        *(("rods", "rod_grid.json", (k,)) for k in ("rho0", "length", "angles", "probs")),
+        *(("invert", "grid_profile.json", (k,)) for k in ("points", "cell_volumes", "rho", "kernel")),
+        ("invert", "grid_profile.json", ("kernel", "kind")),
+        ("invert", "grid_profile.json", ("kernel", "params", "length")),
+    ],
+    ids=lambda v: v if isinstance(v, str) else ".".join(v),
+)
+def test_app_document_names_a_missing_field(capsys, command, doc, path):
+    # a required field dropped is an input error that names it, on one line
+    code, out, err = run(capsys, [command, "--model", json.dumps(_drop(_fixture_doc(doc), path))])
+    assert (code, out) == (2, "")
+    assert err == f"input error: malformed model: missing '{path[-1]}'\n"
+
+
+def test_matrix_kernel_names_its_missing_rows(capsys):
+    doc = _fixture_doc("grid_profile.json", kernel={"kind": "matrix", "params": {}})
+    assert run(capsys, ["invert", "--model", json.dumps(doc)]) == (2, "", "input error: malformed model: missing 'v'\n")
+
+
 def test_app_documents_accept_exact_strings(capsys):
     # a numeric string is a number: the rods fixture with length "1" prints
     # the same bytes as with length 1.0

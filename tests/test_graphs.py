@@ -715,7 +715,6 @@ def test_shared_memo_is_bounded(monkeypatch):
     # no sum
     monkeypatch.setattr(inv, "MEMO_BOUND", 8)
     monkeypatch.setattr(inv, "_MEMO", inv._Memo(8))
-    monkeypatch.setattr(inv, "_ENTRY_IDS", inv._ENTRY_IDS.copy())
     S = 4
     mayer = MayerMatrices.from_f(SpeciesSpace.uniform(S), rand_f(3, S), exact=True)
     d = graphs.per_pattern(d_coeff, mayer)
@@ -725,8 +724,8 @@ def test_shared_memo_is_bounded(monkeypatch):
         v, want = d(xs), d_coeff(mayer, xs)
         assert v == want and type(v) is type(want)
     assert len(inv._MEMO._entries) == inv._MEMO.size == 0
-    # more distinct entries than the id table's cap, a fresh matrix each:
-    # the table is emptied when it outgrows the cap, and no id is reused
+    # the memo key is the matrix's own entry classes: 20 fresh matrices of
+    # distinct entries give 20 distinct keys, and the memo stays bounded
     keys = set()
     for k in range(20):
         entry = Fraction(-1, k + 2)
@@ -734,8 +733,17 @@ def test_shared_memo_is_bounded(monkeypatch):
         assert graphs.per_pattern(d_coeff, st.mayer)((0, 0)) == entry
         assert st.d_family.value(1, 0, (0,)) == entry
         keys.add(st._family_key)
-    assert len(inv._ENTRY_IDS) <= 9 and len(keys) == 20
+    assert len(keys) == 20
     assert inv._MEMO.size == sum(size for _, size in inv._MEMO._entries.values()) <= 8
+    # a rebuilt equal matrix (the last one's entry, Fraction(-1, 21)) has an
+    # equal key, and its D is the kept family's layouts: a memo hit
+    again = GCState.from_f(SpeciesSpace.uniform(1), [[Fraction(-2, 42)]], N=1)
+    assert again._family_key == st._family_key
+    assert again.d_family._orders[1] is st.d_family._orders[1]
+    # int -1 and Fraction(-1) are different entries
+    ints, fracs = ([[-1, 0], [0, c]] for c in (-1, Fraction(-1)))
+    keys = [GCState.from_f(SpeciesSpace.uniform(2), f, N=1)._family_key for f in (ints, fracs)]
+    assert keys[0] != keys[1]
 
 
 @pytest.mark.parametrize("matrix", ["mayer", "raw"])

@@ -13,6 +13,7 @@ import sys
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
@@ -21,7 +22,7 @@ from virialkit import graphs
 from virialkit import inversion as inv
 from virialkit.cli import _random_state, fixture_text
 from virialkit.errors import CapabilityError, DomainError, StructureError
-from virialkit.fps import canonical_indices, exp_series
+from virialkit.fps import _Columns, _store, canonical_indices, exp_series
 from virialkit.graphs import pair_order
 from virialkit.homogeneous import grid_beta, ring_mayer, tonks_oracle
 from virialkit.inversion import (
@@ -43,7 +44,7 @@ from virialkit.inversion import (
     zeta_of_nu,
     zeta_path_agreement,
 )
-from virialkit.oracles import chordal_d, var_derivative
+from virialkit.oracles import chordal_d, hard_core_series, var_derivative
 from virialkit.species import (
     MayerMatrices,
     MeasureVec,
@@ -407,6 +408,42 @@ def test_extracted_d_matches_the_chordal_rule_at_order_seven(data):
     for n in range(1, 8):
         for (q, ms), v in D.coeffs[n].items():
             assert v == chordal_d(f, (q, *ms)), (f, q, ms)
+
+
+def hard_core_families(adj, N, with_d=True):
+    """(name, coeffs per order) of the exact state's phi, A, t, D extracted
+    from A and, ``with_d``, D built from graphs, on the hard core of a graph
+    given by its neighbour lists, next to ``hard_core_series``'s."""
+    S = len(adj)
+    f = [[-1 if i == j or j in adj[i] else 0 for j in range(S)] for i in range(S)]
+    st = GCState.from_f(SpeciesSpace.uniform(S), f, N=N, exact=True, allow_large=True)
+    phi, A, t, D = hard_core_series(adj, N)
+    fams = [("phi", st.phi_series, phi), ("A", st.a_family, A), ("t", st.t_family, t),
+            ("extracted D", extract_d_from_a(st), D)]
+    return fams + [("D", st.d_family, D)] if with_d else fams
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=hyp.data())
+def test_families_match_the_independence_polynomial(data):
+    # on any graph, phi = log Z_G, A_q = log Z_G - log Z_(G - N[q]), T from
+    # its fixed point and D = -log T, in literal rational equality
+    S = data.draw(hyp.integers(1, 4))
+    N = data.draw(hyp.integers(1, 4))
+    edges = data.draw(hyp.sets(hyp.sampled_from(list(pair_order(S))))) if S > 1 else set()
+    adj = [{j for i, j in edges if i == x} | {i for i, j in edges if j == x} for x in range(S)]
+    for name, fam, want in hard_core_families(adj, N):
+        for n in range(N + 1):
+            assert dict(fam.coeffs[n]) == want[n], (name, adj, n)
+
+
+def test_families_match_the_independence_polynomial_on_the_five_cycle():
+    # the 5-cycle is not chordal; at N = 6, t_6 lies above TREE_ORACLE_MAX
+    # and the extracted D holds D_7
+    adj = [{(x - 1) % 5, (x + 1) % 5} for x in range(5)]
+    for name, fam, want in hard_core_families(adj, 6, with_d=False):
+        for n in range(7):
+            assert dict(fam.coeffs[n]) == want[n], (name, n)
 
 
 def test_phi_derivative_is_exp_of_minus_A():
@@ -948,6 +985,25 @@ def soft_state(seed, S, N):
             v[i][j] = v[j][i] = round(r.uniform(-0.3, 1.5), 3)
     space = SpeciesSpace.from_weights([r.choice((0.5, 1.0, 1.5)) for _ in range(S)])
     return GCState(space, pot=PairPotential(space, 1.0, v), N=N)
+
+
+@pytest.mark.parametrize("source", ["float-marked", "soft"])
+def test_float_graph_orders_are_stored_as_computed(source):
+    # every order n >= 2 of float phi, A and D is the float64 array that its
+    # kernel returned, with no int lane, and has the bits and layout that
+    # storing its values gives
+    if source == "soft":
+        st = soft_state(7, 3, 4)
+    else:
+        f = [[-1, Fraction(1, 3), 0], [Fraction(1, 3), -1, Fraction(-1, 2)], [0, Fraction(-1, 2), 2]]
+        st = GCState.from_f(SpeciesSpace.uniform(3), f, N=4, exact=False)
+    for fam in (st.phi_series, st.a_family, st.d_family):
+        for n in range(2, 5):
+            order = fam._orders[n]
+            assert type(order) is _Columns and order.arr.dtype == np.float64 and order.ints is None
+            again = _store(order.values(), fam.roots)
+            assert again.ints is None and again.arr.shape == order.arr.shape
+            assert again.arr.tobytes() == order.arr.tobytes()
 
 
 def test_float_golden_tree_coefficients_and_roundtrip():
