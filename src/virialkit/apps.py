@@ -108,7 +108,9 @@ def invert_profile(gp, pot_kernel, N, beta=1.0):
 
     (quadrature-weighted).  Requires the combined certificate on rho; a
     failing certificate refuses with its margins.  rho(q) = 0 gives
-    V(q) = +inf.  Uniqueness holds within the certified class only.
+    V(q) = +inf; a finite beta V(q) whose V(q) leaves the double range (a
+    tiny beta) raises OverflowError.  Uniqueness holds within the certified
+    class only.
     """
     st = profile_state(gp, pot_kernel, N, beta=beta)
     cert = check_Sab(st, gp.rho)
@@ -126,9 +128,15 @@ def invert_profile(gp, pot_kernel, N, beta=1.0):
             beta_v.append(math.inf)
             continue
         beta_v.append(log_z0 - math.log(float(gp.rho[q])) + float(tails[q]))
+    v_ext = []
+    for bv in beta_v:
+        v = bv / beta
+        if math.isinf(v) and math.isfinite(bv):
+            raise OverflowError(f"V = beta V / beta leaves the double range at beta = {beta}")
+        v_ext.append(v)
     return {
         "beta_v": beta_v,
-        "v_ext": [v / beta for v in beta_v],
+        "v_ext": v_ext,
         "certificate": cert,
         "notes": "unique within the class of potentials passing this certificate",
     }

@@ -987,6 +987,11 @@ def _keep_ints(ints, other, mask):
     return ints & other if mask is None else ints & (other | ~mask)
 
 
+def _every_lane(mask):
+    """None (every lane) when the bool lane mask is all True, else the mask."""
+    return None if mask.all() else mask
+
+
 def _sweep_columns(size, orders, kind, out, k, g, f, sub, init):
     """The column rule of ``_sweep``.  At order n every order it reads is
     one array over (root, canonical ms), the stored one when its dtype is
@@ -1002,7 +1007,12 @@ def _sweep_columns(size, orders, kind, out, k, g, f, sub, init):
       when the sum starts from ``init``.
 
     Each lane thus sees the operations, in the order, of the term-by-term
-    walk ``oracles.sweep_termwise``.  The dtype is picked per order from
+    walk ``oracles.sweep_termwise``.  A step whose lanes are all live (every
+    k(ms_J) nonzero, or every running product) runs without a lane mask,
+    which does the same operations on every lane.  The operands are only
+    read, so each factor of ``sub`` is gathered once per order, and a
+    column again only when J moves (templates of one J are adjacent in a
+    composition).  The dtype is picked per order from
     every order it reads: float64 when all are ``_plain``, with an int mask
     that gives each coefficient the type Python would (an int zero carries
     no sign: -1 * 0 added to -0.0 gives +0.0); dtype=object otherwise
@@ -1038,17 +1048,29 @@ def _sweep_columns(size, orders, kind, out, k, g, f, sub, init):
             dtype = float if plain else object
             shape = roots, len(_rank(size, n))
 
+            # operands are only read: the factors of order n are gathered
+            # once each, and a column is held until another is gathered,
+            # which in a composition's template order is when J moves
+            held, factors = {}, {}
+
             def column(X, J):
                 """(values, int mask, nonzero lanes) of ``X`` at ms_J."""
-                arr, ints = arrays(X[len(J)], plain)
-                col = arr[:, index[J]]
-                return col, None if ints is None else ints[:, index[J]], col != 0
+                key = id(X), J
+                if key not in held:
+                    arr, ints = arrays(X[len(J)], plain)
+                    col = arr[:, index[J]]
+                    held.clear()
+                    held[key] = col, None if ints is None else ints[:, index[J]], col != 0
+                return held[key]
 
             def factor(j, V):
                 """(values, int mask) of sub[ms_j](ms_V), the same for every root."""
-                arr, ints = arrays(sub[len(V)], plain)
-                at = index[(j,)], index[V]
-                return arr[at], None if ints is None else ints[at]
+                got = factors.get((j, V))
+                if got is None:
+                    arr, ints = arrays(sub[len(V)], plain)
+                    at = index[(j,)], index[V]
+                    got = factors[j, V] = arr[at], None if ints is None else ints[at]
+                return got
 
             if init is None:
                 total = np.zeros(shape, dtype)
@@ -1067,16 +1089,18 @@ def _sweep_columns(size, orders, kind, out, k, g, f, sub, init):
                 else:
                     J, rest = template
                     term, term_ints, live = column(k, J)
+                    term = term.copy()
                     if kind == "split":
                         b, b_ints, b_live = column(g, rest)
                         live = live & b_live  # a split skips a zero g as well
                         operands = [(b, b_ints)]
                     else:
                         operands = [factor(j, V) for j, V in zip(J, rest)]
+                    live = _every_lane(live)
                 nonzero = live
                 for i, (v, v_ints) in enumerate(operands):
                     if i:
-                        nonzero = term != 0
+                        nonzero = _every_lane(term != 0)
                     np.multiply(term, v, out=term, where=True if nonzero is None else nonzero)
                     term_ints = _keep_ints(term_ints, v_ints, nonzero)
                 if term_ints is not None:

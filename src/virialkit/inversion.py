@@ -671,7 +671,9 @@ def run_request(request):
     S = space.size
 
     def measure(key):
-        return parse_measure(inputs[key], S, key)
+        with required_fields("request"):
+            values = inputs[key]
+        return parse_measure(values, S, key)
 
     def weight(key):
         return None if inputs.get(key) is None else measure(key)

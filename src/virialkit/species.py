@@ -32,9 +32,20 @@ def is_inf(x):
     return isinstance(x, float) and math.isinf(x)
 
 
+def _distinct(m):
+    """The distinct entry objects of a matrix, in row-major order."""
+    return {id(e): e for row in m for e in row}.values()
+
+
 def _check_square_symmetric(m, size, what):
+    """Refuse a matrix (tuple of row tuples) that is not size x size or not
+    symmetric, naming the first pair of entries that differ."""
     if len(m) != size or any(len(row) != size for row in m):
         raise StructureError(f"{what} must be a {size}x{size} matrix")
+    # tuple equality takes an entry as equal to itself, so a NaN, which
+    # differs from itself, goes to the entrywise loop
+    if m == tuple(zip(*m)) and all(e == e for e in _distinct(m)):
+        return
     for i in range(size):
         for j in range(i, size):
             if m[i][j] != m[j][i]:
@@ -194,18 +205,16 @@ class MayerMatrices:
         f_bar = tuple(tuple(row) for row in f_bar)
         _check_square_symmetric(f, space.size, "f matrix")
         _check_square_symmetric(f_bar, space.size, "fbar matrix")
-        if exact and not all(
-            isinstance(e, (int, Fraction)) for m in (f, f_bar) for row in m for e in row
-        ):
+        # each check runs once per distinct entry object
+        f_entries, f_bar_entries = _distinct(f), _distinct(f_bar)
+        if exact and not all(isinstance(e, (int, Fraction)) for m in (f_entries, f_bar_entries) for e in m):
             raise StructureError("exact Mayer matrices hold only ints and Fractions")
-        for row in f:
-            for e in row:
-                if e < -1:
-                    raise StructureError("f entries must be >= -1")
-        for row in f_bar:
-            for e in row:
-                if not (0 <= e <= 1):
-                    raise StructureError("fbar entries must lie in [0, 1]")
+        for e in f_entries:
+            if e < -1:
+                raise StructureError("f entries must be >= -1")
+        for e in f_bar_entries:
+            if not (0 <= e <= 1):
+                raise StructureError("fbar entries must lie in [0, 1]")
         self.space = space
         self.f = f
         self.f_bar = f_bar
@@ -235,6 +244,8 @@ def build_mayer(pot):
     since exp(-beta*v) of any other finite energy is irrational.
     """
     exact = pot.is_hard_core_only()
+    # one object per hard-core value, shared by every entry that holds it
+    minus_one, zero, one = (Fraction(-1), Fraction(0), Fraction(1)) if exact else (-1.0, 0.0, 1.0)
     f = []
     f_bar = []
     for row in pot.v:
@@ -242,11 +253,11 @@ def build_mayer(pot):
         fbrow = []
         for e in row:
             if is_inf(e):
-                frow.append(Fraction(-1) if exact else -1.0)
-                fbrow.append(Fraction(1) if exact else 1.0)
+                frow.append(minus_one)
+                fbrow.append(one)
             elif e == 0:
-                frow.append(Fraction(0) if exact else 0.0)
-                fbrow.append(Fraction(0) if exact else 0.0)
+                frow.append(zero)
+                fbrow.append(zero)
             else:
                 frow.append(math.expm1(-pot.beta * e))
                 fbrow.append(-math.expm1(-pot.beta * abs(e)))

@@ -402,6 +402,19 @@ def test_request_field_errors_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "op, key",
+    [("rho_of_z", "z"), ("zeta_of_nu", "nu"), ("log_xi_series", "z"), ("pressure", "nu"),
+     ("free_energy", "nu"), ("xi_exact", "z"), ("density_exact", "z"), ("check_PU", "z"),
+     ("check_Sb", "nu"), ("check_Sab", "nu")],
+)
+def test_request_names_its_missing_measure(capsys, op, key):
+    # every op that reads a measure names the one it lacks, on one line
+    req = {"state": README_STATE, "op": op, "N": 2, "inputs": {}}
+    code, out, err = run(capsys, ["request", "--model", json.dumps(req)])
+    assert (code, out, err) == (2, "", f"input error: malformed request: missing '{key}'\n")
+
+
+@pytest.mark.parametrize(
     "model",
     [
         {"kind": "hard_rod", "beta": "x"},
@@ -495,6 +508,19 @@ def test_app_document_names_a_missing_field(capsys, command, doc, path):
 def test_matrix_kernel_names_its_missing_rows(capsys):
     doc = _fixture_doc("grid_profile.json", kernel={"kind": "matrix", "params": {}})
     assert run(capsys, ["invert", "--model", json.dumps(doc)]) == (2, "", "input error: malformed model: missing 'v'\n")
+
+
+def test_invert_potential_past_the_double_range_is_a_capability_limit(capsys):
+    # at beta = 1e-320 every beta V is finite but V = beta V / beta is not
+    doc = _fixture_doc("grid_profile.json", beta=1e-320)
+    code, out, err = run(capsys, ["invert", "--model", json.dumps(doc), "--order", "3"])
+    assert (code, out) == (3, "")
+    assert err.startswith("capability limit: float range exceeded (") and err.count("\n") == 1
+    # a zero density is V = +inf, which CSV prints
+    doc = _fixture_doc("grid_profile.json", rho=[0.02, 0.0, 0.02])
+    code, out, err = run(capsys, ["invert", "--model", json.dumps(doc), "--order", "3"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2].endswith(",inf")
 
 
 def test_app_documents_accept_exact_strings(capsys):

@@ -707,6 +707,9 @@ PLAIN_VALUES = hyp.one_of(
     hyp.sampled_from([0, 0.0, -0.0, 0, 0.0, -1, 1, math.inf, -math.inf, math.nan]),
     hyp.floats(allow_nan=True, allow_infinity=True),
 )
+# nonzero finite floats: every lane of a template is live, save where a
+# product under- or overflows
+LIVE_VALUES = hyp.floats(allow_nan=False, allow_infinity=False).filter(bool)
 WIDE_VALUES = hyp.one_of(
     PLAIN_VALUES,
     hyp.builds(complex, hyp.sampled_from([0.0, -0.0, 1.5, -2.0]), hyp.sampled_from([0.0, -0.0, 0.5, -1.0])),
@@ -761,8 +764,8 @@ def test_sweep_matches_termwise_walk(data):
     kind = data.draw(hyp.sampled_from(["split", "partition", "compose"]))
     size, N, roots = data.draw(hyp.integers(1, 3)), data.draw(hyp.integers(0, 4)), data.draw(hyp.integers(1, 3))
     # one palette per example, so the float64 dtype is reached as well as
-    # the object one
-    values = data.draw(hyp.sampled_from([PLAIN_VALUES, WIDE_VALUES]))
+    # the object one, and steps whose lanes are all live as well as masked
+    values = data.draw(hyp.sampled_from([PLAIN_VALUES, WIDE_VALUES, LIVE_VALUES]))
 
     def tables(count):
         keys = [ms for m in range(N + 1) for ms in canonical_indices(size, m)]
@@ -790,6 +793,25 @@ def test_sweep_matches_termwise_walk(data):
         (k or outs)[0][()] = 0.5  # the exact rule is tested in test_fps_exact.py
     args = size, range(lo, N + 1), kind, outs, k
     assert _swept(_layout_sweep, *args, **extra) == _swept(sweep_termwise, *args, **extra)
+
+
+@pytest.mark.parametrize("kind", ["split", "partition", "compose"])
+def test_sweep_matches_termwise_walk_when_a_product_underflows(kind):
+    # every value is nonzero, so each template starts on all lanes; where a
+    # product of 1e-200s underflows to 0 mid-template it stops multiplying,
+    # and so never meets the inf of a tail of species 1 alone (0 * inf is
+    # NaN)
+    size, N = 2, 4
+    keys = [ms for m in range(N + 1) for ms in canonical_indices(size, m)]
+
+    def table():
+        return {ms: math.inf if ms and set(ms) == {1} else 1e-200 for ms in keys}
+
+    extra = {"split": {"g": [table(), table()]}, "partition": {"f": [1.0, -1.5, 2.0, 0.5, -3.0]},
+             "compose": {"sub": [table(), table()]}}[kind]
+    args = size, range(N + 1), kind, [{}, {}], [table(), table()]
+    got = _swept(_layout_sweep, *args, **extra)
+    assert got == _swept(sweep_termwise, *args, **extra)
 
 
 def test_sweep_int_zero_has_no_sign():

@@ -312,9 +312,9 @@ def test_float_d_coeff_keeps_the_matrix_product_bits(monkeypatch, budget):
     monkeypatch.setattr(graphs, "GATHER_ELEMENTS", budget)
     r = random.Random(23)
     for n in range(3, 7):
-        index = graphs._biconnected_gather_index(n)
-        assert index.dtype == np.uint8 and not index.flags.writeable
-        assert index.shape == (len(pair_order(n)), count_class(n, "biconnected"))
+        K, steps, leaves = graphs._biconnected_plan(n)
+        assert not leaves.flags.writeable and not any(s[3].flags.writeable for s in steps)
+        assert len(leaves) == count_class(n, "biconnected")
         for kind, draw in FLOAT_DRAWS.items():
             for _ in range(12):
                 vals = [draw(r) for _ in pair_order(n)]
@@ -323,6 +323,44 @@ def test_float_d_coeff_keeps_the_matrix_product_bits(monkeypatch, budget):
                     f[i][j] = f[j][i] = v
                 got = d_coeff(f, tuple(range(n)))
                 assert float_bits(got) == float_bits(matrix_product_d(n, vals)), (n, kind, vals)
+
+
+@pytest.mark.parametrize("budget", [graphs.GATHER_ELEMENTS, 4096, 64])
+@pytest.mark.parametrize("kind", sorted(FLOAT_DRAWS))
+def test_batched_float_d_coeff_keeps_the_matrix_product_bits(monkeypatch, kind, budget):
+    # one call over many tuples, split into several blocks at every n (the
+    # default budget takes 2 tuples a block at n = 6), equals the matrix
+    # product on each tuple, lane by lane and bit for bit
+    monkeypatch.setattr(graphs, "GATHER_ELEMENTS", budget)
+    r = random.Random(f"batched/{kind}/{budget}")
+    S = 6
+    f = rand_float_f(r, S, FLOAT_DRAWS[kind])
+    for n, count in [(3, 300), (4, 300), (5, 200), (6, 7)]:
+        xs = [np.array([r.randrange(S) for _ in range(count)]) for _ in range(n)]
+        got = d_coeff(f, xs)
+        assert got.shape == (count,)
+        for t in range(count):
+            vals = [f[xs[i][t]][xs[j][t]] for i, j in pair_order(n)]
+            assert float_bits(float(got[t])) == float_bits(matrix_product_d(n, vals)), (n, t, vals)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_biconnected_plan_is_a_prefix_tree_over_the_class(n):
+    # rows 0..P-1 are the single edges; each later node is its parent with
+    # one edge more, above the parent's edges, and the leaves are the class
+    K, steps, leaves = graphs._biconnected_plan(n)
+    P = len(pair_order(n))
+    mask = [1 << p for p in range(P)] + [None] * (K - P)
+    done = P
+    for p, lo, hi, parents in steps:
+        assert lo == done and not parents.flags.writeable
+        for row, parent in zip(range(lo, hi), parents.tolist()):
+            assert parent < lo and mask[parent] < 1 << p
+            mask[row] = mask[parent] | 1 << p
+        done = hi
+    assert done == K and len(set(mask)) == K
+    assert not leaves.flags.writeable and len(leaves) == count_class(n, "biconnected")
+    assert [mask[row] for row in leaves.tolist()] == class_masks(n, "biconnected").tolist()
 
 
 # exact entries: hard cores and small ints, sixteenths, thirds and sevenths

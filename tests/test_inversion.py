@@ -438,11 +438,11 @@ def test_families_match_the_independence_polynomial(data):
 
 
 def test_families_match_the_independence_polynomial_on_the_five_cycle():
-    # the 5-cycle is not chordal; at N = 6, t_6 lies above TREE_ORACLE_MAX
-    # and the extracted D holds D_7
+    # the 5-cycle is not chordal; at N = 7, t_6 and t_7 lie above
+    # TREE_ORACLE_MAX and the extracted D holds D_8, past the graph sums
     adj = [{(x - 1) % 5, (x + 1) % 5} for x in range(5)]
-    for name, fam, want in hard_core_families(adj, 6, with_d=False):
-        for n in range(7):
+    for name, fam, want in hard_core_families(adj, 7, with_d=False):
+        for n in range(8):
             assert dict(fam.coeffs[n]) == want[n], (name, n)
 
 

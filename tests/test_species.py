@@ -112,6 +112,35 @@ def test_exact_mayer_matrices_hold_only_rationals():
     assert float_one.f_bar[0][0] == 0.5 and type(float_one.f_bar[0][0]) is float
 
 
+def test_symmetry_check_names_the_first_pair_that_differs():
+    # a NaN differs from itself, so it fails the check at its own pair, one
+    # object in both places included
+    three = SpeciesSpace.uniform(3)
+    nan = float("nan")
+    cases = [
+        ([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.5, 3.0, 0.0]], "entries 0,2 differ"),
+        ([[0.0, nan, 0.0], [nan, 0.0, 0.0], [0.0, 0.0, 0.0]], "entries 0,1 differ"),
+        ([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, nan]], "entries 2,2 differ"),
+    ]
+    for v, where in cases:
+        with pytest.raises(StructureError, match=f"potential matrix must be symmetric \\({where}\\)"):
+            PairPotential(three, 1.0, v)
+        with pytest.raises(StructureError, match=f"f matrix must be symmetric \\({where}\\)"):
+            MayerMatrices(three, v, [[0.0] * 3] * 3, exact=False)
+    # equal values of two types are symmetric, as before
+    assert MayerMatrices.from_f(SpeciesSpace.uniform(2), [[0, 1], [1.0, 0]], exact=False).f[0][1] == 1
+
+
+def test_hard_core_mayer_shares_one_object_per_value():
+    space = SpeciesSpace.uniform(3)
+    pot = PairPotential(space, 1.0, [[INF, 0.0, INF], [0.0, INF, 0.0], [INF, 0.0, 0.0]])
+    my = build_mayer(pot)
+    assert len({id(e) for row in my.f for e in row}) == 2
+    assert len({id(e) for m in (my.f, my.f_bar) for row in m for e in row}) == 3
+    assert my.f == ((-1, 0, -1), (0, -1, 0), (-1, 0, 0))
+    assert all(type(e) is Fraction for m in (my.f, my.f_bar) for row in m for e in row)
+
+
 def test_pair_potential_validation():
     space = SpeciesSpace.uniform(1)
     with pytest.raises(DomainError):
