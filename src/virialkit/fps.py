@@ -167,6 +167,14 @@ def sym_factor(ms):
     return out
 
 
+@lru_cache(maxsize=None)
+def _multinomials(size, n):
+    """n!/sym(ms), an int, for each canonical multi-index ms of order n over
+    ``size`` species, in storage order: a read-only tuple."""
+    fact = math.factorial(n)
+    return tuple(fact // sym_factor(ms) for ms in canonical_indices(size, n))
+
+
 class _Coefficients:
     """Storage shared by FormalSeries and RootedSeriesFamily.
 
@@ -1054,13 +1062,15 @@ def _sweep_columns(size, orders, kind, out, k, g, f, sub, init):
             held, factors = {}, {}
 
             def column(X, J):
-                """(values, int mask, nonzero lanes) of ``X`` at ms_J."""
+                """(values, int mask, nonzero lanes) of ``X`` at ms_J; a
+                partition reads no lanes, so it gets None for them."""
                 key = id(X), J
                 if key not in held:
                     arr, ints = arrays(X[len(J)], plain)
                     col = arr[:, index[J]]
                     held.clear()
-                    held[key] = col, None if ints is None else ints[:, index[J]], col != 0
+                    lanes = None if kind == "partition" else col != 0
+                    held[key] = col, None if ints is None else ints[:, index[J]], lanes
                 return held[key]
 
             def factor(j, V):
@@ -1201,7 +1211,7 @@ def _measure_sums_exact(K, vals, orders):
             continue
         fact = math.factorial(n)
         Dn = fact * E**n * layout[n].den
-        row = [fact // sym_factor(ms) * p for ms, p in prods.items()]
+        row = [c * p for c, p in zip(_multinomials(size, n), prods.values())]
         for kq, out in zip(layout[n].num, sums):
             total, live = 0, False
             for k, m in zip(kq, row):

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
+from operator import is_
 
 import numpy as np
 
@@ -86,22 +87,26 @@ def _full_tuple_d(d_family, N, factors):
     return FormalSeries.from_orders(d_family.space, N, orders, allow_large=True)
 
 
-# coefficients that the f-keyed memo holds at most, over all its families:
-# nearly twice the 4,273 of requests_exact's 36 families (phi is kept with
-# every A)
+# coefficients and report values that the f-keyed memo holds at most, over
+# all its entries: nearly twice the 4,406 of requests_exact's 43 (36
+# families, phi kept with every A, 4 reports and 3 full-tuple D series)
 MEMO_BOUND = 8192
+
+# the memo name of each GCState family that a kept result may read
+_FAMILY_NAMES = {"a_family": "A", "t_family": "t", "d_family": "D", "phi_series": "phi", "e_family": "exp(-A)"}
 
 
 class _Memo:
-    """Coefficient families that depend on the Mayer function f alone,
-    shared by every exact matrix of the process and keyed by its entry
-    classes (``graphs.entry_classes``).
+    """Results that depend on the Mayer function f alone, shared by every
+    exact matrix of the process and keyed by its entry classes
+    (``graphs.entry_classes``): coefficient families, full-tuple D series
+    and residual reports.
 
-    Each family is kept with its size, its coefficient count, and the kept
-    sizes add up to ``bound`` at most: the least recently read family is
+    Each entry is kept with its size, its count of coefficients or values,
+    and the kept sizes add up to ``bound`` at most: the least recently read entry is
     dropped first, and one larger than the bound is not kept.  A lock guards
-    the entries; a family is built outside it, and of two threads that miss
-    on one key, the first to put its family keeps it.
+    the entries; a value is built outside it, and of two threads that miss
+    on one key, the first to put its value keeps it.
     """
 
     def __init__(self, bound):
@@ -134,13 +139,35 @@ class _Memo:
 _MEMO = _Memo(MEMO_BOUND)
 
 
+def _pack(value):
+    """(the memo's immutable form of ``value``, its size): a report as its
+    fields, sized by its values, and a family or series as its order
+    layouts, sized by its coefficient count."""
+    if isinstance(value, ResidualReport):
+        per_order = tuple(value.per_order.items())
+        return (ResidualReport, (value.name, value.max_abs, per_order, value.exact, value.notes)), 1 + len(per_order)
+    size = value.roots * sum(len(_rank(value.space.size, n)) for n in range(value.trunc + 1))
+    return (type(value), tuple(value._orders)), size
+
+
+def _unpack(kept, space):
+    """A fresh value from the memo's form ``kept``: a report of its own, or
+    the kept layouts in a family or series over ``space``, whose weights
+    enter only when a series is summed."""
+    cls, fields = kept
+    if cls is ResidualReport:
+        name, max_abs, per_order, exact, notes = fields
+        return ResidualReport(name, max_abs, dict(per_order), exact=exact, notes=notes)
+    return cls(space, list(fields))
+
+
 class GCState:
     """A species space with Mayer matrices and truncation order, plus caches.
 
-    On a matrix marked exact, every family is read through the process's
-    f-keyed memo (``_Memo``), so states with the same f build each family
-    once; a float matrix builds its own, since equal floats need not be the
-    same entry (-0.0 == 0.0).
+    On a matrix marked exact, every family, full-tuple D series and residual
+    report is read through the process's f-keyed memo (``_Memo``), so states
+    with the same f build each once; a float matrix builds its own, since
+    equal floats need not be the same entry (-0.0 == 0.0).
     """
 
     def __init__(self, space, pot=None, mayer=None, N=4, allow_large=False):
@@ -180,41 +207,52 @@ class GCState:
     def _family_key(self):
         """The entry classes of an exact matrix (``graphs.entry_classes``):
         its distinct entries and each entry's index among them, which
-        equal matrices share.  With a family's name and order, this is the
-        family's key in the f-keyed memo; None, on a float matrix, bypasses
+        equal matrices share.  After a result's name and orders, this ends
+        its key in the f-keyed memo; None, on a float matrix, bypasses
         it."""
         return entry_classes(self.mayer.f) if self.mayer.exact else None
 
-    def _family(self, name, N, build):
-        """build(), the family ``name`` of order N, read through the f-keyed
-        memo when the matrix has a key: a family is kept as its immutable
-        order layouts, sized by its coefficient count, and a hit wraps them
-        in this state's own space, whose weights enter only when a series
-        is summed."""
+    def _kept(self, key, build, reads=()):
+        """build(), read through the f-keyed memo under ``key`` plus the
+        entry classes when the matrix has them: a family, series or report,
+        kept as immutable fields and served fresh (``_pack``, ``_unpack``).
+        ``reads`` names the state's
+        families that build() reads: a kept value is served, and a built one
+        kept, only when each of them is, layout by layout, the memo's
+        current entry for it, so a state whose family was replaced builds
+        its own value and keeps nothing."""
         if self._family_key is None:
             return build()
-        key = (name, N, self._family_key)
-        hit = _MEMO.get(key)
-        if hit is not None:
-            cls, layouts = hit
-            return cls(self.space, list(layouts))
-        fam = build()
-        size = fam.roots * sum(len(_rank(self.space.size, n)) for n in range(fam.trunc + 1))
-        _MEMO.put(key, (type(fam), tuple(fam._orders)), size)
-        return fam
+        key += (self._family_key,)
+        current = all(map(self._is_current, reads))
+        if current:
+            hit = _MEMO.get(key)
+            if hit is not None:
+                return _unpack(hit, self.space)
+        value = build()
+        if current:
+            _MEMO.put(key, *_pack(value))
+        return value
+
+    def _is_current(self, name):
+        """Whether this state's family ``name`` holds the order layouts of
+        the memo's entry for it."""
+        layouts = getattr(self, name)._orders
+        hit = _MEMO.get((_FAMILY_NAMES[name], self.N, self._family_key))
+        return hit is not None and len(hit[1]) == len(layouts) and all(map(is_, hit[1], layouts))
 
     def _d_family(self, N):
-        return self._family("D", N, lambda: build_D_family(self.space, self.mayer, N, allow_large=True))
+        return self._kept(("D", N), lambda: build_D_family(self.space, self.mayer, N, allow_large=True))
 
     @cached_property
     def a_family(self):
-        return self._family(
-            "A", self.N, lambda: build_A_family(self.space, self.mayer, self.N, self.phi_series, allow_large=True)
+        return self._kept(
+            ("A", self.N), lambda: build_A_family(self.space, self.mayer, self.N, self.phi_series, allow_large=True)
         )
 
     @cached_property
     def t_family(self):
-        return self._family("t", self.N, lambda: compute_tn(self.a_family))
+        return self._kept(("t", self.N), lambda: compute_tn(self.a_family))
 
     @cached_property
     def d_family(self):
@@ -222,20 +260,23 @@ class GCState:
 
     def d_tail(self, factors):
         """``_full_tuple_d`` of ``d_family`` through order N, built once per
-        factor tuple and kept; a series is never changed in place."""
+        factor tuple, read through the f-keyed memo, and kept by the state;
+        a series is never changed in place."""
         series = self._d_tails.get(factors)
         if series is None:
-            series = self._d_tails[factors] = _full_tuple_d(self.d_family, self.N, factors)
+            series = self._d_tails[factors] = self._kept(
+                ("D tail", self.N, factors), lambda: _full_tuple_d(self.d_family, self.N, factors), ("d_family",)
+            )
         return series
 
     @cached_property
     def phi_series(self):
-        return self._family("phi", self.N, lambda: build_phi_series(self.space, self.mayer, self.N, allow_large=True))
+        return self._kept(("phi", self.N), lambda: build_phi_series(self.space, self.mayer, self.N, allow_large=True))
 
     @cached_property
     def e_family(self):
         """The factor family x -> exp(-A(x; .)) as formal series."""
-        return self._family("exp(-A)", self.N, lambda: exp_family(self.a_family))
+        return self._kept(("exp(-A)", self.N), lambda: exp_family(self.a_family))
 
     def measure(self, values):
         return MeasureVec(self.space, values)
@@ -397,9 +438,13 @@ def zeta_of_nu(st, nu, path="biconnected"):
 
 
 def zeta_path_agreement(st):
-    """Coefficientwise residual between the two zeta paths through order N."""
-    bic = exp_series(st.d_family.scale(-1))
-    return residual_report("zeta_path_agreement", (st.t_family, bic))
+    """Coefficientwise residual between the two zeta paths through order N;
+    kept in the f-keyed memo while the state's t and D are its families."""
+    def build():
+        bic = exp_series(st.d_family.scale(-1))
+        return residual_report("zeta_path_agreement", (st.t_family, bic))
+
+    return st._kept(("zeta_path_agreement", st.N), build, ("t_family", "d_family"))
 
 
 def roundtrip_check(st):
@@ -407,15 +452,19 @@ def roundtrip_check(st):
 
     Substituting the density factor family into T must invert the activity
     factor exp(-A) and vice versa; both products are compared against the
-    constant series 1.  Exact zero in rational mode.
+    constant series 1.  Exact zero in rational mode.  Kept in the f-keyed
+    memo while the state's t and exp(-A) are its families.
     """
-    T, E = st.t_family, st.e_family
-    unit = T._like(_start(st.space.size, st.space.size, st.N, first=1))
-    return residual_report(
-        "roundtrip",
-        (mul(E, compose_measure(T, E)), unit),
-        (mul(T, compose_measure(E, T)), unit),
-    )
+    def build():
+        T, E = st.t_family, st.e_family
+        unit = T._like(_start(st.space.size, st.space.size, st.N, first=1))
+        return residual_report(
+            "roundtrip",
+            (mul(E, compose_measure(T, E)), unit),
+            (mul(T, compose_measure(E, T)), unit),
+        )
+
+    return st._kept(("roundtrip", st.N), build, ("t_family", "e_family"))
 
 
 def extract_d_from_a(st):
@@ -591,7 +640,9 @@ def dissymmetry_check(st, N=None):
                 * sum over assignments of the rest to owners l in L of
                   prod_l phi_(|J_l|+1)(x_(J_l), x_l).
 
-    Exact zero in rational mode; returns the worst residual per order.
+    Exact zero in rational mode; returns the worst residual per order.  Kept
+    in the f-keyed memo while the state's phi is its family; the D it reads
+    comes from the memo already.
     """
     if N is None:
         N = min(st.N, 5)
@@ -599,6 +650,11 @@ def dissymmetry_check(st, N=None):
         raise DomainError("requested order exceeds the state truncation")
     if N > 5:
         raise CapabilityError("dissymmetry check supports orders n <= 5")
+    return st._kept(("dissymmetry", st.N, N), lambda: _dissymmetry(st, N), ("phi_series",))
+
+
+def _dissymmetry(st, N):
+    """The report of ``dissymmetry_check`` at an order N it accepts."""
     phi = st.phi_series
     space = st.space
     S = space.size

@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import NamedTuple
 
 import numpy as np
@@ -262,24 +262,63 @@ def d_coeff_enumerated(f, xs):
     return total
 
 
-def _two_connected(n, edges):
-    """Whether the graph on n >= 3 vertices with these edges stays connected
-    when any one vertex is taken out (and so is connected itself)."""
+def _adjacency(n, edges):
     adj = [set() for _ in range(n)]
     for i, j in edges:
         adj[i].add(j)
         adj[j].add(i)
-    for cut in range(n):
-        rest = set(range(n)) - {cut}
-        seen, stack = set(), [min(rest)]
-        while stack:
-            v = stack.pop()
-            if v not in seen:
-                seen.add(v)
-                stack.extend(adj[v] & rest)
-        if seen != rest:
+    return adj
+
+
+def _connected(adj, vertices):
+    """Whether the vertices given induce a connected graph (none do too)."""
+    if not vertices:
+        return True
+    seen, stack = set(), [min(vertices)]
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack.extend(adj[v] & vertices)
+    return seen == vertices
+
+
+def _two_connected(n, edges):
+    """Whether the graph on n >= 3 vertices with these edges stays connected
+    when any one vertex is taken out (and so is connected itself)."""
+    adj = _adjacency(n, edges)
+    return all(_connected(adj, set(range(n)) - {cut}) for cut in range(n))
+
+
+def is_chordal(n, edges):
+    """Whether the graph on n vertices with these edges is chordal: every
+    cycle of length 4 or more has a chord.  Maximum cardinality search
+    (Tarjan & Yannakakis, SIAM J. Comput. 13 (1984) 566) numbers next a
+    vertex with the most numbered neighbours; the graph is chordal exactly
+    when each vertex's neighbours numbered before it form a clique."""
+    adj = _adjacency(n, edges)
+    numbered = []
+    for _ in range(n):
+        v = max((u for u in range(n) if u not in numbered), key=lambda u: len(adj[u].intersection(numbered)))
+        before = adj[v].intersection(numbered)
+        if any(b not in adj[a] for a in before for b in before if a < b):
             return False
+        numbered.append(v)
     return True
+
+
+def has_clique_separator(n, edges):
+    """Whether some clique of the graph on n vertices with these edges, the
+    empty one included, leaves the other vertices disconnected when taken
+    out, by trying every vertex subset.  A disconnected graph has one (the
+    empty clique); the graphs without one are the atoms."""
+    adj = _adjacency(n, edges)
+    for k in range(n - 1):
+        for clique in combinations(range(n), k):
+            if all(b in adj[a] for a, b in combinations(clique, 2)):
+                if not _connected(adj, set(range(n)) - set(clique)):
+                    return True
+    return False
 
 
 def chordal_d(f, xs):

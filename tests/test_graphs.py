@@ -30,7 +30,7 @@ from virialkit.graphs import (
     pair_order,
     ursell,
 )
-from virialkit.oracles import EdgeMask, d_coeff_enumerated, ursell_bruteforce
+from virialkit.oracles import EdgeMask, d_coeff_enumerated, has_clique_separator, is_chordal, ursell_bruteforce
 from virialkit.oracles import ursell as ursell_exact
 from virialkit import inversion as inv
 from virialkit.inversion import GCState
@@ -1014,6 +1014,41 @@ def test_hard_core_d_table_matches_exact_d_coeff_at_five_points():
             if mask >> p & 1:
                 f[i][j] = f[j][i] = -1
         assert table[mask] == d_coeff(f, tuple(range(5)))
+
+
+def has_chordless_cycle(n, mask):
+    """Whether some k >= 4 vertices induce a k-cycle: each has two
+    neighbours among them, and they are connected."""
+    adj = adjacency(n, mask)
+    return any(
+        all(len(adj[v] & set(vs)) == 2 for v in vs) and connected_on(set(vs), adj)
+        for k in range(4, n + 1)
+        for vs in itertools.combinations(range(n), k)
+    )
+
+
+@pytest.mark.parametrize("m, atoms", [(3, 1), (4, 4), (5, 68)])
+def test_hard_core_d_table_vanishes_off_the_atoms(m, atoms):
+    # the clique-separator lemma: D_m of a pure hard core is 0 when the
+    # overlap graph is disconnected or some clique separates it; only the
+    # atoms, the graphs with no clique separator, can weigh.  The chordal
+    # graphs (labelled: 8, 61 and 822) are those with no chordless cycle,
+    # and their only atoms are the complete graphs.
+    table = hard_core_d_table(m)
+    found, chordal = 0, 0
+    for mask in range(len(table)):
+        edges = EdgeMask(m, mask).edges
+        separated = has_clique_separator(m, edges)
+        if separated or not connected_on(set(range(m)), adjacency(m, mask)):
+            assert separated and table[mask] == 0, mask
+        else:
+            found += 1
+        assert is_chordal(m, edges) is not has_chordless_cycle(m, mask), mask
+        if is_chordal(m, edges):
+            chordal += 1
+            assert separated or len(edges) == len(pair_order(m)), mask
+    assert found == atoms and len(table) == 1 << len(pair_order(m))
+    assert chordal == {3: 8, 4: 61, 5: 822}[m]
 
 
 # ---------------------------------------------------------------------------

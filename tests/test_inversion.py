@@ -6,12 +6,14 @@ equation of state, the Legendre pairing of free energy and pressure) carry
 explicit tolerances tied to the truncation order.
 """
 
+import ast
 import json
 import math
 import random
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,7 +242,8 @@ def test_family_memo_skips_float_and_mixed_matrices(fresh_memo):
     for st in states + [GCState(st.space, mayer=st.mayer, N=3) for st in states]:
         for name in FAMILIES:
             getattr(st, name)
-        dissymmetry_check(st)
+        for call, _ in RESULTS.values():
+            call(st)
     assert len(fresh_memo._entries) == 0 and fresh_memo.size == 0
 
 
@@ -297,6 +300,51 @@ def test_request_bytes_cold_and_on_a_hit(monkeypatch):
         assert json.dumps(run_request(req)) == cold
 
 
+PERFBENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def harness_requests():
+    """The 40 requests of a ``requests_exact`` cycle at variant 0: its 35
+    value slots and 5 boundary slots, from the harness's own definitions,
+    compiled from its source so that nothing is written under perfbench/."""
+    names = {
+        "REQUEST_SLOTS", "MATRIX_PATTERN", "MEASURE_KEY", "README_DOC", "BOUNDARY_SLOTS",
+        "line_doc", "matrix_doc", "activities", "request_for", "boundary_request",
+    }
+    nodes = [
+        node for node in ast.parse(PERFBENCH_WORKLOADS.read_text()).body
+        if (isinstance(node, ast.FunctionDef) and node.name in names)
+        or (isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in names)
+    ]
+    scope = {"random": random, "json": json, "Fraction": Fraction}
+    exec(compile(ast.Module(nodes, []), str(PERFBENCH_WORKLOADS), "exec"), scope)
+    slots = [scope["request_for"](i, 0) for i in range(len(scope["REQUEST_SLOTS"]))]
+    return slots + [scope["boundary_request"](name, 0)[0] for name in scope["BOUNDARY_SLOTS"]]
+
+
+def test_harness_request_bytes_cold_and_warm(monkeypatch):
+    # every request alone on an empty memo, then all of them twice on one
+    # memo, the second time read from what the first kept
+    def outcome(req):
+        try:
+            return json.dumps(run_request(req))
+        except (StructureError, DomainError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    reqs = harness_requests()
+    assert len(reqs) == 40
+    cold = []
+    for req in reqs:
+        monkeypatch.setattr(inv, "_MEMO", inv._Memo(inv.MEMO_BOUND))
+        cold.append(outcome(req))
+    memo = inv._Memo(inv.MEMO_BOUND)
+    monkeypatch.setattr(inv, "_MEMO", memo)
+    for req in reqs:
+        outcome(req)
+    assert {key[0] for key in memo._entries} >= {"roundtrip", "zeta_path_agreement", "dissymmetry", "D tail"}
+    assert [outcome(req) for req in reqs] == cold
+
+
 def test_family_memo_under_threads(monkeypatch):
     # more threads than cores read the families of four matrices from a memo
     # that holds about one state's A (20 coefficients) and phi (10); a lost
@@ -329,6 +377,119 @@ def test_family_memo_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and errors == []
     assert memo.size == sum(size for _, size in memo._entries.values()) <= 40
+
+
+# ---------------------------------------------------------------------------
+# the results of f kept in the memo next to the families
+
+# result -> (its call on a state, the state's families it reads)
+RESULTS = {
+    "roundtrip": (roundtrip_check, ("t_family", "e_family")),
+    "zeta_paths": (zeta_path_agreement, ("t_family", "d_family")),
+    "dissymmetry": (dissymmetry_check, ("phi_series",)),
+    "d_tail": (lambda st: st.d_tail(tuple(range(1, st.N))), ("d_family",)),
+}
+RESULT_STATES = {"mix": mix_state, "rational": lambda N: rational_state(7, 3, N)}
+
+
+def typed_result(res):
+    """A report's to_dict() with the types of max_abs and of every per-order
+    value, or a series' typed coefficients."""
+    if isinstance(res, inv.ResidualReport):
+        return res.to_dict(), type(res.max_abs), {n: type(v) for n, v in res.per_order.items()}
+    return typed(res)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The builds of a kept result, one entry per call of its builder."""
+    out = []
+    for name in ("residual_report", "_dissymmetry", "_full_tuple_d"):
+        real = getattr(inv, name)
+        monkeypatch.setattr(inv, name, lambda *a, real=real, name=name, **k: out.append(name) or real(*a, **k))
+    return out
+
+
+@pytest.mark.parametrize("state", RESULT_STATES)
+@pytest.mark.parametrize("result", RESULTS)
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_kept_result_equals_a_fresh_build(fresh_memo, monkeypatch, builds, result, state, N):
+    call, _ = RESULTS[result]
+    make = RESULT_STATES[state]
+    first = call(make(N))
+    kept = len(fresh_memo._entries)
+    del builds[:]
+    hit = call(make(N))
+    assert builds == [] and len(fresh_memo._entries) == kept
+    monkeypatch.setattr(inv, "_MEMO", inv._Memo(inv.MEMO_BOUND))
+    want = call(make(N))
+    assert builds and hit is not first
+    assert typed_result(hit) == typed_result(want) == typed_result(first)
+    if result == "d_tail":
+        assert all(x is y for x, y in zip(hit._orders, first._orders)) and hit._orders is not first._orders
+    else:
+        assert hit.to_dict()["max_abs"] == 0 and hit.exact
+
+
+@pytest.mark.parametrize("state", RESULT_STATES)
+@pytest.mark.parametrize("result", RESULTS)
+def test_kept_result_is_not_served_to_a_replaced_family(fresh_memo, builds, result, state):
+    call, reads = RESULTS[result]
+    make = RESULT_STATES[state]
+    kept = call(make(4))
+    for name in reads:
+        st = make(4)
+        st.__dict__[name] = getattr(st, name).scale(2)
+        entries, size = set(fresh_memo._entries), fresh_memo.size
+        del builds[:]
+        got = call(st)
+        # built from the replaced family, and not kept
+        assert builds and set(fresh_memo._entries) == entries and fresh_memo.size == size
+        if result == "d_tail":
+            assert got == inv._full_tuple_d(st.d_family, 4, (1, 2, 3)) and got != kept
+        else:
+            assert got.max_abs != 0 and not got.exact
+        # a third, untouched state still gets the kept result
+        del builds[:]
+        again = call(make(4))
+        assert builds == [] and typed_result(again) == typed_result(kept)
+
+
+def test_kept_report_is_a_fresh_report_on_each_hit(fresh_memo):
+    st = mix_state(4)
+    rep = roundtrip_check(st)
+    want = rep.to_dict()
+    rep.per_order[0] = Fraction(1, 3)
+    hit = roundtrip_check(mix_state(4))
+    assert hit.to_dict() == want
+    hit.per_order.clear()
+    hit.max_abs = 1
+    assert roundtrip_check(mix_state(4)).to_dict() == want
+
+
+def test_kept_results_count_toward_the_bound(monkeypatch):
+    # at S = 2, N = 2 a rooted family holds 2 * (1 + 2 + 3) = 12
+    # coefficients and phi 6; the roundtrip report keeps 1 + 3 values, its
+    # max_abs and one per order 0..2
+    memo = inv._Memo(6 + 3 * 12 + 4)
+    monkeypatch.setattr(inv, "_MEMO", memo)
+    rep = roundtrip_check(mix_state(2))
+    key = ("roundtrip", 2, mix_state(2)._family_key)
+    assert [k[0] for k in memo._entries] == ["phi", "A", "t", "exp(-A)", "roundtrip"]
+    assert memo._entries[key][1] == 1 + len(rep.per_order) == 4
+    assert memo.size == memo.bound
+    # read every family again, so that the report is the least recently read
+    st = mix_state(2)
+    for name in ("a_family", "phi_series", "t_family", "e_family"):
+        getattr(st, name)
+    assert next(iter(memo._entries)) == key
+    # the order-1 D that dissymmetry reads (2 * (1 + 2) = 6) pushes out the
+    # report, then A; its own report keeps 1 + 1 values
+    dissymmetry_check(st, N=2)
+    assert key not in memo._entries
+    assert [k[0] for k in memo._entries] == ["t", "exp(-A)", "phi", "D", "dissymmetry"]
+    assert memo.size == sum(size for _, size in memo._entries.values()) == 6 + 2 * 12 + 6 + 2
+    assert roundtrip_check(mix_state(2)).to_dict() == rep.to_dict()
 
 
 # ---------------------------------------------------------------------------
