@@ -89,7 +89,7 @@ def _full_tuple_d(d_family, N, factors):
 
 # coefficients and report values that the f-keyed memo holds at most, over
 # all its entries: nearly twice the 4,406 of requests_exact's 43 (36
-# families, phi kept with every A, 4 reports and 3 full-tuple D series)
+# families, phi kept with every A, 5 reports and 2 full-tuple D series)
 MEMO_BOUND = 8192
 
 # the memo name of each GCState family that a kept result may read
