@@ -91,6 +91,11 @@ def _emit(args, header, rows, extra=None):
         lines = [",".join(header)]
         lines += [",".join(_fmt(v, args.mode) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
+    _write(args, text)
+
+
+def _write(args, text):
+    """Write ``text`` to the ``--out`` file, else to stdout."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -272,13 +277,7 @@ def cmd_selftest(args):
 
 
 def cmd_request(args):
-    resp = inversion.run_request(load_doc(args.model))
-    text = _json_text(resp)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, _json_text(inversion.run_request(load_doc(args.model))))
     return 0
 
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
-from operator import is_
 
 import numpy as np
 
@@ -42,7 +41,6 @@ from .fps import (
     FormalSeries,
     RootedSeriesFamily,
     _majorant_sums,
-    _max_delta,
     _rank,
     _start,
     _sweep,
@@ -91,9 +89,6 @@ def _full_tuple_d(d_family, N, factors):
 # all its entries: nearly twice the 4,406 of requests_exact's 43 (36
 # families, phi kept with every A, 5 reports and 2 full-tuple D series)
 MEMO_BOUND = 8192
-
-# the memo name of each GCState family that a kept result may read
-_FAMILY_NAMES = {"a_family": "A", "t_family": "t", "d_family": "D", "phi_series": "phi", "e_family": "exp(-A)"}
 
 
 class _Memo:
@@ -183,6 +178,7 @@ class GCState:
         self.mayer = mayer
         self.N = N
         self._d_tails = {}
+        self._given = {}
         if pot is not None:
             self.beta_B = tuple(pot.beta * b for b in pot.b_stability)
             self.beta_Bstar = tuple(pot.beta * b for b in pot.b_star)
@@ -212,34 +208,27 @@ class GCState:
         it."""
         return entry_classes(self.mayer.f) if self.mayer.exact else None
 
-    def _kept(self, key, build, reads=()):
-        """build(), read through the f-keyed memo under ``key`` plus the
-        entry classes when the matrix has them: a family, series or report,
-        kept as immutable fields and served fresh (``_pack``, ``_unpack``).
-        ``reads`` names the state's
-        families that build() reads: a kept value is served, and a built one
-        kept, only when each of them is, layout by layout, the memo's
-        current entry for it, so a state whose family was replaced builds
-        its own value and keeps nothing."""
-        if self._family_key is None:
-            return build()
+    def _kept(self, key, build, *reads):
+        """build(*reads), read through the f-keyed memo under ``key`` plus
+        the entry classes when the matrix has them: a family, series or
+        report, kept as immutable fields and served fresh (``_pack``,
+        ``_unpack``).  ``reads`` are the state values build() reads: a kept
+        value is served, and a built one kept, only when each of them is
+        (``is``) a value this method gave the state, which keeps the last
+        one per key.  So a value that a caller replaced, and each value
+        built from it, is the state's own and never kept."""
+        given = self._given.values()
+        if self._family_key is None or not all(any(v is g for g in given) for v in reads):
+            return build(*reads)
         key += (self._family_key,)
-        current = all(map(self._is_current, reads))
-        if current:
-            hit = _MEMO.get(key)
-            if hit is not None:
-                return _unpack(hit, self.space)
-        value = build()
-        if current:
+        hit = _MEMO.get(key)
+        if hit is None:
+            value = build(*reads)
             _MEMO.put(key, *_pack(value))
+        else:
+            value = _unpack(hit, self.space)
+        self._given[key] = value
         return value
-
-    def _is_current(self, name):
-        """Whether this state's family ``name`` holds the order layouts of
-        the memo's entry for it."""
-        layouts = getattr(self, name)._orders
-        hit = _MEMO.get((_FAMILY_NAMES[name], self.N, self._family_key))
-        return hit is not None and len(hit[1]) == len(layouts) and all(map(is_, hit[1], layouts))
 
     def _d_family(self, N):
         return self._kept(("D", N), lambda: build_D_family(self.space, self.mayer, N, allow_large=True))
@@ -247,12 +236,14 @@ class GCState:
     @cached_property
     def a_family(self):
         return self._kept(
-            ("A", self.N), lambda: build_A_family(self.space, self.mayer, self.N, self.phi_series, allow_large=True)
+            ("A", self.N),
+            lambda phi: build_A_family(self.space, self.mayer, self.N, phi, allow_large=True),
+            self.phi_series,
         )
 
     @cached_property
     def t_family(self):
-        return self._kept(("t", self.N), lambda: compute_tn(self.a_family))
+        return self._kept(("t", self.N), compute_tn, self.a_family)
 
     @cached_property
     def d_family(self):
@@ -265,7 +256,7 @@ class GCState:
         series = self._d_tails.get(factors)
         if series is None:
             series = self._d_tails[factors] = self._kept(
-                ("D tail", self.N, factors), lambda: _full_tuple_d(self.d_family, self.N, factors), ("d_family",)
+                ("D tail", self.N, factors), lambda d: _full_tuple_d(d, self.N, factors), self.d_family
             )
         return series
 
@@ -276,7 +267,7 @@ class GCState:
     @cached_property
     def e_family(self):
         """The factor family x -> exp(-A(x; .)) as formal series."""
-        return self._kept(("exp(-A)", self.N), lambda: exp_family(self.a_family))
+        return self._kept(("exp(-A)", self.N), exp_family, self.a_family)
 
     def measure(self, values):
         return MeasureVec(self.space, values)
@@ -439,12 +430,11 @@ def zeta_of_nu(st, nu, path="biconnected"):
 
 def zeta_path_agreement(st):
     """Coefficientwise residual between the two zeta paths through order N;
-    kept in the f-keyed memo while the state's t and D are its families."""
-    def build():
-        bic = exp_series(st.d_family.scale(-1))
-        return residual_report("zeta_path_agreement", (st.t_family, bic))
+    kept in the f-keyed memo while the state's t and D are the memo's."""
+    def build(t, d):
+        return residual_report("zeta_path_agreement", (t, exp_series(d.scale(-1))))
 
-    return st._kept(("zeta_path_agreement", st.N), build, ("t_family", "d_family"))
+    return st._kept(("zeta_path_agreement", st.N), build, st.t_family, st.d_family)
 
 
 def roundtrip_check(st):
@@ -453,10 +443,9 @@ def roundtrip_check(st):
     Substituting the density factor family into T must invert the activity
     factor exp(-A) and vice versa; both products are compared against the
     constant series 1.  Exact zero in rational mode.  Kept in the f-keyed
-    memo while the state's t and exp(-A) are its families.
+    memo while the state's t and exp(-A) are the memo's.
     """
-    def build():
-        T, E = st.t_family, st.e_family
+    def build(T, E):
         unit = T._like(_start(st.space.size, st.space.size, st.N, first=1))
         return residual_report(
             "roundtrip",
@@ -464,7 +453,7 @@ def roundtrip_check(st):
             (mul(T, compose_measure(E, T)), unit),
         )
 
-    return st._kept(("roundtrip", st.N), build, ("t_family", "e_family"))
+    return st._kept(("roundtrip", st.N), build, st.t_family, st.e_family)
 
 
 def extract_d_from_a(st):
@@ -641,7 +630,7 @@ def dissymmetry_check(st, N=None):
                   prod_l phi_(|J_l|+1)(x_(J_l), x_l).
 
     Exact zero in rational mode; returns the worst residual per order.  Kept
-    in the f-keyed memo while the state's phi is its family; the D it reads
+    in the f-keyed memo while the state's phi is the memo's; the D it reads
     comes from the memo already.
     """
     if N is None:
@@ -650,12 +639,12 @@ def dissymmetry_check(st, N=None):
         raise DomainError("requested order exceeds the state truncation")
     if N > 5:
         raise CapabilityError("dissymmetry check supports orders n <= 5")
-    return st._kept(("dissymmetry", st.N, N), lambda: _dissymmetry(st, N), ("phi_series",))
+    return st._kept(("dissymmetry", st.N, N), lambda phi: _dissymmetry(st, phi, N), st.phi_series)
 
 
-def _dissymmetry(st, N):
-    """The report of ``dissymmetry_check`` at an order N it accepts."""
-    phi = st.phi_series
+def _dissymmetry(st, phi, N):
+    """The report of ``dissymmetry_check`` on the connected sums ``phi`` at
+    an order N it accepts."""
     space = st.space
     S = space.size
     # (m - 1) D_m on every canonical tuple of orders 2..N, read from the
@@ -677,16 +666,7 @@ def _dissymmetry(st, N):
     )
     rhs = _start(1, S, N)
     _sweep(S, range(2, N + 1), "compose", rhs, dm._orders, sub=owner._orders, init=n_phi._orders)
-    worst = 0
-    per_order = {}
-    exact = True
-    for n in range(2, N + 1):
-        top, same = _max_delta(phi._orders[n], rhs[n])
-        exact = exact and same
-        per_order[n] = top
-        if top > worst or top != top:
-            worst = top
-    return ResidualReport("dissymmetry", worst, per_order, exact=exact)
+    return residual_report("dissymmetry", (phi, n_phi._like(rhs)), start=2)
 
 
 # ---------------------------------------------------------------------------

@@ -95,17 +95,18 @@ def eval_T_abs(t, nu, b):
     )
 
 
-def residual_report(name, *pairs):
+def residual_report(name, *pairs, start=0):
     """Coefficientwise |lhs - rhs| over (lhs, rhs) pairs of families or
-    series: the worst value overall and per order, read from the stored
-    orders.  Equal exact orders give the int 0; otherwise the first largest
-    delta keeps its type (``fps._max_delta``), and a NaN delta makes its
-    order's maximum, and the overall one, NaN."""
+    series, from order ``start`` through the lower truncation of each pair:
+    the worst value overall and per order, read from the stored orders.
+    Equal exact orders give the int 0; otherwise the first largest delta
+    keeps its type (``fps._max_delta``), and a NaN delta makes its order's
+    maximum, and the overall one, NaN."""
     worst = 0
     per_order = {}
     exact = True
     for lhs, rhs in pairs:
-        for n, (x, y) in enumerate(zip(lhs._orders, rhs._orders)):
+        for n, (x, y) in enumerate(zip(lhs._orders[start:], rhs._orders[start:]), start):
             top, same = _max_delta(x, y, per_order.get(n, 0))
             exact = exact and same
             per_order[n] = top

@@ -382,8 +382,11 @@ def test_family_memo_under_threads(monkeypatch):
 # ---------------------------------------------------------------------------
 # the results of f kept in the memo next to the families
 
-# result -> (its call on a state, the state's families it reads)
+# result -> (its call on a state, the state values its builder reads)
 RESULTS = {
+    "a_family": (lambda st: st.a_family, ("phi_series",)),
+    "t_family": (lambda st: st.t_family, ("a_family",)),
+    "e_family": (lambda st: st.e_family, ("a_family",)),
     "roundtrip": (roundtrip_check, ("t_family", "e_family")),
     "zeta_paths": (zeta_path_agreement, ("t_family", "d_family")),
     "dissymmetry": (dissymmetry_check, ("phi_series",)),
@@ -404,7 +407,7 @@ def typed_result(res):
 def builds(monkeypatch):
     """The builds of a kept result, one entry per call of its builder."""
     out = []
-    for name in ("residual_report", "_dissymmetry", "_full_tuple_d"):
+    for name in ("residual_report", "_dissymmetry", "_full_tuple_d", "build_A_family", "compute_tn", "exp_family"):
         real = getattr(inv, name)
         monkeypatch.setattr(inv, name, lambda *a, real=real, name=name, **k: out.append(name) or real(*a, **k))
     return out
@@ -425,34 +428,74 @@ def test_kept_result_equals_a_fresh_build(fresh_memo, monkeypatch, builds, resul
     want = call(make(N))
     assert builds and hit is not first
     assert typed_result(hit) == typed_result(want) == typed_result(first)
-    if result == "d_tail":
+    if not isinstance(hit, inv.ResidualReport):
         assert all(x is y for x, y in zip(hit._orders, first._orders)) and hit._orders is not first._orders
     else:
         assert hit.to_dict()["max_abs"] == 0 and hit.exact
 
 
+def replaced(make, name):
+    """A state of ``make(4)`` whose value ``name`` is replaced by twice it."""
+    st = make(4)
+    st.__dict__[name] = getattr(st, name).scale(2)
+    return st
+
+
 @pytest.mark.parametrize("state", RESULT_STATES)
 @pytest.mark.parametrize("result", RESULTS)
-def test_kept_result_is_not_served_to_a_replaced_family(fresh_memo, builds, result, state):
+def test_kept_result_is_not_served_to_a_replaced_family(fresh_memo, monkeypatch, builds, result, state):
     call, reads = RESULTS[result]
     make = RESULT_STATES[state]
     kept = call(make(4))
     for name in reads:
-        st = make(4)
-        st.__dict__[name] = getattr(st, name).scale(2)
+        st = replaced(make, name)
         entries, size = set(fresh_memo._entries), fresh_memo.size
         del builds[:]
         got = call(st)
-        # built from the replaced family, and not kept
+        # built from the replaced value, and not kept
         assert builds and set(fresh_memo._entries) == entries and fresh_memo.size == size
-        if result == "d_tail":
-            assert got == inv._full_tuple_d(st.d_family, 4, (1, 2, 3)) and got != kept
-        else:
+        if isinstance(got, inv.ResidualReport):
             assert got.max_abs != 0 and not got.exact
         # a third, untouched state still gets the kept result
         del builds[:]
         again = call(make(4))
         assert builds == [] and typed_result(again) == typed_result(kept)
+        with monkeypatch.context() as m:
+            m.setattr(inv, "_MEMO", inv._Memo(0))
+            want, clean = call(replaced(make, name)), call(make(4))
+        assert typed_result(got) == typed_result(want) != typed_result(clean) == typed_result(again)
+
+
+def test_a_replaced_family_reaches_no_clean_state(fresh_memo):
+    # exp(-A) read on a state whose A was replaced is that state's own: a
+    # clean state of the same f still reads the exact round trip
+    f = [[-1, Fraction(-1, 3)], [Fraction(-1, 3), 0]]
+    st = GCState.from_f(S2, f, N=3)
+    st.__dict__["a_family"] = st.a_family.scale(2)
+    st.e_family
+    rep = roundtrip_check(GCState.from_f(S2, f, N=3))
+    assert rep.max_abs == 0 and rep.exact
+
+
+def test_a_replaced_phi_keeps_nothing_built_from_it(fresh_memo):
+    # A reads phi, and t, exp(-A) and the round trip read A: none is kept
+    st = mix_state(4)
+    st.__dict__["phi_series"] = st.phi_series.scale(2)
+    entries, size = family_keys(fresh_memo), fresh_memo.size
+    assert [key[0] for key in entries] == ["phi"]
+    roundtrip_check(st)
+    assert family_keys(fresh_memo) == entries and fresh_memo.size == size
+    assert st.a_family == inv.build_A_family(st.space, st.mayer, 4, st.phi_series, allow_large=True)
+
+
+def test_a_state_holds_one_given_value_per_key(fresh_memo):
+    # each hit serves a fresh report; the state keeps only the last one
+    st = mix_state(4)
+    roundtrip_check(st)
+    held = len(st._given)
+    for _ in range(3):
+        roundtrip_check(st)
+    assert len(st._given) == held
 
 
 def test_kept_report_is_a_fresh_report_on_each_hit(fresh_memo):
@@ -484,11 +527,12 @@ def test_kept_results_count_toward_the_bound(monkeypatch):
         getattr(st, name)
     assert next(iter(memo._entries)) == key
     # the order-1 D that dissymmetry reads (2 * (1 + 2) = 6) pushes out the
-    # report, then A; its own report keeps 1 + 1 values
+    # report, then phi, which A read just before itself; its own report
+    # keeps 1 + 1 values
     dissymmetry_check(st, N=2)
     assert key not in memo._entries
-    assert [k[0] for k in memo._entries] == ["t", "exp(-A)", "phi", "D", "dissymmetry"]
-    assert memo.size == sum(size for _, size in memo._entries.values()) == 6 + 2 * 12 + 6 + 2
+    assert [k[0] for k in memo._entries] == ["A", "t", "exp(-A)", "D", "dissymmetry"]
+    assert memo.size == sum(size for _, size in memo._entries.values()) == 3 * 12 + 6 + 2 == 44
     assert roundtrip_check(mix_state(2)).to_dict() == rep.to_dict()
 
 
