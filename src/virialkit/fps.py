@@ -32,9 +32,10 @@ accept a rooted family in place of the series K and then act root by root.
 Each order is stored in the layout its kernel computes in, over (root,
 canonical ms) in storage order.  An order of ints and Fractions is
 ``_Exact``: int numerators over one denominator, the lcm of the reduced
-denominators.  Any other order is ``_Columns``: a float64 array with the
-mask of its int lanes when every value is a float or an int in {-1, 0, 1},
-else a dtype=object array.  A series is immutable: every producer stores
+denominators, and every value a Fraction when any one is.  Any other
+order is ``_Columns``: a float64 array with the mask of its int lanes
+when every value is a float or an int in {-1, 0, 1}, else a dtype=object
+array.  A series is immutable: every producer stores
 each order once, from its values in storage order, and the kernels read
 these layouts and write new ones, so nothing converts between calls.
 ``coeffs`` is a read-only view of the same values, one mapping per order,
@@ -60,7 +61,8 @@ once per order, gathering its operands from the stored arrays through
 index arrays cached per position subset, as elementwise steps over every
 (root, ms) with the zero-skips of the term-by-term walk
 (``oracles.sweep_termwise``), so floats are identical to the bit and each
-value keeps its type.
+value keeps its type, save that an order of ints and Fractions is stored
+all Fractions.
 
 ``measure_sums``, the sum of a series or family against a measure, has two
 rules as well: on exact orders it adds their numerators over one
@@ -432,9 +434,9 @@ class _Exact:
     """An order of ints and Fractions, in the layout of the exact rules:
     the value at root q and the i-th canonical ms is ``num[q][i] / den``,
     with ``den`` the lcm of the reduced denominators of the order's values.
-    ``frac`` says which values are Fractions: False for none (``den`` is
-    then 1), True for all, else a tuple of one flag per value, roots
-    outermost.  Layouts are never changed in place."""
+    An order holds one type: ``frac`` says whether every value is a
+    Fraction (``den`` is 1 when none is).  Layouts are never changed in
+    place."""
 
     __slots__ = ("num", "den", "frac")
 
@@ -457,17 +459,15 @@ class _Exact:
         return len(self.num)
 
     def values(self):
-        flat, den, frac = chain.from_iterable(self.num), self.den, self.frac
-        if frac is False:
+        flat, den = chain.from_iterable(self.num), self.den
+        if not self.frac:
             return list(flat)
         if den == 1:  # one-argument Fractions skip the gcd
-            return list(map(Fraction, flat)) if frac is True else [Fraction(v) if f else v for v, f in zip(flat, frac)]
-        if frac is True:
-            return [Fraction(v, den) for v in flat]
-        return [Fraction(v, den) if f else v // den for v, f in zip(flat, frac)]
+            return list(map(Fraction, flat))
+        return [Fraction(v, den) for v in flat]
 
     def plain(self):
-        return self.frac is False and max(map(max, self.num)) <= 1 and min(map(min, self.num)) >= -1
+        return not self.frac and max(map(max, self.num)) <= 1 and min(map(min, self.num)) >= -1
 
     def scaled(self, c):
         """c times every value: on numerators when c is exact."""
@@ -540,17 +540,17 @@ def _array(vals, roots, plain):
 
 def _store(vals, roots):
     """The layout of one order from its values, roots outermost: ``_Exact``
-    when every value is an int or a Fraction, else ``_Columns``.  A float64
-    array, as a float kernel returns it, has no int lane and is kept as it is."""
+    when every value is an int or a Fraction, holding Fractions when any
+    value is one, else ``_Columns``.  A float64 array, as a float kernel
+    returns it, has no int lane and is kept as it is."""
     if isinstance(vals, np.ndarray) and vals.dtype == np.float64:
         return _Columns(vals.reshape(roots, -1))
     types = set(map(type, vals))
     if types <= _EXACT:
         den = math.lcm(*(v.denominator for v in vals))
         flat = [v.numerator * (den // v.denominator) for v in vals]
-        frac = Fraction in types and (int not in types or tuple(type(v) is Fraction for v in vals))
         width = len(flat) // roots
-        return _Exact([flat[i:i + width] for i in range(0, len(flat), width)], den, frac)
+        return _Exact([flat[i:i + width] for i in range(0, len(flat), width)], den, Fraction in types)
     return _Columns(*_array(vals, roots, _plain(vals)))
 
 
@@ -633,10 +633,10 @@ def _sweep(size, orders, kind, out, k, g=None, f=None, sub=None, init=None):
     ``f``).  When every one is ``_Exact``, each coefficient is one
     Python-int sum of numerators over a common denominator D_n
     (``_sweep_exact``), and order n is stored as those numerators over D_n
-    reduced by one gcd: equal in value to the term-by-term sum, an int
-    exactly when every value read is an int.  That rule reads the cached
-    template groups of the run pattern of ms, one entry per group, and
-    never the templates.  Otherwise (floats, complex) the column rule
+    reduced by one gcd: equal in value to the term-by-term sum, and all
+    Fractions when an order it reads holds Fractions, else all ints.  That
+    rule reads the cached template groups of the run pattern of ms, one
+    entry per group, and never the templates.  Otherwise (floats, complex) the column rule
     (``_sweep_columns``) runs each template once per order, as elementwise
     steps over the stored arrays of every root and ms of that order; each
     coefficient sees the operations, zero-skips and types of the
@@ -910,13 +910,13 @@ def _sweep_exact(size, orders, kind, out, k, g, f, sub, init):
                 d, fn, frac = fr.denominator, fr.numerator, type(fr) is Fraction
             else:
                 d, fn = math.prod(second[m].den for m in so), 1
-                frac = any(second[m].frac is not False for m in so)
+                frac = any(second[m].frac for m in so)
             terms.append((d * math.prod(k[m].den for m in ko), fn))
-            fraction = fraction or frac or any(k[m].frac is not False for m in ko)
+            fraction = fraction or frac or any(k[m].frac for m in ko)
         D = math.lcm(*(d for d, _ in terms))
         if init is not None:
             D = math.lcm(D, init[n].den)
-            fraction = fraction or init[n].frac is not False
+            fraction = fraction or init[n].frac
             c_init = D // init[n].den
         scale = tuple(D // d * fn for d, fn in terms)
         K = K_rows.upto(n)

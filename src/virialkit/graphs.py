@@ -24,7 +24,8 @@ are all floats; any other raw list is refused with a StructureError.  Under
 the exact rule a tuple's pair entries f(x_i, x_j) are put over their common
 denominator L, so that every edge weight a_p = f_p * L is a Python int; the
 sums then run in integer arithmetic and are divided by a power of L once at
-the end.  Under the float rule they run in float64, and both float sums are
+the end, and every sum, and every order n >= 1 of a family, is a Fraction
+when an entry of the matrix is one, else an int.  Under the float rule they run in float64, and both float sums are
 numpy kernels over many tuples at once; one tuple takes the same path as
 one-row columns.  The biconnected sum runs a cached plan of shared edge
 prefixes (``_biconnected_plan``): a graph's product runs over its edges in
@@ -273,16 +274,21 @@ def _ursell_sums(pairs_of, count, n):
 
 def _f_matrix(f):
     """(entries, exact): the rows of f and the one arithmetic rule that all
-    of its tuples take.  A ``MayerMatrices`` says so by its ``exact`` flag;
-    a raw nested list takes the float rule when every entry is a float and
-    the exact rule when every entry is an int or a Fraction, and any other
-    raw list is refused."""
+    of its tuples take.  ``exact`` is False for the float rule, else the one
+    type of every exact sum of the matrix: Fraction when an entry is a
+    Fraction, else int.  A ``MayerMatrices`` names its rule by its ``exact``
+    flag; a raw nested list takes the float rule when every entry is a
+    float and the exact rule when every entry is an int or a Fraction, and
+    any other raw list is refused."""
     if isinstance(f, MayerMatrices):
-        return f.f, bool(f.exact)
-    if all(isinstance(v, float) for row in f for v in row):
+        if not f.exact:
+            return f.f, False
+        return f.f, Fraction if any(type(v) is Fraction for row in f.f for v in row) else int
+    types = {type(v) for row in f for v in row}
+    if types <= {float}:
         return f, False
-    if all(type(v) in _EXACT for row in f for v in row):
-        return f, True
+    if types <= _EXACT:
+        return f, Fraction if Fraction in types else int
     raise StructureError("graph sums need a matrix of floats only or of ints and Fractions only; "
                          "build a MayerMatrices with exact=False for mixed entries")
 
@@ -380,9 +386,9 @@ def d_coeff(f, xs):
     P = C(n, 2), exactly: the pairs split into a low and a high half, each
     half's products come from a table over its edge subsets, and the
     low-half terms are added within each run of graphs that share a high
-    half, all in Python ints.  The sum is divided by L^P once.  The result
-    is int 0 when no graph survives, else a Fraction exactly when a
-    surviving graph has a Fraction edge.
+    half, all in Python ints.  The sum is divided by L^P once.  Its type is
+    the matrix's (``_f_matrix``): a Fraction when any entry of the matrix
+    is one, else an int, at n = 2 too.
     """
     n = len(xs)
     if not 2 <= n <= D_COEFF_MAX:
@@ -393,7 +399,7 @@ def d_coeff(f, xs):
             return _gather_sums(pairs_of, count, _biconnected_plan(n))
     vals, exact = _pair_values(f, xs)
     if n == 2:
-        return vals[0]
+        return exact(vals[0]) if exact else vals[0]
     if not exact:
         return float(d_coeff(f, np.array(xs, np.intp)[:, None])[0])
     L = math.lcm(*(v.denominator for v in vals))
@@ -402,16 +408,13 @@ def d_coeff(f, xs):
     masks = class_masks(n, "biconnected")
     live = masks[(masks & ~support) == 0]
     if not len(live):
-        return 0
+        return exact(0)
     k = (len(a) + 1) // 2
     high = live >> k
     heads = np.flatnonzero(np.concatenate(([True], high[1:] != high[:-1])))
     low_sums = np.add.reduceat(_edge_products(a[:k], L)[live & ((1 << k) - 1)], heads)
     total = int(np.dot(_edge_products(a[k:], L)[high[heads]], low_sums))
-    fraction_pairs = sum(1 << p for p, v in enumerate(vals) if isinstance(v, Fraction))
-    if fraction_pairs and (live & fraction_pairs).any():
-        return Fraction(total, L ** len(a))
-    return total // L ** len(a)
+    return Fraction(total, L ** len(a)) if exact is Fraction else total // L ** len(a)
 
 
 @lru_cache(maxsize=None)
@@ -511,17 +514,16 @@ def _order_sums(fn, mayer, S, N, rooted=False):
         yield [value((q, *ms)) for q in range(S) for ms in tails] if rooted else list(map(value, tails))
 
 
-def _all_graph_orders(fm, S, N):
+def _all_graph_orders(fm, exact, S, N):
     """Per order n = 0..N, the all-graph weights W_n(ms) = prod over pairs
     i < j of (1 + f(x_i, x_j)) at every canonical ms, as one ``_Exact``
     layout: ints over L^C(n, 2), L the common denominator of the matrix,
     each W_(n-1)(ms[:-1]) times the ints u = L + a of the n - 1 new pairs.
-    A weight is flagged a Fraction exactly when a pair entry is one.
+    The orders n >= 1 hold the matrix's type ``exact`` (``_f_matrix``).
     """
     L = math.lcm(*(v.denominator for row in fm for v in row))
     u = [[L + v.numerator * (L // v.denominator) for v in row] for row in fm]
-    fractions = [{x for x, v in enumerate(row) if type(v) is Fraction} for row in fm]
-    weights, flags, frac = {(): 1}, {(): False}, False
+    weights = {(): 1}
     yield _Exact([[1]])
     for n in range(1, N + 1):
         tails = _keys(S, n, False)
@@ -532,10 +534,7 @@ def _all_graph_orders(fm, S, N):
             for x in head:
                 w *= uy[x]
             weights[ms] = w
-        if any(fractions):
-            flags = {ms: flags[ms[:-1]] or not fractions[ms[-1]].isdisjoint(ms[:-1]) for ms in tails}
-            frac = all(flags.values()) or (any(flags.values()) and tuple(flags.values()))
-        yield _Exact.reduced([list(weights.values())], L ** math.comb(n, 2), frac)
+        yield _Exact.reduced([list(weights.values())], L ** math.comb(n, 2), exact is Fraction)
 
 
 def build_phi_series(space, mayer, N, allow_large=False):
@@ -543,17 +542,17 @@ def build_phi_series(space, mayer, N, allow_large=False):
 
     Order 0 is 0 (no constant term in log of the partition function) and
     order 1 is identically 1.  Under the exact rule (``_f_matrix``) phi is
-    ``log_series`` of the all-graph weights (``_all_graph_orders``), each
-    value a Fraction exactly when its weight is flagged one; under the float
-    rule every higher order comes from ``_order_sums``.
+    ``log_series`` of the all-graph weights (``_all_graph_orders``), and its
+    orders n >= 1 hold Fractions when an entry of the matrix is one, else
+    ints; under the float rule every higher order comes from
+    ``_order_sums``.
     """
     fm, exact = _f_matrix(mayer)
     if not exact:
         orders = chain([[0], [1] * space.size][:N + 1], _order_sums(ursell, mayer, space.size, N))
         return FormalSeries.from_orders(space, N, orders, allow_large=allow_large)
     _check_trunc(space, N, allow_large)
-    W = FormalSeries(space, list(_all_graph_orders(fm, space.size, N)))
-    return FormalSeries(space, [_Exact(p.num, p.den, w.frac) for p, w in zip(log_series(W)._orders, W._orders)])
+    return log_series(FormalSeries(space, list(_all_graph_orders(fm, exact, space.size, N))))
 
 
 def _float_a_order(b, cols, phi):
@@ -579,10 +578,10 @@ def build_A_family(space, mayer, N, phi=None, allow_large=False):
     carried from the bracket of its prefix ms[:-1].  The matrix's rule
     (``_f_matrix``) decides the arithmetic.  Under the exact rule L_q is the
     lcm of the denominators of row q, B is an int, and the coefficient is
-    the one quotient (L_q^n - B) phi_n(x) / L_q^n: a Fraction exactly when
-    an entry f(q, x_j) or phi_n(x) is one, else an int.  Under the float
-    rule L_q = 1 and b_q(x) = 1.0 + f(q, x): order 1 is -(1 + f - 1) on the
-    entries as stored, and each higher order one float64 product per
+    the one quotient (L_q^n - B) phi_n(x) / L_q^n; order n >= 1 holds
+    Fractions when the matrix or phi's order n does, else ints.  Under the
+    float rule L_q = 1 and b_q(x) = 1.0 + f(q, x): order 1 is -(1 + f - 1)
+    on the entries as stored, and each higher order one float64 product per
     species column of ``fps._order_plan``, with the factors multiplied left
     to right and the coefficient -(B - 1.0) phi_n(x), phi_n read as its
     stored order (``fps._arrays``) and the result stored as it is computed.
@@ -610,8 +609,7 @@ def build_A_family(space, mayer, N, phi=None, allow_large=False):
     for row in fm:
         L = math.lcm(*(v.denominator for v in row))
         b = [L + v.numerator * (L // v.denominator) for v in row]
-        fractions = {x for x, v in enumerate(row) if type(v) is Fraction}
-        roots.append((L, b, fractions))
+        roots.append((L, b))
 
     def orders():
         # each order's values in storage order: roots outermost, then ms
@@ -619,18 +617,17 @@ def build_A_family(space, mayer, N, phi=None, allow_large=False):
         brackets = [{(): 1} for _ in roots]
         for n in range(1, N + 1):
             tails = _keys(S, n, False)
+            frac = exact is Fraction or phi._orders[n].frac
             vals = []
-            for q, (L, b, fractions) in enumerate(roots):
+            for q, (L, b) in enumerate(roots):
                 prev = brackets[q]
                 brackets[q] = cur = {ms: prev[ms[:-1]] * b[ms[-1]] for ms in tails}
                 Ln = L**n
-                for (ms, B), p in zip(cur.items(), sums[n]):
-                    if type(p) is Fraction or not fractions.isdisjoint(ms):
-                        # over 1, as on every hard-core matrix, skip the gcd
-                        x, den = (Ln - B) * p.numerator, Ln * p.denominator
-                        vals.append(Fraction(x) if den == 1 else Fraction(x, den))
-                    else:
-                        vals.append((Ln - B) * p // Ln)
+                for B, p in zip(cur.values(), sums[n]):
+                    # over 1, as on every hard-core matrix, skip the gcd; den
+                    # is 1 unless a Fraction is read
+                    x, den = (Ln - B) * p.numerator, Ln * p.denominator
+                    vals.append(Fraction(x, den) if den > 1 else Fraction(x) if frac else x)
             yield vals
 
     return RootedSeriesFamily.from_orders(space, N, orders(), allow_large=allow_large)

@@ -31,7 +31,7 @@ from .errors import CapabilityError, DomainError
 from .fps import FormalSeries, exp_series, left_sum, log_series, mul, sym_factor
 from .graphs import hard_core_d_table, pair_order
 from .kernels import mc_batches, mc_mask_sum
-from .species import MayerMatrices, SpeciesSpace
+from .species import MayerMatrices, SpeciesSpace, parse_size
 
 INV_2E = 1.0 / (2.0 * math.e)
 
@@ -76,14 +76,16 @@ class HomogeneousModel:
 
     @classmethod
     def hard_rod(cls, a, beta=1.0, B=0.0, Bstar=0.0):
-        return cls(1, "hard_rod", a, beta, B, Bstar)
+        return cls(1, "hard_rod", parse_size(a, "hard_rod a"), beta, B, Bstar)
 
     @classmethod
     def hard_sphere(cls, d=3, radius=None, exclusion=None, beta=1.0, B=0.0, Bstar=0.0):
         if (radius is None) == (exclusion is None):
             raise DomainError("give exactly one of radius or exclusion")
         if exclusion is None:
-            exclusion = 2 * radius
+            exclusion = 2 * parse_size(radius, "hard_sphere radius")
+        else:
+            exclusion = parse_size(exclusion, "hard_sphere exclusion")
         return cls(d, "hard_sphere", exclusion, beta, B, Bstar)
 
     @classmethod

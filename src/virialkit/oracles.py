@@ -81,14 +81,17 @@ def sweep_termwise(size, orders, kind, outs, k, g=None, f=None, sub=None, init=N
     ``compose_templates``, or, when ``init`` is given, subtracting them from
     ``init[q][ms]``.  A split skips a template whose k or g factor is 0, a
     partition one whose f[#blocks] is 0, a composition one whose k factor is
-    0; a product stops multiplying once it reads 0.  On float and complex
-    values this is the column rule of ``_sweep`` to the bit and in type; on
-    exact values it is the rational sum the exact rule must equal.
+    0; a product stops multiplying once it reads 0.  Each order written
+    holds one type as a series stores it: all Fractions when its values
+    are ints and Fractions with one Fraction among them.  On float and
+    complex values this is the column rule of ``_sweep`` to the bit and in
+    type; on exact values it is the rational sum the exact rule must equal.
     """
     by_kind = {"split": subset_splits, "partition": set_partitions, "compose": compose_templates}
     for n in orders:
         templates = by_kind[kind](n)
-        for ms in canonical_indices(size, n):
+        keys = list(canonical_indices(size, n))
+        for ms in keys:
             key = {J: tuple(ms[p] for p in J) for J, _ in subset_splits(n)}
             for q, out in enumerate(outs):
                 total = 0 if init is None else init[q][ms]
@@ -115,6 +118,11 @@ def sweep_termwise(size, orders, kind, outs, k, g=None, f=None, sub=None, init=N
                     else:
                         total -= term
                 out[ms] = total
+        types = {type(out[ms]) for out in outs for ms in keys}
+        if Fraction in types and types <= {int, Fraction}:
+            for out in outs:
+                for ms in keys:
+                    out[ms] = Fraction(out[ms])
 
 
 def var_derivative(K, q):
@@ -238,13 +246,15 @@ class EdgeMask(NamedTuple):
 
 def d_coeff_enumerated(f, xs):
     """Biconnected-graph sum by a generic loop over the class table, edge by
-    edge in the scalars given, with early exit on a zero factor (2 <= n <= 7)."""
-    fm, _ = _f_matrix(f)
+    edge in the scalars given, with early exit on a zero factor (2 <= n <= 7).
+    On an exact matrix the sum takes ``graphs.d_coeff``'s type, the
+    matrix's: a Fraction when any entry is one, else an int."""
+    fm, exact = _f_matrix(f)
     n = len(xs)
     if not 2 <= n <= D_COEFF_MAX:
         raise DomainError(f"d_coeff needs 2 <= n <= {D_COEFF_MAX}")
     if n == 2:
-        return fm[xs[0]][xs[1]]
+        return exact(fm[xs[0]][xs[1]]) if exact else fm[xs[0]][xs[1]]
     pairs = pair_order(n)
     total = 0
     for m in class_masks(n, "biconnected"):
@@ -259,7 +269,7 @@ def d_coeff_enumerated(f, xs):
                     break
         if alive:
             total += term
-    return total
+    return exact(total) if exact else total
 
 
 def _adjacency(n, edges):
@@ -281,13 +291,6 @@ def _connected(adj, vertices):
             seen.add(v)
             stack.extend(adj[v] & vertices)
     return seen == vertices
-
-
-def _two_connected(n, edges):
-    """Whether the graph on n >= 3 vertices with these edges stays connected
-    when any one vertex is taken out (and so is connected itself)."""
-    adj = _adjacency(n, edges)
-    return all(_connected(adj, set(range(n)) - {cut}) for cut in range(n))
 
 
 def is_chordal(n, edges):
@@ -329,22 +332,17 @@ def chordal_d(f, xs):
     and the graph of overlaps between species is chordal.  Then D_n is
     -(n - 2)! when every pair of xs overlaps, repeats included, and 0
     otherwise; at n = 2 it is the entry f(x_1, x_2) itself.  The type is
-    ``graphs.d_coeff``'s: int 0 when no biconnected graph on the n points
-    lies within the overlapping pairs (the graph of overlaps is not
-    2-connected), else a Fraction exactly when an overlapping pair entry is.
+    ``graphs.d_coeff``'s, the matrix's: a Fraction when any entry is one,
+    else an int.
     """
-    fm, _ = _f_matrix(f)
+    fm, exact = _f_matrix(f)
     n = len(xs)
     vals = [fm[xs[i]][xs[j]] for i, j in pair_order(n)]
-    if any(v not in (-1, 0) for v in vals):
-        raise DomainError("chordal_d needs hard-core entries -1 and 0")
+    if not exact or any(v not in (-1, 0) for v in vals):
+        raise DomainError("chordal_d needs exact hard-core entries -1 and 0")
     if n == 2:
-        return vals[0]
-    overlaps = [(pair, v) for pair, v in zip(pair_order(n), vals) if v == -1]
-    if not _two_connected(n, [pair for pair, _ in overlaps]):
-        return 0
-    kind = Fraction if any(type(v) is Fraction for _, v in overlaps) else int
-    return kind(-math.factorial(n - 2) if len(overlaps) == len(vals) else 0)
+        return exact(vals[0])
+    return exact(-math.factorial(n - 2) if all(v == -1 for v in vals) else 0)
 
 
 def ursell_bruteforce(f, xs):

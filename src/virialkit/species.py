@@ -354,6 +354,16 @@ def parse_measure(raw, size=None, name="measure"):
     return [parse_scalar(v) for v in raw]
 
 
+def parse_size(v, field):
+    """A size (a length, radius or period) from user input: a positive real
+    number (see parse_scalar); anything else raises DomainError naming the
+    field."""
+    v = parse_scalar(v)
+    if isinstance(v, complex) or not v > 0:
+        raise DomainError(f"{field} must be positive, got {v}")
+    return v
+
+
 def parse_dimension(v):
     """A space dimension d from user input: a positive int, not a bool."""
     if type(v) is not int or v < 1:
@@ -456,26 +466,26 @@ def _potential_matrix_from_kind(space, kind, params):
     payloads = _payloads(space)
     v = [[0.0] * S for _ in range(S)]
     if kind == "hard_rod":
-        a = parse_scalar(params["length"])
+        a = parse_size(params["length"], "hard_rod length")
         period = params.get("period")
         if period is not None:
-            period = parse_scalar(period)
+            period = parse_size(period, "hard_rod period")
         xs = [parse_scalar(p["position"]) for p in payloads]
         for i in range(S):
             for j in range(S):
-                d = _ring_dist(xs[i], xs[j], period) if period else abs(xs[i] - xs[j])
+                d = abs(xs[i] - xs[j]) if period is None else _ring_dist(xs[i], xs[j], period)
                 v[i][j] = INF if d < a else 0.0
     elif kind == "hard_sphere":
         xs = _positions(payloads)
         radii = [
-            parse_scalar(p["radius"] if "radius" in p else params["radius"]) for p in payloads
+            parse_size(p["radius"] if "radius" in p else params["radius"], "hard_sphere radius") for p in payloads
         ]
         for i in range(S):
             for j in range(S):
                 d = _dist(xs[i], xs[j])
                 v[i][j] = INF if d < radii[i] + radii[j] else 0.0
     else:
-        length = parse_scalar(params["length"])
+        length = parse_size(params["length"], "rods2d length")
         segs = [
             _segment_endpoints(x, parse_scalar(p["angle"]), length)
             for x, p in zip(_positions(payloads, 2), payloads)

@@ -559,6 +559,42 @@ def test_species_document_field_types_exit_2(capsys):
     assert codes == [2, 2, 2, 2, 2, 3]
 
 
+def _sized_request(kind, params, payloads):
+    species = [{"id": i, "weight": 1, "payload": p} for i, p in enumerate(payloads)]
+    state = {"beta": 1.0, "species": species, "potential": {"kind": kind, "params": params}}
+    request = {"state": state, "op": "rho_of_z", "N": 2, "inputs": {"z": ["1/10", "1/8"]}}
+    return ["request", "--model", json.dumps(request)]
+
+
+ROD_PAYLOADS = [{"position": 0.0}, {"position": 3.5}]
+SPHERE_PAYLOADS = [{"position": [0.0, 0.0]}, {"position": [0.9, 0.0]}]
+RODS2D_PAYLOADS = [{"position": [0.0, 0.0], "angle": 0.0}, {"position": [0.0, 0.1], "angle": 1.5}]
+
+
+@pytest.mark.parametrize("argv, field", [
+    (_sized_request("hard_rod", {"length": 0}, ROD_PAYLOADS), "hard_rod length"),
+    (_sized_request("hard_rod", {"length": "-1/2"}, ROD_PAYLOADS), "hard_rod length"),
+    (_sized_request("hard_rod", {"length": 1.0, "period": 0}, ROD_PAYLOADS), "hard_rod period"),
+    (_sized_request("hard_rod", {"length": 1.0, "period": "0"}, ROD_PAYLOADS), "hard_rod period"),
+    (_sized_request("hard_rod", {"length": 1.0, "period": -2}, ROD_PAYLOADS), "hard_rod period"),
+    (_sized_request("hard_sphere", {"radius": -0.5}, SPHERE_PAYLOADS), "hard_sphere radius"),
+    (_sized_request("hard_sphere", {"radius": 0.5}, [SPHERE_PAYLOADS[0], {**SPHERE_PAYLOADS[1], "radius": 0}]),
+     "hard_sphere radius"),
+    (_sized_request("rods2d", {"length": -1.0}, RODS2D_PAYLOADS), "rods2d length"),
+    (["virial", "--model", '{"kind": "hard_rod", "a": -1}'], "hard_rod a"),
+    (["bounds", "--model", '{"kind": "hard_sphere", "d": 2, "radius": -0.5}'], "hard_sphere radius"),
+    (["virial", "--model", '{"kind": "hard_sphere", "d": 3, "radius": -0.5}'], "hard_sphere radius"),
+    (["bounds", "--model", '{"kind": "hard_sphere", "d": 3, "exclusion": 0}'], "hard_sphere exclusion"),
+])
+def test_non_positive_sizes_exit_2(capsys, argv, field):
+    # a length, radius or period <= 0 is refused in one line naming it, where
+    # it used to run (a period of 0 read as no ring, one of -2 overlapped
+    # every pair) or fail inside numpy
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {field} must be positive") and err.count("\n") == 1
+
+
 def test_float_overflow_is_a_capability_limit(capsys):
     code, out, err = run(capsys, ["bounds", "--model", '{"kind": "hard_sphere", "radius": 1e300}'])
     assert (code, out) == (3, "")

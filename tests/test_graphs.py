@@ -382,9 +382,8 @@ ENTRIES = {
 @given(data=hyp.data())
 def test_exact_sums_match_enumeration(n, data):
     # the integer path against the edge-by-edge enumeration: same value and
-    # same type (int 0 when no graph survives, a Fraction exactly when a
-    # surviving graph has a Fraction edge); ursell is a Fraction exactly
-    # when one of the tuple's pair entries is
+    # same type (the matrix's, a Fraction when any entry is one); ursell is a
+    # Fraction exactly when one of the tuple's pair entries is
     entry = ENTRIES[data.draw(hyp.sampled_from(sorted(ENTRIES)))]
     S = data.draw(hyp.integers(1, 3))
     f = [[0] * S for _ in range(S)]
@@ -435,7 +434,8 @@ def test_exact_ursell_matches_bruteforce(data):
 
 def test_log_w_phi_and_a_at_order_twelve():
     # one spot check at the oracle's ceiling, on a matrix of ints beside
-    # Fractions: every tuple of order 12, and A at each root
+    # Fractions: every tuple of order 12, and A at each root, all of them
+    # Fractions since the matrix holds one
     N, S = 12, 2
     f = [[-1, Fraction(1, 3)], [Fraction(1, 3), 2]]
     space = SpeciesSpace.uniform(S)
@@ -443,10 +443,10 @@ def test_log_w_phi_and_a_at_order_twelve():
     A = build_A_family(space, f, N, phi, allow_large=True)
     for ms, v in phi.coeffs[N].items():
         want = ursell_exact(f, ms)
-        assert v == want and type(v) is type(want) is (Fraction if 0 in ms and 1 in ms else int)
+        assert v == want and type(v) is Fraction
         for q in range(S):
             a = -(math.prod(1 + f[q][x] for x in ms) - 1) * want
-            assert A.value(N, q, ms) == a and type(A.value(N, q, ms)) is type(a)
+            assert A.value(N, q, ms) == a and type(A.value(N, q, ms)) is Fraction
 
 
 def test_float_sums_golden():
@@ -581,9 +581,9 @@ def test_a_family_matches_literal_formula_in_fractions(data):
     # phi (log of the all-graph weights) against the exact subset recursion
     # of oracles.ursell, and the integer brackets of A against
     # -(prod_j (1 + f(q, x_j)) - 1) phi(x) in Fraction arithmetic, value and
-    # type: phi is a Fraction exactly when a pair entry is one, A when an
-    # entry f(q, x_j) or phi(x) is one; raw lists mixing ints and Fractions,
-    # hard cores and denominators 3, 7 and 16, up to order 7
+    # type: every value of phi and A is a Fraction when an entry of the
+    # matrix is one, else an int; raw lists mixing ints and Fractions, hard
+    # cores and denominators 3, 7 and 16, up to order 7
     entry = ENTRIES[data.draw(hyp.sampled_from(sorted(ENTRIES)))]
     N = data.draw(hyp.integers(1, 7))
     S = data.draw(hyp.integers(1, 3 if N < 7 else 2))
@@ -592,18 +592,17 @@ def test_a_family_matches_literal_formula_in_fractions(data):
         for j in range(i, S):
             f[i][j] = f[j][i] = data.draw(entry)
     space = SpeciesSpace.uniform(S)
+    kind = Fraction if any(type(v) is Fraction for row in f for v in row) else int
     for m in (f, MayerMatrices.from_f(space, f, exact=True)):
         phi, A = build_phi_series(space, m, N, allow_large=True), build_A_family(space, m, N, allow_large=True)
         for n in range(1, N + 1):
             for ms, v in phi.coeffs[n].items():
-                want = ursell_exact(f, ms)
-                assert v == want and type(v) is type(want)
+                assert v == ursell_exact(f, ms) and type(v) is kind
             for (q, ms), v in A.coeffs[n].items():
                 bracket = 1
                 for x in ms:
                     bracket = bracket * (1 + f[q][x])
-                want = -(bracket - 1) * ursell_exact(f, ms)
-                assert v == want and type(v) is type(want)
+                assert v == -(bracket - 1) * ursell_exact(f, ms) and type(v) is kind
 
 
 def counting(monkeypatch, name):
@@ -678,8 +677,10 @@ def test_a_family_refuses_a_raw_list_of_mixed_entries():
 @pytest.mark.parametrize("matrix", ["exact", "float", "marked", "raw"])
 def test_builders_below_order_two_call_no_sum(monkeypatch, matrix, N):
     # order 0 is 0, and order 1 is 1 (phi), -f (A, as -(1 + f - 1) on the
-    # float rule) and f as stored (D), each of its type, on every matrix; a
-    # raw list of floats beside Fractions is refused by every builder
+    # float rule) and f as stored (D), each of its type, on every matrix,
+    # save that on the exact one, which holds a Fraction, order 1 is all
+    # Fractions; a raw list of floats beside Fractions is refused by every
+    # builder
     space = SpeciesSpace.uniform(2)
     f, exact = {
         "exact": ([[-1, Fraction(1, 3)], [Fraction(1, 3), 0]], True),
@@ -690,8 +691,11 @@ def test_builders_below_order_two_call_no_sum(monkeypatch, matrix, N):
     mayer = f if exact is None else MayerMatrices.from_f(space, f, exact=exact)
     calls = counting(monkeypatch, "ursell") + counting(monkeypatch, "d_coeff")
     entries = [f[q][x] for q in range(2) for x in range(2)]
+    one = 1
+    if matrix == "exact":
+        entries, one = list(map(Fraction, entries)), Fraction(1)
     want = {
-        build_phi_series: [[0], [1, 1]],
+        build_phi_series: [[0], [one, one]],
         build_D_family: [[0, 0], entries],
         build_A_family: [[0, 0], [-(1 + v - 1) if isinstance(v, float) else -v for v in entries]],
     }
@@ -708,13 +712,14 @@ def test_builders_below_order_two_call_no_sum(monkeypatch, matrix, N):
 
 
 def test_per_pattern_tells_int_from_fraction(monkeypatch):
-    # -1 and Fraction(-1) are equal but give sums of different types
+    # -1 and Fraction(-1) are equal entries of two classes, so two patterns;
+    # every sum takes the matrix's type, a Fraction as it holds one
     f = [[-1, Fraction(-1)], [Fraction(-1), -1]]
     calls = counting(monkeypatch, "d_coeff")
     d = graphs.per_pattern(graphs.d_coeff, f)
     values = [d(xs) for xs in [(0, 0), (0, 1), (1, 1), (1, 0)]]
     assert len(calls) == 2
-    assert [type(v) for v in values] == [int, Fraction, int, Fraction]
+    assert [type(v) for v in values] == [Fraction, Fraction, Fraction, Fraction]
     assert values == [-1, -1, -1, -1]
 
 

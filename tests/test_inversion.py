@@ -612,7 +612,46 @@ def test_extracted_d_matches_the_chordal_rule_at_order_seven(data):
     D = extract_d_from_a(st)
     for n in range(1, 8):
         for (q, ms), v in D.coeffs[n].items():
-            assert v == chordal_d(f, (q, *ms)), (f, q, ms)
+            want = chordal_d(f, (q, *ms))
+            assert v == want and type(v) is type(want), (f, q, ms)
+
+
+ONE_TYPE_ENTRIES = {
+    "int": hyp.integers(-1, 2),
+    "fraction": hyp.one_of(hyp.integers(-6, 6).map(lambda k: Fraction(k, 6)), hyp.just(Fraction(0))),
+}
+ONE_TYPE_ENTRIES["mixed"] = hyp.one_of(*ONE_TYPE_ENTRIES.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=hyp.data())
+def test_exact_families_take_one_type_per_matrix(data):
+    # every order n >= 1 of phi, A, t, exp(-A), D and the extracted D is all
+    # Fractions when the matrix holds a Fraction, else all ints; zero
+    # entries of either type included, where no biconnected graph survives
+    entry = ONE_TYPE_ENTRIES[data.draw(hyp.sampled_from(sorted(ONE_TYPE_ENTRIES)))]
+    S, N = data.draw(hyp.integers(1, 3)), data.draw(hyp.integers(1, 4))
+    f = [[0] * S for _ in range(S)]
+    for i in range(S):
+        for j in range(i, S):
+            f[i][j] = f[j][i] = data.draw(entry)
+    kind = Fraction if any(type(v) is Fraction for row in f for v in row) else int
+    st = GCState.from_f(SpeciesSpace.uniform(S), f, N=N, exact=True)
+    families = {"phi": st.phi_series, "A": st.a_family, "t": st.t_family, "exp(-A)": st.e_family,
+                "D": st.d_family, "extracted D": extract_d_from_a(st)}
+    types = {name: [{type(v) for v in order.values()} for order in X.coeffs[1:]] for name, X in families.items()}
+    assert types == {name: [{kind}] * N for name in families}, f
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_extracted_d_equals_enumeration_in_value_and_type(N):
+    # MIX_F holds a Fraction(0) entry, so some tuples keep no biconnected
+    # graph: both builders give Fraction(0) there, as everywhere a Fraction
+    st = mix_state(N)
+    got, want = extract_d_from_a(st), st.d_family
+    assert [[(v, type(v)) for v in order.values()] for order in got.coeffs] == [
+        [(v, type(v)) for v in order.values()] for order in want.coeffs
+    ]
 
 
 def hard_core_families(adj, N, with_d=True):
