@@ -69,6 +69,16 @@ one call untimed, then calls until at least half a second has passed:
     {"mode": ..., "layer": "check_PU", "check_Sb" or "check_Sab", "S": ...,
      "N": ..., "per_call": median, "runs": [three per-call times]}
 
+A last section, ``tables``, times the index tables of the float column
+rule: the first build of ``fps._order_index(S, n)`` and ``fps._order_plan(S,
+n)``, one after the other, in a fresh interpreter that has imported
+virialkit, at S = 8, 10 and 12 and n = 1..5.  A cold float cell above pays
+for these builds inside its timed call.  A cell runs in three fresh
+interpreters:
+
+    {"mode": "float", "layer": "tables", "S": ..., "n": ...,
+     "seconds": median, "runs": [three first-build times]}
+
 ``d_family`` at S=3, N=6 takes about ten seconds per run, and the whole
 script takes about three and a half minutes.
 """
@@ -125,6 +135,9 @@ SUMS = {
 # (mode, S, N) of the certificate cells, and the checks timed on each
 CERT_SHAPES = (("exact", 3, 5), ("float", 8, 4), ("float", 10, 4), ("float", 12, 4))
 CERTS = ("check_PU", "check_Sb", "check_Sab")
+
+# (S, n) of the index-table cells
+TABLE_SHAPES = tuple((S, n) for S, _ in SHAPES["float"] for n in range(1, 6))
 
 
 def rational_state(seed, S, N):
@@ -263,6 +276,19 @@ def time_certificate(check, mode, S, N):
     print(json.dumps({"per_call": (time.perf_counter() - t0) / calls}))
 
 
+def time_tables(S, n):
+    """Time the first build of the column rule's index tables of order n
+    over S species in this interpreter, and print it as JSON."""
+    import time
+
+    from virialkit import fps
+
+    start = time.perf_counter()
+    fps._order_index(S, n)
+    fps._order_plan(S, n)
+    print(json.dumps({"seconds": time.perf_counter() - start}))
+
+
 def fresh(code, src=SRC):
     """The JSON line that ``code`` prints in a fresh interpreter that
     imports virialkit from ``src``."""
@@ -320,6 +346,13 @@ def run_certificate(check, mode, S, N, src=SRC):
     return {"mode": mode, "layer": check, "S": S, "N": N, "per_call": statistics.median(runs), "runs": runs}
 
 
+def run_tables(S, n, src=SRC):
+    """The tables line: the first-build median of RUNS fresh interpreters
+    that import virialkit from ``src``."""
+    runs = [fresh(f"import layer_times; layer_times.time_tables({S}, {n})", src)["seconds"] for _ in range(RUNS)]
+    return {"mode": "float", "layer": "tables", "S": S, "n": n, "seconds": statistics.median(runs), "runs": runs}
+
+
 def main():
     for mode, layers in GRIDS.items():
         for layer in layers:
@@ -334,6 +367,8 @@ def main():
     for mode, S, N in CERT_SHAPES:
         for check in CERTS:
             print(json.dumps(run_certificate(check, mode, S, N)), flush=True)
+    for S, n in TABLE_SHAPES:
+        print(json.dumps(run_tables(S, n)), flush=True)
 
 
 if __name__ == "__main__":

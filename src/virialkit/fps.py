@@ -960,14 +960,31 @@ def _sweep_exact(size, orders, kind, out, k, g, f, sub, init):
 
 
 @lru_cache(maxsize=None)
+def _order_codes(size, m):
+    """The canonical multi-indices of order m in storage order, each read as
+    the digits of a base-``size`` number, first digit highest: an ascending
+    int64 array, since the storage order is lexicographic.  The codes fit:
+    size^m reaches 2^63 only where the order's C(size+m-1, m) keys could
+    never be built (at m = 5, from size 6,208 on)."""
+    return _order_plan(size, m)[0] @ _radix(size, m)
+
+
+def _radix(size, m):
+    """The place values size^(m-1), ..., size, 1 of an m-digit code."""
+    return size ** np.arange(m - 1, -1, -1, dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
 def _order_index(size, n):
     """For every position subset J of ``subset_splits(n)``, an int array
     over the canonical multi-indices ms of order n: the rank of ms_J among
     the canonical multi-indices of order |J|.  Templates read ms only at
-    such subsets, so one array per subset serves every template and kind."""
-    keys = _keys(size, n, False)
+    such subsets, so one array per subset serves every template and kind.
+    A sorted ms_J is itself canonical, so its rank is where its code falls
+    among the codes of order |J|."""
+    X = _order_plan(size, n)[0]
     return {
-        J: np.fromiter((_rank(size, len(J))[tuple(ms[p] for p in J)] for ms in keys), np.int32, len(keys))
+        J: np.searchsorted(_order_codes(size, len(J)), X[:, J] @ _radix(size, len(J))).astype(np.int32)
         for J, _ in subset_splits(n)
     }
 
@@ -1262,7 +1279,10 @@ def _order_plan(size, n):
     species of every ms, is also what the float graph sums read."""
     keys = _keys(size, n, False)
     X = np.array(keys, dtype=np.intp).reshape(len(keys), n)
-    sym = np.array([sym_factor(ms) for ms in keys], dtype=float)
+    run, sym = np.ones(len(keys), np.intp), np.ones(len(keys))
+    for a, b in zip(X.T, X.T[1:]):
+        run = np.where(a == b, run + 1, 1)
+        sym *= run
     plan = X, sym, 1.0 / sym
     for a in plan:
         a.setflags(write=False)

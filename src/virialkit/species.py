@@ -246,23 +246,22 @@ def build_mayer(pot):
     exact = pot.is_hard_core_only()
     # one object per hard-core value, shared by every entry that holds it
     minus_one, zero, one = (Fraction(-1), Fraction(0), Fraction(1)) if exact else (-1.0, 0.0, 1.0)
-    f = []
-    f_bar = []
-    for row in pot.v:
-        frow = []
-        fbrow = []
-        for e in row:
+    S = pot.size
+    f = [[None] * S for _ in range(S)]
+    f_bar = [[None] * S for _ in range(S)]
+    # each unordered pair is derived once, from v(i, j) with i <= j, and
+    # mirrored: two equal energies of different types (7/16 and 0.4375)
+    # could round expm1 differently
+    for i in range(S):
+        for j in range(i, S):
+            e = pot.v[i][j]
             if is_inf(e):
-                frow.append(minus_one)
-                fbrow.append(one)
+                pair = minus_one, one
             elif e == 0:
-                frow.append(zero)
-                fbrow.append(zero)
+                pair = zero, zero
             else:
-                frow.append(math.expm1(-pot.beta * e))
-                fbrow.append(-math.expm1(-pot.beta * abs(e)))
-        f.append(frow)
-        f_bar.append(fbrow)
+                pair = math.expm1(-pot.beta * e), -math.expm1(-pot.beta * abs(e))
+            f[i][j], f_bar[i][j] = f[j][i], f_bar[j][i] = pair
     return MayerMatrices(pot.space, f, f_bar, exact)
 
 
@@ -392,7 +391,8 @@ def _dist(p, q):
 
 
 def _ring_dist(a, b, period):
-    d = abs(a - b)
+    """The distance of a and b on a ring of circumference ``period``."""
+    d = abs(a - b) % period
     return min(d, period - d)
 
 
@@ -470,6 +470,8 @@ def _potential_matrix_from_kind(space, kind, params):
         period = params.get("period")
         if period is not None:
             period = parse_size(period, "hard_rod period")
+            if not period > a:
+                raise DomainError(f"hard_rod period must exceed the length {a}, got {period}")
         xs = [parse_scalar(p["position"]) for p in payloads]
         for i in range(S):
             for j in range(S):

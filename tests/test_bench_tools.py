@@ -53,3 +53,12 @@ def test_layer_times_times_an_exact_cell(quiet):
     assert os.environ["PYTHONDONTWRITEBYTECODE"] == "1"
     out = layer_times.fresh("import layer_times; layer_times.time_cell('exact', 'roundtrip_check', 2, 3)")
     assert out["seconds"] > 0 and out["warm"] > 0
+
+
+def test_layer_times_times_the_index_tables(quiet):
+    spec = importlib.util.spec_from_file_location("layer_times", BENCHMARKS / "layer_times.py")
+    layer_times = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layer_times)
+    line = layer_times.run_tables(3, 2)
+    assert (line["layer"], line["S"], line["n"], len(line["runs"])) == ("tables", 3, 2, layer_times.RUNS)
+    assert line["seconds"] > 0

@@ -595,6 +595,14 @@ def test_non_positive_sizes_exit_2(capsys, argv, field):
     assert err.startswith(f"input error: {field} must be positive") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("period", [1.0, "1/2", 0.25])
+def test_hard_rod_period_at_or_below_the_length_exits_2(capsys, period):
+    # a ring no longer than one rod used to load with every pair overlapping
+    code, out, err = run(capsys, _sized_request("hard_rod", {"length": 1.0, "period": period}, ROD_PAYLOADS))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: hard_rod period must exceed") and err.count("\n") == 1
+
+
 def test_float_overflow_is_a_capability_limit(capsys):
     code, out, err = run(capsys, ["bounds", "--model", '{"kind": "hard_sphere", "radius": 1e300}'])
     assert (code, out) == (3, "")

@@ -15,6 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
@@ -25,6 +26,8 @@ from virialkit.fps import (
     FormalSeries,
     RootedSeriesFamily,
     _majorant_sums,
+    _order_index,
+    _order_plan,
     canonical_indices,
     compose_measure,
     compose_templates,
@@ -176,6 +179,42 @@ def test_canonical_indices():
     assert all(tuple(sorted(ms)) == ms for ms in idx)
     assert len(set(idx)) == len(idx)
     assert list(canonical_indices(5, 0)) == [()]
+
+
+def _order_index_per_key(size, n):
+    # one rank lookup per position subset and multi-index, as the tables
+    # were built before their array construction
+    keys = list(canonical_indices(size, n))
+    rank = {m: {ms: i for i, ms in enumerate(canonical_indices(size, m))} for m in range(n + 1)}
+    return {
+        J: np.fromiter((rank[len(J)][tuple(ms[p] for p in J)] for ms in keys), np.int32, len(keys))
+        for J, _ in subset_splits(n)
+    }
+
+
+def _order_plan_per_key(size, n):
+    keys = list(canonical_indices(size, n))
+    X = np.array(keys, dtype=np.intp).reshape(len(keys), n)
+    sym = np.array([sym_factor(ms) for ms in keys], dtype=float)
+    plan = X, sym, 1.0 / sym
+    for a in plan:
+        a.setflags(write=False)
+    return plan
+
+
+def _same_array(a, b):
+    return (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, b.flags.writeable) and np.array_equal(a, b)
+
+
+def test_order_tables_match_the_per_key_construction():
+    # the code ranks of _order_index and the run-length sym factors of
+    # _order_plan give the very arrays of one lookup per key
+    for size in range(1, 14):
+        for n in range(7 if size <= 8 else 6):
+            index, expect = _order_index(size, n), _order_index_per_key(size, n)
+            assert list(index) == list(expect)
+            assert all(_same_array(index[J], expect[J]) for J in expect), (size, n)
+            assert all(map(_same_array, _order_plan(size, n), _order_plan_per_key(size, n))), (size, n)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,17 @@ def test_finite_energy_mayer_values():
     assert abs(my.f_bar[0][1] - 0.5) < 1e-15
 
 
+def test_mayer_of_equal_energies_of_two_types_is_symmetric():
+    # v(0,1) = 7/16 and v(1,0) = 0.4375 compare equal, so the potential is
+    # symmetric; expm1 of -beta*v rounds the two types differently, so f is
+    # derived once per unordered pair and mirrored
+    space = SpeciesSpace.uniform(2)
+    pot = PairPotential(space, Fraction(1, 3), [[0, Fraction(7, 16)], [0.4375, 0]])
+    my = build_mayer(pot)
+    assert my.f[1][0] == my.f[0][1] == math.expm1(-Fraction(1, 3) * Fraction(7, 16))
+    assert my.f_bar[1][0] == my.f_bar[0][1]
+
+
 def test_recover_potential_roundtrip():
     space = SpeciesSpace.uniform(2)
     v = [[0.4, 1.3], [1.3, INF]]
@@ -275,6 +286,23 @@ def test_load_species_json_hard_rod_ring():
     _, pot = load_species_json(doc)
     # ring distance is min(3.5, 0.5) = 0.5 < 1
     assert pot.v[0][1] == INF
+
+
+@pytest.mark.parametrize("shift", [4.0, -4.0, 8.0, 12.0])
+def test_hard_rod_ring_is_unchanged_by_a_whole_period(shift):
+    # rods of length 0.5 at ring distance 1 on a ring of period 4 do not
+    # overlap, however many periods apart their positions are written
+    def ring(positions):
+        species = [{"id": i, "weight": 1, "payload": {"position": x}} for i, x in enumerate(positions)]
+        doc = {"beta": 1.0, "species": species,
+               "potential": {"kind": "hard_rod", "params": {"length": 0.5, "period": 4.0}}}
+        return load_species_json(doc)[1].v
+
+    base = [0.0, 1.0, 3.75, 2.25]
+    expect = ring(base)
+    assert expect[0][1] == 0.0 and expect[0][2] == INF
+    for k in range(len(base)):
+        assert ring([x + shift if i == k else x for i, x in enumerate(base)]) == expect
 
 
 def test_load_species_json_errors():
