@@ -963,9 +963,10 @@ def _sweep_exact(size, orders, kind, out, k, g, f, sub, init):
 def _order_codes(size, m):
     """The canonical multi-indices of order m in storage order, each read as
     the digits of a base-``size`` number, first digit highest: an ascending
-    int64 array, since the storage order is lexicographic.  The codes fit:
-    size^m reaches 2^63 only where the order's C(size+m-1, m) keys could
-    never be built (at m = 5, from size 6,208 on)."""
+    int64 array, since the storage order is lexicographic.  The largest
+    code, size^m - 1, fits in int64 unless size^m > 2^63, which needs, for
+    example, size >= 6,209 at m = 5, where the order's C(size+m-1, m) keys
+    could never be built."""
     return _order_plan(size, m)[0] @ _radix(size, m)
 
 
